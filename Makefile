@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: ci lint vet fetchphilint lint-gate build test race trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke bench sweep report baseline baseline-claims baseline-lint baseline-stress gate clean
+.PHONY: ci lint vet fetchphilint lint-gate build test perf race trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke bench sweep report baseline baseline-claims baseline-lint baseline-stress gate clean
 
 # ci is the full tier-1 pipeline: static checks (vet + the repo's own
 # analysis suite, gated against the checked-in lint baseline), build,
 # tests, the race detector over the genuinely concurrent packages, the
 # trace-pipeline smoke test, the sharded model-checker smoke, the
 # distributed-fleet + telemetry smokes, the native-stress smoke, the
-# abortable-pipeline smoke, and the claims-conformance gate + smoke.
-ci: lint-gate build test race trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke
+# abortable-pipeline smoke, the claims-conformance gate + smoke, and
+# the host-cost benchmark's own vet and tests.
+ci: lint-gate build test perf race trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke
 
 # lint runs go vet plus cmd/fetchphilint — the per-package analyzers
 # (awaitwatch, memsimpurity, determinism, phasebalance), the
@@ -33,6 +34,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perf vets and tests the host-cost benchmark (bench/perf). It is a
+# module of its own, so the root build, vet and test targets do not
+# reach it; this target keeps a change to the internal packages it
+# builds against from breaking it or staling its RMR digests unnoticed.
+perf:
+	cd bench/perf && $(GO) vet ./... && $(GO) test ./...
 
 # race covers the packages that use real goroutines: the native spin
 # locks (including the starvation smokes), the stress harness that

@@ -1,24 +1,36 @@
 package memsim
 
 // bitset is a fixed-capacity set of process ids, used to track cached
-// copies under the CC model.
+// copies under the CC model. Ids 0..63 live inline, so machines with at
+// most 64 processes allocate nothing for it.
 type bitset struct {
-	words []uint64
+	lo    uint64
+	hi    []uint64 // ids 64 and up
 	count int
 }
 
 func newBitset(n int) bitset {
-	return bitset{words: make([]uint64, (n+63)/64)}
+	if n <= 64 {
+		return bitset{}
+	}
+	return bitset{hi: make([]uint64, (n-1)/64)}
 }
 
 func (b *bitset) has(i int) bool {
-	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
+	m := uint64(1) << (uint(i) & 63)
+	if i < 64 {
+		return b.lo&m != 0
+	}
+	return b.hi[i>>6-1]&m != 0
 }
 
 func (b *bitset) add(i int) {
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	if b.words[w]&m == 0 {
-		b.words[w] |= m
+	w, m := &b.lo, uint64(1)<<(uint(i)&63)
+	if i >= 64 {
+		w = &b.hi[i>>6-1]
+	}
+	if *w&m == 0 {
+		*w |= m
 		b.count++
 	}
 }
@@ -32,8 +44,7 @@ func (b *bitset) clear() {
 	if b.count == 0 {
 		return
 	}
-	for i := range b.words {
-		b.words[i] = 0
-	}
+	b.lo = 0
+	clear(b.hi)
 	b.count = 0
 }

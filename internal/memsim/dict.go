@@ -1,7 +1,5 @@
 package memsim
 
-import "fmt"
-
 // Dict is a lazily allocated family of shared variables indexed by
 // Word keys. Algorithms G-CC and G-DSM index their Signal and Waiter
 // arrays by fetch-and-φ values ("array[Vartype] of ..."), whose domain
@@ -55,7 +53,7 @@ func (d *Dict) At(key Word) Var {
 	if v, ok := d.vars[key]; ok {
 		return v
 	}
-	v := d.m.NewVar(fmt.Sprintf("%s[%d]", d.name, key), d.homeFor(key), d.init)
+	v := d.m.newIndexedVar(d.name, key, d.homeFor(key), d.init)
 	d.vars[key] = v
 	return v
 }

@@ -16,27 +16,25 @@
 //     memory module (or in no process's, for HomeGlobal); an access is
 //     free iff the accessor is the variable's home process.
 //
-// Simulated processes are cooperatively scheduled goroutines. Every
-// Read, Write, RMW and Await re-check is a scheduling point, so a
-// Scheduler fully determines the interleaving; runs are reproducible
-// and can be explored systematically (see Explorer). Busy-waiting is
-// expressed as condition waits over explicit watch sets, which lets the
-// engine (a) suspend spinners instead of burning steps and (b) charge
-// exactly one RMR per re-check that misses — the same accounting the
-// paper's analyses use for spin loops.
+// Each simulated process runs on its own goroutine, and exactly one of
+// them holds the baton at a time. Every Read, Write, RMW and Await
+// re-check is a scheduling point: the process that reaches one runs the
+// engine step itself, asking the Scheduler for the next process, and
+// either continues (it picked itself) or resumes the chosen process and
+// parks. So a Scheduler fully determines the interleaving; runs are
+// reproducible and can be explored systematically (see Explorer).
+// Busy-waiting is expressed as condition waits over explicit watch
+// sets, which lets the engine (a) suspend spinners instead of burning
+// steps and (b) charge exactly one RMR per re-check that misses — the
+// same accounting the paper's analyses use for spin loops.
 package memsim
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"fetchphi/internal/phi"
 )
-
-// varTrace names a variable whose writes and RMWs are printed (debug;
-// set VAR_TRACE=<name>).
-var varTrace = os.Getenv("VAR_TRACE")
 
 // Word is the machine word; re-exported from phi so algorithm code only
 // needs one import for values.
@@ -113,12 +111,27 @@ type watchEntry struct {
 
 // variable is the engine-side state of one shared variable.
 type variable struct {
+	// name is the allocation name. For a member of an array or Dict
+	// family it holds the family name, and label builds and memoizes
+	// "name[key]" the first time anything asks, so runs that never
+	// look at names never format them.
 	name     string
-	home     int // process id, or HomeGlobal
+	key      Word
+	home     int32 // process id, or HomeGlobal
+	indexed  bool  // name still lacks its "[key]" suffix
 	value    Word
 	sharers  bitset // CC: processes holding a valid cached copy
 	watchers []watchEntry
 	rmrs     int64 // remote references charged against this variable
+}
+
+// label returns the variable's allocation name.
+func (vv *variable) label() string {
+	if vv.indexed {
+		vv.name = fmt.Sprintf("%s[%d]", vv.name, vv.key)
+		vv.indexed = false
+	}
+	return vv.name
 }
 
 // Machine is one simulated multiprocessor instance. A Machine is built
@@ -133,12 +146,19 @@ type Machine struct {
 	procs []*Proc
 
 	steps      int64
-	maxSteps   int64
 	csOccupant int // process id in critical section, or -1
 	csEntries  int64
 
+	// Engine state of the run in progress, touched only by the
+	// goroutine holding the baton (see schedule).
+	cfg        RunConfig
+	last       int           // previously scheduled process, -1 at the first step
+	runnable   []int         // scratch for the runnable scan
+	over       chan struct{} // run over, or a teardown kill acknowledged
+	timedOut   bool
+	schedPanic any // a Scheduler or Observer panic, re-raised by Run
+
 	violation  error
-	running    *Proc       // process currently between resume and report
 	trace      *traceRing  // nil unless EnableTrace was called
 	sinks      []EventSink // observers of every shared-memory operation
 	phaseSinks []PhaseSink // the subset of sinks observing phase transitions
@@ -171,15 +191,25 @@ func (m *Machine) NumProcs() int { return m.nproc }
 // HomeGlobal for a variable remote to everyone. The home is ignored on
 // CC machines (locality there is dynamic).
 func (m *Machine) NewVar(name string, home int, init Word) Var {
+	return m.newVar(&variable{name: name}, home, init)
+}
+
+// newIndexedVar allocates the family member name[key]; its name is
+// formatted only when first asked for (see variable.label).
+func (m *Machine) newIndexedVar(name string, key Word, home int, init Word) Var {
+	return m.newVar(&variable{name: name, key: key, indexed: true}, home, init)
+}
+
+func (m *Machine) newVar(vv *variable, home int, init Word) Var {
 	if home != HomeGlobal && (home < 0 || home >= m.nproc) {
-		panic(fmt.Sprintf("memsim: variable %q: invalid home %d", name, home))
+		panic(fmt.Sprintf("memsim: variable %q: invalid home %d", vv.label(), home))
 	}
-	m.vars = append(m.vars, &variable{
-		name:    name,
-		home:    home,
-		value:   init,
-		sharers: newBitset(m.nproc),
-	})
+	vv.home = int32(home)
+	vv.value = init
+	if m.model != DSM { // DSM locality is static: no cached copies
+		vv.sharers = newBitset(m.nproc)
+	}
+	m.vars = append(m.vars, vv)
 	return Var{idx: int32(len(m.vars) - 1)}
 }
 
@@ -187,7 +217,7 @@ func (m *Machine) NewVar(name string, home int, init Word) Var {
 func (m *Machine) NewArray(name string, n, home int, init Word) []Var {
 	vs := make([]Var, n)
 	for i := range vs {
-		vs[i] = m.NewVar(fmt.Sprintf("%s[%d]", name, i), home, init)
+		vs[i] = m.newIndexedVar(name, Word(i), home, init)
 	}
 	return vs
 }
@@ -198,7 +228,7 @@ func (m *Machine) NewArray(name string, n, home int, init Word) []Var {
 func (m *Machine) NewPerProcArray(name string, init Word) []Var {
 	vs := make([]Var, m.nproc)
 	for i := range vs {
-		vs[i] = m.NewVar(fmt.Sprintf("%s[%d]", name, i), i, init)
+		vs[i] = m.newIndexedVar(name, Word(i), i, init)
 	}
 	return vs
 }
@@ -246,7 +276,7 @@ func (m *Machine) doRead(p *Proc, v Var, spinning bool) Word {
 	}
 	switch m.model {
 	case DSM:
-		if vv.home != p.id {
+		if int(vv.home) != p.id {
 			m.chargeRMR(p, vv)
 			if spinning {
 				p.stats.NonLocalSpinReads++
@@ -277,9 +307,6 @@ func (m *Machine) doWrite(p *Proc, v Var, x Word) {
 		rmrsBefore = p.stats.RMRs
 	}
 	m.chargeWrite(p, vv)
-	if varTrace == "*" || (varTrace != "" && vv.name == varTrace) {
-		fmt.Printf("  var[%06d]: p%d writes %s: %d -> %d\n", m.steps, p.id, vv.name, vv.value, x)
-	}
 	old := vv.value
 	vv.value = x
 	if rmrsBefore >= 0 {
@@ -302,9 +329,6 @@ func (m *Machine) doRMW(p *Proc, v Var, f func(Word) Word) Word {
 	if rmrsBefore >= 0 {
 		m.record(p, TraceRMW, vv, old, vv.value, p.stats.RMRs > rmrsBefore)
 	}
-	if varTrace == "*" || (varTrace != "" && vv.name == varTrace) {
-		fmt.Printf("  var[%06d]: p%d rmw %s: %d -> %d\n", m.steps, p.id, vv.name, old, vv.value)
-	}
 	m.wakeWatchers(vv)
 	return old
 }
@@ -312,7 +336,7 @@ func (m *Machine) doRMW(p *Proc, v Var, f func(Word) Word) Word {
 func (m *Machine) chargeWrite(p *Proc, vv *variable) {
 	switch m.model {
 	case DSM:
-		if vv.home != p.id {
+		if int(vv.home) != p.id {
 			m.chargeRMR(p, vv)
 		}
 	case CC:
@@ -375,7 +399,7 @@ func (m *Machine) HotVars(k int) []VarRMR {
 	out := make([]VarRMR, 0, len(m.vars))
 	for _, vv := range m.vars[1:] {
 		if vv.rmrs > 0 {
-			out = append(out, VarRMR{Name: vv.name, RMRs: vv.rmrs})
+			out = append(out, VarRMR{Name: vv.label(), RMRs: vv.rmrs})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

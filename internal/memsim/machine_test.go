@@ -1,7 +1,9 @@
 package memsim
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,8 +35,9 @@ func TestCCReadCachingAndInvalidation(t *testing.T) {
 	m.AddProc("writer", func(p *Proc) {
 		p.Write(v, 7) // writer not sole sharer: 1 RMR
 	})
-	// Startup handshakes occupy one step per process, then: reader
-	// performs 3 reads, writer 1 write, reader the final read.
+	// Each process's first step starts its body and runs it to its
+	// first operation, then: reader performs 3 reads, writer 1 write,
+	// reader the final read.
 	order := []int{0, 0, 0, 0, 1, 1, 0}
 	res := m.Run(RunConfig{Sched: scriptSched(order)})
 	if err := res.Err(); err != nil {
@@ -480,13 +483,81 @@ func TestHotVarsAttribution(t *testing.T) {
 	}
 }
 
+// contendedMachine is three processes incrementing one variable.
+func contendedMachine() *Machine {
+	m := NewMachine(CC, 3)
+	v := m.NewVar("v", HomeGlobal, 0)
+	for j := 0; j < 3; j++ {
+		m.AddProc("p", func(p *Proc) {
+			for k := 0; k < 4; k++ {
+				p.RMW(v, func(w Word) Word { return w + 1 })
+			}
+		})
+	}
+	return m
+}
+
+// panicSched picks round-robin but panics at step at.
+type panicSched struct{ at int64 }
+
+func (s panicSched) Pick(step int64, runnable []int, last int) int {
+	panicAt(step, s.at)
+	return RoundRobin{}.Pick(step, runnable, last)
+}
+
+func panicAt(step, at int64) {
+	if step == at {
+		panic(fmt.Sprintf("boom at step %d", at))
+	}
+}
+
+// runRecover runs m and returns what Run panicked with, nil if it
+// returned normally.
+func runRecover(m *Machine, cfg RunConfig) (r any) {
+	defer func() { r = recover() }()
+	m.Run(cfg)
+	return nil
+}
+
+// TestSchedulerPanicReachesCaller: a panic in Scheduler.Pick or the
+// Observer, whichever goroutine holds the baton when it fires (Run's
+// own at step 0, a process's later), surfaces from Run with its
+// original value instead of crashing a process goroutine.
+func TestSchedulerPanicReachesCaller(t *testing.T) {
+	for _, at := range []int64{0, 1, 3, 7} {
+		want := fmt.Sprintf("boom at step %d", at)
+		if got := runRecover(contendedMachine(), RunConfig{Sched: panicSched{at: at}}); got != want {
+			t.Errorf("Pick panic at step %d: Run panicked with %v, want %q", at, got, want)
+		}
+		got := runRecover(contendedMachine(), RunConfig{
+			Sched:    RoundRobin{},
+			Observer: func(step int64, _ []int, _ int) { panicAt(step, at) },
+		})
+		if got != want {
+			t.Errorf("Observer panic at step %d: Run panicked with %v, want %q", at, got, want)
+		}
+	}
+	// The explorer's chooser panics when a replayed schedule names a
+	// process that is not runnable; that must reach the caller too.
+	e := &Explorer{Build: contendedMachine}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.ReplaySchedule([]Preemption{{Step: 2, Proc: 9}})
+	}()
+	if s, ok := got.(string); !ok || !strings.Contains(s, "schedule replay diverged") {
+		t.Errorf("diverged replay: Run panicked with %v", got)
+	}
+}
+
 func TestNoGoroutineLeaks(t *testing.T) {
 	// The engine must fully unwind its process goroutines on every
-	// exit path: completion, violation, deadlock, and timeout.
+	// exit path: completion, violation, deadlock, timeout, and a
+	// panicking Scheduler or Observer.
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 300; i++ {
-		switch i % 4 {
+		switch i % 6 {
 		case 0: // completion
 			m := NewMachine(CC, 3)
 			v := m.NewVar("v", HomeGlobal, 0)
@@ -515,6 +586,13 @@ func TestNoGoroutineLeaks(t *testing.T) {
 				}
 			})
 			m.Run(RunConfig{Sched: RoundRobin{}, MaxSteps: 20})
+		case 4: // scheduler panic, re-raised in Run's caller
+			runRecover(contendedMachine(), RunConfig{Sched: panicSched{at: 3}})
+		case 5: // observer panic, re-raised in Run's caller
+			runRecover(contendedMachine(), RunConfig{
+				Sched:    RoundRobin{},
+				Observer: func(step int64, _ []int, _ int) { panicAt(step, 5) },
+			})
 		}
 	}
 	for wait := 0; wait < 100; wait++ {

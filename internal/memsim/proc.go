@@ -24,29 +24,15 @@ const (
 	statusDone
 )
 
-// reportKind is what a process goroutine tells the engine when it
-// hands control back.
-type reportKind int
-
-const (
-	reportStep    reportKind = iota // at a scheduling point, ready for next op
-	reportBlocked                   // await condition false; now waiting
-	reportDone                      // body returned
-	// reportViolation: an assertion failed inside the process body and
-	// the run is being torn down. This is about the RUN, not the
-	// process's current request — "abort" in this package's API always
-	// means abort-the-request (AbortPoint, AwaitAbortable,
-	// AbortPassage), never a detected violation.
-	reportViolation
-)
-
 // killed is the panic sentinel used to unwind a process goroutine when
 // the engine tears a run down.
 type killed struct{}
 
 // violation is the panic sentinel carrying an assertion failure out of
-// a process body. (It was once called `abort`, a name now reserved for
-// abortable mutual exclusion's abort-the-request machinery.)
+// a process body; the run ends with it recorded as Result.Violation.
+// "Abort" in this package's API always means abort-the-request
+// (AbortPoint, AwaitAbortable, AbortPassage), never a detected
+// violation.
 type violation struct{ err error }
 
 // ProcStats accumulates the per-process metrics the experiments report.
@@ -96,8 +82,7 @@ type Proc struct {
 	name string
 	body func(*Proc)
 
-	resume chan bool       // engine → proc; true = killed
-	report chan reportKind // proc → engine
+	resume chan bool // the baton: false = run your step, true = killed
 
 	status     procStatus
 	watch      []Var
@@ -147,24 +132,30 @@ func (m *Machine) AddProc(name string, body func(*Proc)) *Proc {
 		name:    name,
 		body:    body,
 		resume:  make(chan bool),
-		report:  make(chan reportKind),
 		passage: -1,
 	}
 	m.procs = append(m.procs, p)
 	return p
 }
 
-// yield hands control to the engine and blocks until resumed. It
-// panics with the kill sentinel when the engine is tearing down.
+// yield ends the process's current step at a scheduling point, leaving
+// it in status st (statusReady, or statusWaiting after a false await
+// condition), and runs the engine step that picks the next process. If
+// that is this process it simply continues; otherwise it passes the
+// baton and parks until resumed. It panics with the kill sentinel when
+// the engine is tearing down.
 //
 // Every resumption inside an entry section is one abort-schedule
 // "event" (see AbortPoint.Event): pending abort points fire here,
 // synchronously within the process's own execution, which is what
 // keeps abort delivery a pure function of the schedule.
-func (p *Proc) yield(kind reportKind) {
-	p.report <- kind
-	if <-p.resume {
-		panic(killed{})
+func (p *Proc) yield(st procStatus) {
+	p.status = st
+	if next := p.m.schedule(); next != p {
+		p.m.handoff(next)
+		if <-p.resume {
+			panic(killed{})
+		}
 	}
 	p.stats.Steps++
 	if p.phase == PhaseEntry {
@@ -175,20 +166,20 @@ func (p *Proc) yield(kind reportKind) {
 
 // Read performs an atomic read of v. One scheduling point.
 func (p *Proc) Read(v Var) Word {
-	p.yield(reportStep)
+	p.yield(statusReady)
 	return p.m.doRead(p, v, false)
 }
 
 // Write performs an atomic write of x to v. One scheduling point.
 func (p *Proc) Write(v Var, x Word) {
-	p.yield(reportStep)
+	p.yield(statusReady)
 	p.m.doWrite(p, v, x)
 }
 
 // RMW atomically replaces v's value with f(v) and returns the old
 // value. One scheduling point. f must be pure.
 func (p *Proc) RMW(v Var, f func(Word) Word) Word {
-	p.yield(reportStep)
+	p.yield(statusReady)
 	return p.m.doRMW(p, v, f)
 }
 
@@ -207,7 +198,7 @@ func (p *Proc) Await(cond func(read func(Var) Word) bool, watch ...Var) {
 		panic("memsim: Await with empty watch set")
 	}
 	p.watch = watch
-	p.yield(reportStep)
+	p.yield(statusReady)
 	for {
 		if p.evalCond(cond) {
 			p.watch = nil
@@ -216,7 +207,7 @@ func (p *Proc) Await(cond func(read func(Var) Word) bool, watch ...Var) {
 		}
 		p.stats.AwaitBlocks++
 		p.m.registerWatch(p)
-		p.yield(reportBlocked)
+		p.yield(statusWaiting)
 	}
 }
 
@@ -233,7 +224,7 @@ func (p *Proc) AwaitAbortable(cond func(read func(Var) Word) bool, watch ...Var)
 		panic("memsim: AwaitAbortable with empty watch set")
 	}
 	p.watch = watch
-	p.yield(reportStep)
+	p.yield(statusReady)
 	for {
 		if p.abortPending {
 			p.watch = nil
@@ -247,7 +238,7 @@ func (p *Proc) AwaitAbortable(cond func(read func(Var) Word) bool, watch ...Var)
 		}
 		p.stats.AwaitBlocks++
 		p.m.registerWatch(p)
-		p.yield(reportBlocked)
+		p.yield(statusWaiting)
 	}
 }
 
@@ -276,7 +267,7 @@ func (p *Proc) AwaitNonBottom(v Var) {
 // exclusion. One scheduling point, so overlapping critical sections of
 // two processes are observable by the engine.
 func (p *Proc) EnterCS() {
-	p.yield(reportStep)
+	p.yield(statusReady)
 	if occ := p.m.csOccupant; occ != -1 {
 		p.failf("mutual exclusion violated: process %d entered the critical section while process %d held it", p.id, occ)
 	}
@@ -294,7 +285,7 @@ func (p *Proc) EnterCS() {
 
 // ExitCS marks exit from the critical section. One scheduling point.
 func (p *Proc) ExitCS() {
-	p.yield(reportStep)
+	p.yield(statusReady)
 	if p.m.csOccupant != p.id {
 		p.failf("critical-section exit by process %d, but occupant is %d", p.id, p.m.csOccupant)
 	}

@@ -153,72 +153,50 @@ func (m *Machine) Run(cfg RunConfig) Result {
 		return Result{Completed: true}
 	}
 	m.distributeAbortPoints()
+	m.cfg = cfg
+	m.last = -1
+	m.runnable = make([]int, 0, len(m.procs))
+	m.over = make(chan struct{})
 
 	for _, p := range m.procs {
 		go p.run()
 	}
-	for _, p := range m.procs {
-		m.handleReport(p, <-p.report)
-	}
-
-	last := -1
-	runnable := make([]int, 0, len(m.procs))
-	var timedOut bool
-	for m.violation == nil {
-		runnable = runnable[:0]
-		allDone := true
-		for _, p := range m.procs {
-			switch p.status {
-			case statusReady, statusRecheck:
-				runnable = append(runnable, p.id)
-				allDone = false
-			case statusWaiting:
-				allDone = false
-			}
-		}
-		if len(runnable) == 0 || allDone {
-			break
-		}
-		if m.steps >= cfg.MaxSteps {
-			timedOut = true
-			break
-		}
-		id := cfg.Sched.Pick(m.steps, runnable, last)
-		if cfg.Observer != nil {
-			cfg.Observer(m.steps, runnable, id)
-		}
-		m.steps++
-		last = id
-		p := m.procs[id]
-		p.resume <- false
-		m.handleReport(p, <-p.report)
+	// Hand the baton to the first process; from here on each scheduling
+	// point is decided by the process that reaches it, and the one that
+	// finds the run over signals m.over.
+	if first := m.schedule(); first != nil {
+		first.resume <- false
+		<-m.over
 	}
 
 	res := Result{
 		Violation: m.violation,
-		TimedOut:  timedOut,
+		TimedOut:  m.timedOut,
 		Steps:     m.steps,
 		CSEntries: m.csEntries,
 	}
 	// Tear down: unwind every process goroutine still alive.
 	for _, p := range m.procs {
 		if p.status != statusDone {
-			if p.status == statusWaiting && res.Violation == nil && !timedOut {
+			if p.status == statusWaiting && res.Violation == nil && !m.timedOut {
 				res.WaitingProcs = append(res.WaitingProcs, p.id)
 				names := make([]string, len(p.watch))
 				for i, v := range p.watch {
-					names[i] = m.varAt(v).name
+					names[i] = m.varAt(v).label()
 				}
 				res.WaitingDetail = append(res.WaitingDetail,
 					fmt.Sprintf("p%d awaits %v", p.id, names))
 			}
 			p.resume <- true
-			<-p.report
+			<-m.over
 			p.status = statusDone
 		}
 	}
+	if m.schedPanic != nil {
+		panic(m.schedPanic)
+	}
 	res.Deadlocked = len(res.WaitingProcs) > 0
-	res.Completed = res.Violation == nil && !res.Deadlocked && !timedOut
+	res.Completed = res.Violation == nil && !res.Deadlocked && !m.timedOut
 	res.Procs = make([]ProcStats, len(m.procs))
 	for i, p := range m.procs {
 		res.Procs[i] = p.stats
@@ -226,42 +204,83 @@ func (m *Machine) Run(cfg RunConfig) Result {
 	return res
 }
 
-// handleReport updates the engine-side status after a process hands
-// control back.
-func (m *Machine) handleReport(p *Proc, kind reportKind) {
-	switch kind {
-	case reportStep:
-		p.status = statusReady
-	case reportBlocked:
-		p.status = statusWaiting
-	case reportDone, reportViolation:
-		p.status = statusDone
+// schedule is one engine step, run by whichever goroutine holds the
+// baton: the process at its scheduling point, a process whose body just
+// ended, or Run for the very first step. It collects the runnable set,
+// enforces MaxSteps, and asks the scheduler for the next process. It
+// returns nil when the run is over: a violation, no runnable process
+// (completion or deadlock), the step bound, or a panic in the Scheduler
+// or Observer, which is kept for Run to re-raise after teardown so it
+// never unwinds a process body.
+func (m *Machine) schedule() (next *Proc) {
+	if m.violation != nil {
+		return nil
 	}
+	runnable := m.runnable[:0]
+	for _, p := range m.procs {
+		if p.status == statusReady || p.status == statusRecheck {
+			runnable = append(runnable, p.id)
+		}
+	}
+	m.runnable = runnable
+	if len(runnable) == 0 {
+		return nil
+	}
+	if m.steps >= m.cfg.MaxSteps {
+		m.timedOut = true
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			m.schedPanic = r
+			next = nil
+		}
+	}()
+	id := m.cfg.Sched.Pick(m.steps, runnable, m.last)
+	if m.cfg.Observer != nil {
+		m.cfg.Observer(m.steps, runnable, id)
+	}
+	m.steps++
+	m.last = id
+	return m.procs[id]
+}
+
+// handoff passes the baton to next, or tells Run the run is over when
+// next is nil. The caller must not touch machine state afterwards
+// until it is resumed.
+func (m *Machine) handoff(next *Proc) {
+	if next == nil {
+		m.over <- struct{}{}
+		return
+	}
+	next.resume <- false
 }
 
 // run is the process goroutine wrapper: it executes the body and
-// translates returns, kills, and violations into final reports.
+// translates returns, kills, and violations into the end of the
+// process's last step.
 //
-// The wrapper performs a startup handshake before calling the body, so
-// that ALL body code — including any preamble before the first memory
-// operation, which may lazily allocate variables — executes inside the
-// process's exclusive scheduling windows. Without it, preambles of
-// different processes would run concurrently.
+// The goroutine parks before calling the body until it is first
+// scheduled, so that ALL body code — including any preamble before the
+// first memory operation, which may lazily allocate variables —
+// executes inside the process's exclusive scheduling windows. Without
+// it, preambles of different processes would run concurrently.
 func (p *Proc) run() {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
-			p.report <- reportDone
 		case killed:
-			p.report <- reportDone
+			// Teardown: acknowledge to Run, which holds the baton.
+			p.m.over <- struct{}{}
+			return
 		case violation:
 			p.m.fail(r.err)
-			p.report <- reportViolation
 		default:
 			panic(r)
 		}
+		p.status = statusDone
+		p.m.handoff(p.m.schedule())
 	}()
-	p.report <- reportStep
 	if <-p.resume {
 		panic(killed{})
 	}

@@ -193,7 +193,7 @@ func (m *Machine) record(p *Proc, kind TraceKind, vv *variable, before, after Wo
 		Proc:   p.id,
 		Kind:   kind,
 		Phase:  p.phase,
-		Var:    vv.name,
+		Var:    vv.label(),
 		Before: before,
 		After:  after,
 		Remote: remote,

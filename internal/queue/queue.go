@@ -9,17 +9,7 @@
 // memory operations, keeping the RMR accounting honest.
 package queue
 
-import (
-	"fmt"
-	"os"
-
-	"fetchphi/internal/memsim"
-)
-
-// qDebug reports whether tracing of queue operations is enabled (set
-// Q_DEBUG=1). A function rather than a package-level variable: the
-// memsimpurity analyzer bans mutable globals in algorithm packages.
-func qDebug() bool { return os.Getenv("Q_DEBUG") != "" }
+import "fetchphi/internal/memsim"
 
 // Word is re-exported for brevity.
 type Word = memsim.Word
@@ -55,9 +45,6 @@ func New(m *memsim.Machine, name string) *Queue {
 // already present, nothing changes (the paper enqueues a discovered
 // waiter "if it has not already been added by some other process").
 func (q *Queue) Enqueue(p *memsim.Proc, id int) {
-	if qDebug() {
-		fmt.Printf("  wq[%06d]: p%d enqueues p%d\n", p.Machine().StepsSoFar(), p.ID(), id)
-	}
 	if p.Read(q.in[id]) != 0 {
 		return
 	}
@@ -82,9 +69,6 @@ func (q *Queue) Dequeue(p *memsim.Proc) int {
 	}
 	id := int(h - 1)
 	q.unlink(p, id)
-	if qDebug() {
-		fmt.Printf("  wq[%06d]: p%d dequeues p%d\n", p.Machine().StepsSoFar(), p.ID(), id)
-	}
 	return id
 }
 
@@ -92,9 +76,6 @@ func (q *Queue) Dequeue(p *memsim.Proc) int {
 // Remove(WaitingQueue, p), used by a process to make sure it is not
 // promoted again after finishing).
 func (q *Queue) Remove(p *memsim.Proc, id int) {
-	if qDebug() {
-		fmt.Printf("  wq[%06d]: p%d removes p%d (present=%v)\n", p.Machine().StepsSoFar(), p.ID(), id, p.Machine().Value(q.in[id]) != 0)
-	}
 	if p.Read(q.in[id]) == 0 {
 		return
 	}

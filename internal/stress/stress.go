@@ -176,7 +176,7 @@ func (t *Tracker) Total() int64 { return t.total }
 // position in critical-section order), acqElapsedNS the elapsed time
 // at acquisition, lastRel the predecessor's release stamp (0 = none).
 func (t *Tracker) record(w int, ord, acquireNS, acqElapsedNS, lastRel, holdNS int64) {
-	t.seq.Add(1)
+	t.seq.Add(1) // before the latencies: Snapshot relies on it
 	t.perWorker[w].v.Add(1)
 	t.acquire[w].Observe(acquireNS)
 	if lastRel != 0 {
@@ -240,6 +240,12 @@ func (p Progress) OpsPerSec() float64 {
 // Snapshot captures the run's current Progress. After finish it reads
 // no clock (the end stamp is fixed); mid-run it reads the clock once
 // for the elapsed time.
+//
+// A live snapshot never counts more latencies than acquisitions:
+// AcquireNS.Count ≤ Ops. record bumps the acquisition count before it
+// observes the acquire latency, so Snapshot merges the histograms first
+// and reads Ops after them; every latency it merged is then already
+// counted in Ops.
 func (t *Tracker) Snapshot() Progress {
 	var el int64
 	if d := t.doneNS.Load(); d > 0 {
@@ -247,7 +253,7 @@ func (t *Tracker) Snapshot() Progress {
 	} else {
 		el = t.reg.Now().Sub(t.start).Nanoseconds()
 	}
-	p := Progress{Ops: t.seq.Load(), ElapsedNS: el}
+	p := Progress{ElapsedNS: el}
 	for w := 0; w < t.workers; w++ {
 		a := t.acquire[w].Snapshot()
 		p.AcquireNS.Merge(&a)
@@ -257,6 +263,7 @@ func (t *Tracker) Snapshot() Progress {
 		p.HoldNS.Merge(&o)
 		p.PerWorkerOps = append(p.PerWorkerOps, t.perWorker[w].v.Load())
 	}
+	p.Ops = t.seq.Load()
 	p.JainIndex = jain(p.PerWorkerOps)
 	p.MinWindowJain, p.WindowRates = t.windows(el)
 	return p
