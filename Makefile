@@ -39,8 +39,11 @@ test:
 # module of its own, so the root build, vet and test targets do not
 # reach it; this target keeps a change to the internal packages it
 # builds against from breaking it or staling its RMR digests unnoticed.
+# It also runs the engine's per-step benchmark once, so it keeps
+# compiling and running.
 perf:
 	cd bench/perf && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -run '^$$' -bench Step -benchtime 1x ./internal/memsim
 
 # race covers the packages that use real goroutines: the native spin
 # locks (including the starvation smokes), the stress harness that

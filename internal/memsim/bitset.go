@@ -1,8 +1,11 @@
 package memsim
 
+import "math/bits"
+
 // bitset is a fixed-capacity set of process ids, used to track cached
-// copies under the CC model. Ids 0..63 live inline, so machines with at
-// most 64 processes allocate nothing for it.
+// copies under the CC model and the runnable processes of a run. Ids
+// 0..63 live inline, so machines with at most 64 processes allocate
+// nothing for it.
 type bitset struct {
 	lo    uint64
 	hi    []uint64 // ids 64 and up
@@ -33,6 +36,34 @@ func (b *bitset) add(i int) {
 		*w |= m
 		b.count++
 	}
+}
+
+func (b *bitset) remove(i int) {
+	w, m := &b.lo, uint64(1)<<(uint(i)&63)
+	if i >= 64 {
+		w = &b.hi[i>>6-1]
+	}
+	if *w&m != 0 {
+		*w &^= m
+		b.count--
+	}
+}
+
+// appendTo appends the members to dst in ascending order, at a cost of
+// one step per 64-id word plus one per member.
+func (b *bitset) appendTo(dst []int) []int {
+	dst = appendWord(dst, b.lo, 0)
+	for i, w := range b.hi {
+		dst = appendWord(dst, w, (i+1)*64)
+	}
+	return dst
+}
+
+func appendWord(dst []int, w uint64, base int) []int {
+	for ; w != 0; w &= w - 1 {
+		dst = append(dst, base+bits.TrailingZeros64(w))
+	}
+	return dst
 }
 
 // hasOnly reports whether the set is exactly {i}.

@@ -3,3 +3,17 @@ package memsim
 // NewChooser exposes the explorer's preemption-schedule Scheduler to
 // the external tests, so they can record its picks through an Observer.
 func NewChooser(sched []Preemption) Scheduler { return &chooser{preemptions: sched} }
+
+// ScanRunnable recomputes the runnable set from scratch: the ids of
+// every process whose status is Ready or Recheck, ascending. The
+// cross-check tests compare it with the maintained set the engine
+// hands its Scheduler at every step.
+func ScanRunnable(m *Machine) []int {
+	var ids []int
+	for _, p := range m.procs {
+		if p.status == statusReady || p.status == statusRecheck {
+			ids = append(ids, p.id)
+		}
+	}
+	return ids
+}

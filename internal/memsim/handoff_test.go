@@ -1,6 +1,7 @@
 package memsim_test
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -67,12 +68,58 @@ func TestHandoffGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "steps=%d rmrs=%d\n", res.Steps, res.TotalRMRs())
 	}
-	path := filepath.Join("testdata", "handoff_golden.txt")
+	checkGolden(t, "handoff_golden.txt", b.String())
+}
+
+// TestHandoffGoldenWide pins the scheduling decisions of a G-DSM
+// machine with 70 processes, two entries each: wide enough that the
+// runnable set spans two 64-bit words and most processes pass through
+// Waiting, Recheck and Done. The full (step, runnable, chosen) stream
+// is too long to check in, so the golden keeps, per scheduler, a
+// SHA-256 of the stream every 512 steps (to localize a divergence) and
+// at the end. It was recorded with the scan-per-step engine.
+func TestHandoffGoldenWide(t *testing.T) {
+	const n = 70
+	scheds := []struct {
+		name  string
+		sched memsim.Scheduler
+	}{
+		{"random", memsim.NewRandom(7)},
+		{"pct", memsim.NewPCT(7, 3, 4000)},
+		{"adversary", memsim.NewAdversary(7, 65)},
+		{"round-robin", memsim.RoundRobin{}},
+	}
+	var b strings.Builder
+	for _, s := range scheds {
+		fmt.Fprintf(&b, "# %s\n", s.name)
+		h := sha256.New()
+		res := gdsmMachine(n, 2).Run(memsim.RunConfig{
+			Sched: s.sched,
+			Observer: func(step int64, runnable []int, chosen int) {
+				fmt.Fprintf(h, "%d %v %d\n", step, runnable, chosen)
+				if (step+1)%512 == 0 {
+					fmt.Fprintf(&b, "%d %x\n", step+1, h.Sum(nil)[:8])
+				}
+			},
+		})
+		if err := res.Err(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		fmt.Fprintf(&b, "steps=%d rmrs=%d sha256=%x\n", res.Steps, res.TotalRMRs(), h.Sum(nil))
+	}
+	checkGolden(t, "handoff_golden_wide.txt", b.String())
+}
+
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update, and reports the first differing line.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +127,7 @@ func TestHandoffGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.String(); got != string(want) {
+	if got != string(want) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {

@@ -151,10 +151,16 @@ type Machine struct {
 
 	// Engine state of the run in progress, touched only by the
 	// goroutine holding the baton (see schedule).
-	cfg        RunConfig
-	last       int           // previously scheduled process, -1 at the first step
-	runnable   []int         // scratch for the runnable scan
+	cfg  RunConfig
+	last int // previously scheduled process, -1 at the first step
+	// ready holds the processes with status Ready or Recheck (the
+	// running one included). Only yield, wakeWatchers and the end of a
+	// process body change it, and each sets readyDirty; runnable is
+	// ready in ascending order, rebuilt by schedule only when dirty.
+	ready      bitset
+	runnable   []int
 	over       chan struct{} // run over, or a teardown kill acknowledged
+	readyDirty bool
 	timedOut   bool
 	schedPanic any // a Scheduler or Observer panic, re-raised by Run
 
@@ -370,6 +376,8 @@ func (m *Machine) wakeWatchers(vv *variable) {
 	for _, w := range vv.watchers {
 		if w.p.status == statusWaiting && w.p.watchEpoch == w.epoch {
 			w.p.status = statusRecheck
+			m.ready.add(w.p.id)
+			m.readyDirty = true
 		}
 	}
 	vv.watchers = vv.watchers[:0]
@@ -396,9 +404,12 @@ type VarRMR struct {
 // memory references, descending — contention attribution for analyzing
 // where an algorithm's RMRs actually go. Call after the run.
 func (m *Machine) HotVars(k int) []VarRMR {
-	out := make([]VarRMR, 0, len(m.vars))
+	// Only variables at or above the k-th largest count can make the
+	// cut, so only those get a row and a formatted label.
+	cut, rows := m.hotCut(k)
+	out := make([]VarRMR, 0, rows)
 	for _, vv := range m.vars[1:] {
-		if vv.rmrs > 0 {
+		if vv.rmrs >= cut {
 			out = append(out, VarRMR{Name: vv.label(), RMRs: vv.rmrs})
 		}
 	}
@@ -412,6 +423,32 @@ func (m *Machine) HotVars(k int) []VarRMR {
 		out = out[:k]
 	}
 	return out
+}
+
+// hotCut returns the smallest RMR count a HotVars(k) row can have: the
+// k-th largest positive count, or 1 when k <= 0 or fewer than k
+// variables attracted RMRs. rows is a capacity hint for the result.
+func (m *Machine) hotCut(k int) (cut int64, rows int) {
+	if k <= 0 {
+		return 1, 0
+	}
+	top := make([]int64, 0, k) // the k largest counts so far, descending
+	for _, vv := range m.vars[1:] {
+		r := vv.rmrs
+		if r <= 0 || len(top) == k && r <= top[k-1] {
+			continue
+		}
+		i := sort.Search(len(top), func(i int) bool { return top[i] < r })
+		if len(top) < k {
+			top = append(top, 0)
+		}
+		copy(top[i+1:], top[i:])
+		top[i] = r
+	}
+	if len(top) < k {
+		return 1, len(top)
+	}
+	return top[k-1], k
 }
 
 // fail records the first violation; later ones are dropped.

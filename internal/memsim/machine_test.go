@@ -3,6 +3,8 @@ package memsim
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -480,6 +482,53 @@ func TestHotVarsAttribution(t *testing.T) {
 	}
 	if got := m.HotVars(0); len(got) != 1 {
 		t.Fatalf("HotVars(0) should return all entries, got %+v", got)
+	}
+}
+
+// TestHotVarsMatchesFullSort checks HotVars, which labels and sorts
+// only the rows at or above the k-th largest count, against a reference
+// that sorts every variable with RMRs: for every k, including 0, ties
+// straddling the cut, and k beyond the row count.
+func TestHotVarsMatchesFullSort(t *testing.T) {
+	m := NewMachine(DSM, 2)
+	// Allocation order is not name order, so ties are broken by name,
+	// and the array members' labels are formatted lazily.
+	counts := []int64{3, 0, 7, 3, 1, 7, 0, 3, 9, 1, 3, 2}
+	arr := m.NewArray("arr", len(counts)/2, 0, 0)
+	for i, c := range counts {
+		v := arr[i/2]
+		if i%2 == 1 {
+			v = m.NewVar(fmt.Sprintf("v%02d", len(counts)-i), 1, 0)
+		}
+		m.varAt(v).rmrs = c
+	}
+	// Query before the reference labels every variable, so HotVars
+	// formats the labels it needs itself.
+	ks := []int{3, -1, 0, 1, 2, 4, 5, 6, 7, 8, len(counts), len(counts) + 2}
+	got := make([][]VarRMR, len(ks))
+	for i, k := range ks {
+		got[i] = m.HotVars(k)
+	}
+	var all []VarRMR
+	for _, vv := range m.vars[1:] {
+		if vv.rmrs > 0 {
+			all = append(all, VarRMR{Name: vv.label(), RMRs: vv.rmrs})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].RMRs != all[j].RMRs {
+			return all[i].RMRs > all[j].RMRs
+		}
+		return all[i].Name < all[j].Name
+	})
+	for i, k := range ks {
+		want := all
+		if k > 0 && k < len(all) {
+			want = all[:k]
+		}
+		if !slices.Equal(got[i], want) {
+			t.Errorf("HotVars(%d) = %v, want %v", k, got[i], want)
+		}
 	}
 }
 

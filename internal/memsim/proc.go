@@ -87,6 +87,7 @@ type Proc struct {
 	status     procStatus
 	watch      []Var
 	watchEpoch uint64
+	spinRead   func(Var) Word // the read an await condition gets; made on first use
 
 	stats        ProcStats
 	phase        Phase
@@ -151,6 +152,10 @@ func (m *Machine) AddProc(name string, body func(*Proc)) *Proc {
 // keeps abort delivery a pure function of the schedule.
 func (p *Proc) yield(st procStatus) {
 	p.status = st
+	if st == statusWaiting {
+		p.m.ready.remove(p.id)
+		p.m.readyDirty = true
+	}
 	if next := p.m.schedule(); next != p {
 		p.m.handoff(next)
 		if <-p.resume {
@@ -244,8 +249,10 @@ func (p *Proc) AwaitAbortable(cond func(read func(Var) Word) bool, watch ...Var)
 
 // evalCond runs one atomic re-check, charging spin-read RMRs.
 func (p *Proc) evalCond(cond func(read func(Var) Word) bool) bool {
-	read := func(v Var) Word { return p.m.doRead(p, v, true) }
-	return cond(read)
+	if p.spinRead == nil {
+		p.spinRead = func(v Var) Word { return p.m.doRead(p, v, true) }
+	}
+	return cond(p.spinRead)
 }
 
 // AwaitEq blocks until v's value equals want.

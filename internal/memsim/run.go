@@ -17,7 +17,8 @@ type RunConfig struct {
 	MaxSteps int64
 	// Observer, if non-nil, is invoked at every scheduling decision
 	// with the runnable set (ascending ids) and the chosen process.
-	// Used by the systematic explorer.
+	// runnable is the slice Pick saw, with Pick's ownership rules: do
+	// not modify it, and copy it to keep it past the call.
 	Observer func(step int64, runnable []int, chosen int)
 }
 
@@ -155,6 +156,11 @@ func (m *Machine) Run(cfg RunConfig) Result {
 	m.distributeAbortPoints()
 	m.cfg = cfg
 	m.last = -1
+	m.ready = newBitset(len(m.procs))
+	for _, p := range m.procs {
+		m.ready.add(p.id)
+	}
+	m.readyDirty = true
 	m.runnable = make([]int, 0, len(m.procs))
 	m.over = make(chan struct{})
 
@@ -206,7 +212,9 @@ func (m *Machine) Run(cfg RunConfig) Result {
 
 // schedule is one engine step, run by whichever goroutine holds the
 // baton: the process at its scheduling point, a process whose body just
-// ended, or Run for the very first step. It collects the runnable set,
+// ended, or Run for the very first step. It rebuilds the runnable slice
+// from the maintained ready set if that changed since the last step
+// (most steps it did not: spinners are parked and stay parked),
 // enforces MaxSteps, and asks the scheduler for the next process. It
 // returns nil when the run is over: a violation, no runnable process
 // (completion or deadlock), the step bound, or a panic in the Scheduler
@@ -216,13 +224,11 @@ func (m *Machine) schedule() (next *Proc) {
 	if m.violation != nil {
 		return nil
 	}
-	runnable := m.runnable[:0]
-	for _, p := range m.procs {
-		if p.status == statusReady || p.status == statusRecheck {
-			runnable = append(runnable, p.id)
-		}
+	if m.readyDirty {
+		m.runnable = m.ready.appendTo(m.runnable[:0])
+		m.readyDirty = false
 	}
-	m.runnable = runnable
+	runnable := m.runnable
 	if len(runnable) == 0 {
 		return nil
 	}
@@ -279,6 +285,8 @@ func (p *Proc) run() {
 			panic(r)
 		}
 		p.status = statusDone
+		p.m.ready.remove(p.id)
+		p.m.readyDirty = true
 		p.m.handoff(p.m.schedule())
 	}()
 	if <-p.resume {

@@ -8,7 +8,9 @@ import "math/rand"
 type Scheduler interface {
 	// Pick returns an element of runnable (which is non-empty and
 	// sorted ascending). last is the id of the previously scheduled
-	// process, or -1 at the first step.
+	// process, or -1 at the first step. runnable is owned by the engine
+	// and reused across steps: Pick must not modify it, and must copy
+	// it to keep it past the call.
 	Pick(step int64, runnable []int, last int) int
 }
 
