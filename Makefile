@@ -52,12 +52,13 @@ perf:
 # the obs artifact layer they record into, the coordinator/worker
 # fleet, the telemetry registry every fleet component observes into
 # concurrently, and the claims evaluator. The experiments package is
-# restricted to its parallel-sweep tests: the exhaustive conformance
-# runs there are single-worker model checks where the race detector
-# adds minutes and finds nothing.
+# restricted to its two concurrent paths: the parallel-sweep tests and
+# E5's per-primitive rank-checker fan-out (phi.Survey). The exhaustive
+# conformance runs there are single-worker model checks where the race
+# detector adds minutes and finds nothing.
 race:
 	$(GO) test -race ./internal/nativelock/... ./internal/stress/... ./internal/memsim/... ./internal/harness/... ./internal/obs/... ./internal/fleet/... ./internal/telemetry/... ./internal/claims/...
-	$(GO) test -race -run 'TestE10|TestSweep' ./internal/experiments/...
+	$(GO) test -race -run 'TestE10|TestSweep|TestE5' ./internal/experiments/...
 
 # trace-smoke exercises the whole trace pipeline on a real workload:
 # record a 4-process G-DSM run as a fetchphi.trace/v1 artifact,

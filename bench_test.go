@@ -111,6 +111,7 @@ func BenchmarkE4_AlgT(b *testing.B) {
 
 // BenchmarkE5_Ranks — the rank estimator over every primitive.
 func BenchmarkE5_Ranks(b *testing.B) {
+	b.ReportAllocs()
 	prims := phi.All(6)
 	for i := 0; i < b.N; i++ {
 		for _, prim := range prims {

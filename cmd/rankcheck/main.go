@@ -30,7 +30,9 @@ func main() {
 	}
 
 	fmt.Printf("%-28s %-9s %-10s %-16s %s\n", "primitive", "claimed", "estimated", "self-resettable", "notes")
-	for _, prim := range phi.All(*n) {
+	// Every primitive's checks are independent and seeded, so they run
+	// on all cores and print in phi.All order.
+	lines := phi.Survey(phi.All(*n), 0, func(prim phi.Primitive) string {
 		claimed := "∞"
 		if prim.Rank() != phi.RankInfinite {
 			claimed = fmt.Sprintf("%d", prim.Rank())
@@ -59,6 +61,9 @@ func main() {
 				note = fmt.Sprintf("WARNING: rank %d not refuted", prim.Rank()+1)
 			}
 		}
-		fmt.Printf("%-28s %-9s %-10s %-16s %s\n", prim.Name(), claimed, estStr, srStr, note)
+		return fmt.Sprintf("%-28s %-9s %-10s %-16s %s", prim.Name(), claimed, estStr, srStr, note)
+	})
+	for _, line := range lines {
+		fmt.Println(line)
 	}
 }

@@ -291,7 +291,10 @@ func E4AlgT(o Opts) harness.Table {
 }
 
 // E5Ranks reproduces the Sec. 2 rank examples: claimed vs empirically
-// estimated rank for every primitive, plus self-resettability.
+// estimated rank for every primitive, plus self-resettability. Each
+// primitive's row is independent of the others', so the rows are
+// checked on the sweep's workers (o.Workers) and assembled in phi.All
+// order; the worker count never changes the table.
 func E5Ranks(o Opts) harness.Table {
 	t := harness.Table{
 		ID:      "E5",
@@ -304,7 +307,7 @@ func E5Ranks(o Opts) harness.Table {
 	if o.Quick {
 		trials = 800
 	}
-	for _, prim := range phi.All(n) {
+	rows := phi.Survey(phi.All(n), o.Workers, func(prim phi.Primitive) []string {
 		claimed := "∞"
 		if prim.Rank() != phi.RankInfinite {
 			claimed = harness.Itoa(int64(prim.Rank()))
@@ -328,7 +331,10 @@ func E5Ranks(o Opts) harness.Table {
 		if c := phi.ConsensusNumber(prim); c != phi.RankInfinite {
 			cons = harness.Itoa(int64(c))
 		}
-		t.AddRow(prim.Name(), claimed, estStr, cons, srStr, idStr)
+		return []string{prim.Name(), claimed, estStr, cons, srStr, idStr}
+	})
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	return t
 }

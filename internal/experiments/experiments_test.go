@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -60,4 +61,31 @@ func atoi(t *testing.T, s string) int {
 		v = v*10 + int(c-'0')
 	}
 	return v
+}
+
+// TestE5Deterministic checks that E5's per-primitive fan-out never
+// changes the table: the rows must be identical for every worker
+// count, and the seed-1 quick rows — the evidence the rank-examples
+// claim reads — are pinned to their recorded values.
+func TestE5Deterministic(t *testing.T) {
+	want := [][]string{
+		{"fetch-and-increment", "∞", "≥48", "2", "no", "—"},
+		{"12-bounded-fetch-and-increment", "12", "12", "2", "no", "—"},
+		{"fetch-and-store", "∞", "≥48", "2", "yes", "verified"},
+		{"fetch-and-add", "∞", "≥48", "2", "yes", "verified"},
+		{"bounded-inc-dec-0..2", "3", "3", "2", "yes", "verified"},
+		{"test-and-set", "2", "2", "2", "no", "—"},
+		{"compare-and-swap", "2", "2", "∞", "no", "—"},
+		{"double-compare-and-swap", "3", "3", "∞", "yes", "verified"},
+		{"set-and-write", "∞", "≥48", "2", "yes", "verified"},
+		{"fetch-and-or", "3", "3", "2", "no", "—"},
+		{"fetch-and-xor", "4", "4", "2", "no", "—"},
+		{"fetch-and-max", "2", "2", "2", "no", "—"},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got := E5Ranks(Opts{Quick: true, Seed: 1, Workers: workers}).Rows
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: E5 rows\n got %q\nwant %q", workers, got, want)
+		}
+	}
 }

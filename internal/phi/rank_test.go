@@ -123,3 +123,55 @@ func TestRankWithSingleProcess(t *testing.T) {
 		t.Fatal("test-and-set should violate rank 3 even with one process")
 	}
 }
+
+// TestCheckRankAllocsIndependentOfTrials keeps the trial loop
+// allocation-free: everything CheckRank allocates is per-call setup,
+// so 1000 trials must allocate exactly what one trial does.
+func TestCheckRankAllocsIndependentOfTrials(t *testing.T) {
+	allocs := func(trials int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if v := CheckRank(FetchAndIncrement{}, 6, 48, trials, 1); v != nil {
+				t.Fatal(v)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(1000); one != many {
+		t.Fatalf("CheckRank allocates %v objects for 1 trial but %v for 1000: the trial loop allocates", one, many)
+	}
+}
+
+// BenchmarkCheckRank measures one CheckRank call at n=6, r=48 for an
+// infinite-rank primitive and for a finite-rank one whose rank (48)
+// the probe does not exceed, so both run every trial to the end.
+func BenchmarkCheckRank(b *testing.B) {
+	for _, prim := range []Primitive{FetchAndIncrement{}, NewBoundedFetchInc(48)} {
+		b.Run(prim.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if v := CheckRank(prim, 6, 48, rankTrials, int64(i)); v != nil {
+					b.Fatal(v)
+				}
+			}
+		})
+	}
+}
+
+// TestSurveyKeepsPrimitiveOrder checks that the fan-out returns each
+// primitive's result at its own index, whatever the worker count.
+func TestSurveyKeepsPrimitiveOrder(t *testing.T) {
+	prims := All(4)
+	for _, workers := range []int{0, 1, 2, 3, 64} {
+		got := Survey(prims, workers, func(prim Primitive) string { return prim.Name() })
+		if len(got) != len(prims) {
+			t.Fatalf("workers=%d: %d results for %d primitives", workers, len(got), len(prims))
+		}
+		for i, prim := range prims {
+			if got[i] != prim.Name() {
+				t.Fatalf("workers=%d: result %d is %q, want %q", workers, i, got[i], prim.Name())
+			}
+		}
+	}
+	if got := Survey(nil, 4, func(Primitive) int { return 1 }); len(got) != 0 {
+		t.Fatalf("empty survey returned %v", got)
+	}
+}
