@@ -17,8 +17,10 @@ ci: lint-gate build test perf race trace-smoke explore-smoke fleet-smoke telemet
 # ignoreaudit sweep — recording the fetchphi.lint/v1 artifact.
 lint: vet fetchphilint
 
+# vet also fails when any file is not gofmt-clean, naming the files.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 fetchphilint:
 	$(GO) run ./cmd/fetchphilint -json bench/current/LINT.json ./...
@@ -39,11 +41,11 @@ test:
 # module of its own, so the root build, vet and test targets do not
 # reach it; this target keeps a change to the internal packages it
 # builds against from breaking it or staling its RMR digests unnoticed.
-# It also runs the engine's per-step benchmark once, so it keeps
-# compiling and running.
+# It also runs the engine's per-step and per-schedule explorer
+# benchmarks once, so they keep compiling and running.
 perf:
 	cd bench/perf && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench Step -benchtime 1x ./internal/memsim
+	$(GO) test -run '^$$' -bench 'Step|ExploreRange' -benchtime 1x ./internal/memsim
 
 # race covers the packages that use real goroutines: the native spin
 # locks (including the starvation smokes), the stress harness that

@@ -36,15 +36,26 @@ type CheckOptions struct {
 // both the production path behind `fleet run` and the equivalence
 // test's subject.
 func Check(b harness.Builder, cfg Config, opts CheckOptions) ([]harness.ModelReport, error) {
-	coord := NewCoordinator(cfg, CoordinatorOptions{
+	return CheckWith(checkCoordinator(cfg, opts), b, opts)
+}
+
+// checkPoll is how long an idle in-process worker waits before asking
+// for a lease again. Check's coordinator sends it as its RetryMS hint
+// too, because a worker lets the hint win over its own Poll, and the
+// default hint would idle every worker at each wave boundary.
+const checkPoll = 2 * time.Millisecond
+
+// checkCoordinator builds the coordinator Check runs its fleet over.
+func checkCoordinator(cfg Config, opts CheckOptions) *Coordinator {
+	return NewCoordinator(cfg, CoordinatorOptions{
 		LeaseSize:      opts.LeaseSize,
 		LeaseTimeout:   opts.LeaseTimeout,
+		RetryMS:        int(checkPoll / time.Millisecond),
 		CheckpointPath: opts.CheckpointPath,
 		CapacityPath:   opts.CapacityPath,
 		CreatedBy:      opts.CreatedBy,
 		Commit:         opts.Commit,
 	})
-	return CheckWith(coord, b, opts)
 }
 
 // CheckWith runs the in-process fleet over a caller-built coordinator,
@@ -76,7 +87,7 @@ func CheckWith(coord *Coordinator, b harness.Builder, opts CheckOptions) ([]harn
 			Coordinator: "http://" + ln.Addr().String(),
 			Resolve:     func(string) (harness.Builder, error) { return b, nil },
 			Shards:      opts.Shards,
-			Poll:        2 * time.Millisecond,
+			Poll:        checkPoll,
 		}
 		wg.Add(1)
 		go func() {

@@ -402,6 +402,30 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
+// TestCheckCoordinatorRetryHint pins the idle poll of Check's fleet.
+// A worker lets the coordinator's RetryMS hint win over its own Poll,
+// so Check's coordinator must hint its workers' 2 ms poll rather than
+// DefaultRetryMS, or every idle worker sleeps 50-100 ms at each wave
+// boundary.
+func TestCheckCoordinatorRetryHint(t *testing.T) {
+	coord := checkCoordinator(testConfig(), CheckOptions{})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	// Before Run the coordinator has no lease table: every request waits.
+	resp, err := http.Post(srv.URL+PathLease, "application/json", strings.NewReader(`{"worker":"w0"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lease map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
+		t.Fatal(err)
+	}
+	if lease["status"] != StatusWait || lease["retry_ms"] != 2.0 {
+		t.Fatalf("lease response %v, want status %q with retry_ms 2", lease, StatusWait)
+	}
+}
+
 // TestLeaseTableGrid pins the lease table's claim/report mechanics.
 func TestLeaseTableGrid(t *testing.T) {
 	clock := &fakeClock{}

@@ -3,7 +3,7 @@ package lint
 // This file implements the abstract interpreter at the heart of the
 // interprocedural dataflow engine (see engine.go). It propagates *home
 // values* — who a memsim variable is homed at — from allocation sites
-// (Machine.NewVar / NewArray / NewPerProcArray / NewDict* ) through
+// (Machine.NewVar* / NewArray / NewPerProcArray / NewDict* ) through
 // struct fields, slices, dictionaries, closures, and helper calls, to
 // every Proc.Await watch argument reachable from an algorithm's entry
 // and exit sections.
@@ -44,24 +44,24 @@ import (
 type vKind int
 
 const (
-	vUnknown vKind = iota
-	vConst         // integer or boolean constant (value.c)
-	vN             // Machine.NumProcs()
-	vSelf          // Proc.ID() of the analyzed process
-	vSelfModN      // ≡ p.ID() (mod N)
-	vZeroModN      // ≡ 0 (mod N)
-	vLoopIdx       // induction variable of one loop (value.obj)
-	vNil           // untyped nil / zero pointer
-	vMapOk         // ok result of a comma-ok map read (assumed false)
-	vProc          // the *memsim.Proc under analysis
-	vMachine       // the *memsim.Machine
-	vModelVal      // result of Machine.Model() / Proc.Model()
-	vVar           // a memsim.Var (value.home)
-	vSlice         // slice or array box (value.sl)
-	vDict          // *memsim.Dict box (value.dc)
-	vStruct        // struct box (value.st)
-	vFunc          // function value (value.fn)
-	vTuple         // multi-value (value.tup)
+	vUnknown  vKind = iota
+	vConst          // integer or boolean constant (value.c)
+	vN              // Machine.NumProcs()
+	vSelf           // Proc.ID() of the analyzed process
+	vSelfModN       // ≡ p.ID() (mod N)
+	vZeroModN       // ≡ 0 (mod N)
+	vLoopIdx        // induction variable of one loop (value.obj)
+	vNil            // untyped nil / zero pointer
+	vMapOk          // ok result of a comma-ok map read (assumed false)
+	vProc           // the *memsim.Proc under analysis
+	vMachine        // the *memsim.Machine
+	vModelVal       // result of Machine.Model() / Proc.Model()
+	vVar            // a memsim.Var (value.home)
+	vSlice          // slice or array box (value.sl)
+	vDict           // *memsim.Dict box (value.dc)
+	vStruct         // struct box (value.st)
+	vFunc           // function value (value.fn)
+	vTuple          // multi-value (value.tup)
 )
 
 // value is one point of the abstract domain. Values are immutable
@@ -973,6 +973,8 @@ func (cc *callCtx) callNative(fr *frame, key string, recv *value, call *ast.Call
 		return &value{kind: vMachine}
 	case "Machine.NewVar":
 		return varVal(normHome(arg(1)))
+	case "Machine.NewVarIn":
+		return varVal(normHome(arg(2)))
 	case "Machine.NewArray":
 		n := arg(1)
 		home := normHome(arg(2))
@@ -985,6 +987,8 @@ func (cc *callCtx) callNative(fr *frame, key string, recv *value, call *ast.Call
 		return &value{kind: vDict, dc: &absDict{identity: true}}
 	case "Machine.NewDictHomed":
 		return &value{kind: vDict, dc: &absDict{homeFor: arg(1)}}
+	case "Machine.NewDictHomedIn":
+		return &value{kind: vDict, dc: &absDict{homeFor: arg(2)}}
 	case "Dict.At":
 		return varVal(cc.dictHome(recv, arg(0), spec))
 	case "Proc.Await", "Proc.AwaitAbortable":

@@ -5,8 +5,6 @@
 package localspin
 
 import (
-	"fmt"
-
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/twoproc"
 )
@@ -37,6 +35,9 @@ type Site struct {
 	mu     *twoproc.Mutex
 	waiter memsim.Var
 	spin   *memsim.Dict
+	// waiterName is Waiter[J]'s label, "family.Waiter{J}", formatted
+	// only if something asks for it.
+	waiterName memsim.Prefix
 }
 
 // SiteSet manages the transformation state for a family of condition
@@ -44,23 +45,23 @@ type Site struct {
 // and the shared per-process Spin variables.
 type SiteSet struct {
 	m     *memsim.Machine
-	name  string
 	spin  *memsim.Dict
-	mus   map[Word]*twoproc.Mutex
-	waits map[Word]memsim.Var
 	sites map[Word]*Site
+	// muFamily and waiterFamily are the family names of the sites'
+	// mutexes and Waiter variables, joined once per set so that a new
+	// site formats no name.
+	muFamily, waiterFamily string
 }
 
 // NewSiteSet returns an empty site family. Sites are materialized on
 // first use, deterministically within the accessing process's turn.
 func NewSiteSet(m *memsim.Machine, name string) *SiteSet {
 	return &SiteSet{
-		m:     m,
-		name:  name,
-		spin:  m.NewProcDict(name+".Spin", 0),
-		mus:   make(map[Word]*twoproc.Mutex),
-		waits: make(map[Word]memsim.Var),
-		sites: make(map[Word]*Site),
+		m:            m,
+		spin:         m.NewProcDict(name+".Spin", 0),
+		sites:        make(map[Word]*Site),
+		muFamily:     name + ".mu",
+		waiterFamily: name + ".Waiter",
 	}
 }
 
@@ -70,10 +71,11 @@ func (s *SiteSet) At(key Word) *Site {
 		return site
 	}
 	site := &Site{
-		mu:     twoproc.New(s.m, fmt.Sprintf("%s.mu{%d}", s.name, key)),
-		waiter: s.m.NewVar(fmt.Sprintf("%s.Waiter{%d}", s.name, key), memsim.HomeGlobal, 0),
-		spin:   s.spin,
+		mu:         twoproc.NewKeyed(s.m, s.muFamily, key),
+		spin:       s.spin,
+		waiterName: memsim.KeyedPrefix(s.waiterFamily, key),
 	}
+	site.waiter = s.m.NewVarIn(&site.waiterName, "", memsim.HomeGlobal, 0)
 	s.sites[key] = site
 	return site
 }

@@ -5,11 +5,11 @@ import "math/bits"
 // bitset is a fixed-capacity set of process ids, used to track cached
 // copies under the CC model and the runnable processes of a run. Ids
 // 0..63 live inline, so machines with at most 64 processes allocate
-// nothing for it.
+// nothing for it. It keeps no member count, which holds it to 32 bytes
+// inside every variable; len counts on demand.
 type bitset struct {
-	lo    uint64
-	hi    []uint64 // ids 64 and up
-	count int
+	lo uint64
+	hi []uint64 // ids 64 and up
 }
 
 func newBitset(n int) bitset {
@@ -32,10 +32,7 @@ func (b *bitset) add(i int) {
 	if i >= 64 {
 		w = &b.hi[i>>6-1]
 	}
-	if *w&m == 0 {
-		*w |= m
-		b.count++
-	}
+	*w |= m
 }
 
 func (b *bitset) remove(i int) {
@@ -43,10 +40,16 @@ func (b *bitset) remove(i int) {
 	if i >= 64 {
 		w = &b.hi[i>>6-1]
 	}
-	if *w&m != 0 {
-		*w &^= m
-		b.count--
+	*w &^= m
+}
+
+// len returns the number of members.
+func (b *bitset) len() int {
+	n := bits.OnesCount64(b.lo)
+	for _, w := range b.hi {
+		n += bits.OnesCount64(w)
 	}
+	return n
 }
 
 // appendTo appends the members to dst in ascending order, at a cost of
@@ -68,14 +71,10 @@ func appendWord(dst []int, w uint64, base int) []int {
 
 // hasOnly reports whether the set is exactly {i}.
 func (b *bitset) hasOnly(i int) bool {
-	return b.count == 1 && b.has(i)
+	return b.has(i) && b.len() == 1
 }
 
 func (b *bitset) clear() {
-	if b.count == 0 {
-		return
-	}
 	b.lo = 0
 	clear(b.hi)
-	b.count = 0
 }

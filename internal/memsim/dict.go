@@ -10,6 +10,7 @@ package memsim
 // is deterministic, so it does not perturb exploration or replay.
 type Dict struct {
 	m       *Machine
+	prefix  *Prefix // owner's name, or nil
 	name    string
 	homeFor func(key Word) int
 	init    Word
@@ -37,6 +38,15 @@ func (m *Machine) NewDictHomed(name string, homeFor func(key Word) int, init Wor
 	}
 }
 
+// NewDictHomedIn is NewDictHomed for a family of a compound object:
+// its members are named prefix followed by name[key], joined only when
+// first asked for.
+func (m *Machine) NewDictHomedIn(prefix *Prefix, name string, homeFor func(key Word) int, init Word) *Dict {
+	d := m.NewDictHomed(name, homeFor, init)
+	d.prefix = prefix
+	return d
+}
+
 // NewProcDict returns a variable family indexed by process id, where
 // the variable for key p is homed at process p — the layout for
 // dedicated per-process spin variables allocated on demand.
@@ -53,7 +63,7 @@ func (d *Dict) At(key Word) Var {
 	if v, ok := d.vars[key]; ok {
 		return v
 	}
-	v := d.m.newIndexedVar(d.name, key, d.homeFor(key), d.init)
+	v := d.m.newIndexedVar(d.prefix, d.name, key, d.homeFor(key), d.init)
 	d.vars[key] = v
 	return v
 }

@@ -64,7 +64,9 @@ type Explorer struct {
 	// processes. Called once per explored schedule; it must be
 	// deterministic, and when Workers > 1 it is called from several
 	// goroutines at once, so it must not close over shared mutable
-	// state.
+	// state. The explorer owns the machine Build returns: once the run
+	// and Check are done it recycles the machine's storage, so nothing
+	// may use the machine, or any Var of it, after that.
 	Build func() *Machine
 	// MaxPreemptions is the preemption bound K: positive values bound
 	// the forced context switches per run, 0 selects
@@ -209,8 +211,9 @@ type ScheduleOutcome struct {
 	Children [][]Preemption
 }
 
-// runOne executes one schedule against a fresh machine and, unless the
-// schedule already sits at the preemption bound, derives its children:
+// runOne builds a fresh machine, executes one schedule on it and
+// recycles it. Unless the schedule already sits at the preemption
+// bound, it also derives the schedule's children:
 // one new preemption strictly after the current last one, to every
 // alternative runnable process, in (step, proc) order. That ordering —
 // together with waves listing children in parent order — is what makes
@@ -233,6 +236,9 @@ func (e *Explorer) runOne(sched []Preemption, maxPre int) ScheduleOutcome {
 	if wr.Err == nil && e.Check != nil {
 		wr.Err = e.Check(r)
 	}
+	// The run, its error and its checks are done with the machine, and
+	// Build hands it to no one else: its storage can serve the next one.
+	m.recycle()
 	if wr.Err != nil || !expand {
 		return wr
 	}

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -93,4 +94,95 @@ func TestParseMemoryModelRoundTrip(t *testing.T) {
 	if _, err := ParseModel("PRAM"); err == nil {
 		t.Fatal("ParseModel accepted an unknown model")
 	}
+}
+
+// chunkBuild is a two-process workload over more variables than one
+// storage chunk holds, some of them allocated mid-run through a Dict
+// and one named through a Prefix. Process 1 first awaits process 0's
+// flag, so runs leave watchers behind as well as values, cached copies
+// and RMRs: everything recycling must wipe.
+func chunkBuild() *Machine {
+	m := NewMachine(CC, 2)
+	arr := m.NewArray("arr", chunkVars+3, HomeGlobal, 0)
+	d := m.NewDict("d", HomeGlobal, 0)
+	owner := KeyedPrefix("owner", 7)
+	flag := m.NewVarIn(&owner, ".flag", HomeGlobal, 0)
+	for p := 0; p < 2; p++ {
+		m.AddProc("p", func(pr *Proc) {
+			if pr.ID() == 1 {
+				pr.AwaitTrue(flag)
+			}
+			for i := 0; i < 2; i++ {
+				v := arr[1+int(pr.Read(arr[0]))%(len(arr)-1)]
+				pr.Write(arr[0], pr.Read(v)+1)
+				pr.Write(d.At(pr.Read(arr[0])), 1)
+			}
+			if pr.ID() == 0 {
+				pr.Write(flag, 1)
+			}
+		})
+	}
+	return m
+}
+
+// TestRunScheduleRangeRepeatsOverRecycledStorage runs every wave of an
+// exploration twice on the same explorer. The second pass builds its
+// machines from chunks the first pass recycled, and must report the
+// same outcomes, sequentially and sharded.
+func TestRunScheduleRangeRepeatsOverRecycledStorage(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		e := &Explorer{Build: chunkBuild, MaxPreemptions: 2, MaxSteps: 5000, Workers: workers}
+		wave := RootWave()
+		for depth := 0; len(wave) > 0; depth++ {
+			first := e.RunScheduleRange(wave)
+			if second := e.RunScheduleRange(wave); !reflect.DeepEqual(first, second) {
+				t.Fatalf("workers=%d depth %d: outcomes differ on the second pass", workers, depth)
+			}
+			var next [][]Preemption
+			for i := range first {
+				if first[i].Err != nil {
+					t.Fatalf("workers=%d depth %d index %d: %v", workers, depth, i, first[i].Err)
+				}
+				next = append(next, first[i].Children...)
+			}
+			wave = next
+		}
+	}
+}
+
+// TestRecycleZeroesStorage checks that recycle hands every chunk back
+// zeroed (value, watchers, sharers, RMRs, name) and leaves the machine
+// with no variables, so a stale handle panics instead of reading a
+// slot another machine now owns.
+func TestRecycleZeroesStorage(t *testing.T) {
+	m := chunkBuild()
+	flag := Var{idx: m.nvars}
+	if err := m.Run(RunConfig{Sched: RoundRobin{}}).Err(); err != nil {
+		t.Fatal(err)
+	}
+	vv := m.varAt(flag)
+	if vv.value == 0 || vv.watchers == nil || vv.sharers.lo == 0 || vv.rmrs == 0 {
+		t.Fatalf("run left no state behind on the flag: %+v", *vv)
+	}
+	if len(m.chunks) < 2 {
+		t.Fatalf("%d chunks, want several", len(m.chunks))
+	}
+	chunks := slices.Clone(m.chunks)
+	m.recycle()
+	for c, chunk := range chunks {
+		for i := range chunk {
+			if !reflect.ValueOf(chunk[i]).IsZero() {
+				t.Fatalf("chunk %d slot %d not zeroed: %+v", c, i, chunk[i])
+			}
+		}
+	}
+	if len(m.chunks) != 0 || m.nvars != 0 {
+		t.Fatalf("machine keeps %d chunks and %d variables after recycle", len(m.chunks), m.nvars)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("stale handle did not panic after recycle")
+		}
+	}()
+	m.Value(flag)
 }

@@ -17,3 +17,12 @@ func ScanRunnable(m *Machine) []int {
 	}
 	return ids
 }
+
+// VarLabels returns the label of every variable m has allocated, in
+// allocation order. The label golden test pins them across changes to
+// how variables are stored and named.
+func VarLabels(m *Machine) []string {
+	labels := make([]string, 0, m.nvars)
+	m.eachVar(func(vv *variable) { labels = append(labels, vv.label()) })
+	return labels
+}

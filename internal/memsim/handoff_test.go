@@ -131,9 +131,9 @@ func checkGolden(t *testing.T, name, got string) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("scheduling decisions diverge from %s at line %d:\n got %q\nwant %q", path, i+1, gl[i], wl[i])
+				t.Fatalf("output diverges from %s at line %d:\n got %q\nwant %q", path, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("scheduling decisions diverge from %s: %d lines, want %d", path, len(gl), len(wl))
+		t.Fatalf("output diverges from %s: %d lines, want %d", path, len(gl), len(wl))
 	}
 }

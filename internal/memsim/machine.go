@@ -32,6 +32,7 @@ package memsim
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"fetchphi/internal/phi"
 )
@@ -109,16 +110,22 @@ type watchEntry struct {
 	epoch uint64
 }
 
-// variable is the engine-side state of one shared variable.
+// variable is the engine-side state of one shared variable. It must
+// not grow past 112 bytes (TestVariableLayout): varChunk is sized by
+// it, and machines that never recycle their storage pay for every byte.
 type variable struct {
-	// name is the allocation name. For a member of an array or Dict
-	// family it holds the family name, and label builds and memoizes
-	// "name[key]" the first time anything asks, so runs that never
-	// look at names never format them.
+	// name is the allocation name. Its formatting is deferred until
+	// something asks for the label: a member of an array or Dict
+	// family holds the family name here and its key in key, and a
+	// variable of a compound object (a twoproc mutex, a localspin site)
+	// holds only its own part, after the owner's prefix. label builds
+	// and memoizes the full name, so runs that never look at names
+	// never format them.
 	name     string
 	key      Word
-	home     int32 // process id, or HomeGlobal
-	indexed  bool  // name still lacks its "[key]" suffix
+	prefix   *Prefix // owner's name, nil once label has folded it in
+	home     int32   // process id, or HomeGlobal
+	indexed  bool    // name still lacks its "[key]" suffix
 	value    Word
 	sharers  bitset // CC: processes holding a valid cached copy
 	watchers []watchEntry
@@ -127,12 +134,61 @@ type variable struct {
 
 // label returns the variable's allocation name.
 func (vv *variable) label() string {
+	if vv.prefix != nil {
+		vv.name = vv.prefix.String() + vv.name
+		vv.prefix = nil
+	}
 	if vv.indexed {
 		vv.name = fmt.Sprintf("%s[%d]", vv.name, vv.key)
 		vv.indexed = false
 	}
 	return vv.name
 }
+
+// Prefix is the name a compound object's variables share as the front
+// of their labels: "family{key}" for the member of a keyed family (one
+// two-process mutex per site, say), formatted the first time a label
+// needs it. A Prefix is embedded in its owner and passed by pointer to
+// NewVarIn and NewDictHomedIn.
+type Prefix struct {
+	name  string
+	key   Word
+	keyed bool // name still lacks its "{key}" suffix
+}
+
+// NamePrefix returns the prefix name, used verbatim.
+func NamePrefix(name string) Prefix { return Prefix{name: name} }
+
+// KeyedPrefix returns the prefix "family{key}", unformatted until first
+// asked for.
+func KeyedPrefix(family string, key Word) Prefix {
+	return Prefix{name: family, key: key, keyed: true}
+}
+
+// String returns the prefix, formatting and memoizing it on first use.
+func (p *Prefix) String() string {
+	if p.keyed {
+		p.name = fmt.Sprintf("%s{%d}", p.name, p.key)
+		p.keyed = false
+	}
+	return p.name
+}
+
+// chunkVars is the number of variables in one storage chunk: 16 of
+// 112 bytes each make 1792 bytes, a malloc size class, so a chunk
+// rounds up to nothing. Larger classes that 112 divides (14336 bytes
+// for 128) cost the many small machines of a sweep more than they save.
+const (
+	chunkShift = 4
+	chunkVars  = 1 << chunkShift
+)
+
+// varChunk is one block of a machine's variable storage. Chunks come
+// from chunkPool; the explorer hands them back zeroed once it is done
+// with a machine (see recycle).
+type varChunk [chunkVars]variable
+
+var chunkPool = sync.Pool{New: func() any { return new(varChunk) }}
 
 // Machine is one simulated multiprocessor instance. A Machine is built
 // (variables allocated, processes added), run exactly once, and then
@@ -142,8 +198,11 @@ type Machine struct {
 	model Model
 	nproc int
 
-	vars  []*variable // 1-based; vars[0] unused
-	procs []*Proc
+	// chunks holds the variables: Var{i} is slot (i-1)%chunkVars of
+	// chunk (i-1)/chunkVars, and nvars of them are allocated.
+	chunks []*varChunk
+	nvars  int32
+	procs  []*Proc
 
 	steps      int64
 	csOccupant int // process id in critical section, or -1
@@ -181,7 +240,7 @@ func NewMachine(model Model, nproc int) *Machine {
 	return &Machine{
 		model:      model,
 		nproc:      nproc,
-		vars:       make([]*variable, 1, 64), // index 0 reserved as invalid
+		chunks:     make([]*varChunk, 0, 8), // 128 variables before it grows
 		csOccupant: -1,
 	}
 }
@@ -197,16 +256,25 @@ func (m *Machine) NumProcs() int { return m.nproc }
 // HomeGlobal for a variable remote to everyone. The home is ignored on
 // CC machines (locality there is dynamic).
 func (m *Machine) NewVar(name string, home int, init Word) Var {
-	return m.newVar(&variable{name: name}, home, init)
+	return m.newVar(variable{name: name}, home, init)
 }
 
-// newIndexedVar allocates the family member name[key]; its name is
-// formatted only when first asked for (see variable.label).
-func (m *Machine) newIndexedVar(name string, key Word, home int, init Word) Var {
-	return m.newVar(&variable{name: name, key: key, indexed: true}, home, init)
+// NewVarIn is NewVar for a variable of a compound object: its name is
+// prefix followed by name, joined only when first asked for.
+func (m *Machine) NewVarIn(prefix *Prefix, name string, home int, init Word) Var {
+	return m.newVar(variable{name: name, prefix: prefix}, home, init)
 }
 
-func (m *Machine) newVar(vv *variable, home int, init Word) Var {
+// newIndexedVar allocates the family member name[key] (after prefix, if
+// not nil); its name is formatted only when first asked for (see
+// variable.label).
+func (m *Machine) newIndexedVar(prefix *Prefix, name string, key Word, home int, init Word) Var {
+	return m.newVar(variable{name: name, key: key, prefix: prefix, indexed: true}, home, init)
+}
+
+// newVar stores vv, with its home and initial value, in the next free
+// slot, taking a chunk from chunkPool when the last one is full.
+func (m *Machine) newVar(vv variable, home int, init Word) Var {
 	if home != HomeGlobal && (home < 0 || home >= m.nproc) {
 		panic(fmt.Sprintf("memsim: variable %q: invalid home %d", vv.label(), home))
 	}
@@ -215,15 +283,48 @@ func (m *Machine) newVar(vv *variable, home int, init Word) Var {
 	if m.model != DSM { // DSM locality is static: no cached copies
 		vv.sharers = newBitset(m.nproc)
 	}
-	m.vars = append(m.vars, vv)
-	return Var{idx: int32(len(m.vars) - 1)}
+	i := m.nvars
+	if i&(chunkVars-1) == 0 {
+		m.chunks = append(m.chunks, chunkPool.Get().(*varChunk))
+	}
+	m.chunks[i>>chunkShift][i&(chunkVars-1)] = vv
+	m.nvars++
+	return Var{idx: m.nvars}
+}
+
+// eachVar calls f on every variable, in allocation order.
+func (m *Machine) eachVar(f func(vv *variable)) {
+	for c, chunk := range m.chunks {
+		for i := range m.chunkLen(c) {
+			f(&chunk[i])
+		}
+	}
+}
+
+// chunkLen returns the number of allocated slots in chunk c.
+func (m *Machine) chunkLen(c int) int {
+	return min(int(m.nvars)-c*chunkVars, chunkVars)
+}
+
+// recycle zeroes the machine's variable storage and returns its chunks
+// to chunkPool. The explorer calls it once a run, its checks and its
+// error are done with; the machine must not be used afterwards, and any
+// Var of it now panics as an invalid handle.
+func (m *Machine) recycle() {
+	for c, chunk := range m.chunks {
+		clear(chunk[:m.chunkLen(c)])
+		chunkPool.Put(chunk)
+		m.chunks[c] = nil
+	}
+	m.chunks = m.chunks[:0]
+	m.nvars = 0
 }
 
 // NewArray allocates n variables name[0..n-1], all with the same home.
 func (m *Machine) NewArray(name string, n, home int, init Word) []Var {
 	vs := make([]Var, n)
 	for i := range vs {
-		vs[i] = m.newIndexedVar(name, Word(i), home, init)
+		vs[i] = m.newIndexedVar(nil, name, Word(i), home, init)
 	}
 	return vs
 }
@@ -234,7 +335,7 @@ func (m *Machine) NewArray(name string, n, home int, init Word) []Var {
 func (m *Machine) NewPerProcArray(name string, init Word) []Var {
 	vs := make([]Var, m.nproc)
 	for i := range vs {
-		vs[i] = m.newIndexedVar(name, Word(i), i, init)
+		vs[i] = m.newIndexedVar(nil, name, Word(i), i, init)
 	}
 	return vs
 }
@@ -255,10 +356,11 @@ func (m *Machine) StepsSoFar() int64 { return m.steps }
 func (m *Machine) CSEntriesSoFar() int64 { return m.csEntries }
 
 func (m *Machine) varAt(v Var) *variable {
-	if v.idx <= 0 || int(v.idx) >= len(m.vars) {
+	i := v.idx - 1
+	if i < 0 || i >= m.nvars {
 		panic("memsim: invalid Var handle")
 	}
-	return m.vars[v.idx]
+	return &m.chunks[i>>chunkShift][i&(chunkVars-1)]
 }
 
 // chargeRMR charges one remote memory reference by p against vv, with
@@ -354,7 +456,7 @@ func (m *Machine) chargeWrite(p *Proc, vv *variable) {
 	case CCUpdate:
 		// The write refreshes every other copy in place; it is remote
 		// iff someone else holds one.
-		others := vv.sharers.count
+		others := vv.sharers.len()
 		if vv.sharers.has(p.id) {
 			others--
 		}
@@ -408,11 +510,11 @@ func (m *Machine) HotVars(k int) []VarRMR {
 	// cut, so only those get a row and a formatted label.
 	cut, rows := m.hotCut(k)
 	out := make([]VarRMR, 0, rows)
-	for _, vv := range m.vars[1:] {
+	m.eachVar(func(vv *variable) {
 		if vv.rmrs >= cut {
 			out = append(out, VarRMR{Name: vv.label(), RMRs: vv.rmrs})
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].RMRs != out[j].RMRs {
 			return out[i].RMRs > out[j].RMRs
@@ -433,10 +535,10 @@ func (m *Machine) hotCut(k int) (cut int64, rows int) {
 		return 1, 0
 	}
 	top := make([]int64, 0, k) // the k largest counts so far, descending
-	for _, vv := range m.vars[1:] {
+	m.eachVar(func(vv *variable) {
 		r := vv.rmrs
 		if r <= 0 || len(top) == k && r <= top[k-1] {
-			continue
+			return
 		}
 		i := sort.Search(len(top), func(i int) bool { return top[i] < r })
 		if len(top) < k {
@@ -444,7 +546,7 @@ func (m *Machine) hotCut(k int) (cut int64, rows int) {
 		}
 		copy(top[i+1:], top[i:])
 		top[i] = r
-	}
+	})
 	if len(top) < k {
 		return 1, len(top)
 	}

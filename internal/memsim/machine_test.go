@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fetchphi/internal/phi"
 )
@@ -380,9 +381,30 @@ func TestBitset(t *testing.T) {
 	if !b.hasOnly(64) {
 		t.Fatal("hasOnly false for singleton")
 	}
+	b.add(0)
+	if b.hasOnly(64) || b.hasOnly(0) || b.len() != 2 {
+		t.Fatal("hasOnly true with members in two words")
+	}
+	b.remove(64)
+	if !b.hasOnly(0) || b.len() != 1 {
+		t.Fatal("hasOnly false for singleton after remove")
+	}
 	b.clear()
-	if b.has(64) || b.count != 0 {
+	if b.has(0) || b.has(64) || b.len() != 0 {
 		t.Fatal("clear failed")
+	}
+}
+
+// TestVariableLayout pins the size of the per-variable state. Every
+// machine that does not recycle its storage pays for each byte, and a
+// chunk of chunkVars variables is sized to be exactly a malloc size
+// class (1792 bytes): a smaller variable needs a new chunkVars.
+func TestVariableLayout(t *testing.T) {
+	if got := unsafe.Sizeof(variable{}); got > 112 {
+		t.Errorf("variable is %d bytes, want at most 112", got)
+	}
+	if got := unsafe.Sizeof(varChunk{}); got != 1792 {
+		t.Errorf("varChunk is %d bytes, want the 1792-byte size class", got)
 	}
 }
 
@@ -510,11 +532,11 @@ func TestHotVarsMatchesFullSort(t *testing.T) {
 		got[i] = m.HotVars(k)
 	}
 	var all []VarRMR
-	for _, vv := range m.vars[1:] {
+	m.eachVar(func(vv *variable) {
 		if vv.rmrs > 0 {
 			all = append(all, VarRMR{Name: vv.label(), RMRs: vv.rmrs})
 		}
-	}
+	})
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].RMRs != all[j].RMRs {
 			return all[i].RMRs > all[j].RMRs

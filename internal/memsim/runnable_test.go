@@ -133,3 +133,39 @@ func BenchmarkStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExploreRange measures what the explorer pays per schedule on
+// G-DSM at N=2, K=2 over the full depth-2 wave: build a machine, run
+// one schedule, recycle the machine. BenchmarkStep leaves builds out of
+// its timing; here they are in, and they make most of the allocations.
+func BenchmarkExploreRange(b *testing.B) {
+	e := &memsim.Explorer{Build: func() *memsim.Machine { return gdsmMachine(2, 2) }, MaxPreemptions: 2}
+	wave := memsim.RootWave()
+	for depth := 0; depth < 2; depth++ {
+		var next [][]memsim.Preemption
+		for _, o := range e.RunScheduleRange(wave) {
+			if o.Err != nil {
+				b.Fatal(o.Err)
+			}
+			next = append(next, o.Children...)
+		}
+		wave = next
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	bytes, mallocs := ms.TotalAlloc, ms.Mallocs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range e.RunScheduleRange(wave) {
+			if o.Err != nil {
+				b.Fatal(o.Err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	scheds := float64(b.N) * float64(len(wave))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/scheds, "ns/schedule")
+	b.ReportMetric(float64(ms.TotalAlloc-bytes)/scheds, "B/schedule")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/scheds, "allocs/schedule")
+}

@@ -61,7 +61,7 @@ type Word = memsim.Word
 
 // Mutex is one instance of the two-process algorithm.
 type Mutex struct {
-	name  string
+	name  memsim.Prefix // prefixes every variable's label
 	nproc int
 
 	c [2]memsim.Var // registrations: enc(process, round)+1, 0 = free
@@ -85,24 +85,36 @@ type Mutex struct {
 // New allocates a fresh instance in m's shared memory. The name
 // prefixes the underlying variable names for diagnostics.
 func New(m *memsim.Machine, name string) *Mutex {
+	return newMutex(m, memsim.NamePrefix(name))
+}
+
+// NewKeyed is New for the member key of a family of instances: its
+// name is "family{key}", formatted only if a label or a failure
+// message asks for it.
+func NewKeyed(m *memsim.Machine, family string, key Word) *Mutex {
+	return newMutex(m, memsim.KeyedPrefix(family, key))
+}
+
+func newMutex(m *memsim.Machine, name memsim.Prefix) *Mutex {
 	n := m.NumProcs()
 	l := &Mutex{
-		name:  name,
-		nproc: n,
-		c: [2]memsim.Var{
-			m.NewVar(name+".C[0]", memsim.HomeGlobal, 0),
-			m.NewVar(name+".C[1]", memsim.HomeGlobal, 0),
-		},
-		t:        m.NewVar(name+".T", memsim.HomeGlobal, 0),
+		name:     name,
+		nproc:    n,
 		rounds:   make([]int, n),
 		current:  make([]Word, n),
 		sideUser: [2]int{-1, -1},
 		holder:   -1,
 	}
+	l.c = [2]memsim.Var{
+		m.NewVarIn(&l.name, ".C[0]", memsim.HomeGlobal, 0),
+		m.NewVarIn(&l.name, ".C[1]", memsim.HomeGlobal, 0),
+	}
+	l.t = m.NewVarIn(&l.name, ".T", memsim.HomeGlobal, 0)
 	// Cells for registration key k belong to process k mod N, so they
 	// are local to the process that spins on them.
-	l.nudge = m.NewDictHomed(name+".nudge", func(k Word) int { return int(k % Word(n)) }, 0)
-	l.release = m.NewDictHomed(name+".release", func(k Word) int { return int(k % Word(n)) }, 0)
+	home := func(k Word) int { return int(k % Word(n)) }
+	l.nudge = m.NewDictHomedIn(&l.name, ".nudge", home, 0)
+	l.release = m.NewDictHomedIn(&l.name, ".release", home, 0)
 	return l
 }
 
@@ -117,7 +129,7 @@ func (l *Mutex) Acquire(proc *memsim.Proc, side int) {
 	checkSide(side)
 	if prev := l.sideUser[side]; prev != -1 {
 		proc.Fail("twoproc: %s side %d acquired by p%d while p%d uses it (caller contract violated)",
-			l.name, side, proc.ID(), prev)
+			l.name.String(), side, proc.ID(), prev)
 	}
 	l.sideUser[side] = proc.ID()
 
@@ -147,7 +159,7 @@ func (l *Mutex) Acquire(proc *memsim.Proc, side int) {
 
 	if l.holder != -1 {
 		proc.Fail("twoproc: %s mutual exclusion broken: p%d entered while p%d holds",
-			l.name, proc.ID(), l.holder)
+			l.name.String(), proc.ID(), l.holder)
 	}
 	l.holder = proc.ID()
 }
@@ -169,7 +181,7 @@ func (l *Mutex) AcquireAbortable(proc *memsim.Proc, side int) bool {
 	checkSide(side)
 	if prev := l.sideUser[side]; prev != -1 {
 		proc.Fail("twoproc: %s side %d acquired by p%d while p%d uses it (caller contract violated)",
-			l.name, side, proc.ID(), prev)
+			l.name.String(), side, proc.ID(), prev)
 	}
 	l.sideUser[side] = proc.ID()
 
@@ -200,7 +212,7 @@ func (l *Mutex) AcquireAbortable(proc *memsim.Proc, side int) bool {
 
 	if l.holder != -1 {
 		proc.Fail("twoproc: %s mutual exclusion broken: p%d entered while p%d holds",
-			l.name, proc.ID(), l.holder)
+			l.name.String(), proc.ID(), l.holder)
 	}
 	l.holder = proc.ID()
 	return true
@@ -228,7 +240,7 @@ func (l *Mutex) abandon(proc *memsim.Proc, side int) bool {
 func (l *Mutex) Release(proc *memsim.Proc, side int) {
 	checkSide(side)
 	if l.holder != proc.ID() {
-		proc.Fail("twoproc: %s released by p%d, but holder is p%d", l.name, proc.ID(), l.holder)
+		proc.Fail("twoproc: %s released by p%d, but holder is p%d", l.name.String(), proc.ID(), l.holder)
 	}
 	l.holder = -1
 	l.sideUser[side] = -1
@@ -270,7 +282,7 @@ func (f *Family) At(key Word) *Mutex {
 	if mu, ok := f.mus[key]; ok {
 		return mu
 	}
-	mu := New(f.m, fmt.Sprintf("%s{%d}", f.name, key))
+	mu := NewKeyed(f.m, f.name, key)
 	f.mus[key] = mu
 	return mu
 }
