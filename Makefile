@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint vet fetchphilint lint-gate build test perf race trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke bench sweep report baseline baseline-claims baseline-lint baseline-stress gate clean
+.PHONY: ci lint vet fetchphilint lint-gate build test perf race fuzz trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke bench sweep report baseline baseline-claims baseline-lint baseline-stress gate clean
 
 # ci is the full tier-1 pipeline: static checks (vet + the repo's own
 # analysis suite, gated against the checked-in lint baseline), build,
@@ -8,8 +8,9 @@ GO ?= go
 # trace-pipeline smoke test, the sharded model-checker smoke, the
 # distributed-fleet + telemetry smokes, the native-stress smoke, the
 # abortable-pipeline smoke, the claims-conformance gate + smoke, and
-# the host-cost benchmark's own vet and tests.
-ci: lint-gate build test perf race trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke
+# the host-cost benchmark's own vet and tests, and a short fuzz of the
+# artifact readers.
+ci: lint-gate build test perf race fuzz trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke
 
 # lint runs go vet plus cmd/fetchphilint — the per-package analyzers
 # (awaitwatch, memsimpurity, determinism, phasebalance), the
@@ -61,6 +62,12 @@ perf:
 race:
 	$(GO) test -race ./internal/nativelock/... ./internal/stress/... ./internal/memsim/... ./internal/harness/... ./internal/obs/... ./internal/fleet/... ./internal/telemetry/... ./internal/claims/...
 	$(GO) test -race -run 'TestE10|TestSweep|TestE5' ./internal/experiments/...
+
+# fuzz feeds mutated artifact files, seeded with the checked-in
+# baselines, to every artifact reader for 5 s: a truncated or hostile
+# file must yield an error, never a panic.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifacts$$' -fuzztime 5s ./internal/obs
 
 # trace-smoke exercises the whole trace pipeline on a real workload:
 # record a 4-process G-DSM run as a fetchphi.trace/v1 artifact,

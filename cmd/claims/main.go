@@ -113,7 +113,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%d claims -> %s\n", len(art.Claims), *out)
 		}
 		if *htmlOut != "" {
-			if err := writeHTML(art, *htmlOut); err != nil {
+			if err := claims.WriteHTML(art, *htmlOut); err != nil {
 				fmt.Fprintf(stderr, "claims: %v\n", err)
 				return 2
 			}
@@ -142,14 +142,4 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// writeHTML writes the report through a temp file + rename, matching
-// the artifact discipline.
-func writeHTML(art *claims.Artifact, path string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, claims.HTML(art), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -166,19 +166,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		WallMS: float64(wall.Microseconds()) / 1000,
 	}
 	for _, r := range reports {
-		em := obs.ExploreModel{
-			Model:     r.Model.String(),
-			Runs:      r.Result.Runs,
-			Exhausted: r.Result.Exhausted,
-			DepthRuns: r.Result.DepthRuns,
-		}
-		if r.Result.Err != nil {
-			em.Failure = r.Result.Err.Error()
-			for _, pre := range r.Result.FailingSchedule {
-				em.FailingSchedule = append(em.FailingSchedule, obs.ExplorePreemption{Step: pre.Step, Proc: pre.Proc})
-			}
-		}
-		art.Models = append(art.Models, em)
+		art.Models = append(art.Models, fleet.ExploreRecord(r.Model, r.Result))
 	}
 	if secs := wall.Seconds(); secs > 0 {
 		art.SchedulesPerSec = float64(art.TotalRuns()) / secs

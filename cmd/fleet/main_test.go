@@ -95,9 +95,12 @@ func TestServeWorkStatus(t *testing.T) {
 	serveErr := &syncBuffer{}
 	serveDone := make(chan int, 1)
 	go func() {
+		// The grace period outlasts the coordinator's 100 ms retry
+		// hint, so a worker told to wait just before completion still
+		// finds the server up to answer "done".
 		serveDone <- run([]string{"serve", "-listen", "127.0.0.1:0",
 			"-alg", "g-dsm", "-n", "2", "-entries", "1", "-preemptions", "1",
-			"-grace", "10ms"}, serveOut, serveErr)
+			"-grace", "500ms"}, serveOut, serveErr)
 	}()
 
 	addr := waitForAddr(t, serveOut)

@@ -361,7 +361,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			if err := art.WriteFile(claimsPath); err != nil {
 				fmt.Fprintf(stderr, "report: %v\n", err)
 				failed = true
-			} else if err := writeClaimsHTML(art, htmlPath); err != nil {
+			} else if err := claims.WriteHTML(art, htmlPath); err != nil {
 				fmt.Fprintf(stderr, "report: %v\n", err)
 				failed = true
 			} else {
@@ -387,14 +387,4 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// writeClaimsHTML writes the claims report through a temp file +
-// rename, matching the artifact discipline.
-func writeClaimsHTML(art *claims.Artifact, path string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, claims.HTML(art), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

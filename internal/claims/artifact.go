@@ -12,13 +12,11 @@
 package claims
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"fetchphi/internal/fit"
+	"fetchphi/internal/obs"
 )
 
 // Schema identifies the claims-artifact format. Bump on incompatible
@@ -170,9 +168,9 @@ func (a *Artifact) Validate() error {
 	return nil
 }
 
-// WriteFile writes the artifact as indented JSON through a temp file +
-// rename, mirroring obs.Artifact.WriteFile: a crashed run never
-// leaves a truncated verdict file behind.
+// WriteFile writes the artifact, sorted and validated, through
+// obs.WriteJSON: a crashed run never leaves a truncated verdict file
+// behind.
 func (a *Artifact) WriteFile(path string) error {
 	if a.Schema == "" {
 		a.Schema = Schema
@@ -181,40 +179,25 @@ func (a *Artifact) WriteFile(path string) error {
 	if err := a.Validate(); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("claims: marshal artifact: %w", err)
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("claims: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("claims: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("claims: %w", err)
-	}
-	return nil
+	return obs.WriteJSON(path, a)
 }
 
 // ReadArtifact loads and validates one claims artifact file.
 func ReadArtifact(path string) (*Artifact, error) {
-	data, err := os.ReadFile(path)
+	a, err := obs.ReadJSON(path, Schema, func(a *Artifact) string { return a.Schema })
 	if err != nil {
-		return nil, fmt.Errorf("claims: %w", err)
-	}
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("claims: parse %s: %w", path, err)
+		return nil, err
 	}
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("claims: %s: %w", path, err)
 	}
-	return &a, nil
+	return a, nil
+}
+
+// WriteHTML writes the artifact's HTML report (see HTML) atomically,
+// like the artifact itself.
+func WriteHTML(a *Artifact, path string) error {
+	return obs.WriteFileAtomic(path, HTML(a))
 }
 
 // Flip is one gate failure: a claim the baseline records as

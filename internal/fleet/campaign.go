@@ -11,15 +11,14 @@ import (
 	"fetchphi/internal/telemetry"
 )
 
-// This file is the campaign engine: the wave loop of memsim's
-// Explorer.Run, lifted out of the explorer so that (a) wave execution
-// can be delegated to any backend — in-process shards or a worker
-// fleet — and (b) every completed wave can be persisted as a resumable
-// checkpoint. The loop replicates Explorer.Run's semantics exactly
-// (cap check before each wave, canonical-prefix truncation when
-// MaxRuns lands inside a wave, first-failing-index reporting, stop
-// after a failing wave), which the equivalence tests pin against
-// harness.CheckSharded.
+// This file is the campaign engine: it runs each model's exploration
+// through memsim.ExploreWaves — the explorer's own wave loop, so the
+// cap, canonical-prefix truncation and first-failure merge are
+// Explorer.Run's by construction — and adds what is fleet-specific:
+// (a) wave execution is delegated to any backend, in-process shards or
+// a worker fleet, and (b) every completed wave is persisted as a
+// resumable checkpoint and capacity record. The equivalence tests pin
+// the reports against harness.CheckSharded.
 
 // A WaveExecutor runs one full wave of schedules and returns the
 // per-schedule outcomes indexed like the wave. Implementations decide
@@ -63,11 +62,10 @@ func (x *LocalExecutor) ExecWave(model memsim.Model, depth int, wave [][]memsim.
 type modelState struct {
 	model memsim.Model
 	done  bool
-	// frontier is the wave pending at nextDepth (only while !done).
-	frontier  [][]memsim.Preemption
-	nextDepth int
-	runs      int
-	depthRuns []int
+	// frontier is the exploration after the model's last completed
+	// wave. Once done its Wave is nil and Runs/DepthRuns are the
+	// result's; Depth stays that of the last wave boundary reached.
+	frontier memsim.Frontier
 	// result is the final exploration result (only once done).
 	result memsim.ExploreResult
 }
@@ -75,7 +73,9 @@ type modelState struct {
 // finish seals one model's exploration.
 func (st *modelState) finish(res memsim.ExploreResult) {
 	st.done = true
-	st.frontier = nil
+	st.frontier.Wave = nil
+	st.frontier.Runs = res.Runs
+	st.frontier.DepthRuns = res.DepthRuns
 	st.result = res
 }
 
@@ -140,7 +140,7 @@ func (c *Campaign) Run() ([]harness.ModelReport, *obs.ExploreArtifact, error) {
 
 	states := make([]*modelState, len(models))
 	for i, m := range models {
-		states[i] = &modelState{model: m, frontier: memsim.RootWave()}
+		states[i] = &modelState{model: m, frontier: memsim.Frontier{Wave: memsim.RootWave()}}
 	}
 	if c.CheckpointPath != "" {
 		if _, statErr := os.Stat(c.CheckpointPath); statErr == nil {
@@ -179,70 +179,30 @@ func (c *Campaign) Run() ([]harness.ModelReport, *obs.ExploreArtifact, error) {
 	return reports, art, checkErr
 }
 
-// runModel drives one model's wave loop to completion, checkpointing
-// after every wave (and once more when the model finishes).
+// runModel runs one model's exploration to completion through
+// memsim.ExploreWaves, checkpointing after every wave (and once more
+// when the model finishes).
 func (c *Campaign) runModel(cfg Config, st *modelState, all []*modelState) error {
-	for !st.done {
-		if len(st.frontier) == 0 {
-			st.finish(memsim.ExploreResult{Runs: st.runs, Exhausted: true, DepthRuns: st.depthRuns})
-			break
-		}
-		if st.runs >= cfg.MaxRuns {
-			st.finish(memsim.ExploreResult{Runs: st.runs, DepthRuns: st.depthRuns})
-			break
-		}
-		wave := st.frontier
-		truncated := false
-		if remaining := cfg.MaxRuns - st.runs; len(wave) > remaining {
-			// Canonical-prefix truncation, exactly like Explorer.Run:
-			// the set of schedules executed under the cap stays
-			// deterministic.
-			wave = wave[:remaining]
-			truncated = true
-		}
+	exec := func(f memsim.Frontier) []memsim.ScheduleOutcome {
 		if c.Progress != nil {
-			c.Progress(st.model, memsim.ExploreProgress{Depth: st.nextDepth, Frontier: len(wave), Runs: st.runs})
+			c.Progress(st.model, memsim.ExploreProgress{Depth: f.Depth, Frontier: len(f.Wave), Runs: f.Runs})
 		}
 		stop := c.Metrics.Time(MetricWaveUS)
-		outs := c.Exec.ExecWave(st.model, st.nextDepth, wave)
+		outs := c.Exec.ExecWave(st.model, f.Depth, f.Wave)
 		stop()
 		c.Metrics.Counter(MetricWaves).Inc()
-		c.Metrics.Counter(MetricSchedules).Add(int64(len(wave)))
-		if len(outs) != len(wave) {
-			return fmt.Errorf("fleet: executor returned %d outcomes for a %d-schedule wave", len(outs), len(wave))
-		}
-		st.runs += len(wave)
-		st.depthRuns = append(st.depthRuns, len(wave))
-		failed := false
-		for i := range outs {
-			if outs[i].Err != nil {
-				st.finish(memsim.ExploreResult{
-					Runs:            st.runs,
-					Err:             outs[i].Err,
-					FailingSchedule: wave[i],
-					DepthRuns:       st.depthRuns,
-				})
-				failed = true
-				break
-			}
-		}
-		if failed {
-			break
-		}
-		if truncated {
-			st.finish(memsim.ExploreResult{Runs: st.runs, DepthRuns: st.depthRuns})
-			break
-		}
-		var next [][]memsim.Preemption
-		for i := range outs {
-			next = append(next, outs[i].Children...)
-		}
-		st.frontier = next
-		st.nextDepth++
-		if err := c.afterWave(cfg, st, all); err != nil {
-			return err
-		}
+		c.Metrics.Counter(MetricSchedules).Add(int64(len(f.Wave)))
+		return outs
 	}
+	next := func(f memsim.Frontier) error {
+		st.frontier = f
+		return c.afterWave(cfg, st, all)
+	}
+	res, err := memsim.ExploreWaves(st.frontier, cfg.MaxRuns, exec, next)
+	if err != nil {
+		return err
+	}
+	st.finish(res)
 	return c.afterWave(cfg, st, all)
 }
 
@@ -258,7 +218,7 @@ func (c *Campaign) afterWave(cfg Config, st *modelState, all []*modelState) erro
 		return err
 	}
 	if c.AfterWave != nil {
-		return c.AfterWave(st.model, st.nextDepth)
+		return c.AfterWave(st.model, st.frontier.Depth)
 	}
 	return nil
 }
@@ -304,8 +264,8 @@ func (c *Campaign) capacity(cfg Config, states []*modelState, complete bool) *ob
 		art.Models = append(art.Models, obs.CapacityModel{
 			Model:     st.model.String(),
 			Done:      st.done,
-			Waves:     len(st.depthRuns),
-			Schedules: st.runs,
+			Waves:     len(st.frontier.DepthRuns),
+			Schedules: st.frontier.Runs,
 		})
 	}
 	return art
@@ -330,31 +290,34 @@ func (c *Campaign) artifact(cfg Config, states []*modelState, complete bool) *ob
 		ck := obs.ExploreModelCheckpoint{
 			Model:     st.model.String(),
 			Done:      st.done,
-			NextDepth: st.nextDepth,
-			Runs:      st.runs,
-			DepthRuns: append([]int(nil), st.depthRuns...),
+			NextDepth: st.frontier.Depth,
+			Runs:      st.frontier.Runs,
+			DepthRuns: append([]int(nil), st.frontier.DepthRuns...),
+			Frontier:  schedulesToWire(st.frontier.Wave),
 		}
-		if !st.done {
-			ck.Frontier = make([][]obs.ExplorePreemption, len(st.frontier))
-			for i, s := range st.frontier {
-				ck.Frontier[i] = toWire(s)
-			}
-		} else {
-			em := obs.ExploreModel{
-				Model:     st.model.String(),
-				Runs:      st.result.Runs,
-				Exhausted: st.result.Exhausted,
-				DepthRuns: append([]int(nil), st.result.DepthRuns...),
-			}
-			if st.result.Err != nil {
-				em.Failure = st.result.Err.Error()
-				em.FailingSchedule = toWire(st.result.FailingSchedule)
-			}
-			art.Models = append(art.Models, em)
+		if st.done {
+			art.Models = append(art.Models, ExploreRecord(st.model, st.result))
 		}
 		art.Checkpoint.Models = append(art.Checkpoint.Models, ck)
 	}
 	return art
+}
+
+// ExploreRecord converts one model's exploration result into its
+// fetchphi.explore/v1 coverage record: the single conversion behind
+// both cmd/explore's artifact and a campaign's final artifact.
+func ExploreRecord(model memsim.Model, res memsim.ExploreResult) obs.ExploreModel {
+	em := obs.ExploreModel{
+		Model:     model.String(),
+		Runs:      res.Runs,
+		Exhausted: res.Exhausted,
+		DepthRuns: append([]int(nil), res.DepthRuns...),
+	}
+	if res.Err != nil {
+		em.Failure = res.Err.Error()
+		em.FailingSchedule = toWire(res.FailingSchedule)
+	}
+	return em
 }
 
 // restore loads the checkpoint artifact and rehydrates states from it.
@@ -385,13 +348,15 @@ func (c *Campaign) restore(cfg Config, states []*modelState) error {
 		if ck.Model != st.model.String() {
 			return fmt.Errorf("fleet: checkpoint model %d is %q, campaign configures %q", i, ck.Model, st.model)
 		}
-		st.nextDepth = ck.NextDepth
-		st.runs = ck.Runs
-		st.depthRuns = append([]int(nil), ck.DepthRuns...)
+		st.frontier = memsim.Frontier{
+			Depth:     ck.NextDepth,
+			Wave:      schedulesFromWire(ck.Frontier),
+			Runs:      ck.Runs,
+			DepthRuns: append([]int(nil), ck.DepthRuns...),
+		}
 		if !ck.Done {
-			st.frontier = make([][]memsim.Preemption, len(ck.Frontier))
-			for j, s := range ck.Frontier {
-				st.frontier[j] = fromWire(s)
+			if err := checkFrontier(st.frontier, cfg.N); err != nil {
+				return fmt.Errorf("fleet: checkpoint %s model %s: %w", c.CheckpointPath, ck.Model, err)
 			}
 			continue
 		}
@@ -409,6 +374,38 @@ func (c *Campaign) restore(cfg Config, states []*modelState) error {
 			res.FailingSchedule = fromWire(em.FailingSchedule)
 		}
 		st.finish(res)
+	}
+	return nil
+}
+
+// checkFrontier rejects a restored in-progress frontier that the wave
+// loop could not have written: its coverage must add up, and every
+// pending schedule must hold Depth preemptions at strictly increasing,
+// non-negative steps, each naming one of the n processes. Replaying a
+// malformed schedule would otherwise panic deep inside the explorer.
+func checkFrontier(f memsim.Frontier, n int) error {
+	if len(f.DepthRuns) != f.Depth {
+		return fmt.Errorf("next_depth %d but %d depth_runs entries", f.Depth, len(f.DepthRuns))
+	}
+	sum := 0
+	for _, r := range f.DepthRuns {
+		sum += r
+	}
+	if f.Runs != sum {
+		return fmt.Errorf("runs %d but depth_runs sum to %d", f.Runs, sum)
+	}
+	for i, s := range f.Wave {
+		if len(s) != f.Depth {
+			return fmt.Errorf("frontier schedule %d has %d preemptions at next_depth %d", i, len(s), f.Depth)
+		}
+		for j, p := range s {
+			if p.Step < 0 || (j > 0 && p.Step <= s[j-1].Step) {
+				return fmt.Errorf("frontier schedule %d: preemption %d at step %d is negative or out of order", i, j, p.Step)
+			}
+			if p.Proc < 0 || p.Proc >= n {
+				return fmt.Errorf("frontier schedule %d: preemption %d names process %d outside [0,%d)", i, j, p.Proc, n)
+			}
+		}
 	}
 	return nil
 }

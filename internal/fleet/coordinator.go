@@ -69,9 +69,10 @@ type CoordinatorOptions struct {
 	AfterWave func(model memsim.Model, depth int) error
 }
 
-// Coordinator is the fleet's control plane: it owns the campaign wave
-// loop, decomposes each wave into leases, and merges reported outcomes
-// back into the canonical index order. It executes no schedules
+// Coordinator is the fleet's control plane: it is the WaveExecutor of
+// a Campaign (whose waves memsim.ExploreWaves drives), decomposes each
+// wave into leases, and reassembles reported outcomes in canonical
+// index order. It executes no schedules
 // itself — workers (in other processes, or in-process via Check) do.
 type Coordinator struct {
 	cfg      Config
@@ -105,7 +106,7 @@ type workerState struct {
 }
 
 // NewCoordinator prepares a coordinator for one campaign. Call Run
-// (usually in a goroutine) to start the wave loop, and serve Handler
+// (usually in a goroutine) to start the campaign, and serve Handler
 // somewhere workers can reach.
 func NewCoordinator(cfg Config, opts CoordinatorOptions) *Coordinator {
 	if opts.LeaseSize <= 0 {

@@ -2,9 +2,10 @@
 // machines: a coordinator decomposes each schedule wave into contiguous
 // index-range leases with deadlines, workers claim leases over plain
 // HTTP+JSON and execute them through the existing sharded explorer, and
-// the coordinator merges the per-range outcomes by canonical index —
-// the same merge Explorer.Run performs — so Runs, Exhausted, DepthRuns,
-// and the reported FailingSchedule are bit-identical to a single-machine
+// the coordinator reassembles the per-range outcomes by canonical index
+// into one wave's outcomes for memsim.ExploreWaves — the wave loop
+// Explorer.Run itself runs — so Runs, Exhausted, DepthRuns, and the
+// reported FailingSchedule are bit-identical to a single-machine
 // harness.CheckSharded run at any worker count, join/leave order, or
 // lease size.
 //

@@ -199,8 +199,8 @@ func contains(xs []int, x int) bool {
 // failure, if any, and the child schedules it spawns for the next
 // wave. It is exported because it is also the unit of work a
 // distributed fleet worker reports back to its coordinator (see
-// internal/fleet): the coordinator concatenates Children in canonical
-// index order to form the next wave, exactly like Explorer.Run does.
+// internal/fleet), which reassembles a wave's outcomes by index for
+// ExploreWaves to merge.
 type ScheduleOutcome struct {
 	// Err is the schedule's failure (violation, deadlock, step bound,
 	// or Check error), nil if it passed.
@@ -261,7 +261,7 @@ func (e *Explorer) runOne(sched []Preemption, maxPre int) ScheduleOutcome {
 // failure is the canonically smallest failing schedule; Runs,
 // Exhausted, and DepthRuns are bit-identical for every Workers value
 // because each wave is either executed in full or truncated to a
-// canonical prefix when MaxRuns lands inside it.
+// canonical prefix when MaxRuns lands inside it (see ExploreWaves).
 func (e *Explorer) Run() ExploreResult {
 	maxPre := e.ResolvedPreemptions()
 	maxRuns := e.MaxRuns
@@ -272,48 +272,91 @@ func (e *Explorer) Run() ExploreResult {
 	if workers < 1 {
 		workers = 1
 	}
+	res, err := ExploreWaves(Frontier{Wave: RootWave()}, maxRuns, func(f Frontier) []ScheduleOutcome {
+		if e.Progress != nil {
+			e.Progress(ExploreProgress{Depth: f.Depth, Frontier: len(f.Wave), Runs: f.Runs})
+		}
+		return e.runWave(f.Wave, f.Depth, f.Runs, maxPre, workers)
+	}, nil)
+	if err != nil {
+		// runWave returns one outcome per schedule, so only a bug in
+		// the explorer itself can break the executor contract.
+		panic(err)
+	}
+	return res
+}
 
-	var res ExploreResult
-	wave := [][]Preemption{nil}
-	for depth := 0; len(wave) > 0; depth++ {
-		if res.Runs >= maxRuns {
-			return res // cap hit with work left: not exhausted
+// Frontier is an exploration between two waves: the wave pending at
+// preemption depth Depth, in canonical order, and the coverage the
+// completed waves achieved (Runs schedules, DepthRuns[d] of them at
+// depth d). The root frontier is Frontier{Wave: RootWave()}.
+type Frontier struct {
+	Depth     int
+	Wave      [][]Preemption
+	Runs      int
+	DepthRuns []int
+}
+
+// ExploreWaves is the explorer's wave loop, shared by Explorer.Run and
+// every external driver (the fleet campaign engine in internal/fleet).
+// Starting from a frontier it hands each wave to exec, which must
+// return one outcome per schedule indexed like f.Wave, and merges the
+// outcomes canonically: the first failing index is the canonically
+// smallest failing schedule (any failure in a deeper wave is larger),
+// and the next wave is the concatenation of Children in index order.
+// Before each wave it checks the cap: at maxRuns completed runs the
+// exploration ends unexhausted, and a wave that would overshoot is
+// truncated to its canonical prefix and ends the exploration after it,
+// so the set of schedules run under the cap is deterministic too.
+//
+// next, if non-nil, observes the frontier after every wave that
+// neither failed nor was truncated — including one that leaves an
+// empty frontier — and a non-nil error from it stops the loop on that
+// wave boundary and is returned. Resuming ExploreWaves from such a
+// frontier yields the result the uninterrupted loop would have. The
+// only other error is an exec that breaks the one-outcome-per-schedule
+// contract.
+func ExploreWaves(from Frontier, maxRuns int, exec func(Frontier) []ScheduleOutcome, next func(Frontier) error) (ExploreResult, error) {
+	f := from
+	// Appends must not write into the caller's DepthRuns array: a
+	// frontier handed out by next may be resumed from more than once.
+	f.DepthRuns = f.DepthRuns[:len(f.DepthRuns):len(f.DepthRuns)]
+	for len(f.Wave) > 0 {
+		if f.Runs >= maxRuns {
+			return ExploreResult{Runs: f.Runs, DepthRuns: f.DepthRuns}, nil // cap hit with work left
 		}
 		truncated := false
-		if remaining := maxRuns - res.Runs; len(wave) > remaining {
-			// Run the canonical prefix of the wave, so the set of
-			// schedules executed under the cap is deterministic too.
-			wave = wave[:remaining]
+		if remaining := maxRuns - f.Runs; len(f.Wave) > remaining {
+			f.Wave = f.Wave[:remaining]
 			truncated = true
 		}
-		if e.Progress != nil {
-			e.Progress(ExploreProgress{Depth: depth, Frontier: len(wave), Runs: res.Runs})
+		out := exec(f)
+		if len(out) != len(f.Wave) {
+			return ExploreResult{}, fmt.Errorf("memsim: executor returned %d outcomes for a %d-schedule wave", len(out), len(f.Wave))
 		}
-		out := e.runWave(wave, depth, res.Runs, maxPre, workers)
-		res.Runs += len(wave)
-		res.DepthRuns = append(res.DepthRuns, len(wave))
-		// Canonical merge: the wave is in canonical order and was run
-		// to completion, so the first failing index is the canonically
-		// smallest failing schedule no matter which worker ran it —
-		// and any failure in a deeper wave is canonically larger.
+		f.Runs += len(f.Wave)
+		f.DepthRuns = append(f.DepthRuns, len(f.Wave))
 		for i := range out {
 			if out[i].Err != nil {
-				res.Err = out[i].Err
-				res.FailingSchedule = wave[i]
-				return res
+				return ExploreResult{Runs: f.Runs, Err: out[i].Err, FailingSchedule: f.Wave[i], DepthRuns: f.DepthRuns}, nil
 			}
 		}
 		if truncated {
-			return res
+			return ExploreResult{Runs: f.Runs, DepthRuns: f.DepthRuns}, nil
 		}
-		var next [][]Preemption
+		var wave [][]Preemption
 		for i := range out {
-			next = append(next, out[i].Children...)
+			wave = append(wave, out[i].Children...)
 		}
-		wave = next
+		f.Depth++
+		f.Wave = wave
+		if next != nil {
+			if err := next(f); err != nil {
+				return ExploreResult{}, err
+			}
+		}
 	}
-	res.Exhausted = true
-	return res
+	return ExploreResult{Runs: f.Runs, Exhausted: true, DepthRuns: f.DepthRuns}, nil
 }
 
 // ReplaySchedule runs one specific preemption schedule against a fresh

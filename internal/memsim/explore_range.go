@@ -2,14 +2,15 @@ package memsim
 
 // This file is the exported wave-range execution API: it lets an
 // external driver (the distributed fleet coordinator/worker pair in
-// internal/fleet, or any future backend) own the wave loop while memsim
-// keeps owning schedule execution and child generation. The contract
-// mirrors the internal explorer exactly — a wave is a canonically
-// ordered slice of schedules, a range is any contiguous sub-slice of
-// it, and the per-index outcomes are a pure function of the machine —
-// so a driver that executes every index of a wave exactly once and
-// merges by index reproduces Explorer.Run bit for bit, whatever
-// machine, process, or lease the indices ran on.
+// internal/fleet, or any future backend) decide where each wave's
+// schedules execute, while memsim keeps owning schedule execution,
+// child generation and — through ExploreWaves — the wave loop itself.
+// A wave is a canonically ordered slice of schedules, a range is any
+// contiguous sub-slice of it, and the per-index outcomes are a pure
+// function of the machine, so a driver that executes every index of a
+// wave exactly once and hands ExploreWaves the outcomes by index
+// reproduces Explorer.Run bit for bit, whatever machine, process, or
+// lease the indices ran on.
 
 // ResolvedPreemptions returns the literal preemption bound K that the
 // Explorer's MaxPreemptions encoding selects: ZeroPreemptions resolves
@@ -34,8 +35,8 @@ func (e *Explorer) ResolvedPreemptions() int {
 // work stealing (values <= 1 run sequentially); the outcomes are
 // identical either way because each one lands at its own index.
 // Drivers reassemble a wave by concatenating range outcomes in index
-// order and derive the next wave by concatenating Children — the same
-// canonical merge Explorer.Run performs internally.
+// order and return it from their ExploreWaves exec, which merges it
+// exactly as for Explorer.Run.
 func (e *Explorer) RunScheduleRange(scheds [][]Preemption) []ScheduleOutcome {
 	if len(scheds) == 0 {
 		return nil
@@ -49,7 +50,7 @@ func (e *Explorer) RunScheduleRange(scheds [][]Preemption) []ScheduleOutcome {
 
 // RootWave returns the canonical first wave of every exploration: the
 // single empty (purely non-preemptive) schedule. Exported so external
-// wave drivers seed their frontier with exactly the value Explorer.Run
+// wave drivers seed their Frontier with exactly the value Explorer.Run
 // uses — a nil schedule, which matters for bit-identical
 // FailingSchedule reporting.
 func RootWave() [][]Preemption {

@@ -9,7 +9,7 @@ import (
 // of schedules across a worker pool. Parallelism lives entirely inside
 // a wave — workers share nothing but the frontier deque and the output
 // slice, and every schedule's outcome lands at its own canonical index
-// — so the merge in Explorer.Run never sees worker timing.
+// — so the merge in ExploreWaves never sees worker timing.
 
 // claimBatch is how many frontier indices a worker claims per deque
 // access: small enough that the tail of a wave still balances across

@@ -135,49 +135,22 @@ func (a *Artifact) Sort() {
 	sort.Slice(a.Cells, func(i, j int) bool { return a.Cells[i].Key() < a.Cells[j].Key() })
 }
 
-// WriteFile writes the artifact as indented JSON, creating parent
-// directories as needed. The write goes through a temp file + rename
-// so a crashed run never leaves a truncated artifact behind.
+// WriteFile writes the artifact, canonically sorted, through
+// WriteJSON: a crashed run never leaves a truncated artifact behind.
 func (a *Artifact) WriteFile(path string) error {
 	if a.Schema == "" {
 		a.Schema = Schema
 	}
 	a.Sort()
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal artifact %s: %w", a.Experiment, err)
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	return nil
+	return WriteJSON(path, a)
 }
 
 // ReadArtifact loads and validates one artifact file.
 func ReadArtifact(path string) (*Artifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if a.Schema != Schema {
-		return nil, fmt.Errorf("obs: %s has schema %q, want %q", path, a.Schema, Schema)
-	}
-	return &a, nil
+	return ReadJSON(path, Schema, benchSchema)
 }
+
+func benchSchema(a *Artifact) string { return a.Schema }
 
 // ReadArtifactDir loads every fetchphi.bench/v1 artifact in dir.
 // Artifact directories legitimately mix schemas — bench artifacts
@@ -211,12 +184,12 @@ func ReadArtifactDir(dir string) ([]*Artifact, error) {
 		if probe.Schema != Schema {
 			continue
 		}
-		var a Artifact
-		if err := json.Unmarshal(data, &a); err != nil {
-			return nil, fmt.Errorf("obs: parse %s: %w", path, err)
+		a, err := decodeJSON(path, data, Schema, benchSchema)
+		if err != nil {
+			return nil, err
 		}
-		arts = append(arts, &a)
-		names[&a] = e.Name()
+		arts = append(arts, a)
+		names[a] = e.Name()
 	}
 	sort.Slice(arts, func(i, j int) bool {
 		if arts[i].Experiment != arts[j].Experiment {

@@ -17,10 +17,7 @@ package obs
 // under a fake clock, which the fleet test suite pins.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -98,48 +95,18 @@ func (a *CapacityArtifact) Normalize() {
 	sort.Slice(a.Models, func(i, j int) bool { return a.Models[i].Model < a.Models[j].Model })
 }
 
-// WriteFile writes the artifact as indented JSON through a temp file +
-// rename (the artifact discipline: a crashed run never leaves a
-// truncated artifact), creating parent directories as needed.
+// WriteFile writes the artifact, normalized, through WriteJSON.
 func (a *CapacityArtifact) WriteFile(path string) error {
 	if a.Schema == "" {
 		a.Schema = CapacitySchema
 	}
 	a.Normalize()
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal capacity artifact %s: %w", a.Algorithm, err)
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	return nil
+	return WriteJSON(path, a)
 }
 
 // ReadCapacityArtifact loads and validates one capacity artifact file.
 func ReadCapacityArtifact(path string) (*CapacityArtifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	var a CapacityArtifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if a.Schema != CapacitySchema {
-		return nil, fmt.Errorf("obs: %s has schema %q, want %q", path, a.Schema, CapacitySchema)
-	}
-	return &a, nil
+	return ReadJSON(path, CapacitySchema, func(a *CapacityArtifact) string { return a.Schema })
 }
 
 // CompareCapacity gates current against baseline, returning one line

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 )
 
@@ -148,45 +145,16 @@ func (a *ExploreArtifact) AllExhausted() bool {
 	return len(a.Models) > 0
 }
 
-// WriteFile writes the artifact as indented JSON through a temp file +
-// rename (the artifact discipline: a crashed run never leaves a
-// truncated artifact), creating parent directories as needed.
+// WriteFile writes the artifact through WriteJSON: a crashed run
+// never leaves a truncated artifact behind.
 func (a *ExploreArtifact) WriteFile(path string) error {
 	if a.Schema == "" {
 		a.Schema = ExploreSchema
 	}
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal explore artifact %s: %w", a.Algorithm, err)
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	return nil
+	return WriteJSON(path, a)
 }
 
 // ReadExploreArtifact loads and validates one explore artifact file.
 func ReadExploreArtifact(path string) (*ExploreArtifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	var a ExploreArtifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if a.Schema != ExploreSchema {
-		return nil, fmt.Errorf("obs: %s has schema %q, want %q", path, a.Schema, ExploreSchema)
-	}
-	return &a, nil
+	return ReadJSON(path, ExploreSchema, func(a *ExploreArtifact) string { return a.Schema })
 }

@@ -11,10 +11,7 @@ package obs
 // absolute paths, sorted rows.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -136,47 +133,18 @@ func (a *LintArtifact) Normalize() {
 	})
 }
 
-// WriteFile writes the artifact as indented JSON through a temp file +
-// rename, creating parent directories as needed.
+// WriteFile writes the artifact, normalized, through WriteJSON.
 func (a *LintArtifact) WriteFile(path string) error {
 	if a.Schema == "" {
 		a.Schema = LintSchema
 	}
 	a.Normalize()
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal lint artifact: %w", err)
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	return nil
+	return WriteJSON(path, a)
 }
 
 // ReadLintArtifact loads and validates one lint artifact file.
 func ReadLintArtifact(path string) (*LintArtifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	var a LintArtifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if a.Schema != LintSchema {
-		return nil, fmt.Errorf("obs: %s has schema %q, want %q", path, a.Schema, LintSchema)
-	}
-	return &a, nil
+	return ReadJSON(path, LintSchema, func(a *LintArtifact) string { return a.Schema })
 }
 
 // CompareLint gates current against baseline, returning one line per

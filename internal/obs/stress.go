@@ -10,10 +10,7 @@ package obs
 // latency, with wall-clock-sized tolerances.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -95,48 +92,18 @@ func (a *StressArtifact) Normalize() {
 	})
 }
 
-// WriteFile writes the artifact as indented JSON through a temp file +
-// rename (the artifact discipline: a crashed run never leaves a
-// truncated artifact), creating parent directories as needed.
+// WriteFile writes the artifact, normalized, through WriteJSON.
 func (a *StressArtifact) WriteFile(path string) error {
 	if a.Schema == "" {
 		a.Schema = StressSchema
 	}
 	a.Normalize()
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal stress artifact: %w", err)
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	return nil
+	return WriteJSON(path, a)
 }
 
 // ReadStressArtifact loads and validates one stress artifact file.
 func ReadStressArtifact(path string) (*StressArtifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	var a StressArtifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if a.Schema != StressSchema {
-		return nil, fmt.Errorf("obs: %s has schema %q, want %q", path, a.Schema, StressSchema)
-	}
-	return &a, nil
+	return ReadJSON(path, StressSchema, func(a *StressArtifact) string { return a.Schema })
 }
 
 // CompareStress gates current against baseline, returning one line per

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -146,8 +143,8 @@ func TraceArtifactName(cellKey string) string {
 	return fmt.Sprintf("TRACE_%s.json", b.String())
 }
 
-// WriteFile writes the artifact as indented JSON through a temp file +
-// rename, mirroring Artifact.WriteFile.
+// WriteFile writes the artifact, sorted and validated, through
+// WriteJSON.
 func (a *TraceArtifact) WriteFile(path string) error {
 	if a.Schema == "" {
 		a.Schema = TraceSchema
@@ -156,38 +153,17 @@ func (a *TraceArtifact) WriteFile(path string) error {
 	if err := a.Validate(); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal trace artifact: %w", err)
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	return nil
+	return WriteJSON(path, a)
 }
 
 // ReadTraceArtifact loads and validates one trace artifact file.
 func ReadTraceArtifact(path string) (*TraceArtifact, error) {
-	data, err := os.ReadFile(path)
+	a, err := ReadJSON(path, TraceSchema, func(a *TraceArtifact) string { return a.Schema })
 	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	var a TraceArtifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("obs: parse %s: %w", path, err)
+		return nil, err
 	}
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("obs: %s: %w", path, err)
 	}
-	return &a, nil
+	return a, nil
 }
