@@ -65,9 +65,13 @@ race:
 
 # fuzz feeds mutated artifact files, seeded with the checked-in
 # baselines, to every artifact reader for 5 s: a truncated or hostile
-# file must yield an error, never a panic.
+# file must yield an error, never a panic. It then fuzzes the memory-
+# and fit-model name decoders for 5 s each: neither may panic, and
+# every name they accept must spell back unchanged.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifacts$$' -fuzztime 5s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzParseModel$$' -fuzztime 5s ./internal/memsim
+	$(GO) test -run '^$$' -fuzz '^FuzzParseModel$$' -fuzztime 5s ./internal/fit
 
 # trace-smoke exercises the whole trace pipeline on a real workload:
 # record a 4-process G-DSM run as a fetchphi.trace/v1 artifact,

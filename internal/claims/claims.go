@@ -258,12 +258,44 @@ func intsCSV(ns []int) string {
 	return strings.Join(parts, ", ")
 }
 
+// constantFits is what constantFitChecks found, for a claim's summary
+// line: the sweep's span, the worst figure at each end of it, how many
+// series fit constant, and the evidence series.
+type constantFits struct {
+	minN, maxN  int
+	first, last float64 // at minN and maxN, from the first series by name to reach each
+	constant    int     // series whose best fit is constant
+	total       int     // series checked, fitted or not
+	series      []SeriesFit
+}
+
+// all reports whether every series fit constant: only then may a
+// summary call the growth flat.
+func (c constantFits) all() bool { return c.constant == c.total }
+
+// span is "flat from N=a→b" when every series fit constant, and just
+// "from N=a→b" otherwise.
+func (c constantFits) span() string {
+	s := fmt.Sprintf("from N=%d→%d", c.minN, c.maxN)
+	if c.all() {
+		return "flat " + s
+	}
+	return s
+}
+
+// tally counts the constant fits: "all 3", or "1 of 3".
+func (c constantFits) tally() string {
+	if c.all() {
+		return fmt.Sprintf("all %d", c.total)
+	}
+	return fmt.Sprintf("%d of %d", c.constant, c.total)
+}
+
 // constantFitChecks asserts that every series in the map classifies
 // as constant under the fit engine, appending one predicate line and
-// one evidence series each. Returns (minN, maxN, worst at minN, worst
-// at maxN) across all series for the summary line.
-func constantFitChecks(ck *checker, series map[string][]fit.Point, metric, expect string) (minN, maxN int, first, last float64, fits []SeriesFit) {
-	minN, maxN = 0, 0
+// one evidence series each.
+func constantFitChecks(ck *checker, series map[string][]fit.Point, metric, expect string) constantFits {
+	c := constantFits{total: len(series)}
 	for _, alg := range sortedKeys(series) {
 		pts := series[alg]
 		if len(pts) < 2 {
@@ -275,20 +307,22 @@ func constantFitChecks(ck *checker, series map[string][]fit.Point, metric, expec
 			ck.missf("%s: %v", alg, err)
 			continue
 		}
-		ck.checkf(r.Best == fit.Constant,
+		if ck.checkf(r.Best == fit.Constant,
 			"%s %s best-fit model is %s (R² %.2f, margin %.2f%s)",
 			alg, metric, r.BestName, r.BestFit().R2, r.Margin,
-			flatNote(r))
-		fits = append(fits, newSeriesFit(alg, metric, expect, r))
-		if minN == 0 || pts[0].N < minN {
-			minN, first = pts[0].N, pts[0].Y
+			flatNote(r)) {
+			c.constant++
+		}
+		c.series = append(c.series, newSeriesFit(alg, metric, expect, r))
+		if c.minN == 0 || pts[0].N < c.minN {
+			c.minN, c.first = pts[0].N, pts[0].Y
 		}
 		lastPt := pts[len(pts)-1]
-		if lastPt.N > maxN {
-			maxN, last = lastPt.N, lastPt.Y
+		if lastPt.N > c.maxN {
+			c.maxN, c.last = lastPt.N, lastPt.Y
 		}
 	}
-	return minN, maxN, first, last, fits
+	return c
 }
 
 func flatNote(r fit.Result) string {
@@ -342,11 +376,11 @@ func evalLemma1(b Bench) Outcome {
 		ck.missf("E1 artifact has no cells")
 		return Outcome{Verdict: ck.verdict(), Measured: "E1 artifact has no cells", Details: ck.details}
 	}
-	minN, maxN, first, last, fits := constantFitChecks(ck, series, "worst RMR/entry", "O(1)")
+	cf := constantFitChecks(ck, series, "worst RMR/entry", "O(1)")
 	primitiveAgreement(ck, series)
-	measured := fmt.Sprintf("worst %.0f→%.0f flat from N=%d→%d, best-fit constant for all %d primitives",
-		first, last, minN, maxN, len(series))
-	return Outcome{Verdict: ck.verdict(), Measured: measured, Details: ck.details, Series: fits}
+	measured := fmt.Sprintf("worst %.0f→%.0f %s, best-fit constant for %s primitives",
+		cf.first, cf.last, cf.span(), cf.tally())
+	return Outcome{Verdict: ck.verdict(), Measured: measured, Details: ck.details, Series: cf.series}
 }
 
 // evalLemma2: Algorithm G-DSM costs O(1) RMR per entry on DSM
@@ -359,7 +393,7 @@ func evalLemma2(b Bench) Outcome {
 		ck.missf("E2 artifact has no cells")
 		return Outcome{Verdict: ck.verdict(), Measured: "E2 artifact has no cells", Details: ck.details}
 	}
-	minN, maxN, first, last, fits := constantFitChecks(ck, series, "worst RMR/entry", "O(1)")
+	cf := constantFitChecks(ck, series, "worst RMR/entry", "O(1)")
 	primitiveAgreement(ck, series)
 	var nonLocal int64
 	for _, c := range a.Cells {
@@ -368,9 +402,12 @@ func evalLemma2(b Bench) Outcome {
 	ck.checkf(nonLocal == 0,
 		"non-local spin reads are exactly 0 across all %d DSM cells (measured %d): every spin is on a locally homed variable",
 		len(a.Cells), nonLocal)
-	measured := fmt.Sprintf("worst %.0f→%.0f flat from N=%d→%d, %d non-local spin reads",
-		first, last, minN, maxN, nonLocal)
-	return Outcome{Verdict: ck.verdict(), Measured: measured, Details: ck.details, Series: fits}
+	growth := fmt.Sprintf("worst %.0f→%.0f %s", cf.first, cf.last, cf.span())
+	if !cf.all() {
+		growth += ", best-fit constant for " + cf.tally() + " primitives"
+	}
+	measured := fmt.Sprintf("%s, %d non-local spin reads", growth, nonLocal)
+	return Outcome{Verdict: ck.verdict(), Measured: measured, Details: ck.details, Series: cf.series}
 }
 
 // treeHeight is ⌈log_base n⌉ computed exactly in integers (minimum 1:
@@ -818,7 +855,7 @@ func evalAbortableAmortized(b Bench) Outcome {
 			ck.missf("E10 has no abortable cells on %s; the claim spans both models", model)
 		}
 	}
-	minN, maxN, first, last, fits := constantFitChecks(ck, series, "amortized RMR/passage", "O(1) amortized")
+	cf := constantFitChecks(ck, series, "amortized RMR/passage", "O(1) amortized")
 	var totalAborts, worstResolve int64
 	vacuous := 0
 	for _, c := range a.Cells {
@@ -839,7 +876,11 @@ func evalAbortableAmortized(b Bench) Outcome {
 	ck.checkf(worstResolve <= AbortWaitFreeBound,
 		"withdrawal is wait-free: worst abort resolved in %d own steps (bound %d)",
 		worstResolve, AbortWaitFreeBound)
-	measured := fmt.Sprintf("amortized %.1f→%.1f flat from N=%d→%d across %d series; %d aborts, worst resolve %d steps",
-		first, last, minN, maxN, len(series), totalAborts, worstResolve)
-	return Outcome{Verdict: ck.verdict(), Measured: measured, Details: ck.details, Series: fits}
+	fitted := fmt.Sprintf(" across %d series", cf.total)
+	if !cf.all() {
+		fitted = ", best-fit constant for " + cf.tally() + " series"
+	}
+	measured := fmt.Sprintf("amortized %.1f→%.1f %s%s; %d aborts, worst resolve %d steps",
+		cf.first, cf.last, cf.span(), fitted, totalAborts, worstResolve)
+	return Outcome{Verdict: ck.verdict(), Measured: measured, Details: ck.details, Series: cf.series}
 }

@@ -389,3 +389,71 @@ func TestMarkdownTable(t *testing.T) {
 		t.Error("markdown lacks a reproduced verdict cell")
 	}
 }
+
+// synthBench builds an E1, E2 and E10 bench over N = 2..32 whose
+// series are flat at 17, except that the first series by name (the
+// one the summary line quotes) costs 3N RMRs when grow is set.
+func synthBench(grow bool) Bench {
+	worst := func(alg string, n int) int64 {
+		if grow && alg == "a" {
+			return int64(3 * n)
+		}
+		return 17
+	}
+	var e1, e2, e10 []obs.Cell
+	for _, n := range []int{2, 4, 8, 16, 32} {
+		for _, alg := range []string{"a", "b", "c"} {
+			e1 = append(e1, obs.Cell{Algorithm: alg, Model: "CC", N: n, WorstRMR: worst(alg, n)})
+			e2 = append(e2, obs.Cell{Algorithm: alg, Model: "DSM", N: n, WorstRMR: worst(alg, n)})
+		}
+		for _, s := range []struct{ alg, model string }{{"a", "CC"}, {"b", "CC"}, {"b", "DSM"}} {
+			e10 = append(e10, obs.Cell{
+				Algorithm: s.alg, Model: s.model, N: n,
+				Passages: 100, Aborts: 4, MaxAbortResolve: 3,
+				AmortizedRMR: float64(worst(s.alg, n)),
+			})
+		}
+	}
+	return Bench{
+		"E1":  &obs.Artifact{Cells: e1},
+		"E2":  &obs.Artifact{Cells: e2},
+		"E10": &obs.Artifact{Cells: e10},
+	}
+}
+
+// TestGrowthSummaryFollowsFits: a claim's measured line may call its
+// growth flat, and its fits constant for all series, only when every
+// fit says so; one growing series must show in the line as it does in
+// the verdict.
+func TestGrowthSummaryFollowsFits(t *testing.T) {
+	eval := map[string]func(Bench) Outcome{
+		"lemma-1":             evalLemma1,
+		"lemma-2":             evalLemma2,
+		"abortable-amortized": evalAbortableAmortized,
+	}
+	for _, tc := range []struct {
+		claim    string
+		grow     bool
+		verdict  Verdict
+		measured string
+	}{
+		{"lemma-1", false, Reproduced,
+			"worst 17→17 flat from N=2→32, best-fit constant for all 3 primitives"},
+		{"lemma-1", true, NotReproduced,
+			"worst 6→96 from N=2→32, best-fit constant for 2 of 3 primitives"},
+		{"lemma-2", false, Reproduced,
+			"worst 17→17 flat from N=2→32, 0 non-local spin reads"},
+		{"lemma-2", true, NotReproduced,
+			"worst 6→96 from N=2→32, best-fit constant for 2 of 3 primitives, 0 non-local spin reads"},
+		{"abortable-amortized", false, Reproduced,
+			"amortized 17.0→17.0 flat from N=2→32 across 3 series; 60 aborts, worst resolve 3 steps"},
+		{"abortable-amortized", true, NotReproduced,
+			"amortized 6.0→96.0 from N=2→32, best-fit constant for 2 of 3 series; 60 aborts, worst resolve 3 steps"},
+	} {
+		o := eval[tc.claim](synthBench(tc.grow))
+		if o.Verdict != tc.verdict || o.Measured != tc.measured {
+			t.Errorf("%s (grow %v): %s, %q\nwant %s, %q\ndetails:\n  %s", tc.claim, tc.grow,
+				o.Verdict, o.Measured, tc.verdict, tc.measured, strings.Join(o.Details, "\n  "))
+		}
+	}
+}

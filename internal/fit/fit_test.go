@@ -206,6 +206,24 @@ func TestParseModelRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseModel: whatever string a claims artifact carries as a
+// model name, ParseModel returns an error or a model that spells the
+// string back exactly, and never panics.
+func FuzzParseModel(f *testing.F) {
+	for _, m := range Models() {
+		f.Add(m.String())
+	}
+	for _, s := range []string{"cubic", "model(4)", "log N ", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseModel(s)
+		if err == nil && m.String() != s {
+			t.Fatalf("ParseModel(%q) = %v, which spells %q", s, m, m.String())
+		}
+	})
+}
+
 // TestEvalMatchesTransform: Eval is the curve the HTML report overlays;
 // it must agree with the fitted parameters at the sample points.
 func TestEvalMatchesTransform(t *testing.T) {

@@ -1,10 +1,19 @@
 package memsim
 
+// dictInline is how many members a Dict keeps without a Go map. Most
+// families stay this small within one run (a two-process mutex's cells
+// for its first rounds, G-DSM's signal cells at small N), and a run of
+// the explorer builds thousands of them, so they are found by a linear
+// scan of an inline array instead of paying for a map each.
+const dictInline = 8
+
 // Dict is a lazily allocated family of shared variables indexed by
 // Word keys. Algorithms G-CC and G-DSM index their Signal and Waiter
 // arrays by fetch-and-φ values ("array[Vartype] of ..."), whose domain
 // may be unbounded (e.g. unbounded fetch-and-increment); a Dict gives
-// each used key its own simulated variable on first access.
+// each used key its own simulated variable on first access. Its first
+// dictInline members live in an inline array; a Go map takes over all
+// of them once there are more.
 //
 // Allocation happens inside the accessing process's scheduling turn and
 // is deterministic, so it does not perturb exploration or replay.
@@ -14,7 +23,14 @@ type Dict struct {
 	name    string
 	homeFor func(key Word) int
 	init    Word
-	vars    map[Word]Var
+
+	// n counts the members. While n <= dictInline they are keys[:n] and
+	// vals[:n], in allocation order; after that every member is in vars
+	// and keys/vals are unused.
+	n    int
+	keys [dictInline]Word
+	vals [dictInline]Var
+	vars map[Word]Var
 }
 
 // NewDict returns a variable family with the given DSM home and initial
@@ -23,7 +39,6 @@ func (m *Machine) NewDict(name string, home int, init Word) *Dict {
 	return &Dict{
 		m: m, name: name, init: init,
 		homeFor: func(Word) int { return home },
-		vars:    make(map[Word]Var),
 	}
 }
 
@@ -31,11 +46,7 @@ func (m *Machine) NewDict(name string, home int, init Word) *Dict {
 // computed by homeFor — e.g. round-stamped spin cells keyed by
 // (round·N + p) and homed at p.
 func (m *Machine) NewDictHomed(name string, homeFor func(key Word) int, init Word) *Dict {
-	return &Dict{
-		m: m, name: name, init: init,
-		homeFor: homeFor,
-		vars:    make(map[Word]Var),
-	}
+	return &Dict{m: m, name: name, init: init, homeFor: homeFor}
 }
 
 // NewDictHomedIn is NewDictHomed for a family of a compound object:
@@ -54,16 +65,34 @@ func (m *Machine) NewProcDict(name string, init Word) *Dict {
 	return &Dict{
 		m: m, name: name, init: init,
 		homeFor: func(key Word) int { return int(key) },
-		vars:    make(map[Word]Var),
 	}
 }
 
 // At returns the variable for key, allocating it on first use.
 func (d *Dict) At(key Word) Var {
-	if v, ok := d.vars[key]; ok {
-		return v
+	if d.vars != nil {
+		if v, ok := d.vars[key]; ok {
+			return v
+		}
+	} else {
+		for i, k := range d.keys[:d.n] {
+			if k == key {
+				return d.vals[i]
+			}
+		}
 	}
 	v := d.m.newIndexedVar(d.prefix, d.name, key, d.homeFor(key), d.init)
-	d.vars[key] = v
+	if d.n < dictInline {
+		d.keys[d.n], d.vals[d.n] = key, v
+	} else {
+		if d.vars == nil {
+			d.vars = make(map[Word]Var, 2*dictInline)
+			for i, k := range d.keys {
+				d.vars[k] = d.vals[i]
+			}
+		}
+		d.vars[key] = v
+	}
+	d.n++
 	return v
 }

@@ -211,15 +211,15 @@ type ScheduleOutcome struct {
 	Children [][]Preemption
 }
 
-// runOne builds a fresh machine, executes one schedule on it and
-// recycles it. Unless the schedule already sits at the preemption
-// bound, it also derives the schedule's children:
-// one new preemption strictly after the current last one, to every
-// alternative runnable process, in (step, proc) order. That ordering —
-// together with waves listing children in parent order — is what makes
-// a wave's index order the canonical (shortest, then lexicographic)
-// order on schedules.
-func (e *Explorer) runOne(sched []Preemption, maxPre int) ScheduleOutcome {
+// runOne builds a fresh machine, executes one schedule on it, with its
+// processes on the calling worker's carriers, and recycles it. Unless
+// the schedule already sits at the preemption bound, it also derives
+// the schedule's children: one new preemption strictly after the
+// current last one, to every alternative runnable process, in (step,
+// proc) order. That ordering — together with waves listing children in
+// parent order — is what makes a wave's index order the canonical
+// (shortest, then lexicographic) order on schedules.
+func (e *Explorer) runOne(cs *carrierSet, sched []Preemption, maxPre int) ScheduleOutcome {
 	ch := &chooser{preemptions: sched}
 	if n := len(sched); n > 0 {
 		ch.traceFrom = sched[n-1].Step + 1
@@ -231,7 +231,7 @@ func (e *Explorer) runOne(sched []Preemption, maxPre int) ScheduleOutcome {
 		ch.traceFrom = math.MaxInt64
 	}
 	m := e.Build()
-	r := m.Run(RunConfig{Sched: ch, MaxSteps: e.MaxSteps})
+	r := m.runOn(cs, RunConfig{Sched: ch, MaxSteps: e.MaxSteps})
 	wr := ScheduleOutcome{Err: r.Err()}
 	if wr.Err == nil && e.Check != nil {
 		wr.Err = e.Check(r)
@@ -361,8 +361,9 @@ func ExploreWaves(from Frontier, maxRuns int, exec func(Frontier) []ScheduleOutc
 
 // ReplaySchedule runs one specific preemption schedule against a fresh
 // machine from Build and returns the run result — used to reproduce a
-// FailingSchedule under a debugger or with extra assertions.
+// FailingSchedule under a debugger or with extra assertions. A replay
+// derives no children, so its chooser records no choices.
 func (e *Explorer) ReplaySchedule(sched []Preemption) Result {
 	m := e.Build()
-	return m.Run(RunConfig{Sched: &chooser{preemptions: sched}, MaxSteps: e.MaxSteps})
+	return m.Run(RunConfig{Sched: &chooser{preemptions: sched, traceFrom: math.MaxInt64}, MaxSteps: e.MaxSteps})
 }

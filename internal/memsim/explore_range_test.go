@@ -96,6 +96,21 @@ func TestParseMemoryModelRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseModel: whatever string reaches the decoder (an artifact, a
+// checkpoint, a fleet message), ParseModel returns an error or a model
+// that spells the string back exactly, and never panics.
+func FuzzParseModel(f *testing.F) {
+	for _, s := range []string{"CC", "DSM", "CC-update", "PRAM", "Model(3)", "cc", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseModel(s)
+		if err == nil && m.String() != s {
+			t.Fatalf("ParseModel(%q) = %v, which spells %q", s, m, m.String())
+		}
+	})
+}
+
 // chunkBuild is a two-process workload over more variables than one
 // storage chunk holds, some of them allocated mid-run through a Dict
 // and one named through a Prefix. Process 1 first awaits process 0's

@@ -16,13 +16,18 @@
 //     memory module (or in no process's, for HomeGlobal); an access is
 //     free iff the accessor is the variable's home process.
 //
-// Each simulated process runs on its own goroutine, and exactly one of
-// them holds the baton at a time. Every Read, Write, RMW and Await
-// re-check is a scheduling point: the process that reaches one runs the
-// engine step itself, asking the Scheduler for the next process, and
-// either continues (it picked itself) or resumes the chosen process and
-// parks. So a Scheduler fully determines the interleaving; runs are
-// reproducible and can be explored systematically (see Explorer).
+// Each simulated process runs on a goroutine of its own for the run, and
+// exactly one of them holds the baton at a time. Every Read, Write, RMW
+// and Await re-check is a scheduling point: the process that reaches one
+// runs the engine step itself, asking the Scheduler for the next
+// process, and either continues (it picked itself) or resumes the chosen
+// process and parks. So a Scheduler fully determines the interleaving;
+// runs are reproducible and can be explored systematically (see
+// Explorer). The goroutines are carriers, reused from run to run:
+// carrier i of a set runs process i of every machine started on it. Each
+// explorer worker owns one set for a whole wave, so a wave's schedules
+// reuse N goroutines and their grown stacks; a machine run on its own
+// gets a one-shot set, retired when Run returns.
 // Busy-waiting is expressed as condition waits over explicit watch
 // sets, which lets the engine (a) suspend spinners instead of burning
 // steps and (b) charge exactly one RMR per re-check that misses — the
@@ -188,6 +193,7 @@ const (
 // with a machine (see recycle).
 type varChunk [chunkVars]variable
 
+// chunkPool holds only zeroed chunks, which newVar relies on.
 var chunkPool = sync.Pool{New: func() any { return new(varChunk) }}
 
 // Machine is one simulated multiprocessor instance. A Machine is built
@@ -256,38 +262,42 @@ func (m *Machine) NumProcs() int { return m.nproc }
 // HomeGlobal for a variable remote to everyone. The home is ignored on
 // CC machines (locality there is dynamic).
 func (m *Machine) NewVar(name string, home int, init Word) Var {
-	return m.newVar(variable{name: name}, home, init)
+	return m.newVar(nil, name, 0, false, home, init)
 }
 
 // NewVarIn is NewVar for a variable of a compound object: its name is
 // prefix followed by name, joined only when first asked for.
 func (m *Machine) NewVarIn(prefix *Prefix, name string, home int, init Word) Var {
-	return m.newVar(variable{name: name, prefix: prefix}, home, init)
+	return m.newVar(prefix, name, 0, false, home, init)
 }
 
 // newIndexedVar allocates the family member name[key] (after prefix, if
 // not nil); its name is formatted only when first asked for (see
 // variable.label).
 func (m *Machine) newIndexedVar(prefix *Prefix, name string, key Word, home int, init Word) Var {
-	return m.newVar(variable{name: name, key: key, prefix: prefix, indexed: true}, home, init)
+	return m.newVar(prefix, name, key, true, home, init)
 }
 
-// newVar stores vv, with its home and initial value, in the next free
-// slot, taking a chunk from chunkPool when the last one is full.
-func (m *Machine) newVar(vv variable, home int, init Word) Var {
+// newVar fills the next free slot with a variable of the given name
+// parts (see variable), home and initial value, taking a chunk from
+// chunkPool when the last one is full. It writes the fields in place:
+// every slot past nvars is zero (see chunkPool).
+func (m *Machine) newVar(prefix *Prefix, name string, key Word, indexed bool, home int, init Word) Var {
 	if home != HomeGlobal && (home < 0 || home >= m.nproc) {
+		vv := variable{name: name, key: key, prefix: prefix, indexed: indexed}
 		panic(fmt.Sprintf("memsim: variable %q: invalid home %d", vv.label(), home))
-	}
-	vv.home = int32(home)
-	vv.value = init
-	if m.model != DSM { // DSM locality is static: no cached copies
-		vv.sharers = newBitset(m.nproc)
 	}
 	i := m.nvars
 	if i&(chunkVars-1) == 0 {
 		m.chunks = append(m.chunks, chunkPool.Get().(*varChunk))
 	}
-	m.chunks[i>>chunkShift][i&(chunkVars-1)] = vv
+	vv := &m.chunks[i>>chunkShift][i&(chunkVars-1)]
+	vv.name, vv.key, vv.prefix, vv.indexed = name, key, prefix, indexed
+	vv.home = int32(home)
+	vv.value = init
+	if m.model != DSM { // DSM locality is static: no cached copies
+		vv.sharers = newBitset(m.nproc)
+	}
 	m.nvars++
 	return Var{idx: m.nvars}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -666,12 +667,77 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			})
 		}
 	}
-	for wait := 0; wait < 100; wait++ {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before+2 {
+	awaitGoroutines(t, before+2, "standalone runs")
+
+	// The explorer's workers retire their carriers when a wave is done,
+	// whether the space passes, fails, hits the run cap mid-wave, or
+	// panics on a diverging replay.
+	fixed := func(build func() *Machine) func() func() *Machine {
+		return func() func() *Machine { return build }
+	}
+	// diverging builds three processes the first time, so the root
+	// schedule spawns children preempting to p1 and p2, and one process
+	// ever after, so replaying any of those children panics.
+	diverging := func() func() *Machine {
+		var builds atomic.Int64
+		return func() *Machine {
+			if builds.Add(1) == 1 {
+				return tasLockMachineN(3, 1)()
+			}
+			return tasLockMachineN(1, 1)()
+		}
+	}
+	cases := []struct {
+		name     string
+		newBuild func() func() *Machine
+		maxRuns  int
+		check    func(ExploreResult) bool
+	}{
+		{"passing", fixed(tasLockMachineN(3, 1)), 0, func(r ExploreResult) bool { return r.Exhausted && r.Err == nil }},
+		{"failing", fixed(brokenLockMachineN(2, 2)), 0, func(r ExploreResult) bool { return r.Err != nil }},
+		{"capped mid-wave", fixed(tasLockMachineN(3, 1)), 7, func(r ExploreResult) bool { return r.Runs == 7 && !r.Exhausted }},
+		{"diverged", diverging, 0, nil},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			what := fmt.Sprintf("%s at %d workers", tc.name, workers)
+			var res ExploreResult
+			e := Explorer{Build: tc.newBuild(), MaxRuns: tc.maxRuns, Workers: workers}
+			got := recoverPanic(func() { res = e.Run() })
+			if (tc.check == nil) != (got != nil) || tc.check != nil && !tc.check(res) {
+				t.Fatalf("%s: Run returned %+v, panicked with %v", what, res, got)
+			}
+			awaitGoroutines(t, before, what+", Run")
+
+			e = Explorer{Build: tc.newBuild(), Workers: workers}
+			wave := e.RunScheduleRange(RootWave())[0].Children
+			got = recoverPanic(func() { e.RunScheduleRange(wave) })
+			if (tc.check == nil) != (got != nil) {
+				t.Fatalf("%s: RunScheduleRange panicked with %v", what, got)
+			}
+			awaitGoroutines(t, before, what+", RunScheduleRange")
+		}
+	}
+}
+
+// recoverPanic calls f and returns what it panicked with, nil if it
+// returned normally.
+func recoverPanic(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// awaitGoroutines waits up to a second for the goroutine count to drop
+// to at most max, and fails the test naming what leaked if it does not.
+func awaitGoroutines(t *testing.T, max int, what string) {
+	t.Helper()
+	for wait := 0; wait < 1000; wait++ {
+		if runtime.NumGoroutine() <= max {
 			return
 		}
+		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	t.Fatalf("%s: goroutines leaked: %d, want at most %d", what, runtime.NumGoroutine(), max)
 }

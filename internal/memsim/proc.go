@@ -82,7 +82,9 @@ type Proc struct {
 	name string
 	body func(*Proc)
 
-	resume chan bool // the baton: false = run your step, true = killed
+	// resume is the baton, owned by the carrier the process runs on
+	// (set when the run starts): false = run your step, true = killed.
+	resume chan bool
 
 	status     procStatus
 	watch      []Var
@@ -132,7 +134,6 @@ func (m *Machine) AddProc(name string, body func(*Proc)) *Proc {
 		id:      len(m.procs),
 		name:    name,
 		body:    body,
-		resume:  make(chan bool),
 		passage: -1,
 	}
 	m.procs = append(m.procs, p)

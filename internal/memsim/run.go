@@ -143,7 +143,19 @@ func (r Result) MaxAbortResolveSteps() int64 {
 
 // Run executes the machine to completion (or violation, deadlock, or
 // step bound) and returns the result. A machine can be run only once.
+// Its processes run on a one-shot carrier set, retired when Run
+// returns.
 func (m *Machine) Run(cfg RunConfig) Result {
+	var cs carrierSet
+	defer cs.close()
+	return m.runOn(&cs, cfg)
+}
+
+// runOn is Run with the processes started on cs, which the caller may
+// go on to start later machines on (the explorer's workers do, one set
+// each). Every process is over, and every carrier idle again, when it
+// returns or panics.
+func (m *Machine) runOn(cs *carrierSet, cfg RunConfig) Result {
 	if cfg.Sched == nil {
 		cfg.Sched = NewRandom(1)
 	}
@@ -164,9 +176,7 @@ func (m *Machine) Run(cfg RunConfig) Result {
 	m.runnable = make([]int, 0, len(m.procs))
 	m.over = make(chan struct{})
 
-	for _, p := range m.procs {
-		go p.run()
-	}
+	cs.bind(m.procs)
 	// Hand the baton to the first process; from here on each scheduling
 	// point is decided by the process that reaches it, and the one that
 	// finds the run over signals m.over.
@@ -262,16 +272,17 @@ func (m *Machine) handoff(next *Proc) {
 	next.resume <- false
 }
 
-// run is the process goroutine wrapper: it executes the body and
-// translates returns, kills, and violations into the end of the
-// process's last step.
+// run is the process wrapper its carrier calls with the first baton
+// the process receives: it executes the body (or unwinds at once, if
+// that baton is a teardown kill) and translates returns, kills, and
+// violations into the end of the process's last step.
 //
-// The goroutine parks before calling the body until it is first
+// The carrier starts the body only once the process is first
 // scheduled, so that ALL body code — including any preamble before the
 // first memory operation, which may lazily allocate variables —
-// executes inside the process's exclusive scheduling windows. Without
-// it, preambles of different processes would run concurrently.
-func (p *Proc) run() {
+// executes inside the process's exclusive scheduling windows. Started
+// any earlier, preambles of different processes would run concurrently.
+func (p *Proc) run(kill bool) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -289,7 +300,7 @@ func (p *Proc) run() {
 		p.m.readyDirty = true
 		p.m.handoff(p.m.schedule())
 	}()
-	if <-p.resume {
+	if kill {
 		panic(killed{})
 	}
 	p.body(p)
