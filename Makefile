@@ -43,10 +43,11 @@ test:
 # reach it; this target keeps a change to the internal packages it
 # builds against from breaking it or staling its RMR digests unnoticed.
 # It also runs the engine's per-step and per-schedule explorer
-# benchmarks once, so they keep compiling and running.
+# benchmarks and the flight recorder's per-event benchmark once, so
+# they keep compiling and running.
 perf:
 	cd bench/perf && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'Step|ExploreRange' -benchtime 1x ./internal/memsim
+	$(GO) test -run '^$$' -bench 'Step|ExploreRange|Recorder' -benchtime 1x ./internal/memsim ./internal/trace
 
 # race covers the packages that use real goroutines: the native spin
 # locks (including the starvation smokes), the stress harness that
@@ -67,11 +68,14 @@ race:
 # baselines, to every artifact reader for 5 s: a truncated or hostile
 # file must yield an error, never a panic. It then fuzzes the memory-
 # and fit-model name decoders for 5 s each: neither may panic, and
-# every name they accept must spell back unchanged.
+# every name they accept must spell back unchanged. Last, it posts
+# mutated lease and report bodies to a fleet coordinator with an
+# active wave for 5 s: every answer must be 200 or 4xx.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifacts$$' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModel$$' -fuzztime 5s ./internal/memsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModel$$' -fuzztime 5s ./internal/fit
+	$(GO) test -run '^$$' -fuzz '^FuzzCoordinatorHandlers$$' -fuzztime 5s ./internal/fleet
 
 # trace-smoke exercises the whole trace pipeline on a real workload:
 # record a 4-process G-DSM run as a fetchphi.trace/v1 artifact,

@@ -97,12 +97,6 @@ func (o Opts) sweep(cells []harness.Cell) []harness.Metrics {
 	return out
 }
 
-// run executes one workload through the sweep engine (a one-cell
-// sweep), panicking on correctness failures.
-func (o Opts) run(experiment, alg string, b harness.Builder, w harness.Workload) harness.Metrics {
-	return o.sweep([]harness.Cell{{Experiment: experiment, Algorithm: alg, Build: b, Workload: w}})[0]
-}
-
 // Experiment is one registry entry: an experiment id and its table
 // builder. WallClock marks time-based experiments (E9), which are
 // nondeterministic by design: the regression gate skips their cells,
@@ -514,9 +508,10 @@ func e8bTransformCost(o Opts) harness.Table {
 		Claim:   "G-DSM pays a constant factor over G-CC on CC machines; G-CC on DSM machines spins remotely",
 		Columns: []string{"N", "algorithm", "model", "mean RMR/entry", "non-local spins"},
 	}
+	gcc := func(m *memsim.Machine) harness.Algorithm { return core.NewGCC(m, phi.FetchAndIncrement{}) }
+	gdsm := func(m *memsim.Machine) harness.Algorithm { return core.NewGDSM(m, phi.FetchAndIncrement{}) }
+	var cells []harness.Cell
 	for _, n := range o.ns([]int{4, 16, 64}) {
-		gcc := func(m *memsim.Machine) harness.Algorithm { return core.NewGCC(m, phi.FetchAndIncrement{}) }
-		gdsm := func(m *memsim.Machine) harness.Algorithm { return core.NewGDSM(m, phi.FetchAndIncrement{}) }
 		for _, c := range []struct {
 			name  string
 			b     harness.Builder
@@ -527,10 +522,16 @@ func e8bTransformCost(o Opts) harness.Table {
 			{"g-cc", gcc, memsim.DSM},
 			{"g-dsm", gdsm, memsim.DSM},
 		} {
-			met := o.run("E8b", c.name, c.b, harness.Workload{Model: c.model, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed})
-			t.AddRow(harness.Itoa(int64(n)), c.name, c.model.String(),
-				harness.Ftoa(met.MeanRMR), harness.Itoa(met.NonLocalSpins))
+			cells = append(cells, harness.Cell{
+				Experiment: "E8b", Algorithm: c.name, Build: c.b,
+				Workload: harness.Workload{Model: c.model, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
+			})
 		}
+	}
+	for i, met := range o.sweep(cells) {
+		w := cells[i].Workload
+		t.AddRow(harness.Itoa(int64(w.N)), cells[i].Algorithm, w.Model.String(),
+			harness.Ftoa(met.MeanRMR), harness.Itoa(met.NonLocalSpins))
 	}
 	return t
 }
@@ -548,13 +549,22 @@ func e8cDegreeSweep(o Opts) harness.Table {
 	if o.Quick {
 		n = 27
 	}
-	for _, deg := range []int{2, 3, 4, 6} {
-		deg := deg
+	degrees := []int{2, 3, 4, 6}
+	var cells []harness.Cell
+	for _, deg := range degrees {
+		cells = append(cells, harness.Cell{
+			Experiment: "E8c", Algorithm: fmt.Sprintf("t/degree-%d", deg),
+			Build: func(m *memsim.Machine) harness.Algorithm {
+				return core.NewTWithDegree(m, phi.BoundedIncDec{}, deg)
+			},
+			Workload: harness.Workload{Model: memsim.CC, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
+		})
+	}
+	for i, met := range o.sweep(cells) {
+		deg := degrees[i]
 		mm := memsim.NewMachine(memsim.CC, n)
 		h := core.NewTWithDegree(mm, phi.BoundedIncDec{}, deg).MaxLevel()
-		met := o.run("E8c", fmt.Sprintf("t/degree-%d", deg), func(m *memsim.Machine) harness.Algorithm {
-			return core.NewTWithDegree(m, phi.BoundedIncDec{}, deg)
-		}, harness.Workload{Model: memsim.CC, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed})
+		mm.Release()
 		t.AddRow(harness.Itoa(int64(n)), harness.Itoa(int64(deg)), harness.Itoa(int64(h)),
 			harness.Ftoa(met.MeanRMR), harness.Itoa(met.WorstRMR))
 	}
@@ -578,16 +588,22 @@ func e8dExitHandshake(o Opts) harness.Table {
 		{"g-dsm", func(m *memsim.Machine) harness.Algorithm { return core.NewGDSM(m, phi.FetchAndIncrement{}) }},
 		{"g-dsm-nowait", func(m *memsim.Machine) harness.Algorithm { return core.NewGDSMNoExitWait(m, phi.FetchAndIncrement{}) }},
 	}
+	var cells []harness.Cell
 	for _, n := range o.ns([]int{4, 16, 64}) {
 		for _, v := range variants {
-			met := o.run("E8d", v.name, v.b, harness.Workload{Model: memsim.DSM, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed})
-			var blocks int64
-			for _, ps := range met.Result.Procs {
-				blocks += ps.AwaitBlocks
-			}
-			t.AddRow(harness.Itoa(int64(n)), v.name,
-				harness.Ftoa(met.MeanRMR), harness.Itoa(met.WorstRMR), harness.Itoa(blocks))
+			cells = append(cells, harness.Cell{
+				Experiment: "E8d", Algorithm: v.name, Build: v.b,
+				Workload: harness.Workload{Model: memsim.DSM, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
+			})
 		}
+	}
+	for i, met := range o.sweep(cells) {
+		var blocks int64
+		for _, ps := range met.Result.Procs {
+			blocks += ps.AwaitBlocks
+		}
+		t.AddRow(harness.Itoa(int64(cells[i].Workload.N)), cells[i].Algorithm,
+			harness.Ftoa(met.MeanRMR), harness.Itoa(met.WorstRMR), harness.Itoa(blocks))
 	}
 	return t
 }
@@ -616,12 +632,18 @@ func e8eCoherenceModel(o Opts) harness.Table {
 		{"ticket", func(m *memsim.Machine) harness.Algorithm { return baseline.NewTicketLock(m) }},
 		{"mcs", func(m *memsim.Machine) harness.Algorithm { return baseline.NewMCSLock(m) }},
 	}
+	var cells []harness.Cell
 	for _, a := range algs {
 		for _, model := range []memsim.Model{memsim.CC, memsim.CCUpdate, memsim.DSM} {
-			met := o.run("E8e", a.name, a.b, harness.Workload{Model: model, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed})
-			t.AddRow(a.name, model.String(), harness.Itoa(int64(n)),
-				harness.Ftoa(met.MeanRMR), harness.Itoa(met.WorstRMR))
+			cells = append(cells, harness.Cell{
+				Experiment: "E8e", Algorithm: a.name, Build: a.b,
+				Workload: harness.Workload{Model: model, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
+			})
 		}
+	}
+	for i, met := range o.sweep(cells) {
+		t.AddRow(cells[i].Algorithm, cells[i].Workload.Model.String(), harness.Itoa(int64(n)),
+			harness.Ftoa(met.MeanRMR), harness.Itoa(met.WorstRMR))
 	}
 	return t
 }
@@ -644,12 +666,18 @@ func e8fSpecialization(o Opts) harness.Table {
 		{"g-cc", func(m *memsim.Machine) harness.Algorithm { return core.NewGCC(m, phi.FetchAndIncrement{}) }},
 		{"g-cc-specialized", func(m *memsim.Machine) harness.Algorithm { return core.NewGCCFetchInc(m) }},
 	}
+	var cells []harness.Cell
 	for _, n := range o.ns([]int{4, 16, 64}) {
 		for _, v := range variants {
-			met := o.run("E8f", v.name, v.b, harness.Workload{Model: memsim.CC, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed})
-			t.AddRow(harness.Itoa(int64(n)), v.name,
-				harness.Ftoa(met.MeanRMR), harness.Itoa(met.WorstRMR))
+			cells = append(cells, harness.Cell{
+				Experiment: "E8f", Algorithm: v.name, Build: v.b,
+				Workload: harness.Workload{Model: memsim.CC, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
+			})
 		}
+	}
+	for i, met := range o.sweep(cells) {
+		t.AddRow(harness.Itoa(int64(cells[i].Workload.N)), cells[i].Algorithm,
+			harness.Ftoa(met.MeanRMR), harness.Itoa(met.WorstRMR))
 	}
 	return t
 }

@@ -79,6 +79,7 @@ func runAbortableTimed(b AbortableBuilder, w AbortWorkload, afterSim func()) (Me
 		participants = w.N
 	}
 	m := memsim.NewMachine(w.Model, w.N)
+	defer m.Release() // see Builder
 	if w.Sink != nil {
 		m.AttachSink(w.Sink)
 	}

@@ -25,7 +25,11 @@ type Algorithm interface {
 
 // Builder constructs a fresh algorithm instance on a machine. It is
 // called once per run, after the machine exists and before processes
-// start, and must be deterministic.
+// start, and must be deterministic. The runner that created the
+// machine (Run, RunAbortable, a sweep cell) owns it and calls its
+// Release once the run's metrics, hotspots and checks have been read,
+// so nothing a Builder returns or captures may use the machine, or any
+// Var of it, after the run.
 type Builder func(m *memsim.Machine) Algorithm
 
 // Workload describes one simulated experiment run.
@@ -135,6 +139,9 @@ func runTimed(b Builder, w Workload, afterSim func()) (Metrics, error) {
 		participants = w.N
 	}
 	m := memsim.NewMachine(w.Model, w.N)
+	// Everything below reads the machine before returning; after that
+	// its storage serves later runs (see Builder).
+	defer m.Release()
 	if w.Sink != nil {
 		m.AttachSink(w.Sink)
 	}

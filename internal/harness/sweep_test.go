@@ -325,3 +325,42 @@ func TestSweepTelemetryCountsFailures(t *testing.T) {
 		t.Errorf("sweep.account_us samples: %d, want 1 (invalid workload never simulates)", h.Count)
 	}
 }
+
+// TestSweepOverReleasedMachines runs a mixed sweep (both models, plain
+// and abortable cells, machines of one to several storage chunks) again
+// and again in one process. Every run builds its machines from storage
+// that earlier runs released, so any state Release failed to zero would
+// show up as records differing from the first run's.
+func TestSweepOverReleasedMachines(t *testing.T) {
+	var cells []Cell
+	for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
+		for _, n := range []int{2, 5, 40} {
+			w := Workload{Model: model, N: n, Entries: 3, CSOps: 2, NCSOps: 1, Seed: int64(n)}
+			cells = append(cells,
+				Cell{Experiment: "TEST", Algorithm: "fake", Build: newFakeLock, Workload: w},
+				Cell{Experiment: "TEST", Algorithm: "fake-abortable", Workload: w, Abortable: &AbortablePlan{
+					Build:   newFakeAbortable,
+					Points:  []memsim.AbortPoint{{Proc: 1, Passage: 0, Event: 1}},
+					Retries: 1,
+				}})
+		}
+	}
+	records := func(workers int) []any {
+		var out []any
+		for _, r := range SweepWith(cells, SweepOptions{Workers: workers}) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			out = append(out, r.Record())
+		}
+		return out
+	}
+	fresh := records(1)
+	for _, workers := range []int{1, 4} {
+		for run := 0; run < 2; run++ {
+			if got := records(workers); !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("workers=%d run %d: records differ from the first run's", workers, run)
+			}
+		}
+	}
+}

@@ -65,8 +65,9 @@ type Explorer struct {
 	// deterministic, and when Workers > 1 it is called from several
 	// goroutines at once, so it must not close over shared mutable
 	// state. The explorer owns the machine Build returns: once the run
-	// and Check are done it recycles the machine's storage, so nothing
-	// may use the machine, or any Var of it, after that.
+	// and Check are done it calls the machine's Release, so nothing
+	// may use the machine, or any Var of it, after that, and Build must
+	// not hand the machine to anyone else.
 	Build func() *Machine
 	// MaxPreemptions is the preemption bound K: positive values bound
 	// the forced context switches per run, 0 selects
@@ -212,7 +213,7 @@ type ScheduleOutcome struct {
 }
 
 // runOne builds a fresh machine, executes one schedule on it, with its
-// processes on the calling worker's carriers, and recycles it. Unless
+// processes on the calling worker's carriers, and releases it. Unless
 // the schedule already sits at the preemption bound, it also derives
 // the schedule's children: one new preemption strictly after the
 // current last one, to every alternative runnable process, in (step,
@@ -238,7 +239,7 @@ func (e *Explorer) runOne(cs *carrierSet, sched []Preemption, maxPre int) Schedu
 	}
 	// The run, its error and its checks are done with the machine, and
 	// Build hands it to no one else: its storage can serve the next one.
-	m.recycle()
+	m.Release()
 	if wr.Err != nil || !expand {
 		return wr
 	}

@@ -165,7 +165,7 @@ func TestRunScheduleRangeRepeatsOverRecycledStorage(t *testing.T) {
 	}
 }
 
-// TestRecycleZeroesStorage checks that recycle hands every chunk back
+// TestRecycleZeroesStorage checks that Release hands every chunk back
 // zeroed (value, watchers, sharers, RMRs, name) and leaves the machine
 // with no variables, so a stale handle panics instead of reading a
 // slot another machine now owns.
@@ -183,7 +183,7 @@ func TestRecycleZeroesStorage(t *testing.T) {
 		t.Fatalf("%d chunks, want several", len(m.chunks))
 	}
 	chunks := slices.Clone(m.chunks)
-	m.recycle()
+	m.Release()
 	for c, chunk := range chunks {
 		for i := range chunk {
 			if !reflect.ValueOf(chunk[i]).IsZero() {
@@ -192,11 +192,11 @@ func TestRecycleZeroesStorage(t *testing.T) {
 		}
 	}
 	if len(m.chunks) != 0 || m.nvars != 0 {
-		t.Fatalf("machine keeps %d chunks and %d variables after recycle", len(m.chunks), m.nvars)
+		t.Fatalf("machine keeps %d chunks and %d variables after Release", len(m.chunks), m.nvars)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("stale handle did not panic after recycle")
+			t.Fatal("stale handle did not panic after Release")
 		}
 	}()
 	m.Value(flag)

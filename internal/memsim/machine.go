@@ -117,7 +117,7 @@ type watchEntry struct {
 
 // variable is the engine-side state of one shared variable. It must
 // not grow past 112 bytes (TestVariableLayout): varChunk is sized by
-// it, and machines that never recycle their storage pay for every byte.
+// it, and machines that are never released pay for every byte.
 type variable struct {
 	// name is the allocation name. Its formatting is deferred until
 	// something asks for the label: a member of an array or Dict
@@ -189,8 +189,8 @@ const (
 )
 
 // varChunk is one block of a machine's variable storage. Chunks come
-// from chunkPool; the explorer hands them back zeroed once it is done
-// with a machine (see recycle).
+// from chunkPool; Release hands them back zeroed once the machine's
+// owner is done with it.
 type varChunk [chunkVars]variable
 
 // chunkPool holds only zeroed chunks, which newVar relies on.
@@ -316,11 +316,15 @@ func (m *Machine) chunkLen(c int) int {
 	return min(int(m.nvars)-c*chunkVars, chunkVars)
 }
 
-// recycle zeroes the machine's variable storage and returns its chunks
-// to chunkPool. The explorer calls it once a run, its checks and its
-// error are done with; the machine must not be used afterwards, and any
-// Var of it now panics as an invalid handle.
-func (m *Machine) recycle() {
+// Release zeroes the machine's variable storage and hands it back for
+// later machines to reuse. The rule is the owner's: whoever built and
+// ran the machine calls Release once, after the last read of its
+// results (metrics, hotspots, variable values, checks), and only if no
+// one else holds the machine. The explorer releases every machine it
+// explores; the harness runners release the machines they create. The
+// machine must not be used afterwards, and any Var of it now panics as
+// an invalid handle. Strings read from it, such as labels, stay valid.
+func (m *Machine) Release() {
 	for c, chunk := range m.chunks {
 		clear(chunk[:m.chunkLen(c)])
 		chunkPool.Put(chunk)

@@ -397,7 +397,7 @@ func TestBitset(t *testing.T) {
 }
 
 // TestVariableLayout pins the size of the per-variable state. Every
-// machine that does not recycle its storage pays for each byte, and a
+// machine that is never released pays for each byte, and a
 // chunk of chunkVars variables is sized to be exactly a malloc size
 // class (1792 bytes): a smaller variable needs a new chunkVars.
 func TestVariableLayout(t *testing.T) {

@@ -136,7 +136,7 @@ func BenchmarkStep(b *testing.B) {
 
 // BenchmarkExploreRange measures what the explorer pays per schedule on
 // G-DSM at N=2, K=2 over the full depth-2 wave: build a machine, run
-// one schedule, recycle the machine. BenchmarkStep leaves builds out of
+// one schedule, release the machine. BenchmarkStep leaves builds out of
 // its timing; here they are in, and they make most of the allocations.
 func BenchmarkExploreRange(b *testing.B) {
 	e := &memsim.Explorer{Build: func() *memsim.Machine { return gdsmMachine(2, 2) }, MaxPreemptions: 2}

@@ -16,10 +16,21 @@
 // Recording is observation-only: it costs no simulated steps or RMRs
 // (the sink contract), so attaching a Recorder never changes measured
 // metrics — only wall-clock time.
+//
+// Storage. A recorder keeps closed spans in a compact form (interval,
+// RMRs, sorted variable names, and the kind as a phase plus a spin
+// flag) and builds obs.TraceSpan values only when Spans or Artifact is
+// called. Each process's ring owns its spans and their name storage:
+// once a bounded ring wraps, a new span overwrites the oldest slot and
+// copies its names into that slot's buffer, and the open phase and
+// spin spans reuse their name sets from span to span. Past warm-up,
+// recording allocates nothing, and the bytes a recorder retains are
+// proportional to its window (limit × processes × names per span),
+// not to the length of the run.
 package trace
 
 import (
-	"sort"
+	"slices"
 
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/obs"
@@ -41,7 +52,7 @@ type Recorder struct {
 	// limit bounds retained spans per process (flight recorder);
 	// 0 or negative retains everything.
 	limit    int
-	procs    []*timeline
+	procs    []timeline
 	lastStep int64
 }
 
@@ -62,21 +73,23 @@ type timeline struct {
 	phaseRMRs  int64
 	phaseVars  varset
 
-	// The open spin span (nil = none).
-	spin *spanBuilder
+	// The open spin span, valid while spinning.
+	spin     spinSpan
+	spinning bool
 }
 
-// spanBuilder is an under-construction span.
-type spanBuilder struct {
+// spinSpan is the under-construction spin span. Its vars keep their
+// storage from one spin to the next.
+type spinSpan struct {
 	start, last int64
 	rmrs        int64
 	vars        varset
 	remote      bool
 }
 
-// varset is a tiny insertion-ordered string set: the variables touched
-// inside one span are few, so linear membership checks beat a map and
-// keep emission order deterministic without sorting hashes.
+// varset is a small sorted string set: the variables touched inside
+// one span are few, so a binary search beats a map, and a closed span
+// copies its names out already in order.
 type varset []string
 
 func (s *varset) add(name string) {
@@ -88,61 +101,94 @@ func (s *varset) add(name string) {
 	*s = append(*s, name)
 }
 
-// sorted returns the set as a fresh sorted slice (nil when empty).
-func (s varset) sorted() []string {
-	if len(s) == 0 {
-		return nil
-	}
-	out := append([]string(nil), s...)
-	sort.Strings(out)
-	return out
+// span is a closed span as the ring retains it. Its kind is "spin"
+// when spin is set and phase's name otherwise; vars is sorted and is
+// storage of the ring slot holding the span.
+type span struct {
+	start, end int64
+	rmrs       int64
+	vars       []string
+	phase      memsim.Phase
+	spin       bool
+	remote     bool
 }
 
 // ring is a bounded span buffer; cap <= 0 means unbounded.
 type ring struct {
 	cap    int
-	spans  []obs.TraceSpan
+	spans  []span
 	next   int
 	filled bool
+	// names is unused name storage, carved into the vars buffers of
+	// slots whose buffer is too small for the span they receive.
+	names []string
 }
 
-func (r *ring) push(s obs.TraceSpan) {
-	if r.cap <= 0 {
-		r.spans = append(r.spans, s)
-		return
+// push stores a closed span in the next slot, overwriting the oldest
+// span once a bounded ring is full. The span's names are copied into
+// the slot's own buffer.
+func (r *ring) push(sp span, vars varset) {
+	var slot *span
+	if r.cap <= 0 || len(r.spans) < r.cap {
+		r.spans = append(r.spans, span{})
+		slot = &r.spans[len(r.spans)-1]
+		if r.cap > 0 {
+			r.next = len(r.spans) % r.cap
+		}
+	} else {
+		slot = &r.spans[r.next]
+		r.next++
+		if r.next == r.cap {
+			r.next = 0
+		}
+		r.filled = true
 	}
-	if len(r.spans) < r.cap {
-		r.spans = append(r.spans, s)
-		r.next = len(r.spans) % r.cap
-		return
+	buf := slot.vars[:0]
+	if cap(buf) < len(vars) {
+		// A reused slot at least doubles, so it regrows only a few
+		// times however long the run.
+		buf = r.carve(max(len(vars), 2*cap(buf)))
 	}
-	r.spans[r.next] = s
-	r.next++
-	if r.next == r.cap {
-		r.next = 0
-	}
-	r.filled = true
+	buf = append(buf, vars...)
+	slices.Sort(buf)
+	sp.vars = buf
+	*slot = sp
 }
 
-// all returns the retained spans, oldest first.
-func (r *ring) all() []obs.TraceSpan {
-	if r.cap <= 0 || !r.filled {
-		return append([]obs.TraceSpan(nil), r.spans...)
+// carve returns an empty buffer of capacity n from the ring's name
+// storage. When that runs out, the next block holds at least two names
+// for each span the ring holds so far, so blocks grow with the ring.
+func (r *ring) carve(n int) []string {
+	if len(r.names) < n {
+		r.names = make([]string, max(n, 2*len(r.spans), 8))
 	}
-	out := make([]obs.TraceSpan, 0, len(r.spans))
-	out = append(out, r.spans[r.next:]...)
-	out = append(out, r.spans[:r.next]...)
-	return out
+	buf := r.names[:0:n]
+	r.names = r.names[n:]
+	return buf
+}
+
+// each calls f on the retained spans, oldest first.
+func (r *ring) each(f func(*span)) {
+	older, newer := r.spans, []span(nil)
+	if r.cap > 0 && r.filled {
+		older, newer = r.spans[r.next:], r.spans[:r.next]
+	}
+	for i := range older {
+		f(&older[i])
+	}
+	for i := range newer {
+		f(&newer[i])
+	}
 }
 
 func (r *Recorder) timeline(proc int) *timeline {
 	for len(r.procs) <= proc {
-		r.procs = append(r.procs, &timeline{
+		r.procs = append(r.procs, timeline{
 			spans: ring{cap: r.limit},
 			phase: memsim.PhaseNCS,
 		})
 	}
-	return r.procs[proc]
+	return &r.procs[proc]
 }
 
 // Record implements memsim.EventSink: every shared-memory operation
@@ -155,8 +201,9 @@ func (r *Recorder) Record(ev memsim.TraceEvent) {
 	}
 	tl := r.timeline(ev.Proc)
 	if ev.Kind == memsim.TraceSpinRead {
-		if tl.spin == nil {
-			tl.spin = &spanBuilder{start: ev.Step, last: ev.Step}
+		if !tl.spinning {
+			tl.spinning = true
+			tl.spin = spinSpan{start: ev.Step, vars: tl.spin.vars[:0]}
 		}
 		tl.spin.last = ev.Step
 		tl.spin.vars.add(ev.Var)
@@ -164,8 +211,8 @@ func (r *Recorder) Record(ev memsim.TraceEvent) {
 			tl.spin.rmrs++
 			tl.spin.remote = true
 		}
-	} else if tl.spin != nil {
-		r.closeSpin(ev.Proc, tl, ev.Step)
+	} else if tl.spinning {
+		tl.closeSpin(ev.Step)
 	}
 	if tl.phase != memsim.PhaseNCS {
 		tl.phaseVars.add(ev.Var)
@@ -182,19 +229,19 @@ func (r *Recorder) RecordPhase(ev memsim.PhaseEvent) {
 		r.lastStep = ev.Step
 	}
 	tl := r.timeline(ev.Proc)
-	if tl.spin != nil {
-		r.closeSpin(ev.Proc, tl, ev.Step)
+	if tl.spinning {
+		tl.closeSpin(ev.Step)
 	}
-	r.closePhase(ev.Proc, tl, ev.Step)
+	tl.closePhase(ev.Step)
 	tl.phase = ev.To
 	tl.phaseStart = ev.Step
 	tl.phaseRMRs = 0
-	tl.phaseVars = nil
+	tl.phaseVars = tl.phaseVars[:0]
 }
 
 // closeSpin emits the open spin span, ending it just after its last
 // re-check (spans are half-open) but never past the closing step.
-func (r *Recorder) closeSpin(proc int, tl *timeline, step int64) {
+func (tl *timeline) closeSpin(step int64) {
 	end := tl.spin.last + 1
 	if step > 0 && step < end {
 		end = step
@@ -202,21 +249,19 @@ func (r *Recorder) closeSpin(proc int, tl *timeline, step int64) {
 	if end <= tl.spin.start {
 		end = tl.spin.start + 1
 	}
-	tl.spans.push(obs.TraceSpan{
-		Proc:   proc,
-		Kind:   "spin",
-		Start:  tl.spin.start,
-		End:    end,
-		RMRs:   tl.spin.rmrs,
-		Vars:   tl.spin.vars.sorted(),
-		Remote: tl.spin.remote,
-	})
-	tl.spin = nil
+	tl.spans.push(span{
+		start:  tl.spin.start,
+		end:    end,
+		rmrs:   tl.spin.rmrs,
+		spin:   true,
+		remote: tl.spin.remote,
+	}, tl.spin.vars)
+	tl.spinning = false
 }
 
 // closePhase emits the open phase span, if any. NCS intervals are the
 // timeline's gaps, not spans.
-func (r *Recorder) closePhase(proc int, tl *timeline, step int64) {
+func (tl *timeline) closePhase(step int64) {
 	if tl.phase == memsim.PhaseNCS {
 		return
 	}
@@ -224,49 +269,80 @@ func (r *Recorder) closePhase(proc int, tl *timeline, step int64) {
 	if end <= tl.phaseStart {
 		end = tl.phaseStart + 1
 	}
-	tl.spans.push(obs.TraceSpan{
-		Proc:  proc,
-		Kind:  tl.phase.String(),
-		Start: tl.phaseStart,
-		End:   end,
-		RMRs:  tl.phaseRMRs,
-		Vars:  tl.phaseVars.sorted(),
-	})
+	tl.spans.push(span{
+		start: tl.phaseStart,
+		end:   end,
+		rmrs:  tl.phaseRMRs,
+		phase: tl.phase,
+	}, tl.phaseVars)
 }
 
 // Spans returns every retained span, canonically ordered. Spans still
 // open when the run ended (a process stuck mid-entry, an await that
 // never fired) are closed at the step after the last recorded event
 // and marked Open — the first thing to look at in a failure dump. The
-// recorder itself is not consumed: Spans can be called repeatedly.
+// recorder itself is not consumed: Spans can be called repeatedly, and
+// the spans it returns own their storage, so recording on does not
+// change them.
 func (r *Recorder) Spans() []obs.TraceSpan {
-	var spans []obs.TraceSpan
-	end := r.lastStep + 1
-	for proc, tl := range r.procs {
-		spans = append(spans, tl.spans.all()...)
-		if tl.spin != nil {
-			sp := obs.TraceSpan{
-				Proc:   proc,
-				Kind:   "spin",
-				Start:  tl.spin.start,
-				End:    max(tl.spin.last+1, tl.spin.start+1),
-				RMRs:   tl.spin.rmrs,
-				Vars:   tl.spin.vars.sorted(),
-				Remote: tl.spin.remote,
-				Open:   true,
-			}
-			spans = append(spans, sp)
+	var count, names int
+	for i := range r.procs {
+		tl := &r.procs[i]
+		tl.spans.each(func(s *span) { count, names = count+1, names+len(s.vars) })
+		if tl.spinning {
+			count, names = count+1, names+len(tl.spin.vars)
 		}
 		if tl.phase != memsim.PhaseNCS {
-			spans = append(spans, obs.TraceSpan{
-				Proc:  proc,
-				Kind:  tl.phase.String(),
-				Start: tl.phaseStart,
-				End:   max(end, tl.phaseStart+1),
-				RMRs:  tl.phaseRMRs,
-				Vars:  tl.phaseVars.sorted(),
-				Open:  true,
-			})
+			count, names = count+1, names+len(tl.phaseVars)
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	spans := make([]obs.TraceSpan, 0, count)
+	store := make([]string, 0, names)
+	// export appends the span with a copy of vars in store.
+	export := func(proc int, s span, vars []string, open bool) {
+		ts := obs.TraceSpan{
+			Proc:   proc,
+			Kind:   "spin",
+			Start:  s.start,
+			End:    s.end,
+			RMRs:   s.rmrs,
+			Remote: s.remote,
+			Open:   open,
+		}
+		if !s.spin {
+			ts.Kind = s.phase.String()
+		}
+		if len(vars) > 0 {
+			from := len(store)
+			store = append(store, vars...)
+			ts.Vars = store[from:len(store):len(store)]
+			slices.Sort(ts.Vars)
+		}
+		spans = append(spans, ts)
+	}
+	end := r.lastStep + 1
+	for proc := range r.procs {
+		tl := &r.procs[proc]
+		tl.spans.each(func(s *span) { export(proc, *s, s.vars, false) })
+		if tl.spinning {
+			export(proc, span{
+				start:  tl.spin.start,
+				end:    max(tl.spin.last+1, tl.spin.start+1),
+				rmrs:   tl.spin.rmrs,
+				spin:   true,
+				remote: tl.spin.remote,
+			}, tl.spin.vars, true)
+		}
+		if tl.phase != memsim.PhaseNCS {
+			export(proc, span{
+				start: tl.phaseStart,
+				end:   max(end, tl.phaseStart+1),
+				rmrs:  tl.phaseRMRs,
+				phase: tl.phase,
+			}, tl.phaseVars, true)
 		}
 	}
 	a := obs.TraceArtifact{Spans: spans}

@@ -161,23 +161,7 @@ func TestFlightRecorderBounds(t *testing.T) {
 // fires shows up as open entry and spin spans — the flight-recorder
 // payload for starvation timeouts.
 func TestOpenSpansOnStuckRun(t *testing.T) {
-	m := memsim.NewMachine(memsim.DSM, 2)
-	rec := NewRecorder(DefaultSpanLimit)
-	m.AttachSink(rec)
-	never := m.NewVar("never", memsim.HomeGlobal, 0)
-	m.AddProc("stuck", func(p *memsim.Proc) {
-		p.BeginEntrySection()
-		p.AwaitEq(never, 1)
-	})
-	m.AddProc("busy", func(p *memsim.Proc) {
-		for k := 0; k < 10; k++ {
-			p.Write(never, 0) // wakes the watcher, condition stays false
-		}
-	})
-	res := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(1)})
-	if res.Completed {
-		t.Fatal("run should not complete")
-	}
+	rec := stuckRun(t)
 	var openEntry, openSpin bool
 	for _, s := range rec.Spans() {
 		if !s.Open {
@@ -206,6 +190,30 @@ func TestOpenSpansOnStuckRun(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// stuckRun runs one process awaiting a condition that never fires
+// beside one that keeps waking it, and returns its recorder.
+func stuckRun(t *testing.T) *Recorder {
+	t.Helper()
+	m := memsim.NewMachine(memsim.DSM, 2)
+	rec := NewRecorder(DefaultSpanLimit)
+	m.AttachSink(rec)
+	never := m.NewVar("never", memsim.HomeGlobal, 0)
+	m.AddProc("stuck", func(p *memsim.Proc) {
+		p.BeginEntrySection()
+		p.AwaitEq(never, 1)
+	})
+	m.AddProc("busy", func(p *memsim.Proc) {
+		for k := 0; k < 10; k++ {
+			p.Write(never, 0) // wakes the watcher, condition stays false
+		}
+	})
+	res := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(1)})
+	if res.Completed {
+		t.Fatal("run should not complete")
+	}
+	return rec
 }
 
 // TestArtifactValidatesAndConverts: the recorder → artifact → Chrome
