@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -200,4 +201,26 @@ func TestRecycleZeroesStorage(t *testing.T) {
 		}
 	}()
 	m.Value(flag)
+}
+
+// TestReleasedChunksOutliveCollections checks that the next machine
+// built after a Release takes the released chunks even when garbage
+// collections run in between, so what a run allocates does not depend
+// on when the collector ran (a sync.Pool would have dropped them).
+func TestReleasedChunksOutliveCollections(t *testing.T) {
+	m := chunkBuild()
+	released := slices.Clone(m.chunks)
+	m.Release()
+	runtime.GC()
+	runtime.GC()
+	again := chunkBuild()
+	defer again.Release()
+	if len(again.chunks) != len(released) {
+		t.Fatalf("%d chunks, want %d", len(again.chunks), len(released))
+	}
+	for c, chunk := range again.chunks {
+		if !slices.Contains(released, chunk) {
+			t.Fatalf("chunk %d is freshly allocated, not one Release handed back", c)
+		}
+	}
 }

@@ -189,12 +189,36 @@ const (
 )
 
 // varChunk is one block of a machine's variable storage. Chunks come
-// from chunkPool; Release hands them back zeroed once the machine's
+// from freeChunks; Release hands them back zeroed once the machine's
 // owner is done with it.
 type varChunk [chunkVars]variable
 
-// chunkPool holds only zeroed chunks, which newVar relies on.
-var chunkPool = sync.Pool{New: func() any { return new(varChunk) }}
+// freeChunks holds released chunks, every one zeroed, which newVar
+// relies on. It is a locked list rather than a sync.Pool: a pool drops
+// its contents at garbage collections and keeps some per thread, so how
+// many chunks a run allocated would depend on when the collector ran
+// and where a worker was scheduled, and passes of one sweep would
+// allocate different amounts. The list only ever holds chunks that
+// were live at once, so it stays within the storage of the most
+// machines alive together.
+var freeChunks struct {
+	sync.Mutex
+	list []*varChunk
+}
+
+// takeChunk returns a zeroed chunk: a released one if there is any.
+func takeChunk() *varChunk {
+	freeChunks.Lock()
+	defer freeChunks.Unlock()
+	n := len(freeChunks.list)
+	if n == 0 {
+		return new(varChunk)
+	}
+	c := freeChunks.list[n-1]
+	freeChunks.list[n-1] = nil
+	freeChunks.list = freeChunks.list[:n-1]
+	return c
+}
 
 // Machine is one simulated multiprocessor instance. A Machine is built
 // (variables allocated, processes added), run exactly once, and then
@@ -280,8 +304,8 @@ func (m *Machine) newIndexedVar(prefix *Prefix, name string, key Word, home int,
 
 // newVar fills the next free slot with a variable of the given name
 // parts (see variable), home and initial value, taking a chunk from
-// chunkPool when the last one is full. It writes the fields in place:
-// every slot past nvars is zero (see chunkPool).
+// takeChunk when the last one is full. It writes the fields in place:
+// every slot past nvars is zero (see freeChunks).
 func (m *Machine) newVar(prefix *Prefix, name string, key Word, indexed bool, home int, init Word) Var {
 	if home != HomeGlobal && (home < 0 || home >= m.nproc) {
 		vv := variable{name: name, key: key, prefix: prefix, indexed: indexed}
@@ -289,7 +313,7 @@ func (m *Machine) newVar(prefix *Prefix, name string, key Word, indexed bool, ho
 	}
 	i := m.nvars
 	if i&(chunkVars-1) == 0 {
-		m.chunks = append(m.chunks, chunkPool.Get().(*varChunk))
+		m.chunks = append(m.chunks, takeChunk())
 	}
 	vv := &m.chunks[i>>chunkShift][i&(chunkVars-1)]
 	vv.name, vv.key, vv.prefix, vv.indexed = name, key, prefix, indexed
@@ -327,9 +351,11 @@ func (m *Machine) chunkLen(c int) int {
 func (m *Machine) Release() {
 	for c, chunk := range m.chunks {
 		clear(chunk[:m.chunkLen(c)])
-		chunkPool.Put(chunk)
-		m.chunks[c] = nil
 	}
+	freeChunks.Lock()
+	freeChunks.list = append(freeChunks.list, m.chunks...)
+	freeChunks.Unlock()
+	clear(m.chunks)
 	m.chunks = m.chunks[:0]
 	m.nvars = 0
 }
