@@ -27,9 +27,11 @@ type Algorithm interface {
 // called once per run, after the machine exists and before processes
 // start, and must be deterministic. The runner that created the
 // machine (Run, RunAbortable, a sweep cell) owns it and calls its
-// Release once the run's metrics, hotspots and checks have been read,
-// so nothing a Builder returns or captures may use the machine, or any
-// Var of it, after the run.
+// Release once the run's metrics, hotspots and checks have been read.
+// A released machine, with its Procs and Dicts, is reset and serves a
+// later NewMachine, possibly another run's, so nothing a Builder
+// returns or captures may use the machine, or any Var, Proc or Dict of
+// it, after the run.
 type Builder func(m *memsim.Machine) Algorithm
 
 // Workload describes one simulated experiment run.

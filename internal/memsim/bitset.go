@@ -13,10 +13,25 @@ type bitset struct {
 }
 
 func newBitset(n int) bitset {
-	if n <= 64 {
-		return bitset{}
+	var b bitset
+	b.resize(n)
+	return b
+}
+
+// resize empties the set and sizes it for ids 0..n-1, reusing its
+// words where they suffice.
+func (b *bitset) resize(n int) {
+	b.lo = 0
+	w := 0
+	if n > 64 {
+		w = (n - 1) / 64
 	}
-	return bitset{hi: make([]uint64, (n-1)/64)}
+	if cap(b.hi) < w {
+		b.hi = make([]uint64, w)
+		return
+	}
+	b.hi = b.hi[:w]
+	clear(b.hi)
 }
 
 func (b *bitset) has(i int) bool {

@@ -7,6 +7,15 @@ package memsim
 // scan of an inline array instead of paying for a map each.
 const dictInline = 8
 
+// dictBlockLen is the number of Dicts in one block of a machine's Dict
+// storage. Blocks stay with the machine when it is released, like its
+// variable chunks, so a run of the explorer hands out Dicts without
+// allocating them.
+const dictBlockLen = 8
+
+// dictBlock is one block of a machine's Dicts.
+type dictBlock [dictBlockLen]Dict
+
 // Dict is a lazily allocated family of shared variables indexed by
 // Word keys. Algorithms G-CC and G-DSM index their Signal and Waiter
 // arrays by fetch-and-φ values ("array[Vartype] of ..."), whose domain
@@ -16,13 +25,21 @@ const dictInline = 8
 // of them once there are more.
 //
 // Allocation happens inside the accessing process's scheduling turn and
-// is deterministic, so it does not perturb exploration or replay.
+// is deterministic, so it does not perturb exploration or replay. A
+// Dict belongs to its machine's storage: it is invalid once the
+// machine is released.
 type Dict struct {
-	m       *Machine
-	prefix  *Prefix // owner's name, or nil
-	name    string
-	homeFor func(key Word) int
-	init    Word
+	m      *Machine
+	prefix *Prefix // owner's name, or nil
+	name   string
+	init   Word
+
+	// The home rule: homeFor(key) when homeFor is set (NewDictHomed),
+	// else the key itself when homeByKey (NewProcDict), else home
+	// (NewDict).
+	homeFor   func(key Word) int
+	homeByKey bool
+	home      int
 
 	// n counts the members. While n <= dictInline they are keys[:n] and
 	// vals[:n], in allocation order; after that every member is in vars
@@ -33,28 +50,41 @@ type Dict struct {
 	vars map[Word]Var
 }
 
+// newDict hands out the machine's next Dict, named prefix followed by
+// name, with the given initial value and no home rule yet. Every Dict
+// past ndicts is zero (see Release).
+func (m *Machine) newDict(prefix *Prefix, name string, init Word) *Dict {
+	i := m.ndicts
+	if i%dictBlockLen == 0 {
+		m.dicts = grow(m.dicts)
+	}
+	d := &m.dicts[i/dictBlockLen][i%dictBlockLen]
+	d.m, d.prefix, d.name, d.init = m, prefix, name, init
+	m.ndicts++
+	return d
+}
+
 // NewDict returns a variable family with the given DSM home and initial
 // value for every key.
 func (m *Machine) NewDict(name string, home int, init Word) *Dict {
-	return &Dict{
-		m: m, name: name, init: init,
-		homeFor: func(Word) int { return home },
-	}
+	d := m.newDict(nil, name, init)
+	d.home = home
+	return d
 }
 
 // NewDictHomed returns a variable family whose per-key home is
 // computed by homeFor — e.g. round-stamped spin cells keyed by
 // (round·N + p) and homed at p.
 func (m *Machine) NewDictHomed(name string, homeFor func(key Word) int, init Word) *Dict {
-	return &Dict{m: m, name: name, init: init, homeFor: homeFor}
+	return m.NewDictHomedIn(nil, name, homeFor, init)
 }
 
 // NewDictHomedIn is NewDictHomed for a family of a compound object:
 // its members are named prefix followed by name[key], joined only when
 // first asked for.
 func (m *Machine) NewDictHomedIn(prefix *Prefix, name string, homeFor func(key Word) int, init Word) *Dict {
-	d := m.NewDictHomed(name, homeFor, init)
-	d.prefix = prefix
+	d := m.newDict(prefix, name, init)
+	d.homeFor = homeFor
 	return d
 }
 
@@ -62,9 +92,20 @@ func (m *Machine) NewDictHomedIn(prefix *Prefix, name string, homeFor func(key W
 // the variable for key p is homed at process p — the layout for
 // dedicated per-process spin variables allocated on demand.
 func (m *Machine) NewProcDict(name string, init Word) *Dict {
-	return &Dict{
-		m: m, name: name, init: init,
-		homeFor: func(key Word) int { return int(key) },
+	d := m.newDict(nil, name, init)
+	d.homeByKey = true
+	return d
+}
+
+// homeOf returns the home of the member for key.
+func (d *Dict) homeOf(key Word) int {
+	switch {
+	case d.homeFor != nil:
+		return d.homeFor(key)
+	case d.homeByKey:
+		return int(key)
+	default:
+		return d.home
 	}
 }
 
@@ -81,7 +122,7 @@ func (d *Dict) At(key Word) Var {
 			}
 		}
 	}
-	v := d.m.newIndexedVar(d.prefix, d.name, key, d.homeFor(key), d.init)
+	v := d.m.newIndexedVar(d.prefix, d.name, key, d.homeOf(key), d.init)
 	if d.n < dictInline {
 		d.keys[d.n], d.vals[d.n] = key, v
 	} else {

@@ -60,13 +60,15 @@ func ExactPreemptions(k int) int {
 // Explorer systematically explores the interleavings of a machine
 // built by Build, up to MaxPreemptions forced context switches per run.
 type Explorer struct {
-	// Build constructs a fresh machine: allocate variables, add
-	// processes. Called once per explored schedule; it must be
+	// Build constructs a machine with NewMachine: allocate variables,
+	// add processes. Called once per explored schedule; it must be
 	// deterministic, and when Workers > 1 it is called from several
 	// goroutines at once, so it must not close over shared mutable
 	// state. The explorer owns the machine Build returns: once the run
-	// and Check are done it calls the machine's Release, so nothing
-	// may use the machine, or any Var of it, after that, and Build must
+	// and Check are done it calls the machine's Release, and the next
+	// Build on any worker may get the same Machine, Procs and Dicts
+	// back, reset. So nothing Build returns or captures may use the
+	// machine, a Var, Proc or Dict of it, after that, and Build must
 	// not hand the machine to anyone else.
 	Build func() *Machine
 	// MaxPreemptions is the preemption bound K: positive values bound
@@ -140,7 +142,9 @@ type ExploreResult struct {
 
 // chooser is the Scheduler that realizes one preemption schedule over
 // the non-preemptive default policy (keep running the current process;
-// on a forced switch, take the lowest runnable id).
+// on a forced switch, take the lowest runnable id). An explorer worker
+// keeps one for all its schedules (see reset), so the choice records
+// reuse their storage.
 type chooser struct {
 	preemptions []Preemption
 	next        int
@@ -148,12 +152,23 @@ type chooser struct {
 	// the runnable set and the default choice (for child generation).
 	traceFrom int64
 	choices   []choicePoint
+	// ids holds the runnable sets of choices, one after another.
+	ids []int
 }
 
+// choicePoint is one recorded step: its runnable set is ids[lo:hi] of
+// the chooser that recorded it.
 type choicePoint struct {
-	step     int64
-	runnable []int
-	chosen   int
+	step   int64
+	lo, hi int
+	chosen int
+}
+
+// reset readies c to realize sched, recording the choices from step
+// traceFrom on, and drops the previous schedule's records.
+func (c *chooser) reset(sched []Preemption, traceFrom int64) {
+	c.preemptions, c.next, c.traceFrom = sched, 0, traceFrom
+	c.choices, c.ids = c.choices[:0], c.ids[:0]
 }
 
 func defaultPick(runnable []int, last int) int {
@@ -178,11 +193,9 @@ func (c *chooser) Pick(step int64, runnable []int, last int) int {
 		pick = defaultPick(runnable, last)
 	}
 	if step >= c.traceFrom {
-		c.choices = append(c.choices, choicePoint{
-			step:     step,
-			runnable: append([]int(nil), runnable...),
-			chosen:   pick,
-		})
+		lo := len(c.ids)
+		c.ids = append(c.ids, runnable...)
+		c.choices = append(c.choices, choicePoint{step: step, lo: lo, hi: len(c.ids), chosen: pick})
 	}
 	return pick
 }
@@ -212,27 +225,37 @@ type ScheduleOutcome struct {
 	Children [][]Preemption
 }
 
-// runOne builds a fresh machine, executes one schedule on it, with its
-// processes on the calling worker's carriers, and releases it. Unless
-// the schedule already sits at the preemption bound, it also derives
-// the schedule's children: one new preemption strictly after the
-// current last one, to every alternative runnable process, in (step,
-// proc) order. That ordering — together with waves listing children in
+// exploreWorker is what one explorer worker keeps from schedule to
+// schedule of a wave: the carrier set its processes run on and its
+// chooser.
+type exploreWorker struct {
+	cs carrierSet
+	ch chooser
+}
+
+// runOne builds a machine, executes one schedule on it, with its
+// processes on the worker's carriers, and releases it. Unless the
+// schedule already sits at the preemption bound, it also derives the
+// schedule's children: one new preemption strictly after the current
+// last one, to every alternative runnable process, in (step, proc)
+// order. That ordering — together with waves listing children in
 // parent order — is what makes a wave's index order the canonical
 // (shortest, then lexicographic) order on schedules.
-func (e *Explorer) runOne(cs *carrierSet, sched []Preemption, maxPre int) ScheduleOutcome {
-	ch := &chooser{preemptions: sched}
-	if n := len(sched); n > 0 {
-		ch.traceFrom = sched[n-1].Step + 1
-	}
+func (e *Explorer) runOne(w *exploreWorker, sched []Preemption, maxPre int) ScheduleOutcome {
 	expand := len(sched) < maxPre
-	if !expand {
+	traceFrom := int64(0)
+	switch {
+	case !expand:
 		// The deepest wave is the bulk of the space and generates no
 		// children; skip choice recording entirely there.
-		ch.traceFrom = math.MaxInt64
+		traceFrom = math.MaxInt64
+	case len(sched) > 0:
+		traceFrom = sched[len(sched)-1].Step + 1
 	}
+	ch := &w.ch
+	ch.reset(sched, traceFrom)
 	m := e.Build()
-	r := m.runOn(cs, RunConfig{Sched: ch, MaxSteps: e.MaxSteps})
+	r := m.runOn(&w.cs, RunConfig{Sched: ch, MaxSteps: e.MaxSteps})
 	wr := ScheduleOutcome{Err: r.Err()}
 	if wr.Err == nil && e.Check != nil {
 		wr.Err = e.Check(r)
@@ -244,7 +267,7 @@ func (e *Explorer) runOne(cs *carrierSet, sched []Preemption, maxPre int) Schedu
 		return wr
 	}
 	for _, cp := range ch.choices {
-		for _, alt := range cp.runnable {
+		for _, alt := range ch.ids[cp.lo:cp.hi] {
 			if alt == cp.chosen {
 				continue
 			}
@@ -360,11 +383,14 @@ func ExploreWaves(from Frontier, maxRuns int, exec func(Frontier) []ScheduleOutc
 	return ExploreResult{Runs: f.Runs, Exhausted: true, DepthRuns: f.DepthRuns}, nil
 }
 
-// ReplaySchedule runs one specific preemption schedule against a fresh
-// machine from Build and returns the run result — used to reproduce a
-// FailingSchedule under a debugger or with extra assertions. A replay
-// derives no children, so its chooser records no choices.
+// ReplaySchedule runs one specific preemption schedule against a
+// machine from Build, releases the machine and returns the run result
+// — used to reproduce a FailingSchedule under a debugger or with extra
+// assertions. A replay derives no children, so its chooser records no
+// choices.
 func (e *Explorer) ReplaySchedule(sched []Preemption) Result {
 	m := e.Build()
-	return m.Run(RunConfig{Sched: &chooser{preemptions: sched, traceFrom: math.MaxInt64}, MaxSteps: e.MaxSteps})
+	r := m.Run(RunConfig{Sched: &chooser{preemptions: sched, traceFrom: math.MaxInt64}, MaxSteps: e.MaxSteps})
+	m.Release() // as in runOne: the Result holds nothing of the machine
+	return r
 }

@@ -72,7 +72,8 @@ func (d *frontierDeque) claim(w, batch int) (lo, hi int, ok bool) {
 // runWave executes one wave of schedules — sequentially, or sharded
 // across workers — and returns the per-schedule outcomes indexed like
 // wave. Each worker, the sequential path included, runs its schedules
-// on a carrier set of its own, retired when the wave is done.
+// on a carrier set and chooser of its own; the set is retired when the
+// wave is done.
 func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, workers int) []ScheduleOutcome {
 	out := make([]ScheduleOutcome, len(wave))
 	var completed atomic.Int64
@@ -88,10 +89,10 @@ func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, worke
 		workers = len(wave)
 	}
 	if workers <= 1 {
-		var cs carrierSet
-		defer cs.close()
+		var w exploreWorker
+		defer w.cs.close()
 		for i := range wave {
-			out[i] = e.runOne(&cs, wave[i], maxPre)
+			out[i] = e.runOne(&w, wave[i], maxPre)
 			tick()
 		}
 		return out
@@ -108,8 +109,8 @@ func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, worke
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var cs carrierSet
-			defer cs.close()
+			var ew exploreWorker
+			defer ew.cs.close()
 			// A panic in Build or a simulated body (e.g. the
 			// nondeterministic-build guard in chooser.Pick) must reach
 			// the caller like it does on the sequential path, not kill
@@ -125,7 +126,7 @@ func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, worke
 					return
 				}
 				for i := lo; i < hi; i++ {
-					out[i] = e.runOne(&cs, wave[i], maxPre)
+					out[i] = e.runOne(&ew, wave[i], maxPre)
 					tick()
 				}
 			}

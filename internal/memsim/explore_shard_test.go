@@ -127,13 +127,13 @@ func TestShardedFailureIsCanonicallySmallest(t *testing.T) {
 	// and collect the failures.
 	var failing [][]Preemption
 	e := &Explorer{Build: build, MaxSteps: 5000}
-	var cs carrierSet
-	defer cs.close()
+	var w exploreWorker
+	defer w.cs.close()
 	wave := [][]Preemption{nil}
 	for depth := 0; depth < len(res.DepthRuns); depth++ {
 		var next [][]Preemption
 		for _, sched := range wave {
-			wr := e.runOne(&cs, sched, DefaultPreemptions)
+			wr := e.runOne(&w, sched, DefaultPreemptions)
 			if wr.Err != nil {
 				failing = append(failing, sched)
 			}

@@ -26,3 +26,19 @@ func VarLabels(m *Machine) []string {
 	m.eachVar(func(vv *variable) { labels = append(labels, vv.label()) })
 	return labels
 }
+
+// DropReleasedMachines empties the free list, so NewMachine builds
+// never-recycled machines until the next Release.
+func DropReleasedMachines() {
+	freeMachines.Lock()
+	defer freeMachines.Unlock()
+	clear(freeMachines.list)
+	freeMachines.list = freeMachines.list[:0]
+}
+
+// ReleasedMachines returns the number of machines on the free list.
+func ReleasedMachines() int {
+	freeMachines.Lock()
+	defer freeMachines.Unlock()
+	return len(freeMachines.list)
+}

@@ -188,36 +188,55 @@ const (
 	chunkVars  = 1 << chunkShift
 )
 
-// varChunk is one block of a machine's variable storage. Chunks come
-// from freeChunks; Release hands them back zeroed once the machine's
-// owner is done with it.
+// varChunk is one block of a machine's variable storage. A machine
+// keeps its chunks when it is released, zeroed, for the next machine
+// built from it.
 type varChunk [chunkVars]variable
 
-// freeChunks holds released chunks, every one zeroed, which newVar
-// relies on. It is a locked list rather than a sync.Pool: a pool drops
-// its contents at garbage collections and keeps some per thread, so how
-// many chunks a run allocated would depend on when the collector ran
-// and where a worker was scheduled, and passes of one sweep would
-// allocate different amounts. The list only ever holds chunks that
-// were live at once, so it stays within the storage of the most
-// machines alive together.
-var freeChunks struct {
+// freeMachines holds released machines, each with the storage it grew:
+// variable chunks (all zeroed, which newVar relies on), Dict blocks
+// (all zero, which newDict relies on), Procs, and the run's scheduling
+// slices and channel. NewMachine takes one before it allocates. Taking
+// or releasing a machine is one lock operation however much storage
+// travels with it.
+//
+// It is a locked list rather than a sync.Pool: a pool drops its
+// contents at garbage collections and keeps some per thread, so how
+// much a run allocated would depend on when the collector ran and
+// where a worker was scheduled, and passes of one sweep would allocate
+// different amounts. Its bound is the machines alive at once: a machine
+// is allocated only when the list is empty, so the list never holds
+// more machines than were alive together, and each keeps at most the
+// storage its largest run needed.
+var freeMachines struct {
 	sync.Mutex
-	list []*varChunk
+	list []*Machine
 }
 
-// takeChunk returns a zeroed chunk: a released one if there is any.
-func takeChunk() *varChunk {
-	freeChunks.Lock()
-	defer freeChunks.Unlock()
-	n := len(freeChunks.list)
+// takeMachine returns a released machine if there is any, else a new
+// one. Every field of a released machine is zero apart from the
+// storage Release keeps, so both kinds build alike.
+func takeMachine() *Machine {
+	freeMachines.Lock()
+	defer freeMachines.Unlock()
+	n := len(freeMachines.list)
 	if n == 0 {
-		return new(varChunk)
+		return &Machine{chunks: make([]*varChunk, 0, 8)} // 128 variables before it grows
 	}
-	c := freeChunks.list[n-1]
-	freeChunks.list[n-1] = nil
-	freeChunks.list = freeChunks.list[:n-1]
-	return c
+	m := freeMachines.list[n-1]
+	freeMachines.list[n-1] = nil
+	freeMachines.list = freeMachines.list[:n-1]
+	m.released = false
+	return m
+}
+
+// grow extends s by one element, reusing the block a released machine
+// left past its length (see Release) or allocating a new one.
+func grow[T any](s []*T) []*T {
+	if n := len(s); n < cap(s) && s[:n+1][n] != nil {
+		return s[:n+1]
+	}
+	return append(s, new(T))
 }
 
 // Machine is one simulated multiprocessor instance. A Machine is built
@@ -229,10 +248,17 @@ type Machine struct {
 	nproc int
 
 	// chunks holds the variables: Var{i} is slot (i-1)%chunkVars of
-	// chunk (i-1)/chunkVars, and nvars of them are allocated.
+	// chunk (i-1)/chunkVars, and nvars of them are allocated. dicts
+	// holds the Dicts, ndicts of them handed out. Past their lengths,
+	// chunks, dicts and procs keep the zeroed blocks and Procs of the
+	// machine's earlier runs for grow to reuse.
 	chunks []*varChunk
 	nvars  int32
+	dicts  []*dictBlock
+	ndicts int
 	procs  []*Proc
+
+	released bool // on the free list; a second Release panics
 
 	steps      int64
 	csOccupant int // process id in critical section, or -1
@@ -263,16 +289,15 @@ type Machine struct {
 
 // NewMachine returns a machine with the given memory model, sized for
 // nproc processes (process ids 0..nproc-1 are valid variable homes).
+// It may be built from a released machine's storage (see Release);
+// that is invisible to the caller.
 func NewMachine(model Model, nproc int) *Machine {
 	if nproc <= 0 {
 		panic(fmt.Sprintf("memsim: nproc must be positive, got %d", nproc))
 	}
-	return &Machine{
-		model:      model,
-		nproc:      nproc,
-		chunks:     make([]*varChunk, 0, 8), // 128 variables before it grows
-		csOccupant: -1,
-	}
+	m := takeMachine()
+	m.model, m.nproc, m.csOccupant = model, nproc, -1
+	return m
 }
 
 // Model returns the machine's memory model.
@@ -303,9 +328,9 @@ func (m *Machine) newIndexedVar(prefix *Prefix, name string, key Word, home int,
 }
 
 // newVar fills the next free slot with a variable of the given name
-// parts (see variable), home and initial value, taking a chunk from
-// takeChunk when the last one is full. It writes the fields in place:
-// every slot past nvars is zero (see freeChunks).
+// parts (see variable), home and initial value, taking the next chunk
+// when the last one is full. It writes the fields in place: every slot
+// past nvars is zero (see freeMachines).
 func (m *Machine) newVar(prefix *Prefix, name string, key Word, indexed bool, home int, init Word) Var {
 	if home != HomeGlobal && (home < 0 || home >= m.nproc) {
 		vv := variable{name: name, key: key, prefix: prefix, indexed: indexed}
@@ -313,7 +338,7 @@ func (m *Machine) newVar(prefix *Prefix, name string, key Word, indexed bool, ho
 	}
 	i := m.nvars
 	if i&(chunkVars-1) == 0 {
-		m.chunks = append(m.chunks, takeChunk())
+		m.chunks = grow(m.chunks)
 	}
 	vv := &m.chunks[i>>chunkShift][i&(chunkVars-1)]
 	vv.name, vv.key, vv.prefix, vv.indexed = name, key, prefix, indexed
@@ -340,24 +365,44 @@ func (m *Machine) chunkLen(c int) int {
 	return min(int(m.nvars)-c*chunkVars, chunkVars)
 }
 
-// Release zeroes the machine's variable storage and hands it back for
-// later machines to reuse. The rule is the owner's: whoever built and
-// ran the machine calls Release once, after the last read of its
-// results (metrics, hotspots, variable values, checks), and only if no
-// one else holds the machine. The explorer releases every machine it
-// explores; the harness runners release the machines they create. The
-// machine must not be used afterwards, and any Var of it now panics as
-// an invalid handle. Strings read from it, such as labels, stay valid.
+// Release resets the machine and hands it back, with its zeroed
+// storage, for a later NewMachine to build from. The rule is the
+// owner's: whoever built and ran the machine calls Release once, after
+// the last read of its results (metrics, hotspots, variable values,
+// checks), and only if no one else holds the machine. The explorer
+// releases every machine it explores; the harness runners release the
+// machines they create. The machine must not be used afterwards: any
+// Var of it panics as an invalid handle until the machine is built
+// again for its next owner, and a second Release panics. Strings read
+// from it, such as labels, stay valid.
 func (m *Machine) Release() {
+	if m.released {
+		panic("memsim: machine released twice")
+	}
 	for c, chunk := range m.chunks {
 		clear(chunk[:m.chunkLen(c)])
 	}
-	freeChunks.Lock()
-	freeChunks.list = append(freeChunks.list, m.chunks...)
-	freeChunks.Unlock()
-	clear(m.chunks)
-	m.chunks = m.chunks[:0]
-	m.nvars = 0
+	for b, block := range m.dicts {
+		clear(block[:min(m.ndicts-b*dictBlockLen, dictBlockLen)])
+	}
+	for _, p := range m.procs {
+		// spinRead closes over p and reads p.m when called, and p stays
+		// with this machine, so it serves every later run.
+		*p = Proc{spinRead: p.spinRead, abortPoints: p.abortPoints[:0]}
+	}
+	*m = Machine{
+		chunks:      m.chunks[:0],
+		dicts:       m.dicts[:0],
+		procs:       m.procs[:0],
+		ready:       m.ready, // runOn resizes and clears it
+		runnable:    m.runnable[:0],
+		over:        m.over,
+		abortPoints: m.abortPoints[:0],
+		released:    true,
+	}
+	freeMachines.Lock()
+	freeMachines.list = append(freeMachines.list, m)
+	freeMachines.Unlock()
 }
 
 // NewArray allocates n variables name[0..n-1], all with the same home.

@@ -129,14 +129,10 @@ func (m *Machine) AddProc(name string, body func(*Proc)) *Proc {
 	if len(m.procs) >= m.nproc {
 		panic(fmt.Sprintf("memsim: more than %d processes added", m.nproc))
 	}
-	p := &Proc{
-		m:       m,
-		id:      len(m.procs),
-		name:    name,
-		body:    body,
-		passage: -1,
-	}
-	m.procs = append(m.procs, p)
+	id := len(m.procs)
+	m.procs = grow(m.procs) // a released Proc of this machine, if any
+	p := m.procs[id]
+	p.m, p.id, p.name, p.body, p.passage = m, id, name, body, -1
 	return p
 }
 

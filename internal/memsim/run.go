@@ -168,13 +168,14 @@ func (m *Machine) runOn(cs *carrierSet, cfg RunConfig) Result {
 	m.distributeAbortPoints()
 	m.cfg = cfg
 	m.last = -1
-	m.ready = newBitset(len(m.procs))
+	m.ready.resize(len(m.procs))
 	for _, p := range m.procs {
 		m.ready.add(p.id)
 	}
 	m.readyDirty = true
-	m.runnable = make([]int, 0, len(m.procs))
-	m.over = make(chan struct{})
+	if m.over == nil { // a machine built from a released one keeps its channel
+		m.over = make(chan struct{})
+	}
 
 	cs.bind(m.procs)
 	// Hand the baton to the first process; from here on each scheduling

@@ -134,23 +134,31 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreRange measures what the explorer pays per schedule on
-// G-DSM at N=2, K=2 over the full depth-2 wave: build a machine, run
-// one schedule, release the machine. BenchmarkStep leaves builds out of
-// its timing; here they are in, and they make most of the allocations.
-func BenchmarkExploreRange(b *testing.B) {
+// depth2Wave returns an explorer of G-DSM at N=2, K=2 and its full
+// depth-2 wave, with the two waves before it run, so the machines they
+// released and the worker's storage are warm.
+func depth2Wave(tb testing.TB) (*memsim.Explorer, [][]memsim.Preemption) {
 	e := &memsim.Explorer{Build: func() *memsim.Machine { return gdsmMachine(2, 2) }, MaxPreemptions: 2}
 	wave := memsim.RootWave()
 	for depth := 0; depth < 2; depth++ {
 		var next [][]memsim.Preemption
 		for _, o := range e.RunScheduleRange(wave) {
 			if o.Err != nil {
-				b.Fatal(o.Err)
+				tb.Fatal(o.Err)
 			}
 			next = append(next, o.Children...)
 		}
 		wave = next
 	}
+	return e, wave
+}
+
+// BenchmarkExploreRange measures what the explorer pays per schedule on
+// G-DSM at N=2, K=2 over the full depth-2 wave: build a machine, run
+// one schedule, release the machine. BenchmarkStep leaves builds out of
+// its timing; here they are in, and they make most of the allocations.
+func BenchmarkExploreRange(b *testing.B) {
+	e, wave := depth2Wave(b)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	bytes, mallocs := ms.TotalAlloc, ms.Mallocs
@@ -168,4 +176,34 @@ func BenchmarkExploreRange(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/scheds, "ns/schedule")
 	b.ReportMetric(float64(ms.TotalAlloc-bytes)/scheds, "B/schedule")
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/scheds, "allocs/schedule")
+}
+
+// exploreScheduleAllocs is the ceiling TestExploreScheduleAllocs
+// holds the explorer to: heap allocations per schedule of
+// BenchmarkExploreRange's warm depth-2 wave, as measured when machines,
+// Dicts and two-process mutex state started being recycled or sized by
+// use (`go test ./internal/memsim -run TestExploreScheduleAllocs -v`,
+// linux/amd64, go1.24: 63.89; 108.1 before).
+const exploreScheduleAllocs = 63.9
+
+// TestExploreScheduleAllocs fails when exploring a schedule allocates
+// more than it did when this ceiling was set, so a change that brings
+// back per-schedule machine, Dict or mutex allocations shows in make
+// test, not only in a benchmark run.
+func TestExploreScheduleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e, wave := depth2Wave(t)
+	got := testing.AllocsPerRun(1, func() {
+		for _, o := range e.RunScheduleRange(wave) {
+			if o.Err != nil {
+				t.Fatal(o.Err)
+			}
+		}
+	}) / float64(len(wave))
+	t.Logf("%.4f allocs/schedule over a %d-schedule wave", got, len(wave))
+	if got > exploreScheduleAllocs {
+		t.Errorf("%.2f allocs/schedule, want at most %.2f", got, exploreScheduleAllocs)
+	}
 }

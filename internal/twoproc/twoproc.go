@@ -70,8 +70,13 @@ type Mutex struct {
 	nudge   *memsim.Dict // nudge[enc]: rival observed T pointing at enc
 	release *memsim.Dict // release[enc]: rival's exit has run
 
-	rounds  []int  // private per-process acquisition counters
-	current []Word // private: registration used by each process's open acquisition
+	// users holds the private state of each process that has played
+	// the instance, the first inlineUsers of them in place and the rest
+	// in more. Most instances (a localspin site, a tree node) have a
+	// few players however large N is, so the state is sized by them.
+	nusers int
+	users  [inlineUsers]user
+	more   map[int]*user
 
 	// sideUser and holder are host-side assertions (no simulated
 	// cost). The side contract is: a side's next user may begin
@@ -80,6 +85,16 @@ type Mutex struct {
 	// bug.
 	sideUser [2]int
 	holder   int
+}
+
+// inlineUsers is how many players a Mutex keeps without a map.
+const inlineUsers = 4
+
+// user is one process's private state in an instance.
+type user struct {
+	id      int32
+	rounds  int32 // acquisitions begun
+	current Word  // registration of the open acquisition
 }
 
 // New allocates a fresh instance in m's shared memory. The name
@@ -100,8 +115,6 @@ func newMutex(m *memsim.Machine, name memsim.Prefix) *Mutex {
 	l := &Mutex{
 		name:     name,
 		nproc:    n,
-		rounds:   make([]int, n),
-		current:  make([]Word, n),
 		sideUser: [2]int{-1, -1},
 		holder:   -1,
 	}
@@ -116,6 +129,45 @@ func newMutex(m *memsim.Machine, name memsim.Prefix) *Mutex {
 	l.nudge = m.NewDictHomedIn(&l.name, ".nudge", home, 0)
 	l.release = m.NewDictHomedIn(&l.name, ".release", home, 0)
 	return l
+}
+
+// user returns process id's state, adding it on its first call. The
+// state must stay per process, not per side: a side's next user may
+// begin Acquire while the previous one's Release is still running, and
+// Release reads its own registration.
+func (l *Mutex) user(id int) *user {
+	in := l.users[:min(l.nusers, inlineUsers)]
+	for i := range in {
+		if int(in[i].id) == id {
+			return &in[i]
+		}
+	}
+	if u, ok := l.more[id]; ok {
+		return u
+	}
+	var u *user
+	if l.nusers < inlineUsers {
+		u = &l.users[l.nusers]
+	} else {
+		if l.more == nil {
+			l.more = make(map[int]*user)
+		}
+		u = new(user)
+		l.more[id] = u
+	}
+	u.id = int32(id)
+	l.nusers++
+	return u
+}
+
+// register opens process id's next round and returns its registration
+// key.
+func (l *Mutex) register(id int) Word {
+	u := l.user(id)
+	me := l.enc(id, int(u.rounds))
+	u.rounds++
+	u.current = me
+	return me
 }
 
 // enc packs a (process, round) registration key.
@@ -133,9 +185,7 @@ func (l *Mutex) Acquire(proc *memsim.Proc, side int) {
 	}
 	l.sideUser[side] = proc.ID()
 
-	me := l.enc(proc.ID(), l.rounds[proc.ID()])
-	l.rounds[proc.ID()]++
-	l.current[proc.ID()] = me
+	me := l.register(proc.ID())
 	myNudge := l.nudge.At(me)
 	myRelease := l.release.At(me)
 
@@ -185,9 +235,7 @@ func (l *Mutex) AcquireAbortable(proc *memsim.Proc, side int) bool {
 	}
 	l.sideUser[side] = proc.ID()
 
-	me := l.enc(proc.ID(), l.rounds[proc.ID()])
-	l.rounds[proc.ID()]++
-	l.current[proc.ID()] = me
+	me := l.register(proc.ID())
 	myNudge := l.nudge.At(me)
 	myRelease := l.release.At(me)
 
@@ -228,7 +276,7 @@ func (l *Mutex) abandon(proc *memsim.Proc, side int) bool {
 	proc.Write(l.c[side], 0)
 	rival := proc.Read(l.c[1-side])
 	if rival != 0 {
-		proc.Write(l.release.At(rival-1), l.current[proc.ID()]+1)
+		proc.Write(l.release.At(rival-1), l.user(proc.ID()).current+1)
 	}
 	return false
 }
@@ -251,7 +299,7 @@ func (l *Mutex) Release(proc *memsim.Proc, side int) {
 		// overtook the rival side into a future round — one that
 		// never waited on us — the stamp will not match what that
 		// round observed, and the signal is inert.
-		proc.Write(l.release.At(rival-1), l.current[proc.ID()]+1)
+		proc.Write(l.release.At(rival-1), l.user(proc.ID()).current+1)
 	}
 }
 
