@@ -80,11 +80,13 @@ fuzz:
 # trace-smoke exercises the whole trace pipeline on a real workload:
 # record a 4-process G-DSM run as a fetchphi.trace/v1 artifact,
 # validate it against the schema, and round-trip it through the
-# Perfetto (Chrome trace-event) converter.
+# Perfetto (Chrome trace-event) converter. Last, it ranks the same
+# algorithm's hot variables with tracectl hotspots.
 trace-smoke:
 	$(GO) run ./cmd/tracectl record -alg g-dsm -model DSM -n 4 -entries 3 -out bench/current/traces/TRACE_smoke.json
 	$(GO) run ./cmd/tracectl validate -in bench/current/traces/TRACE_smoke.json
 	$(GO) run ./cmd/tracectl convert -in bench/current/traces/TRACE_smoke.json -out bench/current/traces/TRACE_smoke.chrome.json
+	$(GO) run ./cmd/tracectl hotspots -alg g-dsm -model DSM -n 4 -entries 3
 
 # explore-smoke gates CI on the sharded model checker: exhaustive
 # preemption-bounded checks (K=2) of the paper's DSM algorithm and one

@@ -13,7 +13,8 @@
 // The simulation experiments run concurrently (each one shards its
 // cells across its own sweep-engine pool); wall-clock experiments
 // (E9) run afterwards, sequentially, so simulation load does not
-// pollute their timings.
+// pollute their timings. -v prints every experiment's tables once all
+// of them are done, in registry order.
 //
 // The -degrade flag is a self-test knob: it inflates the recorded RMR
 // metrics by the given factor before artifacts are written, so CI can
@@ -58,11 +59,12 @@ import (
 	"fetchphi/internal/trace"
 )
 
-// expRun is one experiment's outcome: the artifact it produced, or the
-// panic that aborted it.
+// expRun is one experiment's outcome: the artifact and tables it
+// produced, or the panic that aborted it.
 type expRun struct {
 	id       string
 	artifact *obs.Artifact
+	tables   []harness.Table
 	err      error
 }
 
@@ -126,7 +128,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		flight   = fs.Int("flight", trace.DefaultSpanLimit, "flight-recorder window in spans per process (0 = off)")
 		progress = fs.Bool("progress", false, "stream per-cell sweep progress to stderr")
 		doClaims = fs.Bool("claims", true, "evaluate the paper-claims registry over the output artifacts")
-		verbose  = fs.Bool("v", false, "print the rendered tables")
+		verbose  = fs.Bool("v", false, "print the rendered tables, in registry order, after the sweep")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -208,17 +210,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 					}
 				}
 			}
-			tables := e.Build(opts)
-			for i := range tables {
-				art.Tables = append(art.Tables, tables[i].JSON())
-			}
-			if *verbose {
-				mu.Lock()
-				for i := range tables {
-					tables[i].Format(stdout)
-					fmt.Fprintln(stdout)
-				}
-				mu.Unlock()
+			run.tables = e.Build(opts)
+			for i := range run.tables {
+				art.Tables = append(art.Tables, run.tables[i].JSON())
 			}
 		}()
 		run.artifact = art
@@ -232,26 +226,38 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	// needed around the cell slices. Wall-clock experiments (E9) wait
 	// until the simulations are done, then run one at a time: their
 	// ns/op numbers are only meaningful on an otherwise idle machine.
-	runs := make([]expRun, 0, len(selected))
+	slots := make([]expRun, len(registry))
 	var wg sync.WaitGroup
-	for _, e := range registry {
+	for i, e := range registry {
 		if !selected[e.ID] || e.WallClock {
 			continue
 		}
-		e := e
+		i, e := i, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := runOne(e)
-			mu.Lock()
-			runs = append(runs, run)
-			mu.Unlock()
+			slots[i] = runOne(e)
 		}()
 	}
 	wg.Wait()
-	for _, e := range registry {
-		if selected[e.ID] && e.WallClock {
-			runs = append(runs, runOne(e))
+	runs := make([]expRun, 0, len(selected))
+	for i, e := range registry {
+		if !selected[e.ID] {
+			continue
+		}
+		if e.WallClock {
+			slots[i] = runOne(e)
+		}
+		runs = append(runs, slots[i])
+	}
+	// -v prints the tables once the sweep is done, in registry order,
+	// however the concurrent experiments happened to finish.
+	if *verbose {
+		for _, r := range runs {
+			for i := range r.tables {
+				r.tables[i].Format(stdout)
+				fmt.Fprintln(stdout)
+			}
 		}
 	}
 	sort.Slice(runs, func(i, j int) bool { return runs[i].id < runs[j].id })

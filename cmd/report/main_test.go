@@ -222,6 +222,31 @@ func TestRunProgressStreams(t *testing.T) {
 	}
 }
 
+// TestVerboseTablesInRegistryOrder: -v prints every table once the
+// sweep is done, in registry order (E2 before E10, unlike the sorted
+// ids), however the concurrent experiments happened to finish.
+func TestVerboseTablesInRegistryOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments")
+	}
+	code, stdout, stderr := runArgs("-experiments", "E10,E2,E1", "-quick", "-v", "-claims=false", "-flight", "0", "-out", t.TempDir())
+	if code != 0 {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
+	}
+	var ids []string
+	for _, l := range strings.Split(stdout, "\n") {
+		if id, _, ok := strings.Cut(l, " — "); ok && !strings.HasPrefix(l, " ") {
+			ids = append(ids, id)
+		}
+	}
+	if got := strings.Join(ids, ","); got != "E1,E2,E10" {
+		t.Fatalf("tables printed as %s, want E1,E2,E10:\n%s", got, stdout)
+	}
+	if first := strings.Index(stdout, "E1 — "); first < 0 || strings.Index(stdout, "E1: ") < first {
+		t.Fatalf("tables do not precede the artifact lines:\n%s", stdout)
+	}
+}
+
 // TestRegistryMarksOnlyE9WallClock pins the wall-clock partition the
 // report sequencing depends on.
 func TestRegistryMarksOnlyE9WallClock(t *testing.T) {

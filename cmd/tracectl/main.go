@@ -7,6 +7,8 @@
 //	                 [-cs 1] [-seed 1] [-limit 0] -out TRACE.json
 //	tracectl convert -in TRACE.json -out trace.chrome.json
 //	tracectl validate -in TRACE.json
+//	tracectl hotspots [-alg mcs] [-model CC] [-n 8] [-entries 10]
+//	                  [-top 12] [-seed 1]
 //
 // record runs one workload of any registered algorithm (the cmd/explore
 // -list names) on a simulated machine with a trace recorder attached
@@ -20,6 +22,12 @@
 //
 // validate checks an artifact against the fetchphi.trace/v1 schema —
 // what the trace-smoke CI target runs against freshly recorded traces.
+//
+// hotspots attributes an algorithm's remote memory references to
+// individual shared variables: it runs a contended workload, then ranks
+// the variables by the RMR traffic they attracted. This is the analysis
+// view behind statements like "the ticket lock's owner counter is a
+// global hot spot" or "MCS traffic concentrates on the tail word".
 package main
 
 import (
@@ -41,7 +49,7 @@ func main() {
 }
 
 func usage(stderr io.Writer) int {
-	fmt.Fprintln(stderr, "usage: tracectl record|convert|validate [flags] (see go doc fetchphi/cmd/tracectl)")
+	fmt.Fprintln(stderr, "usage: tracectl record|convert|validate|hotspots [flags] (see go doc fetchphi/cmd/tracectl)")
 	return 2
 }
 
@@ -58,6 +66,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return convert(argv[1:], stdout, stderr)
 	case "validate":
 		return validate(argv[1:], stdout, stderr)
+	case "hotspots":
+		return hotspots(argv[1:], stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "tracectl: unknown subcommand %q\n", argv[0])
 		return usage(stderr)
@@ -205,5 +215,63 @@ func validate(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "%s: valid %s (%s, %d spans)\n", *in, a.Schema, a.Kind, len(a.Spans))
+	return 0
+}
+
+func hotspots(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracectl hotspots", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		alg     = fs.String("alg", "mcs", "algorithm (see cmd/explore -list)")
+		model   = fs.String("model", "CC", "memory model: CC, DSM, or CC-update")
+		n       = fs.Int("n", 8, "processes")
+		entries = fs.Int("entries", 10, "critical-section entries per process")
+		top     = fs.Int("top", 12, "variables to show")
+		seed    = fs.Int64("seed", 1, "scheduler seed")
+	)
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	mm, err := parseModel(*model)
+	if err != nil {
+		fmt.Fprintf(stderr, "tracectl hotspots: %v\n", err)
+		return 2
+	}
+	builder, err := experiments.Algorithm(*alg)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if *n < 1 || *entries < 1 {
+		fmt.Fprintln(stderr, "tracectl hotspots: -n and -entries must be positive")
+		return 2
+	}
+
+	m := memsim.NewMachine(mm, *n)
+	defer m.Release()
+	a := builder(m)
+	for i := 0; i < *n; i++ {
+		m.AddProc(fmt.Sprintf("p%d", i), func(p *memsim.Proc) {
+			for e := 0; e < *entries; e++ {
+				a.Acquire(p)
+				p.EnterCS()
+				p.ExitCS()
+				a.Release(p)
+			}
+		})
+	}
+	res := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(*seed)})
+	if err := res.Err(); err != nil {
+		fmt.Fprintf(stderr, "tracectl hotspots: run failed: %v\n", err)
+		return 1
+	}
+
+	total := res.TotalRMRs()
+	fmt.Fprintf(stdout, "%s on %s, N=%d, %d entries each: %d CS entries, %d total RMRs (%.1f/entry)\n\n",
+		a.Name(), mm, *n, *entries, res.CSEntries, total, res.MeanRMRPerEntry())
+	fmt.Fprintf(stdout, "%-36s %10s %7s\n", "variable", "RMRs", "share")
+	for _, v := range m.HotVars(*top) {
+		fmt.Fprintf(stdout, "%-36s %10d %6.1f%%\n", v.Name, v.RMRs, 100*float64(v.RMRs)/float64(total))
+	}
 	return 0
 }

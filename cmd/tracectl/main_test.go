@@ -160,3 +160,25 @@ func TestValidateRejectsCorruptArtifact(t *testing.T) {
 		t.Fatalf("convert of invalid artifact exited %d, want 1", code)
 	}
 }
+
+// TestHotspots: the hotspots subcommand prints its run summary and the
+// ranked variable table, and rejects a bad model or process count as a
+// usage error.
+func TestHotspots(t *testing.T) {
+	code, stdout, stderr := runArgs("hotspots", "-alg", "ticket", "-model", "DSM", "-n", "4", "-entries", "3", "-top", "5")
+	if code != 0 {
+		t.Fatalf("hotspots exit %d, stderr: %s", code, stderr)
+	}
+	lines := strings.Split(stdout, "\n")
+	if len(lines) < 4 || !strings.HasPrefix(lines[0], "ticket on DSM, N=4, 3 entries each: 12 CS entries, ") {
+		t.Fatalf("summary line wrong: %q", stdout)
+	}
+	if lines[1] != "" || !strings.HasPrefix(lines[2], "variable ") || !strings.HasSuffix(lines[2], "RMRs   share") {
+		t.Fatalf("table header wrong: %q", stdout)
+	}
+	for _, bad := range [][]string{{"-model", "bogus"}, {"-n", "0"}} {
+		if code, _, stderr := runArgs(append([]string{"hotspots"}, bad...)...); code != 2 {
+			t.Fatalf("hotspots %v: exit %d, want 2 (stderr %q)", bad, code, stderr)
+		}
+	}
+}

@@ -9,20 +9,20 @@ import (
 	"fetchphi/internal/phi"
 )
 
-func tokenAbortableBuilder() harness.AbortableBuilder {
-	return func(m *memsim.Machine) harness.AbortableAlgorithm { return NewTokenAbortable(m) }
+func tokenAbortableBuilder() harness.Builder {
+	return func(m *memsim.Machine) harness.Algorithm { return NewTokenAbortable(m) }
 }
 
-func gdsmAbortableBuilder(pick func(n int) phi.Primitive) harness.AbortableBuilder {
-	return func(m *memsim.Machine) harness.AbortableAlgorithm {
+func gdsmAbortableBuilder(pick func(n int) phi.Primitive) harness.Builder {
+	return func(m *memsim.Machine) harness.Algorithm {
 		return NewGDSMAbortable(m, pick(m.NumProcs()))
 	}
 }
 
 // abortableBuilders is the package's abortable-lock roster, used by
 // every test below; the experiments registry mirrors it.
-func abortableBuilders() map[string]harness.AbortableBuilder {
-	return map[string]harness.AbortableBuilder{
+func abortableBuilders() map[string]harness.Builder {
+	return map[string]harness.Builder{
 		"token-abortable":    tokenAbortableBuilder(),
 		"gdsm-abortable/f&i": gdsmAbortableBuilder(func(int) phi.Primitive { return phi.FetchAndIncrement{} }),
 		"gdsm-abortable/f&s": gdsmAbortableBuilder(func(int) phi.Primitive { return phi.FetchAndStore{} }),
@@ -41,7 +41,7 @@ func TestAbortableCorrectAbortFree(t *testing.T) {
 		b := b
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			if err := harness.Verify(b.AsBuilder(), 4, 10, seeds); err != nil {
+			if err := harness.Verify(b, 4, 10, seeds); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -65,8 +65,8 @@ func TestAbortableUnderRandomAbortSchedules(t *testing.T) {
 			var totalAborts int64
 			for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
 				for seed := 0; seed < seeds; seed++ {
-					w := harness.AbortWorkload{
-						Workload: harness.Workload{Model: model, N: 4, Entries: 6, CSOps: 1, Seed: int64(seed)},
+					w := harness.Workload{
+						Model: model, N: 4, Entries: 6, CSOps: 1, Seed: int64(seed),
 						Aborts: []memsim.AbortPoint{
 							{Proc: 0, Passage: 1, Event: 2},
 							{Proc: 1, Passage: 2, Event: 0},
@@ -76,7 +76,7 @@ func TestAbortableUnderRandomAbortSchedules(t *testing.T) {
 						Retries:    1,
 						RetryDelay: 2,
 					}
-					met, err := harness.RunAbortable(b, w)
+					met, err := harness.Run(b, w)
 					if err != nil {
 						t.Fatalf("model %v seed %d: %v", model, seed, err)
 					}
@@ -108,15 +108,13 @@ func TestAbortableAdversarialWithAborts(t *testing.T) {
 			t.Parallel()
 			for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
 				for victim := 0; victim < 3; victim++ {
-					w := harness.AbortWorkload{
-						Workload: harness.Workload{
-							Model: model, N: 3, Entries: 4, CSOps: 1,
-							Sched: memsim.NewAdversary(int64(victim)+1, victim),
-						},
+					w := harness.Workload{
+						Model: model, N: 3, Entries: 4, CSOps: 1,
+						Sched:   memsim.NewAdversary(int64(victim)+1, victim),
 						Aborts:  []memsim.AbortPoint{{Proc: victim, Passage: 1, Event: 1}},
 						Retries: 1,
 					}
-					if _, err := harness.RunAbortable(b, w); err != nil {
+					if _, err := harness.Run(b, w); err != nil {
 						t.Fatalf("model %v victim %d: %v", model, victim, err)
 					}
 				}
@@ -176,12 +174,12 @@ func TestTokenAbortableAmortizedUnderHeavyAborts(t *testing.T) {
 					points = append(points, memsim.AbortPoint{Proc: pr, Passage: pass, Event: 1})
 				}
 			}
-			w := harness.AbortWorkload{
-				Workload: harness.Workload{Model: model, N: n, Entries: 6, CSOps: 1, Seed: 7},
-				Aborts:   points,
-				Retries:  1,
+			w := harness.Workload{
+				Model: model, N: n, Entries: 6, CSOps: 1, Seed: 7,
+				Aborts:  points,
+				Retries: 1,
 			}
-			met, err := harness.RunAbortable(tokenAbortableBuilder(), w)
+			met, err := harness.Run(tokenAbortableBuilder(), w)
 			if err != nil {
 				t.Fatalf("model %v N=%d: %v", model, n, err)
 			}

@@ -21,8 +21,8 @@ func goldenCheck(t *testing.T, name string, model memsim.Model, aborts []memsim.
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := harness.ExploreOptions{Preemptions: 2, Workers: 1}
-	return harness.AbortableCheckExplorer(b, model, 2, 1, aborts, 0, opts).Run()
+	opts := harness.ExploreOptions{Preemptions: 2, Workers: 1, Aborts: aborts}
+	return harness.CheckExplorer(b, model, 2, 1, opts).Run()
 }
 
 // goldenRun runs one abortable workload.
@@ -32,7 +32,8 @@ func goldenRun(t *testing.T, name string, w harness.Workload, aborts []memsim.Ab
 	if err != nil {
 		t.Fatal(err)
 	}
-	return harness.RunAbortable(b, harness.AbortWorkload{Workload: w, Aborts: aborts, Retries: retries, RetryDelay: delay})
+	w.Aborts, w.Retries, w.RetryDelay = aborts, retries, delay
+	return harness.Run(b, w)
 }
 
 // TestAbortGolden pins what the abortable paths measure: the explorer's

@@ -15,15 +15,15 @@ import (
 // (queue-node withdrawal via abort markers) and the token-relay
 // constant-amortized baseline. Like Algorithms(), this registry is
 // what the registry-wide abort conformance test exhausts.
-func AbortableAlgorithms() map[string]harness.AbortableBuilder {
-	return map[string]harness.AbortableBuilder{
-		"token-abortable": func(m *memsim.Machine) harness.AbortableAlgorithm {
+func AbortableAlgorithms() map[string]harness.Builder {
+	return map[string]harness.Builder{
+		"token-abortable": func(m *memsim.Machine) harness.Algorithm {
 			return core.NewTokenAbortable(m)
 		},
-		"gdsm-abortable/f&i": func(m *memsim.Machine) harness.AbortableAlgorithm {
+		"gdsm-abortable/f&i": func(m *memsim.Machine) harness.Algorithm {
 			return core.NewGDSMAbortable(m, phi.FetchAndIncrement{})
 		},
-		"gdsm-abortable/f&s": func(m *memsim.Machine) harness.AbortableAlgorithm {
+		"gdsm-abortable/f&s": func(m *memsim.Machine) harness.Algorithm {
 			return core.NewGDSMAbortable(m, phi.FetchAndStore{})
 		},
 	}
@@ -42,7 +42,7 @@ func AbortableAlgorithmNames() []string {
 }
 
 // AbortableAlgorithm looks an abortable builder up by name.
-func AbortableAlgorithm(name string) (harness.AbortableBuilder, error) {
+func AbortableAlgorithm(name string) (harness.Builder, error) {
 	b, ok := AbortableAlgorithms()[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown abortable algorithm %q (known: %v)",
@@ -85,11 +85,10 @@ func E10Abortable(o Opts) harness.Table {
 		for _, name := range names {
 			for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
 				cells = append(cells, harness.Cell{
-					Experiment: "E10", Algorithm: name,
-					Workload: harness.Workload{Model: model, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
-					Abortable: &harness.AbortablePlan{
-						Build:      algs[name],
-						Points:     e10Schedule(n, o.entries()),
+					Experiment: "E10", Algorithm: name, Build: algs[name],
+					Workload: harness.Workload{
+						Model: model, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed,
+						Aborts:     e10Schedule(n, o.entries()),
 						Retries:    1,
 						RetryDelay: 2,
 					},

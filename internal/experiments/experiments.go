@@ -1,7 +1,7 @@
 // Package experiments implements the per-experiment index of DESIGN.md:
 // every table regenerating the paper's claims (E1–E8) as a function
 // returning harness.Table values. The same builders back the
-// `bench_test.go` targets and the rmrbench command.
+// `bench_test.go` targets and cmd/report.
 package experiments
 
 import (
@@ -18,8 +18,8 @@ import (
 // Opts scales the experiment workloads.
 type Opts struct {
 	// Quick trims the sweeps for use inside `go test` (fewer process
-	// counts, fewer entries). The full sweeps run in rmrbench and in
-	// the recorded EXPERIMENTS.md.
+	// counts, fewer entries). The full sweeps run in cmd/report and
+	// in the recorded EXPERIMENTS.md.
 	Quick bool
 	// Seed selects the scheduler seed family.
 	Seed int64
@@ -28,9 +28,9 @@ type Opts struct {
 	// changes results — only wall-clock time.
 	Workers int
 	// Record, when non-nil, receives one obs.Cell per measured
-	// workload — the hook cmd/report and rmrbench -json use to build
-	// benchmark artifacts. Called sequentially from the experiment
-	// builder's goroutine, after the cell's run completes.
+	// workload — the hook cmd/report uses to build benchmark
+	// artifacts. Called sequentially from the experiment builder's
+	// goroutine, after the cell's run completes.
 	Record func(obs.Cell)
 	// Sink, when non-nil, is asked for a memsim.EventSink for every
 	// sweep cell before dispatch — the trace-recorder hook cmd/report
@@ -80,7 +80,7 @@ func (o Opts) sweep(cells []harness.Cell) []harness.Metrics {
 			cells[i].Workload.Sink = o.Sink(cells[i])
 		}
 	}
-	results := harness.SweepProgress(cells, o.Workers, o.Progress)
+	results := harness.SweepWith(cells, harness.SweepOptions{Workers: o.Workers, Progress: o.Progress})
 	out := make([]harness.Metrics, len(results))
 	for i, r := range results {
 		if r.Err != nil {

@@ -14,7 +14,7 @@ type fakeAbortable struct {
 	fakeLock
 }
 
-func newFakeAbortable(m *memsim.Machine) AbortableAlgorithm {
+func newFakeAbortable(m *memsim.Machine) Algorithm {
 	return &fakeAbortable{fakeLock{lock: m.NewVar("fake.lock", memsim.HomeGlobal, 0)}}
 }
 
@@ -41,7 +41,7 @@ type unsafeAbortable struct {
 	fakeAbortable
 }
 
-func newUnsafeAbortable(m *memsim.Machine) AbortableAlgorithm {
+func newUnsafeAbortable(m *memsim.Machine) Algorithm {
 	return &unsafeAbortable{fakeAbortable{fakeLock{lock: m.NewVar("fake.lock", memsim.HomeGlobal, 0)}}}
 }
 
@@ -60,7 +60,7 @@ type sluggishAbortable struct {
 	scratch memsim.Var
 }
 
-func newSluggishAbortable(m *memsim.Machine) AbortableAlgorithm {
+func newSluggishAbortable(m *memsim.Machine) Algorithm {
 	return &sluggishAbortable{
 		fakeAbortable: fakeAbortable{fakeLock{lock: m.NewVar("fake.lock", memsim.HomeGlobal, 0)}},
 		scratch:       m.NewVar("sluggish.scratch", 0, 0),
@@ -77,12 +77,12 @@ func (s *sluggishAbortable) AcquireAbortable(p *memsim.Proc) bool {
 	return ok
 }
 
-// TestRunAbortableNoAborts: with an empty schedule the runner reduces
-// to Run — every entry completes and the amortized metric coincides
-// with the per-entry mean.
+// TestRunAbortableNoAborts: with an empty schedule an abortable
+// algorithm runs the abort-free passage loop — every entry completes
+// and the amortized metric coincides with the per-entry mean.
 func TestRunAbortableNoAborts(t *testing.T) {
-	w := AbortWorkload{Workload: Workload{Model: memsim.CC, N: 3, Entries: 5, CSOps: 1, Seed: 1}}
-	met, err := RunAbortable(newFakeAbortable, w)
+	w := Workload{Model: memsim.CC, N: 3, Entries: 5, CSOps: 1, Seed: 1}
+	met, err := Run(newFakeAbortable, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestRunAbortableNoAborts(t *testing.T) {
 // TestRunAbortableAccounting: a fired schedule shows up in every
 // abort-side metric, and passages add up.
 func TestRunAbortableAccounting(t *testing.T) {
-	w := AbortWorkload{
-		Workload: Workload{Model: memsim.DSM, N: 3, Entries: 4, CSOps: 1, Seed: 3},
+	w := Workload{
+		Model: memsim.DSM, N: 3, Entries: 4, CSOps: 1, Seed: 3,
 		Aborts: []memsim.AbortPoint{
 			{Proc: 0, Passage: 0, Event: 0},
 			{Proc: 1, Passage: 2, Event: 1},
@@ -106,7 +106,7 @@ func TestRunAbortableAccounting(t *testing.T) {
 		Retries:    1,
 		RetryDelay: 3,
 	}
-	met, err := RunAbortable(newFakeAbortable, w)
+	met, err := Run(newFakeAbortable, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestRunAbortableAccounting(t *testing.T) {
 // TestRunAbortableRetryBudget: with zero retries, an aborted entry is
 // lost — the run still validates (CS entry count is free to be lower).
 func TestRunAbortableRetryBudget(t *testing.T) {
-	w := AbortWorkload{
-		Workload: Workload{Model: memsim.CC, N: 2, Entries: 3, CSOps: 1, Seed: 5},
-		Aborts:   []memsim.AbortPoint{{Proc: 0, Passage: 0, Event: 0}},
+	w := Workload{
+		Model: memsim.CC, N: 2, Entries: 3, CSOps: 1, Seed: 5,
+		Aborts: []memsim.AbortPoint{{Proc: 0, Passage: 0, Event: 0}},
 	}
-	met, err := RunAbortable(newFakeAbortable, w)
+	met, err := Run(newFakeAbortable, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCheckAbortableAcceptsCorrect(t *testing.T) {
 // TestCheckAbortableCatchesUnsafeWithdrawal: the buggy rollback is
 // invisible without aborts but must fall to some abort schedule.
 func TestCheckAbortableCatchesUnsafeWithdrawal(t *testing.T) {
-	if err := Check(func(m *memsim.Machine) Algorithm { return newUnsafeAbortable(m) }, 2, 1, 1, 0); err != nil {
+	if err := Check(newUnsafeAbortable, 2, 1, 1, 0); err != nil {
 		t.Fatalf("bug should be invisible without aborts, got: %v", err)
 	}
 	err := CheckAbortable(newUnsafeAbortable, 2, 2, 1, 1, 0)
@@ -182,10 +182,10 @@ func TestSweepAbortableCell(t *testing.T) {
 		{
 			Experiment: "E10",
 			Algorithm:  "fake-abortable",
-			Workload:   Workload{Model: memsim.CC, N: 3, Entries: 4, CSOps: 1, Seed: 2},
-			Abortable: &AbortablePlan{
-				Build:   newFakeAbortable,
-				Points:  []memsim.AbortPoint{{Proc: 1, Passage: 0, Event: 1}},
+			Build:      newFakeAbortable,
+			Workload: Workload{
+				Model: memsim.CC, N: 3, Entries: 4, CSOps: 1, Seed: 2,
+				Aborts:  []memsim.AbortPoint{{Proc: 1, Passage: 0, Event: 1}},
 				Retries: 1,
 			},
 		},
@@ -219,12 +219,12 @@ func TestSweepAbortableCell(t *testing.T) {
 // the deterministic run identity — same seed, same metrics.
 func TestRunAbortableDeterministicPerSeed(t *testing.T) {
 	run := func() Metrics {
-		w := AbortWorkload{
-			Workload: Workload{Model: memsim.DSM, N: 3, Entries: 4, CSOps: 1, Seed: 11},
-			Aborts:   []memsim.AbortPoint{{Proc: 2, Passage: 1, Event: 2}},
-			Retries:  1,
+		w := Workload{
+			Model: memsim.DSM, N: 3, Entries: 4, CSOps: 1, Seed: 11,
+			Aborts:  []memsim.AbortPoint{{Proc: 2, Passage: 1, Event: 2}},
+			Retries: 1,
 		}
-		met, err := RunAbortable(newFakeAbortable, w)
+		met, err := Run(newFakeAbortable, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,5 +233,26 @@ func TestRunAbortableDeterministicPerSeed(t *testing.T) {
 	a, b := run(), run()
 	if a.Result.Steps != b.Result.Steps || a.Aborts != b.Aborts || a.AmortizedRMR != b.AmortizedRMR {
 		t.Fatalf("abortable run not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestAbortsNeedAnAbortableAlgorithm: scheduling aborts for an
+// algorithm that cannot withdraw is an error on every path — Run
+// refuses before the run starts, a model check fails its runs through
+// the process instead of panicking in Build, and CheckAbortable
+// reports it.
+func TestAbortsNeedAnAbortableAlgorithm(t *testing.T) {
+	aborts := []memsim.AbortPoint{{Proc: 0, Passage: 0, Event: 0}}
+	const want = "fake is not an AbortableAlgorithm"
+	_, err := Run(newFakeLock, Workload{Model: memsim.CC, N: 2, Entries: 1, Seed: 1, Aborts: aborts})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run: %v, want %q", err, want)
+	}
+	res := CheckExplorer(newFakeLock, memsim.CC, 2, 1, ExploreOptions{Workers: 1, Aborts: aborts}).Run()
+	if res.Err == nil || !strings.Contains(res.Err.Error(), want) {
+		t.Fatalf("CheckExplorer: %v, want %q", res.Err, want)
+	}
+	if err := CheckAbortable(newFakeLock, 2, 1, 0, 0, 0); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CheckAbortable: %v, want %q", err, want)
 	}
 }

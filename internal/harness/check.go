@@ -56,6 +56,12 @@ type ExploreOptions struct {
 	// ProgressEvery adds intra-wave progress events every this many
 	// runs (0: wave boundaries only).
 	ProgressEvery int
+	// Aborts is the abort schedule every explored run delivers (see
+	// Workload.Aborts). Non-empty, it makes the check abortable: each
+	// withdrawn entry is re-requested once, so passage-1 abort points
+	// are reachable, and the builder's algorithm must be an
+	// AbortableAlgorithm.
+	Aborts []memsim.AbortPoint
 }
 
 // ModelReport pairs one memory model with its exploration outcome.
@@ -64,13 +70,25 @@ type ModelReport struct {
 	Result memsim.ExploreResult
 }
 
+// AbortResolveBound is the wait-free-withdrawal bound every model
+// check asserts: no abort request may stay pending for more than this
+// many of the target's own scheduling points. The constant is
+// deliberately generous — the property being pinned is boundedness
+// (independent of N, entries, and schedule), not the exact constant.
+const AbortResolveBound = 200
+
 // CheckExplorer builds the explorer for one model: n processes, each
-// performing `entries` bare acquire/CS/release entries of the
-// algorithm under test. It is exported because it is the single
-// definition of the model-check workload: every execution backend —
-// Check, CheckSharded, and the distributed fleet workers in
-// internal/fleet — must build machines through it, or their results
-// would not be comparable, let alone bit-identical.
+// performing `entries` acquire/CS/release passages of the algorithm
+// under test through Run's passage loop, under opts.Aborts. Beyond the
+// explorer's built-in safety checks, every explored run asserts
+// wait-free withdrawal (AbortResolveBound), which holds vacuously
+// without aborts. Scheduling aborts for an algorithm that is not an
+// AbortableAlgorithm fails every explored run. It is exported because
+// it is the single definition of the model-check workload: every
+// execution backend — Check, CheckSharded, CheckAbortable, and the
+// distributed fleet workers in internal/fleet — must build machines
+// through it, or their results would not be comparable, let alone
+// bit-identical.
 func CheckExplorer(b Builder, model memsim.Model, n, entries int, opts ExploreOptions) *memsim.Explorer {
 	maxRuns := opts.MaxRuns
 	if maxRuns <= 0 {
@@ -80,19 +98,19 @@ func CheckExplorer(b Builder, model memsim.Model, n, entries int, opts ExploreOp
 	if maxSteps <= 0 {
 		maxSteps = DefaultCheckMaxSteps
 	}
+	w := &Workload{Entries: entries, Aborts: opts.Aborts, Retries: 1}
 	e := &memsim.Explorer{
 		Build: func() *memsim.Machine {
 			m := memsim.NewMachine(model, n)
-			alg := b(m)
+			m.ScheduleAborts(w.Aborts...)
+			// One body for all n processes: a closure per process
+			// would show in the explorer's bytes per step.
+			body, err := passageLoop(b(m), w, nil)
+			if err != nil {
+				body = func(p *memsim.Proc) { p.Fail("%v", err) }
+			}
 			for i := 0; i < n; i++ {
-				m.AddProc(fmt.Sprintf("p%d", i), func(p *memsim.Proc) {
-					for e := 0; e < entries; e++ {
-						alg.Acquire(p)
-						p.EnterCS()
-						p.ExitCS()
-						alg.Release(p)
-					}
-				})
+				m.AddProc(fmt.Sprintf("p%d", i), body)
 			}
 			return m
 		},
@@ -101,11 +119,20 @@ func CheckExplorer(b Builder, model memsim.Model, n, entries int, opts ExploreOp
 		MaxRuns:        maxRuns,
 		Workers:        opts.Workers,
 		ProgressEvery:  opts.ProgressEvery,
+		Check:          checkWithdrawal,
 	}
 	if opts.Progress != nil {
 		e.Progress = func(p memsim.ExploreProgress) { opts.Progress(model, p) }
 	}
 	return e
+}
+
+// checkWithdrawal is the explorer's per-run wait-free-withdrawal check.
+func checkWithdrawal(r memsim.Result) error {
+	if got := r.MaxAbortResolveSteps(); got > AbortResolveBound {
+		return fmt.Errorf("withdrawal not wait-free: abort request pending for %d own steps (bound %d)", got, AbortResolveBound)
+	}
+	return nil
 }
 
 // CheckFailure converts one model's failing exploration into the
@@ -166,4 +193,30 @@ func CheckSharded(b Builder, n, entries int, opts ExploreOptions) ([]ModelReport
 		}
 	}
 	return reports, nil
+}
+
+// CheckAbortable exhausts the preemption-bounded schedule space for
+// every schedule in the canonical abort-schedule family (all single
+// aborts over entry events 0..maxEvent, the same-process re-request
+// doubles, and the cross-process pairs — see
+// memsim.EnumerateAbortSchedules) on both memory models. It verifies
+// that abort paths preserve mutual exclusion and deadlock freedom
+// (the explorer's built-in checks), that withdrawal is wait-free
+// (bounded own steps), and that non-aborting processes stay
+// starvation-free (every explored run must complete within its step
+// bound). The per-model, per-schedule verdicts are deterministic, so a
+// failure report names both the abort schedule and the preemption
+// schedule that produced it.
+func CheckAbortable(b Builder, n, entries, preemptions, maxEvent, maxRuns int) error {
+	scheds := memsim.EnumerateAbortSchedules(n, maxEvent, true)
+	for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
+		for si, aborts := range scheds {
+			opts := ExploreOptions{Preemptions: preemptions, MaxRuns: maxRuns, Workers: 1, Aborts: aborts}
+			if res := CheckExplorer(b, model, n, entries, opts).Run(); res.Err != nil {
+				return fmt.Errorf("harness: model %v, abort schedule %s (#%d of %d), schedule %v (run %d): %w",
+					model, memsim.FormatAbortSchedule(aborts), si, len(scheds), res.FailingSchedule, res.Runs, res.Err)
+			}
+		}
+	}
+	return nil
 }

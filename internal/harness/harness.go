@@ -23,11 +23,23 @@ type Algorithm interface {
 	Release(p *memsim.Proc)
 }
 
+// AbortableAlgorithm is an Algorithm whose entry section can withdraw
+// in response to a delivered abort request (core.AbortableLock
+// satisfies it). AcquireAbortable returning false means the passage
+// was withdrawn and must be closed with memsim.Proc.AbortPassage; true
+// means the process holds the lock (a pending request, if any, lapses
+// at EnterCS). The harness calls it instead of Acquire whenever a
+// workload or check schedules aborts.
+type AbortableAlgorithm interface {
+	Algorithm
+	AcquireAbortable(p *memsim.Proc) bool
+}
+
 // Builder constructs a fresh algorithm instance on a machine. It is
 // called once per run, after the machine exists and before processes
 // start, and must be deterministic. The runner that created the
-// machine (Run, RunAbortable, a sweep cell) owns it and calls its
-// Release once the run's metrics, hotspots and checks have been read.
+// machine (Run, a sweep cell) owns it and calls its Release once the
+// run's metrics, hotspots and checks have been read.
 // A released machine, with its Procs and Dicts, is reset and serves a
 // later NewMachine, possibly another run's, so nothing a Builder
 // returns or captures may use the machine, or any Var, Proc or Dict of
@@ -66,6 +78,19 @@ type Workload struct {
 	// worker executing this workload, so per-cell sinks in a parallel
 	// sweep need no locking of their own.
 	Sink memsim.EventSink
+	// Aborts is the adversary's abort schedule, delivered via
+	// memsim.Machine.ScheduleAborts. A non-empty schedule makes the run
+	// abortable: entry sections go through AcquireAbortable, and the
+	// builder's algorithm must be an AbortableAlgorithm.
+	Aborts []memsim.AbortPoint
+	// Retries is how many times a process re-requests after a
+	// withdrawal before giving the entry up (each re-request is a new
+	// passage; 0 means aborted entries are simply lost).
+	Retries int
+	// RetryDelay is the number of private operations a process
+	// performs between a withdrawal and its re-request — the "re-
+	// request after d steps" knob of the abort adversary.
+	RetryDelay int
 }
 
 // Metrics aggregates what one run measured.
@@ -85,10 +110,11 @@ type Metrics struct {
 	// processes and entries, of the number of critical sections
 	// completed by other processes while the process was in its
 	// entry section. Starvation-free algorithms keep this bounded
-	// (independent of Entries).
+	// (independent of Entries). Like the await-block and bypass
+	// histograms in Obs, it is measured only in abort-free runs.
 	MaxBypass int64
-	// Aborts is the number of withdrawn passages (abortable workloads;
-	// zero elsewhere).
+	// Aborts is the number of withdrawn passages (zero unless the
+	// workload schedules aborts).
 	Aborts int64
 	// Passages is the number of completed-or-withdrawn passages — the
 	// denominator of the amortized metric. For abort-free runs it
@@ -106,8 +132,8 @@ type Metrics struct {
 	// the per-phase RMR breakdown.
 	Obs obs.RunMetrics
 	// Hotspots are the run's top-HotspotTopK shared variables by
-	// attracted RMRs (the cmd/hotspots attribution, recorded into
-	// benchmark artifacts).
+	// attracted RMRs (the `tracectl hotspots` attribution, recorded
+	// into benchmark artifacts).
 	Hotspots []obs.HotVar
 }
 
@@ -116,7 +142,12 @@ const HotspotTopK = 5
 
 // Run executes one workload and returns its metrics. The run fails
 // (non-nil error) on a mutual exclusion violation, deadlock, livelock
-// (step bound), or if any process finished fewer entries than asked.
+// (step bound), or lost critical-section updates; an abort-free run
+// also fails if any process finished fewer entries than asked. With
+// aborts scheduled, withdrawn entries whose retry budget ran out are
+// legitimately lost, so every passage must be accounted for instead,
+// and an algorithm that is not an AbortableAlgorithm is an error
+// before the run starts.
 func Run(b Builder, w Workload) (Metrics, error) {
 	return runTimed(b, w, nil)
 }
@@ -147,60 +178,42 @@ func runTimed(b Builder, w Workload, afterSim func()) (Metrics, error) {
 	if w.Sink != nil {
 		m.AttachSink(w.Sink)
 	}
+	m.ScheduleAborts(w.Aborts...)
 	alg := b(m)
-	scratch := m.NewVar("cs-scratch", memsim.HomeGlobal, 0)
-	// Per-process, per-entry samples: the engine schedules at most one
-	// process body at a time, but each process only appends to its own
-	// slice anyway.
-	type entrySample struct{ rmrs, waits, bypass int64 }
-	samples := make([][]entrySample, w.N)
+	rec := &recorder{
+		m:       m,
+		scratch: m.NewVar("cs-scratch", memsim.HomeGlobal, 0),
+		locals:  make([]memsim.Var, participants),
+		samples: make([][]passageSample, participants),
+	}
+	body, err := passageLoop(alg, &w, rec)
+	if err != nil {
+		return Metrics{}, err
+	}
 	for i := 0; i < w.N; i++ {
-		i := i
 		if i >= participants {
 			m.AddProc(fmt.Sprintf("idle%d", i), func(*memsim.Proc) {})
 			continue
 		}
-		samples[i] = make([]entrySample, 0, w.Entries)
-		local := m.NewVar(fmt.Sprintf("ncs-local[%d]", i), i, 0)
-		m.AddProc(fmt.Sprintf("p%d", i), func(p *memsim.Proc) {
-			for e := 0; e < w.Entries; e++ {
-				before := m.CSEntriesSoFar()
-				waitsBefore := p.Stats().AwaitBlocks
-				p.BeginEntrySection()
-				alg.Acquire(p)
-				p.EnterCS()
-				// −1: CSEntriesSoFar already includes this process's
-				// own just-recorded entry.
-				bypass := m.CSEntriesSoFar() - before - 1
-				for k := 0; k < w.CSOps; k++ {
-					p.RMW(scratch, func(x memsim.Word) memsim.Word { return x + 1 })
-				}
-				p.ExitCS()
-				alg.Release(p)
-				gap := p.EndExitSection()
-				samples[i] = append(samples[i], entrySample{
-					rmrs:   gap,
-					waits:  p.Stats().AwaitBlocks - waitsBefore,
-					bypass: bypass,
-				})
-				for k := 0; k < w.NCSOps; k++ {
-					p.Write(local, memsim.Word(k))
-				}
-			}
-		})
+		rec.samples[i] = make([]passageSample, 0, w.Entries)
+		rec.locals[i] = m.NewVar(fmt.Sprintf("ncs-local[%d]", i), i, 0)
+		m.AddProc(fmt.Sprintf("p%d", i), body)
 	}
 
 	res := m.Run(memsim.RunConfig{Sched: sched, MaxSteps: w.MaxSteps})
 	if afterSim != nil {
 		afterSim()
 	}
+	aborts := len(w.Aborts) > 0
 	met := Metrics{
-		Result:        res,
-		MeanRMR:       res.MeanRMRPerEntry(),
-		WorstRMR:      res.MaxRMRPerEntry(),
-		NonLocalSpins: res.NonLocalSpinReads(),
-		Passages:      res.Passages(),
-		AmortizedRMR:  res.AmortizedRMRPerPassage(),
+		Result:          res,
+		MeanRMR:         res.MeanRMRPerEntry(),
+		WorstRMR:        res.MaxRMRPerEntry(),
+		NonLocalSpins:   res.NonLocalSpinReads(),
+		Aborts:          res.TotalAborts(),
+		Passages:        res.Passages(),
+		AmortizedRMR:    res.AmortizedRMRPerPassage(),
+		MaxAbortResolve: res.MaxAbortResolveSteps(),
 	}
 	for _, v := range m.HotVars(HotspotTopK) {
 		met.Hotspots = append(met.Hotspots, obs.HotVar{Name: v.Name, RMRs: v.RMRs})
@@ -221,9 +234,16 @@ func runTimed(b Builder, w Workload, afterSim func()) (Metrics, error) {
 			met.Obs.PhaseRMRs[ph.String()] = total
 		}
 	}
-	for _, ss := range samples {
+	var sampled int64
+	for _, ss := range rec.samples {
+		sampled += int64(len(ss))
 		for _, s := range ss {
 			met.Obs.RMRPerEntry.Observe(s.rmrs)
+			// Await-block and bypass figures are per CS entry, so only
+			// abort-free runs record them.
+			if aborts {
+				continue
+			}
 			met.Obs.WaitsPerEntry.Observe(s.waits)
 			met.Obs.BypassPerEntry.Observe(s.bypass)
 			if s.bypass > met.MaxBypass {
@@ -232,17 +252,129 @@ func runTimed(b Builder, w Workload, afterSim func()) (Metrics, error) {
 		}
 	}
 	if err := res.Err(); err != nil {
-		return met, fmt.Errorf("harness: %s on %v with N=%d: %w", alg.Name(), w.Model, w.N, err)
+		where := fmt.Sprintf("%s on %v with N=%d", alg.Name(), w.Model, w.N)
+		if aborts {
+			where += fmt.Sprintf(" (aborts %s)", memsim.FormatAbortSchedule(w.Aborts))
+		}
+		return met, fmt.Errorf("harness: %s: %w", where, err)
 	}
-	if want := int64(participants) * int64(w.Entries); res.CSEntries != want {
+	if want := int64(participants) * int64(w.Entries); !aborts && res.CSEntries != want {
 		return met, fmt.Errorf("harness: %s completed %d CS entries, want %d", alg.Name(), res.CSEntries, want)
+	}
+	// Every passage must be accounted for: each sample is exactly one
+	// completed or withdrawn passage.
+	if sampled != res.Passages() {
+		return met, fmt.Errorf("harness: %s recorded %d passage samples, but the run counted %d passages",
+			alg.Name(), sampled, res.Passages())
 	}
 	// The CS work is a shared counter: its final value double-checks
 	// that no increments were lost to an exclusion failure.
-	if want := memsim.Word(participants) * memsim.Word(w.Entries) * memsim.Word(w.CSOps); m.Value(scratch) != want {
-		return met, fmt.Errorf("harness: %s lost critical-section updates: scratch=%d, want %d", alg.Name(), m.Value(scratch), want)
+	if want := memsim.Word(res.CSEntries) * memsim.Word(w.CSOps); m.Value(rec.scratch) != want {
+		return met, fmt.Errorf("harness: %s lost critical-section updates: scratch=%d, want %d", alg.Name(), m.Value(rec.scratch), want)
 	}
 	return met, nil
+}
+
+// passages is the passage loop every harness job shares: each process
+// of Run, of a sweep cell and of a model check runs drive. A passage is
+// one entry section that ends in the critical section, or, when the
+// workload schedules aborts, in a withdrawal; a withdrawn entry is
+// re-requested up to w.Retries times before it is given up.
+type passages struct {
+	alg   Algorithm
+	abort AbortableAlgorithm // non-nil when w schedules aborts
+	w     *Workload
+	// rec is nil in model checks, whose workloads have no critical-
+	// section or private work.
+	rec *recorder
+}
+
+// recorder is Run's side of the passage loop: the targets of the
+// workload's critical-section and private work, and one sample per
+// passage, indexed by process.
+type recorder struct {
+	m       *memsim.Machine
+	scratch memsim.Var
+	locals  []memsim.Var
+	samples [][]passageSample
+}
+
+// passageSample is one passage's cost. waits and bypass are measured
+// only for passages that reach the critical section.
+type passageSample struct{ rmrs, waits, bypass int64 }
+
+// passageLoop returns the process body all of a run's processes share.
+// Scheduling aborts for an algorithm that cannot withdraw is an error.
+func passageLoop(alg Algorithm, w *Workload, rec *recorder) (func(*memsim.Proc), error) {
+	d := passages{alg: alg, w: w, rec: rec}
+	if len(w.Aborts) > 0 {
+		a, ok := alg.(AbortableAlgorithm)
+		if !ok {
+			return nil, fmt.Errorf("harness: %s is not an AbortableAlgorithm, but %d abort points are scheduled",
+				alg.Name(), len(w.Aborts))
+		}
+		d.abort = a
+	}
+	return d.drive, nil
+}
+
+func (d passages) drive(p *memsim.Proc) {
+	w, rec, i := d.w, d.rec, p.ID()
+	for e := 0; e < w.Entries; e++ {
+		for attempt := 0; ; attempt++ {
+			var before, waitsBefore int64
+			if rec != nil {
+				before, waitsBefore = rec.m.CSEntriesSoFar(), p.Stats().AwaitBlocks
+			}
+			p.BeginEntrySection()
+			if d.acquire(p) {
+				p.EnterCS()
+				// −1: CSEntriesSoFar already includes this process's
+				// own just-recorded entry.
+				var bypass int64
+				if rec != nil {
+					bypass = rec.m.CSEntriesSoFar() - before - 1
+				}
+				for k := 0; k < w.CSOps; k++ {
+					p.RMW(rec.scratch, func(x memsim.Word) memsim.Word { return x + 1 })
+				}
+				p.ExitCS()
+				d.alg.Release(p)
+				gap := p.EndExitSection()
+				if rec != nil {
+					rec.samples[i] = append(rec.samples[i], passageSample{
+						rmrs:   gap,
+						waits:  p.Stats().AwaitBlocks - waitsBefore,
+						bypass: bypass,
+					})
+				}
+				break
+			}
+			gap := p.AbortPassage()
+			if rec != nil {
+				rec.samples[i] = append(rec.samples[i], passageSample{rmrs: gap})
+			}
+			if attempt >= w.Retries {
+				break
+			}
+			for k := 0; k < w.RetryDelay; k++ {
+				p.Write(rec.locals[i], memsim.Word(k))
+			}
+		}
+		for k := 0; k < w.NCSOps; k++ {
+			p.Write(rec.locals[i], memsim.Word(k))
+		}
+	}
+}
+
+// acquire runs the entry section: AcquireAbortable when aborts are
+// scheduled, Acquire otherwise. False means the passage was withdrawn.
+func (d passages) acquire(p *memsim.Proc) bool {
+	if d.abort != nil {
+		return d.abort.AcquireAbortable(p)
+	}
+	d.alg.Acquire(p)
+	return true
 }
 
 // Verify stress-tests an algorithm: `seeds` random schedules of the

@@ -151,16 +151,3 @@ func TestCellHelpers(t *testing.T) {
 		t.Fatal("cell helpers wrong")
 	}
 }
-
-func TestTableWriteCSV(t *testing.T) {
-	tbl := Table{ID: "E1", Columns: []string{"a", "b"}}
-	tbl.AddRow("1", "x,y") // comma forces quoting
-	var b strings.Builder
-	if err := tbl.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := "experiment,a,b\nE1,1,\"x,y\"\n"
-	if b.String() != want {
-		t.Fatalf("csv = %q, want %q", b.String(), want)
-	}
-}

@@ -25,10 +25,6 @@ type Cell struct {
 	Build Builder
 	// Workload is the configuration to run.
 	Workload Workload
-	// Abortable, if non-nil, turns the cell into an abortable run: the
-	// plan's builder and abort schedule drive RunAbortable instead of
-	// Run (Build may then be nil).
-	Abortable *AbortablePlan
 }
 
 // CellResult pairs a cell with what it measured.
@@ -43,38 +39,17 @@ type CellResult struct {
 }
 
 // Record converts the result into its benchmark-artifact form. The
-// abort-accounting fields are recorded only for abortable cells, so
-// abort-free artifacts are byte-identical to what they always were.
+// abort-accounting fields are recorded only for cells that schedule
+// aborts, so abort-free artifacts carry none.
 func (r CellResult) Record() obs.Cell {
-	if r.Cell.Abortable != nil {
-		return obs.Cell{
-			Experiment:      r.Cell.Experiment,
-			Algorithm:       r.Cell.Algorithm,
-			Model:           r.Cell.Workload.Model.String(),
-			N:               r.Cell.Workload.N,
-			Entries:         r.Cell.Workload.Entries,
-			Seed:            r.Cell.Workload.Seed,
-			MeanRMR:         r.Metrics.MeanRMR,
-			WorstRMR:        r.Metrics.WorstRMR,
-			NonLocalSpins:   r.Metrics.NonLocalSpins,
-			MaxBypass:       r.Metrics.MaxBypass,
-			Steps:           r.Metrics.Result.Steps,
-			AbortSchedule:   memsim.FormatAbortSchedule(r.Cell.Abortable.Points),
-			Aborts:          r.Metrics.Aborts,
-			Passages:        r.Metrics.Passages,
-			AmortizedRMR:    r.Metrics.AmortizedRMR,
-			MaxAbortResolve: r.Metrics.MaxAbortResolve,
-			Hotspots:        r.Metrics.Hotspots,
-			Run:             r.Metrics.Obs,
-		}
-	}
-	return obs.Cell{
+	w := r.Cell.Workload
+	rec := obs.Cell{
 		Experiment:    r.Cell.Experiment,
 		Algorithm:     r.Cell.Algorithm,
-		Model:         r.Cell.Workload.Model.String(),
-		N:             r.Cell.Workload.N,
-		Entries:       r.Cell.Workload.Entries,
-		Seed:          r.Cell.Workload.Seed,
+		Model:         w.Model.String(),
+		N:             w.N,
+		Entries:       w.Entries,
+		Seed:          w.Seed,
 		MeanRMR:       r.Metrics.MeanRMR,
 		WorstRMR:      r.Metrics.WorstRMR,
 		NonLocalSpins: r.Metrics.NonLocalSpins,
@@ -83,6 +58,14 @@ func (r CellResult) Record() obs.Cell {
 		Hotspots:      r.Metrics.Hotspots,
 		Run:           r.Metrics.Obs,
 	}
+	if len(w.Aborts) > 0 {
+		rec.AbortSchedule = memsim.FormatAbortSchedule(w.Aborts)
+		rec.Aborts = r.Metrics.Aborts
+		rec.Passages = r.Metrics.Passages
+		rec.AmortizedRMR = r.Metrics.AmortizedRMR
+		rec.MaxAbortResolve = r.Metrics.MaxAbortResolve
+	}
+	return rec
 }
 
 // ProgressEvent is one sweep-progress notification: which cell, and
@@ -150,13 +133,6 @@ func Sweep(cells []Cell, workers int) []CellResult {
 	return SweepWith(cells, SweepOptions{Workers: workers})
 }
 
-// SweepProgress is Sweep with per-cell progress reporting: progress
-// (when non-nil) receives a start and a completion event for every
-// cell, with a shared atomic completion counter.
-func SweepProgress(cells []Cell, workers int, progress Progress) []CellResult {
-	return SweepWith(cells, SweepOptions{Workers: workers, Progress: progress})
-}
-
 // SweepWith is the fully-optioned sweep: progress reporting plus
 // telemetry.
 func SweepWith(cells []Cell, opts SweepOptions) []CellResult {
@@ -177,26 +153,14 @@ func SweepWith(cells []Cell, opts SweepOptions) []CellResult {
 		if progress != nil {
 			progress(ProgressEvent{Cell: c, Done: int(done.Load()), Total: len(cells), Start: true})
 		}
-		runTimedCell := func(afterSim func()) (Metrics, error) {
-			if c.Abortable != nil {
-				aw := AbortWorkload{
-					Workload:   c.Workload,
-					Aborts:     c.Abortable.Points,
-					Retries:    c.Abortable.Retries,
-					RetryDelay: c.Abortable.RetryDelay,
-				}
-				return runAbortableTimed(c.Abortable.Build, aw, afterSim)
-			}
-			return runTimed(c.Build, c.Workload, afterSim)
-		}
 		var met Metrics
 		var err error
 		if opts.Metrics == nil {
-			met, err = runTimedCell(nil)
+			met, err = runTimed(c.Build, c.Workload, nil)
 		} else {
 			stopCell := opts.Metrics.Time(MetricSweepCellUS)
 			var stopAccount func()
-			met, err = runTimedCell(func() {
+			met, err = runTimed(c.Build, c.Workload, func() {
 				stopAccount = opts.Metrics.Time(MetricSweepAccountUS)
 			})
 			if stopAccount != nil {

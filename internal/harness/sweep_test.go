@@ -116,7 +116,7 @@ func TestRecordCell(t *testing.T) {
 }
 
 // TestCellRecordsHotspots: every successful cell surfaces its top-k
-// per-variable RMR attribution (the cmd/hotspots view) in the
+// per-variable RMR attribution (the `tracectl hotspots` view) in the
 // benchmark-artifact form, ranked descending.
 func TestCellRecordsHotspots(t *testing.T) {
 	for _, r := range Sweep(sweepCells(), 4) {
@@ -192,7 +192,7 @@ func TestSweepProgressEvents(t *testing.T) {
 	var mu sync.Mutex
 	starts, completes := 0, 0
 	seen := make(map[int]bool)
-	SweepProgress(cells, 8, func(ev ProgressEvent) {
+	SweepWith(cells, SweepOptions{Workers: 8, Progress: func(ev ProgressEvent) {
 		mu.Lock()
 		defer mu.Unlock()
 		if ev.Total != len(cells) {
@@ -213,7 +213,7 @@ func TestSweepProgressEvents(t *testing.T) {
 			t.Errorf("completion count %d reported twice", ev.Done)
 		}
 		seen[ev.Done] = true
-	})
+	}})
 	if starts != len(cells) || completes != len(cells) {
 		t.Fatalf("%d starts, %d completions, want %d each", starts, completes, len(cells))
 	}
@@ -232,11 +232,11 @@ func TestSweepProgressObservationOnly(t *testing.T) {
 	plain := Sweep(sweepCells(), 4)
 	var mu sync.Mutex
 	events := 0
-	observed := SweepProgress(sweepCells(), 4, func(ProgressEvent) {
+	observed := SweepWith(sweepCells(), SweepOptions{Workers: 4, Progress: func(ProgressEvent) {
 		mu.Lock()
 		events++
 		mu.Unlock()
-	})
+	}})
 	if events == 0 {
 		t.Fatal("progress callback never fired")
 	}
@@ -336,13 +336,11 @@ func TestSweepOverReleasedMachines(t *testing.T) {
 	for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
 		for _, n := range []int{2, 5, 40} {
 			w := Workload{Model: model, N: n, Entries: 3, CSOps: 2, NCSOps: 1, Seed: int64(n)}
+			aw := w
+			aw.Aborts, aw.Retries = []memsim.AbortPoint{{Proc: 1, Passage: 0, Event: 1}}, 1
 			cells = append(cells,
 				Cell{Experiment: "TEST", Algorithm: "fake", Build: newFakeLock, Workload: w},
-				Cell{Experiment: "TEST", Algorithm: "fake-abortable", Workload: w, Abortable: &AbortablePlan{
-					Build:   newFakeAbortable,
-					Points:  []memsim.AbortPoint{{Proc: 1, Passage: 0, Event: 1}},
-					Retries: 1,
-				}})
+				Cell{Experiment: "TEST", Algorithm: "fake-abortable", Build: newFakeAbortable, Workload: aw})
 		}
 	}
 	records := func(workers int) []any {

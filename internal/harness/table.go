@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -68,24 +67,6 @@ func (t *Table) Format(w io.Writer) {
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
-}
-
-// WriteCSV emits the table as CSV: one comment-free header row of
-// columns prefixed by the experiment id, then the data rows — the
-// machine-readable form for external plotting.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{"experiment"}, t.Columns...)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(append([]string{t.ID}, row...)); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // JSON converts the table to its benchmark-artifact form.

@@ -86,12 +86,8 @@ func TestRunnableSetMatchesScanAbortable(t *testing.T) {
 				aborts = append(aborts, memsim.AbortPoint{Proc: p, Passage: 0, Event: 1})
 			}
 			chk := &scanCheck{inner: memsim.NewRandom(int64(n))}
-			var capture harness.AbortableBuilder = func(m *memsim.Machine) harness.AbortableAlgorithm {
-				chk.m = m
-				return ab(m)
-			}
-			met, err := harness.RunAbortable(capture, harness.AbortWorkload{
-				Workload:   harness.Workload{Model: model, N: n, Entries: 2, Sched: chk},
+			met, err := harness.Run(chk.builder(ab), harness.Workload{
+				Model: model, N: n, Entries: 2, Sched: chk,
 				Aborts:     aborts,
 				Retries:    1,
 				RetryDelay: 2,

@@ -95,7 +95,7 @@ type Cell struct {
 	// cells).
 	MaxAbortResolve int64 `json:"max_abort_resolve,omitempty"`
 	// Hotspots are the top-k shared variables ranked by the RMR
-	// traffic they attracted (the cmd/hotspots attribution view,
+	// traffic they attracted (the `tracectl hotspots` attribution view,
 	// surfaced per cell). Informational: the gate does not compare
 	// them, but a diff pinpoints *where* a regressed cell's extra
 	// RMRs went.

@@ -1,6 +1,6 @@
 // Package obs is the observability subsystem: distributional run
 // metrics (log-bucketed histograms, per-phase RMR breakdowns), the
-// JSON benchmark-artifact schema shared by cmd/report and cmd/rmrbench,
+// JSON benchmark-artifact schema cmd/report and bench/perf write,
 // and the regression gate that compares artifacts across commits.
 //
 // The package is deliberately stdlib-only and free of simulator
