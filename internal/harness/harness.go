@@ -149,16 +149,20 @@ const HotspotTopK = 5
 // and an algorithm that is not an AbortableAlgorithm is an error
 // before the run starts.
 func Run(b Builder, w Workload) (Metrics, error) {
-	return runTimed(b, w, nil)
+	var cs memsim.Carriers
+	defer cs.Close()
+	return runTimed(b, w, &cs, nil)
 }
 
-// runTimed is Run with a hook at the simulation/accounting boundary:
-// afterSim (when non-nil) fires the moment machine execution finishes,
-// before RMR attribution, histogram fills, and validation. SweepWith
-// uses it to time the accounting overhead separately from simulation.
-// The hook is observation-only — it sees the boundary but receives
-// nothing and returns nothing, so it cannot perturb metrics.
-func runTimed(b Builder, w Workload, afterSim func()) (Metrics, error) {
+// runTimed is Run with the processes started on cs, which SweepWith
+// workers keep for all their cells, and a hook at the
+// simulation/accounting boundary: afterSim (when non-nil) fires the
+// moment machine execution finishes, before RMR attribution, histogram
+// fills, and validation. SweepWith uses it to time the accounting
+// overhead separately from simulation. The hook is observation-only —
+// it sees the boundary but receives nothing and returns nothing, so it
+// cannot perturb metrics.
+func runTimed(b Builder, w Workload, cs *memsim.Carriers, afterSim func()) (Metrics, error) {
 	if w.N <= 0 || w.Entries <= 0 {
 		return Metrics{}, fmt.Errorf("harness: invalid workload N=%d Entries=%d", w.N, w.Entries)
 	}
@@ -200,7 +204,7 @@ func runTimed(b Builder, w Workload, afterSim func()) (Metrics, error) {
 		m.AddProc(fmt.Sprintf("p%d", i), body)
 	}
 
-	res := m.Run(memsim.RunConfig{Sched: sched, MaxSteps: w.MaxSteps})
+	res := m.RunOn(cs, memsim.RunConfig{Sched: sched, MaxSteps: w.MaxSteps})
 	if afterSim != nil {
 		afterSim()
 	}

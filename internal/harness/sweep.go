@@ -148,7 +148,9 @@ func SweepWith(cells []Cell, opts SweepOptions) []CellResult {
 		return results
 	}
 	var done atomic.Int64
-	runCell := func(i int) {
+	// Each worker runs all its cells on one carrier set (cs), so a cell
+	// creates no coroutines once its worker has run a cell of its size.
+	runCell := func(cs *memsim.Carriers, i int) {
 		c := cells[i]
 		if progress != nil {
 			progress(ProgressEvent{Cell: c, Done: int(done.Load()), Total: len(cells), Start: true})
@@ -156,11 +158,11 @@ func SweepWith(cells []Cell, opts SweepOptions) []CellResult {
 		var met Metrics
 		var err error
 		if opts.Metrics == nil {
-			met, err = runTimed(c.Build, c.Workload, nil)
+			met, err = runTimed(c.Build, c.Workload, cs, nil)
 		} else {
 			stopCell := opts.Metrics.Time(MetricSweepCellUS)
 			var stopAccount func()
-			met, err = runTimed(c.Build, c.Workload, func() {
+			met, err = runTimed(c.Build, c.Workload, cs, func() {
 				stopAccount = opts.Metrics.Time(MetricSweepAccountUS)
 			})
 			if stopAccount != nil {
@@ -178,8 +180,10 @@ func SweepWith(cells []Cell, opts SweepOptions) []CellResult {
 		}
 	}
 	if workers <= 1 {
+		var cs memsim.Carriers
+		defer cs.Close()
 		for i := range cells {
-			runCell(i)
+			runCell(&cs, i)
 		}
 		return results
 	}
@@ -189,8 +193,10 @@ func SweepWith(cells []Cell, opts SweepOptions) []CellResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var cs memsim.Carriers
+			defer cs.Close()
 			for i := range next {
-				runCell(i)
+				runCell(&cs, i)
 			}
 		}()
 	}

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/telemetry"
@@ -359,6 +361,31 @@ func TestSweepOverReleasedMachines(t *testing.T) {
 			if got := records(workers); !reflect.DeepEqual(got, fresh) {
 				t.Fatalf("workers=%d run %d: records differ from the first run's", workers, run)
 			}
+		}
+	}
+}
+
+// TestSweepRetiresCarriers: every SweepWith worker runs its cells on a
+// carrier set of its own and retires it when the sweep returns, so no
+// process coroutine outlives the sweep, at one worker or several.
+func TestSweepRetiresCarriers(t *testing.T) {
+	cells := sweepCells()
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} {
+		for _, r := range SweepWith(cells, SweepOptions{Workers: workers}) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		n := runtime.NumGoroutine()
+		for wait := 0; n > before && wait < 1000; wait++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > before {
+			t.Fatalf("SweepWith at %d workers left %d goroutines running, want at most %d", workers, n, before)
 		}
 	}
 }

@@ -12,12 +12,6 @@ type bitset struct {
 	hi []uint64 // ids 64 and up
 }
 
-func newBitset(n int) bitset {
-	var b bitset
-	b.resize(n)
-	return b
-}
-
 // resize empties the set and sizes it for ids 0..n-1, reusing its
 // words where they suffice.
 func (b *bitset) resize(n int) {

@@ -229,7 +229,7 @@ type ScheduleOutcome struct {
 // schedule of a wave: the carrier set its processes run on and its
 // chooser.
 type exploreWorker struct {
-	cs carrierSet
+	cs Carriers
 	ch chooser
 }
 
@@ -255,7 +255,7 @@ func (e *Explorer) runOne(w *exploreWorker, sched []Preemption, maxPre int) Sche
 	ch := &w.ch
 	ch.reset(sched, traceFrom)
 	m := e.Build()
-	r := m.runOn(&w.cs, RunConfig{Sched: ch, MaxSteps: e.MaxSteps})
+	r := m.RunOn(&w.cs, RunConfig{Sched: ch, MaxSteps: e.MaxSteps})
 	wr := ScheduleOutcome{Err: r.Err()}
 	if wr.Err == nil && e.Check != nil {
 		wr.Err = e.Check(r)

@@ -90,7 +90,7 @@ func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, worke
 	}
 	if workers <= 1 {
 		var w exploreWorker
-		defer w.cs.close()
+		defer w.cs.Close()
 		for i := range wave {
 			out[i] = e.runOne(&w, wave[i], maxPre)
 			tick()
@@ -110,7 +110,7 @@ func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, worke
 		go func() {
 			defer wg.Done()
 			var ew exploreWorker
-			defer ew.cs.close()
+			defer ew.cs.Close()
 			// A panic in Build or a simulated body (e.g. the
 			// nondeterministic-build guard in chooser.Pick) must reach
 			// the caller like it does on the sequential path, not kill

@@ -128,7 +128,7 @@ func TestShardedFailureIsCanonicallySmallest(t *testing.T) {
 	var failing [][]Preemption
 	e := &Explorer{Build: build, MaxSteps: 5000}
 	var w exploreWorker
-	defer w.cs.close()
+	defer w.cs.Close()
 	wave := [][]Preemption{nil}
 	for depth := 0; depth < len(res.DepthRuns); depth++ {
 		var next [][]Preemption

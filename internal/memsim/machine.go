@@ -16,18 +16,22 @@
 //     memory module (or in no process's, for HomeGlobal); an access is
 //     free iff the accessor is the variable's home process.
 //
-// Each simulated process runs on a goroutine of its own for the run, and
-// exactly one of them holds the baton at a time. Every Read, Write, RMW
-// and Await re-check is a scheduling point: the process that reaches one
-// runs the engine step itself, asking the Scheduler for the next
-// process, and either continues (it picked itself) or resumes the chosen
-// process and parks. So a Scheduler fully determines the interleaving;
+// Each simulated process runs on a coroutine of its own for the run
+// (an iter.Pull coroutine, a carrier), and exactly one process runs at
+// a time. Every Read, Write, RMW and Await re-check is a scheduling
+// point: the process that reaches one runs the engine step itself,
+// asking the Scheduler for the next process, and either continues (it
+// picked itself) or yields to the machine's run loop, which resumes the
+// chosen process. So a Scheduler fully determines the interleaving;
 // runs are reproducible and can be explored systematically (see
-// Explorer). The goroutines are carriers, reused from run to run:
-// carrier i of a set runs process i of every machine started on it. Each
-// explorer worker owns one set for a whole wave, so a wave's schedules
-// reuse N goroutines and their grown stacks; a machine run on its own
-// gets a one-shot set, retired when Run returns.
+// Explorer). A switch between processes is two coroutine switches and
+// never enters the Go scheduler, so the run loop yields to it once per
+// run instead. Carriers are reused from run to run: carrier i of a set
+// (Carriers) runs process i of every machine started on it. Each
+// explorer worker owns one set for a whole wave, and each sweep worker
+// one for all its cells, so their runs reuse N coroutines and their
+// grown stacks; a machine run on its own gets a one-shot set, retired
+// when Run returns.
 // Busy-waiting is expressed as condition waits over explicit watch
 // sets, which lets the engine (a) suspend spinners instead of burning
 // steps and (b) charge exactly one RMR per re-check that misses — the
@@ -194,9 +198,9 @@ const (
 type varChunk [chunkVars]variable
 
 // freeMachines holds released machines, each with the storage it grew:
-// variable chunks (all zeroed, which newVar relies on), Dict blocks
-// (all zero, which newDict relies on), Procs, and the run's scheduling
-// slices and channel. NewMachine takes one before it allocates. Taking
+// variable chunks (zeroed but for the sharer words of large machines,
+// which newVar relies on), Dict blocks (all zero, which newDict relies
+// on), Procs, and the run's scheduling slices. NewMachine takes one before it allocates. Taking
 // or releasing a machine is one lock operation however much storage
 // travels with it.
 //
@@ -242,7 +246,7 @@ func grow[T any](s []*T) []*T {
 // Machine is one simulated multiprocessor instance. A Machine is built
 // (variables allocated, processes added), run exactly once, and then
 // inspected. It is not safe for concurrent use by multiple host
-// goroutines; the engine coordinates its own process goroutines.
+// goroutines; the engine coordinates its own process coroutines.
 type Machine struct {
 	model Model
 	nproc int
@@ -264,20 +268,23 @@ type Machine struct {
 	csOccupant int // process id in critical section, or -1
 	csEntries  int64
 
-	// Engine state of the run in progress, touched only by the
-	// goroutine holding the baton (see schedule).
+	// Engine state of the run in progress, touched only by the running
+	// process or the run loop (see schedule).
 	cfg  RunConfig
 	last int // previously scheduled process, -1 at the first step
+	// next is the process the last engine step picked, which the run
+	// loop resumes; nil when the run is over.
+	next *Proc
 	// ready holds the processes with status Ready or Recheck (the
 	// running one included). Only yield, wakeWatchers and the end of a
 	// process body change it, and each sets readyDirty; runnable is
 	// ready in ascending order, rebuilt by schedule only when dirty.
 	ready      bitset
 	runnable   []int
-	over       chan struct{} // run over, or a teardown kill acknowledged
 	readyDirty bool
 	timedOut   bool
-	schedPanic any // a Scheduler or Observer panic, re-raised by Run
+	killed     bool // torn down: a resumed process unwinds
+	schedPanic any  // a Scheduler or Observer panic, re-raised by Run
 
 	violation  error
 	trace      *traceRing  // nil unless EnableTrace was called
@@ -330,7 +337,8 @@ func (m *Machine) newIndexedVar(prefix *Prefix, name string, key Word, home int,
 // newVar fills the next free slot with a variable of the given name
 // parts (see variable), home and initial value, taking the next chunk
 // when the last one is full. It writes the fields in place: every slot
-// past nvars is zero (see freeMachines).
+// past nvars is zero (see freeMachines) but for the emptied sharer
+// words Release keeps, which resize reuses.
 func (m *Machine) newVar(prefix *Prefix, name string, key Word, indexed bool, home int, init Word) Var {
 	if home != HomeGlobal && (home < 0 || home >= m.nproc) {
 		vv := variable{name: name, key: key, prefix: prefix, indexed: indexed}
@@ -345,7 +353,7 @@ func (m *Machine) newVar(prefix *Prefix, name string, key Word, indexed bool, ho
 	vv.home = int32(home)
 	vv.value = init
 	if m.model != DSM { // DSM locality is static: no cached copies
-		vv.sharers = newBitset(m.nproc)
+		vv.sharers.resize(m.nproc)
 	}
 	m.nvars++
 	return Var{idx: m.nvars}
@@ -380,7 +388,19 @@ func (m *Machine) Release() {
 		panic("memsim: machine released twice")
 	}
 	for c, chunk := range m.chunks {
-		clear(chunk[:m.chunkLen(c)])
+		vars := chunk[:m.chunkLen(c)]
+		if m.nproc <= 64 {
+			clear(vars)
+			continue
+		}
+		// A CC variable of a machine this large has sharer words past
+		// the inline ones; keep them for newVar to resize. Machines
+		// without them take the plain clear, which is cheaper.
+		for i := range vars {
+			hi := vars[i].sharers.hi[:0]
+			vars[i] = variable{}
+			vars[i].sharers.hi = hi
+		}
 	}
 	for b, block := range m.dicts {
 		clear(block[:min(m.ndicts-b*dictBlockLen, dictBlockLen)])
@@ -396,7 +416,6 @@ func (m *Machine) Release() {
 		procs:       m.procs[:0],
 		ready:       m.ready, // runOn resizes and clears it
 		runnable:    m.runnable[:0],
-		over:        m.over,
 		abortPoints: m.abortPoints[:0],
 		released:    true,
 	}
@@ -429,10 +448,6 @@ func (m *Machine) NewPerProcArray(name string, init Word) []Var {
 // after a run (or from test code between runs); it performs no RMR
 // accounting.
 func (m *Machine) Value(v Var) Word { return m.varAt(v).value }
-
-// StepsSoFar returns the number of scheduling points executed so far
-// (instrumentation; no simulated cost).
-func (m *Machine) StepsSoFar() int64 { return m.steps }
 
 // CSEntriesSoFar returns the number of critical-section entries
 // recorded so far. Process bodies may call it between operations (it is

@@ -364,7 +364,8 @@ func (s scriptSched) Pick(step int64, runnable []int, _ int) int {
 }
 
 func TestBitset(t *testing.T) {
-	b := newBitset(130)
+	var b bitset
+	b.resize(130)
 	if b.has(0) || b.has(129) {
 		t.Fatal("fresh bitset non-empty")
 	}
@@ -623,13 +624,13 @@ func TestSchedulerPanicReachesCaller(t *testing.T) {
 }
 
 func TestNoGoroutineLeaks(t *testing.T) {
-	// The engine must fully unwind its process goroutines on every
-	// exit path: completion, violation, deadlock, timeout, and a
-	// panicking Scheduler or Observer.
+	// The engine must fully unwind its process coroutines on every
+	// exit path: completion, violation, deadlock, timeout, a panicking
+	// Scheduler or Observer, and a panicking process body.
 	runtime.GC()
 	before := runtime.NumGoroutine()
-	for i := 0; i < 300; i++ {
-		switch i % 6 {
+	for i := 0; i < 350; i++ {
+		switch i % 7 {
 		case 0: // completion
 			m := NewMachine(CC, 3)
 			v := m.NewVar("v", HomeGlobal, 0)
@@ -665,6 +666,8 @@ func TestNoGoroutineLeaks(t *testing.T) {
 				Sched:    RoundRobin{},
 				Observer: func(step int64, _ []int, _ int) { panicAt(step, 5) },
 			})
+		case 6: // body panic, re-raised in Run's caller
+			runRecover(panickyMachine(), RunConfig{Sched: RoundRobin{}})
 		}
 	}
 	awaitGoroutines(t, before+2, "standalone runs")

@@ -38,9 +38,3 @@ func (ph Phase) String() string {
 		return "?"
 	}
 }
-
-// PhaseNames returns the phase names in phase order, for stable
-// iteration over per-phase maps.
-func PhaseNames() [NumPhases]string {
-	return [NumPhases]string{PhaseNCS.String(), PhaseEntry.String(), PhaseCS.String(), PhaseExit.String()}
-}

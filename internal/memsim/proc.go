@@ -24,8 +24,8 @@ const (
 	statusDone
 )
 
-// killed is the panic sentinel used to unwind a process goroutine when
-// the engine tears a run down.
+// killed is the panic sentinel used to unwind a process body when the
+// engine tears a run down.
 type killed struct{}
 
 // violation is the panic sentinel carrying an assertion failure out of
@@ -82,9 +82,9 @@ type Proc struct {
 	name string
 	body func(*Proc)
 
-	// resume is the baton, owned by the carrier the process runs on
-	// (set when the run starts): false = run your step, true = killed.
-	resume chan bool
+	// carrier is the coroutine the process runs on, bound when the run
+	// starts.
+	carrier *carrier
 
 	status     procStatus
 	watch      []Var
@@ -139,9 +139,9 @@ func (m *Machine) AddProc(name string, body func(*Proc)) *Proc {
 // yield ends the process's current step at a scheduling point, leaving
 // it in status st (statusReady, or statusWaiting after a false await
 // condition), and runs the engine step that picks the next process. If
-// that is this process it simply continues; otherwise it passes the
-// baton and parks until resumed. It panics with the kill sentinel when
-// the engine is tearing down.
+// that is this process it simply continues; otherwise it leaves the
+// pick in m.next, yields to the run loop and parks until resumed. It
+// panics with the kill sentinel when resumed to be torn down.
 //
 // Every resumption inside an entry section is one abort-schedule
 // "event" (see AbortPoint.Event): pending abort points fire here,
@@ -154,8 +154,8 @@ func (p *Proc) yield(st procStatus) {
 		p.m.readyDirty = true
 	}
 	if next := p.m.schedule(); next != p {
-		p.m.handoff(next)
-		if <-p.resume {
+		p.m.next = next
+		if !p.carrier.yield(struct{}{}) || p.m.killed {
 			panic(killed{})
 		}
 	}

@@ -98,15 +98,15 @@ func (c recycleCase) run(t *testing.T, seed int64) (observed, *memsim.Machine) {
 }
 
 // TestRecycledMachineMatchesFresh runs a mixed sequence of builds
-// (three models, N=2, 5 and 70, the last past the inline bitset word;
-// with and without sinks, trace rings, abort points and a deadlocked
+// (three models, N=2, 5, 70 and 130, the last two past the inline
+// bitset word, whose sharer words Release keeps; with and without sinks, trace rings, abort points and a deadlocked
 // passage) through build, run and Release, sequentially and on four
 // goroutines, and checks that every run shows exactly what the same
 // build shows on a never-recycled machine: its Result (statistics,
 // WaitingDetail), HotVars, sink stream and trace.
 func TestRecycledMachineMatchesFresh(t *testing.T) {
 	var cases []recycleCase
-	for _, n := range []int{70, 2, 5} {
+	for _, n := range []int{70, 2, 130, 5} {
 		for _, model := range []memsim.Model{memsim.CC, memsim.DSM, memsim.CCUpdate} {
 			for v := 0; v < 4; v++ {
 				cases = append(cases, recycleCase{
@@ -127,7 +127,7 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 		want[i], _ = c.run(t, int64(i))
 	}
 	// Run the list forward and back, so machines grown at N=70 serve
-	// N=2 builds and the other way round.
+	// N=2 and N=130 builds and the other way round.
 	order := make([]int, 0, 2*len(cases))
 	for i := range cases {
 		order = append(order, i)

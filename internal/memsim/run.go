@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 )
 
@@ -146,16 +147,18 @@ func (r Result) MaxAbortResolveSteps() int64 {
 // Its processes run on a one-shot carrier set, retired when Run
 // returns.
 func (m *Machine) Run(cfg RunConfig) Result {
-	var cs carrierSet
-	defer cs.close()
-	return m.runOn(&cs, cfg)
+	var cs Carriers
+	defer cs.Close()
+	return m.RunOn(&cs, cfg)
 }
 
-// runOn is Run with the processes started on cs, which the caller may
-// go on to start later machines on (the explorer's workers do, one set
-// each). Every process is over, and every carrier idle again, when it
-// returns or panics.
-func (m *Machine) runOn(cs *carrierSet, cfg RunConfig) Result {
+// RunOn is Run with the processes started on cs, which the caller may
+// go on to start later machines on: a warm set runs the next machine of
+// the same size without creating a coroutine. Every process is over,
+// and every carrier idle again, when it returns or panics. A panic in a
+// process body that is not an engine violation (a bug in the body)
+// comes back out of RunOn after the other processes are unwound.
+func (m *Machine) RunOn(cs *Carriers, cfg RunConfig) Result {
 	if cfg.Sched == nil {
 		cfg.Sched = NewRandom(1)
 	}
@@ -173,18 +176,13 @@ func (m *Machine) runOn(cs *carrierSet, cfg RunConfig) Result {
 		m.ready.add(p.id)
 	}
 	m.readyDirty = true
-	if m.over == nil { // a machine built from a released one keeps its channel
-		m.over = make(chan struct{})
-	}
 
 	cs.bind(m.procs)
-	// Hand the baton to the first process; from here on each scheduling
-	// point is decided by the process that reaches it, and the one that
-	// finds the run over signals m.over.
-	if first := m.schedule(); first != nil {
-		first.resume <- false
-		<-m.over
-	}
+	m.drive()
+	// Coroutine switches never enter the Go scheduler, so give it a turn
+	// once per run: the collector's mark workers and the caller's other
+	// goroutines would otherwise wait for preemption.
+	runtime.Gosched()
 
 	res := Result{
 		Violation: m.violation,
@@ -192,23 +190,18 @@ func (m *Machine) runOn(cs *carrierSet, cfg RunConfig) Result {
 		Steps:     m.steps,
 		CSEntries: m.csEntries,
 	}
-	// Tear down: unwind every process goroutine still alive.
 	for _, p := range m.procs {
-		if p.status != statusDone {
-			if p.status == statusWaiting && res.Violation == nil && !m.timedOut {
-				res.WaitingProcs = append(res.WaitingProcs, p.id)
-				names := make([]string, len(p.watch))
-				for i, v := range p.watch {
-					names[i] = m.varAt(v).label()
-				}
-				res.WaitingDetail = append(res.WaitingDetail,
-					fmt.Sprintf("p%d awaits %v", p.id, names))
+		if p.status == statusWaiting && res.Violation == nil && !m.timedOut {
+			res.WaitingProcs = append(res.WaitingProcs, p.id)
+			names := make([]string, len(p.watch))
+			for i, v := range p.watch {
+				names[i] = m.varAt(v).label()
 			}
-			p.resume <- true
-			<-m.over
-			p.status = statusDone
+			res.WaitingDetail = append(res.WaitingDetail,
+				fmt.Sprintf("p%d awaits %v", p.id, names))
 		}
 	}
+	m.kill()
 	if m.schedPanic != nil {
 		panic(m.schedPanic)
 	}
@@ -221,16 +214,48 @@ func (m *Machine) runOn(cs *carrierSet, cfg RunConfig) Result {
 	return res
 }
 
-// schedule is one engine step, run by whichever goroutine holds the
-// baton: the process at its scheduling point, a process whose body just
-// ended, or Run for the very first step. It rebuilds the runnable slice
-// from the maintained ready set if that changed since the last step
-// (most steps it did not: spinners are parked and stay parked),
-// enforces MaxSteps, and asks the scheduler for the next process. It
+// drive is the run loop: it resumes the process each engine step
+// picks until one finds the run over. The first pick is its own; after
+// that the process that reaches a scheduling point, or whose body ends,
+// runs the step itself and leaves its pick in m.next (or continues, if
+// it picked itself). If a process body panics, drive unwinds the other
+// processes before the panic leaves it.
+func (m *Machine) drive() {
+	over := false
+	defer func() {
+		if !over {
+			m.kill()
+		}
+	}()
+	for p := m.schedule(); p != nil; p = m.next {
+		p.carrier.next()
+	}
+	over = true
+}
+
+// kill tears the run down: every process still alive is resumed once
+// with the machine's kill flag set and unwinds (see Proc.yield), so its
+// carrier is idle again.
+func (m *Machine) kill() {
+	m.killed = true
+	for _, p := range m.procs {
+		if p.status != statusDone {
+			p.carrier.next()
+			p.status = statusDone
+		}
+	}
+}
+
+// schedule is one engine step, run by the process at its scheduling
+// point, by a process whose body just ended, or by the run loop for
+// the very first step. It rebuilds the runnable slice from the
+// maintained ready set if that changed since the last step (most steps
+// it did not: spinners are parked and stay parked), enforces MaxSteps,
+// and asks the scheduler for the next process. It
 // returns nil when the run is over: a violation, no runnable process
 // (completion or deadlock), the step bound, or a panic in the Scheduler
-// or Observer, which is kept for Run to re-raise after teardown so it
-// never unwinds a process body.
+// or Observer, which is kept for RunOn to re-raise after teardown so
+// it never unwinds a process body.
 func (m *Machine) schedule() (next *Proc) {
 	if m.violation != nil {
 		return nil
@@ -262,34 +287,26 @@ func (m *Machine) schedule() (next *Proc) {
 	return m.procs[id]
 }
 
-// handoff passes the baton to next, or tells Run the run is over when
-// next is nil. The caller must not touch machine state afterwards
-// until it is resumed.
-func (m *Machine) handoff(next *Proc) {
-	if next == nil {
-		m.over <- struct{}{}
-		return
-	}
-	next.resume <- false
-}
-
-// run is the process wrapper its carrier calls with the first baton
-// the process receives: it executes the body (or unwinds at once, if
-// that baton is a teardown kill) and translates returns, kills, and
-// violations into the end of the process's last step.
+// run is the process wrapper its carrier calls when the process is
+// first resumed: it executes the body (or returns at once, if the run
+// was torn down before the process was ever scheduled) and translates
+// returns, kills and violations into the end of the process's last
+// step, leaving the next pick in m.next for the run loop. Any other
+// panic ends the carrier's coroutine and reaches the run loop through
+// iter.Pull.
 //
 // The carrier starts the body only once the process is first
 // scheduled, so that ALL body code — including any preamble before the
 // first memory operation, which may lazily allocate variables —
-// executes inside the process's exclusive scheduling windows. Started
-// any earlier, preambles of different processes would run concurrently.
-func (p *Proc) run(kill bool) {
+// executes inside the process's exclusive scheduling windows.
+func (p *Proc) run() {
+	if p.m.killed {
+		return
+	}
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
 		case killed:
-			// Teardown: acknowledge to Run, which holds the baton.
-			p.m.over <- struct{}{}
 			return
 		case violation:
 			p.m.fail(r.err)
@@ -299,10 +316,7 @@ func (p *Proc) run(kill bool) {
 		p.status = statusDone
 		p.m.ready.remove(p.id)
 		p.m.readyDirty = true
-		p.m.handoff(p.m.schedule())
+		p.m.next = p.m.schedule()
 	}()
-	if kill {
-		panic(killed{})
-	}
 	p.body(p)
 }
