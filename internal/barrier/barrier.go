@@ -31,7 +31,7 @@ type Barrier struct {
 func New(m *memsim.Machine, name string) *Barrier {
 	b := &Barrier{flag: m.NewVar(name+".Flag", memsim.HomeGlobal, 1)}
 	if m.Model() == memsim.DSM {
-		b.site = localspin.NewSiteSet(m, name+".site").At(0)
+		b.site = localspin.NewSiteSet(m, memsim.NamePrefix(nil, name+".site")).At(0)
 	}
 	return b
 }

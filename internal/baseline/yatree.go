@@ -34,7 +34,7 @@ func NewYangAndersonTree(m *memsim.Machine) *YangAndersonTree {
 		width = (width + 1) / 2
 		level := make([]*twoproc.Mutex, width)
 		for i := range level {
-			level[i] = twoproc.New(m, "ya.node")
+			level[i] = twoproc.New(m, memsim.NamePrefix(nil, "ya.node"))
 		}
 		t.nodes = append(t.nodes, level)
 		t.levels++

@@ -189,6 +189,26 @@ func (c *checker) missf(format string, args ...any) {
 	c.missing = true
 }
 
+// pick returns yes when ok holds and no otherwise: a predicate line or
+// summary states what was observed, not what was hoped for.
+func pick(ok bool, yes, no string) string {
+	if ok {
+		return yes
+	}
+	return no
+}
+
+// cmpOp renders how a compares to b.
+func cmpOp(a, b float64) string {
+	switch {
+	case a < b:
+		return "<"
+	case a > b:
+		return ">"
+	}
+	return "="
+}
+
 // notef records context that is not a predicate.
 func (c *checker) notef(format string, args ...any) {
 	c.details = append(c.details, "note — "+fmt.Sprintf(format, args...))
@@ -468,6 +488,7 @@ func evalTheorem1(b Bench) Outcome {
 
 	loRatio, hiRatio := 0.0, 0.0
 	var fits []SeriesFit
+	constant := 0
 	for _, r := range ranks {
 		var pts []fit.Point
 		for _, n := range ns {
@@ -494,32 +515,51 @@ func evalTheorem1(b Bench) Outcome {
 			ck.missf("rank %d: %v", r, err)
 			continue
 		}
-		ck.checkf(res.Best == fit.Constant,
-			"rank %d: worst/height vs N best-fit model is %s (R² %.2f)", r, res.BestName, res.BestFit().R2)
+		if ck.checkf(res.Best == fit.Constant,
+			"rank %d: worst/height vs N best-fit model is %s (R² %.2f)", r, res.BestName, res.BestFit().R2) {
+			constant++
+		}
 		fits = append(fits, newSeriesFit(
 			fmt.Sprintf("tree/rank-%d", r), "worst RMR/entry ÷ height", "constant", res))
 	}
-	ck.checkf(hiRatio <= RatioBand*loRatio,
-		"worst/height ratio pinned to a band: %.1f–%.1f (max/min %.2f ≤ %.2f) across N∈{%s}, r∈{%s}",
-		loRatio, hiRatio, hiRatio/loRatio, RatioBand, intsCSV(ns), intsCSV(ranks))
+	banded := hiRatio <= RatioBand*loRatio
+	ck.checkf(banded,
+		"worst/height ratio %s: %.1f–%.1f (max/min %.2f %s %.2f) across N∈{%s}, r∈{%s}",
+		pick(banded, "pinned to a band", "outside its band"), loRatio, hiRatio, hiRatio/loRatio,
+		pick(banded, "≤", ">"), RatioBand, intsCSV(ns), intsCSV(ranks))
+	var raised []int // N where a higher rank cost more
 	for _, n := range ns {
-		prev := -1.0
-		monotone := true
+		prevR, prev, monotone := 0, -1.0, true
 		for _, r := range ranks {
 			w, ok := worst[key{r, n}]
 			if !ok {
 				continue
 			}
 			if prev >= 0 && w > prev {
+				ck.failf("N=%d: raising the rank from %d to %d raises worst RMRs from %.0f to %.0f (a flatter tree must not cost more)",
+					n, prevR, r, prev, w)
 				monotone = false
+				break
 			}
-			prev = w
+			prevR, prev = r, w
 		}
-		ck.checkf(monotone,
-			"N=%d: raising the rank never raises worst RMRs (flatter tree ⇒ fewer levels)", n)
+		if monotone {
+			ck.okf("N=%d: raising the rank never raises worst RMRs (flatter tree ⇒ fewer levels)", n)
+		} else {
+			raised = append(raised, n)
+		}
 	}
-	measured := fmt.Sprintf("worst/height ratio pinned at %.1f–%.1f across N∈{%s}, r∈{%s}",
-		loRatio, hiRatio, intsCSV(ns), intsCSV(ranks))
+	measured := fmt.Sprintf("worst/height ratio %s %.1f–%.1f across N∈{%s}, r∈{%s}",
+		pick(banded, "pinned at", "spans"), loRatio, hiRatio, intsCSV(ns), intsCSV(ranks))
+	if !banded {
+		measured += fmt.Sprintf(" (max/min %.2f > %.2f)", hiRatio/loRatio, RatioBand)
+	}
+	if constant < len(fits) {
+		measured += fmt.Sprintf(", best-fit constant for %d of %d ranks", constant, len(fits))
+	}
+	if len(raised) > 0 {
+		measured += fmt.Sprintf(", a higher rank costs more at N∈{%s}", intsCSV(raised))
+	}
 	return Outcome{Verdict: ck.verdict(), Measured: measured, Details: ck.details, Series: fits}
 }
 
@@ -637,32 +677,63 @@ func evalRankExamples(b Bench) Outcome {
 		return Outcome{Verdict: ck.verdict(), Measured: "E5 table schema unexpected", Details: ck.details}
 	}
 	seen := make(map[string]string, len(table.Rows))
-	resettable := 0
+	resettable, verified := 0, 0
+	var mismatched, unlisted []string // rank disagreements; paper examples not as claimed
 	for _, row := range table.Rows {
 		name := row[col["primitive"]]
 		claimed := row[col["claimed rank"]]
 		est := row[col["estimated rank"]]
 		seen[name] = claimed
+		var ok bool
 		if claimed == "∞" {
-			ck.checkf(strings.HasPrefix(est, "≥"),
-				"%s: claimed rank ∞, estimator saturated its probe cap (%s)", name, est)
+			ok = ck.checkf(strings.HasPrefix(est, "≥"),
+				"%s: claimed rank ∞, estimator %s its probe cap (%s)",
+				name, pick(strings.HasPrefix(est, "≥"), "saturated", "stopped below"), est)
 		} else {
-			ck.checkf(est == claimed,
-				"%s: estimated rank %s matches claimed %s exactly (and rank+1 was refuted)", name, est, claimed)
+			ok = ck.checkf(est == claimed,
+				"%s: estimated rank %s %s claimed %s%s", name, est,
+				pick(est == claimed, "matches", "differs from"), claimed,
+				pick(est == claimed, " exactly (and rank+1 was refuted)", ""))
+		}
+		if !ok {
+			mismatched = append(mismatched, fmt.Sprintf("%s estimated %s, claimed %s", name, est, claimed))
 		}
 		if row[col["self-resettable"]] == "yes" {
 			resettable++
-			ck.checkf(row[col["reset identity"]] == "verified",
-				"%s: self-reset identity verified", name)
+			identity := row[col["reset identity"]]
+			if ck.checkf(identity == "verified", "%s: self-reset identity %s",
+				name, pick(identity == "verified", "verified", fmt.Sprintf("not verified (%q)", identity))) {
+				verified++
+			}
 		}
 	}
 	for _, name := range sortedStrings(requiredRanks) {
 		claimed, ok := seen[name]
-		ck.checkf(ok && claimed == requiredRanks[name],
-			"paper example %s present with claimed rank %s", name, requiredRanks[name])
+		want := requiredRanks[name]
+		switch {
+		case !ok:
+			ck.failf("paper example %s absent from the E5 table (claimed rank %s expected)", name, want)
+		case claimed != want:
+			ck.failf("paper example %s present with claimed rank %s, not %s", name, claimed, want)
+		default:
+			ck.okf("paper example %s present with claimed rank %s", name, want)
+			continue
+		}
+		unlisted = append(unlisted, name)
 	}
-	measured := fmt.Sprintf("estimator confirms every claimed rank across %d primitives (unbounded ranks saturate the cap); %d self-reset identities verified",
-		len(table.Rows), resettable)
+	measured := fmt.Sprintf("estimator confirms every claimed rank across %d primitives (unbounded ranks saturate the cap)", len(table.Rows))
+	if len(mismatched) > 0 {
+		measured = fmt.Sprintf("estimator confirms %d of %d claimed ranks (%s)",
+			len(table.Rows)-len(mismatched), len(table.Rows), strings.Join(mismatched, "; "))
+	}
+	if verified == resettable {
+		measured += fmt.Sprintf("; %d self-reset identities verified", resettable)
+	} else {
+		measured += fmt.Sprintf("; %d of %d self-reset identities verified", verified, resettable)
+	}
+	if len(unlisted) > 0 {
+		measured += "; paper examples not as claimed: " + strings.Join(unlisted, ", ")
+	}
 	return Outcome{Verdict: ck.verdict(), Measured: measured, Details: ck.details}
 }
 
@@ -713,16 +784,22 @@ func evalSec1Attributes(b Bench) Outcome {
 	if ck.missing {
 		return Outcome{Verdict: ck.verdict(), Measured: "E6 coverage incomplete", Details: ck.details}
 	}
+	var remoteWhereLocal []string // "alg on model (n)" where 0 re-checks are claimed
 	for _, alg := range all {
-		ck.checkf(spins[key{alg, "CC"}] == 0,
-			"%s on CC: 0 non-local spin re-checks", alg)
+		s := spins[key{alg, "CC"}]
+		if !ck.checkf(s == 0, "%s on CC: %d non-local spin re-checks", alg, s) {
+			remoteWhereLocal = append(remoteWhereLocal, fmt.Sprintf("%s on CC (%d)", alg, s))
+		}
 	}
-	loSpin, hiSpin := int64(0), int64(0)
+	loSpin, hiSpin := int64(-1), int64(0)
+	var localOnDSM []string // remoteOnDSM members that did not spin remotely
 	for _, alg := range remoteOnDSM {
 		s := spins[key{alg, "DSM"}]
-		ck.checkf(s > 0,
-			"%s on DSM: spins remotely (%d re-checks of variables homed elsewhere)", alg, s)
-		if loSpin == 0 || s < loSpin {
+		if !ck.checkf(s > 0, "%s on DSM: %s (%d re-checks of variables homed elsewhere)",
+			alg, pick(s > 0, "spins remotely", "does not spin remotely"), s) {
+			localOnDSM = append(localOnDSM, alg)
+		}
+		if loSpin < 0 || s < loSpin {
 			loSpin = s
 		}
 		if s > hiSpin {
@@ -730,8 +807,11 @@ func evalSec1Attributes(b Bench) Outcome {
 		}
 	}
 	for _, alg := range localOnBoth {
-		ck.checkf(spins[key{alg, "DSM"}] == 0,
-			"%s on DSM: 0 non-local spin re-checks (local-spin on both models)", alg)
+		s := spins[key{alg, "DSM"}]
+		if !ck.checkf(s == 0, "%s on DSM: %d non-local spin re-checks (%s)",
+			alg, s, pick(s == 0, "local-spin on both models", "not local-spin on DSM")) {
+			remoteWhereLocal = append(remoteWhereLocal, fmt.Sprintf("%s on DSM (%d)", alg, s))
+		}
 	}
 	maxQueue := 0.0
 	for _, alg := range queueLocksCC {
@@ -740,9 +820,11 @@ func evalSec1Attributes(b Bench) Outcome {
 		}
 	}
 	ticketW, tasW := worst[key{"ticket", "CC"}], worst[key{"test-and-set", "CC"}]
-	ck.checkf(maxQueue < ticketW && ticketW < tasW,
-		"CC worst-case ordering: queue locks %.0f < ticket %.0f < test-and-set %.0f (O(1) vs Θ(N) vs worse)",
-		maxQueue, ticketW, tasW)
+	ordered := maxQueue < ticketW && ticketW < tasW
+	ordering := fmt.Sprintf("queue locks %.0f %s ticket %.0f %s test-and-set %.0f",
+		maxQueue, cmpOp(maxQueue, ticketW), ticketW, cmpOp(ticketW, tasW), tasW)
+	ck.checkf(ordered, "CC worst-case ordering: %s (%s)",
+		ordering, pick(ordered, "O(1) vs Θ(N) vs worse", "want queue locks < ticket < test-and-set"))
 
 	// E7: bounded bypass stays put as the run grows; the unfair lock's
 	// grows. Adversarial cells (algorithm suffix "/adversarial") are a
@@ -767,6 +849,7 @@ func evalSec1Attributes(b Bench) Outcome {
 	}
 	sort.Strings(algs)
 	var tasShort, tasLong int64
+	var unbounded []string // bypass grew past the slack, test-and-set's not counted
 	for _, alg := range algs {
 		m := bypass[alg]
 		if len(m) < 2 {
@@ -781,17 +864,41 @@ func evalSec1Attributes(b Bench) Outcome {
 		short, long := m[entries[0]], m[entries[len(entries)-1]]
 		if alg == "test-and-set" {
 			tasShort, tasLong = short, long
-			ck.checkf(long > short,
-				"test-and-set: bypass grows with run length (%d→%d): no starvation-freedom bound", short, long)
-		} else {
-			ck.checkf(long <= short+BypassSlack,
-				"%s: bypass flat as the run grows (%d→%d, slack %d): bounded bypass", alg, short, long, BypassSlack)
+			ck.checkf(long > short, "test-and-set: bypass %s with run length (%d→%d)%s",
+				pick(long > short, "grows", "does not grow"), short, long,
+				pick(long > short, ": no starvation-freedom bound", ""))
+		} else if !ck.checkf(long <= short+BypassSlack, "%s: bypass %s (%d→%d, slack %d)%s",
+			alg, pick(long <= short+BypassSlack, "flat as the run grows", "grows past its slack as the run grows"),
+			short, long, BypassSlack, pick(long <= short+BypassSlack, ": bounded bypass", "")) {
+			unbounded = append(unbounded, alg)
 		}
 	}
 	ck.notef("mcs-swap-only's FIFO violation needs an in-flight enqueue window no sweep cell drives; TestMCSSwapOnlyViolatesFIFO demonstrates it and TestMCSStandardIsFIFO proves the swap+CAS variant cannot reorder the same probe")
 
-	measured := fmt.Sprintf("TAS/ticket/TA/GT/CLH spin remotely on DSM (%d–%d re-checks), MCS variants and G-DSM 0 on both; only test-and-set's bypass grows with run length (%d→%d)",
-		loSpin, hiSpin, tasShort, tasLong)
+	measured := fmt.Sprintf("TAS/ticket/TA/GT/CLH spin remotely on DSM (%d–%d re-checks)", loSpin, hiSpin)
+	if len(localOnDSM) > 0 {
+		measured += " but for " + strings.Join(localOnDSM, ", ")
+	}
+	if len(remoteWhereLocal) == 0 {
+		measured += ", MCS variants and G-DSM 0 on both"
+	} else {
+		measured += ", non-local spin re-checks where none are claimed: " + strings.Join(remoteWhereLocal, ", ")
+	}
+	if !ordered {
+		measured += "; CC worst-case ordering broken: " + ordering
+	}
+	switch {
+	case tasLong > tasShort && len(unbounded) == 0:
+		measured += fmt.Sprintf("; only test-and-set's bypass grows with run length (%d→%d)", tasShort, tasLong)
+	case tasLong > tasShort:
+		measured += fmt.Sprintf("; bypass grows with run length for test-and-set (%d→%d) and past its slack for %s",
+			tasShort, tasLong, strings.Join(unbounded, ", "))
+	default:
+		measured += fmt.Sprintf("; test-and-set's bypass does not grow with run length (%d→%d)", tasShort, tasLong)
+		if len(unbounded) > 0 {
+			measured += ", and grows past its slack for " + strings.Join(unbounded, ", ")
+		}
+	}
 	return Outcome{Verdict: ck.verdict(), Measured: measured, Details: ck.details}
 }
 

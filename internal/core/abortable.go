@@ -81,19 +81,22 @@ type TokenAbortable struct {
 	held   []Word // private: token of each process's open acquisition
 }
 
-// NewTokenAbortable builds an instance for m's N processes.
+// NewTokenAbortable builds an instance for m's N processes, in m's
+// storage.
 func NewTokenAbortable(m *memsim.Machine) *TokenAbortable {
 	n := m.NumProcs()
-	return &TokenAbortable{
+	l := tokenLocks.New(m)
+	*l = TokenAbortable{
 		m:      m,
 		nproc:  n,
 		tail:   m.NewVar("token.Tail", memsim.HomeGlobal, 0),
 		grant:  m.NewDict("token.Grant", memsim.HomeGlobal, 0),
 		mark:   m.NewDict("token.Mark", memsim.HomeGlobal, 0),
-		sites:  NewSiteSet(m, "token.W"),
-		rounds: make([]Word, n),
-		held:   make([]Word, n),
+		sites:  NewSiteSet(m, memsim.NamePrefix(nil, "token.W")),
+		rounds: words.Make(m, n),
+		held:   words.Make(m, n),
 	}
+	return l
 }
 
 // Name implements harness.Algorithm.
@@ -201,24 +204,12 @@ func relayGrants(p *memsim.Proc, sites *SiteSet, grant, mark *memsim.Dict, k Wor
 //
 //fetchphilint:rmr O(1) amortized: Theorem 1 plus marker relays prepaid by aborts
 type GDSMAbortable struct {
-	m    *memsim.Machine
-	prim phi.Primitive
-	n    int
-
-	currentQueue memsim.Var
-	tail         [2]memsim.Var
-	position     [2]memsim.Var
-	signal       [2]*memsim.Dict
-	mark         [2]*memsim.Dict
-	active       []memsim.Var
-	queueID      []memsim.Var
-	delegate     []memsim.Var
-	two          *twoproc.Mutex
-
+	queuePair
+	mark      [2]*memsim.Dict
+	delegate  []memsim.Var
+	two       *twoproc.Mutex
 	procSites *SiteSet // Waiter1 sites, keyed by process id
 	queueSite *SiteSet // Waiter2 sites, keyed by (queue, value)
-
-	st []gccState
 }
 
 // NewGDSMAbortable builds an instance for m's N processes on top of
@@ -229,38 +220,17 @@ func NewGDSMAbortable(m *memsim.Machine, prim phi.Primitive) *GDSMAbortable {
 			prim.Name(), prim.Rank()))
 	}
 	n := m.NumProcs()
-	name := "gdsm-abort"
-	g := &GDSMAbortable{
-		m:            m,
-		prim:         prim,
-		n:            n,
-		currentQueue: m.NewVar(name+".CurrentQueue", memsim.HomeGlobal, 0),
-		tail: [2]memsim.Var{
-			m.NewVar(name+".Tail[0]", memsim.HomeGlobal, phi.Bottom),
-			m.NewVar(name+".Tail[1]", memsim.HomeGlobal, phi.Bottom),
-		},
-		position: [2]memsim.Var{
-			m.NewVar(name+".Position[0]", memsim.HomeGlobal, 0),
-			m.NewVar(name+".Position[1]", memsim.HomeGlobal, 0),
-		},
-		signal: [2]*memsim.Dict{
-			m.NewDict(name+".Signal[0]", memsim.HomeGlobal, 0),
-			m.NewDict(name+".Signal[1]", memsim.HomeGlobal, 0),
-		},
+	g := gdsmAbortables.New(m)
+	*g = GDSMAbortable{
+		queuePair: newQueuePair(m, &g.name, memsim.NamePrefix(nil, "gdsm-abort"), prim, n),
 		mark: [2]*memsim.Dict{
-			m.NewDict(name+".Mark[0]", memsim.HomeGlobal, 0),
-			m.NewDict(name+".Mark[1]", memsim.HomeGlobal, 0),
+			m.NewDictIn(&g.name, ".Mark[0]", memsim.HomeGlobal, 0),
+			m.NewDictIn(&g.name, ".Mark[1]", memsim.HomeGlobal, 0),
 		},
-		active:    m.NewArray(name+".Active", n, memsim.HomeGlobal, 0),
-		queueID:   m.NewArray(name+".QueueId", n, memsim.HomeGlobal, qidBottom),
-		delegate:  m.NewArray(name+".Delegate", n, memsim.HomeGlobal, 0),
-		two:       twoproc.New(m, name+".two"),
-		procSites: NewSiteSet(m, name+".W1"),
-		queueSite: NewSiteSet(m, name+".W2"),
-		st:        make([]gccState, n),
-	}
-	for s := 0; s < n; s++ {
-		g.st[s].inv = phi.NewInvoker(prim, s)
+		delegate:  m.NewArrayIn(&g.name, ".Delegate", n, memsim.HomeGlobal, 0),
+		two:       twoproc.New(m, memsim.NamePrefix(&g.name, ".two")),
+		procSites: NewSiteSet(m, memsim.NamePrefix(&g.name, ".W1")),
+		queueSite: NewSiteSet(m, memsim.NamePrefix(&g.name, ".W2")),
 	}
 	return g
 }
@@ -357,7 +327,7 @@ func (g *GDSMAbortable) exitDuties(p *memsim.Proc, me, idx int, self Word) {
 func (g *GDSMAbortable) finishExit(p *memsim.Proc, me, idx int, self Word, pos Word) {
 	delegated := false
 	switch {
-	case pos < Word(g.n) && pos != Word(me) && p.Read(g.active[pos]) != 0: // 26
+	case pos < Word(g.slots) && pos != Word(me) && p.Read(g.active[pos]) != 0: // 26
 		q := int(pos) // 27
 		g.procSites.At(pos).Visit(p, func() {
 			stillOld := p.Read(g.active[q]) != 0 && p.Read(g.queueID[q]) != qidQueue0+Word(idx)
@@ -366,7 +336,7 @@ func (g *GDSMAbortable) finishExit(p *memsim.Proc, me, idx int, self Word, pos W
 				delegated = true
 			}
 		})
-	case pos == Word(g.n): // 37
+	case pos == Word(g.slots): // 37
 		g.exchangeQueues(p, idx)
 	}
 	if !delegated {
@@ -415,24 +385,6 @@ func (g *GDSMAbortable) signalSelfSite(p *memsim.Proc, me int, establish func())
 		k := duty - 1
 		g.signalSuccessor(p, int(k&1), k>>1)
 	}
-}
-
-// exchangeQueues is GDSM's (Fig. 3 lines 38–40), including the
-// stale-signal clear — which here also covers the signal a marker
-// relay can establish at the tail after its waiter withdrew.
-func (g *GDSMAbortable) exchangeQueues(p *memsim.Proc, idx int) {
-	old := 1 - idx
-	for slot := 0; slot < g.n; slot++ {
-		if g.m.Value(g.active[slot]) != 0 && g.m.Value(g.queueID[slot]) == qidQueue0+Word(old) {
-			p.Fail("core: invariant I1 violated: slot %d still active in old queue %d at exchange", slot, old)
-		}
-	}
-	if last := p.Read(g.tail[old]); last != phi.Bottom {
-		p.Write(g.signal[old].At(last), 0)
-	}
-	p.Write(g.tail[old], phi.Bottom)
-	p.Write(g.position[old], 0)
-	p.Write(g.currentQueue, Word(old))
 }
 
 // Compile-time interface checks.

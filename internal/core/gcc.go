@@ -42,9 +42,20 @@ const (
 //fetchphilint:nonlocal G-CC is the paper's CC-machine algorithm; G-DSM is its local-spin DSM counterpart
 //fetchphilint:rmr O(1) Theorem 1: O(1) RMR on CC for any primitive of rank >= 2N
 type GCC struct {
+	queuePair
+	two *twoproc.Mutex
+}
+
+// queuePair is the state Algorithms G-CC, G-DSM and abortable G-DSM
+// share, which they embed: two waiting queues, each with a tail
+// updated by the fetch-and-φ primitive, a position counter and a
+// Signal family; the per-slot Active and QueueId words; and each
+// slot's private state.
+type queuePair struct {
 	m     *memsim.Machine
 	prim  phi.Primitive
 	slots int
+	name  memsim.Prefix // prefixes every variable's label
 
 	currentQueue memsim.Var
 	tail         [2]memsim.Var
@@ -52,7 +63,7 @@ type GCC struct {
 	signal       [2]*memsim.Dict // Signal[j] keyed by fetch-and-φ value
 	active       []memsim.Var    // Active[slot]
 	queueID      []memsim.Var    // QueueId[slot]
-	two          *twoproc.Mutex
+	st           []gccState
 
 	// skipStaleClear disables the stale-signal completion in
 	// exchangeQueues — the E8a ablation that demonstrates why the
@@ -67,24 +78,69 @@ type GCC struct {
 	// queue position — so the shared Position counters (a read and a
 	// write per exit, on a contended line) vanish.
 	posFromPrev bool
-
-	st []gccState
 }
 
 // gccState is slot-private state carried from Acquire to Release. (At
 // the top level each process owns one slot; inside an arbitration-tree
 // node the processes of one subtree share a slot, one at a time.)
 type gccState struct {
-	inv  *phi.Invoker
+	inv  phi.Invoker
 	idx  int  // queue joined by the last Acquire
 	self Word // value the last Acquire wrote to the tail
 	prev Word // value the last Acquire received from the tail
 }
 
+// The storage the algorithm objects of this package are carved from.
+// Each object lives until its machine is released (see memsim.Slab).
+var (
+	gccs           = memsim.NewSlab[GCC]()
+	gdsms          = memsim.NewSlab[GDSM]()
+	gdsmAbortables = memsim.NewSlab[GDSMAbortable]()
+	tokenLocks     = memsim.NewSlab[TokenAbortable]()
+	trees          = memsim.NewSlab[Tree]()
+	treeLevels     = memsim.NewSlab[[]*GDSM]()
+	treeNodes      = memsim.NewSlab[*GDSM]()
+	gccStates      = memsim.NewSlab[gccState]()
+	words          = memsim.NewSlab[Word]()
+)
+
+// newQueuePair builds, in m's storage, the queues of an object named
+// name for slots competitors on prim. at is where the object keeps the
+// pair (&obj.name): labels are joined lazily, so its variables may
+// point there before the pair is stored.
+func newQueuePair(m *memsim.Machine, at *memsim.Prefix, name memsim.Prefix, prim phi.Primitive, slots int) queuePair {
+	st := gccStates.Make(m, slots)
+	for s := range st {
+		st[s].inv = phi.NewInvoker(prim, s)
+	}
+	return queuePair{
+		m:            m,
+		prim:         prim,
+		slots:        slots,
+		name:         name,
+		currentQueue: m.NewVarIn(at, ".CurrentQueue", memsim.HomeGlobal, 0),
+		tail: [2]memsim.Var{
+			m.NewVarIn(at, ".Tail[0]", memsim.HomeGlobal, phi.Bottom),
+			m.NewVarIn(at, ".Tail[1]", memsim.HomeGlobal, phi.Bottom),
+		},
+		position: [2]memsim.Var{
+			m.NewVarIn(at, ".Position[0]", memsim.HomeGlobal, 0),
+			m.NewVarIn(at, ".Position[1]", memsim.HomeGlobal, 0),
+		},
+		signal: [2]*memsim.Dict{
+			m.NewDictIn(at, ".Signal[0]", memsim.HomeGlobal, 0),
+			m.NewDictIn(at, ".Signal[1]", memsim.HomeGlobal, 0),
+		},
+		active:  m.NewArrayIn(at, ".Active", slots, memsim.HomeGlobal, 0),
+		queueID: m.NewArrayIn(at, ".QueueId", slots, memsim.HomeGlobal, qidBottom),
+		st:      st,
+	}
+}
+
 // NewGCC builds an instance for m's N processes on top of prim, whose
 // rank must be at least 2N.
 func NewGCC(m *memsim.Machine, prim phi.Primitive) *GCC {
-	return NewGCCSized(m, prim, m.NumProcs(), "gcc")
+	return NewGCCSized(m, prim, m.NumProcs(), memsim.NamePrefix(nil, "gcc"))
 }
 
 // NewGCCSized builds an instance arbitrating `slots` competitors, where
@@ -92,35 +148,15 @@ func NewGCC(m *memsim.Machine, prim phi.Primitive) *GCC {
 // to AcquireSlot/ReleaseSlot. Different processes may use a slot at
 // different times as long as slot occupancy is exclusive (an
 // arbitration tree guarantees this structurally). prim's rank must be
-// at least 2·slots.
-func NewGCCSized(m *memsim.Machine, prim phi.Primitive, slots int, name string) *GCC {
+// at least 2·slots. The instance is m's storage.
+func NewGCCSized(m *memsim.Machine, prim phi.Primitive, slots int, name memsim.Prefix) *GCC {
 	if r := prim.Rank(); r < 2*slots {
 		panic(fmt.Sprintf("core: G-CC needs rank >= 2N = %d, but %s has rank %d", 2*slots, prim.Name(), r))
 	}
-	g := &GCC{
-		m:            m,
-		prim:         prim,
-		slots:        slots,
-		currentQueue: m.NewVar(name+".CurrentQueue", memsim.HomeGlobal, 0),
-		tail: [2]memsim.Var{
-			m.NewVar(name+".Tail[0]", memsim.HomeGlobal, phi.Bottom),
-			m.NewVar(name+".Tail[1]", memsim.HomeGlobal, phi.Bottom),
-		},
-		position: [2]memsim.Var{
-			m.NewVar(name+".Position[0]", memsim.HomeGlobal, 0),
-			m.NewVar(name+".Position[1]", memsim.HomeGlobal, 0),
-		},
-		signal: [2]*memsim.Dict{
-			m.NewDict(name+".Signal[0]", memsim.HomeGlobal, 0),
-			m.NewDict(name+".Signal[1]", memsim.HomeGlobal, 0),
-		},
-		active:  m.NewArray(name+".Active", slots, memsim.HomeGlobal, 0),
-		queueID: m.NewArray(name+".QueueId", slots, memsim.HomeGlobal, qidBottom),
-		two:     twoproc.New(m, name+".two"),
-		st:      make([]gccState, slots),
-	}
-	for s := 0; s < slots; s++ {
-		g.st[s].inv = phi.NewInvoker(prim, s)
+	g := gccs.New(m)
+	*g = GCC{
+		queuePair: newQueuePair(m, &g.name, name, prim, slots),
+		two:       twoproc.New(m, memsim.NamePrefix(&g.name, ".two")),
 	}
 	return g
 }
@@ -190,7 +226,8 @@ func (g *GCC) ReleaseSlot(p *memsim.Proc, slot int) {
 }
 
 // exchangeQueues resets the old queue and makes it current (Fig. 2,
-// lines 20–22). Invariant (I1) guarantees the old queue is empty here.
+// lines 20–22; Fig. 3, lines 38–40). Invariant (I1) guarantees the old
+// queue is empty here.
 //
 // Completion of the printed algorithm: the last enqueuer of the old
 // queue's ended generation set Signal[1−idx][self] with no successor to
@@ -200,20 +237,22 @@ func (g *GCC) ReleaseSlot(p *memsim.Proc, slot int) {
 // recur once the tail is reset to ⊥) would skip waiting and break the
 // queue discipline. We clear the single stale key before resetting the
 // tail; this costs O(1) reads/writes and is safe precisely because of
-// (I1). See DESIGN.md, "Deviations".
-func (g *GCC) exchangeQueues(p *memsim.Proc, idx int) {
+// (I1). See DESIGN.md, "Deviations". Under abortable G-DSM the clear
+// also covers the signal a marker relay can establish at the tail
+// after its waiter withdrew.
+func (q *queuePair) exchangeQueues(p *memsim.Proc, idx int) {
 	old := 1 - idx
-	g.assertOldQueueEmpty(p, old)
-	if !g.skipStaleClear {
-		if last := p.Read(g.tail[old]); last != phi.Bottom {
-			p.Write(g.signal[old].At(last), 0)
+	q.assertOldQueueEmpty(p, old)
+	if !q.skipStaleClear {
+		if last := p.Read(q.tail[old]); last != phi.Bottom {
+			p.Write(q.signal[old].At(last), 0)
 		}
 	}
-	p.Write(g.tail[old], phi.Bottom) // 20
-	if !g.posFromPrev {
-		p.Write(g.position[old], 0) // 21; implicit in the tail reset otherwise
+	p.Write(q.tail[old], phi.Bottom) // 20
+	if !q.posFromPrev {
+		p.Write(q.position[old], 0) // 21; implicit in the tail reset otherwise
 	}
-	p.Write(g.currentQueue, Word(old)) // 22
+	p.Write(q.currentQueue, Word(old)) // 22
 }
 
 // assertOldQueueEmpty checks the paper's invariant (I1) at the moment
@@ -222,9 +261,9 @@ func (g *GCC) exchangeQueues(p *memsim.Proc, idx int) {
 // machine state host-side (no simulated cost) and turns a violated
 // invariant into an immediate, attributable failure instead of silent
 // downstream corruption.
-func (g *GCC) assertOldQueueEmpty(p *memsim.Proc, old int) {
-	for slot := 0; slot < g.slots; slot++ {
-		if g.m.Value(g.active[slot]) != 0 && g.m.Value(g.queueID[slot]) == qidQueue0+Word(old) {
+func (q *queuePair) assertOldQueueEmpty(p *memsim.Proc, old int) {
+	for slot := 0; slot < q.slots; slot++ {
+		if q.m.Value(q.active[slot]) != 0 && q.m.Value(q.queueID[slot]) == qidQueue0+Word(old) {
 			p.Fail("core: invariant I1 violated: slot %d still active in old queue %d at exchange", slot, old)
 		}
 	}
@@ -237,7 +276,7 @@ func (g *GCC) assertOldQueueEmpty(p *memsim.Proc, old int) {
 // equivalent to NewGCC(m, phi.FetchAndIncrement{}); measured in
 // ablation E8f.
 func NewGCCFetchInc(m *memsim.Machine) *GCC {
-	g := NewGCCSized(m, phi.FetchAndIncrement{}, m.NumProcs(), "gcc-fi")
+	g := NewGCCSized(m, phi.FetchAndIncrement{}, m.NumProcs(), memsim.NamePrefix(nil, "gcc-fi"))
 	g.posFromPrev = true
 	return g
 }

@@ -26,17 +26,8 @@ import (
 //
 //fetchphilint:rmr O(1) Theorem 1 via the Sec. 3 transformation: O(1) RMR on CC and DSM
 type GDSM struct {
-	m     *memsim.Machine
-	prim  phi.Primitive
-	slots int
-
-	currentQueue memsim.Var
-	tail         [2]memsim.Var
-	position     [2]memsim.Var
-	signal       [2]*memsim.Dict
-	active       []memsim.Var
-	queueID      []memsim.Var
-	two          *twoproc.Mutex
+	queuePair
+	two *twoproc.Mutex
 
 	procSites *SiteSet // Waiter1 sites, keyed by process id
 	queueSite *SiteSet // Waiter2 sites, keyed by (queue, value)
@@ -52,14 +43,12 @@ type GDSM struct {
 	// delegate[q] holds an encoded (queue, value) successor signal q
 	// must fire, or 0.
 	delegate []memsim.Var
-
-	st []gccState // same private state shape as G-CC
 }
 
 // NewGDSM builds an instance for m's N processes on top of prim, whose
 // rank must be at least 2N.
 func NewGDSM(m *memsim.Machine, prim phi.Primitive) *GDSM {
-	return NewGDSMSized(m, prim, m.NumProcs(), "gdsm")
+	return NewGDSMSized(m, prim, m.NumProcs(), memsim.NamePrefix(nil, "gdsm"))
 }
 
 // NewGDSMNoExitWait builds G-DSM with the exit-handshake extension:
@@ -67,45 +56,25 @@ func NewGDSM(m *memsim.Machine, prim phi.Primitive) *GDSM {
 // paper's sketched improvement). The successor signal is delegated to
 // the process being waited on and fired when it finishes.
 func NewGDSMNoExitWait(m *memsim.Machine, prim phi.Primitive) *GDSM {
-	g := NewGDSMSized(m, prim, m.NumProcs(), "gdsm-nw")
+	g := NewGDSMSized(m, prim, m.NumProcs(), memsim.NamePrefix(nil, "gdsm-nw"))
 	g.noExitWait = true
 	return g
 }
 
 // NewGDSMSized builds an instance arbitrating `slots` competitors; see
 // NewGCCSized for the slot contract. prim's rank must be at least
-// 2·slots.
-func NewGDSMSized(m *memsim.Machine, prim phi.Primitive, slots int, name string) *GDSM {
+// 2·slots. The instance is m's storage.
+func NewGDSMSized(m *memsim.Machine, prim phi.Primitive, slots int, name memsim.Prefix) *GDSM {
 	if r := prim.Rank(); r < 2*slots {
 		panic(fmt.Sprintf("core: G-DSM needs rank >= 2N = %d, but %s has rank %d", 2*slots, prim.Name(), r))
 	}
-	g := &GDSM{
-		m:            m,
-		prim:         prim,
-		slots:        slots,
-		currentQueue: m.NewVar(name+".CurrentQueue", memsim.HomeGlobal, 0),
-		tail: [2]memsim.Var{
-			m.NewVar(name+".Tail[0]", memsim.HomeGlobal, phi.Bottom),
-			m.NewVar(name+".Tail[1]", memsim.HomeGlobal, phi.Bottom),
-		},
-		position: [2]memsim.Var{
-			m.NewVar(name+".Position[0]", memsim.HomeGlobal, 0),
-			m.NewVar(name+".Position[1]", memsim.HomeGlobal, 0),
-		},
-		signal: [2]*memsim.Dict{
-			m.NewDict(name+".Signal[0]", memsim.HomeGlobal, 0),
-			m.NewDict(name+".Signal[1]", memsim.HomeGlobal, 0),
-		},
-		active:    m.NewArray(name+".Active", slots, memsim.HomeGlobal, 0),
-		queueID:   m.NewArray(name+".QueueId", slots, memsim.HomeGlobal, qidBottom),
-		two:       twoproc.New(m, name+".two"),
-		procSites: NewSiteSet(m, name+".W1"),
-		queueSite: NewSiteSet(m, name+".W2"),
-		st:        make([]gccState, slots),
-	}
-	g.delegate = m.NewArray(name+".Delegate", m.NumProcs(), memsim.HomeGlobal, 0)
-	for s := 0; s < slots; s++ {
-		g.st[s].inv = phi.NewInvoker(prim, s)
+	g := gdsms.New(m)
+	*g = GDSM{
+		queuePair: newQueuePair(m, &g.name, name, prim, slots),
+		two:       twoproc.New(m, memsim.NamePrefix(&g.name, ".two")),
+		procSites: NewSiteSet(m, memsim.NamePrefix(&g.name, ".W1")),
+		queueSite: NewSiteSet(m, memsim.NamePrefix(&g.name, ".W2")),
+		delegate:  m.NewArrayIn(&g.name, ".Delegate", m.NumProcs(), memsim.HomeGlobal, 0),
 	}
 	return g
 }
@@ -235,28 +204,6 @@ func (g *GDSM) signalSelfSite(p *memsim.Proc, me int, establish func()) {
 	if duty != 0 {
 		k := duty - 1
 		g.signalSuccessor(p, int(k&1), k>>1)
-	}
-}
-
-// exchangeQueues is identical to G-CC's (Fig. 3 lines 38–40), including
-// the stale-signal completion described on GCC.exchangeQueues.
-func (g *GDSM) exchangeQueues(p *memsim.Proc, idx int) {
-	old := 1 - idx
-	g.assertOldQueueEmpty(p, old)
-	if last := p.Read(g.tail[old]); last != phi.Bottom {
-		p.Write(g.signal[old].At(last), 0)
-	}
-	p.Write(g.tail[old], phi.Bottom)
-	p.Write(g.position[old], 0)
-	p.Write(g.currentQueue, Word(old))
-}
-
-// assertOldQueueEmpty checks invariant (I1) host-side, as in GCC.
-func (g *GDSM) assertOldQueueEmpty(p *memsim.Proc, old int) {
-	for slot := 0; slot < g.slots; slot++ {
-		if g.m.Value(g.active[slot]) != 0 && g.m.Value(g.queueID[slot]) == qidQueue0+Word(old) {
-			p.Fail("core: invariant I1 violated: slot %d still active in old queue %d at exchange", slot, old)
-		}
 	}
 }
 

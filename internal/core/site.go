@@ -16,6 +16,6 @@ type (
 )
 
 // NewSiteSet returns an empty site family on m.
-func NewSiteSet(m *memsim.Machine, name string) *SiteSet {
+func NewSiteSet(m *memsim.Machine, name memsim.Prefix) *SiteSet {
 	return localspin.NewSiteSet(m, name)
 }

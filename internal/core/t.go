@@ -107,12 +107,12 @@ func NewTWithDegree(m *memsim.Machine, prim phi.SelfResettable, degree int) *T {
 		wq:       queue.New(m, "t.wq"),
 		promoted: m.NewVar("t.Promoted", memsim.HomeGlobal, 0),
 		bar:      barrier.New(m, "t.bar"),
-		two:      twoproc.New(m, "t.two"),
-		rootTwo:  twoproc.New(m, "t.rootTwo"),
+		two:      twoproc.New(m, memsim.NamePrefix(nil, "t.two")),
+		rootTwo:  twoproc.New(m, memsim.NamePrefix(nil, "t.rootTwo")),
 		st:       make([]tState, n),
 	}
 	if m.Model() == memsim.DSM {
-		t.inTreeSites = NewSiteSet(m, "t.intree")
+		t.inTreeSites = NewSiteSet(m, memsim.NamePrefix(nil, "t.intree"))
 	}
 
 	// Build levels bottom-up, as in T0.
@@ -178,7 +178,8 @@ func (t *T) invoker(p *memsim.Proc, v memsim.Var) *phi.Invoker {
 	if inv, ok := st.inv[v]; ok {
 		return inv
 	}
-	inv := phi.NewInvoker(t.prim, p.ID())
+	inv := new(phi.Invoker)
+	*inv = phi.NewInvoker(t.prim, p.ID())
 	st.inv[v] = inv
 	return inv
 }

@@ -63,11 +63,11 @@ func NewT0WithDegree(m *memsim.Machine, degree int) *T0 {
 		wq:         queue.New(m, "t0.wq"),
 		promoted:   m.NewVar("t0.Promoted", memsim.HomeGlobal, 0),
 		bar:        barrier.New(m, "t0.bar"),
-		two:        twoproc.New(m, "t0.two"),
+		two:        twoproc.New(m, memsim.NamePrefix(nil, "t0.two")),
 		breakLevel: make([]int, n),
 	}
 	if m.Model() == memsim.DSM {
-		t.inTreeSites = NewSiteSet(m, "t0.intree")
+		t.inTreeSites = NewSiteSet(m, memsim.NamePrefix(nil, "t0.intree"))
 	}
 
 	// Build levels bottom-up: the leaf level has N nodes; each level

@@ -25,14 +25,16 @@ type Tree struct {
 	nodes  [][]*GDSM // nodes[level][index]; level 0 is nearest the leaves
 }
 
-// NewTree builds an arbitration tree for m's N processes. The node
-// capacity is min(⌊rank/2⌋, N), so an infinite-rank primitive yields a
-// single flat G-DSM instance.
+// NewTree builds an arbitration tree for m's N processes, in m's
+// storage. The node capacity is min(⌊rank/2⌋, N), so an infinite-rank
+// primitive yields a single flat G-DSM instance.
 func NewTree(m *memsim.Machine, prim phi.Primitive) *Tree {
 	n := m.NumProcs()
+	t := trees.New(m)
 	if n == 1 {
 		// One process needs no arbitration at all.
-		return &Tree{prim: prim, n: n, cap: 1}
+		*t = Tree{prim: prim, n: n, cap: 1}
+		return t
 	}
 	c := prim.Rank() / 2
 	if c > n {
@@ -41,20 +43,21 @@ func NewTree(m *memsim.Machine, prim phi.Primitive) *Tree {
 	if c < 2 {
 		panic(fmt.Sprintf("core: arbitration tree needs a primitive of rank >= 4, but %s has rank %d", prim.Name(), prim.Rank()))
 	}
-	t := &Tree{prim: prim, n: n, cap: c}
-
 	// Level ℓ (0-based from the leaves) has ⌈n / c^(ℓ+1)⌉ nodes, each
 	// arbitrating among c child subtrees. Stop once one node covers
 	// everything.
+	levels := 0
+	for width := n; width > 1; width = (width + c - 1) / c {
+		levels++
+	}
+	*t = Tree{prim: prim, n: n, cap: c, levels: levels, nodes: treeLevels.Make(m, levels)}
 	width := n
-	for width > 1 {
+	for l := range t.nodes {
 		width = (width + c - 1) / c
-		level := make([]*GDSM, width)
-		for i := range level {
-			level[i] = NewGDSMSized(m, prim, c, fmt.Sprintf("tree.L%d.%d", t.levels, i))
+		t.nodes[l] = treeNodes.Make(m, width)
+		for i := range t.nodes[l] {
+			t.nodes[l][i] = NewGDSMSized(m, prim, c, memsim.NamePrefix(nil, fmt.Sprintf("tree.L%d.%d", l, i)))
 		}
-		t.nodes = append(t.nodes, level)
-		t.levels++
 	}
 	return t
 }

@@ -99,6 +99,10 @@ func CheckExplorer(b Builder, model memsim.Model, n, entries int, opts ExploreOp
 		maxSteps = DefaultCheckMaxSteps
 	}
 	w := &Workload{Entries: entries, Aborts: opts.Aborts, Retries: 1}
+	names := make([]string, n) // made once: every build names its processes alike
+	for i := range names {
+		names[i] = fmt.Sprintf("p%d", i)
+	}
 	e := &memsim.Explorer{
 		Build: func() *memsim.Machine {
 			m := memsim.NewMachine(model, n)
@@ -109,8 +113,8 @@ func CheckExplorer(b Builder, model memsim.Model, n, entries int, opts ExploreOp
 			if err != nil {
 				body = func(p *memsim.Proc) { p.Fail("%v", err) }
 			}
-			for i := 0; i < n; i++ {
-				m.AddProc(fmt.Sprintf("p%d", i), body)
+			for _, name := range names {
+				m.AddProc(name, body)
 			}
 			return m
 		},

@@ -5,6 +5,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/obs"
@@ -40,10 +41,13 @@ type AbortableAlgorithm interface {
 // start, and must be deterministic. The runner that created the
 // machine (Run, a sweep cell) owns it and calls its Release once the
 // run's metrics, hotspots and checks have been read.
-// A released machine, with its Procs and Dicts, is reset and serves a
-// later NewMachine, possibly another run's, so nothing a Builder
-// returns or captures may use the machine, or any Var, Proc or Dict of
-// it, after the run.
+// The algorithm object is machine storage too: the constructors build
+// it, its mutexes, sites and arrays from the machine's slabs (see
+// memsim.Slab). A released machine, with its Procs, Dicts and that
+// storage, is reset and serves a later NewMachine, possibly another
+// run's, so nothing a Builder returns or captures may be used after
+// the run: not the algorithm, nor the machine or any Var, Proc or Dict
+// of it.
 type Builder func(m *memsim.Machine) Algorithm
 
 // Workload describes one simulated experiment run.
@@ -209,6 +213,7 @@ func runTimed(b Builder, w Workload, cs *memsim.Carriers, afterSim func()) (Metr
 		afterSim()
 	}
 	aborts := len(w.Aborts) > 0
+	res.Procs = slices.Clone(res.Procs) // the machine's storage, until Release
 	met := Metrics{
 		Result:          res,
 		MeanRMR:         res.MeanRMRPerEntry(),

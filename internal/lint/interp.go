@@ -3,10 +3,11 @@ package lint
 // This file implements the abstract interpreter at the heart of the
 // interprocedural dataflow engine (see engine.go). It propagates *home
 // values* — who a memsim variable is homed at — from allocation sites
-// (Machine.NewVar* / NewArray / NewPerProcArray / NewDict* ) through
-// struct fields, slices, dictionaries, closures, and helper calls, to
-// every Proc.Await watch argument reachable from an algorithm's entry
-// and exit sections.
+// (Machine.NewVar* / NewArray* / NewPerProcArray / NewDict* /
+// NewProcDictIn, and the objects and slices memsim.Slab hands out)
+// through struct fields, slices, dictionaries, closures, and helper
+// calls, to every Proc.Await watch argument reachable from an
+// algorithm's entry and exit sections.
 //
 // The value lattice is small and purpose-built. Besides constants and
 // the usual "unknown", it tracks the congruence facts the paper's
@@ -26,11 +27,11 @@ package lint
 // model at a time, so `m.Model() == memsim.DSM` is a constant;
 // definite-nil / definite-non-nil comparisons fold (which resolves the
 // "sites are nil on CC" pattern of T0/T/barrier); and the ok of a
-// comma-ok map read evaluates false, pruning memo-cache hit paths —
-// sound for lazily-allocated families, where the cached value is
-// abstractly identical to a freshly constructed one. Everything else
-// executes both arms speculatively, with assignments joining instead
-// of overwriting.
+// comma-ok map read or a memsim.Keyed Get evaluates false, pruning
+// memo-cache hit paths — sound for lazily-allocated families, where
+// the cached value is abstractly identical to a freshly constructed
+// one. Everything else executes both arms speculatively, with
+// assignments joining instead of overwriting.
 
 import (
 	"fmt"
@@ -52,7 +53,7 @@ const (
 	vZeroModN       // ≡ 0 (mod N)
 	vLoopIdx        // induction variable of one loop (value.obj)
 	vNil            // untyped nil / zero pointer
-	vMapOk          // ok result of a comma-ok map read (assumed false)
+	vMapOk          // ok of a comma-ok map read or Keyed.Get (assumed false)
 	vProc           // the *memsim.Proc under analysis
 	vMachine        // the *memsim.Machine
 	vModelVal       // result of Machine.Model() / Proc.Model()
@@ -93,9 +94,8 @@ type absSlice struct {
 
 // absDict is a *memsim.Dict box.
 type absDict struct {
-	identity bool   // NewProcDict: home(key) = key
-	uniform  *value // NewDict: constant home
-	homeFor  *value // NewDictHomed: the home closure (vFunc)
+	modN    bool   // NewProcDictIn: home(key) = key mod N
+	uniform *value // NewDict, NewDictIn: constant home
 }
 
 // absStruct is a mutable struct box; pointer-to-struct and struct are
@@ -288,20 +288,11 @@ func joinDepth(a, b *value, depth int) *value {
 		if a.dc == b.dc {
 			return &value{kind: vDict, dc: a.dc, maybeNil: mn}
 		}
-		if a.dc.identity && b.dc.identity {
-			return &value{kind: vDict, dc: &absDict{identity: true}, maybeNil: mn}
+		if a.dc.modN && b.dc.modN {
+			return &value{kind: vDict, dc: &absDict{modN: true}, maybeNil: mn}
 		}
 		if a.dc.uniform != nil && b.dc.uniform != nil {
 			return &value{kind: vDict, dc: &absDict{uniform: joinDepth(a.dc.uniform, b.dc.uniform, depth+1)}, maybeNil: mn}
-		}
-		// Two closure-homed dictionaries join when the closures come
-		// from the same literal; captured environments in this
-		// repository bind the same abstract values (NumProcs), so the
-		// first environment stands for both.
-		if a.dc.homeFor != nil && b.dc.homeFor != nil &&
-			a.dc.homeFor.kind == vFunc && b.dc.homeFor.kind == vFunc &&
-			a.dc.homeFor.fn.lit != nil && a.dc.homeFor.fn.lit == b.dc.homeFor.fn.lit {
-			return &value{kind: vDict, dc: a.dc, maybeNil: mn}
 		}
 		return &value{kind: vDict, dc: &absDict{}, maybeNil: mn}
 	case vStruct:
@@ -685,15 +676,29 @@ func (cc *callCtx) evalComposite(fr *frame, lit *ast.CompositeLit, spec bool) *v
 		if named, ok := tv.Type.(*types.Named); ok {
 			st.typ = named
 		}
+		set := func(f *types.Var, v *value) {
+			st.fields[f.Name()] = v
+			// Promoted fields are read through the outer box by name,
+			// so an embedded struct's fields are stored there too.
+			if f.Embedded() && v.kind == vStruct {
+				for name, fv := range v.st.fields {
+					st.fields[name] = fv
+				}
+			}
+		}
 		for i, el := range lit.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
 				if key, ok := kv.Key.(*ast.Ident); ok {
-					st.fields[key.Name] = cc.eval(fr, kv.Value, spec)
+					for j := range ut.NumFields() {
+						if ut.Field(j).Name() == key.Name {
+							set(ut.Field(j), cc.eval(fr, kv.Value, spec))
+						}
+					}
 				}
 				continue
 			}
 			if i < ut.NumFields() {
-				st.fields[ut.Field(i).Name()] = cc.eval(fr, el, spec)
+				set(ut.Field(i), cc.eval(fr, el, spec))
 			}
 		}
 		return &value{kind: vStruct, st: st}
@@ -928,13 +933,7 @@ func (cc *callCtx) evalBuiltin(fr *frame, name string, call *ast.CallExpr, spec 
 		return &value{kind: vSlice, sl: sl}
 	case "new":
 		if tv, ok := cc.pkg.Info.Types[call.Args[0]]; ok {
-			if _, isStruct := tv.Type.Underlying().(*types.Struct); isStruct {
-				st := &absStruct{fields: make(map[string]*value)}
-				if named, ok := tv.Type.(*types.Named); ok {
-					st.typ = named
-				}
-				return &value{kind: vStruct, st: st}
-			}
+			return newBox(tv.Type)
 		}
 		return unknown()
 	default:
@@ -943,10 +942,23 @@ func (cc *callCtx) evalBuiltin(fr *frame, name string, call *ast.CallExpr, spec 
 	}
 }
 
+// newBox is a fresh struct box for a value of type t, or unknown when t
+// is not a struct.
+func newBox(t types.Type) *value {
+	if _, isStruct := t.Underlying().(*types.Struct); !isStruct {
+		return unknown()
+	}
+	st := &absStruct{fields: make(map[string]*value)}
+	if named, ok := t.(*types.Named); ok {
+		st.typ = named
+	}
+	return &value{kind: vStruct, st: st}
+}
+
 // memsimNative reports whether recvType is a memsim type with modeled
 // methods, returning a dispatch key "Type.Method".
 func memsimNative(recvType types.Type, method string) (string, bool) {
-	for _, tn := range [...]string{"Machine", "Proc", "Dict", "Var"} {
+	for _, tn := range [...]string{"Machine", "Proc", "Dict", "Var", "Slab", "Keyed"} {
 		if isMemsimType(recvType, tn) {
 			return tn + "." + method, true
 		}
@@ -976,21 +988,31 @@ func (cc *callCtx) callNative(fr *frame, key string, recv *value, call *ast.Call
 	case "Machine.NewVarIn":
 		return varVal(normHome(arg(2)))
 	case "Machine.NewArray":
-		n := arg(1)
-		home := normHome(arg(2))
-		return &value{kind: vSlice, sl: &absSlice{elem: varVal(home), lenN: n.kind == vN}}
+		return varArray(arg(1), arg(2))
+	case "Machine.NewArrayIn": // its arguments follow the prefix
+		return varArray(arg(2), arg(3))
 	case "Machine.NewPerProcArray":
 		return &value{kind: vSlice, sl: &absSlice{perIdx: true, lenN: true}}
 	case "Machine.NewDict":
 		return &value{kind: vDict, dc: &absDict{uniform: normHome(arg(1))}}
-	case "Machine.NewProcDict":
-		return &value{kind: vDict, dc: &absDict{identity: true}}
-	case "Machine.NewDictHomed":
-		return &value{kind: vDict, dc: &absDict{homeFor: arg(1)}}
-	case "Machine.NewDictHomedIn":
-		return &value{kind: vDict, dc: &absDict{homeFor: arg(2)}}
+	case "Machine.NewDictIn":
+		return &value{kind: vDict, dc: &absDict{uniform: normHome(arg(2))}}
+	case "Machine.NewProcDictIn":
+		return &value{kind: vDict, dc: &absDict{modN: true}}
 	case "Dict.At":
-		return varVal(cc.dictHome(recv, arg(0), spec))
+		return dictHome(recv, arg(0))
+	case "Slab.New":
+		// A zero object from machine storage: a fresh box, like new(T).
+		if ptr, ok := cc.pkg.Info.TypeOf(call).(*types.Pointer); ok {
+			return newBox(ptr.Elem())
+		}
+		return unknown()
+	case "Slab.Make":
+		return &value{kind: vSlice, sl: &absSlice{lenN: arg(1).kind == vN}}
+	case "Keyed.Get":
+		// Like a comma-ok map read: the miss path builds the value.
+		arg(0)
+		return &value{kind: vTuple, tup: []*value{unknown(), {kind: vMapOk}}}
 	case "Proc.Await", "Proc.AwaitAbortable":
 		for i, a := range call.Args[1:] {
 			cc.recordAwait(call, a, cc.eval(fr, call.Args[i+1], spec))
@@ -1009,6 +1031,11 @@ func (cc *callCtx) callNative(fr *frame, key string, recv *value, call *ast.Call
 	}
 }
 
+// varArray is the slice NewArray returns: n variables with one home.
+func varArray(n, home *value) *value {
+	return &value{kind: vSlice, sl: &absSlice{elem: varVal(normHome(home)), lenN: n.kind == vN}}
+}
+
 // normHome normalizes a value used as a NewVar/NewArray home argument.
 // Only values provably equal to the spinning process's id stay self;
 // vSelfModN is NOT accepted here (p mod N as a raw home could collide
@@ -1021,31 +1048,27 @@ func normHome(v *value) *value {
 	return unknown()
 }
 
-// dictHome resolves Dict.At(key) to the abstract home of the
-// addressed cell.
-func (cc *callCtx) dictHome(dict, key *value, spec bool) *value {
+// dictHome resolves Dict.At(key) to a Var with the abstract home of
+// the addressed cell. For a key mod N family, a key ≡ p (mod N) — a
+// process id, or the round-stamped round·N + p of the two-process
+// mutex — is homed at p.
+func dictHome(dict, key *value) *value {
 	if dict.kind != vDict {
-		return unknown()
+		return varVal(unknown())
 	}
 	switch {
-	case dict.dc.identity:
+	case dict.dc.modN:
 		switch key.kind {
-		case vSelf:
-			return selfVal()
+		case vSelf, vSelfModN:
+			return varVal(selfVal())
 		case vConst:
-			return konst(key.c)
-		case vSelfModN:
-			return &value{kind: vSelfModN}
+			return varVal(konst(key.c))
 		}
-		return unknown()
+		return varVal(unknown())
 	case dict.dc.uniform != nil:
-		return normHome(dict.dc.uniform)
-	case dict.dc.homeFor != nil && dict.dc.homeFor.kind == vFunc:
-		// Interpret the home closure on the abstract key: for the
-		// k ↦ k mod N dictionaries this reduces SelfModN to Self.
-		return normHome(cc.in.callValue(dict.dc.homeFor.fn, []*value{key}, spec))
+		return varVal(normHome(dict.dc.uniform))
 	}
-	return unknown()
+	return varVal(unknown())
 }
 
 // recordAwait classifies one Await watch argument.
@@ -1578,7 +1601,19 @@ func (cc *callCtx) assignTo(fr *frame, lhs ast.Expr, v *value, spec bool) {
 		}
 		// Map stores carry no home information.
 	case *ast.StarExpr:
-		// Pointers are not distinguished from their referents; a
-		// *p = v store through an unknown pointer is dropped.
+		// Pointers are not distinguished from their referents: *p = v
+		// for a struct box p stores v's fields into it (a constructor
+		// filling an object from memsim.Slab with a literal); a store
+		// through an unknown pointer is dropped.
+		dst := cc.eval(fr, target.X, spec)
+		if dst.kind != vStruct || v.kind != vStruct || dst.st == v.st {
+			return
+		}
+		for name, f := range v.st.fields {
+			if old, ok := dst.st.fields[name]; ok && spec {
+				f = join(old, f)
+			}
+			dst.st.fields[name] = f
+		}
 	}
 }

@@ -11,7 +11,10 @@ import (
 // randomness, goroutines, or mutable package-level variables would
 // let an algorithm communicate outside memsim.Proc — invisible to the
 // RMR accounting, the local-spin monitor, and the schedule explorer —
-// so every complexity claim measured over it would be unsound.
+// so every complexity claim measured over it would be unsound. A
+// memsim.Slab handle is the one package-level variable allowed: it
+// only names a kind of machine storage, and what it hands out lives in
+// each machine, like the simulated variables.
 var MemsimPurity = &Analyzer{
 	Name: "memsimpurity",
 	Doc: "algorithm packages may not import sync/time/rand, declare mutable " +
@@ -54,6 +57,9 @@ func runMemsimPurity(pass *Pass) {
 				for _, name := range vs.Names {
 					if name.Name == "_" {
 						continue // compile-time assertions are harmless
+					}
+					if obj := pass.Info.Defs[name]; obj != nil && isMemsimType(obj.Type(), "Slab") {
+						continue // a storage handle: the state is per machine
 					}
 					pass.Reportf(name.Pos(),
 						"package-level variable %s: algorithm state must live in memsim variables, not Go globals",

@@ -22,6 +22,10 @@ var hits, misses int // want "package-level variable hits" "package-level variab
 // _ assertions are allowed (no diagnostic).
 var _ = memsim.Word(0)
 
+// counters is a storage handle: what it hands out lives in each
+// machine's storage, not in the package, so it is allowed.
+var counters = memsim.NewSlab[int]()
+
 // lockedIncrement syncs with a real mutex and sleeps on the real
 // clock.
 func lockedIncrement() {

@@ -42,41 +42,49 @@ type Site struct {
 
 // SiteSet manages the transformation state for a family of condition
 // sites: one two-process mutex and one Waiter variable per site key,
-// and the shared per-process Spin variables.
+// and the shared per-process Spin variables. Its sites are named
+// "family.mu{J}" and "family.Waiter{J}", its Spin variables
+// "family.Spin[p]".
 type SiteSet struct {
 	m     *memsim.Machine
+	name  memsim.Prefix
 	spin  *memsim.Dict
-	sites map[Word]*Site
-	// muFamily and waiterFamily are the family names of the sites'
-	// mutexes and Waiter variables, joined once per set so that a new
-	// site formats no name.
-	muFamily, waiterFamily string
+	sites memsim.Keyed[*Site]
 }
 
-// NewSiteSet returns an empty site family. Sites are materialized on
-// first use, deterministically within the accessing process's turn.
-func NewSiteSet(m *memsim.Machine, name string) *SiteSet {
-	return &SiteSet{
-		m:            m,
-		spin:         m.NewProcDict(name+".Spin", 0),
-		sites:        make(map[Word]*Site),
-		muFamily:     name + ".mu",
-		waiterFamily: name + ".Waiter",
-	}
+// The storage SiteSets and Sites are carved from.
+var (
+	siteSets = memsim.NewSlab[SiteSet]()
+	sites    = memsim.NewSlab[Site]()
+)
+
+// NewSiteSet returns an empty site family in m's storage. Sites are
+// materialized on first use, deterministically within the accessing
+// process's turn.
+func NewSiteSet(m *memsim.Machine, name memsim.Prefix) *SiteSet {
+	s := siteSets.New(m)
+	// Labels are joined lazily, so &s.name may be taken before the
+	// literal stores name there.
+	*s = SiteSet{m: m, name: name, spin: m.NewProcDictIn(&s.name, ".Spin", 0)}
+	return s
 }
 
 // At returns the site for key J.
 func (s *SiteSet) At(key Word) *Site {
-	if site, ok := s.sites[key]; ok {
+	if site, ok := s.sites.Get(key); ok {
 		return site
 	}
-	site := &Site{
-		mu:         twoproc.NewKeyed(s.m, s.muFamily, key),
+	site := sites.New(s.m)
+	// As in NewSiteSet, &site.waiterName is taken before it is stored.
+	// The mutex's variables are allocated before Waiter's, the order
+	// labels are pinned in.
+	*site = Site{
+		mu:         twoproc.New(s.m, memsim.KeyedPrefix(&s.name, ".mu", key)),
+		waiter:     s.m.NewVarIn(&site.waiterName, "", memsim.HomeGlobal, 0),
 		spin:       s.spin,
-		waiterName: memsim.KeyedPrefix(s.waiterFamily, key),
+		waiterName: memsim.KeyedPrefix(&s.name, ".Waiter", key),
 	}
-	site.waiter = s.m.NewVarIn(&site.waiterName, "", memsim.HomeGlobal, 0)
-	s.sites[key] = site
+	s.sites.Put(key, site)
 	return site
 }
 
@@ -86,8 +94,8 @@ func (s *SiteSet) At(key Word) *Site {
 func (site *Site) Wait(p *memsim.Proc, cond func(read func(memsim.Var) Word) bool) {
 	mine := site.spin.At(Word(p.ID()))
 
-	site.mu.Acquire(p, 0)                                      // a
-	flag := cond(func(v memsim.Var) Word { return p.Read(v) }) // b
+	site.mu.Acquire(p, 0)    // a
+	flag := cond(p.Reader()) // b
 	if flag {
 		p.Write(site.waiter, 0) // c (⊥ branch)
 	} else {
@@ -124,8 +132,8 @@ func (site *Site) Wait(p *memsim.Proc, cond func(read func(memsim.Var) Word) boo
 func (site *Site) WaitAbortable(p *memsim.Proc, cond func(read func(memsim.Var) Word) bool, onAbort func()) (withdrew bool) {
 	mine := site.spin.At(Word(p.ID()))
 
-	site.mu.Acquire(p, 0)                                      // a
-	flag := cond(func(v memsim.Var) Word { return p.Read(v) }) // b
+	site.mu.Acquire(p, 0)    // a
+	flag := cond(p.Reader()) // b
 	if flag {
 		p.Write(site.waiter, 0) // c (⊥ branch)
 	} else {
@@ -145,7 +153,7 @@ func (site *Site) WaitAbortable(p *memsim.Proc, cond func(read func(memsim.Var) 
 	// Aborted mid-spin: settle the race with the establisher under the
 	// site lock.
 	site.mu.Acquire(p, 0)
-	established := cond(func(v memsim.Var) Word { return p.Read(v) })
+	established := cond(p.Reader())
 	if !established {
 		p.Write(site.waiter, 0)
 		onAbort()

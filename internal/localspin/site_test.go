@@ -11,7 +11,7 @@ import (
 // payload written strictly before the establishment.
 func buildHandshake(model memsim.Model, preEstablishOps int) *memsim.Machine {
 	m := memsim.NewMachine(model, 2)
-	sites := NewSiteSet(m, "S")
+	sites := NewSiteSet(m, memsim.NamePrefix(nil, "S"))
 	flag := m.NewVar("flag", memsim.HomeGlobal, 0)
 	payload := m.NewVar("payload", memsim.HomeGlobal, 0)
 	m.AddProc("waiter", func(p *memsim.Proc) {
@@ -71,7 +71,7 @@ func TestWaiterSpinsLocallyOnDSM(t *testing.T) {
 // not block at all.
 func TestFastPathNoBlocking(t *testing.T) {
 	m := memsim.NewMachine(memsim.DSM, 1)
-	sites := NewSiteSet(m, "S")
+	sites := NewSiteSet(m, memsim.NamePrefix(nil, "S"))
 	flag := m.NewVar("flag", memsim.HomeGlobal, 1)
 	m.AddProc("p", func(p *memsim.Proc) {
 		sites.At(3).Wait(p, func(read func(memsim.Var) Word) bool {
@@ -93,7 +93,7 @@ func TestSiteReuseAcrossRounds(t *testing.T) {
 	const rounds = 20
 	for seed := int64(0); seed < 20; seed++ {
 		m := memsim.NewMachine(memsim.DSM, 2)
-		sites := NewSiteSet(m, "S")
+		sites := NewSiteSet(m, memsim.NamePrefix(nil, "S"))
 		flag := m.NewVar("flag", memsim.HomeGlobal, 0)
 		// Ping-pong: p0 waits for odd values on site 0, p1 waits for
 		// even values on site 1 — one dedicated waiter per site, as
@@ -132,7 +132,7 @@ func TestSiteReuseAcrossRounds(t *testing.T) {
 func TestVisitMutualExclusionWithSignal(t *testing.T) {
 	build := func() *memsim.Machine {
 		m := memsim.NewMachine(memsim.CC, 2)
-		sites := NewSiteSet(m, "S")
+		sites := NewSiteSet(m, memsim.NamePrefix(nil, "S"))
 		inside := m.NewVar("inside", memsim.HomeGlobal, 0)
 		m.AddProc("visitor", func(p *memsim.Proc) {
 			for i := 0; i < 3; i++ {
@@ -172,7 +172,7 @@ func TestVisitMutualExclusionWithSignal(t *testing.T) {
 // traffic on another.
 func TestDistinctSitesIndependent(t *testing.T) {
 	m := memsim.NewMachine(memsim.CC, 2)
-	sites := NewSiteSet(m, "S")
+	sites := NewSiteSet(m, memsim.NamePrefix(nil, "S"))
 	flagA := m.NewVar("a", memsim.HomeGlobal, 0)
 	m.AddProc("waiter", func(p *memsim.Proc) {
 		sites.At(1).Wait(p, func(read func(memsim.Var) Word) bool { return read(flagA) != 0 })

@@ -24,7 +24,7 @@ func (d *refDict) At(key Word) Var {
 	return v
 }
 
-// dictKeys touches 20 distinct keys, more than dictInline, in an
+// dictKeys touches 20 distinct keys, more than keyedInline, in an
 // interleaved order with repeats of early and late keys.
 func dictKeys() []Word {
 	var keys []Word
@@ -48,7 +48,7 @@ func TestDictMatchesMapReference(t *testing.T) {
 	home := func(k Word) int { return int(k % n) }
 	for _, model := range []Model{CC, DSM} {
 		m, refM := NewMachine(model, n), NewMachine(model, n)
-		d := m.NewDictHomed("d", home, 0)
+		d := m.NewProcDictIn(nil, "d", 0) // homes key k at k mod n
 		ref := &refDict{m: refM, name: "d", home: home, vars: make(map[Word]Var)}
 		first := make(map[Word]Var)
 		for i, k := range dictKeys() {
@@ -61,7 +61,7 @@ func TestDictMatchesMapReference(t *testing.T) {
 			}
 			first[k] = got
 		}
-		if len(first) <= dictInline {
+		if len(first) <= keyedInline {
 			t.Fatalf("only %d keys: the map representation is not exercised", len(first))
 		}
 		if got, want := fmt.Sprint(VarLabels(m)), fmt.Sprint(VarLabels(refM)); got != want {
@@ -81,17 +81,17 @@ func TestDictAtExistingKeyAllocatesNothing(t *testing.T) {
 	m := NewMachine(DSM, 2)
 	keys := dictKeys()
 	small, big := m.NewDict("small", HomeGlobal, 0), m.NewDict("big", HomeGlobal, 0)
-	for _, k := range keys[:dictInline] {
+	for _, k := range keys[:keyedInline] {
 		small.At(k)
 	}
 	for _, k := range keys {
 		big.At(k)
 	}
-	if small.vars != nil || big.vars == nil {
-		t.Fatalf("small Dict has a map: %v, big Dict has a map: %v", small.vars != nil, big.vars != nil)
+	if small.vars.more != nil || big.vars.more == nil {
+		t.Fatalf("small Dict has a map: %v, big Dict has a map: %v", small.vars.more != nil, big.vars.more != nil)
 	}
 	for _, d := range []*Dict{small, big} {
-		for _, k := range []Word{keys[0], keys[dictInline-1]} {
+		for _, k := range []Word{keys[0], keys[keyedInline-1]} {
 			if allocs := testing.AllocsPerRun(100, func() { d.At(k) }); allocs != 0 {
 				t.Errorf("%s.At(%d) on an existing key: %.0f allocations", d.name, k, allocs)
 			}
@@ -105,7 +105,7 @@ func TestDictAtExistingKeyAllocatesNothing(t *testing.T) {
 func TestProcDictAtBigN(t *testing.T) {
 	const n = 256
 	m := NewMachine(DSM, n)
-	d := m.NewProcDict("spin", 0)
+	d := m.NewProcDictIn(nil, "spin", 0)
 	vars := make([]Var, n)
 	for p := n - 1; p >= 0; p-- {
 		vars[p] = d.At(Word(p))

@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file implements preemption-bounded systematic exploration in the
@@ -60,16 +61,18 @@ func ExactPreemptions(k int) int {
 // Explorer systematically explores the interleavings of a machine
 // built by Build, up to MaxPreemptions forced context switches per run.
 type Explorer struct {
-	// Build constructs a machine with NewMachine: allocate variables,
-	// add processes. Called once per explored schedule; it must be
+	// Build constructs a machine with NewMachine: build the algorithm
+	// (its variables and its object, both machine storage), add
+	// processes. Called once per explored schedule; it must be
 	// deterministic, and when Workers > 1 it is called from several
 	// goroutines at once, so it must not close over shared mutable
 	// state. The explorer owns the machine Build returns: once the run
 	// and Check are done it calls the machine's Release, and the next
-	// Build on any worker may get the same Machine, Procs and Dicts
-	// back, reset. So nothing Build returns or captures may use the
-	// machine, a Var, Proc or Dict of it, after that, and Build must
-	// not hand the machine to anyone else.
+	// Build on any worker may get the same Machine, Procs, Dicts and
+	// slab storage back, reset. So nothing Build returns or captures
+	// may use the machine, the algorithm object built on it, or a Var,
+	// Proc or Dict of it, after that, and Build must not hand the
+	// machine to anyone else.
 	Build func() *Machine
 	// MaxPreemptions is the preemption bound K: positive values bound
 	// the forced context switches per run, 0 selects
@@ -391,6 +394,7 @@ func ExploreWaves(from Frontier, maxRuns int, exec func(Frontier) []ScheduleOutc
 func (e *Explorer) ReplaySchedule(sched []Preemption) Result {
 	m := e.Build()
 	r := m.Run(RunConfig{Sched: &chooser{preemptions: sched, traceFrom: math.MaxInt64}, MaxSteps: e.MaxSteps})
-	m.Release() // as in runOne: the Result holds nothing of the machine
+	r.Procs = slices.Clone(r.Procs) // the machine's storage, until Release
+	m.Release()
 	return r
 }

@@ -121,7 +121,7 @@ func chunkBuild() *Machine {
 	m := NewMachine(CC, 2)
 	arr := m.NewArray("arr", chunkVars+3, HomeGlobal, 0)
 	d := m.NewDict("d", HomeGlobal, 0)
-	owner := KeyedPrefix("owner", 7)
+	owner := KeyedPrefix(nil, "owner", 7)
 	flag := m.NewVarIn(&owner, ".flag", HomeGlobal, 0)
 	for p := 0; p < 2; p++ {
 		m.AddProc("p", func(pr *Proc) {

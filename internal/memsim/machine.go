@@ -155,27 +155,33 @@ func (vv *variable) label() string {
 }
 
 // Prefix is the name a compound object's variables share as the front
-// of their labels: "family{key}" for the member of a keyed family (one
-// two-process mutex per site, say), formatted the first time a label
-// needs it. A Prefix is embedded in its owner and passed by pointer to
-// NewVarIn and NewDictHomedIn.
+// of their labels: its owner's prefix, if any, then a name, then
+// "{key}" for the member of a keyed family (one two-process mutex per
+// site, say), joined and formatted the first time a label needs it. A
+// Prefix is embedded in its owner and passed by pointer to the *In
+// constructors and to the prefixes of the objects the owner is made of.
 type Prefix struct {
-	name  string
-	key   Word
-	keyed bool // name still lacks its "{key}" suffix
+	parent *Prefix // owner's prefix, nil once String has folded it in
+	name   string
+	key    Word
+	keyed  bool // name still lacks its "{key}" suffix
 }
 
-// NamePrefix returns the prefix name, used verbatim.
-func NamePrefix(name string) Prefix { return Prefix{name: name} }
+// NamePrefix returns the prefix parent (when not nil) followed by name.
+func NamePrefix(parent *Prefix, name string) Prefix { return Prefix{parent: parent, name: name} }
 
-// KeyedPrefix returns the prefix "family{key}", unformatted until first
-// asked for.
-func KeyedPrefix(family string, key Word) Prefix {
-	return Prefix{name: family, key: key, keyed: true}
+// KeyedPrefix returns the prefix parent (when not nil) followed by
+// "family{key}", unformatted until first asked for.
+func KeyedPrefix(parent *Prefix, family string, key Word) Prefix {
+	return Prefix{parent: parent, name: family, key: key, keyed: true}
 }
 
 // String returns the prefix, formatting and memoizing it on first use.
 func (p *Prefix) String() string {
+	if p.parent != nil {
+		p.name = p.parent.String() + p.name
+		p.parent = nil
+	}
 	if p.keyed {
 		p.name = fmt.Sprintf("%s{%d}", p.name, p.key)
 		p.keyed = false
@@ -199,10 +205,10 @@ type varChunk [chunkVars]variable
 
 // freeMachines holds released machines, each with the storage it grew:
 // variable chunks (zeroed but for the sharer words of large machines,
-// which newVar relies on), Dict blocks (all zero, which newDict relies
-// on), Procs, and the run's scheduling slices. NewMachine takes one before it allocates. Taking
-// or releasing a machine is one lock operation however much storage
-// travels with it.
+// which newVar relies on), slab blocks (all zero, which Slab relies
+// on), Procs, and the run's scheduling slices. NewMachine takes one
+// before it allocates. Taking or releasing a machine is one lock
+// operation however much storage travels with it.
 //
 // It is a locked list rather than a sync.Pool: a pool drops its
 // contents at garbage collections and keeps some per thread, so how
@@ -252,15 +258,15 @@ type Machine struct {
 	nproc int
 
 	// chunks holds the variables: Var{i} is slot (i-1)%chunkVars of
-	// chunk (i-1)/chunkVars, and nvars of them are allocated. dicts
-	// holds the Dicts, ndicts of them handed out. Past their lengths,
-	// chunks, dicts and procs keep the zeroed blocks and Procs of the
-	// machine's earlier runs for grow to reuse.
+	// chunk (i-1)/chunkVars, and nvars of them are allocated. Past
+	// their lengths, chunks and procs keep the zeroed blocks and Procs
+	// of the machine's earlier runs for grow to reuse. slabs holds the
+	// storage of each Slab, indexed by its id: Dicts, Var arrays, run
+	// statistics and the algorithm objects built on the machine.
 	chunks []*varChunk
 	nvars  int32
-	dicts  []*dictBlock
-	ndicts int
 	procs  []*Proc
+	slabs  []resetter
 
 	released bool // on the free list; a second Release panics
 
@@ -379,10 +385,12 @@ func (m *Machine) chunkLen(c int) int {
 // the last read of its results (metrics, hotspots, variable values,
 // checks), and only if no one else holds the machine. The explorer
 // releases every machine it explores; the harness runners release the
-// machines they create. The machine must not be used afterwards: any
-// Var of it panics as an invalid handle until the machine is built
-// again for its next owner, and a second Release panics. Strings read
-// from it, such as labels, stay valid.
+// machines they create. The machine must not be used afterwards, nor
+// anything carved from its storage: the algorithm objects built on it,
+// its Dicts and Var arrays, and the Procs slice of its Result. Any Var
+// of it panics as an invalid handle until the machine is built again
+// for its next owner, and a second Release panics. Strings read from
+// it, such as labels, stay valid.
 func (m *Machine) Release() {
 	if m.released {
 		panic("memsim: machine released twice")
@@ -402,17 +410,19 @@ func (m *Machine) Release() {
 			vars[i].sharers.hi = hi
 		}
 	}
-	for b, block := range m.dicts {
-		clear(block[:min(m.ndicts-b*dictBlockLen, dictBlockLen)])
+	for _, st := range m.slabs {
+		if st != nil {
+			st.reset()
+		}
 	}
 	for _, p := range m.procs {
-		// spinRead closes over p and reads p.m when called, and p stays
-		// with this machine, so it serves every later run.
-		*p = Proc{spinRead: p.spinRead, abortPoints: p.abortPoints[:0]}
+		// spinRead and read close over p and read p.m when called, and
+		// p stays with this machine, so they serve every later run.
+		*p = Proc{spinRead: p.spinRead, read: p.read, watch: p.watch[:0], abortPoints: p.abortPoints[:0]}
 	}
 	*m = Machine{
 		chunks:      m.chunks[:0],
-		dicts:       m.dicts[:0],
+		slabs:       m.slabs,
 		procs:       m.procs[:0],
 		ready:       m.ready, // runOn resizes and clears it
 		runnable:    m.runnable[:0],
@@ -424,11 +434,21 @@ func (m *Machine) Release() {
 	freeMachines.Unlock()
 }
 
+// varArrays is the storage of NewArray and NewPerProcArray slices.
+var varArrays = NewSlab[Var]()
+
 // NewArray allocates n variables name[0..n-1], all with the same home.
 func (m *Machine) NewArray(name string, n, home int, init Word) []Var {
-	vs := make([]Var, n)
+	return m.NewArrayIn(nil, name, n, home, init)
+}
+
+// NewArrayIn is NewArray for an array of a compound object: its
+// members are named prefix followed by name[i], joined only when first
+// asked for. The slice is machine storage, like the variables.
+func (m *Machine) NewArrayIn(prefix *Prefix, name string, n, home int, init Word) []Var {
+	vs := varArrays.Make(m, n)
 	for i := range vs {
-		vs[i] = m.newIndexedVar(nil, name, Word(i), home, init)
+		vs[i] = m.newIndexedVar(prefix, name, Word(i), home, init)
 	}
 	return vs
 }
@@ -437,7 +457,7 @@ func (m *Machine) NewArray(name string, n, home int, init Word) []Var {
 // at process i — the layout used for dedicated spin variables on DSM
 // machines.
 func (m *Machine) NewPerProcArray(name string, init Word) []Var {
-	vs := make([]Var, m.nproc)
+	vs := varArrays.Make(m, m.nproc)
 	for i := range vs {
 		vs[i] = m.newIndexedVar(nil, name, Word(i), i, init)
 	}

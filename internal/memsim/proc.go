@@ -87,9 +87,10 @@ type Proc struct {
 	carrier *carrier
 
 	status     procStatus
-	watch      []Var
+	watch      []Var // the current await's watch set; kept across Release
 	watchEpoch uint64
 	spinRead   func(Var) Word // the read an await condition gets; made on first use
+	read       func(Var) Word // Reader's; made on first use
 
 	stats        ProcStats
 	phase        Phase
@@ -199,11 +200,11 @@ func (p *Proc) Await(cond func(read func(Var) Word) bool, watch ...Var) {
 	if len(watch) == 0 {
 		panic("memsim: Await with empty watch set")
 	}
-	p.watch = watch
+	p.watch = append(p.watch[:0], watch...) // so watch does not escape
 	p.yield(statusReady)
 	for {
 		if p.evalCond(cond) {
-			p.watch = nil
+			p.watch = p.watch[:0]
 			p.watchEpoch++
 			return
 		}
@@ -225,16 +226,16 @@ func (p *Proc) AwaitAbortable(cond func(read func(Var) Word) bool, watch ...Var)
 	if len(watch) == 0 {
 		panic("memsim: AwaitAbortable with empty watch set")
 	}
-	p.watch = watch
+	p.watch = append(p.watch[:0], watch...) // so watch does not escape
 	p.yield(statusReady)
 	for {
 		if p.abortPending {
-			p.watch = nil
+			p.watch = p.watch[:0]
 			p.watchEpoch++
 			return true
 		}
 		if p.evalCond(cond) {
-			p.watch = nil
+			p.watch = p.watch[:0]
 			p.watchEpoch++
 			return false
 		}
@@ -242,6 +243,16 @@ func (p *Proc) AwaitAbortable(cond func(read func(Var) Word) bool, watch ...Var)
 		p.m.registerWatch(p)
 		p.yield(statusWaiting)
 	}
+}
+
+// Reader returns p.Read as a function value, made once per Proc, for
+// code that hands a condition the reads it evaluates under a lock (the
+// Sec. 3 site transformation does).
+func (p *Proc) Reader() func(Var) Word {
+	if p.read == nil {
+		p.read = p.Read
+	}
+	return p.read
 }
 
 // evalCond runs one atomic re-check, charging spin-read RMRs.

@@ -2,11 +2,14 @@ package memsim_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"sync"
 	"testing"
 
 	"fetchphi/internal/core"
+	"fetchphi/internal/experiments"
+	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/phi"
 )
@@ -146,8 +149,9 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 				defer wg.Done()
 				for i := range next {
 					got, m := cases[i].run(t, int64(i))
+					d := diff(got, want[i]) // before Release: Result.Procs is machine storage
 					m.Release()
-					if d := diff(got, want[i]); d != "" {
+					if d != "" {
 						mu.Lock()
 						diffs = append(diffs, fmt.Sprintf("workers=%d %v: %s", workers, cases[i], d))
 						mu.Unlock()
@@ -187,6 +191,103 @@ func diff(got, want observed) string {
 		return fmt.Sprintf("trace %v, want %v", got.trace, want.trace)
 	}
 	return ""
+}
+
+// registryCase is one run of TestRecycledRegistryMatchesFresh: a
+// registered algorithm on a model and size, and for an abortable one
+// an abort schedule.
+type registryCase struct {
+	name   string
+	build  harness.Builder
+	model  memsim.Model
+	n      int
+	aborts []memsim.AbortPoint
+}
+
+func (c registryCase) String() string {
+	return fmt.Sprintf("%s/%v/N=%d/aborts=%d", c.name, c.model, c.n, len(c.aborts))
+}
+
+// registryRun is what a registry case shows: the harness metrics
+// (Result, hot variables, histograms) and its sink stream, every
+// operation and phase transition with its variable's label, hashed.
+type registryRun struct {
+	met    harness.Metrics
+	events int
+	digest uint64
+}
+
+func (c registryCase) run(t *testing.T) registryRun {
+	t.Helper()
+	var log eventLog
+	met, err := harness.Run(c.build, harness.Workload{
+		Model: c.model, N: c.n, Entries: 2, CSOps: 1, Seed: int64(c.n),
+		Sink: &log, Aborts: c.aborts, Retries: 1, RetryDelay: 1,
+	})
+	if err != nil {
+		t.Fatalf("%v: %v", c, err)
+	}
+	h := fnv.New64a()
+	for _, line := range log.lines {
+		h.Write([]byte(line))
+		h.Write([]byte{'\n'})
+	}
+	return registryRun{met: met, events: len(log.lines), digest: h.Sum64()}
+}
+
+// TestRecycledRegistryMatchesFresh runs every registered algorithm and
+// every abortable one (under an abort schedule that withdraws each
+// process's first passage), on CC and DSM at N=2, 3 and 70, first each
+// on a never-recycled machine, then through harness.Run on recycled
+// ones, the list forward and then backward: so algorithm objects,
+// mutexes, sites, Dicts and arrays that one algorithm or size grew in
+// a machine's storage serve another. Each recycled run must show what
+// the fresh one did: its metrics and its labelled event stream.
+func TestRecycledRegistryMatchesFresh(t *testing.T) {
+	var cases []registryCase
+	add := func(names []string, lookup func(string) (harness.Builder, error), abort bool) {
+		for _, name := range names {
+			b, err := lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{2, 3, 70} {
+				var aborts []memsim.AbortPoint
+				for p := 0; abort && p < n; p++ {
+					aborts = append(aborts, memsim.AbortPoint{Proc: p, Passage: 0, Event: 1})
+				}
+				for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
+					cases = append(cases, registryCase{name: name, build: b, model: model, n: n, aborts: aborts})
+				}
+			}
+		}
+	}
+	add(experiments.AlgorithmNames(), experiments.Algorithm, false)
+	add(experiments.AbortableAlgorithmNames(), experiments.AbortableAlgorithm, true)
+
+	want := make([]registryRun, len(cases))
+	for i, c := range cases {
+		memsim.DropReleasedMachines() // so the run builds a new machine
+		want[i] = c.run(t)
+	}
+	order := make([]int, 0, 2*len(cases))
+	for i := range cases {
+		order = append(order, i)
+	}
+	for i := len(cases) - 1; i >= 0; i-- {
+		order = append(order, i)
+	}
+	for _, i := range order {
+		got := cases[i].run(t)
+		switch {
+		case got.events != want[i].events || got.digest != want[i].digest:
+			t.Errorf("%v: %d events (digest %x) on a recycled machine, %d (digest %x) on a fresh one",
+				cases[i], got.events, got.digest, want[i].events, want[i].digest)
+		case !reflect.DeepEqual(got.met, want[i].met):
+			t.Errorf("%v: metrics on a recycled machine differ from a fresh one's:\n got %+v\nwant %+v",
+				cases[i], got.met, want[i].met)
+		}
+	}
 }
 
 // TestReleaseTwicePanics checks that a second Release of one machine

@@ -40,7 +40,9 @@ type Result struct {
 	Steps int64
 	// CSEntries is the total number of critical-section entries.
 	CSEntries int64
-	// Procs holds per-process statistics, indexed by process id.
+	// Procs holds per-process statistics, indexed by process id. It
+	// is machine storage: copy it to keep it past the machine's
+	// Release.
 	Procs []ProcStats
 	// WaitingProcs lists the ids of processes blocked in an Await
 	// when the run ended without completing.
@@ -142,6 +144,9 @@ func (r Result) MaxAbortResolveSteps() int64 {
 	return worst
 }
 
+// procStats is the storage of Result.Procs.
+var procStats = NewSlab[ProcStats]()
+
 // Run executes the machine to completion (or violation, deadlock, or
 // step bound) and returns the result. A machine can be run only once.
 // Its processes run on a one-shot carrier set, retired when Run
@@ -207,7 +212,7 @@ func (m *Machine) RunOn(cs *Carriers, cfg RunConfig) Result {
 	}
 	res.Deadlocked = len(res.WaitingProcs) > 0
 	res.Completed = res.Violation == nil && !res.Deadlocked && !m.timedOut
-	res.Procs = make([]ProcStats, len(m.procs))
+	res.Procs = procStats.Make(m, len(m.procs))
 	for i, p := range m.procs {
 		res.Procs[i] = p.stats
 	}

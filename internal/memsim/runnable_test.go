@@ -174,32 +174,46 @@ func BenchmarkExploreRange(b *testing.B) {
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/scheds, "allocs/schedule")
 }
 
-// exploreScheduleAllocs is the ceiling TestExploreScheduleAllocs
-// holds the explorer to: heap allocations per schedule of
-// BenchmarkExploreRange's warm depth-2 wave, as measured when machines,
-// Dicts and two-process mutex state started being recycled or sized by
-// use (`go test ./internal/memsim -run TestExploreScheduleAllocs -v`,
-// linux/amd64, go1.24: 63.89; 108.1 before).
-const exploreScheduleAllocs = 63.9
+// exploreScheduleAllocs and exploreScheduleBytes are the ceilings
+// TestExploreScheduleAllocs holds the explorer to: heap allocations and
+// bytes per schedule of BenchmarkExploreRange's warm depth-2 wave, as
+// measured when algorithm objects became machine storage (`go test
+// ./internal/memsim -run TestExploreScheduleAllocs -v`, linux/amd64,
+// go1.24: 5.877 allocs and 122.2–123.2 B; 63.89 and 3357 B before, 108.1
+// allocs before machines were recycled). What is left is the test's
+// own builder (process names and bodies) and the explorer's schedules.
+const (
+	exploreScheduleAllocs = 5.9
+	exploreScheduleBytes  = 128
+)
 
 // TestExploreScheduleAllocs fails when exploring a schedule allocates
-// more than it did when this ceiling was set, so a change that brings
-// back per-schedule machine, Dict or mutex allocations shows in make
-// test, not only in a benchmark run.
+// more than it did when these ceilings were set, so a change that
+// brings back per-schedule machine, Dict, mutex or algorithm-object
+// allocations shows in make test, not only in a benchmark run.
 func TestExploreScheduleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	e, wave := depth2Wave(t)
-	got := testing.AllocsPerRun(1, func() {
+	explore := func() {
 		for _, o := range e.RunScheduleRange(wave) {
 			if o.Err != nil {
 				t.Fatal(o.Err)
 			}
 		}
-	}) / float64(len(wave))
-	t.Logf("%.4f allocs/schedule over a %d-schedule wave", got, len(wave))
-	if got > exploreScheduleAllocs {
-		t.Errorf("%.2f allocs/schedule, want at most %.2f", got, exploreScheduleAllocs)
+	}
+	allocs := testing.AllocsPerRun(1, explore) / float64(len(wave))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	explore()
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(wave))
+	t.Logf("%.4f allocs and %.1f B per schedule over a %d-schedule wave", allocs, bytes, len(wave))
+	if allocs > exploreScheduleAllocs {
+		t.Errorf("%.2f allocs/schedule, want at most %.2f", allocs, exploreScheduleAllocs)
+	}
+	if bytes > exploreScheduleBytes {
+		t.Errorf("%.1f B/schedule, want at most %d", bytes, exploreScheduleBytes)
 	}
 }

@@ -108,38 +108,3 @@ func (a *CapacityArtifact) WriteFile(path string) error {
 func ReadCapacityArtifact(path string) (*CapacityArtifact, error) {
 	return ReadJSON(path, CapacitySchema, func(a *CapacityArtifact) string { return a.Schema })
 }
-
-// CompareCapacity gates current against baseline, returning one line
-// per regression (empty means the gate passes). maxDegrade is the
-// tolerated fractional throughput drop (e.g. 0.5 tolerates a halving —
-// capacity is wall-clock data, so gates must be loose). Regressions:
-//
-//   - throughput: SchedulesPerSec dropping by more than maxDegrade
-//     relative to the baseline (both must be nonzero to compare);
-//   - churn: the re-lease rate growing by more than 5 points over the
-//     baseline — workers losing leases they used to keep;
-//   - stale reports appearing where the baseline had none, when lease
-//     volume did not grow (a protocol-efficiency canary).
-//
-// Improvements pass silently: they only warrant a baseline refresh.
-func CompareCapacity(baseline, current *CapacityArtifact, maxDegrade float64) []string {
-	var regressions []string
-	if baseline.SchedulesPerSec > 0 && current.SchedulesPerSec > 0 {
-		if current.SchedulesPerSec < baseline.SchedulesPerSec*(1-maxDegrade) {
-			regressions = append(regressions, fmt.Sprintf(
-				"throughput regression: %s runs %.1f schedules/sec, baseline %.1f (tolerance %.0f%%)",
-				current.Algorithm, current.SchedulesPerSec, baseline.SchedulesPerSec, maxDegrade*100))
-		}
-	}
-	if current.ReLeaseRate > baseline.ReLeaseRate+0.05 {
-		regressions = append(regressions, fmt.Sprintf(
-			"re-lease churn regression: %s re-leases %.1f%% of grants, baseline %.1f%%",
-			current.Algorithm, current.ReLeaseRate*100, baseline.ReLeaseRate*100))
-	}
-	if baseline.StaleReports == 0 && current.StaleReports > 0 && current.Leases <= baseline.Leases {
-		regressions = append(regressions, fmt.Sprintf(
-			"stale-report regression: %s produced %d stale reports, baseline none",
-			current.Algorithm, current.StaleReports))
-	}
-	return regressions
-}

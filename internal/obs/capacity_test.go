@@ -95,51 +95,3 @@ func TestCapacityArtifactName(t *testing.T) {
 		t.Fatalf("name: %q", got)
 	}
 }
-
-// TestCompareCapacity: the gate flags throughput collapse, re-lease
-// churn growth, and new stale reports — and stays quiet on
-// improvements.
-func TestCompareCapacity(t *testing.T) {
-	base := sampleCapacity()
-
-	same := *base
-	if regs := CompareCapacity(base, &same, 0.5); len(regs) != 0 {
-		t.Fatalf("identical artifacts flagged: %v", regs)
-	}
-
-	faster := *base
-	faster.SchedulesPerSec = base.SchedulesPerSec * 3
-	faster.ReLeaseRate = 0
-	if regs := CompareCapacity(base, &faster, 0.5); len(regs) != 0 {
-		t.Fatalf("improvement flagged: %v", regs)
-	}
-
-	slow := *base
-	slow.SchedulesPerSec = base.SchedulesPerSec * 0.2
-	regs := CompareCapacity(base, &slow, 0.5)
-	if len(regs) != 1 || !strings.Contains(regs[0], "throughput regression") {
-		t.Fatalf("throughput collapse: %v", regs)
-	}
-	// Within tolerance: a 40% drop passes a 0.5 gate.
-	slight := *base
-	slight.SchedulesPerSec = base.SchedulesPerSec * 0.6
-	if regs := CompareCapacity(base, &slight, 0.5); len(regs) != 0 {
-		t.Fatalf("in-tolerance drop flagged: %v", regs)
-	}
-
-	churny := *base
-	churny.ReLeaseRate = base.ReLeaseRate + 0.2
-	regs = CompareCapacity(base, &churny, 0.5)
-	if len(regs) != 1 || !strings.Contains(regs[0], "re-lease churn") {
-		t.Fatalf("churn growth: %v", regs)
-	}
-
-	clean := *base
-	clean.StaleReports = 0
-	stale := clean
-	stale.StaleReports = 3
-	regs = CompareCapacity(&clean, &stale, 0.5)
-	if len(regs) != 1 || !strings.Contains(regs[0], "stale-report") {
-		t.Fatalf("new stale reports: %v", regs)
-	}
-}

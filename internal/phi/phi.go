@@ -89,9 +89,11 @@ type Invoker struct {
 	last    int // schedule index of the most recent UpdateInput
 }
 
-// NewInvoker returns an Invoker for process p on prim.
-func NewInvoker(prim Primitive, p int) *Invoker {
-	inv := &Invoker{prim: prim, inputs: prim.Inputs(p), last: -1}
+// NewInvoker returns an Invoker for process p on prim, with its α (and
+// β) schedule built once, here. It is a value, to be held in place by
+// the object that owns the counter.
+func NewInvoker(prim Primitive, p int) Invoker {
+	inv := Invoker{prim: prim, inputs: prim.Inputs(p), last: -1}
 	if sr, ok := prim.(SelfResettable); ok {
 		inv.resets = sr.Resets(p)
 	}

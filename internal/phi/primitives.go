@@ -17,6 +17,14 @@ import "fmt"
 //	double-compare-and-swap          3           yes
 //	set-and-write (TAS + write bit)  infinite    yes (β = clear)
 
+// The schedules every process shares. Callers must not modify a
+// schedule (see Primitive.Inputs), so one slice serves every call.
+var (
+	bottoms  = []Word{Bottom, Bottom}
+	plusOne  = []Word{1}
+	minusOne = []Word{-1}
+)
+
 // FetchAndIncrement is the unbounded fetch-and-increment primitive:
 // φ(old, in) = old + 1. The input is unused; its rank is infinite
 // because successive values are strictly increasing.
@@ -33,7 +41,7 @@ func (FetchAndIncrement) Rank() int { return RankInfinite }
 
 // Inputs implements Primitive. The input parameter is extraneous for
 // fetch-and-increment, so the schedule is the single value ⊥.
-func (FetchAndIncrement) Inputs(int) []Word { return []Word{Bottom} }
+func (FetchAndIncrement) Inputs(int) []Word { return bottoms[:1:1] }
 
 // BoundedFetchInc is the r-bounded fetch-and-increment primitive on a
 // variable with range 0..r−1: φ(old, in) = min(r−1, old+1). Any r
@@ -66,7 +74,7 @@ func (b *BoundedFetchInc) Apply(old, _ Word) Word {
 func (b *BoundedFetchInc) Rank() int { return b.r }
 
 // Inputs implements Primitive.
-func (b *BoundedFetchInc) Inputs(int) []Word { return []Word{Bottom} }
+func (b *BoundedFetchInc) Inputs(int) []Word { return bottoms[:1:1] }
 
 // FetchAndStore is the fetch-and-store (swap) primitive: φ(old, in) =
 // in. Process p's schedule alternates the two encoded pairs (p, 0) and
@@ -104,7 +112,7 @@ func (FetchAndStore) Inputs(p int) []Word {
 }
 
 // Resets implements SelfResettable: swapping ⊥ in restores ⊥.
-func (FetchAndStore) Resets(int) []Word { return []Word{Bottom, Bottom} }
+func (FetchAndStore) Resets(int) []Word { return bottoms[:2] }
 
 // FetchAndAdd is the fetch-and-add primitive φ(old, in) = old + in with
 // the all-+1 input schedule. Like fetch-and-increment its rank is
@@ -122,10 +130,10 @@ func (FetchAndAdd) Apply(old, input Word) Word { return old + input }
 func (FetchAndAdd) Rank() int { return RankInfinite }
 
 // Inputs implements Primitive.
-func (FetchAndAdd) Inputs(int) []Word { return []Word{1} }
+func (FetchAndAdd) Inputs(int) []Word { return plusOne }
 
 // Resets implements SelfResettable.
-func (FetchAndAdd) Resets(int) []Word { return []Word{-1} }
+func (FetchAndAdd) Resets(int) []Word { return minusOne }
 
 // BoundedIncDec is the paper's canonical constant-rank self-resettable
 // primitive (Sec. 4, concluding examples): fetch-and-increment/
@@ -156,10 +164,10 @@ func (BoundedIncDec) Apply(old, input Word) Word {
 func (BoundedIncDec) Rank() int { return 3 }
 
 // Inputs implements Primitive.
-func (BoundedIncDec) Inputs(int) []Word { return []Word{1} }
+func (BoundedIncDec) Inputs(int) []Word { return plusOne }
 
 // Resets implements SelfResettable.
-func (BoundedIncDec) Resets(int) []Word { return []Word{-1} }
+func (BoundedIncDec) Resets(int) []Word { return minusOne }
 
 // TestAndSet is the test-and-set primitive on a boolean (⊥ = false =
 // 0): φ(old, in) = true. Following the paper's convention it returns
@@ -178,7 +186,7 @@ func (TestAndSet) Apply(_, _ Word) Word { return 1 }
 func (TestAndSet) Rank() int { return 2 }
 
 // Inputs implements Primitive.
-func (TestAndSet) Inputs(int) []Word { return []Word{Bottom} }
+func (TestAndSet) Inputs(int) []Word { return bottoms[:1:1] }
 
 // CompareAndSwap is the compare-and-swap primitive. The input encodes a
 // (cmp, new) pair; φ(old, (cmp, new)) = new if old = cmp, else old.

@@ -31,7 +31,7 @@ func TestRegressionFutureRoundRelease(t *testing.T) {
 func TestExhaustiveSignalHandoff(t *testing.T) {
 	build := func() *memsim.Machine {
 		m := memsim.NewMachine(memsim.CC, 3)
-		mu := New(m, "L")
+		mu := New(m, memsim.NamePrefix(nil, "L"))
 		flag := m.NewVar("flag", memsim.HomeGlobal, 1)
 		// p0 plays the perpetual waiter (side 0): take the token
 		// twice.

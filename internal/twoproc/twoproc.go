@@ -97,37 +97,30 @@ type user struct {
 	current Word  // registration of the open acquisition
 }
 
-// New allocates a fresh instance in m's shared memory. The name
-// prefixes the underlying variable names for diagnostics.
-func New(m *memsim.Machine, name string) *Mutex {
-	return newMutex(m, memsim.NamePrefix(name))
-}
+// mutexes is the storage instances are carved from.
+var mutexes = memsim.NewSlab[Mutex]()
 
-// NewKeyed is New for the member key of a family of instances: its
-// name is "family{key}", formatted only if a label or a failure
-// message asks for it.
-func NewKeyed(m *memsim.Machine, family string, key Word) *Mutex {
-	return newMutex(m, memsim.KeyedPrefix(family, key))
-}
-
-func newMutex(m *memsim.Machine, name memsim.Prefix) *Mutex {
-	n := m.NumProcs()
-	l := &Mutex{
-		name:     name,
-		nproc:    n,
+// New builds a fresh instance in m's shared memory and storage. The
+// name prefixes the underlying variable names for diagnostics.
+func New(m *memsim.Machine, name memsim.Prefix) *Mutex {
+	l := mutexes.New(m)
+	// Labels are joined lazily, so &l.name may be taken before the
+	// literal stores name there.
+	*l = Mutex{
+		name:  name,
+		nproc: m.NumProcs(),
+		c: [2]memsim.Var{
+			m.NewVarIn(&l.name, ".C[0]", memsim.HomeGlobal, 0),
+			m.NewVarIn(&l.name, ".C[1]", memsim.HomeGlobal, 0),
+		},
+		t: m.NewVarIn(&l.name, ".T", memsim.HomeGlobal, 0),
+		// Cells for registration key k belong to process k mod N, so
+		// they are local to the process that spins on them.
+		nudge:    m.NewProcDictIn(&l.name, ".nudge", 0),
+		release:  m.NewProcDictIn(&l.name, ".release", 0),
 		sideUser: [2]int{-1, -1},
 		holder:   -1,
 	}
-	l.c = [2]memsim.Var{
-		m.NewVarIn(&l.name, ".C[0]", memsim.HomeGlobal, 0),
-		m.NewVarIn(&l.name, ".C[1]", memsim.HomeGlobal, 0),
-	}
-	l.t = m.NewVarIn(&l.name, ".T", memsim.HomeGlobal, 0)
-	// Cells for registration key k belong to process k mod N, so they
-	// are local to the process that spins on them.
-	home := func(k Word) int { return int(k % Word(n)) }
-	l.nudge = m.NewDictHomedIn(&l.name, ".nudge", home, 0)
-	l.release = m.NewDictHomedIn(&l.name, ".release", home, 0)
 	return l
 }
 
@@ -313,24 +306,29 @@ func checkSide(side int) {
 // Word keys. The G-DSM await transformation needs one instance per
 // synchronization site J (e.g. per (queue, predecessor) pair); a Family
 // materializes them on demand, deterministically within the accessing
-// process's turn.
+// process's turn. Member key is named "family{key}".
 type Family struct {
 	m    *memsim.Machine
-	name string
-	mus  map[Word]*Mutex
+	name memsim.Prefix
+	mus  memsim.Keyed[*Mutex]
 }
 
-// NewFamily returns an empty instance family.
+// families is the storage Families are carved from.
+var families = memsim.NewSlab[Family]()
+
+// NewFamily returns an empty instance family in m's storage.
 func NewFamily(m *memsim.Machine, name string) *Family {
-	return &Family{m: m, name: name, mus: make(map[Word]*Mutex)}
+	f := families.New(m)
+	*f = Family{m: m, name: memsim.NamePrefix(nil, name)}
+	return f
 }
 
 // At returns the instance for key, creating it on first use.
 func (f *Family) At(key Word) *Mutex {
-	if mu, ok := f.mus[key]; ok {
+	if mu, ok := f.mus.Get(key); ok {
 		return mu
 	}
-	mu := NewKeyed(f.m, f.name, key)
-	f.mus[key] = mu
+	mu := New(f.m, memsim.KeyedPrefix(&f.name, "", key))
+	f.mus.Put(key, mu)
 	return mu
 }

@@ -11,7 +11,7 @@ import (
 func buildPair(model memsim.Model, entries int) func() *memsim.Machine {
 	return func() *memsim.Machine {
 		m := memsim.NewMachine(model, 2)
-		mu := New(m, "L")
+		mu := New(m, memsim.NamePrefix(nil, "L"))
 		for side := 0; side < 2; side++ {
 			side := side
 			m.AddProc("p", func(p *memsim.Proc) {
@@ -63,7 +63,7 @@ func TestExhaustiveTwoProcs(t *testing.T) {
 func TestExhaustiveSideReuse(t *testing.T) {
 	build := func() *memsim.Machine {
 		m := memsim.NewMachine(memsim.CC, 3)
-		mu := New(m, "L")
+		mu := New(m, memsim.NamePrefix(nil, "L"))
 		handoff := m.NewVar("handoff", memsim.HomeGlobal, 0)
 		m.AddProc("p0", func(p *memsim.Proc) {
 			for i := 0; i < 2; i++ {
@@ -139,7 +139,7 @@ func TestDSMSpinsAreLocal(t *testing.T) {
 func TestDSMConstantRMR(t *testing.T) {
 	worst := func(entries int) int64 {
 		m := memsim.NewMachine(memsim.DSM, 2)
-		mu := New(m, "L")
+		mu := New(m, memsim.NamePrefix(nil, "L"))
 		for side := 0; side < 2; side++ {
 			side := side
 			m.AddProc("p", func(p *memsim.Proc) {
@@ -172,7 +172,7 @@ func TestDSMConstantRMR(t *testing.T) {
 // handful of operations and never blocks.
 func TestUncontendedFastPath(t *testing.T) {
 	m := memsim.NewMachine(memsim.DSM, 1)
-	mu := New(m, "L")
+	mu := New(m, memsim.NamePrefix(nil, "L"))
 	m.AddProc("p", func(p *memsim.Proc) {
 		mu.Acquire(p, 0)
 		p.EnterCS()
@@ -219,7 +219,7 @@ func TestFamilyCreatesDistinctInstances(t *testing.T) {
 
 func TestInvalidSidePanics(t *testing.T) {
 	m := memsim.NewMachine(memsim.CC, 1)
-	mu := New(m, "L")
+	mu := New(m, memsim.NamePrefix(nil, "L"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for invalid side")

@@ -42,7 +42,7 @@ func manyUsers(t *testing.T, model memsim.Model) string {
 	const procs, rounds = 6, 3
 	m := memsim.NewMachine(model, procs)
 	defer m.Release()
-	mu := New(m, "L")
+	mu := New(m, memsim.NamePrefix(nil, "L"))
 	gate := [2]memsim.Var{
 		m.NewVar("gate[0]", memsim.HomeGlobal, 0),
 		m.NewVar("gate[1]", memsim.HomeGlobal, 0),
