@@ -109,7 +109,7 @@ func CheckExplorer(b Builder, model memsim.Model, n, entries int, opts ExploreOp
 			m.ScheduleAborts(w.Aborts...)
 			// One body for all n processes: a closure per process
 			// would show in the explorer's bytes per step.
-			body, err := passageLoop(b(m), w, nil)
+			body, err := passageLoop(m, b(m), w, nil)
 			if err != nil {
 				body = func(p *memsim.Proc) { p.Fail("%v", err) }
 			}

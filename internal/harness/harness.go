@@ -194,7 +194,7 @@ func runTimed(b Builder, w Workload, cs *memsim.Carriers, afterSim func()) (Metr
 		locals:  make([]memsim.Var, participants),
 		samples: make([][]passageSample, participants),
 	}
-	body, err := passageLoop(alg, &w, rec)
+	body, err := passageLoop(m, alg, &w, rec)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -312,9 +312,14 @@ type recorder struct {
 // only for passages that reach the critical section.
 type passageSample struct{ rmrs, waits, bypass int64 }
 
-// passageLoop returns the process body all of a run's processes share.
-// Scheduling aborts for an algorithm that cannot withdraw is an error.
-func passageLoop(alg Algorithm, w *Workload, rec *recorder) (func(*memsim.Proc), error) {
+// passageStates is the storage of the passage loop's state, one per
+// machine.
+var passageStates = memsim.NewSlab[passages]()
+
+// passageLoop stores the passage loop's state in m and returns the
+// process body all of m's processes share. Scheduling aborts for an
+// algorithm that cannot withdraw is an error.
+func passageLoop(m *memsim.Machine, alg Algorithm, w *Workload, rec *recorder) (func(*memsim.Proc), error) {
 	d := passages{alg: alg, w: w, rec: rec}
 	if len(w.Aborts) > 0 {
 		a, ok := alg.(AbortableAlgorithm)
@@ -324,10 +329,16 @@ func passageLoop(alg Algorithm, w *Workload, rec *recorder) (func(*memsim.Proc),
 		}
 		d.abort = a
 	}
-	return d.drive, nil
+	*passageStates.Of(m) = d
+	return runPassages, nil
 }
 
-func (d passages) drive(p *memsim.Proc) {
+// runPassages is the body passageLoop returns: a plain function, which
+// finds its state in the process's machine, so a build allocates no
+// closure for it.
+func runPassages(p *memsim.Proc) { passageStates.Of(p.Machine()).drive(p) }
+
+func (d *passages) drive(p *memsim.Proc) {
 	w, rec, i := d.w, d.rec, p.ID()
 	for e := 0; e < w.Entries; e++ {
 		for attempt := 0; ; attempt++ {
@@ -378,7 +389,7 @@ func (d passages) drive(p *memsim.Proc) {
 
 // acquire runs the entry section: AcquireAbortable when aborts are
 // scheduled, Acquire otherwise. False means the passage was withdrawn.
-func (d passages) acquire(p *memsim.Proc) bool {
+func (d *passages) acquire(p *memsim.Proc) bool {
 	if d.abort != nil {
 		return d.abort.AcquireAbortable(p)
 	}

@@ -999,7 +999,7 @@ func (cc *callCtx) callNative(fr *frame, key string, recv *value, call *ast.Call
 		return &value{kind: vDict, dc: &absDict{uniform: normHome(arg(2))}}
 	case "Machine.NewProcDictIn":
 		return &value{kind: vDict, dc: &absDict{modN: true}}
-	case "Dict.At":
+	case "Dict.At", "Dict.New":
 		return dictHome(recv, arg(0))
 	case "Slab.New":
 		// A zero object from machine storage: a fresh box, like new(T).
@@ -1048,10 +1048,10 @@ func normHome(v *value) *value {
 	return unknown()
 }
 
-// dictHome resolves Dict.At(key) to a Var with the abstract home of
-// the addressed cell. For a key mod N family, a key ≡ p (mod N) — a
-// process id, or the round-stamped round·N + p of the two-process
-// mutex — is homed at p.
+// dictHome resolves Dict.At(key) and Dict.New(key) to a Var with the
+// abstract home of the addressed cell. For a key mod N family, a key
+// ≡ p (mod N) — a process id, or the round-stamped round·N + p of the
+// two-process mutex — is homed at p.
 func dictHome(dict, key *value) *value {
 	if dict.kind != vDict {
 		return varVal(unknown())

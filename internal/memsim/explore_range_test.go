@@ -167,9 +167,10 @@ func TestRunScheduleRangeRepeatsOverRecycledStorage(t *testing.T) {
 }
 
 // TestRecycleZeroesStorage checks that Release hands every chunk back
-// zeroed (value, watchers, sharers, RMRs, name) and leaves the machine
-// with no variables, so a stale handle panics instead of reading a
-// slot another machine now owns.
+// zeroed (value, sharers, RMRs, name) with each watch list emptied but
+// kept for the slot's next variable, and leaves the machine with no
+// variables, so a stale handle panics instead of reading a slot another
+// machine now owns.
 func TestRecycleZeroesStorage(t *testing.T) {
 	m := chunkBuild()
 	flag := Var{idx: m.nvars}
@@ -185,10 +186,18 @@ func TestRecycleZeroesStorage(t *testing.T) {
 	}
 	chunks := slices.Clone(m.chunks)
 	m.Release()
+	if cap(vv.watchers) == 0 {
+		t.Fatal("Release dropped the flag's watch list storage")
+	}
 	for c, chunk := range chunks {
 		for i := range chunk {
-			if !reflect.ValueOf(chunk[i]).IsZero() {
-				t.Fatalf("chunk %d slot %d not zeroed: %+v", c, i, chunk[i])
+			slot := chunk[i]
+			if len(slot.watchers) != 0 {
+				t.Fatalf("chunk %d slot %d keeps %d watchers", c, i, len(slot.watchers))
+			}
+			slot.watchers = nil
+			if !reflect.ValueOf(slot).IsZero() {
+				t.Fatalf("chunk %d slot %d not zeroed: %+v", c, i, slot)
 			}
 		}
 	}

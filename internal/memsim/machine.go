@@ -204,11 +204,12 @@ const (
 type varChunk [chunkVars]variable
 
 // freeMachines holds released machines, each with the storage it grew:
-// variable chunks (zeroed but for the sharer words of large machines,
-// which newVar relies on), slab blocks (all zero, which Slab relies
-// on), Procs, and the run's scheduling slices. NewMachine takes one
-// before it allocates. Taking or releasing a machine is one lock
-// operation however much storage travels with it.
+// variable chunks (zeroed but for the emptied watch lists, and the
+// sharer words of large machines, which newVar relies on), slab blocks
+// (all zero, which Slab relies on), Procs, and the run's scheduling
+// slices. NewMachine takes one before it allocates. Taking or
+// releasing a machine is one lock operation however much storage
+// travels with it.
 //
 // It is a locked list rather than a sync.Pool: a pool drops its
 // contents at garbage collections and keeps some per thread, so how
@@ -343,8 +344,8 @@ func (m *Machine) newIndexedVar(prefix *Prefix, name string, key Word, home int,
 // newVar fills the next free slot with a variable of the given name
 // parts (see variable), home and initial value, taking the next chunk
 // when the last one is full. It writes the fields in place: every slot
-// past nvars is zero (see freeMachines) but for the emptied sharer
-// words Release keeps, which resize reuses.
+// past nvars is zero (see freeMachines) but for the emptied watch list
+// and sharer words Release keeps, which registerWatch and resize reuse.
 func (m *Machine) newVar(prefix *Prefix, name string, key Word, indexed bool, home int, init Word) Var {
 	if home != HomeGlobal && (home < 0 || home >= m.nproc) {
 		vv := variable{name: name, key: key, prefix: prefix, indexed: indexed}
@@ -396,18 +397,14 @@ func (m *Machine) Release() {
 		panic("memsim: machine released twice")
 	}
 	for c, chunk := range m.chunks {
+		// Keep each variable's emptied watch list, and the sharer words
+		// past the inline ones that a CC variable of a machine of over
+		// 64 processes has, for the slot's next variable to reuse.
 		vars := chunk[:m.chunkLen(c)]
-		if m.nproc <= 64 {
-			clear(vars)
-			continue
-		}
-		// A CC variable of a machine this large has sharer words past
-		// the inline ones; keep them for newVar to resize. Machines
-		// without them take the plain clear, which is cheaper.
 		for i := range vars {
-			hi := vars[i].sharers.hi[:0]
+			w, hi := vars[i].watchers[:0], vars[i].sharers.hi[:0]
 			vars[i] = variable{}
-			vars[i].sharers.hi = hi
+			vars[i].watchers, vars[i].sharers.hi = w, hi
 		}
 	}
 	for _, st := range m.slabs {

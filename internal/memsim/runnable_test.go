@@ -177,14 +177,16 @@ func BenchmarkExploreRange(b *testing.B) {
 // exploreScheduleAllocs and exploreScheduleBytes are the ceilings
 // TestExploreScheduleAllocs holds the explorer to: heap allocations and
 // bytes per schedule of BenchmarkExploreRange's warm depth-2 wave, as
-// measured when algorithm objects became machine storage (`go test
+// measured when Release began keeping variables' watch lists (`go test
 // ./internal/memsim -run TestExploreScheduleAllocs -v`, linux/amd64,
-// go1.24: 5.877 allocs and 122.2–123.2 B; 63.89 and 3357 B before, 108.1
-// allocs before machines were recycled). What is left is the test's
-// own builder (process names and bodies) and the explorer's schedules.
+// go1.24: 4.006 allocs and 92.3–93.3 B; 5.877 and 122.2–123.2 B before,
+// 63.89 and 3357 B before algorithm objects became machine storage,
+// 108.1 allocs before machines were recycled). What is left is the
+// test's own builder (process names and bodies) and the explorer's
+// schedules.
 const (
-	exploreScheduleAllocs = 5.9
-	exploreScheduleBytes  = 128
+	exploreScheduleAllocs = 4.1
+	exploreScheduleBytes  = 98
 )
 
 // TestExploreScheduleAllocs fails when exploring a schedule allocates

@@ -85,14 +85,25 @@ func (s Slab[T]) New(m *Machine) *T { return &s.store(m).take(1)[0] }
 // append into.
 func (s Slab[T]) Make(m *Machine, n int) []T { return s.store(m).take(n) }
 
+// Of returns m's one T of this kind, handing out a zero one on the
+// first call of a run: per-machine state that code holding only the
+// machine, such as a process body shared by every machine, finds
+// again. A kind served by Of is not also served by New or Make.
+func (s Slab[T]) Of(m *Machine) *T {
+	st := s.store(m)
+	if len(st.blocks) > 0 && len(st.blocks[0]) > 0 {
+		return &st.blocks[0][0]
+	}
+	return &st.take(1)[0]
+}
+
 // keyedInline is how many entries a Keyed holds without a Go map.
 const keyedInline = 8
 
 // Keyed is a Word-keyed lookup for the lazily filled families of a
 // machine: Dict members, and the condition sites and mutexes algorithm
 // objects make per key. Most families stay small within one run (a
-// two-process mutex's cells for its first rounds, G-DSM's sites at
-// small N), and the explorer builds thousands of them, so the first
+// site's per-process spin cells, G-DSM's sites at small N), and the explorer builds thousands of them, so the first
 // keyedInline entries are found by a linear scan of inline arrays;
 // a Go map takes over all of them after that. The zero Keyed is empty,
 // so a Keyed inside slab storage needs no constructor.

@@ -30,7 +30,11 @@
 //
 //   - every acquisition uses a FRESH pair of spin cells, keyed by
 //     (process, per-process round number) and homed at the process, so
-//     writes can never alias across rounds;
+//     writes can never alias across rounds. The cells are allocated as
+//     members of two per-process families, homed by key mod N, and
+//     kept in the registering process's record by round; a rival's
+//     cells are found by decoding its registration key into process
+//     and round, never by a lookup in the families;
 //   - the two cells split the two signal phases ("nudge": a rival saw
 //     the tie-breaker point at you; "release": a rival finished), so
 //     every write is monotone within a round and nothing is wiped;
@@ -87,15 +91,26 @@ type Mutex struct {
 	holder   int
 }
 
-// inlineUsers is how many players a Mutex keeps without a map.
-const inlineUsers = 4
+// inlineUsers is how many players a Mutex keeps without a map, and
+// inlineRounds how many rounds' cells a player keeps without a slice.
+const (
+	inlineUsers  = 4
+	inlineRounds = 4
+)
 
 // user is one process's private state in an instance.
 type user struct {
 	id      int32
 	rounds  int32 // acquisitions begun
 	current Word  // registration of the open acquisition
+	// cells holds every round's spin cells, indexed by round: the
+	// first inlineRounds in place, the rest in later.
+	cells [inlineRounds]cellPair
+	later []cellPair
 }
+
+// cellPair is the two spin cells of one registration.
+type cellPair struct{ nudge, release memsim.Var }
 
 // mutexes is the storage instances are carved from.
 var mutexes = memsim.NewSlab[Mutex]()
@@ -153,14 +168,33 @@ func (l *Mutex) user(id int) *user {
 	return u
 }
 
-// register opens process id's next round and returns its registration
-// key.
-func (l *Mutex) register(id int) Word {
+// register opens process id's next round: it allocates the round's
+// spin cells, homed at id, and returns them with the registration key.
+func (l *Mutex) register(id int) (me Word, nudge, release memsim.Var) {
 	u := l.user(id)
-	me := l.enc(id, int(u.rounds))
+	me = l.enc(id, int(u.rounds))
+	nudge, release = l.nudge.New(me), l.release.New(me)
+	if u.rounds < inlineRounds {
+		u.cells[u.rounds] = cellPair{nudge, release}
+	} else {
+		u.later = append(u.later, cellPair{nudge, release})
+	}
 	u.rounds++
 	u.current = me
-	return me
+	return me, nudge, release
+}
+
+// cellsOf returns the spin cells of registration key: the ones process
+// key mod N allocated for its round key div N. Its record holds them,
+// because a process registers before it writes its key where another
+// process can read it.
+func (l *Mutex) cellsOf(key Word) cellPair {
+	u := l.user(int(key % Word(l.nproc)))
+	r := int(key / Word(l.nproc))
+	if r < inlineRounds {
+		return u.cells[r]
+	}
+	return u.later[r-inlineRounds]
 }
 
 // enc packs a (process, round) registration key.
@@ -178,9 +212,7 @@ func (l *Mutex) Acquire(proc *memsim.Proc, side int) {
 	}
 	l.sideUser[side] = proc.ID()
 
-	me := l.register(proc.ID())
-	myNudge := l.nudge.At(me)
-	myRelease := l.release.At(me)
+	me, myNudge, myRelease := l.register(proc.ID())
 
 	proc.Write(l.c[side], me+1)
 	proc.Write(l.t, me+1)
@@ -191,7 +223,7 @@ func (l *Mutex) Acquire(proc *memsim.Proc, side int) {
 		// cell (a monotone, idempotent write). Note the nudge comes
 		// after our T write: a waiter woken by it is guaranteed to
 		// observe the moved tie-breaker.
-		proc.Write(l.nudge.At(rival-1), 1)
+		proc.Write(l.cellsOf(rival-1).nudge, 1)
 		proc.Await(func(read func(memsim.Var) Word) bool {
 			return read(myNudge) != 0 || read(myRelease) == rival
 		}, myNudge, myRelease)
@@ -228,15 +260,13 @@ func (l *Mutex) AcquireAbortable(proc *memsim.Proc, side int) bool {
 	}
 	l.sideUser[side] = proc.ID()
 
-	me := l.register(proc.ID())
-	myNudge := l.nudge.At(me)
-	myRelease := l.release.At(me)
+	me, myNudge, myRelease := l.register(proc.ID())
 
 	proc.Write(l.c[side], me+1)
 	proc.Write(l.t, me+1)
 	rival := proc.Read(l.c[1-side])
 	if rival != 0 && proc.Read(l.t) == me+1 {
-		proc.Write(l.nudge.At(rival-1), 1)
+		proc.Write(l.cellsOf(rival-1).nudge, 1)
 		if proc.AwaitAbortable(func(read func(memsim.Var) Word) bool {
 			return read(myNudge) != 0 || read(myRelease) == rival
 		}, myNudge, myRelease) {
@@ -269,7 +299,7 @@ func (l *Mutex) abandon(proc *memsim.Proc, side int) bool {
 	proc.Write(l.c[side], 0)
 	rival := proc.Read(l.c[1-side])
 	if rival != 0 {
-		proc.Write(l.release.At(rival-1), l.user(proc.ID()).current+1)
+		proc.Write(l.cellsOf(rival-1).release, l.user(proc.ID()).current+1)
 	}
 	return false
 }
@@ -292,7 +322,7 @@ func (l *Mutex) Release(proc *memsim.Proc, side int) {
 		// overtook the rival side into a future round — one that
 		// never waited on us — the stamp will not match what that
 		// round observed, and the signal is inert.
-		proc.Write(l.release.At(rival-1), l.user(proc.ID()).current+1)
+		proc.Write(l.cellsOf(rival-1).release, l.user(proc.ID()).current+1)
 	}
 }
 

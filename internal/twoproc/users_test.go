@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,20 +36,16 @@ func (c *cellLog) Record(ev memsim.TraceEvent) {
 	}
 }
 
-// manyUsers runs one Mutex played by six processes, three per side,
-// over three rounds each: more players than a Mutex keeps inline. A
+// addPlayers adds processes 0..players-1 to m, each playing mu for
+// rounds rounds, even ids on side 0 and odd ids on side 1. A
 // test-and-set gate per side lets one process play a side at a time.
-// It returns the run's registrations, cells and per-process RMRs.
-func manyUsers(t *testing.T, model memsim.Model) string {
-	const procs, rounds = 6, 3
-	m := memsim.NewMachine(model, procs)
-	defer m.Release()
-	mu := New(m, memsim.NamePrefix(nil, "L"))
+// after, if not nil, runs after each Release, before the gate opens.
+func addPlayers(m *memsim.Machine, mu *Mutex, players, rounds int, after func(*memsim.Proc)) {
 	gate := [2]memsim.Var{
 		m.NewVar("gate[0]", memsim.HomeGlobal, 0),
 		m.NewVar("gate[1]", memsim.HomeGlobal, 0),
 	}
-	for i := 0; i < procs; i++ {
+	for i := 0; i < players; i++ {
 		side := i % 2
 		m.AddProc("p", func(p *memsim.Proc) {
 			for r := 0; r < rounds; r++ {
@@ -58,10 +56,24 @@ func manyUsers(t *testing.T, model memsim.Model) string {
 				p.EnterCS()
 				p.ExitCS()
 				mu.Release(p, side)
+				if after != nil {
+					after(p)
+				}
 				p.Write(gate[side], 0)
 			}
 		})
 	}
+}
+
+// manyUsers runs one Mutex played by six processes, three per side,
+// over three rounds each: more players than a Mutex keeps inline. It
+// returns the run's registrations, cells and per-process RMRs.
+func manyUsers(t *testing.T, model memsim.Model) string {
+	const procs, rounds = 6, 3
+	m := memsim.NewMachine(model, procs)
+	defer m.Release()
+	mu := New(m, memsim.NamePrefix(nil, "L"))
+	addPlayers(m, mu, procs, rounds, nil)
 	log := &cellLog{seen: map[string]bool{}}
 	m.AttachSink(log)
 	res := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(7)})
@@ -109,5 +121,142 @@ func TestManyUsersGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("many-user run differs from %s:\n--- got\n%s", path, got)
+	}
+}
+
+// handoffLog checks, from a run's event stream, that every nudge and
+// release write lands on the cell of the registration the writer read
+// from C[1−side] just before, and collects, for each cell, the
+// processes that read it and whether any read was remote.
+type handoffLog struct {
+	t      *testing.T
+	lastC  map[int]Word      // per process: the last registration read from C[·]
+	target map[string]Word   // cell label → registration key written to
+	reads  map[string][]bool // cell label → remote flag of each read
+	reader map[string]int    // cell label → a process that read it
+	wrong  int
+}
+
+func (h *handoffLog) Record(ev memsim.TraceEvent) {
+	cell := strings.HasPrefix(ev.Var, "L.nudge[") || strings.HasPrefix(ev.Var, "L.release[")
+	switch {
+	case strings.HasPrefix(ev.Var, "L.C[") && ev.Kind == memsim.TraceRead:
+		h.lastC[ev.Proc] = ev.After
+	case cell && ev.Kind == memsim.TraceWrite:
+		rival := h.lastC[ev.Proc]
+		family := ev.Var[:strings.IndexByte(ev.Var, '[')]
+		if want := fmt.Sprintf("%s[%d]", family, rival-1); rival == 0 || ev.Var != want {
+			if h.wrong++; h.wrong <= 5 {
+				h.t.Errorf("p%d wrote %s after reading registration %d, want %s", ev.Proc, ev.Var, rival, want)
+			}
+			return
+		}
+		h.target[ev.Var] = rival - 1
+	case cell && ev.Kind == memsim.TraceRead:
+		h.reads[ev.Var] = append(h.reads[ev.Var], ev.Remote)
+		if r, ok := h.reader[ev.Var]; ok && r != ev.Proc {
+			h.t.Errorf("%s read by p%d and p%d", ev.Var, r, ev.Proc)
+		}
+		h.reader[ev.Var] = ev.Proc
+	}
+}
+
+// TestCellLookupTiers checks that Acquire and Release find a
+// rival's cells by its registration key in both tiers of a player's
+// record: the first inlineUsers players and inlineRounds rounds in
+// place, and the players and rounds past them. Each player plays more
+// rounds than a record keeps in place, and at N=70 more players play
+// than a Mutex keeps in place. Every nudge and release write must land
+// on the cell labelled with the key the writer read, and on DSM that
+// cell must be homed at the key's process: the only process that reads
+// it, which reads each of its cells after every round, reads it
+// locally.
+func TestCellLookupTiers(t *testing.T) {
+	const rounds = inlineRounds + 2
+	for _, n := range []int{2, 3, 70} {
+		players := min(n, 2*inlineUsers)
+		for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
+			m := memsim.NewMachine(model, n)
+			mu := New(m, memsim.NamePrefix(nil, "L"))
+			addPlayers(m, mu, players, rounds, func(p *memsim.Proc) {
+				// The record, read directly: the round just played.
+				u := mu.user(p.ID())
+				var c cellPair
+				if r := int(u.rounds) - 1; r < inlineRounds {
+					c = u.cells[r]
+				} else {
+					c = u.later[r-inlineRounds]
+				}
+				p.Read(c.nudge)
+				p.Read(c.release)
+			})
+			h := &handoffLog{t: t, lastC: map[int]Word{}, target: map[string]Word{},
+				reads: map[string][]bool{}, reader: map[string]int{}}
+			m.AttachSink(h)
+			res := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(int64(n))})
+			if err := res.Err(); err != nil {
+				t.Fatalf("N=%d %v: %v", n, model, err)
+			}
+			if res.CSEntries != int64(players*rounds) {
+				t.Fatalf("N=%d %v: %d CS entries, want %d", n, model, res.CSEntries, players*rounds)
+			}
+			laterRounds, morePlayers := 0, 0
+			for label, key := range h.target {
+				owner := int(key % Word(n))
+				if r, ok := h.reader[label]; !ok || r != owner {
+					t.Errorf("N=%d %v: %s (key %d) read by p%d, want its owner p%d", n, model, label, key, r, owner)
+				}
+				if model == memsim.DSM && slices.Contains(h.reads[label], true) {
+					t.Errorf("N=%d %v: p%d read %s (key %d) remotely: not homed at %d", n, model, owner, label, key, owner)
+				}
+				if key/Word(n) >= inlineRounds {
+					laterRounds++
+				}
+				if _, ok := mu.more[owner]; ok {
+					morePlayers++
+				}
+			}
+			m.Release()
+			if laterRounds == 0 {
+				t.Errorf("N=%d %v: no write reached a round past the inline ones", n, model)
+			}
+			if players > inlineUsers && morePlayers == 0 {
+				t.Errorf("N=%d %v: no write reached a player past the inline ones", n, model)
+			}
+			t.Logf("N=%d %v: %d cells written, %d in rounds and %d of players past the inline ones",
+				n, model, len(h.target), laterRounds, morePlayers)
+		}
+	}
+}
+
+// BenchmarkMutexRounds measures the acquisition path on its own: one
+// Mutex on a 256-process machine, played by 8 processes for 64 rounds
+// each, so most registrations are past a record's inline rounds and
+// half the players past a Mutex's inline users. ns/acquisition and
+// B/acquisition cover the machine's build, run and release.
+func BenchmarkMutexRounds(b *testing.B) {
+	const n, players, rounds = 256, 2 * inlineUsers, 64
+	for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
+		b.Run(model.String(), func(b *testing.B) {
+			var cs memsim.Carriers
+			defer cs.Close()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			bytes := ms.TotalAlloc
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := memsim.NewMachine(model, n)
+				addPlayers(m, New(m, memsim.NamePrefix(nil, "L")), players, rounds, nil)
+				if err := m.RunOn(&cs, memsim.RunConfig{Sched: memsim.NewRandom(int64(i))}).Err(); err != nil {
+					b.Fatal(err)
+				}
+				m.Release()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			acqs := float64(b.N) * players * rounds
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/acqs, "ns/acquisition")
+			b.ReportMetric(float64(ms.TotalAlloc-bytes)/acqs, "B/acquisition")
+		})
 	}
 }
