@@ -101,11 +101,17 @@ explore-smoke:
 
 # fleet-smoke stands up a real (in-process) model-checking fleet — a
 # coordinator plus two workers over loopback HTTP — and exhausts the
-# paper's DSM algorithm at N=2, K=2, recording the wall-clock-free
-# campaign artifact. The verdict must match explore-smoke's g-dsm run
-# bit for bit; the in-repo equivalence tests enforce that invariant.
+# paper's DSM algorithm at N=2, K=2 from a fresh checkpoint, recording
+# the wall-clock-free campaign artifact. It then reruns the campaign
+# from the now-complete checkpoint, which must resume without
+# re-exploring and write a byte-identical artifact: the command-line
+# resume gate. The verdict must match explore-smoke's g-dsm run bit for
+# bit; the in-repo equivalence tests enforce that invariant.
 fleet-smoke:
-	$(GO) run ./cmd/fleet run -alg g-dsm -n 2 -entries 2 -preemptions 2 -workers 2 -out bench/current/explore/EXPLORE_fleet_g-dsm.json
+	rm -f bench/current/explore/CKPT_fleet_g-dsm.json
+	$(GO) run ./cmd/fleet run -alg g-dsm -n 2 -entries 2 -preemptions 2 -workers 2 -checkpoint bench/current/explore/CKPT_fleet_g-dsm.json -out bench/current/explore/EXPLORE_fleet_g-dsm.json
+	$(GO) run ./cmd/fleet run -alg g-dsm -n 2 -entries 2 -preemptions 2 -workers 2 -checkpoint bench/current/explore/CKPT_fleet_g-dsm.json -out bench/current/explore/EXPLORE_fleet_g-dsm.resumed.json
+	cmp bench/current/explore/EXPLORE_fleet_g-dsm.json bench/current/explore/EXPLORE_fleet_g-dsm.resumed.json
 
 # telemetry-smoke gates CI on the observability layer: a loopback fleet
 # run must leave behind a valid, Complete fetchphi.capacity/v1 artifact

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	explore [-alg g-dsm] [-n 2] [-entries 2] [-preemptions 2]
-//	        [-maxruns 500000] [-workers 0] [-progress] [-checkpoint ck.json]
+//	        [-maxruns 500000] [-workers 0] [-progress]
 //	        [-out EXPLORE_alg.json] [-require-exhausted] [-list]
 //
 // -preemptions 0 is honest: it requests an exactly non-preemptive
@@ -27,19 +27,9 @@
 // model-check capacity. Exit codes: 0 ok, 1 failure or unmet
 // -require-exhausted, 2 usage error.
 //
-// With -checkpoint, the run goes through the fleet campaign engine's
-// local executor: every completed wave is persisted to the given path
-// (the same fetchphi.explore/v1 Checkpoint extension a fleet
-// coordinator writes), an interrupted run resumes from it without
-// re-exploring finished waves, and the verdict stays bit-identical to
-// the plain path — the golden test pins the -out artifacts equal
-// across both.
-//
-// With -capacity, the run (also via the campaign engine) additionally
-// records a fetchphi.capacity/v1 throughput artifact — wave counts and
-// timings, schedules/sec — the same format a fleet coordinator writes,
-// so local and distributed capacity are tracked side by side. Lease
-// counters stay zero on this path: the local executor leases nothing.
+// Checkpoints and capacity artifacts belong to the fleet: `fleet run
+// -checkpoint ck.json -capacity cap.json` runs the same check through
+// an in-process coordinator that persists every completed wave.
 package main
 
 import (
@@ -87,8 +77,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		workers     = fs.Int("workers", 0, "wave-shard workers per model (0 = GOMAXPROCS)")
 		progress    = fs.Bool("progress", false, "stream exploration progress to stderr (observation-only)")
 		out         = fs.String("out", "", "write a fetchphi.explore/v1 artifact to this path")
-		checkpoint  = fs.String("checkpoint", "", "persist completed waves to this path and resume from it (fleet checkpoint format)")
-		capacity    = fs.String("capacity", "", "write a fetchphi.capacity/v1 throughput artifact to this path (runs via the campaign engine)")
 		requireFull = fs.Bool("require-exhausted", false, "exit 1 unless every model's schedule space was exhausted within -maxruns")
 		list        = fs.Bool("list", false, "list known algorithms and exit")
 	)
@@ -136,23 +124,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				model, p.Depth, p.Frontier, p.Runs, rate)
 		}
 	}
-	var reports []harness.ModelReport
-	var checkErr error
-	if *checkpoint != "" || *capacity != "" {
-		cfg := fleet.Config{Algorithm: *alg, N: *n, Entries: *entries, Preemptions: *preemptions, MaxRuns: *maxRuns}
-		camp := &fleet.Campaign{
-			Config:         cfg,
-			Exec:           &fleet.LocalExecutor{Build: builder, Config: cfg, Shards: w},
-			CheckpointPath: *checkpoint,
-			CapacityPath:   *capacity,
-			CreatedBy:      "cmd/explore",
-			Commit:         gitCommit(),
-			Progress:       opts.Progress,
-		}
-		reports, _, checkErr = camp.Run()
-	} else {
-		reports, checkErr = harness.CheckSharded(builder, *n, *entries, opts)
-	}
+	reports, checkErr := harness.CheckSharded(builder, *n, *entries, opts)
 	//fetchphilint:ignore determinism wall-clock capacity reporting, not a simulated metric
 	wall := time.Since(start)
 

@@ -31,6 +31,9 @@ func TestRunUsageErrors(t *testing.T) {
 		{"zero maxruns", []string{"-maxruns", "0"}},
 		{"negative workers", []string{"-workers", "-3"}},
 		{"unknown algorithm", []string{"-alg", "no-such-lock"}},
+		// Checkpoints and capacity artifacts are fleet run's alone.
+		{"checkpoint", []string{"-checkpoint", "x"}},
+		{"capacity", []string{"-capacity", "x"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, stderr := runExplore(t, tc.argv...)
@@ -137,54 +140,6 @@ func TestArtifactGoldenAcrossWorkerCounts(t *testing.T) {
 	seq, par := load("1"), load("8")
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("artifacts diverge across worker counts:\n workers=1: %+v\n workers=8: %+v", seq, par)
-	}
-}
-
-// TestArtifactGoldenAcrossCheckpointPaths: the -checkpoint path runs
-// through the fleet campaign engine instead of harness.CheckSharded,
-// and must produce the identical -out artifact (wall-clock fields
-// zeroed). The checkpoint file itself must be a complete
-// fetchphi.explore/v1 checkpoint whose final model records match.
-func TestArtifactGoldenAcrossCheckpointPaths(t *testing.T) {
-	dir := t.TempDir()
-	load := func(path string, argv ...string) *obs.ExploreArtifact {
-		t.Helper()
-		code, stdout, stderr := runExplore(t, append(argv,
-			"-alg", "tas", "-n", "2", "-entries", "2", "-preemptions", "2",
-			"-workers", "2", "-out", path)...)
-		if code != 0 {
-			t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
-		}
-		art, err := obs.ReadExploreArtifact(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		art.Commit, art.WallMS, art.SchedulesPerSec = "", 0, 0
-		return art
-	}
-	ckPath := filepath.Join(dir, "ck.json")
-	plain := load(filepath.Join(dir, "plain.json"))
-	viaCk := load(filepath.Join(dir, "ck-out.json"), "-checkpoint", ckPath)
-	if !reflect.DeepEqual(plain, viaCk) {
-		t.Fatalf("artifacts diverge across checkpoint paths:\n plain: %+v\n checkpointed: %+v", plain, viaCk)
-	}
-
-	ck, err := obs.ReadExploreArtifact(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Checkpoint == nil || !ck.Checkpoint.Complete {
-		t.Fatalf("checkpoint file: %+v", ck.Checkpoint)
-	}
-	if !reflect.DeepEqual(ck.Models, plain.Models) {
-		t.Fatalf("checkpoint final models diverge:\n checkpoint: %+v\n plain: %+v", ck.Models, plain.Models)
-	}
-
-	// Resuming from a complete checkpoint re-explores nothing and still
-	// writes the identical -out artifact.
-	resumed := load(filepath.Join(dir, "resumed.json"), "-checkpoint", ckPath)
-	if !reflect.DeepEqual(plain, resumed) {
-		t.Fatalf("resume from complete checkpoint diverged:\n plain: %+v\n resumed: %+v", plain, resumed)
 	}
 }
 

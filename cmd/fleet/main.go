@@ -38,8 +38,8 @@
 // artifact and a live /v1/metrics.
 //
 // With -checkpoint, the coordinator persists every completed wave to
-// the given path (the fetchphi.explore/v1 Checkpoint extension, the
-// same format `explore -checkpoint` writes); a restarted coordinator
+// the given path (the fetchphi.explore/v1 Checkpoint extension; `fleet
+// run -checkpoint` is the single-machine form); a restarted coordinator
 // resumes from it without re-exploring finished waves, and the final
 // artifact is byte-identical to an uninterrupted run's. Exit codes:
 // 0 ok, 1 check failure or transport error, 2 usage error.

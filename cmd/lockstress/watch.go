@@ -100,7 +100,7 @@ func (b *liveBoard) done(lock string, workers int, p stress.Progress) {
 	}
 }
 
-// fail marks a run that errored (lost updates, capacity).
+// fail marks a run that errored (lost updates).
 func (b *liveBoard) fail(lock string, workers int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -80,7 +80,7 @@ func main() {
 	fmt.Println("   ok: 50 seeds × 2 models")
 
 	fmt.Println("\n2. exhaustive model checking (≤3 preemptions):")
-	if err := harness.Check(builder, 2, 2, 3, 2_000_000); err != nil {
+	if _, err := harness.CheckSharded(builder, 2, 2, harness.ExploreOptions{Preemptions: 3, MaxRuns: 2_000_000}); err != nil {
 		log.Fatalf("   FAILED: %v", err)
 	}
 	fmt.Println("   ok: every explored schedule is safe and live")

@@ -43,7 +43,7 @@ func TestAllLocksModelChecked(t *testing.T) {
 		b := b
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			if err := harness.Check(b, 2, 2, 2, 500_000); err != nil {
+			if _, err := harness.CheckSharded(b, 2, 2, harness.ExploreOptions{Preemptions: 2, MaxRuns: 500_000}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -39,10 +39,10 @@ func TestYATreeModelChecked(t *testing.T) {
 	if testing.Short() {
 		maxRuns = 30_000
 	}
-	if err := harness.Check(yaBuilder, 2, 2, 3, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(yaBuilder, 2, 2, harness.ExploreOptions{Preemptions: 3, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
-	if err := harness.Check(yaBuilder, 3, 1, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(yaBuilder, 3, 1, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
 }

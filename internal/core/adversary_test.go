@@ -55,7 +55,7 @@ func TestTreeWithXorPrimitive(t *testing.T) {
 	if err := harness.Verify(builder, 5, 6, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := harness.Check(builder, 3, 1, 2, 100_000); err != nil {
+	if _, err := harness.CheckSharded(builder, 3, 1, harness.ExploreOptions{Preemptions: 2, MaxRuns: 100_000}); err != nil {
 		t.Fatal(err)
 	}
 	met, err := harness.Run(builder, harness.Workload{

@@ -77,8 +77,8 @@ func TestGCCModelChecked(t *testing.T) {
 	if testing.Short() {
 		maxRuns = 30_000
 	}
-	if err := harness.Check(gccBuilder(func(int) phi.Primitive { return phi.FetchAndIncrement{} }),
-		2, 2, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(gccBuilder(func(int) phi.Primitive { return phi.FetchAndIncrement{} }),
+		2, 2, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -89,8 +89,8 @@ func TestGDSMModelChecked(t *testing.T) {
 	if testing.Short() {
 		maxRuns = 30_000
 	}
-	if err := harness.Check(gdsmBuilder(func(int) phi.Primitive { return phi.FetchAndStore{} }),
-		2, 2, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(gdsmBuilder(func(int) phi.Primitive { return phi.FetchAndStore{} }),
+		2, 2, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -39,12 +39,12 @@ func TestNoExitWaitModelChecked(t *testing.T) {
 	if testing.Short() {
 		maxRuns = 30_000
 	}
-	if err := harness.Check(nowaitBuilder(func(int) phi.Primitive { return phi.FetchAndIncrement{} }),
-		2, 2, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(nowaitBuilder(func(int) phi.Primitive { return phi.FetchAndIncrement{} }),
+		2, 2, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
-	if err := harness.Check(nowaitBuilder(func(int) phi.Primitive { return phi.FetchAndStore{} }),
-		3, 1, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(nowaitBuilder(func(int) phi.Primitive { return phi.FetchAndStore{} }),
+		3, 1, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -27,10 +27,10 @@ func TestSpecializedGCCModelChecked(t *testing.T) {
 	if testing.Short() {
 		maxRuns = 30_000
 	}
-	if err := harness.Check(specializedBuilder, 2, 2, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(specializedBuilder, 2, 2, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
-	if err := harness.Check(specializedBuilder, 3, 1, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(specializedBuilder, 3, 1, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -44,7 +44,6 @@ type T struct {
 	winner0    [][]memsim.Var // Winner[lev][idx][0]
 	winner1    [][]memsim.Var // Winner[lev][idx][1]
 	waiter     [][]memsim.Var // Waiter[lev][idx]
-	nodeBase   []int          // global node-id offset per level
 
 	spin     []memsim.Var
 	inTree   []memsim.Var
@@ -132,12 +131,8 @@ func NewTWithDegree(m *memsim.Machine, prim phi.SelfResettable, degree int) *T {
 	t.winner0 = make([][]memsim.Var, t.maxLevel+1)
 	t.winner1 = make([][]memsim.Var, t.maxLevel+1)
 	t.waiter = make([][]memsim.Var, t.maxLevel+1)
-	t.nodeBase = make([]int, t.maxLevel+1)
-	nextID := 0
 	for i, w := range widths {
 		lev := t.maxLevel - i
-		t.nodeBase[lev] = nextID
-		nextID += w
 		t.lock0[lev] = m.NewArray(fmt.Sprintf("t.Lock0[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)
 		t.lock1[lev] = m.NewArray(fmt.Sprintf("t.Lock1[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)
 		t.waiterLock[lev] = m.NewArray(fmt.Sprintf("t.WaiterLock[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)
@@ -168,9 +163,6 @@ func (t *T) nodeIndex(id, lev int) int {
 	}
 	return idx
 }
-
-// nodeID returns the global node identity used as a site key.
-func (t *T) nodeID(lev, idx int) Word { return Word(t.nodeBase[lev] + idx) }
 
 // invoker returns process p's invocation counter for variable v.
 func (t *T) invoker(p *memsim.Proc, v memsim.Var) *phi.Invoker {

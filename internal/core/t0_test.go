@@ -119,10 +119,10 @@ func TestT0ModelChecked(t *testing.T) {
 	if testing.Short() {
 		maxRuns = 15_000
 	}
-	if err := harness.Check(t0Builder, 2, 2, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(t0Builder, 2, 2, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
-	if err := harness.Check(t0Builder, 3, 1, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(t0Builder, 3, 1, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
 }

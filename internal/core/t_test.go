@@ -48,10 +48,10 @@ func TestAlgTModelChecked(t *testing.T) {
 	if testing.Short() {
 		maxRuns = 15_000
 	}
-	if err := harness.Check(tBuilder(phi.BoundedIncDec{}), 2, 2, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(tBuilder(phi.BoundedIncDec{}), 2, 2, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
-	if err := harness.Check(tBuilder(phi.BoundedIncDec{}), 3, 1, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(tBuilder(phi.BoundedIncDec{}), 3, 1, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -82,7 +82,7 @@ func TestTreeModelChecked(t *testing.T) {
 		maxRuns = 20_000
 	}
 	// N=3 with c=2 exercises a two-level tree exhaustively.
-	if err := harness.Check(treeBuilder(4), 3, 1, 2, maxRuns); err != nil {
+	if _, err := harness.CheckSharded(treeBuilder(4), 3, 1, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns}); err != nil {
 		t.Fatal(err)
 	}
 }

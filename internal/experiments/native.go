@@ -7,40 +7,9 @@ import (
 	"time"
 
 	"fetchphi/internal/harness"
-	"fetchphi/internal/nativelock"
 	"fetchphi/internal/obs"
+	"fetchphi/internal/stress"
 )
-
-// nativeCase wraps one native lock behind a uniform critical-section
-// runner, mirroring cmd/lockstress.
-type nativeCase struct {
-	name string
-	cs   func(id int, body func())
-}
-
-func nativeCases(workers int) []nativeCase {
-	var mu sync.Mutex
-	var tas nativelock.TASLock
-	var ttas nativelock.TTASLock
-	var ticket nativelock.TicketLock
-	anderson := nativelock.NewAndersonLock(workers)
-	clh := nativelock.NewCLHLock()
-	mcs := nativelock.NewMCSLock()
-	genInc := nativelock.NewGeneric(workers, nativelock.FetchIncrement)
-	genSwap := nativelock.NewGeneric(workers, nativelock.FetchStore)
-
-	return []nativeCase{
-		{"sync.Mutex", func(_ int, body func()) { mu.Lock(); body(); mu.Unlock() }},
-		{"tas", func(_ int, body func()) { tas.Lock(); body(); tas.Unlock() }},
-		{"ttas", func(_ int, body func()) { ttas.Lock(); body(); ttas.Unlock() }},
-		{"ticket", func(_ int, body func()) { ticket.Lock(); body(); ticket.Unlock() }},
-		{"anderson", func(_ int, body func()) { s := anderson.Lock(); body(); anderson.UnlockSlot(s) }},
-		{"clh", func(_ int, body func()) { t := clh.Lock(); body(); clh.Unlock(t) }},
-		{"mcs", func(_ int, body func()) { n := mcs.Lock(); body(); mcs.Unlock(n) }},
-		{"generic-inc", func(id int, body func()) { genInc.LockID(id); body(); genInc.UnlockID(id) }},
-		{"generic-swap", func(id int, body func()) { genSwap.LockID(id); body(); genSwap.UnlockID(id) }},
-	}
-}
 
 func (o Opts) nativeIters() int {
 	if o.Quick {
@@ -50,7 +19,8 @@ func (o Opts) nativeIters() int {
 }
 
 // E9Native measures wall-clock throughput of the native (real
-// goroutine) spin locks — the one experiment that is not a
+// goroutine) spin locks of the stress zoo (stress.Cases, the locks
+// cmd/lockstress drives) — the one experiment that is not a
 // deterministic simulation. Its cells are recorded with WallClock set
 // so the regression gate knows to skip them: ns/op on a shared CI box
 // is informative, not a stable invariant. Every case still
@@ -71,7 +41,8 @@ func E9Native(o Opts) harness.Table {
 		Claim:   "local-spin queue locks stay competitive with sync.Mutex under contention",
 		Columns: []string{"lock", "workers", "total ops", "ns/op"},
 	}
-	for _, c := range nativeCases(workers) {
+	for _, c := range stress.Cases() {
+		cs := c.Make(workers)
 		var counter int
 		body := func() { counter++ }
 		var wg sync.WaitGroup
@@ -83,7 +54,7 @@ func E9Native(o Opts) harness.Table {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
-					c.cs(w, body)
+					cs(w, body)
 				}
 			}()
 		}
@@ -92,15 +63,15 @@ func E9Native(o Opts) harness.Table {
 		elapsed := time.Since(start)
 		total := workers * iters
 		if counter != total {
-			panic(fmt.Sprintf("experiments: E9 %s lost updates: %d != %d", c.name, counter, total))
+			panic(fmt.Sprintf("experiments: E9 %s lost updates: %d != %d", c.Name, counter, total))
 		}
 		nsPerOp := float64(elapsed.Nanoseconds()) / float64(total)
-		t.AddRow(c.name, harness.Itoa(int64(workers)), harness.Itoa(int64(total)),
+		t.AddRow(c.Name, harness.Itoa(int64(workers)), harness.Itoa(int64(total)),
 			harness.Ftoa(nsPerOp))
 		if o.Record != nil {
 			o.Record(obs.Cell{
 				Experiment: "E9",
-				Algorithm:  c.name,
+				Algorithm:  c.Name,
 				Model:      "native",
 				N:          workers,
 				Entries:    total,

@@ -30,7 +30,7 @@ func TestEveryAlgorithmVerifies(t *testing.T) {
 			if err := harness.VerifyPCT(b, 4, 4, 5); err != nil {
 				t.Fatal(err)
 			}
-			if err := harness.Check(b, 2, 1, 2, 100_000); err != nil {
+			if _, err := harness.CheckSharded(b, 2, 1, harness.ExploreOptions{Preemptions: 2, MaxRuns: 100_000}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -8,55 +8,16 @@ import (
 	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/obs"
-	"fetchphi/internal/telemetry"
 )
 
-// This file is the campaign engine: it runs each model's exploration
-// through memsim.ExploreWaves — the explorer's own wave loop, so the
-// cap, canonical-prefix truncation and first-failure merge are
-// Explorer.Run's by construction — and adds what is fleet-specific:
-// (a) wave execution is delegated to any backend, in-process shards or
-// a worker fleet, and (b) every completed wave is persisted as a
-// resumable checkpoint and capacity record. The equivalence tests pin
-// the reports against harness.CheckSharded.
-
-// A WaveExecutor runs one full wave of schedules and returns the
-// per-schedule outcomes indexed like the wave. Implementations decide
-// where the schedules actually execute: LocalExecutor shards them
-// across in-process goroutines, Coordinator leases them to fleet
-// workers over HTTP. Executors must run every index exactly once per
-// call and must not reorder outcomes.
-type WaveExecutor interface {
-	ExecWave(model memsim.Model, depth int, wave [][]memsim.Preemption) []memsim.ScheduleOutcome
-}
-
-// LocalExecutor executes waves in-process through the sharded
-// explorer — the single-machine backend of the campaign engine, used
-// by cmd/explore -checkpoint. It builds one explorer per model through
-// harness.CheckExplorer, exactly like every other check path.
-type LocalExecutor struct {
-	// Build is the algorithm under test.
-	Build harness.Builder
-	// Config is the campaign configuration.
-	Config Config
-	// Shards is the local wave-shard width (<= 1: sequential).
-	Shards int
-
-	explorers map[memsim.Model]*memsim.Explorer
-}
-
-// ExecWave implements WaveExecutor.
-func (x *LocalExecutor) ExecWave(model memsim.Model, depth int, wave [][]memsim.Preemption) []memsim.ScheduleOutcome {
-	if x.explorers == nil {
-		x.explorers = make(map[memsim.Model]*memsim.Explorer)
-	}
-	e, ok := x.explorers[model]
-	if !ok {
-		e = harness.CheckExplorer(x.Build, model, x.Config.N, x.Config.Entries, x.Config.withDefaults().exploreOptions(x.Shards))
-		x.explorers[model] = e
-	}
-	return e.RunScheduleRange(wave)
-}
+// This file is the coordinator's campaign engine: it runs each model's
+// exploration through memsim.ExploreWaves — the explorer's own wave
+// loop, so the cap, canonical-prefix truncation and first-failure
+// merge are Explorer.Run's by construction — and adds what is
+// fleet-specific: (a) each wave is leased out to workers (execWave),
+// and (b) every completed wave is persisted as a resumable checkpoint
+// and capacity record. The equivalence tests pin the reports against
+// harness.CheckSharded.
 
 // modelState is one memory model's in-flight campaign state.
 type modelState struct {
@@ -79,72 +40,26 @@ func (st *modelState) finish(res memsim.ExploreResult) {
 	st.result = res
 }
 
-// Campaign drives a full multi-model exploration through a
-// WaveExecutor, checkpointing after every completed wave.
-type Campaign struct {
-	// Config is the campaign configuration; zero fields get the
-	// documented defaults.
-	Config Config
-	// Exec runs each wave.
-	Exec WaveExecutor
-	// CheckpointPath, when non-empty, is the resumable
-	// fetchphi.explore/v1 artifact: loaded (and validated against
-	// Config) at start if it exists, rewritten atomically after every
-	// completed wave, and left behind as the final artifact with
-	// Checkpoint.Complete=true. Empty disables checkpointing.
-	CheckpointPath string
-	// CreatedBy and Commit stamp the artifact header. The artifact
-	// carries no wall-clock fields, so for a fixed configuration and
-	// commit it is byte-reproducible.
-	CreatedBy string
-	Commit    string
-	// CapacityPath, when non-empty, is the fetchphi.capacity/v1
-	// artifact: rewritten atomically after every completed wave
-	// (Complete=false) and finalized when the campaign ends
-	// (Complete=true). Empty disables it.
-	CapacityPath string
-	// Metrics receives the campaign's telemetry (wave counts/timings,
-	// schedule counts, and — when Exec is a Coordinator sharing the
-	// registry — the lease counters). Nil selects a fresh wall-clock
-	// registry. For byte-identical capacity artifacts, inject a fake
-	// clock: the campaign reads the registry clock only at
-	// deterministic points (two reads per wave, one per capacity
-	// write), so a step clock yields identical artifacts at any worker
-	// count.
-	Metrics *telemetry.Registry
-	// AfterWave, if non-nil, runs after each wave (and each model
-	// completion) has been checkpointed; returning a non-nil error
-	// aborts the campaign immediately with that error — the
-	// SIGKILL-equivalent hook the resume tests use.
-	AfterWave func(model memsim.Model, depth int) error
-	// Progress, if non-nil, observes each wave start.
-	Progress func(model memsim.Model, p memsim.ExploreProgress)
-}
-
-// Run executes (or resumes) the campaign. The returned reports are in
-// Config.Models order with Runs, Exhausted, DepthRuns, and
-// FailingSchedule bit-identical to harness.CheckSharded over the same
-// configuration; the error is the first failing model's, formatted by
-// harness.CheckFailure. Like CheckSharded, reports (and the final
+// campaign executes (or resumes) the exploration. The returned
+// reports are in Config.Models order with Runs, Exhausted, DepthRuns,
+// and FailingSchedule bit-identical to harness.CheckSharded over the
+// same configuration; the error is the first failing model's, formatted
+// by harness.CheckFailure. Like CheckSharded, reports (and the final
 // artifact) are returned even when the check itself fails, so callers
 // can persist capacity records for failed checks too.
-func (c *Campaign) Run() ([]harness.ModelReport, *obs.ExploreArtifact, error) {
-	cfg := c.Config.withDefaults()
-	models, err := cfg.parseModels()
+func (c *Coordinator) campaign() ([]harness.ModelReport, *obs.ExploreArtifact, error) {
+	models, err := c.cfg.parseModels()
 	if err != nil {
 		return nil, nil, err
-	}
-	if c.Metrics == nil {
-		c.Metrics = telemetry.New(nil)
 	}
 
 	states := make([]*modelState, len(models))
 	for i, m := range models {
 		states[i] = &modelState{model: m, frontier: memsim.Frontier{Wave: memsim.RootWave()}}
 	}
-	if c.CheckpointPath != "" {
-		if _, statErr := os.Stat(c.CheckpointPath); statErr == nil {
-			if err := c.restore(cfg, states); err != nil {
+	if c.opts.CheckpointPath != "" {
+		if _, statErr := os.Stat(c.opts.CheckpointPath); statErr == nil {
+			if err := c.restore(states); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -154,18 +69,18 @@ func (c *Campaign) Run() ([]harness.ModelReport, *obs.ExploreArtifact, error) {
 		if st.done {
 			continue
 		}
-		if err := c.runModel(cfg, st, states); err != nil {
+		if err := c.runModel(st, states); err != nil {
 			return nil, nil, err
 		}
 	}
 
-	art := c.artifact(cfg, states, true)
-	if c.CheckpointPath != "" {
-		if err := art.WriteFile(c.CheckpointPath); err != nil {
+	art := c.exploreArtifact(states, true)
+	if c.opts.CheckpointPath != "" {
+		if err := art.WriteFile(c.opts.CheckpointPath); err != nil {
 			return nil, nil, err
 		}
 	}
-	if err := c.writeCapacity(cfg, states, true); err != nil {
+	if err := c.writeCapacity(states, true); err != nil {
 		return nil, nil, err
 	}
 	reports := make([]harness.ModelReport, len(states))
@@ -182,43 +97,43 @@ func (c *Campaign) Run() ([]harness.ModelReport, *obs.ExploreArtifact, error) {
 // runModel runs one model's exploration to completion through
 // memsim.ExploreWaves, checkpointing after every wave (and once more
 // when the model finishes).
-func (c *Campaign) runModel(cfg Config, st *modelState, all []*modelState) error {
+func (c *Coordinator) runModel(st *modelState, all []*modelState) error {
 	exec := func(f memsim.Frontier) []memsim.ScheduleOutcome {
-		if c.Progress != nil {
-			c.Progress(st.model, memsim.ExploreProgress{Depth: f.Depth, Frontier: len(f.Wave), Runs: f.Runs})
+		if c.opts.Progress != nil {
+			c.opts.Progress(st.model, memsim.ExploreProgress{Depth: f.Depth, Frontier: len(f.Wave), Runs: f.Runs})
 		}
-		stop := c.Metrics.Time(MetricWaveUS)
-		outs := c.Exec.ExecWave(st.model, f.Depth, f.Wave)
+		stop := c.opts.Metrics.Time(MetricWaveUS)
+		outs := c.execWave(st.model, f.Depth, f.Wave)
 		stop()
-		c.Metrics.Counter(MetricWaves).Inc()
-		c.Metrics.Counter(MetricSchedules).Add(int64(len(f.Wave)))
+		c.opts.Metrics.Counter(MetricWaves).Inc()
+		c.opts.Metrics.Counter(MetricSchedules).Add(int64(len(f.Wave)))
 		return outs
 	}
 	next := func(f memsim.Frontier) error {
 		st.frontier = f
-		return c.afterWave(cfg, st, all)
+		return c.afterWave(st, all)
 	}
-	res, err := memsim.ExploreWaves(st.frontier, cfg.MaxRuns, exec, next)
+	res, err := memsim.ExploreWaves(st.frontier, c.cfg.MaxRuns, exec, next)
 	if err != nil {
 		return err
 	}
 	st.finish(res)
-	return c.afterWave(cfg, st, all)
+	return c.afterWave(st, all)
 }
 
 // afterWave persists the checkpoint and capacity artifacts and fires
 // the AfterWave hook.
-func (c *Campaign) afterWave(cfg Config, st *modelState, all []*modelState) error {
-	if c.CheckpointPath != "" {
-		if err := c.artifact(cfg, all, false).WriteFile(c.CheckpointPath); err != nil {
+func (c *Coordinator) afterWave(st *modelState, all []*modelState) error {
+	if c.opts.CheckpointPath != "" {
+		if err := c.exploreArtifact(all, false).WriteFile(c.opts.CheckpointPath); err != nil {
 			return err
 		}
 	}
-	if err := c.writeCapacity(cfg, all, false); err != nil {
+	if err := c.writeCapacity(all, false); err != nil {
 		return err
 	}
-	if c.AfterWave != nil {
-		return c.AfterWave(st.model, st.frontier.Depth)
+	if c.opts.AfterWave != nil {
+		return c.opts.AfterWave(st.model, st.frontier.Depth)
 	}
 	return nil
 }
@@ -227,24 +142,25 @@ func (c *Campaign) afterWave(cfg Config, st *modelState, all []*modelState) erro
 // telemetry snapshot (a no-op without a CapacityPath). Exactly one
 // registry-clock read per call, at a deterministic point in the wave
 // loop — the invariant that keeps fake-clock artifacts byte-identical.
-func (c *Campaign) writeCapacity(cfg Config, states []*modelState, complete bool) error {
-	if c.CapacityPath == "" {
+func (c *Coordinator) writeCapacity(states []*modelState, complete bool) error {
+	if c.opts.CapacityPath == "" {
 		return nil
 	}
-	return c.capacity(cfg, states, complete).WriteFile(c.CapacityPath)
+	return c.capacity(states, complete).WriteFile(c.opts.CapacityPath)
 }
 
 // capacity builds the fetchphi.capacity/v1 artifact: campaign-level
 // aggregates only. Per-worker metrics stay out deliberately — which
 // worker ran which lease differs run to run and with worker count, so
 // admitting them would break the artifact's byte-identity contract.
-func (c *Campaign) capacity(cfg Config, states []*modelState, complete bool) *obs.CapacityArtifact {
-	snap := c.Metrics.Snapshot()
+func (c *Coordinator) capacity(states []*modelState, complete bool) *obs.CapacityArtifact {
+	cfg := c.cfg
+	snap := c.opts.Metrics.Snapshot()
 	art := &obs.CapacityArtifact{
 		Schema:    obs.CapacitySchema,
 		Algorithm: cfg.Algorithm,
-		CreatedBy: c.CreatedBy,
-		Commit:    c.Commit,
+		CreatedBy: c.opts.CreatedBy,
+		Commit:    c.opts.Commit,
 		N:         cfg.N, Entries: cfg.Entries, Preemptions: cfg.Preemptions,
 		MaxRuns:         cfg.MaxRuns,
 		Complete:        complete,
@@ -271,17 +187,18 @@ func (c *Campaign) capacity(cfg Config, states []*modelState, complete bool) *ob
 	return art
 }
 
-// artifact serializes the campaign state as a fetchphi.explore/v1
+// exploreArtifact serializes the campaign state as a fetchphi.explore/v1
 // artifact with the resumable-checkpoint extension. Done models appear
 // in Models; in-progress models live only in the checkpoint. The
 // output contains no wall-clock fields, so identical campaign states
 // serialize to identical bytes.
-func (c *Campaign) artifact(cfg Config, states []*modelState, complete bool) *obs.ExploreArtifact {
+func (c *Coordinator) exploreArtifact(states []*modelState, complete bool) *obs.ExploreArtifact {
+	cfg := c.cfg
 	art := &obs.ExploreArtifact{
 		Schema:    obs.ExploreSchema,
 		Algorithm: cfg.Algorithm,
-		CreatedBy: c.CreatedBy,
-		Commit:    c.Commit,
+		CreatedBy: c.opts.CreatedBy,
+		Commit:    c.opts.Commit,
 		N:         cfg.N, Entries: cfg.Entries, Preemptions: cfg.Preemptions,
 		MaxRuns:    cfg.MaxRuns,
 		Checkpoint: &obs.ExploreCheckpoint{Complete: complete},
@@ -321,23 +238,25 @@ func ExploreRecord(model memsim.Model, res memsim.ExploreResult) obs.ExploreMode
 }
 
 // restore loads the checkpoint artifact and rehydrates states from it.
-// The checkpoint's configuration must match cfg — resuming a campaign
-// under a different configuration would silently corrupt the merge.
-func (c *Campaign) restore(cfg Config, states []*modelState) error {
-	art, err := obs.ReadExploreArtifact(c.CheckpointPath)
+// The checkpoint's configuration must match the coordinator's —
+// resuming under a different configuration would silently corrupt the
+// merge.
+func (c *Coordinator) restore(states []*modelState) error {
+	cfg, path := c.cfg, c.opts.CheckpointPath
+	art, err := obs.ReadExploreArtifact(path)
 	if err != nil {
 		return err
 	}
 	if art.Checkpoint == nil {
-		return fmt.Errorf("fleet: %s is not a checkpoint artifact (no checkpoint extension)", c.CheckpointPath)
+		return fmt.Errorf("fleet: %s is not a checkpoint artifact (no checkpoint extension)", path)
 	}
 	if art.Algorithm != cfg.Algorithm || art.N != cfg.N || art.Entries != cfg.Entries ||
 		art.Preemptions != cfg.Preemptions || art.MaxRuns != cfg.MaxRuns {
 		return fmt.Errorf("fleet: checkpoint %s was written for alg=%s n=%d entries=%d preemptions=%d maxruns=%d; refusing to resume with a different configuration",
-			c.CheckpointPath, art.Algorithm, art.N, art.Entries, art.Preemptions, art.MaxRuns)
+			path, art.Algorithm, art.N, art.Entries, art.Preemptions, art.MaxRuns)
 	}
 	if len(art.Checkpoint.Models) != len(states) {
-		return fmt.Errorf("fleet: checkpoint %s covers %d models, campaign configures %d", c.CheckpointPath, len(art.Checkpoint.Models), len(states))
+		return fmt.Errorf("fleet: checkpoint %s covers %d models, campaign configures %d", path, len(art.Checkpoint.Models), len(states))
 	}
 	finals := make(map[string]obs.ExploreModel, len(art.Models))
 	for _, em := range art.Models {
@@ -356,7 +275,7 @@ func (c *Campaign) restore(cfg Config, states []*modelState) error {
 		}
 		if !ck.Done {
 			if err := checkFrontier(st.frontier, cfg.N); err != nil {
-				return fmt.Errorf("fleet: checkpoint %s model %s: %w", c.CheckpointPath, ck.Model, err)
+				return fmt.Errorf("fleet: checkpoint %s model %s: %w", path, ck.Model, err)
 			}
 			continue
 		}

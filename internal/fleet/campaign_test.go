@@ -22,9 +22,9 @@ func TestCampaignRejectsCorruptCheckpoint(t *testing.T) {
 	// is in progress at next_depth 1 with depth_runs [1].
 	path := filepath.Join(dir, "ckpt.json")
 	stop := errors.New("stop")
-	camp := &Campaign{Config: cfg, Exec: &LocalExecutor{Build: newTASLock, Config: cfg}, CheckpointPath: path,
-		AfterWave: func(memsim.Model, int) error { return stop }}
-	if _, _, err := camp.Run(); !errors.Is(err, stop) {
+	seed := NewCoordinator(cfg, CoordinatorOptions{CheckpointPath: path, RetryMS: 2,
+		AfterWave: func(memsim.Model, int) error { return stop }})
+	if _, err := CheckWith(seed, newTASLock, CheckOptions{}); !errors.Is(err, stop) {
 		t.Fatalf("seed run ended with %v", err)
 	}
 	good, err := obs.ReadExploreArtifact(path)
@@ -63,16 +63,22 @@ func TestCampaignRejectsCorruptCheckpoint(t *testing.T) {
 			if err := bad.WriteFile(badPath); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = (&Campaign{Config: cfg, Exec: &LocalExecutor{Build: newTASLock, Config: cfg}, CheckpointPath: badPath}).Run()
+			// The restore error surfaces from Run before any lease.
+			coord := NewCoordinator(cfg, CoordinatorOptions{CheckpointPath: badPath})
+			_, err = coord.Run()
 			if err == nil || !strings.Contains(err.Error(), badPath) || !strings.Contains(err.Error(), "model CC") {
 				t.Fatalf("corrupt checkpoint: err = %v, want an error naming %s and model CC", err, badPath)
+			}
+			if log := coord.LeaseLog(); len(log) != 0 {
+				t.Fatalf("refused checkpoint still leased: %+v", log)
 			}
 		})
 	}
 
 	// The unmutated checkpoint still resumes: the rejections above are
 	// the mutations', not the seed's.
-	if _, _, err := (&Campaign{Config: cfg, Exec: &LocalExecutor{Build: newTASLock, Config: cfg}, CheckpointPath: path}).Run(); err != nil {
+	resume := NewCoordinator(cfg, CoordinatorOptions{CheckpointPath: path, RetryMS: 2})
+	if _, err := CheckWith(resume, newTASLock, CheckOptions{}); err != nil {
 		t.Fatalf("well-formed checkpoint refused: %v", err)
 	}
 }

@@ -17,14 +17,6 @@ type CheckOptions struct {
 	Workers int
 	// Shards is each worker's local wave-shard width (default 1).
 	Shards int
-	// LeaseSize, LeaseTimeout, CheckpointPath, CapacityPath, CreatedBy,
-	// Commit pass through to the coordinator.
-	LeaseSize      int
-	LeaseTimeout   time.Duration
-	CheckpointPath string
-	CapacityPath   string
-	CreatedBy      string
-	Commit         string
 }
 
 // Check is the fleet-backed harness.CheckSharded: it stands up a real
@@ -33,10 +25,11 @@ type CheckOptions struct {
 // order with Runs, Exhausted, DepthRuns, and FailingSchedule
 // bit-identical to the single-machine paths (failure errors are
 // message-identical; their concrete type is erased by the wire). It is
-// both the production path behind `fleet run` and the equivalence
-// test's subject.
+// the equivalence tests' subject; `fleet run` and `fleet smoke`, which
+// set lease sizes and artifact paths, build their own coordinator and
+// call CheckWith.
 func Check(b harness.Builder, cfg Config, opts CheckOptions) ([]harness.ModelReport, error) {
-	return CheckWith(checkCoordinator(cfg, opts), b, opts)
+	return CheckWith(checkCoordinator(cfg), b, opts)
 }
 
 // checkPoll is how long an idle in-process worker waits before asking
@@ -46,16 +39,8 @@ func Check(b harness.Builder, cfg Config, opts CheckOptions) ([]harness.ModelRep
 const checkPoll = 2 * time.Millisecond
 
 // checkCoordinator builds the coordinator Check runs its fleet over.
-func checkCoordinator(cfg Config, opts CheckOptions) *Coordinator {
-	return NewCoordinator(cfg, CoordinatorOptions{
-		LeaseSize:      opts.LeaseSize,
-		LeaseTimeout:   opts.LeaseTimeout,
-		RetryMS:        int(checkPoll / time.Millisecond),
-		CheckpointPath: opts.CheckpointPath,
-		CapacityPath:   opts.CapacityPath,
-		CreatedBy:      opts.CreatedBy,
-		Commit:         opts.Commit,
-	})
+func checkCoordinator(cfg Config) *Coordinator {
+	return NewCoordinator(cfg, CoordinatorOptions{RetryMS: int(checkPoll / time.Millisecond)})
 }
 
 // CheckWith runs the in-process fleet over a caller-built coordinator,

@@ -40,18 +40,30 @@ type CoordinatorOptions struct {
 	LeaseTimeout time.Duration
 	// RetryMS is the wait-poll hint sent to workers.
 	RetryMS int
-	// CheckpointPath enables resumable checkpoints (see Campaign).
+	// CheckpointPath, when non-empty, is the resumable
+	// fetchphi.explore/v1 artifact: loaded (and validated against the
+	// Config) at start if it exists, rewritten atomically after every
+	// completed wave, and left behind as the final artifact with
+	// Checkpoint.Complete=true. Empty disables checkpointing.
 	CheckpointPath string
-	// CapacityPath enables the fetchphi.capacity/v1 artifact, written
-	// next to the checkpoint after every wave and finalized when the
-	// campaign ends (see Campaign.CapacityPath).
+	// CapacityPath, when non-empty, is the fetchphi.capacity/v1
+	// artifact: rewritten atomically after every completed wave
+	// (Complete=false) and finalized when the campaign ends
+	// (Complete=true). Empty disables it.
 	CapacityPath string
-	// Metrics is the coordinator's telemetry registry; its clock is the
+	// Metrics is the coordinator's telemetry registry (wave counts and
+	// timings, schedule counts, lease counters); its clock is the
 	// telemetry clock, wholly separate from Now (the lease clock). Nil
-	// selects a fresh wall-clock registry.
+	// selects a fresh wall-clock registry. For byte-identical capacity
+	// artifacts, inject a fake clock: the campaign reads the registry
+	// clock only at deterministic points (once at construction, two
+	// reads per wave, one per capacity write), so a step clock yields
+	// identical artifacts at any worker count.
 	Metrics *telemetry.Registry
 	// CreatedBy and Commit stamp the artifact header
-	// (default "fleet-coordinator" / empty).
+	// (default "fleet-coordinator" / empty). The explore artifact
+	// carries no wall-clock fields, so for a fixed configuration and
+	// commit it is byte-reproducible.
 	CreatedBy string
 	Commit    string
 	// Now substitutes the lease clock — fault-injection tests advance
@@ -62,23 +74,21 @@ type CoordinatorOptions struct {
 	Now func() time.Time
 	// Progress, if non-nil, observes each wave start.
 	Progress func(model memsim.Model, p memsim.ExploreProgress)
-	// AfterWave passes through to Campaign.AfterWave: it fires after
-	// each wave is checkpointed, and a non-nil error stops the
-	// campaign on the wave boundary — the controlled-shutdown (and
-	// SIGKILL-equivalence test) hook.
+	// AfterWave, if non-nil, runs after each wave (and each model
+	// completion) has been checkpointed; a non-nil error stops the
+	// campaign on the wave boundary with that error — the
+	// controlled-shutdown (and SIGKILL-equivalence test) hook.
 	AfterWave func(model memsim.Model, depth int) error
 }
 
-// Coordinator is the fleet's control plane: it is the WaveExecutor of
-// a Campaign (whose waves memsim.ExploreWaves drives), decomposes each
-// wave into leases, and reassembles reported outcomes in canonical
-// index order. It executes no schedules
-// itself — workers (in other processes, or in-process via Check) do.
+// Coordinator is the fleet's control plane: it owns the campaign
+// (whose waves memsim.ExploreWaves drives), decomposes each wave into
+// leases, reassembles reported outcomes in canonical index order, and
+// checkpoints every completed wave. It executes no schedules itself —
+// workers (in other processes, or in-process via Check) do.
 type Coordinator struct {
 	cfg      Config
 	opts     CoordinatorOptions
-	now      func() time.Time
-	metrics  *telemetry.Registry
 	leaseSeq atomic.Int64
 
 	mu           sync.Mutex
@@ -121,39 +131,28 @@ func NewCoordinator(cfg Config, opts CoordinatorOptions) *Coordinator {
 	if opts.CreatedBy == "" {
 		opts.CreatedBy = "fleet-coordinator"
 	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
+	if opts.Now == nil {
+		opts.Now = time.Now
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = telemetry.New(nil)
 	}
 	return &Coordinator{
-		cfg: cfg.withDefaults(), opts: opts, now: now,
-		metrics: opts.Metrics,
+		cfg: cfg.withDefaults(), opts: opts,
 		workers: make(map[string]*workerState),
 		done:    make(chan struct{}),
 	}
 }
 
 // Metrics returns the coordinator's telemetry registry.
-func (c *Coordinator) Metrics() *telemetry.Registry { return c.metrics }
+func (c *Coordinator) Metrics() *telemetry.Registry { return c.opts.Metrics }
 
-// Run drives the campaign to completion and records its outcome; it
-// returns what Wait returns. Safe to call exactly once.
+// Run drives the campaign to completion, resuming from the checkpoint
+// if one exists, and records its outcome; it returns what Wait
+// returns. A checkpoint that cannot be restored fails Run before any
+// lease is granted. Safe to call exactly once.
 func (c *Coordinator) Run() ([]harness.ModelReport, error) {
-	camp := &Campaign{
-		Config:         c.cfg,
-		Exec:           c,
-		CheckpointPath: c.opts.CheckpointPath,
-		CapacityPath:   c.opts.CapacityPath,
-		Metrics:        c.metrics,
-		CreatedBy:      c.opts.CreatedBy,
-		Commit:         c.opts.Commit,
-		Progress:       c.opts.Progress,
-		AfterWave:      c.opts.AfterWave,
-	}
-	reports, art, err := camp.Run()
+	reports, art, err := c.campaign()
 	c.mu.Lock()
 	c.finished = true
 	c.reports = reports
@@ -191,11 +190,10 @@ func (c *Coordinator) LeaseLog() []LeaseEvent {
 	return append([]LeaseEvent(nil), c.events...)
 }
 
-// ExecWave implements WaveExecutor: it publishes the wave as a lease
-// table, waits for workers to complete every range, and collects the
-// outcomes in canonical order.
-func (c *Coordinator) ExecWave(model memsim.Model, depth int, wave [][]memsim.Preemption) []memsim.ScheduleOutcome {
-	t := newLeaseTable(model, depth, wave, c.opts.LeaseSize, c.opts.LeaseTimeout, c.now)
+// execWave publishes one wave as a lease table, waits for workers to
+// complete every range, and collects the outcomes in canonical order.
+func (c *Coordinator) execWave(model memsim.Model, depth int, wave [][]memsim.Preemption) []memsim.ScheduleOutcome {
+	t := newLeaseTable(model, depth, wave, c.opts.LeaseSize, c.opts.LeaseTimeout, c.opts.Now)
 	c.mu.Lock()
 	c.table = t
 	c.mu.Unlock()
@@ -258,11 +256,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		Lo: lease.Lo, Hi: lease.Hi, Worker: req.Worker, LeaseID: lease.ID,
 	})
 	c.mu.Unlock()
-	c.metrics.Counter(MetricLeases).Inc()
+	c.opts.Metrics.Counter(MetricLeases).Inc()
 	if kind == "re-lease" {
-		c.metrics.Counter(MetricReLeases).Inc()
+		c.opts.Metrics.Counter(MetricReLeases).Inc()
 	}
-	c.metrics.Counter(WorkerMetric(req.Worker, "leases")).Inc()
+	c.opts.Metrics.Counter(WorkerMetric(req.Worker, "leases")).Inc()
 	c.touchWorker(req.Worker, 1, 0)
 	writeJSON(w, LeaseResponse{Status: StatusLease, Lease: lease})
 }
@@ -282,7 +280,7 @@ func (c *Coordinator) touchWorker(id string, leases, schedules int64) {
 	}
 	ws.leases += leases
 	ws.schedules += schedules
-	ws.lastSeen = c.now()
+	ws.lastSeen = c.opts.Now()
 	c.mu.Unlock()
 }
 
@@ -327,11 +325,11 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	})
 	c.mu.Unlock()
 	if accepted {
-		c.metrics.Counter(MetricReports).Inc()
-		c.metrics.Counter(WorkerMetric(req.Worker, "schedules")).Add(int64(req.Hi - req.Lo))
+		c.opts.Metrics.Counter(MetricReports).Inc()
+		c.opts.Metrics.Counter(WorkerMetric(req.Worker, "schedules")).Add(int64(req.Hi - req.Lo))
 		c.touchWorker(req.Worker, 0, int64(req.Hi-req.Lo))
 	} else {
-		c.metrics.Counter(MetricStaleReports).Inc()
+		c.opts.Metrics.Counter(MetricStaleReports).Inc()
 		c.touchWorker(req.Worker, 0, 0)
 	}
 	reason := ""
@@ -349,7 +347,7 @@ func (c *Coordinator) noteStale(req *ReportRequest) {
 		Lo: req.Lo, Hi: req.Hi, Worker: req.Worker, LeaseID: req.LeaseID,
 	})
 	c.mu.Unlock()
-	c.metrics.Counter(MetricStaleReports).Inc()
+	c.opts.Metrics.Counter(MetricStaleReports).Inc()
 	c.touchWorker(req.Worker, 0, 0)
 }
 
@@ -367,7 +365,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 			resp.Leases++
 		}
 	}
-	now := c.now()
+	now := c.opts.Now()
 	for id, ws := range c.workers {
 		resp.Workers = append(resp.Workers, WorkerStatus{
 			Worker:     id,
@@ -386,8 +384,8 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	table := c.table
 	c.mu.Unlock()
 	sort.Slice(resp.Workers, func(i, j int) bool { return resp.Workers[i].Worker < resp.Workers[j].Worker })
-	resp.Waves = c.metrics.Counter(MetricWaves).Value()
-	resp.Schedules = c.metrics.Counter(MetricSchedules).Value()
+	resp.Waves = c.opts.Metrics.Counter(MetricWaves).Value()
+	resp.Schedules = c.opts.Metrics.Counter(MetricSchedules).Value()
 	if table != nil {
 		resp.Model = table.model.String()
 		resp.Depth = table.depth
@@ -402,7 +400,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 // poll this endpoint mid-campaign (the capacity artifact is the
 // deterministic view; this endpoint is the live one).
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, c.metrics.Snapshot())
+	writeJSON(w, c.opts.Metrics.Snapshot())
 }
 
 // errorString is a trivial error wrapper for failures that crossed the

@@ -91,29 +91,6 @@ func assertBitIdentical(t *testing.T, label string, got, ref []harness.ModelRepo
 	}
 }
 
-// TestCampaignLocalMatchesCheckSharded: the campaign engine driving the
-// in-process LocalExecutor reproduces CheckSharded bit for bit — the
-// engine's wave loop is a faithful lift of Explorer.Run.
-func TestCampaignLocalMatchesCheckSharded(t *testing.T) {
-	for _, fx := range []struct {
-		name  string
-		build harness.Builder
-	}{{"correct", newTASLock}, {"broken", newBrokenLock}} {
-		fx := fx
-		t.Run(fx.name, func(t *testing.T) {
-			t.Parallel()
-			ref, refErr := refReports(t, fx.build)
-			cfg := testConfig()
-			camp := &Campaign{Config: cfg, Exec: &LocalExecutor{Build: fx.build, Config: cfg, Shards: 2}}
-			got, art, err := camp.Run()
-			assertBitIdentical(t, "local campaign", got, ref, err, refErr)
-			if art == nil || !art.Checkpoint.Complete {
-				t.Fatalf("campaign artifact: %+v", art)
-			}
-		})
-	}
-}
-
 // TestCampaignHonorsMaxRuns: canonical-prefix truncation matches the
 // explorer when the cap lands inside a wave.
 func TestCampaignHonorsMaxRuns(t *testing.T) {
@@ -121,7 +98,7 @@ func TestCampaignHonorsMaxRuns(t *testing.T) {
 		cfg := testConfig()
 		cfg.MaxRuns = maxRuns
 		ref, refErr := harness.CheckSharded(newTASLock, 2, 2, harness.ExploreOptions{Preemptions: 2, MaxRuns: maxRuns, Workers: 1})
-		got, _, err := (&Campaign{Config: cfg, Exec: &LocalExecutor{Build: newTASLock, Config: cfg}}).Run()
+		got, err := Check(newTASLock, cfg, CheckOptions{})
 		assertBitIdentical(t, "capped campaign", got, ref, err, refErr)
 	}
 }
@@ -140,7 +117,8 @@ func TestFleetEquivalence(t *testing.T) {
 			t.Parallel()
 			ref, refErr := refReports(t, fx.build)
 			for _, workers := range []int{1, 2, 4} {
-				got, err := Check(fx.build, testConfig(), CheckOptions{Workers: workers, LeaseSize: 5})
+				coord := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 5, RetryMS: 2})
+				got, err := CheckWith(coord, fx.build, CheckOptions{Workers: workers})
 				assertBitIdentical(t, fmt.Sprintf("fleet workers=%d", workers), got, ref, err, refErr)
 			}
 		})
@@ -288,9 +266,10 @@ func TestFleetCheckpointResumeGolden(t *testing.T) {
 
 	// Uninterrupted fleet run.
 	fullPath := filepath.Join(dir, "full.json")
-	gotFull, errFull := Check(newTASLock, testConfig(), CheckOptions{
-		Workers: 2, LeaseSize: 5, CheckpointPath: fullPath, CreatedBy: "golden",
+	fullCoord := NewCoordinator(testConfig(), CoordinatorOptions{
+		LeaseSize: 5, RetryMS: 2, CheckpointPath: fullPath, CreatedBy: "golden",
 	})
+	gotFull, errFull := CheckWith(fullCoord, newTASLock, CheckOptions{Workers: 2})
 	assertBitIdentical(t, "uninterrupted fleet", gotFull, ref, errFull, refErr)
 
 	// Interrupted run: stop the coordinator after the CC model has
@@ -363,18 +342,24 @@ func minLeasedDepth(events []LeaseEvent, model string) int {
 }
 
 // TestCampaignRefusesForeignCheckpoint: resuming under a different
-// configuration must fail loudly, not silently corrupt the merge.
+// configuration must fail loudly, not silently corrupt the merge, and
+// before any lease is granted.
 func TestCampaignRefusesForeignCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	cfg := testConfig()
-	if _, _, err := (&Campaign{Config: cfg, Exec: &LocalExecutor{Build: newTASLock, Config: cfg}, CheckpointPath: path}).Run(); err != nil {
+	seed := NewCoordinator(cfg, CoordinatorOptions{CheckpointPath: path, RetryMS: 2})
+	if _, err := CheckWith(seed, newTASLock, CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
 	other.Preemptions = 1
-	_, _, err := (&Campaign{Config: other, Exec: &LocalExecutor{Build: newTASLock, Config: other}, CheckpointPath: path}).Run()
+	coord := NewCoordinator(other, CoordinatorOptions{CheckpointPath: path})
+	_, err := coord.Run()
 	if err == nil || !strings.Contains(err.Error(), "refusing to resume") {
 		t.Fatalf("foreign checkpoint accepted: %v", err)
+	}
+	if log := coord.LeaseLog(); len(log) != 0 {
+		t.Fatalf("refused checkpoint still leased: %+v", log)
 	}
 }
 
@@ -408,7 +393,7 @@ func TestStatusEndpoint(t *testing.T) {
 // DefaultRetryMS, or every idle worker sleeps 50-100 ms at each wave
 // boundary.
 func TestCheckCoordinatorRetryHint(t *testing.T) {
-	coord := checkCoordinator(testConfig(), CheckOptions{})
+	coord := checkCoordinator(testConfig())
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	// Before Run the coordinator has no lease table: every request waits.

@@ -130,8 +130,7 @@ type Config struct {
 }
 
 // withDefaults returns cfg with the documented defaults filled in, so
-// every component (coordinator, worker, local executor) normalizes the
-// same way.
+// the coordinator and every worker normalize the same way.
 func (cfg Config) withDefaults() Config {
 	if cfg.MaxRuns <= 0 {
 		cfg.MaxRuns = harness.DefaultCheckMaxRuns
@@ -159,9 +158,9 @@ func (cfg Config) parseModels() ([]memsim.Model, error) {
 }
 
 // exploreOptions maps the campaign config onto the harness options a
-// backend needs to build the one true explorer for a model. shards is
-// the backend's local wave-shard width (fleet workers typically run a
-// few shards each; the coordinator never executes schedules).
+// worker needs to build the one true explorer for a model. shards is
+// the worker's local wave-shard width (workers typically run a few
+// shards each; the coordinator never executes schedules).
 func (cfg Config) exploreOptions(shards int) harness.ExploreOptions {
 	return harness.ExploreOptions{
 		Preemptions: cfg.Preemptions,

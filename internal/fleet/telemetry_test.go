@@ -20,7 +20,7 @@ import (
 // stepClock is the telemetry clock for determinism tests: it advances a
 // fixed amount per read, so every duration in the capacity artifact is
 // a pure function of the campaign's clock-read count — which the
-// campaign engine keeps independent of worker count.
+// coordinator keeps independent of worker count.
 type stepClock struct {
 	mu   sync.Mutex
 	now  time.Time

@@ -151,7 +151,7 @@ func TestCheckAbortableAcceptsCorrect(t *testing.T) {
 // TestCheckAbortableCatchesUnsafeWithdrawal: the buggy rollback is
 // invisible without aborts but must fall to some abort schedule.
 func TestCheckAbortableCatchesUnsafeWithdrawal(t *testing.T) {
-	if err := Check(newUnsafeAbortable, 2, 1, 1, 0); err != nil {
+	if _, err := CheckSharded(newUnsafeAbortable, 2, 1, ExploreOptions{Preemptions: 1}); err != nil {
 		t.Fatalf("bug should be invisible without aborts, got: %v", err)
 	}
 	err := CheckAbortable(newUnsafeAbortable, 2, 2, 1, 1, 0)

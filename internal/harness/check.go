@@ -10,13 +10,11 @@ import (
 
 // This file is the model-checking entry point of the harness: it wraps
 // the memsim explorer around the standard acquire/CS/release workload
-// and runs it over the memory models — sequentially (Check, the
-// reference path every algorithm package calls from its tests) or
-// sharded (CheckSharded, which explores the models concurrently and
-// shards each model's schedule waves across a worker pool). Both paths
-// produce bit-identical verdicts; CheckSharded only changes wall-clock
-// time, which is what makes routinely model-checking the whole
-// algorithm registry affordable.
+// and runs it over the memory models (CheckSharded, which explores the
+// models concurrently and shards each model's schedule waves across a
+// worker pool). The verdict is bit-identical for every worker count;
+// workers only change wall-clock time, which is what makes routinely
+// model-checking the whole algorithm registry affordable.
 
 // Default model-check bounds.
 const (
@@ -85,7 +83,7 @@ const AbortResolveBound = 200
 // without aborts. Scheduling aborts for an algorithm that is not an
 // AbortableAlgorithm fails every explored run. It is exported because
 // it is the single definition of the model-check workload: every
-// execution backend — Check, CheckSharded, CheckAbortable, and the
+// execution backend — CheckSharded, CheckAbortable, and the
 // distributed fleet workers in internal/fleet — must build machines
 // through it, or their results would not be comparable, let alone
 // bit-identical.
@@ -140,33 +138,19 @@ func checkWithdrawal(r memsim.Result) error {
 }
 
 // CheckFailure converts one model's failing exploration into the
-// error Check has always reported. Exported so fleet-backed check
+// error CheckSharded reports. Exported so fleet-backed check
 // variants produce byte-identical error messages to the local paths.
 func CheckFailure(model memsim.Model, res memsim.ExploreResult) error {
 	return fmt.Errorf("harness: model %v, schedule %v (run %d): %w", model, res.FailingSchedule, res.Runs, res.Err)
 }
 
-// Check model-checks small configurations of the algorithm with
-// preemption-bounded exhaustive exploration: every schedule of n
-// processes × entries CS entries with up to `preemptions` forced
-// context switches, on both models, one model at a time with a single
-// worker. preemptions is taken literally — 0 requests an exactly
-// non-preemptive check (it is no longer silently promoted to the
-// default bound). Use CheckSharded to spend more cores on the same
-// verdict.
-func Check(b Builder, n, entries, preemptions, maxRuns int) error {
-	for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
-		opts := ExploreOptions{Preemptions: preemptions, MaxRuns: maxRuns, Workers: 1}
-		if res := CheckExplorer(b, model, n, entries, opts).Run(); res.Err != nil {
-			return CheckFailure(model, res)
-		}
-	}
-	return nil
-}
-
-// CheckSharded is the parallel Check: the models explore concurrently,
-// and within each model the schedule waves are sharded across
-// opts.Workers workers with work stealing. The per-model results come
+// CheckSharded model-checks small configurations of the algorithm
+// with preemption-bounded exhaustive exploration: every schedule of n
+// processes × entries CS entries with up to opts.Preemptions forced
+// context switches (0 requests an exactly non-preemptive check), on
+// every model. The models explore concurrently, and within each model
+// the schedule waves are sharded across opts.Workers workers with work
+// stealing. The per-model results come
 // back in opts.Models order with Runs, Exhausted, DepthRuns, and the
 // canonical FailingSchedule bit-identical to a sequential exploration;
 // when several models fail, the error reports the first failing model

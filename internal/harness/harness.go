@@ -400,7 +400,7 @@ func (d *passages) acquire(p *memsim.Proc) bool {
 // Verify stress-tests an algorithm: `seeds` random schedules of the
 // given workload shape on both memory models, failing on the first
 // violated run. It complements the exhaustive exploration done by
-// Check.
+// CheckSharded.
 func Verify(b Builder, n, entries, seeds int) error {
 	for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
 		for seed := 0; seed < seeds; seed++ {

@@ -101,11 +101,11 @@ func TestVerifyPassesAndFails(t *testing.T) {
 }
 
 func TestCheckPassesAndFails(t *testing.T) {
-	if err := Check(newFakeLock, 2, 1, 2, 50_000); err != nil {
-		t.Fatalf("correct lock failed Check: %v", err)
+	if _, err := CheckSharded(newFakeLock, 2, 1, ExploreOptions{Preemptions: 2, MaxRuns: 50_000}); err != nil {
+		t.Fatalf("correct lock failed CheckSharded: %v", err)
 	}
-	if err := Check(newBrokenLock, 2, 1, 2, 50_000); err == nil {
-		t.Fatal("broken lock passed Check")
+	if _, err := CheckSharded(newBrokenLock, 2, 1, ExploreOptions{Preemptions: 2, MaxRuns: 50_000}); err == nil {
+		t.Fatal("broken lock passed CheckSharded")
 	}
 }
 

@@ -325,7 +325,7 @@ type Frontier struct {
 }
 
 // ExploreWaves is the explorer's wave loop, shared by Explorer.Run and
-// every external driver (the fleet campaign engine in internal/fleet).
+// the fleet coordinator's campaign in internal/fleet.
 // Starting from a frontier it hands each wave to exec, which must
 // return one outcome per schedule indexed like f.Wave, and merges the
 // outcomes canonically: the first failing index is the canonically

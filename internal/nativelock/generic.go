@@ -97,10 +97,6 @@ func NewGeneric(n int, phi Phi) *Generic {
 	}
 }
 
-// Capacity returns the number of static identities the lock was built
-// for; LockID accepts identities in 0..Capacity()-1 only.
-func (l *Generic) Capacity() int { return l.n }
-
 // invoke performs the fetch-and-φ on a tail word for the identity,
 // returning the old and new values per the paper's convention.
 func (l *Generic) invoke(tail *atomic.Int64, id int) (old, cur int64) {

@@ -110,12 +110,6 @@ func NewAndersonLock(maxWaiters int) *AndersonLock {
 	return l
 }
 
-// Capacity returns the maximum number of simultaneous acquirers the
-// flag array admits. More concurrent Lock calls than this silently
-// corrupt the queue (two waiters sharing a slot), so harnesses must
-// size the lock to the worker count or refuse to run.
-func (l *AndersonLock) Capacity() int { return len(l.slots) }
-
 // Lock acquires the lock and returns a slot token that must be passed
 // to UnlockSlot. (The classic algorithm is per-processor; in Go the
 // token carries the slot between Lock and Unlock.)

@@ -92,15 +92,3 @@ func TestGraunkeThakkarLockNoStarvation(t *testing.T) {
 		l.Unlock(tok)
 	})
 }
-
-func TestCapacities(t *testing.T) {
-	if got := NewAndersonLock(6).Capacity(); got != 6 {
-		t.Errorf("AndersonLock capacity = %d, want 6", got)
-	}
-	if got := NewGeneric(5, FetchIncrement).Capacity(); got != 5 {
-		t.Errorf("Generic capacity = %d, want 5", got)
-	}
-	if got := NewTreeLock(7).Capacity(); got != 7 {
-		t.Errorf("TreeLock capacity = %d, want 7", got)
-	}
-}

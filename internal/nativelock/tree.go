@@ -45,10 +45,6 @@ func NewTreeLock(n int) *TreeLock {
 	return t
 }
 
-// Capacity returns the number of static identities the tree was built
-// for; LockID accepts identities in 0..Capacity()-1 only.
-func (t *TreeLock) Capacity() int { return t.n }
-
 // node returns the Peterson node and side for an identity at a level.
 func (t *TreeLock) node(id, level int) (*petersonNode, int) {
 	group := id >> level

@@ -1,11 +1,10 @@
 package obs
 
 // The capacity artifact (fetchphi.capacity/v1) is one campaign's
-// throughput record: how fast the fleet (or the local campaign engine)
-// chewed through a model-check schedule space, and how much lease
-// churn it took. It is written next to the fetchphi.explore/v1
-// checkpoint by the campaign engine, rewritten after every wave, and
-// finalized with Complete=true.
+// throughput record: how fast the fleet chewed through a model-check
+// schedule space, and how much lease churn it took. It is written next
+// to the fetchphi.explore/v1 checkpoint by the fleet coordinator,
+// rewritten after every wave, and finalized with Complete=true.
 //
 // Determinism contract: every duration in the artifact is measured
 // through the campaign's injectable telemetry clock, and only
@@ -16,21 +15,10 @@ package obs
 // function of (campaign, clock): byte-identical across {1,2,4} workers
 // under a fake clock, which the fleet test suite pins.
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // CapacitySchema identifies the campaign-capacity artifact format.
 const CapacitySchema = "fetchphi.capacity/v1"
-
-// CapacityArtifactName returns the canonical file name for an
-// algorithm's capacity artifact (CAPACITY_g-dsm.json, ...), flattening
-// '/' like ExploreArtifactName.
-func CapacityArtifactName(algorithm string) string {
-	return fmt.Sprintf("CAPACITY_%s.json", strings.ReplaceAll(algorithm, "/", "-"))
-}
 
 // CapacityArtifact is one campaign's capacity record.
 type CapacityArtifact struct {
@@ -61,8 +49,7 @@ type CapacityArtifact struct {
 	// wall-clock-honest in production.
 	SchedulesPerSec float64 `json:"schedules_per_sec"`
 	// Leases, ReLeases, StaleReports are the cumulative lease-log
-	// counters (zero for the in-process LocalExecutor, which leases
-	// nothing).
+	// counters.
 	Leases       int64 `json:"leases"`
 	ReLeases     int64 `json:"re_leases"`
 	StaleReports int64 `json:"stale_reports"`

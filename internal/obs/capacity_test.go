@@ -88,10 +88,3 @@ func TestReadCapacityRejectsForeignSchema(t *testing.T) {
 		t.Fatalf("foreign schema accepted: %v", err)
 	}
 }
-
-// TestCapacityArtifactName flattens '/' like ExploreArtifactName.
-func TestCapacityArtifactName(t *testing.T) {
-	if got := CapacityArtifactName("g-cc/fas"); got != "CAPACITY_g-cc-fas.json" {
-		t.Fatalf("name: %q", got)
-	}
-}

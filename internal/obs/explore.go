@@ -48,8 +48,8 @@ type ExploreArtifact struct {
 	Models []ExploreModel `json:"models"`
 	// Checkpoint, when present, makes the artifact a resumable
 	// campaign record: it carries the per-model wave frontier so a
-	// killed coordinator (or an interrupted cmd/explore -checkpoint
-	// run) restarts mid-campaign without re-running finished waves.
+	// killed coordinator (cmd/fleet serve or run) restarts
+	// mid-campaign without re-running finished waves.
 	// A complete campaign keeps its checkpoint with Complete=true —
 	// the final artifact of a resumed run is byte-identical to an
 	// uninterrupted one.

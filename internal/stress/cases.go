@@ -1,7 +1,6 @@
 package stress
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 
@@ -21,25 +20,7 @@ type CS func(id int, body func())
 // point (the corruption the old cmd/lockstress harness allowed).
 type Case struct {
 	Name string
-	Make func(workers int) (CS, error)
-}
-
-// Fixed wraps an already-built lock of bounded capacity (for example a
-// nativelock.AndersonLock whose Capacity() is fixed): Make refuses
-// worker counts beyond the capacity with a clear error instead of
-// letting the run corrupt the queue.
-func Fixed(name string, capacity int, cs CS) Case {
-	return Case{Name: name, Make: func(workers int) (CS, error) {
-		if workers > capacity {
-			return nil, fmt.Errorf("stress: lock %s admits at most %d concurrent workers, got %d", name, capacity, workers)
-		}
-		return cs, nil
-	}}
-}
-
-// ok wraps an unfailable constructor into the Make signature.
-func ok(make func(workers int) CS) func(int) (CS, error) {
-	return func(workers int) (CS, error) { return make(workers), nil }
+	Make func(workers int) CS
 }
 
 // Cases returns the spin-lock zoo, classic locks first, then the queue
@@ -47,50 +28,50 @@ func ok(make func(workers int) CS) func(int) (CS, error) {
 // instance, so cases carry no state between runs.
 func Cases() []Case {
 	return []Case{
-		{"mutex", ok(func(int) CS {
+		{"mutex", func(int) CS {
 			mu := new(sync.Mutex)
 			return func(_ int, body func()) { mu.Lock(); body(); mu.Unlock() }
-		})},
-		{"tas", ok(func(int) CS {
+		}},
+		{"tas", func(int) CS {
 			l := new(nativelock.TASLock)
 			return func(_ int, body func()) { l.Lock(); body(); l.Unlock() }
-		})},
-		{"ttas", ok(func(int) CS {
+		}},
+		{"ttas", func(int) CS {
 			l := new(nativelock.TTASLock)
 			return func(_ int, body func()) { l.Lock(); body(); l.Unlock() }
-		})},
-		{"ticket", ok(func(int) CS {
+		}},
+		{"ticket", func(int) CS {
 			l := new(nativelock.TicketLock)
 			return func(_ int, body func()) { l.Lock(); body(); l.Unlock() }
-		})},
-		{"anderson", ok(func(workers int) CS {
+		}},
+		{"anderson", func(workers int) CS {
 			l := nativelock.NewAndersonLock(workers)
 			return func(_ int, body func()) { s := l.Lock(); body(); l.UnlockSlot(s) }
-		})},
-		{"clh", ok(func(int) CS {
+		}},
+		{"clh", func(int) CS {
 			l := nativelock.NewCLHLock()
 			return func(_ int, body func()) { t := l.Lock(); body(); l.Unlock(t) }
-		})},
-		{"mcs", ok(func(int) CS {
+		}},
+		{"mcs", func(int) CS {
 			l := nativelock.NewMCSLock()
 			return func(_ int, body func()) { n := l.Lock(); body(); l.Unlock(n) }
-		})},
-		{"gt", ok(func(int) CS {
+		}},
+		{"gt", func(int) CS {
 			l := nativelock.NewGraunkeThakkarLock()
 			return func(_ int, body func()) { t := l.Lock(); body(); l.Unlock(t) }
-		})},
-		{"generic-inc", ok(func(workers int) CS {
+		}},
+		{"generic-inc", func(workers int) CS {
 			l := nativelock.NewGeneric(workers, nativelock.FetchIncrement)
 			return func(id int, body func()) { l.LockID(id); body(); l.UnlockID(id) }
-		})},
-		{"generic-swap", ok(func(workers int) CS {
+		}},
+		{"generic-swap", func(workers int) CS {
 			l := nativelock.NewGeneric(workers, nativelock.FetchStore)
 			return func(id int, body func()) { l.LockID(id); body(); l.UnlockID(id) }
-		})},
-		{"peterson-tree", ok(func(workers int) CS {
+		}},
+		{"peterson-tree", func(workers int) CS {
 			l := nativelock.NewTreeLock(workers)
 			return func(id int, body func()) { l.LockID(id); body(); l.UnlockID(id) }
-		})},
+		}},
 	}
 }
 

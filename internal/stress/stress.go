@@ -387,10 +387,7 @@ func Run(c Case, cfg Config) (*Result, error) {
 	if cfg.CSWork < 0 || cfg.Rate < 0 || cfg.WindowOps < 0 {
 		return nil, fmt.Errorf("stress: CSWork, Rate, and WindowOps must be non-negative")
 	}
-	cs, err := c.Make(cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
+	cs := c.Make(cfg.Workers)
 	reg := telemetry.New(cfg.Now)
 	tr := newTracker(reg, cfg)
 	if cfg.OnTracker != nil {

@@ -331,34 +331,3 @@ func checkSide(side int) {
 		panic(fmt.Sprintf("twoproc: side must be 0 or 1, got %d", side))
 	}
 }
-
-// Family is a lazily allocated collection of Mutex instances indexed by
-// Word keys. The G-DSM await transformation needs one instance per
-// synchronization site J (e.g. per (queue, predecessor) pair); a Family
-// materializes them on demand, deterministically within the accessing
-// process's turn. Member key is named "family{key}".
-type Family struct {
-	m    *memsim.Machine
-	name memsim.Prefix
-	mus  memsim.Keyed[*Mutex]
-}
-
-// families is the storage Families are carved from.
-var families = memsim.NewSlab[Family]()
-
-// NewFamily returns an empty instance family in m's storage.
-func NewFamily(m *memsim.Machine, name string) *Family {
-	f := families.New(m)
-	*f = Family{m: m, name: memsim.NamePrefix(nil, name)}
-	return f
-}
-
-// At returns the instance for key, creating it on first use.
-func (f *Family) At(key Word) *Mutex {
-	if mu, ok := f.mus.Get(key); ok {
-		return mu
-	}
-	mu := New(f.m, memsim.KeyedPrefix(&f.name, "", key))
-	f.mus.Put(key, mu)
-	return mu
-}

@@ -188,35 +188,6 @@ func TestUncontendedFastPath(t *testing.T) {
 	}
 }
 
-// TestFamilyCreatesDistinctInstances checks key isolation.
-func TestFamilyCreatesDistinctInstances(t *testing.T) {
-	m := memsim.NewMachine(memsim.CC, 2)
-	f := NewFamily(m, "F")
-	a, b := f.At(1), f.At(2)
-	if a == b {
-		t.Fatal("distinct keys returned the same instance")
-	}
-	if f.At(1) != a {
-		t.Fatal("repeated key returned a different instance")
-	}
-	// Holding instance 1 must not block an acquirer of instance 2.
-	m.AddProc("p0", func(p *memsim.Proc) {
-		a.Acquire(p, 0)
-		// Hold a's lock forever (do not release); p1 must still pass b.
-		p.AwaitTrue(m.NewVar("never", memsim.HomeGlobal, 0))
-	})
-	m.AddProc("p1", func(p *memsim.Proc) {
-		b.Acquire(p, 0)
-		p.EnterCS()
-		p.ExitCS()
-		b.Release(p, 0)
-	})
-	res := m.Run(memsim.RunConfig{Sched: memsim.RoundRobin{}})
-	if res.CSEntries != 1 {
-		t.Fatalf("p1 blocked by unrelated instance: %+v", res)
-	}
-}
-
 func TestInvalidSidePanics(t *testing.T) {
 	m := memsim.NewMachine(memsim.CC, 1)
 	mu := New(m, memsim.NamePrefix(nil, "L"))
