@@ -20,8 +20,8 @@ import (
 	"fetchphi/internal/experiments"
 	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
-	"fetchphi/internal/nativelock"
 	"fetchphi/internal/phi"
+	"fetchphi/internal/stress"
 )
 
 // benchWorkload runs one simulated configuration per iteration and
@@ -190,50 +190,13 @@ func benchNative(b *testing.B, cs func(id int, body func())) {
 	})
 }
 
-// BenchmarkE9_Native — real-hardware throughput of every native lock.
+// BenchmarkE9_Native — real-hardware throughput of every native lock
+// in the stress zoo (stress.Cases), the list E9 and cmd/lockstress run.
 func BenchmarkE9_Native(b *testing.B) {
 	maxIDs := runtime.GOMAXPROCS(0) + 64
-
-	b.Run("mcs", func(b *testing.B) {
-		l := nativelock.NewMCSLock()
-		benchNative(b, func(_ int, body func()) { n := l.Lock(); body(); l.Unlock(n) })
-	})
-	b.Run("clh", func(b *testing.B) {
-		l := nativelock.NewCLHLock()
-		benchNative(b, func(_ int, body func()) { t := l.Lock(); body(); l.Unlock(t) })
-	})
-	b.Run("ticket", func(b *testing.B) {
-		var l nativelock.TicketLock
-		benchNative(b, func(_ int, body func()) { l.Lock(); body(); l.Unlock() })
-	})
-	b.Run("ttas", func(b *testing.B) {
-		var l nativelock.TTASLock
-		benchNative(b, func(_ int, body func()) { l.Lock(); body(); l.Unlock() })
-	})
-	b.Run("anderson", func(b *testing.B) {
-		l := nativelock.NewAndersonLock(maxIDs)
-		benchNative(b, func(_ int, body func()) { s := l.Lock(); body(); l.UnlockSlot(s) })
-	})
-	b.Run("graunke-thakkar", func(b *testing.B) {
-		l := nativelock.NewGraunkeThakkarLock()
-		benchNative(b, func(_ int, body func()) { t := l.Lock(); body(); l.Unlock(t) })
-	})
-	b.Run("generic-inc", func(b *testing.B) {
-		l := nativelock.NewGeneric(maxIDs, nativelock.FetchIncrement)
-		benchNative(b, func(id int, body func()) { l.LockID(id); body(); l.UnlockID(id) })
-	})
-	b.Run("generic-swap", func(b *testing.B) {
-		l := nativelock.NewGeneric(maxIDs, nativelock.FetchStore)
-		benchNative(b, func(id int, body func()) { l.LockID(id); body(); l.UnlockID(id) })
-	})
-	b.Run("peterson-tree", func(b *testing.B) {
-		l := nativelock.NewTreeLock(maxIDs)
-		benchNative(b, func(id int, body func()) { l.LockID(id); body(); l.UnlockID(id) })
-	})
-	b.Run("sync.Mutex", func(b *testing.B) {
-		var l sync.Mutex
-		benchNative(b, func(_ int, body func()) { l.Lock(); body(); l.Unlock() })
-	})
+	for _, c := range stress.Cases() {
+		b.Run(c.Name, func(b *testing.B) { benchNative(b, c.Make(maxIDs)) })
+	}
 }
 
 func min(a, b int) int {

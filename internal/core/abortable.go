@@ -5,7 +5,6 @@ import (
 
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/phi"
-	"fetchphi/internal/twoproc"
 )
 
 // This file adds abortable mutual exclusion on top of the paper's
@@ -139,21 +138,21 @@ func (l *TokenAbortable) AcquireAbortable(p *memsim.Proc) bool {
 // Release implements the exit section: establish the grant for our own
 // token, relaying across markers left by withdrawn successors.
 func (l *TokenAbortable) Release(p *memsim.Proc) {
-	relayGrants(p, l.sites, l.grant, l.mark, l.held[p.ID()])
+	relayGrants(p, l.sites.At, l.grant, l.mark, l.held[p.ID()])
 }
 
-// relayGrants establishes the grant for token k; if the waiter on k
-// withdrew (marker present), the grant is skipped — it would never be
-// consumed — and the baton follows the marker to the withdrawn
-// waiter's own token. Marker reads and grant establishment happen
-// inside the site's Signal critical section, mutually exclusive with
-// the withdrawer's marker write, so exactly one of the two sides
+// relayGrants establishes the grant for key k at site(k); if the
+// waiter there withdrew (marker present), the grant is skipped — it
+// would never be consumed — and the baton follows the marker to the
+// withdrawn waiter's own key. Marker reads and grant establishment
+// happen inside the site's Signal critical section, mutually exclusive
+// with the withdrawer's marker write, so exactly one of the two sides
 // observes the other.
-func relayGrants(p *memsim.Proc, sites *SiteSet, grant, mark *memsim.Dict, k Word) {
+func relayGrants(p *memsim.Proc, site func(Word) *Site, grant, mark *memsim.Dict, k Word) {
 	for {
 		var marker Word
 		sig := grant.At(k)
-		sites.At(k).Signal(p, func() {
+		site(k).Signal(p, func() {
 			marker = p.Read(mark.At(k))
 			if marker != 0 {
 				p.Write(mark.At(k), 0)
@@ -172,10 +171,9 @@ func relayGrants(p *memsim.Proc, sites *SiteSet, grant, mark *memsim.Dict, k Wor
 // GDSMAbortable: Algorithm G-DSM with queue-node unwinding.
 // ---------------------------------------------------------------------
 
-// GDSMAbortable is the abortable variant of Algorithm G-DSM: the same
-// two-generation queue structure (fetch-and-φ tails, Sec. 3 transformed
-// waits, two-process arbitration between queues) with three abort
-// windows wired through the marker relay:
+// GDSMAbortable is the abortable variant of Algorithm G-DSM: a GDSM
+// instance whose entry section (GDSM.AcquireSlot) may withdraw at
+// three abort windows wired through the marker relay:
 //
 //   - before enqueueing: the request withdraws by re-announcing
 //     inactivity through its own process site — it never held a queue
@@ -187,13 +185,13 @@ func relayGrants(p *memsim.Proc, sites *SiteSet, grant, mark *memsim.Dict, k Wor
 //     abandoned (twoproc.AcquireAbortable) but the request already
 //     holds its queue's baton, so it performs the full exit-section
 //     duties — position sweep, possible queue exchange, successor
-//     relay — before going inactive. Position operations need no lock:
-//     they are serialized by the baton itself.
+//     relay — before going inactive, minus the two-process release.
 //
-// The exit section always uses the delegation handshake (the
-// noExitWait extension), so neither release nor withdrawal ever blocks
-// on another process's progress — which is what keeps withdrawal
-// wait-free and passages O(1) amortized RMR.
+// The instance always uses the delegation handshake (the noExitWait
+// extension), so neither release nor withdrawal ever blocks on another
+// process's progress — which is what keeps withdrawal wait-free and
+// passages O(1) amortized RMR. What sets it apart from plain G-DSM is
+// only its marker families (GDSM.mark).
 //
 // Withdrawn requests make fetch-and-φ values outlive the 2N-invocation
 // window the rank analysis of Theorem 1 assumes, so the construction
@@ -203,14 +201,7 @@ func relayGrants(p *memsim.Proc, sites *SiteSet, grant, mark *memsim.Dict, k Wor
 // can strand at the tail.
 //
 //fetchphilint:rmr O(1) amortized: Theorem 1 plus marker relays prepaid by aborts
-type GDSMAbortable struct {
-	queuePair
-	mark      [2]*memsim.Dict
-	delegate  []memsim.Var
-	two       *twoproc.Mutex
-	procSites *SiteSet // Waiter1 sites, keyed by process id
-	queueSite *SiteSet // Waiter2 sites, keyed by (queue, value)
-}
+type GDSMAbortable struct{ *GDSM }
 
 // NewGDSMAbortable builds an instance for m's N processes on top of
 // prim, which must have infinite rank.
@@ -219,173 +210,18 @@ func NewGDSMAbortable(m *memsim.Machine, prim phi.Primitive) *GDSMAbortable {
 		panic(fmt.Sprintf("core: abortable G-DSM needs an infinite-rank primitive, but %s has rank %d",
 			prim.Name(), prim.Rank()))
 	}
-	n := m.NumProcs()
-	g := gdsmAbortables.New(m)
-	*g = GDSMAbortable{
-		queuePair: newQueuePair(m, &g.name, memsim.NamePrefix(nil, "gdsm-abort"), prim, n),
-		mark: [2]*memsim.Dict{
-			m.NewDictIn(&g.name, ".Mark[0]", memsim.HomeGlobal, 0),
-			m.NewDictIn(&g.name, ".Mark[1]", memsim.HomeGlobal, 0),
-		},
-		delegate:  m.NewArrayIn(&g.name, ".Delegate", n, memsim.HomeGlobal, 0),
-		two:       twoproc.New(m, memsim.NamePrefix(&g.name, ".two")),
-		procSites: NewSiteSet(m, memsim.NamePrefix(&g.name, ".W1")),
-		queueSite: NewSiteSet(m, memsim.NamePrefix(&g.name, ".W2")),
-	}
-	return g
-}
-
-// Name implements harness.Algorithm.
-func (g *GDSMAbortable) Name() string { return "gdsm-abortable/" + g.prim.Name() }
-
-// Acquire implements the non-abortable entry section.
-func (g *GDSMAbortable) Acquire(p *memsim.Proc) {
-	if !g.AcquireAbortable(p) {
-		p.Fail("core: %s withdrew with no abort scheduled", g.Name())
-	}
+	g := NewGDSMSized(m, prim, m.NumProcs(), memsim.NamePrefix(nil, "gdsm-abort"))
+	g.noExitWait = true
+	g.mark = markPairs.New(m)
+	g.mark[0] = m.NewDictIn(&g.name, ".Mark[0]", memsim.HomeGlobal, 0)
+	g.mark[1] = m.NewDictIn(&g.name, ".Mark[1]", memsim.HomeGlobal, 0)
+	a := gdsmAbortables.New(m)
+	*a = GDSMAbortable{g}
+	return a
 }
 
 // AcquireAbortable implements the abortable entry section.
-func (g *GDSMAbortable) AcquireAbortable(p *memsim.Proc) bool {
-	st := &g.st[p.ID()]
-	me := p.ID()
-
-	p.Write(g.queueID[me], qidBottom)  // 1
-	p.Write(g.active[me], 1)           // 2
-	idx := int(p.Read(g.currentQueue)) // 3
-	g.signalSelfSite(p, me, func() {
-		p.Write(g.queueID[me], qidQueue0+Word(idx)) // 5
-	})
-	if p.AbortRequested() {
-		// Not yet enqueued: withdraw by going inactive. The self-site
-		// signal both releases any exit-section waiter on this slot and
-		// drains a delegation registered in the meantime.
-		g.signalSelfSite(p, me, func() {
-			p.Write(g.active[me], 0)
-		})
-		return false
-	}
-	input := st.inv.UpdateInput()                  // 11
-	prev := p.FetchPhi(g.tail[idx], g.prim, input) // 9
-	self := g.prim.Apply(prev, input)              // 10
-	st.idx, st.self = idx, self
-	if prev != phi.Bottom { // 12
-		sig := g.signal[idx].At(prev)
-		if g.queueSite.At(queueKey(idx, prev)).WaitAbortable(p,
-			func(read func(memsim.Var) Word) bool { return read(sig) != 0 },
-			func() {
-				// Our node is skipped: tell the baton where our
-				// successor waits.
-				p.Write(g.mark[idx].At(prev), self)
-			},
-		) {
-			// Withdrawn without the baton: the node is dead, the relay
-			// will step over it; nothing to unwind but our activity.
-			g.signalSelfSite(p, me, func() {
-				p.Write(g.active[me], 0)
-			})
-			return false
-		}
-		p.Write(sig, 0) // 21
-	}
-	if !g.two.AcquireAbortable(p, idx) { // 22
-		// Withdrawn holding the baton: the inner acquisition was
-		// abandoned (its rival, if any, was released by the
-		// abandonment), but the queue still owes its successor a
-		// signal and its generation a position step. Run the full
-		// exit-section duties, minus the two-process release we never
-		// acquired.
-		g.exitDuties(p, me, idx, st.self)
-		return false
-	}
-	return true
-}
-
-// Release implements the exit section.
-func (g *GDSMAbortable) Release(p *memsim.Proc) {
-	st := &g.st[p.ID()]
-	idx := st.idx
-	pos := p.Read(g.position[idx])  // 23
-	p.Write(g.position[idx], pos+1) // 24
-	g.two.Release(p, idx)           // 25
-	g.finishExit(p, p.ID(), idx, st.self, pos)
-}
-
-// exitDuties performs the baton holder's exit-section obligations for
-// a withdrawn request: the position read/increment is safe without the
-// two-process lock because only the queue's baton holder touches its
-// queue's position.
-func (g *GDSMAbortable) exitDuties(p *memsim.Proc, me, idx int, self Word) {
-	pos := p.Read(g.position[idx])
-	p.Write(g.position[idx], pos+1)
-	g.finishExit(p, me, idx, self, pos)
-}
-
-// finishExit is the tail of the exit section shared by release and
-// baton-holding withdrawal: position sweep (always by delegation, so
-// it never blocks), queue exchange, successor relay, deactivation.
-func (g *GDSMAbortable) finishExit(p *memsim.Proc, me, idx int, self Word, pos Word) {
-	delegated := false
-	switch {
-	case pos < Word(g.slots) && pos != Word(me) && p.Read(g.active[pos]) != 0: // 26
-		q := int(pos) // 27
-		g.procSites.At(pos).Visit(p, func() {
-			stillOld := p.Read(g.active[q]) != 0 && p.Read(g.queueID[q]) != qidQueue0+Word(idx)
-			if stillOld {
-				p.Write(g.delegate[q], queueKey(idx, self)+1)
-				delegated = true
-			}
-		})
-	case pos == Word(g.slots): // 37
-		g.exchangeQueues(p, idx)
-	}
-	if !delegated {
-		g.signalSuccessor(p, idx, self) // 41–45, with marker relay
-	}
-	g.signalSelfSite(p, me, func() {
-		p.Write(g.active[me], 0) // 47
-	})
-}
-
-// signalSuccessor establishes Signal[idx][self] — or, when the waiter
-// there withdrew, follows its marker and releases the next live waiter
-// down the queue instead.
-func (g *GDSMAbortable) signalSuccessor(p *memsim.Proc, idx int, self Word) {
-	for {
-		var marker Word
-		sig := g.signal[idx].At(self)
-		g.queueSite.At(queueKey(idx, self)).Signal(p, func() {
-			marker = p.Read(g.mark[idx].At(self))
-			if marker != 0 {
-				p.Write(g.mark[idx].At(self), 0)
-			} else {
-				p.Write(sig, 1) // 42
-			}
-		})
-		if marker == 0 {
-			return
-		}
-		self = marker
-	}
-}
-
-// signalSelfSite runs an establishing write on process me's own site
-// and drains a pending delegation, exactly as GDSM.signalSelfSite —
-// except the delegated successor signal fires through the relay.
-func (g *GDSMAbortable) signalSelfSite(p *memsim.Proc, me int, establish func()) {
-	var duty Word
-	g.procSites.At(Word(me)).Signal(p, func() {
-		establish()
-		duty = p.Read(g.delegate[me])
-		if duty != 0 {
-			p.Write(g.delegate[me], 0)
-		}
-	})
-	if duty != 0 {
-		k := duty - 1
-		g.signalSuccessor(p, int(k&1), k>>1)
-	}
-}
+func (g *GDSMAbortable) AcquireAbortable(p *memsim.Proc) bool { return g.AcquireSlot(p, p.ID()) }
 
 // Compile-time interface checks.
 var (

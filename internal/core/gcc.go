@@ -46,7 +46,7 @@ type GCC struct {
 	two *twoproc.Mutex
 }
 
-// queuePair is the state Algorithms G-CC, G-DSM and abortable G-DSM
+// queuePair is the state Algorithms G-CC and G-DSM (abortable or not)
 // share, which they embed: two waiting queues, each with a tail
 // updated by the fetch-and-φ primitive, a position counter and a
 // Signal family; the per-slot Active and QueueId words; and each
@@ -96,6 +96,7 @@ var (
 	gccs           = memsim.NewSlab[GCC]()
 	gdsms          = memsim.NewSlab[GDSM]()
 	gdsmAbortables = memsim.NewSlab[GDSMAbortable]()
+	markPairs      = memsim.NewSlab[[2]*memsim.Dict]()
 	tokenLocks     = memsim.NewSlab[TokenAbortable]()
 	trees          = memsim.NewSlab[Tree]()
 	treeLevels     = memsim.NewSlab[[]*GDSM]()

@@ -43,6 +43,9 @@ type GDSM struct {
 	// delegate[q] holds an encoded (queue, value) successor signal q
 	// must fire, or 0.
 	delegate []memsim.Var
+	// mark[j] holds the abort markers of queue j's sites (see
+	// GDSMAbortable); plain G-DSM leaves it nil and follows none.
+	mark *[2]*memsim.Dict
 }
 
 // NewGDSM builds an instance for m's N processes on top of prim, whose
@@ -81,7 +84,10 @@ func NewGDSMSized(m *memsim.Machine, prim phi.Primitive, slots int, name memsim.
 
 // Name implements harness.Algorithm.
 func (g *GDSM) Name() string {
-	if g.noExitWait {
+	switch {
+	case g.mark != nil:
+		return "gdsm-abortable/" + g.prim.Name()
+	case g.noExitWait:
 		return "g-dsm-nowait/" + g.prim.Name()
 	}
 	return "g-dsm/" + g.prim.Name()
@@ -92,14 +98,20 @@ func queueKey(idx int, v Word) Word { return v<<1 | Word(idx) }
 
 // Acquire implements the entry section (Fig. 3, lines 1–22) with the
 // caller's process id as the slot.
-func (g *GDSM) Acquire(p *memsim.Proc) { g.AcquireSlot(p, p.ID()) }
+func (g *GDSM) Acquire(p *memsim.Proc) {
+	if !g.AcquireSlot(p, p.ID()) {
+		p.Fail("core: %s withdrew with no abort scheduled", g.Name())
+	}
+}
 
 // Release implements the exit section with the caller's id as slot.
 func (g *GDSM) Release(p *memsim.Proc) { g.ReleaseSlot(p, p.ID()) }
 
 // AcquireSlot performs the entry section for the competitor occupying
-// the given slot.
-func (g *GDSM) AcquireSlot(p *memsim.Proc, slot int) {
+// the given slot. It returns false if the request withdrew at one of
+// the three abort windows GDSMAbortable describes; with no abort
+// pending it performs exactly the steps of Fig. 3.
+func (g *GDSM) AcquireSlot(p *memsim.Proc, slot int) bool {
 	st := &g.st[slot]
 	me := slot
 
@@ -112,32 +124,62 @@ func (g *GDSM) AcquireSlot(p *memsim.Proc, slot int) {
 	g.signalSelfSite(p, me, func() {
 		p.Write(g.queueID[me], qidQueue0+Word(idx)) // 5
 	})
+	if p.AbortRequested() {
+		// Not yet enqueued: withdraw by going inactive. The self-site
+		// signal both releases any exit-section waiter on this slot and
+		// drains a delegation registered in the meantime.
+		g.deactivate(p, me)
+		return false
+	}
 	input := st.inv.UpdateInput()                  // 11 (counter advance)
 	prev := p.FetchPhi(g.tail[idx], g.prim, input) // 9
 	self := g.prim.Apply(prev, input)              // 10
-	if prev != phi.Bottom {                        // 12
+	st.idx, st.self = idx, self
+	if prev != phi.Bottom { // 12
 		sig := g.signal[idx].At(prev)
-		// 13–20: wait for the predecessor's signal, spinning locally.
-		g.queueSite.At(queueKey(idx, prev)).Wait(p, func(read func(memsim.Var) Word) bool {
-			return read(sig) != 0 // 14
-		})
+		// 13–20: wait for the predecessor's signal (14), spinning
+		// locally. A withdrawal marks our node: our successor waits at
+		// self, so the relay skips us.
+		if g.queueSite.At(queueKey(idx, prev)).WaitAbortable(p,
+			func(read func(memsim.Var) Word) bool { return read(sig) != 0 },
+			func() { p.Write(g.mark[idx].At(prev), self) },
+		) {
+			// Withdrawn without the baton: the node is dead, the relay
+			// will step over it; nothing to unwind but our activity.
+			g.deactivate(p, me)
+			return false
+		}
 		p.Write(sig, 0) // 21
 	}
-	g.two.Acquire(p, idx) // 22
-
-	st.idx, st.self = idx, self
+	if !g.two.AcquireAbortable(p, idx) { // 22
+		// Withdrawn holding the baton: the inner acquisition was
+		// abandoned (its rival, if any, was released by the
+		// abandonment), but the queue still owes its successor a
+		// signal and its generation a position step.
+		g.exit(p, me, false)
+		return false
+	}
+	return true
 }
 
 // ReleaseSlot performs the exit section for the competitor occupying
 // the given slot.
-func (g *GDSM) ReleaseSlot(p *memsim.Proc, slot int) {
-	st := &g.st[slot]
+func (g *GDSM) ReleaseSlot(p *memsim.Proc, slot int) { g.exit(p, slot, true) }
+
+// exit performs the exit section (Fig. 3, lines 23–50) for slot me.
+// held is false for a request that withdrew while awaiting the
+// two-process lock: it skips the release it never acquired, and its
+// position step needs no lock, since only a queue's baton holder
+// touches that queue's position.
+func (g *GDSM) exit(p *memsim.Proc, me int, held bool) {
+	st := &g.st[me]
 	idx := st.idx
-	me := slot
 
 	pos := p.Read(g.position[idx])  // 23
 	p.Write(g.position[idx], pos+1) // 24
-	g.two.Release(p, idx)           // 25
+	if held {
+		g.two.Release(p, idx) // 25
+	}
 	delegated := false
 	switch {
 	case pos < Word(g.slots) && pos != Word(me) && p.Read(g.active[pos]) != 0: // 26
@@ -170,6 +212,11 @@ func (g *GDSM) ReleaseSlot(p *memsim.Proc, slot int) {
 	}
 	// 46–50: go inactive, possibly releasing an exit-section waiter —
 	// and fire any successor signal delegated to us.
+	g.deactivate(p, me)
+}
+
+// deactivate clears Active[me] on me's own site (Fig. 3 lines 46–50).
+func (g *GDSM) deactivate(p *memsim.Proc, me int) {
 	g.signalSelfSite(p, me, func() {
 		p.Write(g.active[me], 0) // 47
 	})
@@ -177,8 +224,14 @@ func (g *GDSM) ReleaseSlot(p *memsim.Proc, slot int) {
 
 // signalSuccessor performs Fig. 3 lines 41–45 for the given queue and
 // fetch-and-φ value — by the owning process, or by a delegate under
-// the handshake extension.
+// the handshake extension. An abortable instance establishes the
+// signal through the marker relay instead, stepping over withdrawn
+// waiters.
 func (g *GDSM) signalSuccessor(p *memsim.Proc, idx int, self Word) {
+	if g.mark != nil {
+		relayGrants(p, func(k Word) *Site { return g.queueSite.At(queueKey(idx, k)) }, g.signal[idx], g.mark[idx], self)
+		return
+	}
 	sig := g.signal[idx].At(self)
 	g.queueSite.At(queueKey(idx, self)).Signal(p, func() {
 		p.Write(sig, 1) // 42
@@ -206,10 +259,3 @@ func (g *GDSM) signalSelfSite(p *memsim.Proc, me int, establish func()) {
 		g.signalSuccessor(p, int(k&1), k>>1)
 	}
 }
-
-// Compile-time check that both variants expose the same surface.
-var _ = []interface {
-	Name() string
-	Acquire(*memsim.Proc)
-	Release(*memsim.Proc)
-}{(*GCC)(nil), (*GDSM)(nil)}

@@ -36,20 +36,11 @@ func NewTree(m *memsim.Machine, prim phi.Primitive) *Tree {
 		*t = Tree{prim: prim, n: n, cap: 1}
 		return t
 	}
-	c := prim.Rank() / 2
-	if c > n {
-		c = n
-	}
+	c := min(prim.Rank()/2, n)
 	if c < 2 {
 		panic(fmt.Sprintf("core: arbitration tree needs a primitive of rank >= 4, but %s has rank %d", prim.Name(), prim.Rank()))
 	}
-	// Level ℓ (0-based from the leaves) has ⌈n / c^(ℓ+1)⌉ nodes, each
-	// arbitrating among c child subtrees. Stop once one node covers
-	// everything.
-	levels := 0
-	for width := n; width > 1; width = (width + c - 1) / c {
-		levels++
-	}
+	levels := TreeHeight(prim, n)
 	*t = Tree{prim: prim, n: n, cap: c, levels: levels, nodes: treeLevels.Make(m, levels)}
 	width := n
 	for l := range t.nodes {
@@ -60,6 +51,17 @@ func NewTree(m *memsim.Machine, prim phi.Primitive) *Tree {
 		}
 	}
 	return t
+}
+
+// TreeHeight returns the Height of the tree NewTree builds for n
+// processes over prim, without building it: level ℓ has ⌈n / c^(ℓ+1)⌉
+// nodes of c = min(⌊rank/2⌋, n) slots, up to the one covering all.
+func TreeHeight(prim phi.Primitive, n int) (levels int) {
+	c := max(min(prim.Rank()/2, n), 2)
+	for width := n; width > 1; width = (width + c - 1) / c {
+		levels++
+	}
+	return levels
 }
 
 // Name implements harness.Algorithm.

@@ -7,25 +7,23 @@ import (
 )
 
 // TestEveryAlgorithmSurvivesShardedExploration is the CI conformance
-// gate the registry enforces on itself: every algorithm in
-// AlgorithmNames() — paper constructions and baselines alike — is
-// model-checked with the sharded explorer at N=2, K=2 on both memory
-// models, and the schedule space must be exhausted (a capped check
-// would silently prove nothing). Adding an algorithm to the registry
-// automatically puts it under this gate.
+// gate the registries enforce on themselves: every algorithm in
+// AlgorithmNames() — paper constructions and baselines alike — and
+// every one in AbortableAlgorithmNames(), abort-free, is model-checked
+// with the sharded explorer at N=2, K=2 on both memory models, and the
+// schedule space must be exhausted (a capped check would silently
+// prove nothing). Adding an algorithm to either registry automatically
+// puts it under this gate.
 func TestEveryAlgorithmSurvivesShardedExploration(t *testing.T) {
 	entries := 2
 	if testing.Short() {
 		entries = 1
 	}
-	for _, name := range AlgorithmNames() {
-		name := name
+	names, builders := everyAlgorithm()
+	for _, name := range names {
+		b := builders[name]
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			b, err := Algorithm(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			reports, err := harness.CheckSharded(b, 2, entries, harness.ExploreOptions{
 				Preemptions: 2,
 				Workers:     4,

@@ -212,9 +212,8 @@ func E3Tree(o Opts) harness.Table {
 	for _, n := range o.ns([]int{4, 16, 64, 256}) {
 		for _, r := range []int{4, 8, 16, 64} {
 			r := r
-			mm := memsim.NewMachine(memsim.DSM, n)
 			ranks = append(ranks, r)
-			heights = append(heights, core.NewTree(mm, phi.NewBoundedFetchInc(r)).Height())
+			heights = append(heights, core.TreeHeight(phi.NewBoundedFetchInc(r), n))
 			cells = append(cells, harness.Cell{
 				Experiment: "E3", Algorithm: fmt.Sprintf("tree/rank-%d", r),
 				Build: func(m *memsim.Machine) harness.Algorithm {
@@ -269,8 +268,8 @@ func E4AlgT(o Opts) harness.Table {
 	for i, n := range ns {
 		mm := memsim.NewMachine(memsim.CC, n)
 		hT := core.NewT(mm, phi.BoundedIncDec{}).MaxLevel()
-		mm2 := memsim.NewMachine(memsim.CC, n)
-		hTree := core.NewTree(mm2, phi.NewBoundedFetchInc(4)).Height()
+		mm.Release()
+		hTree := core.TreeHeight(phi.NewBoundedFetchInc(4), n)
 		metT, metT0, metTree, metYA := mets[4*i], mets[4*i+1], mets[4*i+2], mets[4*i+3]
 		t.AddRow(harness.Itoa(int64(n)), harness.Itoa(int64(hT)), harness.Itoa(int64(hTree)),
 			harness.Itoa(metT.WorstRMR), harness.Itoa(metT0.WorstRMR), harness.Itoa(metTree.WorstRMR),

@@ -7,8 +7,19 @@ import (
 	"fetchphi/internal/memsim"
 )
 
+// everyAlgorithm lists the registry and then the abortable registry,
+// each sorted, with every builder. Run abort-free, an abortable lock
+// is a plain algorithm and must pass the same gates.
+func everyAlgorithm() ([]string, map[string]harness.Builder) {
+	builders := Algorithms()
+	for name, b := range AbortableAlgorithms() {
+		builders[name] = b
+	}
+	return append(AlgorithmNames(), AbortableAlgorithmNames()...), builders
+}
+
 // TestEveryAlgorithmVerifies runs the uniform correctness gate over
-// the whole registry: random-schedule stress on both models plus a
+// both registries: random-schedule stress on both models plus a
 // small exhaustive exploration. This is the repository's integration
 // test — any algorithm change that breaks safety or liveness fails
 // here even if its own package tests were not updated.
@@ -16,12 +27,9 @@ func TestEveryAlgorithmVerifies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("registry sweep is slow")
 	}
-	for _, name := range AlgorithmNames() {
-		name := name
-		b, err := Algorithm(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	names, builders := everyAlgorithm()
+	for _, name := range names {
+		b := builders[name]
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			if err := harness.Verify(b, 4, 5, 6); err != nil {

@@ -77,6 +77,9 @@ type SpinReport struct {
 	// Await without giving up (fuel, recursion, unresolved callee or
 	// watch argument). An incomplete report proves nothing.
 	Complete bool
+	// branches joins, over every construction path, the truth values
+	// (1<<tri) each executed if condition folded to.
+	branches map[*ast.IfStmt]uint8
 }
 
 // NonLocalSites returns the sites not proven local.
@@ -239,9 +242,14 @@ func (e *Engine) discoverAlgorithms() {
 			if !ok {
 				continue
 			}
+			// Promoted entry sections count (GDSMAbortable embeds GDSM).
 			var acquire, release *types.Func
-			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
+			ms := types.NewMethodSet(types.NewPointer(named))
+			for i := 0; i < ms.Len(); i++ {
+				m, ok := ms.At(i).Obj().(*types.Func)
+				if !ok {
+					continue
+				}
 				switch m.Name() {
 				case "Acquire":
 					if isEntryMethod(m) {
@@ -416,7 +424,7 @@ func (e *Engine) Analyze(a *AlgoInfo) *SpinReport {
 	if r, ok := e.reports[a]; ok {
 		return r
 	}
-	rep := &SpinReport{Algo: a, Model: e.modelName, Complete: true}
+	rep := &SpinReport{Algo: a, Model: e.modelName, Complete: true, branches: make(map[*ast.IfStmt]uint8)}
 	if len(a.Constructors) == 0 {
 		// No way to build the algorithm's state abstractly: nothing is
 		// proven.
@@ -430,6 +438,7 @@ func (e *Engine) Analyze(a *AlgoInfo) *SpinReport {
 			continue
 		}
 		in := newInterp(e)
+		in.abortFree = !a.Abortable()
 		args := make([]*value, ctor.Type().(*types.Signature).Params().Len())
 		for i := range args {
 			args[i] = paramValue(ctor.Type().(*types.Signature).Params().At(i).Type())
@@ -455,6 +464,9 @@ func (e *Engine) Analyze(a *AlgoInfo) *SpinReport {
 			if _, ok := merged[k]; !ok {
 				merged[k] = s
 			}
+		}
+		for st, seen := range in.branches {
+			rep.branches[st] |= seen
 		}
 	}
 	for _, s := range merged {

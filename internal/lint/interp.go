@@ -202,6 +202,13 @@ type interp struct {
 	// complete stays true while nothing forced the analysis to give
 	// up (fuel, recursion, an unresolvable watch argument).
 	complete bool
+	// branches records, per if statement executed, the set of truth
+	// values (1<<tri) its condition folded to.
+	branches map[*ast.IfStmt]uint8
+	// abortFree is set for an algorithm with no AcquireAbortable entry
+	// section: no abort request ever reaches it, so Proc.AbortRequested
+	// folds false and Proc.AwaitAbortable never reports an abort.
+	abortFree bool
 }
 
 const (
@@ -211,7 +218,8 @@ const (
 )
 
 func newInterp(e *Engine) *interp {
-	return &interp{e: e, fuel: maxFuel, sites: make(map[string]SpinSite), complete: true}
+	return &interp{e: e, fuel: maxFuel, sites: make(map[string]SpinSite), complete: true,
+		branches: make(map[*ast.IfStmt]uint8)}
 }
 
 // spend consumes one unit of fuel; exhaustion makes the run incomplete.
@@ -1017,6 +1025,14 @@ func (cc *callCtx) callNative(fr *frame, key string, recv *value, call *ast.Call
 		for i, a := range call.Args[1:] {
 			cc.recordAwait(call, a, cc.eval(fr, call.Args[i+1], spec))
 		}
+		if key == "Proc.AwaitAbortable" && cc.in.abortFree {
+			return konst(0)
+		}
+		return unknown()
+	case "Proc.AbortRequested":
+		if cc.in.abortFree {
+			return konst(0)
+		}
 		return unknown()
 	case "Proc.AwaitEq", "Proc.AwaitTrue", "Proc.AwaitNonBottom":
 		if len(call.Args) >= 1 {
@@ -1369,7 +1385,9 @@ func (cc *callCtx) execIf(fr *frame, st *ast.IfStmt, spec bool) bool {
 	if st.Init != nil {
 		cc.execStmt(inner, st.Init, spec)
 	}
-	switch cc.truth(inner, st.Cond, spec) {
+	t := cc.truth(inner, st.Cond, spec)
+	cc.in.branches[st] |= 1 << t
+	switch t {
 	case tTrue:
 		return cc.execBlock(inner, st.Body, spec)
 	case tFalse:

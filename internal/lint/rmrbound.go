@@ -12,7 +12,10 @@ package lint
 //     (the repo's wait/signal building blocks run each passed closure
 //     exactly once per passage);
 //   - constant-trip loops multiply their body cost; any other loop
-//     transitively containing shared ops is *unbounded*.
+//     transitively containing shared ops is *unbounded*;
+//   - an if arm the dataflow engine proved dead for the algorithm —
+//     its condition folded the same way on every construction path,
+//     e.g. a definite-nil field — is not walked.
 //
 // Algorithms declaring //fetchphilint:rmr O(1) (G-CC and G-DSM, per
 // the paper's Theorem 1) fail the build if any unbounded shared-op
@@ -91,6 +94,9 @@ func (s RMRSummary) Bounded() bool { return len(s.Unbounded) == 0 }
 // RMRSummaryOf computes the static shared-op bound for one algorithm.
 func (e *Engine) RMRSummaryOf(a *AlgoInfo) RMRSummary {
 	w := &rmrWalker{e: e, stack: make(map[*types.Func]bool), memo: make(map[*types.Func]int)}
+	if rep := e.Analyze(a); rep.Complete {
+		w.branches = rep.branches
+	}
 	ops := w.countFunc(a.Acquire, a.Pos) + w.countFunc(a.Release, a.Pos)
 	return RMRSummary{Ops: ops, Unbounded: w.unbounded}
 }
@@ -101,6 +107,9 @@ type rmrWalker struct {
 	stack     map[*types.Func]bool
 	memo      map[*types.Func]int
 	unbounded []token.Position
+	// branches is the engine's fold record for the algorithm; nil when
+	// its analysis was incomplete, so nothing is pruned.
+	branches map[*ast.IfStmt]uint8
 }
 
 func (w *rmrWalker) position(pkg *Package, pos token.Pos) token.Position {
@@ -146,6 +155,25 @@ func (w *rmrWalker) countNode(pkg *Package, n ast.Node) int {
 			return false
 		case *ast.RangeStmt:
 			ops += w.countRange(pkg, x)
+			return false
+		case *ast.IfStmt:
+			// Skip the body of a condition that always folded false,
+			// or the else of one that always folded true.
+			var dead ast.Node
+			switch w.branches[x] {
+			case 1 << tFalse:
+				dead = x.Body
+			case 1 << tTrue:
+				dead = x.Else
+			}
+			if dead == nil {
+				return true
+			}
+			for _, arm := range []ast.Node{x.Init, x.Cond, x.Body, x.Else} {
+				if arm != dead {
+					ops += w.countNode(pkg, arm)
+				}
+			}
 			return false
 		case *ast.FuncLit:
 			// A literal that is not a direct call argument may never

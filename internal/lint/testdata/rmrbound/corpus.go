@@ -228,3 +228,43 @@ func (l *MalformedDecl) Acquire(p *memsim.Proc) {
 func (l *MalformedDecl) Release(p *memsim.Proc) {
 	p.Write(l.word, 0)
 }
+
+// GuardedLock declares O(1) and keeps it: its loop runs only on an
+// abort request, which never reaches a lock without AcquireAbortable,
+// or once bound is set, which NewGuardedLock never does; so neither
+// arm is walked. GuardedLockArmed, an algorithm through its promoted
+// entry sections, sets bound, and its loop is flagged.
+//
+//fetchphilint:rmr O(1) corpus: arms dead under every construction are not walked
+type GuardedLock struct {
+	word  memsim.Var
+	bound *memsim.Var
+}
+
+// NewGuardedLock allocates the lock on m, with no bound.
+func NewGuardedLock(m *memsim.Machine) *GuardedLock {
+	return &GuardedLock{word: m.NewVar("guard.word", memsim.HomeGlobal, 0)}
+}
+
+// Acquire implements the entry section.
+func (l *GuardedLock) Acquire(p *memsim.Proc) {
+	if p.AbortRequested() || l.bound != nil {
+		for i := 0; i < int(p.Read(*l.bound)); i++ { // want `GuardedLockArmed, which declares`
+			p.Write(l.word, Word(i))
+		}
+	}
+}
+
+// Release implements the exit section.
+func (l *GuardedLock) Release(p *memsim.Proc) { p.Write(l.word, 0) }
+
+// GuardedLockArmed is a GuardedLock with a bound.
+//
+//fetchphilint:rmr O(1) corpus: an embedding type is analyzed with its own construction
+type GuardedLockArmed struct{ *GuardedLock }
+
+// NewGuardedLockArmed allocates the lock on m, with a bound.
+func NewGuardedLockArmed(m *memsim.Machine) *GuardedLockArmed {
+	bound := m.NewVar("guard.bound", memsim.HomeGlobal, 0)
+	return &GuardedLockArmed{&GuardedLock{word: m.NewVar("guard.word", memsim.HomeGlobal, 0), bound: &bound}}
+}

@@ -10,8 +10,8 @@ import (
 )
 
 // TestLabelsGolden pins every variable label of every registered
-// algorithm on CC and DSM: three processes, two entries each, under
-// NewRandom(1). Labels name the hotspots the experiments report and the
+// algorithm, then of every abortable one run abort-free, on CC and
+// DSM: three processes, two entries each, under NewRandom(1). Labels name the hotspots the experiments report and the
 // variables in trace events and failure messages, so however variables
 // are stored or their names assembled, each must come out
 // byte-identical. Regenerate with
@@ -20,8 +20,11 @@ import (
 func TestLabelsGolden(t *testing.T) {
 	const n, entries = 3, 2
 	algs := experiments.Algorithms()
+	for name, b := range experiments.AbortableAlgorithms() {
+		algs[name] = b
+	}
 	var b strings.Builder
-	for _, name := range experiments.AlgorithmNames() {
+	for _, name := range append(experiments.AlgorithmNames(), experiments.AbortableAlgorithmNames()...) {
 		for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
 			m := memsim.NewMachine(model, n)
 			alg := algs[name](m)

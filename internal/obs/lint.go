@@ -154,7 +154,9 @@ func ReadLintArtifact(path string) (*LintArtifact, error) {
 //     in the baseline — line drift alone does not trip the gate;
 //   - an algorithm whose baseline verdict was "local" (or
 //     "nonlocal-declared") getting a worse verdict;
-//   - an algorithm losing a bounded RMR count while declaring O(1).
+//   - an algorithm losing a bounded RMR count while declaring O(1);
+//   - a baseline algorithm missing from the current artifact — the
+//     engine no longer discovers it, so none of the above is checked.
 //
 // Fixes (diagnostics disappearing, verdicts improving) pass silently:
 // they only require a baseline refresh, not a build failure.
@@ -180,7 +182,9 @@ func CompareLint(baseline, current *LintArtifact) []string {
 		baseAlgo[a.Type] = a
 	}
 	rank := map[string]int{VerdictLocal: 0, VerdictNonlocalDeclared: 1, VerdictNonlocal: 2, VerdictUnproven: 2}
+	analyzed := make(map[string]bool)
 	for _, cur := range current.Algorithms {
+		analyzed[cur.Type] = true
 		base, ok := baseAlgo[cur.Type]
 		if !ok {
 			continue
@@ -192,6 +196,12 @@ func CompareLint(baseline, current *LintArtifact) []string {
 		if cur.RMR.Declared != "" && !cur.RMR.Bounded && base.RMR.Bounded {
 			regressions = append(regressions,
 				fmt.Sprintf("rmr regression: %s declares %s but its shared-op count is no longer statically bounded", cur.Type, cur.RMR.Declared))
+		}
+	}
+	for _, base := range baseline.Algorithms {
+		if !analyzed[base.Type] {
+			regressions = append(regressions,
+				fmt.Sprintf("missing algorithm: %s is in the baseline but was not analyzed", base.Type))
 		}
 	}
 	return regressions

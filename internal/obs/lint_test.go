@@ -124,3 +124,23 @@ func TestCompareLintRMRUnbounded(t *testing.T) {
 		t.Fatalf("regressions: %v", regs)
 	}
 }
+
+func TestCompareLintMissingAlgorithm(t *testing.T) {
+	base := sampleLint()
+	cur := sampleLint()
+	kept := cur.Algorithms[:0]
+	for _, a := range cur.Algorithms {
+		if a.Type != "internal/core.GDSM" {
+			kept = append(kept, a)
+		}
+	}
+	cur.Algorithms = kept
+	regs := CompareLint(base, cur)
+	if len(regs) != 1 || !strings.Contains(regs[0], "missing algorithm: internal/core.GDSM") {
+		t.Fatalf("regressions: %v", regs)
+	}
+	// A newly analyzed algorithm is not a regression.
+	if regs := CompareLint(cur, base); len(regs) != 0 {
+		t.Fatalf("new algorithm regressed: %v", regs)
+	}
+}
