@@ -61,10 +61,14 @@ perf:
 # restricted to its two concurrent paths: the parallel-sweep tests and
 # E5's per-primitive rank-checker fan-out (phi.Survey). The exhaustive
 # conformance runs there are single-worker model checks where the race
-# detector adds minutes and finds nothing.
+# detector adds minutes and finds nothing. Flight recorders resolve
+# their labels on the sweep workers that end each cell's run, and
+# cmd/report dumps them from its main goroutine, so the trace package
+# and report's flight-recorder and gate tests run under it too.
 race:
-	$(GO) test -race ./internal/nativelock/... ./internal/stress/... ./internal/memsim/... ./internal/harness/... ./internal/obs/... ./internal/fleet/... ./internal/telemetry/... ./internal/claims/...
+	$(GO) test -race ./internal/nativelock/... ./internal/stress/... ./internal/memsim/... ./internal/harness/... ./internal/obs/... ./internal/fleet/... ./internal/telemetry/... ./internal/claims/... ./internal/trace/...
 	$(GO) test -race -run 'TestE10|TestSweep|TestE5' ./internal/experiments/...
+	$(GO) test -race -run 'Flight|Gate' ./cmd/report
 
 # fuzz feeds mutated artifact files, seeded with the checked-in
 # baselines, to every artifact reader for 5 s: a truncated or hostile
@@ -82,12 +86,16 @@ fuzz:
 # trace-smoke exercises the whole trace pipeline on a real workload:
 # record a 4-process G-DSM run as a fetchphi.trace/v1 artifact,
 # validate it against the schema, and round-trip it through the
-# Perfetto (Chrome trace-event) converter. Last, it ranks the same
-# algorithm's hot variables with tracectl hotspots.
+# Perfetto (Chrome trace-event) converter. It then records CLH, whose
+# queue nodes share one label, through a wrapping 8-span window and
+# validates that. Last, it ranks G-DSM's hot variables with tracectl
+# hotspots.
 trace-smoke:
 	$(GO) run ./cmd/tracectl record -alg g-dsm -model DSM -n 4 -entries 3 -out bench/current/traces/TRACE_smoke.json
 	$(GO) run ./cmd/tracectl validate -in bench/current/traces/TRACE_smoke.json
 	$(GO) run ./cmd/tracectl convert -in bench/current/traces/TRACE_smoke.json -out bench/current/traces/TRACE_smoke.chrome.json
+	$(GO) run ./cmd/tracectl record -alg clh -model CC -n 4 -entries 3 -limit 8 -out bench/current/traces/TRACE_smoke_clh.json
+	$(GO) run ./cmd/tracectl validate -in bench/current/traces/TRACE_smoke_clh.json
 	$(GO) run ./cmd/tracectl hotspots -alg g-dsm -model DSM -n 4 -entries 3
 
 # explore-smoke gates CI on the sharded model checker: exhaustive

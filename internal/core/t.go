@@ -78,25 +78,40 @@ type tState struct {
 	inv        map[memsim.Var]*phi.Invoker // per-variable invocation counters
 }
 
-// NewT builds Algorithm T with the paper's degree m = √(log₂ N).
+// NewT builds Algorithm T with the paper's degree m = √(log₂ N) (see
+// TDegree).
 func NewT(m *memsim.Machine, prim phi.SelfResettable) *T {
-	n := m.NumProcs()
-	deg := int(math.Round(math.Sqrt(math.Log2(float64(n) + 1))))
-	if deg < 2 {
-		deg = 2
+	return NewTWithDegree(m, prim, TDegree(m.NumProcs()))
+}
+
+// TDegree returns the tree degree NewT gives Algorithm T for n
+// processes: √(log₂(n+1)) rounded, and at least 2.
+func TDegree(n int) int {
+	return max(int(math.Round(math.Sqrt(math.Log2(float64(n)+1)))), 2)
+}
+
+// THeight returns the MaxLevel of the Algorithm T that NewTWithDegree
+// builds for n processes and the given degree, without building it:
+// the leaf level has n nodes and each level above ⌈1/degree⌉ as many,
+// up to the root. The primitive does not enter into it.
+func THeight(n, degree int) (levels int) {
+	if degree < 2 {
+		panic(fmt.Sprintf("core: T degree must be >= 2, got %d", degree))
 	}
-	return NewTWithDegree(m, prim, deg)
+	levels = 1
+	for width := n; width > 1; width = (width + degree - 1) / degree {
+		levels++
+	}
+	return levels
 }
 
 // NewTWithDegree builds Algorithm T with an explicit tree degree.
 func NewTWithDegree(m *memsim.Machine, prim phi.SelfResettable, degree int) *T {
-	if degree < 2 {
-		panic(fmt.Sprintf("core: T degree must be >= 2, got %d", degree))
-	}
+	n := m.NumProcs()
+	levels := THeight(n, degree)
 	if prim.Rank() < 3 {
 		panic(fmt.Sprintf("core: Algorithm T needs rank >= 3, but %s has rank %d", prim.Name(), prim.Rank()))
 	}
-	n := m.NumProcs()
 	t := &T{
 		prim:     prim,
 		n:        n,
@@ -115,24 +130,15 @@ func NewTWithDegree(m *memsim.Machine, prim phi.SelfResettable, degree int) *T {
 	}
 
 	// Build levels bottom-up, as in T0.
-	var widths []int
-	width := n
-	for {
-		widths = append(widths, width)
-		if width == 1 {
-			break
-		}
-		width = (width + degree - 1) / degree
-	}
-	t.maxLevel = len(widths)
+	t.maxLevel = levels
 	t.lock0 = make([][]memsim.Var, t.maxLevel+1)
 	t.lock1 = make([][]memsim.Var, t.maxLevel+1)
 	t.waiterLock = make([][]memsim.Var, t.maxLevel+1)
 	t.winner0 = make([][]memsim.Var, t.maxLevel+1)
 	t.winner1 = make([][]memsim.Var, t.maxLevel+1)
 	t.waiter = make([][]memsim.Var, t.maxLevel+1)
-	for i, w := range widths {
-		lev := t.maxLevel - i
+	w := n
+	for lev := t.maxLevel; lev >= 1; lev, w = lev-1, (w+degree-1)/degree {
 		t.lock0[lev] = m.NewArray(fmt.Sprintf("t.Lock0[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)
 		t.lock1[lev] = m.NewArray(fmt.Sprintf("t.Lock1[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)
 		t.waiterLock[lev] = m.NewArray(fmt.Sprintf("t.WaiterLock[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)

@@ -82,6 +82,42 @@ func TestAlgTStarvationFree(t *testing.T) {
 	}
 }
 
+// TestTHeightMatchesBuild: THeight gives the MaxLevel NewTWithDegree
+// builds, which is 1 + ⌈log_degree N⌉, and the built levels narrow from
+// N leaf nodes by ⌈1/degree⌉ a level up to one root; NewT uses
+// TDegree's degree.
+func TestTHeightMatchesBuild(t *testing.T) {
+	for _, deg := range []int{2, 3, 4, 8} {
+		for n := 1; n <= 100; n += 3 {
+			m := memsim.NewMachine(memsim.CC, n)
+			alg := NewTWithDegree(m, phi.BoundedIncDec{}, deg)
+			want, pow := 1, 1
+			for pow < n {
+				pow *= deg
+				want++
+			}
+			if got := THeight(n, deg); got != want || alg.MaxLevel() != want {
+				t.Errorf("N=%d degree %d: THeight %d, built %d, want %d", n, deg, got, alg.MaxLevel(), want)
+			}
+			width := n
+			for lev := alg.MaxLevel(); lev >= 1; lev-- {
+				if len(alg.lock0[lev]) != width || len(alg.waiter[lev]) != width {
+					t.Errorf("N=%d degree %d level %d: %d nodes, want %d", n, deg, lev, len(alg.lock0[lev]), width)
+				}
+				width = (width + deg - 1) / deg
+			}
+			m.Release()
+		}
+	}
+	for _, n := range []int{1, 2, 4, 16, 64, 256, 1024} {
+		m := memsim.NewMachine(memsim.CC, n)
+		if got := NewT(m, phi.BoundedIncDec{}).degree; got != TDegree(n) {
+			t.Errorf("N=%d: NewT degree %d, TDegree %d", n, got, TDegree(n))
+		}
+		m.Release()
+	}
+}
+
 // TestAlgTRMRTracksHeight: Theorem 2's shape — worst per-entry RMR
 // scales with the Θ(log N / log log N) height, not with N.
 func TestAlgTRMRTracksHeight(t *testing.T) {

@@ -266,9 +266,7 @@ func E4AlgT(o Opts) harness.Table {
 	}
 	mets := o.sweep(cells)
 	for i, n := range ns {
-		mm := memsim.NewMachine(memsim.CC, n)
-		hT := core.NewT(mm, phi.BoundedIncDec{}).MaxLevel()
-		mm.Release()
+		hT := core.THeight(n, core.TDegree(n))
 		hTree := core.TreeHeight(phi.NewBoundedFetchInc(4), n)
 		metT, metT0, metTree, metYA := mets[4*i], mets[4*i+1], mets[4*i+2], mets[4*i+3]
 		t.AddRow(harness.Itoa(int64(n)), harness.Itoa(int64(hT)), harness.Itoa(int64(hTree)),
@@ -561,9 +559,7 @@ func e8cDegreeSweep(o Opts) harness.Table {
 	}
 	for i, met := range o.sweep(cells) {
 		deg := degrees[i]
-		mm := memsim.NewMachine(memsim.CC, n)
-		h := core.NewTWithDegree(mm, phi.BoundedIncDec{}, deg).MaxLevel()
-		mm.Release()
+		h := core.THeight(n, deg)
 		t.AddRow(harness.Itoa(int64(n)), harness.Itoa(int64(deg)), harness.Itoa(int64(h)),
 			harness.Ftoa(met.MeanRMR), harness.Itoa(met.WorstRMR))
 	}

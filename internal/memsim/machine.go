@@ -41,6 +41,8 @@ package memsim
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"fetchphi/internal/phi"
@@ -111,6 +113,11 @@ type Var struct{ idx int32 }
 // IsZero reports whether v is the invalid zero handle.
 func (v Var) IsZero() bool { return v.idx == 0 }
 
+// Index returns v's place among its machine's variables, counting from
+// 1 in allocation order (0 for the zero Var). Handles are dense, so a
+// table indexed by Index needs no hashing.
+func (v Var) Index() int { return int(v.idx) }
+
 // watchEntry subscribes one process's current await (identified by its
 // epoch) to writes on a variable. Entries from completed awaits are
 // ignored when the variable is written.
@@ -141,17 +148,40 @@ type variable struct {
 	rmrs     int64 // remote references charged against this variable
 }
 
-// label returns the variable's allocation name.
+// label returns the variable's allocation name, built the first time
+// it is asked for.
 func (vv *variable) label() string {
-	if vv.prefix != nil {
-		vv.name = vv.prefix.String() + vv.name
-		vv.prefix = nil
-	}
-	if vv.indexed {
-		vv.name = fmt.Sprintf("%s[%d]", vv.name, vv.key)
-		vv.indexed = false
+	if vv.prefix != nil || vv.indexed {
+		var front string
+		if vv.prefix != nil {
+			front = vv.prefix.String()
+		}
+		vv.name = joinName(front, vv.name, vv.indexed, '[', vv.key, ']')
+		vv.prefix, vv.indexed = nil, false
 	}
 	return vv.name
+}
+
+// joinName returns front followed by name and, when keyed, by key in
+// decimal between open and close, built in one exactly sized buffer.
+func joinName(front, name string, keyed bool, open byte, key Word, close byte) string {
+	var digits [20]byte
+	num := digits[:0]
+	size := len(front) + len(name)
+	if keyed {
+		num = strconv.AppendInt(num, int64(key), 10)
+		size += len(num) + 2
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(front)
+	b.WriteString(name)
+	if keyed {
+		b.WriteByte(open)
+		b.Write(num)
+		b.WriteByte(close)
+	}
+	return b.String()
 }
 
 // Prefix is the name a compound object's variables share as the front
@@ -176,15 +206,15 @@ func KeyedPrefix(parent *Prefix, family string, key Word) Prefix {
 	return Prefix{parent: parent, name: family, key: key, keyed: true}
 }
 
-// String returns the prefix, formatting and memoizing it on first use.
+// String returns the prefix, building and memoizing it on first use.
 func (p *Prefix) String() string {
-	if p.parent != nil {
-		p.name = p.parent.String() + p.name
-		p.parent = nil
-	}
-	if p.keyed {
-		p.name = fmt.Sprintf("%s{%d}", p.name, p.key)
-		p.keyed = false
+	if p.parent != nil || p.keyed {
+		var front string
+		if p.parent != nil {
+			front = p.parent.String()
+		}
+		p.name = joinName(front, p.name, p.keyed, '{', p.key, '}')
+		p.parent, p.keyed = nil, false
 	}
 	return p.name
 }
@@ -297,6 +327,7 @@ type Machine struct {
 	trace      *traceRing  // nil unless EnableTrace was called
 	sinks      []EventSink // observers of every shared-memory operation
 	phaseSinks []PhaseSink // the subset of sinks observing phase transitions
+	endSinks   []EndSink   // the subset of sinks told when the run ends
 
 	abortPoints []AbortPoint // adversary abort schedule (see abort.go)
 }
@@ -461,6 +492,11 @@ func (m *Machine) NewPerProcArray(name string, init Word) []Var {
 	return vs
 }
 
+// Label returns v's allocation name: the name it was allocated under,
+// after its owner's prefix and with its family key, if any. It
+// performs no RMR accounting. The string stays valid after Release.
+func (m *Machine) Label(v Var) string { return m.varAt(v).label() }
+
 // Value returns the current value of v. It is intended for inspection
 // after a run (or from test code between runs); it performs no RMR
 // accounting.
@@ -518,7 +554,7 @@ func (m *Machine) doRead(p *Proc, v Var, spinning bool) Word {
 		if spinning {
 			kind = TraceSpinRead
 		}
-		m.record(p, kind, vv, vv.value, vv.value, p.stats.RMRs > rmrsBefore)
+		m.record(p, kind, v, vv.value, vv.value, p.stats.RMRs > rmrsBefore)
 	}
 	return vv.value
 }
@@ -535,7 +571,7 @@ func (m *Machine) doWrite(p *Proc, v Var, x Word) {
 	old := vv.value
 	vv.value = x
 	if rmrsBefore >= 0 {
-		m.record(p, TraceWrite, vv, old, x, p.stats.RMRs > rmrsBefore)
+		m.record(p, TraceWrite, v, old, x, p.stats.RMRs > rmrsBefore)
 	}
 	m.wakeWatchers(vv)
 }
@@ -552,7 +588,7 @@ func (m *Machine) doRMW(p *Proc, v Var, f func(Word) Word) Word {
 	old := vv.value
 	vv.value = f(old)
 	if rmrsBefore >= 0 {
-		m.record(p, TraceRMW, vv, old, vv.value, p.stats.RMRs > rmrsBefore)
+		m.record(p, TraceRMW, v, old, vv.value, p.stats.RMRs > rmrsBefore)
 	}
 	m.wakeWatchers(vv)
 	return old

@@ -36,14 +36,36 @@ type observed struct {
 	hot    []memsim.VarRMR
 	events []string // sink stream: operations and phase transitions
 	trace  []memsim.TraceEvent
+	labels []string // the label of each trace event's variable
 }
 
-// eventLog is a PhaseSink that keeps both streams as text.
-type eventLog struct{ lines []string }
+// eventLog is a PhaseSink that keeps both streams as text. An
+// operation's line names its variable, so it is written when the run
+// ends, with the labels the machine resolves then.
+type eventLog struct {
+	lines []string
+	ops   []loggedOp
+}
 
-func (l *eventLog) Record(ev memsim.TraceEvent) { l.lines = append(l.lines, ev.String()) }
+// loggedOp is an operation event and the index of its line.
+type loggedOp struct {
+	line int
+	ev   memsim.TraceEvent
+}
+
+func (l *eventLog) Record(ev memsim.TraceEvent) {
+	l.ops = append(l.ops, loggedOp{line: len(l.lines), ev: ev})
+	l.lines = append(l.lines, "")
+}
+
 func (l *eventLog) RecordPhase(ev memsim.PhaseEvent) {
 	l.lines = append(l.lines, fmt.Sprintf("[%06d] p%d %v -> %v", ev.Step, ev.Proc, ev.From, ev.To))
+}
+
+func (l *eventLog) EndRun(labels memsim.Labeler) {
+	for _, op := range l.ops {
+		l.lines[op.line] = op.ev.Format(labels.Label(op.ev.Var))
+	}
 }
 
 // run builds the case's machine, runs it with the given seed, and
@@ -97,7 +119,11 @@ func (c recycleCase) run(t *testing.T, seed int64) (observed, *memsim.Machine) {
 	if c.stuck && !res.Deadlocked {
 		t.Fatalf("%v: the stuck passage did not deadlock", c)
 	}
-	return observed{res: res, hot: m.HotVars(5), events: log.lines, trace: m.Trace()}, m
+	o := observed{res: res, hot: m.HotVars(5), events: log.lines, trace: m.Trace()}
+	for _, ev := range o.trace {
+		o.labels = append(o.labels, m.Label(ev.Var))
+	}
+	return o, m
 }
 
 // TestRecycledMachineMatchesFresh runs a mixed sequence of builds
@@ -189,6 +215,8 @@ func diff(got, want observed) string {
 		return fmt.Sprintf("sink stream of %d events differs from the fresh machine's %d", len(got.events), len(want.events))
 	case !reflect.DeepEqual(got.trace, want.trace):
 		return fmt.Sprintf("trace %v, want %v", got.trace, want.trace)
+	case !reflect.DeepEqual(got.labels, want.labels):
+		return fmt.Sprintf("trace variables %v, want %v", got.labels, want.labels)
 	}
 	return ""
 }

@@ -162,8 +162,10 @@ func (m *Machine) Run(cfg RunConfig) Result {
 // the same size without creating a coroutine. Every process is over,
 // and every carrier idle again, when it returns or panics. A panic in a
 // process body that is not an engine violation (a bug in the body)
-// comes back out of RunOn after the other processes are unwound.
+// comes back out of RunOn after the other processes are unwound. Either
+// way the attached EndSinks are told the run ended.
 func (m *Machine) RunOn(cs *Carriers, cfg RunConfig) Result {
+	defer m.endRun()
 	if cfg.Sched == nil {
 		cfg.Sched = NewRandom(1)
 	}

@@ -48,8 +48,11 @@ type TraceEvent struct {
 	// Phase is the algorithm phase the acting process was in
 	// (entry/cs/exit, or ncs when the process tracks no phases).
 	Phase Phase
-	// Var is the accessed variable's name.
-	Var string
+	// Var is the accessed variable. It is a handle, valid only while
+	// the machine is: a sink that keeps it past the run resolves its
+	// label in EndRun (see EndSink), and Machine.Label resolves it
+	// before Release.
+	Var Var
 	// Before and After are the variable's values around the
 	// operation (equal for reads).
 	Before, After Word
@@ -65,9 +68,33 @@ type TraceEvent struct {
 // so they see a totally ordered event stream and need no locking; they
 // must not call back into the machine. Recording costs no simulated
 // steps or RMRs.
+//
+// Events name variables by handle, and the engine formats no label
+// while the run is on. A sink that reports names resolves them once,
+// when the run ends, by also implementing EndSink. A sink that wraps
+// another must forward EndRun (and RecordPhase) to it, or the inner
+// sink never learns its labels.
 type EventSink interface {
 	// Record is called once per shared-memory operation.
 	Record(ev TraceEvent)
+}
+
+// Labeler resolves a machine's variable handles to their labels.
+// Machine is one.
+type Labeler interface {
+	// Label returns v's allocation name (see Machine.Label).
+	Label(v Var) string
+}
+
+// EndSink is an EventSink that is also told when its run ends.
+type EndSink interface {
+	EventSink
+	// EndRun is called once per run, after the last event and phase
+	// transition and before the machine can be released, however the
+	// run ended: completed, deadlocked, timed out, with a violation or
+	// with a panic. labels resolves the run's handles during the call
+	// only: the sink keeps the strings it needs, not labels.
+	EndRun(labels Labeler)
 }
 
 // PhaseEvent is one algorithm-phase transition of a process, as
@@ -95,7 +122,8 @@ type PhaseSink interface {
 // AttachSink subscribes a sink to the machine's event stream. Call
 // before Run. Multiple sinks may be attached; each receives every
 // event, in order. Sinks that also implement PhaseSink additionally
-// receive phase-transition events.
+// receive phase-transition events, and sinks that implement EndSink
+// the end of the run.
 func (m *Machine) AttachSink(s EventSink) {
 	if s == nil {
 		panic("memsim: AttachSink(nil)")
@@ -104,14 +132,24 @@ func (m *Machine) AttachSink(s EventSink) {
 	if ps, ok := s.(PhaseSink); ok {
 		m.phaseSinks = append(m.phaseSinks, ps)
 	}
+	if es, ok := s.(EndSink); ok {
+		m.endSinks = append(m.endSinks, es)
+	}
 }
 
-// String renders the event as one log line.
-func (e TraceEvent) String() string {
-	if e.Before == e.After {
-		return fmt.Sprintf("[%06d] p%d %-9s %s = %d", e.Step, e.Proc, e.Kind, e.Var, e.Before)
+// endRun tells every EndSink that the run is over.
+func (m *Machine) endRun() {
+	for _, s := range m.endSinks {
+		s.EndRun(m)
 	}
-	return fmt.Sprintf("[%06d] p%d %-9s %s: %d -> %d", e.Step, e.Proc, e.Kind, e.Var, e.Before, e.After)
+}
+
+// Format renders the event as one log line, naming its variable label.
+func (e TraceEvent) Format(label string) string {
+	if e.Before == e.After {
+		return fmt.Sprintf("[%06d] p%d %-9s %s = %d", e.Step, e.Proc, e.Kind, label, e.Before)
+	}
+	return fmt.Sprintf("[%06d] p%d %-9s %s: %d -> %d", e.Step, e.Proc, e.Kind, label, e.Before, e.After)
 }
 
 // traceRing is a fixed-capacity ring buffer of the most recent events —
@@ -172,7 +210,8 @@ func (m *Machine) Trace() []TraceEvent {
 	return out
 }
 
-// FormatTrace renders the recorded events as a multi-line string.
+// FormatTrace renders the recorded events as a multi-line string. Call
+// it before Release: it resolves the events' variable labels.
 func (m *Machine) FormatTrace() string {
 	events := m.Trace()
 	if len(events) == 0 {
@@ -180,20 +219,20 @@ func (m *Machine) FormatTrace() string {
 	}
 	var b strings.Builder
 	for _, e := range events {
-		b.WriteString(e.String())
+		b.WriteString(e.Format(m.Label(e.Var)))
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
 // record delivers one event to every attached sink.
-func (m *Machine) record(p *Proc, kind TraceKind, vv *variable, before, after Word, remote bool) {
+func (m *Machine) record(p *Proc, kind TraceKind, v Var, before, after Word, remote bool) {
 	ev := TraceEvent{
 		Step:   m.steps,
 		Proc:   p.id,
 		Kind:   kind,
 		Phase:  p.phase,
-		Var:    vv.label(),
+		Var:    v,
 		Before: before,
 		After:  after,
 		Remote: remote,

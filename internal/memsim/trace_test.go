@@ -308,3 +308,83 @@ func TestSinkAndRingSeeSameEvents(t *testing.T) {
 		t.Fatal("attached sink and trace ring diverged")
 	}
 }
+
+// endLog is an EndSink that counts events and EndRun calls, and keeps
+// the label of every variable its events touched.
+type endLog struct {
+	events, ends, late int
+	vars               []Var
+	labels             []string
+}
+
+func (l *endLog) Record(ev TraceEvent) {
+	l.events++
+	if l.ends > 0 {
+		l.late++
+	}
+	l.vars = append(l.vars, ev.Var)
+}
+
+func (l *endLog) EndRun(labels Labeler) {
+	l.ends++
+	l.labels = l.labels[:0]
+	for _, v := range l.vars {
+		l.labels = append(l.labels, labels.Label(v))
+	}
+}
+
+// TestEndRunOncePerRun: however a run ends (completed, deadlocked,
+// timed out, a violation, or a panic in a process body), an attached
+// EndSink is told once, after the last event, and can resolve the
+// labels of the handles its events carried.
+func TestEndRunOncePerRun(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		body  func(p *Proc, x, never Var)
+		cfg   RunConfig
+		ended func(Result) bool
+	}{
+		{"completed", func(p *Proc, x, _ Var) { p.Write(x, 1) }, RunConfig{},
+			func(r Result) bool { return r.Completed }},
+		{"deadlocked", func(p *Proc, x, never Var) { p.Write(x, 1); p.AwaitEq(never, 1) }, RunConfig{},
+			func(r Result) bool { return r.Deadlocked }},
+		{"timed out", func(p *Proc, x, _ Var) {
+			for {
+				p.Write(x, 1)
+			}
+		}, RunConfig{MaxSteps: 20}, func(r Result) bool { return r.TimedOut }},
+		{"violation", func(p *Proc, x, _ Var) { p.Write(x, 1); p.EnterCS(); p.Read(x); p.ExitCS() }, RunConfig{Sched: RoundRobin{}},
+			func(r Result) bool { return r.Violation != nil }},
+		{"body panic", func(p *Proc, x, _ Var) { p.Write(x, 1); panic("boom") }, RunConfig{}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMachine(CC, 2)
+			log := &endLog{}
+			m.AttachSink(log)
+			x := m.NewArray("x", 1, HomeGlobal, 0)[0]
+			never := m.NewVar("never", HomeGlobal, 0)
+			for i := 0; i < 2; i++ {
+				m.AddProc("p", func(p *Proc) { tc.body(p, x, never) })
+			}
+			func() {
+				defer func() {
+					if r := recover(); (r != nil) != (tc.ended == nil) {
+						t.Fatalf("run recovered %v", r)
+					}
+				}()
+				if res := m.Run(tc.cfg); !tc.ended(res) {
+					t.Fatalf("run ended %+v", res)
+				}
+			}()
+			if log.ends != 1 || log.late != 0 || log.events == 0 {
+				t.Fatalf("%d events, EndRun called %d times, %d events after it; want events and one call before none", log.events, log.ends, log.late)
+			}
+			for i, v := range log.vars {
+				if want := map[Var]string{x: "x[0]", never: "never"}[v]; log.labels[i] != want {
+					t.Fatalf("event %d labelled %q, want %q", i, log.labels[i], want)
+				}
+			}
+			m.Release()
+		})
+	}
+}

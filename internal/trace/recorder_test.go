@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,9 +78,13 @@ func TestRecorderGolden(t *testing.T) {
 	}
 }
 
-// stream is a captured event stream, phase transitions included, that
-// can be replayed into a recorder.
-type stream []streamEvent
+// stream is a captured event stream, phase transitions included, with
+// the labels of the variables its events touch, that can be replayed
+// into a recorder.
+type stream struct {
+	events []streamEvent
+	labels labelTable
+}
 
 type streamEvent struct {
 	ev    memsim.TraceEvent
@@ -87,28 +92,57 @@ type streamEvent struct {
 	isPh  bool
 }
 
-func (s *stream) Record(ev memsim.TraceEvent) { *s = append(*s, streamEvent{ev: ev}) }
+func (s *stream) Record(ev memsim.TraceEvent) { s.events = append(s.events, streamEvent{ev: ev}) }
 
 func (s *stream) RecordPhase(ev memsim.PhaseEvent) {
-	*s = append(*s, streamEvent{phase: ev, isPh: true})
+	s.events = append(s.events, streamEvent{phase: ev, isPh: true})
 }
 
-func (s stream) replay(r *Recorder) {
-	for i := range s {
-		if s[i].isPh {
-			r.RecordPhase(s[i].phase)
-		} else {
-			r.Record(s[i].ev)
+// EndRun implements memsim.EndSink: it keeps the label of every
+// variable an event touched.
+func (s *stream) EndRun(labels memsim.Labeler) {
+	for _, e := range s.events {
+		if !e.isPh {
+			s.labels.set(e.ev.Var, labels.Label(e.ev.Var))
 		}
 	}
 }
 
+// replay feeds the whole stream to r, then ends its run.
+func (s *stream) replay(r *Recorder) {
+	replay(r, s.events)
+	r.EndRun(s.labels)
+}
+
+// replay feeds events to r.
+func replay(r *Recorder, events []streamEvent) {
+	for i := range events {
+		if events[i].isPh {
+			r.RecordPhase(events[i].phase)
+		} else {
+			r.Record(events[i].ev)
+		}
+	}
+}
+
+// labelTable is a memsim.Labeler over labels kept by handle index.
+type labelTable []string
+
+func (l labelTable) Label(v memsim.Var) string { return l[v.Index()] }
+
+func (l *labelTable) set(v memsim.Var, label string) {
+	for len(*l) <= v.Index() {
+		*l = append(*l, "")
+	}
+	(*l)[v.Index()] = label
+}
+
 // capture runs G-DSM on a DSM machine of n processes and returns its
 // event stream.
-func capture(t testing.TB, n, entries int) stream {
+func capture(t testing.TB, n, entries int) *stream {
 	t.Helper()
-	var s stream
-	w := harness.Workload{Model: memsim.DSM, N: n, Entries: entries, CSOps: 1, Seed: 1, Sink: &s}
+	s := &stream{}
+	w := harness.Workload{Model: memsim.DSM, N: n, Entries: entries, CSOps: 1, Seed: 1, Sink: s}
 	build := func(m *memsim.Machine) harness.Algorithm { return core.NewGDSM(m, phi.FetchAndIncrement{}) }
 	if _, err := harness.Run(build, w); err != nil {
 		t.Fatal(err)
@@ -116,28 +150,37 @@ func capture(t testing.TB, n, entries int) stream {
 	return s
 }
 
+// newVars allocates one variable per name on m, in order.
+func newVars(m *memsim.Machine, names ...string) []memsim.Var {
+	vs := make([]memsim.Var, len(names))
+	for i, name := range names {
+		vs[i] = m.NewVar(name, memsim.HomeGlobal, 0)
+	}
+	return vs
+}
+
 // cycle feeds one synthetic critical-section attempt of proc to r: an
 // entry span with a nested spin span, a cs span and an exit span, each
-// touching the given names.
-func cycle(r *Recorder, proc int, step *int64, names []string) {
+// touching the given variables.
+func cycle(r *Recorder, proc int, step *int64, vars []memsim.Var) {
 	next := func() int64 { *step++; return *step }
-	ev := func(kind memsim.TraceKind, name string) {
-		r.Record(memsim.TraceEvent{Step: next(), Proc: proc, Kind: kind, Var: name, Remote: true})
+	ev := func(kind memsim.TraceKind, v memsim.Var) {
+		r.Record(memsim.TraceEvent{Step: next(), Proc: proc, Kind: kind, Var: v, Remote: true})
 	}
 	ph := func(from, to memsim.Phase) {
 		r.RecordPhase(memsim.PhaseEvent{Step: next(), Proc: proc, From: from, To: to})
 	}
 	ph(memsim.PhaseNCS, memsim.PhaseEntry)
-	for _, name := range names {
-		ev(memsim.TraceWrite, name)
+	for _, v := range vars {
+		ev(memsim.TraceWrite, v)
 	}
-	ev(memsim.TraceSpinRead, names[0])
-	ev(memsim.TraceSpinRead, names[len(names)-1])
-	ev(memsim.TraceRMW, names[0])
+	ev(memsim.TraceSpinRead, vars[0])
+	ev(memsim.TraceSpinRead, vars[len(vars)-1])
+	ev(memsim.TraceRMW, vars[0])
 	ph(memsim.PhaseEntry, memsim.PhaseCS)
-	ev(memsim.TraceRead, names[len(names)-1])
+	ev(memsim.TraceRead, vars[len(vars)-1])
 	ph(memsim.PhaseCS, memsim.PhaseExit)
-	ev(memsim.TraceWrite, names[0])
+	ev(memsim.TraceWrite, vars[0])
 	ph(memsim.PhaseExit, memsim.PhaseNCS)
 }
 
@@ -145,19 +188,22 @@ func cycle(r *Recorder, proc int, step *int64, names []string) {
 // recording on past a ring wrap, which reuses the slots they came from,
 // leaves them unchanged.
 func TestSpansSurviveRingWrap(t *testing.T) {
+	m := memsim.NewMachine(memsim.CC, 1)
 	rec := NewRecorder(4)
 	var step int64
 	for k := 0; k < 3; k++ {
-		cycle(rec, 0, &step, []string{"b", "a", fmt.Sprint("v", k)})
+		cycle(rec, 0, &step, newVars(m, "b", "a", fmt.Sprint("v", k)))
 	}
+	rec.EndRun(m)
 	spans := rec.Spans()
 	before, err := json.Marshal(spans)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 5; k++ {
-		cycle(rec, 0, &step, []string{"z", "y", "x", fmt.Sprint("w", k)})
+		cycle(rec, 0, &step, newVars(m, "z", "y", "x", fmt.Sprint("w", k)))
 	}
+	rec.EndRun(m)
 	after, err := json.Marshal(spans)
 	if err != nil {
 		t.Fatal(err)
@@ -168,21 +214,68 @@ func TestSpansSurviveRingWrap(t *testing.T) {
 	if len(spans) != 4 || spans[0].Vars[0] != "a" {
 		t.Fatalf("want the 4-span window with sorted names, got %+v", spans)
 	}
+	if got := rec.Spans()[0].Vars; !slices.Equal(got, []string{"w4", "x", "y", "z"}) {
+		t.Fatalf("after the wrap the oldest span names %v, want [w4 x y z]", got)
+	}
+}
+
+// TestSpansDedupByLabel: distinct variables may share a label (CLH's
+// queue nodes), and a span names each label once, sorted, as the
+// recorder always has; variables are told apart by handle while
+// recording, and their labels only when the run ends.
+func TestSpansDedupByLabel(t *testing.T) {
+	m := memsim.NewMachine(memsim.CC, 1)
+	rec := NewRecorder(0)
+	var step int64
+	vars := newVars(m, "node", "tail", "node", "node")
+	cycle(rec, 0, &step, vars)
+	rec.EndRun(m)
+	spans := rec.Spans()
+	if len(spans) != 4 {
+		t.Fatalf("got %d spans, want entry, spin, cs and exit", len(spans))
+	}
+	want := map[string][]string{
+		"entry": {"node", "tail"}, // four variables, two labels
+		"spin":  {"node"},         // two distinct node variables
+		"cs":    {"node"},
+		"exit":  {"node"},
+	}
+	for _, s := range spans {
+		if !slices.Equal(s.Vars, want[s.Kind]) {
+			t.Errorf("%s span names %v, want %v", s.Kind, s.Vars, want[s.Kind])
+		}
+	}
+}
+
+// TestSpansNeedEndRun: a recorder whose run never ended, such as one
+// behind a sink wrapper that does not forward EndRun, cannot name its
+// spans' variables, and says so instead of writing wrong names.
+func TestSpansNeedEndRun(t *testing.T) {
+	m := memsim.NewMachine(memsim.CC, 1)
+	rec := NewRecorder(0)
+	var step int64
+	cycle(rec, 0, &step, newVars(m, "a"))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "EndSink") {
+			t.Fatalf("Spans without EndRun: recovered %v, want a panic naming memsim.EndSink", r)
+		}
+	}()
+	rec.Spans()
 }
 
 // TestRecordAllocatesNothingOnWrappedRing: once every process's ring
 // has wrapped, recording reuses its storage.
 func TestRecordAllocatesNothingOnWrappedRing(t *testing.T) {
 	rec := NewRecorder(4)
-	names := []string{"Queue", "Signal[1]", "Position[0]"}
+	vars := newVars(memsim.NewMachine(memsim.CC, 2), "Queue", "Signal[1]", "Position[0]")
 	var step int64
 	for k := 0; k < 8; k++ {
-		cycle(rec, 0, &step, names)
-		cycle(rec, 1, &step, names)
+		cycle(rec, 0, &step, vars)
+		cycle(rec, 1, &step, vars)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		cycle(rec, 0, &step, names)
-		cycle(rec, 1, &step, names)
+		cycle(rec, 0, &step, vars)
+		cycle(rec, 1, &step, vars)
 	})
 	if allocs != 0 {
 		t.Fatalf("Record/RecordPhase on wrapped rings: %v allocations per cycle, want 0", allocs)
@@ -195,7 +288,7 @@ func (r *Recorder) retained() (spans, names int) {
 	for i := range r.procs {
 		tl := &r.procs[i]
 		spans += cap(tl.spans.spans)
-		names += cap(tl.spans.names) + cap(tl.phaseVars) + cap(tl.spin.vars)
+		names += cap(tl.spans.handles) + cap(tl.phaseVars) + cap(tl.spin.vars)
 		for j := range tl.spans.spans {
 			names += cap(tl.spans.spans[j].vars)
 		}
@@ -210,9 +303,10 @@ func TestRecorderRetainsWindowOnly(t *testing.T) {
 	const n, limit = 3, 4
 	s := capture(t, n, 200)
 	rec := NewRecorder(limit)
-	s[:len(s)/2].replay(rec)
+	half := len(s.events) / 2
+	replay(rec, s.events[:half])
 	midSpans, midNames := rec.retained()
-	s[len(s)/2:].replay(rec)
+	replay(rec, s.events[half:])
 	spans, names := rec.retained()
 	if spans != midSpans || names != midNames {
 		t.Fatalf("retained storage grew from %d spans, %d names at mid-run to %d, %d at the end",
@@ -224,8 +318,9 @@ func TestRecorderRetainsWindowOnly(t *testing.T) {
 }
 
 // BenchmarkRecorder replays a G-DSM event stream (N=8, DSM) into a
-// fresh recorder per iteration, as a sweep cell does, and reports the
-// cost per event: ns/event and B/event.
+// fresh recorder per iteration and ends its run, as a sweep cell does,
+// and reports the cost per event, label resolution included: ns/event
+// and B/event.
 func BenchmarkRecorder(b *testing.B) {
 	s := capture(b, 8, 10)
 	for _, limit := range []int{DefaultSpanLimit, 4} {
@@ -239,7 +334,7 @@ func BenchmarkRecorder(b *testing.B) {
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&ms)
-			events := float64(b.N) * float64(len(s))
+			events := float64(b.N) * float64(len(s.events))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
 			b.ReportMetric(float64(ms.TotalAlloc-before)/events, "B/event")
 		})

@@ -18,18 +18,29 @@
 // metrics — only wall-clock time.
 //
 // Storage. A recorder keeps closed spans in a compact form (interval,
-// RMRs, sorted variable names, and the kind as a phase plus a spin
-// flag) and builds obs.TraceSpan values only when Spans or Artifact is
-// called. Each process's ring owns its spans and their name storage:
-// once a bounded ring wraps, a new span overwrites the oldest slot and
-// copies its names into that slot's buffer, and the open phase and
-// spin spans reuse their name sets from span to span. Past warm-up,
-// recording allocates nothing, and the bytes a recorder retains are
-// proportional to its window (limit × processes × names per span),
-// not to the length of the run.
+// RMRs, the handles of the variables touched, and the kind as a phase
+// plus a spin flag) and builds obs.TraceSpan values only when Spans or
+// Artifact is called. Each process's ring owns its spans and their
+// handle storage: once a bounded ring wraps, a new span overwrites the
+// oldest slot and copies its handles into that slot's buffer, and the
+// open phase and spin spans reuse their handle sets from span to span.
+// Past warm-up, recording allocates nothing, and the bytes a recorder
+// retains are proportional to its window (limit × processes × variables
+// per span), not to the length of the run.
+//
+// Labels. Events name variables by memsim.Var handle, which the
+// machine recycles at Release, and the engine formats no label while
+// the run is on. When the run ends (memsim.EndSink), the recorder
+// resolves the labels of the handles its retained and open spans hold,
+// once each, into a table indexed by handle; Spans maps, sorts and
+// deduplicates names from it. Distinct variables may share a label
+// (CLH's queue nodes, say), and a span lists each name once. A sink
+// that wraps a Recorder must forward EndRun to it; a Recorder that
+// never saw the end of its run cannot name its spans' variables.
 package trace
 
 import (
+	"fmt"
 	"slices"
 
 	"fetchphi/internal/memsim"
@@ -54,6 +65,9 @@ type Recorder struct {
 	limit    int
 	procs    []timeline
 	lastStep int64
+	// labels holds, at each resolved handle's Index, its label (see
+	// EndRun).
+	labels []string
 }
 
 // NewRecorder returns a recorder retaining at most limit spans per
@@ -87,27 +101,26 @@ type spinSpan struct {
 	remote      bool
 }
 
-// varset is a small sorted string set: the variables touched inside
-// one span are few, so a binary search beats a map, and a closed span
-// copies its names out already in order.
-type varset []string
+// varset is a small set of variable handles in first-touch order: the
+// variables touched inside one span are few, so a scan beats a map.
+type varset []memsim.Var
 
-func (s *varset) add(name string) {
-	for _, v := range *s {
-		if v == name {
+func (s *varset) add(v memsim.Var) {
+	for _, x := range *s {
+		if x == v {
 			return
 		}
 	}
-	*s = append(*s, name)
+	*s = append(*s, v)
 }
 
 // span is a closed span as the ring retains it. Its kind is "spin"
-// when spin is set and phase's name otherwise; vars is sorted and is
-// storage of the ring slot holding the span.
+// when spin is set and phase's name otherwise; vars is storage of the
+// ring slot holding the span.
 type span struct {
 	start, end int64
 	rmrs       int64
-	vars       []string
+	vars       []memsim.Var
 	phase      memsim.Phase
 	spin       bool
 	remote     bool
@@ -119,13 +132,13 @@ type ring struct {
 	spans  []span
 	next   int
 	filled bool
-	// names is unused name storage, carved into the vars buffers of
+	// handles is unused handle storage, carved into the vars buffers of
 	// slots whose buffer is too small for the span they receive.
-	names []string
+	handles []memsim.Var
 }
 
 // push stores a closed span in the next slot, overwriting the oldest
-// span once a bounded ring is full. The span's names are copied into
+// span once a bounded ring is full. The span's handles are copied into
 // the slot's own buffer.
 func (r *ring) push(sp span, vars varset) {
 	var slot *span
@@ -149,21 +162,20 @@ func (r *ring) push(sp span, vars varset) {
 		// times however long the run.
 		buf = r.carve(max(len(vars), 2*cap(buf)))
 	}
-	buf = append(buf, vars...)
-	slices.Sort(buf)
-	sp.vars = buf
+	sp.vars = append(buf, vars...)
 	*slot = sp
 }
 
-// carve returns an empty buffer of capacity n from the ring's name
-// storage. When that runs out, the next block holds at least two names
-// for each span the ring holds so far, so blocks grow with the ring.
-func (r *ring) carve(n int) []string {
-	if len(r.names) < n {
-		r.names = make([]string, max(n, 2*len(r.spans), 8))
+// carve returns an empty buffer of capacity n from the ring's handle
+// storage. When that runs out, the next block holds at least two
+// handles for each span the ring holds so far, so blocks grow with the
+// ring.
+func (r *ring) carve(n int) []memsim.Var {
+	if len(r.handles) < n {
+		r.handles = make([]memsim.Var, max(n, 2*len(r.spans), 8))
 	}
-	buf := r.names[:0:n]
-	r.names = r.names[n:]
+	buf := r.handles[:0:n]
+	r.handles = r.handles[n:]
 	return buf
 }
 
@@ -277,32 +289,69 @@ func (tl *timeline) closePhase(step int64) {
 	}, tl.phaseVars)
 }
 
+// EndRun implements memsim.EndSink: it resolves the label of every
+// handle a retained or open span holds, once each, while the machine
+// can still name them.
+func (r *Recorder) EndRun(labels memsim.Labeler) {
+	top := 0
+	r.eachVars(func(vars []memsim.Var) {
+		for _, v := range vars {
+			top = max(top, v.Index())
+		}
+	})
+	if top >= len(r.labels) {
+		r.labels = append(r.labels, make([]string, top+1-len(r.labels))...)
+	}
+	r.eachVars(func(vars []memsim.Var) {
+		for _, v := range vars {
+			if l := &r.labels[v.Index()]; *l == "" {
+				*l = labels.Label(v)
+			}
+		}
+	})
+}
+
+// eachVars calls f on the handles of every retained and open span.
+func (r *Recorder) eachVars(f func([]memsim.Var)) {
+	for i := range r.procs {
+		tl := &r.procs[i]
+		tl.spans.each(func(s *span) { f(s.vars) })
+		if tl.spinning {
+			f(tl.spin.vars)
+		}
+		if tl.phase != memsim.PhaseNCS {
+			f(tl.phaseVars)
+		}
+	}
+}
+
+// label returns v's label as EndRun resolved it.
+func (r *Recorder) label(v memsim.Var) string {
+	if i := v.Index(); i < len(r.labels) {
+		return r.labels[i]
+	}
+	panic(fmt.Sprintf("trace: variable #%d has no label: the recorder was not told its run ended (memsim.EndSink)", v.Index()))
+}
+
 // Spans returns every retained span, canonically ordered. Spans still
 // open when the run ended (a process stuck mid-entry, an await that
 // never fired) are closed at the step after the last recorded event
 // and marked Open — the first thing to look at in a failure dump. The
 // recorder itself is not consumed: Spans can be called repeatedly, and
 // the spans it returns own their storage, so recording on does not
-// change them.
+// change them. Each span lists the labels of the variables it touched,
+// sorted, each label once, as EndRun resolved them; Spans panics if
+// EndRun was never called on a recorder with variables to name.
 func (r *Recorder) Spans() []obs.TraceSpan {
 	var count, names int
-	for i := range r.procs {
-		tl := &r.procs[i]
-		tl.spans.each(func(s *span) { count, names = count+1, names+len(s.vars) })
-		if tl.spinning {
-			count, names = count+1, names+len(tl.spin.vars)
-		}
-		if tl.phase != memsim.PhaseNCS {
-			count, names = count+1, names+len(tl.phaseVars)
-		}
-	}
+	r.eachVars(func(vars []memsim.Var) { count, names = count+1, names+len(vars) })
 	if count == 0 {
 		return nil
 	}
 	spans := make([]obs.TraceSpan, 0, count)
 	store := make([]string, 0, names)
-	// export appends the span with a copy of vars in store.
-	export := func(proc int, s span, vars []string, open bool) {
+	// export appends the span with the labels of vars in store.
+	export := func(proc int, s span, vars []memsim.Var, open bool) {
 		ts := obs.TraceSpan{
 			Proc:   proc,
 			Kind:   "spin",
@@ -317,9 +366,14 @@ func (r *Recorder) Spans() []obs.TraceSpan {
 		}
 		if len(vars) > 0 {
 			from := len(store)
-			store = append(store, vars...)
-			ts.Vars = store[from:len(store):len(store)]
-			slices.Sort(ts.Vars)
+			for _, v := range vars {
+				store = append(store, r.label(v))
+			}
+			names := store[from:]
+			slices.Sort(names)
+			names = slices.Compact(names)
+			store = store[:from+len(names)]
+			ts.Vars = names[:len(names):len(names)]
 		}
 		spans = append(spans, ts)
 	}

@@ -15,6 +15,21 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
+// eventList is an EventSink that keeps a run's events and, when the
+// run ends, hands each to check with its variable's label.
+type eventList struct {
+	events []memsim.TraceEvent
+	check  func(ev memsim.TraceEvent, label string)
+}
+
+func (l *eventList) Record(ev memsim.TraceEvent) { l.events = append(l.events, ev) }
+
+func (l *eventList) EndRun(labels memsim.Labeler) {
+	for _, ev := range l.events {
+		l.check(ev, labels.Label(ev.Var))
+	}
+}
+
 // cellLog records, from a run's event stream, the registrations written
 // to C[side] and the nudge and release cells touched, in first-touch
 // order.
@@ -24,14 +39,14 @@ type cellLog struct {
 	seen  map[string]bool
 }
 
-func (c *cellLog) Record(ev memsim.TraceEvent) {
+func (c *cellLog) add(ev memsim.TraceEvent, label string) {
 	switch {
-	case strings.HasPrefix(ev.Var, "L.C[") && ev.Kind == memsim.TraceWrite && ev.After != 0:
-		c.regs = append(c.regs, fmt.Sprintf("p%d %s key %d", ev.Proc, ev.Var[2:], ev.After-1))
-	case strings.HasPrefix(ev.Var, "L.nudge") || strings.HasPrefix(ev.Var, "L.release"):
-		if !c.seen[ev.Var] {
-			c.seen[ev.Var] = true
-			c.cells = append(c.cells, ev.Var)
+	case strings.HasPrefix(label, "L.C[") && ev.Kind == memsim.TraceWrite && ev.After != 0:
+		c.regs = append(c.regs, fmt.Sprintf("p%d %s key %d", ev.Proc, label[2:], ev.After-1))
+	case strings.HasPrefix(label, "L.nudge") || strings.HasPrefix(label, "L.release"):
+		if !c.seen[label] {
+			c.seen[label] = true
+			c.cells = append(c.cells, label)
 		}
 	}
 }
@@ -75,7 +90,7 @@ func manyUsers(t *testing.T, model memsim.Model) string {
 	mu := New(m, memsim.NamePrefix(nil, "L"))
 	addPlayers(m, mu, procs, rounds, nil)
 	log := &cellLog{seen: map[string]bool{}}
-	m.AttachSink(log)
+	m.AttachSink(&eventList{check: log.add})
 	res := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(7)})
 	if err := res.Err(); err != nil {
 		t.Fatalf("%v: %v", model, err)
@@ -137,27 +152,27 @@ type handoffLog struct {
 	wrong  int
 }
 
-func (h *handoffLog) Record(ev memsim.TraceEvent) {
-	cell := strings.HasPrefix(ev.Var, "L.nudge[") || strings.HasPrefix(ev.Var, "L.release[")
+func (h *handoffLog) add(ev memsim.TraceEvent, label string) {
+	cell := strings.HasPrefix(label, "L.nudge[") || strings.HasPrefix(label, "L.release[")
 	switch {
-	case strings.HasPrefix(ev.Var, "L.C[") && ev.Kind == memsim.TraceRead:
+	case strings.HasPrefix(label, "L.C[") && ev.Kind == memsim.TraceRead:
 		h.lastC[ev.Proc] = ev.After
 	case cell && ev.Kind == memsim.TraceWrite:
 		rival := h.lastC[ev.Proc]
-		family := ev.Var[:strings.IndexByte(ev.Var, '[')]
-		if want := fmt.Sprintf("%s[%d]", family, rival-1); rival == 0 || ev.Var != want {
+		family := label[:strings.IndexByte(label, '[')]
+		if want := fmt.Sprintf("%s[%d]", family, rival-1); rival == 0 || label != want {
 			if h.wrong++; h.wrong <= 5 {
-				h.t.Errorf("p%d wrote %s after reading registration %d, want %s", ev.Proc, ev.Var, rival, want)
+				h.t.Errorf("p%d wrote %s after reading registration %d, want %s", ev.Proc, label, rival, want)
 			}
 			return
 		}
-		h.target[ev.Var] = rival - 1
+		h.target[label] = rival - 1
 	case cell && ev.Kind == memsim.TraceRead:
-		h.reads[ev.Var] = append(h.reads[ev.Var], ev.Remote)
-		if r, ok := h.reader[ev.Var]; ok && r != ev.Proc {
-			h.t.Errorf("%s read by p%d and p%d", ev.Var, r, ev.Proc)
+		h.reads[label] = append(h.reads[label], ev.Remote)
+		if r, ok := h.reader[label]; ok && r != ev.Proc {
+			h.t.Errorf("%s read by p%d and p%d", label, r, ev.Proc)
 		}
-		h.reader[ev.Var] = ev.Proc
+		h.reader[label] = ev.Proc
 	}
 }
 
@@ -192,7 +207,7 @@ func TestCellLookupTiers(t *testing.T) {
 			})
 			h := &handoffLog{t: t, lastC: map[int]Word{}, target: map[string]Word{},
 				reads: map[string][]bool{}, reader: map[string]int{}}
-			m.AttachSink(h)
+			m.AttachSink(&eventList{check: h.add})
 			res := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(int64(n))})
 			if err := res.Err(); err != nil {
 				t.Fatalf("N=%d %v: %v", n, model, err)
