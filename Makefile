@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: ci lint vet fetchphilint lint-gate build test perf race fuzz trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke bench sweep report baseline baseline-claims baseline-lint baseline-stress gate clean
+.PHONY: ci lint vet fetchphilint lint-gate build test perf race fuzz trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke seeds seed-sweep bench sweep report baseline baseline-claims baseline-lint baseline-seeds baseline-stress gate clean
 
 # ci is the full tier-1 pipeline: static checks (vet + the repo's own
 # analysis suite, gated against the checked-in lint baseline), build,
 # tests, the race detector over the genuinely concurrent packages, the
 # trace-pipeline smoke test, the sharded model-checker smoke, the
 # distributed-fleet + telemetry smokes, the native-stress smoke, the
-# abortable-pipeline smoke, the claims-conformance gate + smoke, and
-# the host-cost benchmark's own vet and tests, and a short fuzz of the
-# artifact readers.
-ci: lint-gate build test perf race fuzz trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke
+# abortable-pipeline smoke, the claims-conformance gate + smoke, the
+# per-claim seed-family gate, and the host-cost benchmark's own vet and
+# tests, and a short fuzz of the artifact readers.
+ci: lint-gate build test perf race fuzz trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke seeds
 
 # lint runs go vet plus cmd/fetchphilint — the per-package analyzers
 # (awaitwatch, memsimpurity, determinism, phasebalance), the
@@ -166,6 +166,22 @@ claims-smoke:
 	$(GO) run ./cmd/report -experiments E1,E2 -quick -out bench/current/claims-smoke
 	$(GO) run ./cmd/claims -bench bench/current/claims-smoke -markdown > /dev/null
 
+# seeds gates CI on how many seed families reproduce each claim: it
+# runs the quick sweep once per family S = 1…40 (about 15 s) and fails,
+# naming the claim, if any claim is reproduced in fewer families than
+# the checked-in bench/baseline/SEEDS.json records. A family whose
+# claims do not all reproduce makes cmd/report exit 1; that is the
+# measurement, not a failure, so only the tally is gated.
+seeds: seed-sweep
+	$(GO) run ./cmd/seeds -baseline bench/baseline/SEEDS.json -out bench/current/SEEDS.json bench/current/seeds/*/CLAIMS.json
+
+# seed-sweep writes each seed family's quick-sweep artifacts and claims
+# into bench/current/seeds/<S>.
+seed-sweep:
+	rm -rf bench/current/seeds
+	$(GO) build -o bench/current/seeds/report ./cmd/report
+	for s in $$(seq 1 40); do bench/current/seeds/report -quick -flight 0 -seed $$s -out bench/current/seeds/$$s > /dev/null 2>&1 || true; done
+
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
@@ -194,6 +210,12 @@ baseline-claims:
 # or verdict change.
 baseline-lint:
 	$(GO) run ./cmd/fetchphilint -json bench/baseline/LINT.json ./...
+
+# baseline-seeds regenerates the checked-in per-claim seed-family
+# tally. Run it (and commit the result) only after a deliberate change
+# to what the sweep measures or to a claim's criterion.
+baseline-seeds: seed-sweep
+	$(GO) run ./cmd/seeds -out bench/baseline/SEEDS.json bench/current/seeds/*/CLAIMS.json
 
 # baseline-stress regenerates the checked-in native-stress baseline.
 # The numbers are wall-clock and host-specific: regenerate (and

@@ -10,9 +10,10 @@
 //	Signal: Flag := true
 //
 // with Flag initially true. On DSM machines that await spins on a
-// shared flag, so the Sec. 3 transformation (localspin.Site) is
-// applied; the paper omits this "slightly more complicated
-// implementation" for space, and this package supplies it.
+// shared flag, so the Sec. 3 transformation is applied; the paper
+// omits this "slightly more complicated implementation" for space.
+// Both are the one localspin.Waits value, in the form the machine's
+// memory model needs (localspin.ForModel).
 package barrier
 
 import (
@@ -22,37 +23,27 @@ import (
 
 // Barrier is the exit-section token.
 type Barrier struct {
-	flag memsim.Var
-	site *localspin.Site // nil on CC machines
+	flag  memsim.Var
+	waits localspin.Waits // one site, key 0
 }
 
-// New allocates an open barrier on m, choosing the local-spin
-// implementation automatically from the machine's memory model.
+// New allocates an open barrier on m.
 func New(m *memsim.Machine, name string) *Barrier {
-	b := &Barrier{flag: m.NewVar(name+".Flag", memsim.HomeGlobal, 1)}
-	if m.Model() == memsim.DSM {
-		b.site = localspin.NewSiteSet(m, memsim.NamePrefix(nil, name+".site")).At(0)
+	b := &Barrier{
+		flag:  m.NewVar(name+".Flag", memsim.HomeGlobal, 1),
+		waits: localspin.ForModel(m, memsim.NamePrefix(nil, name+".site")),
 	}
+	b.waits.Prepare(0)
 	return b
 }
 
 // Wait blocks until the token is free and takes it.
 func (b *Barrier) Wait(p *memsim.Proc) {
-	if b.site == nil {
-		p.AwaitTrue(b.flag)
-	} else {
-		b.site.Wait(p, func(read func(memsim.Var) memsim.Word) bool {
-			return read(b.flag) != 0
-		})
-	}
+	b.waits.WaitTrue(p, 0, b.flag)
 	p.Write(b.flag, 0)
 }
 
 // Signal releases the token.
 func (b *Barrier) Signal(p *memsim.Proc) {
-	if b.site == nil {
-		p.Write(b.flag, 1)
-		return
-	}
-	b.site.Signal(p, func() { p.Write(b.flag, 1) })
+	b.waits.Signal(p, 0, func() { p.Write(b.flag, 1) })
 }

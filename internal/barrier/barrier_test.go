@@ -3,6 +3,7 @@ package barrier
 import (
 	"testing"
 
+	"fetchphi/internal/localspin"
 	"fetchphi/internal/memsim"
 )
 
@@ -115,7 +116,7 @@ func TestDSMBarrierSpinsLocally(t *testing.T) {
 
 func TestCCBarrierHasNoSite(t *testing.T) {
 	m := memsim.NewMachine(memsim.CC, 1)
-	if b := New(m, "bar"); b.site != nil {
+	if b := New(m, "bar"); b.waits != (localspin.Waits{}) {
 		t.Fatal("CC barrier allocated a transformation site")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"fetchphi/internal/localspin"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/phi"
 )
@@ -71,10 +72,10 @@ type TokenAbortable struct {
 	m     *memsim.Machine
 	nproc int
 
-	tail  memsim.Var   // last token swapped in; 0 = never used
-	grant *memsim.Dict // grant[t] != 0: token t's holder has passed the baton
-	mark  *memsim.Dict // mark[t]: waiter on grant[t] withdrew; relay to this token
-	sites *SiteSet     // one Sec. 3 site per awaited token
+	tail  memsim.Var      // last token swapped in; 0 = never used
+	grant *memsim.Dict    // grant[t] != 0: token t's holder has passed the baton
+	mark  *memsim.Dict    // mark[t]: waiter on grant[t] withdrew; relay to this token
+	waits localspin.Waits // one Sec. 3 site per awaited token
 
 	rounds []Word // private per-process token counters
 	held   []Word // private: token of each process's open acquisition
@@ -91,7 +92,7 @@ func NewTokenAbortable(m *memsim.Machine) *TokenAbortable {
 		tail:   m.NewVar("token.Tail", memsim.HomeGlobal, 0),
 		grant:  m.NewDict("token.Grant", memsim.HomeGlobal, 0),
 		mark:   m.NewDict("token.Mark", memsim.HomeGlobal, 0),
-		sites:  NewSiteSet(m, memsim.NamePrefix(nil, "token.W")),
+		waits:  localspin.New(m, memsim.NamePrefix(nil, "token.W"), true),
 		rounds: words.Make(m, n),
 		held:   words.Make(m, n),
 	}
@@ -123,11 +124,7 @@ func (l *TokenAbortable) AcquireAbortable(p *memsim.Proc) bool {
 	t := l.token(p)
 	prev := p.FetchPhi(l.tail, phi.FetchAndStore{}, t)
 	if prev != 0 {
-		sig := l.grant.At(prev)
-		if l.sites.At(prev).WaitAbortable(p,
-			func(read func(memsim.Var) Word) bool { return read(sig) != 0 },
-			func() { p.Write(l.mark.At(prev), t) },
-		) {
+		if l.waits.WaitTrueAbortable(p, prev, l.grant.At(prev), func() { p.Write(l.mark.At(prev), t) }) {
 			return false
 		}
 	}
@@ -138,21 +135,21 @@ func (l *TokenAbortable) AcquireAbortable(p *memsim.Proc) bool {
 // Release implements the exit section: establish the grant for our own
 // token, relaying across markers left by withdrawn successors.
 func (l *TokenAbortable) Release(p *memsim.Proc) {
-	relayGrants(p, l.sites.At, l.grant, l.mark, l.held[p.ID()])
+	relayGrants(p, l.waits, func(k Word) Word { return k }, l.grant, l.mark, l.held[p.ID()])
 }
 
-// relayGrants establishes the grant for key k at site(k); if the
+// relayGrants establishes the grant for key k at site key(k); if the
 // waiter there withdrew (marker present), the grant is skipped — it
 // would never be consumed — and the baton follows the marker to the
 // withdrawn waiter's own key. Marker reads and grant establishment
 // happen inside the site's Signal critical section, mutually exclusive
 // with the withdrawer's marker write, so exactly one of the two sides
 // observes the other.
-func relayGrants(p *memsim.Proc, site func(Word) *Site, grant, mark *memsim.Dict, k Word) {
+func relayGrants(p *memsim.Proc, w localspin.Waits, key func(Word) Word, grant, mark *memsim.Dict, k Word) {
 	for {
 		var marker Word
 		sig := grant.At(k)
-		site(k).Signal(p, func() {
+		w.Signal(p, key(k), func() {
 			marker = p.Read(mark.At(k))
 			if marker != 0 {
 				p.Write(mark.At(k), 0)
@@ -211,7 +208,7 @@ func NewGDSMAbortable(m *memsim.Machine, prim phi.Primitive) *GDSMAbortable {
 			prim.Name(), prim.Rank()))
 	}
 	g := NewGDSMSized(m, prim, m.NumProcs(), memsim.NamePrefix(nil, "gdsm-abort"))
-	g.noExitWait = true
+	g.alg, g.noExitWait = "gdsm-abortable", true
 	g.mark = markPairs.New(m)
 	g.mark[0] = m.NewDictIn(&g.name, ".Mark[0]", memsim.HomeGlobal, 0)
 	g.mark[1] = m.NewDictIn(&g.name, ".Mark[1]", memsim.HomeGlobal, 0)

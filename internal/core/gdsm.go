@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"fetchphi/internal/localspin"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/phi"
 	"fetchphi/internal/twoproc"
@@ -12,8 +13,13 @@ import (
 // wait converted by the Sec. 3 transformation, so that all spinning is
 // on per-process variables homed at the spinner. It has O(1) RMR
 // complexity on DSM (and CC) machines for any primitive of rank ≥ 2N.
+// Built with the plain form of its waits instead, it is G-CC itself
+// (GCC).
 //
-// The two condition-site families of Fig. 3 are:
+// Two waiting queues each have a tail updated by the fetch-and-φ
+// primitive, a position counter and a Signal family; every slot has
+// Active and QueueId words and private state. The two condition-site
+// families of Fig. 3 are:
 //
 //   - queue sites, keyed by (queue, fetch-and-φ value): an enqueuer
 //     waits for its predecessor's Signal[idx][prev] (Waiter2 in the
@@ -21,16 +27,42 @@ import (
 //   - process sites, keyed by process id: an exiting process at
 //     position q waits for process q to leave the old queue (Waiter1).
 //
-// Fig. 3's boldface lines map to Site.Wait (13–21, 28–36) and
-// Site.Signal (4–8, 41–45, 46–50).
+// Fig. 3's boldface lines map to the Waits waits (13–21, 28–36) and
+// Waits.Signal (4–8, 41–45, 46–50).
 //
 //fetchphilint:rmr O(1) Theorem 1 via the Sec. 3 transformation: O(1) RMR on CC and DSM
 type GDSM struct {
-	queuePair
-	two *twoproc.Mutex
+	m     *memsim.Machine
+	prim  phi.Primitive
+	slots int
+	name  memsim.Prefix // prefixes every variable's label
+	alg   string        // what Name reports before the primitive
 
-	procSites *SiteSet // Waiter1 sites, keyed by process id
-	queueSite *SiteSet // Waiter2 sites, keyed by (queue, value)
+	currentQueue memsim.Var
+	tail         [2]memsim.Var
+	position     [2]memsim.Var
+	signal       [2]*memsim.Dict // Signal[j] keyed by fetch-and-φ value
+	active       []memsim.Var    // Active[slot]
+	queueID      []memsim.Var    // QueueId[slot]
+	st           []slotState
+	two          *twoproc.Mutex
+
+	procWaits  localspin.Waits // Waiter1 sites, keyed by process id
+	queueWaits localspin.Waits // Waiter2 sites, keyed by (queue, value)
+
+	// skipStaleClear disables the stale-signal completion in
+	// exchangeQueues — the E8a ablation that demonstrates why the
+	// printed algorithm needs it.
+	skipStaleClear bool
+
+	// posFromPrev enables the fetch-and-increment specialization the
+	// paper's conclusion hints at ("by exploiting the semantics of a
+	// particular primitive, our algorithms could be optimized
+	// considerably"): with fetch-and-increment, the k-th enqueuer of
+	// a generation receives exactly k−1 from the tail, which IS its
+	// queue position — so the shared Position counters (a read and a
+	// write per exit, on a contended line) vanish.
+	posFromPrev bool
 
 	// noExitWait enables the exit-handshake extension the paper
 	// sketches after presenting G-CC ("with a slightly more
@@ -48,6 +80,16 @@ type GDSM struct {
 	mark *[2]*memsim.Dict
 }
 
+// slotState is slot-private state carried from Acquire to Release. (At
+// the top level each process owns one slot; inside an arbitration-tree
+// node the processes of one subtree share a slot, one at a time.)
+type slotState struct {
+	inv  phi.Invoker
+	idx  int  // queue joined by the last Acquire
+	self Word // value the last Acquire wrote to the tail
+	prev Word // value the last Acquire received from the tail
+}
+
 // NewGDSM builds an instance for m's N processes on top of prim, whose
 // rank must be at least 2N.
 func NewGDSM(m *memsim.Machine, prim phi.Primitive) *GDSM {
@@ -60,44 +102,76 @@ func NewGDSM(m *memsim.Machine, prim phi.Primitive) *GDSM {
 // the process being waited on and fired when it finishes.
 func NewGDSMNoExitWait(m *memsim.Machine, prim phi.Primitive) *GDSM {
 	g := NewGDSMSized(m, prim, m.NumProcs(), memsim.NamePrefix(nil, "gdsm-nw"))
-	g.noExitWait = true
+	g.alg, g.noExitWait = "g-dsm-nowait", true
 	return g
 }
 
-// NewGDSMSized builds an instance arbitrating `slots` competitors; see
-// NewGCCSized for the slot contract. prim's rank must be at least
-// 2·slots. The instance is m's storage.
+// NewGDSMSized builds an instance arbitrating `slots` competitors,
+// where competitor identities are slot numbers 0..slots-1 passed
+// explicitly to AcquireSlot/ReleaseSlot. Different processes may use a
+// slot at different times as long as slot occupancy is exclusive (an
+// arbitration tree guarantees this structurally). prim's rank must be
+// at least 2·slots. The instance is m's storage.
 func NewGDSMSized(m *memsim.Machine, prim phi.Primitive, slots int, name memsim.Prefix) *GDSM {
-	if r := prim.Rank(); r < 2*slots {
-		panic(fmt.Sprintf("core: G-DSM needs rank >= 2N = %d, but %s has rank %d", 2*slots, prim.Name(), r))
-	}
 	g := gdsms.New(m)
-	*g = GDSM{
-		queuePair: newQueuePair(m, &g.name, name, prim, slots),
-		two:       twoproc.New(m, memsim.NamePrefix(&g.name, ".two")),
-		procSites: NewSiteSet(m, memsim.NamePrefix(&g.name, ".W1")),
-		queueSite: NewSiteSet(m, memsim.NamePrefix(&g.name, ".W2")),
-		delegate:  m.NewArrayIn(&g.name, ".Delegate", m.NumProcs(), memsim.HomeGlobal, 0),
-	}
+	initGDSM(g, m, prim, slots, name, "g-dsm", true)
 	return g
+}
+
+// initGDSM builds g in m's storage: an instance named name for slots
+// competitors on prim, whose Name starts with alg. local chooses the
+// form of its waits once: the Sec. 3 sites (G-DSM), or plain awaits
+// (G-CC). Delegate comes with the sites, since the handshake extension
+// registers its delegations through them.
+func initGDSM(g *GDSM, m *memsim.Machine, prim phi.Primitive, slots int, name memsim.Prefix, alg string, local bool) {
+	if r := prim.Rank(); r < 2*slots {
+		panic(fmt.Sprintf("core: %s needs rank >= 2N = %d, but %s has rank %d", alg, 2*slots, prim.Name(), r))
+	}
+	st := slotStates.Make(m, slots)
+	for s := range st {
+		st[s].inv = phi.NewInvoker(prim, s)
+	}
+	// Labels are joined lazily, so &g.name may be taken before the
+	// literal stores name there.
+	*g = GDSM{
+		m:            m,
+		prim:         prim,
+		slots:        slots,
+		name:         name,
+		alg:          alg,
+		currentQueue: m.NewVarIn(&g.name, ".CurrentQueue", memsim.HomeGlobal, 0),
+		tail: [2]memsim.Var{
+			m.NewVarIn(&g.name, ".Tail[0]", memsim.HomeGlobal, phi.Bottom),
+			m.NewVarIn(&g.name, ".Tail[1]", memsim.HomeGlobal, phi.Bottom),
+		},
+		position: [2]memsim.Var{
+			m.NewVarIn(&g.name, ".Position[0]", memsim.HomeGlobal, 0),
+			m.NewVarIn(&g.name, ".Position[1]", memsim.HomeGlobal, 0),
+		},
+		signal: [2]*memsim.Dict{
+			m.NewDictIn(&g.name, ".Signal[0]", memsim.HomeGlobal, 0),
+			m.NewDictIn(&g.name, ".Signal[1]", memsim.HomeGlobal, 0),
+		},
+		active:     m.NewArrayIn(&g.name, ".Active", slots, memsim.HomeGlobal, 0),
+		queueID:    m.NewArrayIn(&g.name, ".QueueId", slots, memsim.HomeGlobal, qidBottom),
+		st:         st,
+		two:        twoproc.New(m, memsim.NamePrefix(&g.name, ".two")),
+		procWaits:  localspin.New(m, memsim.NamePrefix(&g.name, ".W1"), local),
+		queueWaits: localspin.New(m, memsim.NamePrefix(&g.name, ".W2"), local),
+	}
+	if local {
+		g.delegate = m.NewArrayIn(&g.name, ".Delegate", m.NumProcs(), memsim.HomeGlobal, 0)
+	}
 }
 
 // Name implements harness.Algorithm.
-func (g *GDSM) Name() string {
-	switch {
-	case g.mark != nil:
-		return "gdsm-abortable/" + g.prim.Name()
-	case g.noExitWait:
-		return "g-dsm-nowait/" + g.prim.Name()
-	}
-	return "g-dsm/" + g.prim.Name()
-}
+func (g *GDSM) Name() string { return g.alg + "/" + g.prim.Name() }
 
 // queueKey packs a (queue index, fetch-and-φ value) site key.
 func queueKey(idx int, v Word) Word { return v<<1 | Word(idx) }
 
-// Acquire implements the entry section (Fig. 3, lines 1–22) with the
-// caller's process id as the slot.
+// Acquire implements the entry section (Fig. 3, lines 1–22; Fig. 2,
+// lines 1–11) with the caller's process id as the slot.
 func (g *GDSM) Acquire(p *memsim.Proc) {
 	if !g.AcquireSlot(p, p.ID()) {
 		p.Fail("core: %s withdrew with no abort scheduled", g.Name())
@@ -110,7 +184,8 @@ func (g *GDSM) Release(p *memsim.Proc) { g.ReleaseSlot(p, p.ID()) }
 // AcquireSlot performs the entry section for the competitor occupying
 // the given slot. It returns false if the request withdrew at one of
 // the three abort windows GDSMAbortable describes; with no abort
-// pending it performs exactly the steps of Fig. 3.
+// pending it performs exactly the steps of Fig. 3 (of Fig. 2 with
+// plain waits).
 func (g *GDSM) AcquireSlot(p *memsim.Proc, slot int) bool {
 	st := &g.st[slot]
 	me := slot
@@ -134,14 +209,13 @@ func (g *GDSM) AcquireSlot(p *memsim.Proc, slot int) bool {
 	input := st.inv.UpdateInput()                  // 11 (counter advance)
 	prev := p.FetchPhi(g.tail[idx], g.prim, input) // 9
 	self := g.prim.Apply(prev, input)              // 10
-	st.idx, st.self = idx, self
+	st.idx, st.self, st.prev = idx, self, prev
 	if prev != phi.Bottom { // 12
 		sig := g.signal[idx].At(prev)
 		// 13–20: wait for the predecessor's signal (14), spinning
 		// locally. A withdrawal marks our node: our successor waits at
 		// self, so the relay skips us.
-		if g.queueSite.At(queueKey(idx, prev)).WaitAbortable(p,
-			func(read func(memsim.Var) Word) bool { return read(sig) != 0 },
+		if g.queueWaits.WaitTrueAbortable(p, queueKey(idx, prev), sig,
 			func() { p.Write(g.mark[idx].At(prev), self) },
 		) {
 			// Withdrawn without the baton: the node is dead, the relay
@@ -166,17 +240,22 @@ func (g *GDSM) AcquireSlot(p *memsim.Proc, slot int) bool {
 // the given slot.
 func (g *GDSM) ReleaseSlot(p *memsim.Proc, slot int) { g.exit(p, slot, true) }
 
-// exit performs the exit section (Fig. 3, lines 23–50) for slot me.
-// held is false for a request that withdrew while awaiting the
-// two-process lock: it skips the release it never acquired, and its
-// position step needs no lock, since only a queue's baton holder
-// touches that queue's position.
+// exit performs the exit section (Fig. 3, lines 23–50; Fig. 2, lines
+// 12–24) for slot me. held is false for a request that withdrew while
+// awaiting the two-process lock: it skips the release it never
+// acquired, and its position step needs no lock, since only a queue's
+// baton holder touches that queue's position.
 func (g *GDSM) exit(p *memsim.Proc, me int, held bool) {
 	st := &g.st[me]
 	idx := st.idx
 
-	pos := p.Read(g.position[idx])  // 23
-	p.Write(g.position[idx], pos+1) // 24
+	var pos Word
+	if g.posFromPrev {
+		pos = st.prev // the fetch value is the position, by f&i semantics
+	} else {
+		pos = p.Read(g.position[idx])   // 23
+		p.Write(g.position[idx], pos+1) // 24
+	}
 	if held {
 		g.two.Release(p, idx) // 25
 	}
@@ -189,7 +268,7 @@ func (g *GDSM) exit(p *memsim.Proc, me int, held bool) {
 			// transitions (the site mutex), either observe q done /
 			// in my queue (no action needed) or leave q the duty of
 			// signalling my successor.
-			g.procSites.At(pos).Visit(p, func() {
+			g.procWaits.Visit(p, pos, func() {
 				stillOld := p.Read(g.active[q]) != 0 && p.Read(g.queueID[q]) != qidQueue0+Word(idx)
 				if stillOld {
 					p.Write(g.delegate[q], queueKey(idx, st.self)+1)
@@ -199,9 +278,7 @@ func (g *GDSM) exit(p *memsim.Proc, me int, held bool) {
 		} else {
 			// 28–36: wait for q to finish or reveal itself in my
 			// queue.
-			g.procSites.At(pos).Wait(p, func(read func(memsim.Var) Word) bool {
-				return read(g.active[q]) == 0 || read(g.queueID[q]) == qidQueue0+Word(idx)
-			})
+			g.procWaits.WaitEither(p, pos, g.active[q], g.queueID[q], qidQueue0+Word(idx))
 		}
 	case pos == Word(g.slots): // 37
 		g.exchangeQueues(p, idx)
@@ -229,11 +306,11 @@ func (g *GDSM) deactivate(p *memsim.Proc, me int) {
 // waiters.
 func (g *GDSM) signalSuccessor(p *memsim.Proc, idx int, self Word) {
 	if g.mark != nil {
-		relayGrants(p, func(k Word) *Site { return g.queueSite.At(queueKey(idx, k)) }, g.signal[idx], g.mark[idx], self)
+		relayGrants(p, g.queueWaits, func(k Word) Word { return queueKey(idx, k) }, g.signal[idx], g.mark[idx], self)
 		return
 	}
 	sig := g.signal[idx].At(self)
-	g.queueSite.At(queueKey(idx, self)).Signal(p, func() {
+	g.queueWaits.Signal(p, queueKey(idx, self), func() {
 		p.Write(sig, 1) // 42
 	})
 }
@@ -245,7 +322,7 @@ func (g *GDSM) signalSuccessor(p *memsim.Proc, idx int, self Word) {
 // successor signal becomes ours to fire.
 func (g *GDSM) signalSelfSite(p *memsim.Proc, me int, establish func()) {
 	var duty Word
-	g.procSites.At(Word(me)).Signal(p, func() {
+	g.procWaits.Signal(p, Word(me), func() {
 		establish()
 		if g.noExitWait {
 			duty = p.Read(g.delegate[me])
@@ -257,5 +334,49 @@ func (g *GDSM) signalSelfSite(p *memsim.Proc, me int, establish func()) {
 	if duty != 0 {
 		k := duty - 1
 		g.signalSuccessor(p, int(k&1), k>>1)
+	}
+}
+
+// exchangeQueues resets the old queue and makes it current (Fig. 2,
+// lines 20–22; Fig. 3, lines 38–40). Invariant (I1) guarantees the old
+// queue is empty here.
+//
+// Completion of the printed algorithm: the last enqueuer of the old
+// queue's ended generation set Signal[1−idx][self] with no successor to
+// consume it; that value is exactly the old tail's current value. If
+// left set, a process in a LATER generation of that queue that obtains
+// the same fetch-and-φ value as its predecessor's self (values may
+// recur once the tail is reset to ⊥) would skip waiting and break the
+// queue discipline. We clear the single stale key before resetting the
+// tail; this costs O(1) reads/writes and is safe precisely because of
+// (I1). See DESIGN.md, "Deviations". Under abortable G-DSM the clear
+// also covers the signal a marker relay can establish at the tail
+// after its waiter withdrew.
+func (g *GDSM) exchangeQueues(p *memsim.Proc, idx int) {
+	old := 1 - idx
+	g.assertOldQueueEmpty(p, old)
+	if !g.skipStaleClear {
+		if last := p.Read(g.tail[old]); last != phi.Bottom {
+			p.Write(g.signal[old].At(last), 0)
+		}
+	}
+	p.Write(g.tail[old], phi.Bottom) // 20
+	if !g.posFromPrev {
+		p.Write(g.position[old], 0) // 21; implicit in the tail reset otherwise
+	}
+	p.Write(g.currentQueue, Word(old)) // 22
+}
+
+// assertOldQueueEmpty checks the paper's invariant (I1) at the moment
+// it is needed: when the process at position N exchanges the queues,
+// no slot may still be executing in the old queue. The check inspects
+// machine state host-side (no simulated cost) and turns a violated
+// invariant into an immediate, attributable failure instead of silent
+// downstream corruption.
+func (g *GDSM) assertOldQueueEmpty(p *memsim.Proc, old int) {
+	for slot := 0; slot < g.slots; slot++ {
+		if g.m.Value(g.active[slot]) != 0 && g.m.Value(g.queueID[slot]) == qidQueue0+Word(old) {
+			p.Fail("core: invariant I1 violated: slot %d still active in old queue %d at exchange", slot, old)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"fetchphi/internal/barrier"
+	"fetchphi/internal/localspin"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/phi"
 	"fetchphi/internal/queue"
@@ -63,9 +64,9 @@ type T struct {
 	// "Deviations".
 	rootTwo *twoproc.Mutex
 
-	// inTreeSites holds the Sec. 3 transformation sites for the exit
-	// section's "await ¬InTree[q]" wait (nil on CC machines).
-	inTreeSites *SiteSet
+	// inTreeWaits carries the exit section's "await ¬InTree[q]"
+	// (line 33) and its establishing writes (lines 7 and 11), as in T0.
+	inTreeWaits localspin.Waits
 
 	st []tState
 }
@@ -113,20 +114,18 @@ func NewTWithDegree(m *memsim.Machine, prim phi.SelfResettable, degree int) *T {
 		panic(fmt.Sprintf("core: Algorithm T needs rank >= 3, but %s has rank %d", prim.Name(), prim.Rank()))
 	}
 	t := &T{
-		prim:     prim,
-		n:        n,
-		degree:   degree,
-		spin:     m.NewPerProcArray("t.Spin", 0),
-		inTree:   m.NewPerProcArray("t.InTree", 0),
-		wq:       queue.New(m, "t.wq"),
-		promoted: m.NewVar("t.Promoted", memsim.HomeGlobal, 0),
-		bar:      barrier.New(m, "t.bar"),
-		two:      twoproc.New(m, memsim.NamePrefix(nil, "t.two")),
-		rootTwo:  twoproc.New(m, memsim.NamePrefix(nil, "t.rootTwo")),
-		st:       make([]tState, n),
-	}
-	if m.Model() == memsim.DSM {
-		t.inTreeSites = NewSiteSet(m, memsim.NamePrefix(nil, "t.intree"))
+		prim:        prim,
+		n:           n,
+		degree:      degree,
+		spin:        m.NewPerProcArray("t.Spin", 0),
+		inTree:      m.NewPerProcArray("t.InTree", 0),
+		wq:          queue.New(m, "t.wq"),
+		promoted:    m.NewVar("t.Promoted", memsim.HomeGlobal, 0),
+		bar:         barrier.New(m, "t.bar"),
+		two:         twoproc.New(m, memsim.NamePrefix(nil, "t.two")),
+		rootTwo:     twoproc.New(m, memsim.NamePrefix(nil, "t.rootTwo")),
+		inTreeWaits: localspin.ForModel(m, memsim.NamePrefix(nil, "t.intree")),
+		st:          make([]tState, n),
 	}
 
 	// Build levels bottom-up, as in T0.
@@ -200,28 +199,6 @@ func (t *T) fetchReset(p *memsim.Proc, v memsim.Var) (prev, next Word) {
 	return prev, t.prim.Apply(prev, in)
 }
 
-// setInTreeFalse publishes that p stopped accessing the tree.
-func (t *T) setInTreeFalse(p *memsim.Proc) {
-	me := p.ID()
-	if t.inTreeSites == nil {
-		p.Write(t.inTree[me], 0)
-		return
-	}
-	t.inTreeSites.At(Word(me)).Signal(p, func() { p.Write(t.inTree[me], 0) })
-}
-
-// awaitNotInTree blocks until process q stopped accessing the tree
-// (Fig. 10 line 33).
-func (t *T) awaitNotInTree(p *memsim.Proc, q int) {
-	if t.inTreeSites == nil {
-		p.AwaitEq(t.inTree[q], 0)
-		return
-	}
-	t.inTreeSites.At(Word(q)).Wait(p, func(read func(memsim.Var) Word) bool {
-		return read(t.inTree[q]) == 0
-	})
-}
-
 // glanceWaiter reads the node's registered primary waiter, if any
 // (-1 when none). Unlike the paper's blocking "repeat q := Waiter[n]
 // until q ≠ ⊥" (Fig. 10 lines 49 and 57), this is a single read: the
@@ -270,17 +247,17 @@ func (t *T) Acquire(p *memsim.Proc) {
 	for lev := t.maxLevel - 1; lev >= 1; lev-- { // 4
 		result := t.acquireNode(p, lev)                    // 5
 		if result != Winner && result != secondaryWinner { // 6
-			t.setInTreeFalse(p)       // 7
-			p.AwaitTrue(t.spin[me])   // 8
-			t.st[me].breakLevel = lev // 9
-			t.two.Acquire(p, 1)       // 10
+			t.inTreeWaits.Signal(p, Word(me), func() { p.Write(t.inTree[me], 0) }) // 7
+			p.AwaitTrue(t.spin[me])                                                // 8
+			t.st[me].breakLevel = lev                                              // 9
+			t.two.Acquire(p, 1)                                                    // 10
 			return
 		}
 		if lev == 1 && result == secondaryWinner {
 			rootSide = 1
 		}
 	}
-	t.setInTreeFalse(p) // 11
+	t.inTreeWaits.Signal(p, Word(me), func() { p.Write(t.inTree[me], 0) }) // 11
 	t.st[me].breakLevel = 0
 	t.st[me].rootSide = rootSide   // 12
 	t.rootTwo.Acquire(p, rootSide) // serialize the two root acquirers
@@ -309,8 +286,8 @@ func (t *T) Release(p *memsim.Proc) {
 		// exit performs the release (line 48), as in T0.
 		if p.Read(t.lock0[lev][idx]) != phi.Bottom { // 31: winner regime in place
 			if q := int(p.Read(t.winner0[lev][idx])) - 1; q >= 0 { // 32
-				t.awaitNotInTree(p, q) // 33
-				t.wq.Enqueue(p, q)     // 36
+				t.inTreeWaits.WaitZero(p, Word(q), t.inTree[q]) // 33
+				t.wq.Enqueue(p, q)                              // 36
 			}
 		}
 		if p.Read(t.waiter[lev][idx]) == Word(me)+1 { // 37: I am the primary waiter

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"fetchphi/internal/barrier"
+	"fetchphi/internal/localspin"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/queue"
 	"fetchphi/internal/twoproc"
@@ -30,10 +31,10 @@ type T0 struct {
 	bar      *barrier.Barrier
 	two      *twoproc.Mutex
 
-	// inTreeSites holds the Sec. 3 transformation sites for the
-	// "await ¬InTree[q]" wait of the exit section (nil on CC, where
-	// the plain await is already local after caching).
-	inTreeSites *SiteSet
+	// inTreeWaits carries the exit section's "await ¬InTree[q]"
+	// (line 22) and its establishing writes (lines 7 and 11): Sec. 3
+	// sites on DSM, plain awaits where those are already local.
+	inTreeWaits localspin.Waits
 
 	breakLevel []int // private: level at which each process stopped
 }
@@ -56,18 +57,16 @@ func NewT0WithDegree(m *memsim.Machine, degree int) *T0 {
 	}
 	n := m.NumProcs()
 	t := &T0{
-		n:          n,
-		degree:     degree,
-		spin:       m.NewPerProcArray("t0.Spin", 0),
-		inTree:     m.NewPerProcArray("t0.InTree", 0),
-		wq:         queue.New(m, "t0.wq"),
-		promoted:   m.NewVar("t0.Promoted", memsim.HomeGlobal, 0),
-		bar:        barrier.New(m, "t0.bar"),
-		two:        twoproc.New(m, memsim.NamePrefix(nil, "t0.two")),
-		breakLevel: make([]int, n),
-	}
-	if m.Model() == memsim.DSM {
-		t.inTreeSites = NewSiteSet(m, memsim.NamePrefix(nil, "t0.intree"))
+		n:           n,
+		degree:      degree,
+		spin:        m.NewPerProcArray("t0.Spin", 0),
+		inTree:      m.NewPerProcArray("t0.InTree", 0),
+		wq:          queue.New(m, "t0.wq"),
+		promoted:    m.NewVar("t0.Promoted", memsim.HomeGlobal, 0),
+		bar:         barrier.New(m, "t0.bar"),
+		two:         twoproc.New(m, memsim.NamePrefix(nil, "t0.two")),
+		inTreeWaits: localspin.ForModel(m, memsim.NamePrefix(nil, "t0.intree")),
+		breakLevel:  make([]int, n),
 	}
 
 	// Build levels bottom-up: the leaf level has N nodes; each level
@@ -116,30 +115,6 @@ func (t *T0) node(id, lev int) memsim.Var {
 	return t.lock[lev][t.nodeIndex(id, lev)]
 }
 
-// setInTreeFalse publishes that p stopped accessing the tree — the
-// establishing write of the exit section's "await ¬InTree[q]", routed
-// through the transformation site on DSM machines.
-func (t *T0) setInTreeFalse(p *memsim.Proc) {
-	me := p.ID()
-	if t.inTreeSites == nil {
-		p.Write(t.inTree[me], 0)
-		return
-	}
-	t.inTreeSites.At(Word(me)).Signal(p, func() { p.Write(t.inTree[me], 0) })
-}
-
-// awaitNotInTree blocks until process q has stopped accessing the
-// tree.
-func (t *T0) awaitNotInTree(p *memsim.Proc, q int) {
-	if t.inTreeSites == nil {
-		p.AwaitEq(t.inTree[q], 0)
-		return
-	}
-	t.inTreeSites.At(Word(q)).Wait(p, func(read func(memsim.Var) Word) bool {
-		return read(t.inTree[q]) == 0
-	})
-}
-
 // Acquire implements the entry section (Fig. 6, lines 1–13).
 func (t *T0) Acquire(p *memsim.Proc) {
 	me := p.ID()
@@ -148,14 +123,14 @@ func (t *T0) Acquire(p *memsim.Proc) {
 	acquireNode(p, t.node(me, t.maxLevel))       // 3: the leaf, always WINNER
 	for lev := t.maxLevel - 1; lev >= 1; lev-- { // 4
 		if acquireNode(p, t.node(me, lev)) != Winner { // 5–6
-			t.setInTreeFalse(p)     // 7
-			p.AwaitTrue(t.spin[me]) // 8: wait until promoted
-			t.breakLevel[me] = lev  // 9
-			t.two.Acquire(p, 1)     // 10: promoted entry
+			t.inTreeWaits.Signal(p, Word(me), func() { p.Write(t.inTree[me], 0) }) // 7
+			p.AwaitTrue(t.spin[me])                                                // 8: wait until promoted
+			t.breakLevel[me] = lev                                                 // 9
+			t.two.Acquire(p, 1)                                                    // 10: promoted entry
 			return
 		}
 	}
-	t.setInTreeFalse(p) // 11
+	t.inTreeWaits.Signal(p, Word(me), func() { p.Write(t.inTree[me], 0) }) // 11
 	t.breakLevel[me] = 0
 	t.two.Acquire(p, 0) // 12–13: normal entry
 }
@@ -171,8 +146,8 @@ func (t *T0) Release(p *memsim.Proc) {
 		lev := t.breakLevel[me]
 		n := t.node(me, lev)                       // 19
 		if lk := p.Read(n); nodeWaiter(lk) == me { // 20: I am the primary waiter
-			q := nodeWinner(lk)    // 21
-			t.awaitNotInTree(p, q) // 22
+			q := nodeWinner(lk)                             // 21
+			t.inTreeWaits.WaitZero(p, Word(q), t.inTree[q]) // 22
 			// 23 — deviation from the printed Fig. 6, which resets
 			// the node to (⊥, ⊥) here. Reopening the node before the
 			// winner q finished its CRITICAL SECTION (¬InTree only

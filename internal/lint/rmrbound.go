@@ -15,7 +15,8 @@ package lint
 //     transitively containing shared ops is *unbounded*;
 //   - an if arm the dataflow engine proved dead for the algorithm —
 //     its condition folded the same way on every construction path,
-//     e.g. a definite-nil field — is not walked.
+//     e.g. a definite-nil field — is not walked, nor are the
+//     statements after an if whose live arms all return.
 //
 // Algorithms declaring //fetchphilint:rmr O(1) (G-CC and G-DSM, per
 // the paper's Theorem 1) fail the build if any unbounded shared-op
@@ -141,11 +142,8 @@ func (w *rmrWalker) countFunc(fn *types.Func, callPos token.Pos) int {
 
 // countNode counts shared ops in a syntax subtree.
 func (w *rmrWalker) countNode(pkg *Package, n ast.Node) int {
-	if n == nil {
-		return 0
-	}
 	ops := 0
-	ast.Inspect(n, func(node ast.Node) bool {
+	w.inspect(pkg, n, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.CallExpr:
 			ops += w.countCall(pkg, x)
@@ -156,25 +154,6 @@ func (w *rmrWalker) countNode(pkg *Package, n ast.Node) int {
 		case *ast.RangeStmt:
 			ops += w.countRange(pkg, x)
 			return false
-		case *ast.IfStmt:
-			// Skip the body of a condition that always folded false,
-			// or the else of one that always folded true.
-			var dead ast.Node
-			switch w.branches[x] {
-			case 1 << tFalse:
-				dead = x.Body
-			case 1 << tTrue:
-				dead = x.Else
-			}
-			if dead == nil {
-				return true
-			}
-			for _, arm := range []ast.Node{x.Init, x.Cond, x.Body, x.Else} {
-				if arm != dead {
-					ops += w.countNode(pkg, arm)
-				}
-			}
-			return false
 		case *ast.FuncLit:
 			// A literal that is not a direct call argument may never
 			// run; it is charged where it is invoked or passed.
@@ -183,6 +162,85 @@ func (w *rmrWalker) countNode(pkg *Package, n ast.Node) int {
 		return true
 	})
 	return ops
+}
+
+// inspect walks n as ast.Inspect does, but only where control can
+// reach for the algorithm: it skips the body of a condition that
+// always folded false, the else of one that always folded true, and
+// the statements after one that never completes.
+func (w *rmrWalker) inspect(pkg *Package, n ast.Node, f func(ast.Node) bool) {
+	if n == nil {
+		return
+	}
+	ast.Inspect(n, func(node ast.Node) bool {
+		switch x := node.(type) {
+		case *ast.IfStmt:
+			var dead ast.Node
+			switch w.branches[x] {
+			case 1 << tFalse:
+				dead = x.Body
+			case 1 << tTrue:
+				dead = x.Else
+			}
+			if dead == nil {
+				return f(node)
+			}
+			for _, arm := range []ast.Node{x.Init, x.Cond, x.Body, x.Else} {
+				if arm != dead {
+					w.inspect(pkg, arm, f)
+				}
+			}
+			return false
+		case *ast.BlockStmt:
+			for _, st := range x.List {
+				w.inspect(pkg, st, f)
+				if w.terminates(pkg, st) {
+					break
+				}
+			}
+			return false
+		}
+		return f(node)
+	})
+}
+
+// terminates reports whether control never runs past st: a return, a
+// panic, a block holding one, or an if statement whose live arms all
+// terminate. An arm is live unless the dataflow engine folded the
+// condition the other way on every construction path.
+func (w *rmrWalker) terminates(pkg *Package, st ast.Stmt) bool {
+	switch x := st.(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.ExprStmt:
+		call, ok := x.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		if !ok || id.Name != "panic" {
+			return false
+		}
+		_, builtin := pkg.Info.ObjectOf(id).(*types.Builtin)
+		return builtin
+	case *ast.BlockStmt:
+		for _, s := range x.List {
+			if w.terminates(pkg, s) {
+				return true
+			}
+		}
+	case *ast.IfStmt:
+		body := w.terminates(pkg, x.Body)
+		els := x.Else != nil && w.terminates(pkg, x.Else)
+		switch w.branches[x] {
+		case 1 << tTrue:
+			return body
+		case 1 << tFalse:
+			return els
+		}
+		return body && els
+	}
+	return false
 }
 
 // countCall charges one call expression.
@@ -208,15 +266,6 @@ func (w *rmrWalker) countCall(pkg *Package, call *ast.CallExpr) int {
 			return ops
 		}
 	}
-	ops := 0
-	// Direct-argument closures are charged once at the call site: the
-	// wait/signal building blocks (Site.Wait cond, Site.Signal
-	// establish, Site.Visit body) each run their closure exactly once
-	// per passage.
-	for _, a := range call.Args {
-		ops += w.argOps(pkg, a)
-	}
-	ops += w.countNode(pkg, call.Fun)
 	var callee *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
@@ -224,10 +273,43 @@ func (w *rmrWalker) countCall(pkg *Package, call *ast.CallExpr) int {
 	case *ast.Ident:
 		callee, _ = pkg.Info.ObjectOf(fun).(*types.Func)
 	}
+	ops := 0
+	// Direct-argument closures are charged once at the call site: the
+	// wait/signal building blocks (the Waits waits' conditions,
+	// Waits.Signal's establish, Waits.Visit's body) each run their
+	// closure at most once per passage. A closure handed to a declared
+	// function that never reaches its parameter is not charged.
+	for i, a := range call.Args {
+		if _, lit := ast.Unparen(a).(*ast.FuncLit); lit && callee != nil && !w.paramReached(callee, i) {
+			continue
+		}
+		ops += w.argOps(pkg, a)
+	}
+	ops += w.countNode(pkg, call.Fun)
 	if callee != nil {
 		ops += w.countFunc(callee, call.Lparen)
 	}
 	return ops
+}
+
+// paramReached reports whether the walk reaches a use of fn's i-th
+// parameter in fn's body: a closure passed there may run. It is true
+// for a function whose body is not in the module.
+func (w *rmrWalker) paramReached(fn *types.Func, i int) bool {
+	fd, ok := w.e.decls[fn]
+	params := fn.Type().(*types.Signature).Params()
+	if !ok || i >= params.Len() {
+		return true
+	}
+	param := params.At(i)
+	reached := false
+	w.inspect(fd.pkg, fd.decl.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && fd.pkg.Info.Uses[id] == param {
+			reached = true
+		}
+		return !reached
+	})
+	return reached
 }
 
 func (w *rmrWalker) argOps(pkg *Package, arg ast.Expr) int {

@@ -268,3 +268,71 @@ func NewGuardedLockArmed(m *memsim.Machine) *GuardedLockArmed {
 	bound := m.NewVar("guard.bound", memsim.HomeGlobal, 0)
 	return &GuardedLockArmed{&GuardedLock{word: m.NewVar("guard.word", memsim.HomeGlobal, 0), bound: &bound}}
 }
+
+// EarlyReturnLock declares O(1) and keeps it. The loop in Acquire
+// follows an if whose only live arm returns: the wait reports an abort
+// only to an abortable lock, so the loop is unreachable here. Release
+// hands a looping closure to a helper that returns before it reaches
+// its parameter, so the closure never runs. EarlyReturnAbortable,
+// which aborts can reach, has its Acquire loop flagged.
+//
+//fetchphilint:rmr O(1) corpus: code after an always-returning arm is not walked
+type EarlyReturnLock struct {
+	word  memsim.Var
+	bound memsim.Var
+	spare *memsim.Var
+}
+
+// NewEarlyReturnLock allocates the lock on m, with no spare.
+func NewEarlyReturnLock(m *memsim.Machine) *EarlyReturnLock {
+	return &EarlyReturnLock{
+		word:  m.NewVar("early.word", memsim.HomeGlobal, 0),
+		bound: m.NewVar("early.bound", memsim.HomeGlobal, 0),
+	}
+}
+
+// Acquire implements the entry section.
+func (l *EarlyReturnLock) Acquire(p *memsim.Proc) {
+	if !p.AwaitAbortable(func(read func(memsim.Var) Word) bool { return read(l.word) != 0 }, l.word) {
+		p.Write(l.word, 0)
+		return
+	}
+	for i := 0; i < int(p.Read(l.bound)); i++ { // want `EarlyReturnAbortable, which declares`
+		p.Write(l.word, Word(i))
+	}
+}
+
+// Release implements the exit section.
+func (l *EarlyReturnLock) Release(p *memsim.Proc) {
+	l.unlessSpare(p, func() {
+		for i := 0; i < int(p.Read(l.bound)); i++ {
+			p.Write(l.word, Word(i))
+		}
+	})
+}
+
+// unlessSpare opens the lock and, only with a spare, runs then.
+func (l *EarlyReturnLock) unlessSpare(p *memsim.Proc, then func()) {
+	if l.spare == nil {
+		p.Write(l.word, 1)
+		return
+	}
+	then()
+}
+
+// EarlyReturnAbortable is an EarlyReturnLock with an abortable entry
+// section.
+//
+//fetchphilint:rmr O(1) corpus: an abortable wait makes the code after it live
+type EarlyReturnAbortable struct{ *EarlyReturnLock }
+
+// NewEarlyReturnAbortable allocates the lock on m.
+func NewEarlyReturnAbortable(m *memsim.Machine) *EarlyReturnAbortable {
+	return &EarlyReturnAbortable{NewEarlyReturnLock(m)}
+}
+
+// AcquireAbortable implements the abortable entry section.
+func (l *EarlyReturnAbortable) AcquireAbortable(p *memsim.Proc) bool {
+	l.Acquire(p)
+	return !p.AbortRequested()
+}

@@ -1,6 +1,8 @@
 package localspin
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"fetchphi/internal/memsim"
@@ -11,13 +13,11 @@ import (
 // payload written strictly before the establishment.
 func buildHandshake(model memsim.Model, preEstablishOps int) *memsim.Machine {
 	m := memsim.NewMachine(model, 2)
-	sites := NewSiteSet(m, memsim.NamePrefix(nil, "S"))
+	w := New(m, memsim.NamePrefix(nil, "S"), true)
 	flag := m.NewVar("flag", memsim.HomeGlobal, 0)
 	payload := m.NewVar("payload", memsim.HomeGlobal, 0)
 	m.AddProc("waiter", func(p *memsim.Proc) {
-		sites.At(0).Wait(p, func(read func(memsim.Var) Word) bool {
-			return read(flag) != 0
-		})
+		w.WaitTrue(p, 0, flag)
 		if p.Read(payload) != 42 {
 			p.Fail("payload not visible after wait")
 		}
@@ -27,7 +27,7 @@ func buildHandshake(model memsim.Model, preEstablishOps int) *memsim.Machine {
 			p.Write(payload, 0) // stretch the pre-establishment window
 		}
 		p.Write(payload, 42)
-		sites.At(0).Signal(p, func() { p.Write(flag, 1) })
+		w.Signal(p, 0, func() { p.Write(flag, 1) })
 	})
 	return m
 }
@@ -67,17 +67,13 @@ func TestWaiterSpinsLocallyOnDSM(t *testing.T) {
 	}
 }
 
-// TestFastPathNoBlocking: when the condition already holds, Wait must
-// not block at all.
+// TestFastPathNoBlocking: when the condition already holds, a site
+// wait must not block at all.
 func TestFastPathNoBlocking(t *testing.T) {
 	m := memsim.NewMachine(memsim.DSM, 1)
-	sites := NewSiteSet(m, memsim.NamePrefix(nil, "S"))
+	w := New(m, memsim.NamePrefix(nil, "S"), true)
 	flag := m.NewVar("flag", memsim.HomeGlobal, 1)
-	m.AddProc("p", func(p *memsim.Proc) {
-		sites.At(3).Wait(p, func(read func(memsim.Var) Word) bool {
-			return read(flag) != 0
-		})
-	})
+	m.AddProc("p", func(p *memsim.Proc) { w.WaitTrue(p, 3, flag) })
 	res := m.Run(memsim.RunConfig{Sched: memsim.RoundRobin{}})
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
@@ -87,34 +83,32 @@ func TestFastPathNoBlocking(t *testing.T) {
 	}
 }
 
-// TestSiteReuseAcrossRounds exercises one site through many
+// TestSiteReuseAcrossRounds exercises two sites through many
 // wait/signal rounds with roles alternating between processes.
 func TestSiteReuseAcrossRounds(t *testing.T) {
 	const rounds = 20
 	for seed := int64(0); seed < 20; seed++ {
 		m := memsim.NewMachine(memsim.DSM, 2)
-		sites := NewSiteSet(m, memsim.NamePrefix(nil, "S"))
-		flag := m.NewVar("flag", memsim.HomeGlobal, 0)
-		// Ping-pong: p0 waits for odd values on site 0, p1 waits for
-		// even values on site 1 — one dedicated waiter per site, as
-		// the transformation's contract requires, reused across many
-		// rounds.
+		w := New(m, memsim.NamePrefix(nil, "S"), true)
+		ping := m.NewVar("ping", memsim.HomeGlobal, 0)
+		pong := m.NewVar("pong", memsim.HomeGlobal, 0)
+		// Ping-pong: p0 waits for ping on site 0, p1 for pong on site
+		// 1 — one dedicated waiter per site, as the transformation's
+		// contract requires, reused across many rounds. Each waiter
+		// clears its flag before it establishes the other's, so a flag
+		// stays true until its await terminates.
 		m.AddProc("p0", func(p *memsim.Proc) {
 			for r := 0; r < rounds; r++ {
-				want := Word(2*r + 1)
-				sites.At(0).Wait(p, func(read func(memsim.Var) Word) bool {
-					return read(flag) >= want
-				})
-				sites.At(1).Signal(p, func() { p.Write(flag, want+1) })
+				w.WaitTrue(p, 0, ping)
+				p.Write(ping, 0)
+				w.Signal(p, 1, func() { p.Write(pong, 1) })
 			}
 		})
 		m.AddProc("p1", func(p *memsim.Proc) {
 			for r := 0; r < rounds; r++ {
-				sites.At(0).Signal(p, func() { p.Write(flag, Word(2*r+1)) })
-				want := Word(2*r + 2)
-				sites.At(1).Wait(p, func(read func(memsim.Var) Word) bool {
-					return read(flag) >= want
-				})
+				w.Signal(p, 0, func() { p.Write(ping, 1) })
+				w.WaitTrue(p, 1, pong)
+				p.Write(pong, 0)
 			}
 		})
 		res := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(seed)})
@@ -128,32 +122,29 @@ func TestSiteReuseAcrossRounds(t *testing.T) {
 }
 
 // TestVisitMutualExclusionWithSignal: Visit bodies and Signal
-// establishments on one site never interleave.
+// establishments at one site key never interleave.
 func TestVisitMutualExclusionWithSignal(t *testing.T) {
 	build := func() *memsim.Machine {
 		m := memsim.NewMachine(memsim.CC, 2)
-		sites := NewSiteSet(m, memsim.NamePrefix(nil, "S"))
+		w := New(m, memsim.NamePrefix(nil, "S"), true)
 		inside := m.NewVar("inside", memsim.HomeGlobal, 0)
+		critical := func(p *memsim.Proc, who string) func() {
+			return func() {
+				if p.Read(inside) != 0 {
+					p.Fail("%s overlapped", who)
+				}
+				p.Write(inside, 1)
+				p.Write(inside, 0)
+			}
+		}
 		m.AddProc("visitor", func(p *memsim.Proc) {
 			for i := 0; i < 3; i++ {
-				sites.At(0).Visit(p, func() {
-					if p.Read(inside) != 0 {
-						p.Fail("visit overlapped a signal")
-					}
-					p.Write(inside, 1)
-					p.Write(inside, 0)
-				})
+				w.Visit(p, 0, critical(p, "visit"))
 			}
 		})
 		m.AddProc("signaler", func(p *memsim.Proc) {
 			for i := 0; i < 3; i++ {
-				sites.At(0).Signal(p, func() {
-					if p.Read(inside) != 0 {
-						p.Fail("signal overlapped a visit")
-					}
-					p.Write(inside, 1)
-					p.Write(inside, 0)
-				})
+				w.Signal(p, 0, critical(p, "signal"))
 			}
 		})
 		return m
@@ -172,18 +163,167 @@ func TestVisitMutualExclusionWithSignal(t *testing.T) {
 // traffic on another.
 func TestDistinctSitesIndependent(t *testing.T) {
 	m := memsim.NewMachine(memsim.CC, 2)
-	sites := NewSiteSet(m, memsim.NamePrefix(nil, "S"))
+	w := New(m, memsim.NamePrefix(nil, "S"), true)
 	flagA := m.NewVar("a", memsim.HomeGlobal, 0)
-	m.AddProc("waiter", func(p *memsim.Proc) {
-		sites.At(1).Wait(p, func(read func(memsim.Var) Word) bool { return read(flagA) != 0 })
-	})
+	m.AddProc("waiter", func(p *memsim.Proc) { w.WaitTrue(p, 1, flagA) })
 	m.AddProc("noisy", func(p *memsim.Proc) {
 		for i := 0; i < 5; i++ {
-			sites.At(2).Signal(p, func() {}) // unrelated site traffic
+			w.Signal(p, 2, func() {}) // unrelated site traffic
 		}
-		sites.At(1).Signal(p, func() { p.Write(flagA, 1) })
+		w.Signal(p, 1, func() { p.Write(flagA, 1) })
 	})
 	if err := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(4)}).Err(); err != nil {
 		t.Fatal(err)
 	}
 }
+
+// TestFormsIssueTheirProtocol pins what each form of Waits does: the
+// plain form issues exactly the operations and scheduling points of a
+// bare await on the named variables, of the establishing write alone
+// and of the visited body alone, and allocates no variable; the site
+// form issues exactly those of the site's Sec. 3 protocol. A waiter
+// and a signaler run one operation through the value and, on a twin
+// machine, the same operation written out by hand; their traces must
+// match event for event.
+func TestFormsIssueTheirProtocol(t *testing.T) {
+	const key = 5
+	type vars struct{ a, b memsim.Var }
+	ops := []struct {
+		name      string
+		initA     Word
+		establish func(p *memsim.Proc, v vars) // the write that makes the wait's condition true
+		wait      func(w Waits, p *memsim.Proc, v vars)
+		bare      func(p *memsim.Proc, v vars)
+		site      func(st *site, p *memsim.Proc, v vars)
+	}{
+		{
+			name:      "WaitTrue",
+			establish: func(p *memsim.Proc, v vars) { p.Write(v.a, 1) },
+			wait:      func(w Waits, p *memsim.Proc, v vars) { w.WaitTrue(p, key, v.a) },
+			bare:      func(p *memsim.Proc, v vars) { p.AwaitTrue(v.a) },
+			site: func(st *site, p *memsim.Proc, v vars) {
+				st.wait(p, func(read func(memsim.Var) Word) bool { return read(v.a) != 0 })
+			},
+		},
+		{
+			name:      "WaitZero",
+			initA:     1,
+			establish: func(p *memsim.Proc, v vars) { p.Write(v.a, 0) },
+			wait:      func(w Waits, p *memsim.Proc, v vars) { w.WaitZero(p, key, v.a) },
+			bare:      func(p *memsim.Proc, v vars) { p.AwaitEq(v.a, 0) },
+			site: func(st *site, p *memsim.Proc, v vars) {
+				st.wait(p, func(read func(memsim.Var) Word) bool { return read(v.a) == 0 })
+			},
+		},
+		{
+			name:      "WaitEither",
+			initA:     1,
+			establish: func(p *memsim.Proc, v vars) { p.Write(v.b, 7) },
+			wait:      func(w Waits, p *memsim.Proc, v vars) { w.WaitEither(p, key, v.a, v.b, 7) },
+			bare: func(p *memsim.Proc, v vars) {
+				p.Await(func(read func(memsim.Var) Word) bool { return read(v.a) == 0 || read(v.b) == 7 }, v.a, v.b)
+			},
+			site: func(st *site, p *memsim.Proc, v vars) {
+				st.wait(p, func(read func(memsim.Var) Word) bool { return read(v.a) == 0 || read(v.b) == 7 })
+			},
+		},
+		{
+			name:      "WaitTrueAbortable",
+			establish: func(p *memsim.Proc, v vars) { p.Write(v.a, 1) },
+			wait: func(w Waits, p *memsim.Proc, v vars) {
+				if w.WaitTrueAbortable(p, key, v.a, func() { p.Fail("withdrew with no abort scheduled") }) {
+					p.Fail("withdrew with no abort scheduled")
+				}
+			},
+			bare: func(p *memsim.Proc, v vars) { p.AwaitTrue(v.a) },
+			site: func(st *site, p *memsim.Proc, v vars) {
+				st.waitAbortable(p, func(read func(memsim.Var) Word) bool { return read(v.a) != 0 }, func() {})
+			},
+		},
+		{
+			// The waiter's side is a Visit that reads the flag; the
+			// signaler's establishing write races it.
+			name:      "Visit",
+			establish: func(p *memsim.Proc, v vars) { p.Write(v.a, 1) },
+			wait: func(w Waits, p *memsim.Proc, v vars) {
+				w.Visit(p, key, func() { p.Write(v.b, p.Read(v.a)) })
+			},
+			bare: func(p *memsim.Proc, v vars) { p.Write(v.b, p.Read(v.a)) },
+			site: func(st *site, p *memsim.Proc, v vars) {
+				st.mu.Acquire(p, 0)
+				p.Write(v.b, p.Read(v.a))
+				st.mu.Release(p, 0)
+			},
+		},
+	}
+	forms := []struct {
+		name  string
+		local bool
+	}{{"plain", false}, {"site", true}}
+
+	// run builds a two-process machine on model, runs it under seed and
+	// renders everything it did: every operation with its variable's
+	// label, every scheduling decision, each process's statistics and
+	// how many variables the machine allocated.
+	run := func(model memsim.Model, seed int64, initA Word, build func(m *memsim.Machine, v vars) (waiter, signaler func(p *memsim.Proc))) string {
+		m := memsim.NewMachine(model, 2)
+		v := vars{m.NewVar("a", memsim.HomeGlobal, initA), m.NewVar("b", memsim.HomeGlobal, 0)}
+		waiter, signaler := build(m, v)
+		m.AddProc("waiter", waiter)
+		m.AddProc("signaler", signaler)
+		rec := &recorder{}
+		m.AttachSink(rec)
+		var b strings.Builder
+		res := m.Run(memsim.RunConfig{
+			Sched: memsim.NewRandom(seed),
+			Observer: func(step int64, runnable []int, chosen int) {
+				fmt.Fprintf(&b, "step %d: %v -> p%d\n", step, runnable, chosen)
+			},
+		})
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range rec.events {
+			fmt.Fprintf(&b, "%d p%d %v %s %d->%d remote=%v\n", ev.Step, ev.Proc, ev.Kind, m.Label(ev.Var), ev.Before, ev.After, ev.Remote)
+		}
+		for _, ps := range res.Procs {
+			fmt.Fprintf(&b, "%+v\n", ps)
+		}
+		fmt.Fprintf(&b, "variables allocated: %d\n", m.NewVar("probe", memsim.HomeGlobal, 0).Index())
+		m.Release()
+		return b.String()
+	}
+
+	for _, op := range ops {
+		for _, form := range forms {
+			for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
+				for seed := int64(0); seed < 8; seed++ {
+					name := memsim.NamePrefix(nil, "S")
+					got := run(model, seed, op.initA, func(m *memsim.Machine, v vars) (func(*memsim.Proc), func(*memsim.Proc)) {
+						w := New(m, name, form.local)
+						return func(p *memsim.Proc) { op.wait(w, p, v) },
+							func(p *memsim.Proc) { w.Signal(p, key, func() { op.establish(p, v) }) }
+					})
+					want := run(model, seed, op.initA, func(m *memsim.Machine, v vars) (func(*memsim.Proc), func(*memsim.Proc)) {
+						if !form.local {
+							return func(p *memsim.Proc) { op.bare(p, v) },
+								func(p *memsim.Proc) { op.establish(p, v) }
+						}
+						sites := newSiteSet(m, name)
+						return func(p *memsim.Proc) { op.site(sites.at(key), p, v) },
+							func(p *memsim.Proc) { sites.at(key).signal(p, func() { op.establish(p, v) }) }
+					})
+					if got != want {
+						t.Fatalf("%s, %s form, %v, seed %d: the value's run differs from the protocol's\ngot:\n%s\nwant:\n%s",
+							op.name, form.name, model, seed, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// recorder keeps every event of a run.
+type recorder struct{ events []memsim.TraceEvent }
+
+func (r *recorder) Record(ev memsim.TraceEvent) { r.events = append(r.events, ev) }

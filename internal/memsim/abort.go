@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // This file is the abort-schedule half of the adversary: deterministic
@@ -173,12 +174,12 @@ func FormatAbortSchedule(sched []AbortPoint) string {
 	if len(sched) == 0 {
 		return "-"
 	}
-	s := ""
+	var b strings.Builder
 	for i, pt := range sched {
 		if i > 0 {
-			s += ","
+			b.WriteByte(',')
 		}
-		s += pt.String()
+		b.WriteString(pt.String())
 	}
-	return s
+	return b.String()
 }

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -303,5 +304,16 @@ func TestFormatAbortSchedule(t *testing.T) {
 	sched := []AbortPoint{{Proc: 0, Passage: 0, Event: 2}, {Proc: 1, Passage: 1, Event: 0}}
 	if got, want := FormatAbortSchedule(sched), "p0@0.2,p1@1.0"; got != want {
 		t.Fatalf("FormatAbortSchedule = %q, want %q", got, want)
+	}
+	// A long schedule renders point by point, comma-joined, like a
+	// short one.
+	long := make([]AbortPoint, 5000)
+	want := make([]string, len(long))
+	for i := range long {
+		long[i] = AbortPoint{Proc: i % 7, Passage: i / 7, Event: i % 13}
+		want[i] = long[i].String()
+	}
+	if got := FormatAbortSchedule(long); got != strings.Join(want, ",") {
+		t.Fatalf("FormatAbortSchedule of %d points = %.80q..., want %.80q...", len(long), got, strings.Join(want, ","))
 	}
 }
