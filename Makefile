@@ -61,10 +61,13 @@ perf:
 # restricted to its two concurrent paths: the parallel-sweep tests and
 # E5's per-primitive rank-checker fan-out (phi.Survey). The exhaustive
 # conformance runs there are single-worker model checks where the race
-# detector adds minutes and finds nothing. Flight recorders resolve
-# their labels on the sweep workers that end each cell's run, and
-# cmd/report dumps them from its main goroutine, so the trace package
-# and report's flight-recorder and gate tests run under it too.
+# detector adds minutes and finds nothing. A flight recorder of a cell
+# on the default scheduler is filled by replaying the cell on whichever
+# goroutine first reads it (cmd/report's experiment goroutine for a
+# failed cell, its main goroutine for a gate regression), on a machine
+# from the pool the sweep workers share; a cell with its own scheduler
+# records on its sweep worker. So the trace package and report's
+# flight-recorder and gate tests run under it too.
 race:
 	$(GO) test -race ./internal/nativelock/... ./internal/stress/... ./internal/memsim/... ./internal/harness/... ./internal/obs/... ./internal/fleet/... ./internal/telemetry/... ./internal/claims/... ./internal/trace/...
 	$(GO) test -race -run 'TestE10|TestSweep|TestE5' ./internal/experiments/...
@@ -176,11 +179,12 @@ seeds: seed-sweep
 	$(GO) run ./cmd/seeds -baseline bench/baseline/SEEDS.json -out bench/current/SEEDS.json bench/current/seeds/*/CLAIMS.json
 
 # seed-sweep writes each seed family's quick-sweep artifacts and claims
-# into bench/current/seeds/<S>.
+# into bench/current/seeds/<S>, with report's default flags otherwise,
+# flight recorders included.
 seed-sweep:
 	rm -rf bench/current/seeds
 	$(GO) build -o bench/current/seeds/report ./cmd/report
-	for s in $$(seq 1 40); do bench/current/seeds/report -quick -flight 0 -seed $$s -out bench/current/seeds/$$s > /dev/null 2>&1 || true; done
+	for s in $$(seq 1 40); do bench/current/seeds/report -quick -seed $$s -out bench/current/seeds/$$s > /dev/null 2>&1 || true; done
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

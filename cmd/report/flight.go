@@ -15,11 +15,16 @@ import (
 // trace.Recorder per sweep cell, kept until the run (and the
 // regression gate) has finished, so any failure — an invariant
 // violation mid-sweep or a gate regression found at the very end — can
-// be dumped as a fetchphi.trace/v1 artifact.
+// be dumped as a fetchphi.trace/v1 artifact. A cell on the default
+// scheduler is not recorded while it runs: its recorder holds a replay
+// of the cell (harness.ReplaySink), which a dump runs. A green run
+// thus records no cell, and a dump writes what a live recording would
+// have held.
 //
 // Experiments run concurrently, so the registry is mutex-guarded; the
-// recorders themselves are not (each is used by exactly one sweep
-// worker, per the harness.Workload.Sink contract).
+// recorders themselves are not (each is used by one sweep worker while
+// its cell runs, per the harness.Workload.Sink contract, and by one
+// dump after).
 type flightLog struct {
 	limit int    // per-process span bound (0 = flight recording off)
 	dir   string // <out>/traces
@@ -65,8 +70,9 @@ func (f *flightLog) attach(c harness.Cell) memsim.EventSink {
 }
 
 // dump writes the named cell's flight-recorder window as a trace
-// artifact and returns its path ("" if the cell was never recorded —
-// wall-clock cells, or a run with flight recording off).
+// artifact, replaying the cell first if it ran unrecorded, and returns
+// its path ("" if the cell has no recorder — wall-clock cells, or a
+// run with flight recording off).
 func (f *flightLog) dump(key, reason string) (string, error) {
 	f.mu.Lock()
 	fc, ok := f.cells[key]
@@ -90,7 +96,8 @@ func (f *flightLog) dump(key, reason string) (string, error) {
 
 // dumpFailure is the experiments.Opts.OnFailure hook: a cell run
 // failed (violation, deadlock, starvation timeout), so its recorder's
-// window goes to disk before the sweep panic unwinds.
+// window, replayed to the same failure, goes to disk before the sweep
+// panic unwinds.
 func (f *flightLog) dumpFailure(r harness.CellResult) (string, error) {
 	return f.dump(cellKey(r.Cell), r.Err.Error())
 }

@@ -22,13 +22,16 @@
 // baseline, run again with -degrade 2 -baseline <dir> and expect a
 // non-zero exit).
 //
-// Every simulated sweep cell runs with a flight recorder attached (a
-// bounded ring of its most recent spans; -flight sets the per-process
-// span window, 0 disables). When a cell fails — invariant violation,
-// deadlock, starvation timeout — or the regression gate flags it, the
-// recorder's window is dumped to <out>/traces/TRACE_<cell>.json as a
+// Every simulated sweep cell has a flight recorder (a bounded ring of
+// its most recent spans; -flight sets the per-process span window, 0
+// disables). When a cell fails — invariant violation, deadlock,
+// starvation timeout — or the regression gate flags it, the recorder's
+// window is dumped to <out>/traces/TRACE_<cell>.json as a
 // fetchphi.trace/v1 artifact; convert it with `tracectl convert` and
-// load the result in Perfetto.
+// load the result in Perfetto. Cells are deterministic, so a cell on
+// the default scheduler runs unrecorded and is replayed with its
+// recorder on only if it is dumped; cells with their own scheduler
+// (E7's adversarial ones) record as they run.
 //
 // After the sweep, the paper-claims registry (internal/claims) is
 // evaluated over the output directory's artifacts and written as

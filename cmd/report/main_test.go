@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,8 @@ import (
 
 	"fetchphi/internal/claims"
 	"fetchphi/internal/experiments"
+	"fetchphi/internal/harness"
+	"fetchphi/internal/memsim"
 	"fetchphi/internal/obs"
 	"fetchphi/internal/trace"
 )
@@ -328,5 +331,54 @@ func TestFlightDisabled(t *testing.T) {
 	}
 	if code, _, _ := runArgs("-flight", "-1"); code != 2 {
 		t.Fatal("negative -flight accepted")
+	}
+}
+
+// brokenLock grants the critical section without excluding anyone.
+type brokenLock struct{}
+
+func (brokenLock) Name() string           { return "broken" }
+func (brokenLock) Acquire(p *memsim.Proc) {}
+func (brokenLock) Release(p *memsim.Proc) {}
+
+// TestFlightReplayDumpMatchesLive: a failing cell swept with its
+// recorder deferred (the default scheduler) dumps, on failure, the
+// replayed flight recording byte for byte as the same cell recorded
+// live (an explicit scheduler seeded alike) dumps it, reason included.
+func TestFlightReplayDumpMatchesLive(t *testing.T) {
+	cell := harness.Cell{
+		Experiment: "TEST",
+		Algorithm:  "broken",
+		Build:      func(*memsim.Machine) harness.Algorithm { return brokenLock{} },
+		Workload:   harness.Workload{Model: memsim.CC, N: 3, Entries: 4, CSOps: 1, Seed: 2},
+	}
+	dumpOf := func(c harness.Cell) []byte {
+		fl := newFlightLog(trace.DefaultSpanLimit, t.TempDir())
+		c.Workload.Sink = fl.attach(c)
+		r := harness.SweepWith([]harness.Cell{c}, harness.SweepOptions{Workers: 1})[0]
+		if r.Err == nil {
+			t.Fatal("the broken lock passed")
+		}
+		path, err := fl.dumpFailure(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := obs.ReadTraceArtifact(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Reason != r.Err.Error() || len(a.Spans) == 0 {
+			t.Fatalf("dump reason %q with %d spans, want %q and a timeline", a.Reason, len(a.Spans), r.Err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	replayed := dumpOf(cell)
+	cell.Workload.Sched = memsim.NewRandom(cell.Workload.Seed)
+	if live := dumpOf(cell); !bytes.Equal(replayed, live) {
+		t.Fatalf("replayed flight dump differs from the live one:\n got %s\nwant %s", replayed, live)
 	}
 }

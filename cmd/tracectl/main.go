@@ -122,10 +122,13 @@ func record(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// The artifact is read at once, so the recorder watches the run:
+	// an explicit scheduler (the default one, seeded alike) makes the
+	// harness attach it rather than hand it a replay to run again.
 	rec := trace.NewRecorder(*limit)
 	w := harness.Workload{
 		Model: mm, N: *n, Entries: *entries, CSOps: *csops,
-		Seed: *seed, Sink: rec,
+		Seed: *seed, Sched: memsim.NewRandom(*seed), Sink: rec,
 	}
 	met, err := harness.Run(builder, w)
 	kind := "recording"

@@ -36,8 +36,12 @@ type Opts struct {
 	// sweep cell before dispatch — the trace-recorder hook cmd/report
 	// uses for flight recording. Called sequentially from the
 	// experiment builder's goroutine; returning nil leaves the cell
-	// unobserved. Each returned sink is used only by the worker running
-	// its cell, so one recorder per cell needs no locking.
+	// unobserved. The sink becomes the cell's harness.Workload.Sink: a
+	// harness.ReplaySink (a trace.Recorder) of a cell on the default
+	// scheduler is handed a replay of the cell instead of watching it
+	// run, so it costs nothing unless it is read. Each returned sink is
+	// used only by the worker running its cell, so one recorder per
+	// cell needs no locking.
 	Sink func(harness.Cell) memsim.EventSink
 	// OnFailure, when non-nil, observes a failed cell result just
 	// before the sweep panics on it — the flight-recorder dump hook.

@@ -75,12 +75,15 @@ type Workload struct {
 	Seed int64
 	// MaxSteps bounds the run (default memsim.DefaultMaxSteps).
 	MaxSteps int64
-	// Sink, if non-nil, is attached to the machine before the run
-	// (memsim.Machine.AttachSink) and observes every shared-memory
-	// operation — the trace-recorder hook. Observation-only: it never
-	// changes the run's schedule or metrics. The sink is used from the
-	// worker executing this workload, so per-cell sinks in a parallel
-	// sweep need no locking of their own.
+	// Sink, if non-nil, observes every shared-memory operation of the
+	// run — the trace-recorder hook. Observation-only: it never changes
+	// the run's schedule or metrics. A run on the default scheduler is
+	// reproduced by its Workload value, so a Sink that is a ReplaySink
+	// is not attached: it is handed a replay of the run instead, which
+	// it runs only if it is read. Every other sink is attached to the
+	// machine before the run (memsim.Machine.AttachSink) and used from
+	// the worker executing this workload, so per-cell sinks in a
+	// parallel sweep need no locking of their own.
 	Sink memsim.EventSink
 	// Aborts is the adversary's abort schedule, delivered via
 	// memsim.Machine.ScheduleAborts. A non-empty schedule makes the run
@@ -141,6 +144,19 @@ type Metrics struct {
 	Hotspots []obs.HotVar
 }
 
+// ReplaySink is an EventSink that can be filled after its run. A run
+// whose Workload reproduces it (Sched nil, so the scheduler is
+// memsim.NewRandom(Seed)) does not feed such a sink: the harness calls
+// Defer instead, once, with a replay that re-runs the workload on a
+// fresh machine with the sink attached. The replay calls no sweep
+// hook, fails the way the run did, and is safe to call from any one
+// goroutine after the run; a sink runs it when first read, so a sink
+// nobody reads costs nothing. trace.Recorder is one.
+type ReplaySink interface {
+	memsim.EventSink
+	Defer(replay func())
+}
+
 // HotspotTopK is how many hot variables a run records into its cell.
 const HotspotTopK = 5
 
@@ -165,8 +181,23 @@ func Run(b Builder, w Workload) (Metrics, error) {
 // fills, and validation. SweepWith uses it to time the accounting
 // overhead separately from simulation. The hook is observation-only —
 // it sees the boundary but receives nothing and returns nothing, so it
-// cannot perturb metrics.
+// cannot perturb metrics. A ReplaySink of a reproducible run is handed
+// its replay rather than attached.
 func runTimed(b Builder, w Workload, cs *memsim.Carriers, afterSim func()) (Metrics, error) {
+	if rs, ok := w.Sink.(ReplaySink); ok && w.Sched == nil {
+		live := w
+		rs.Defer(func() {
+			var cs memsim.Carriers
+			defer cs.Close()
+			runLive(b, live, &cs, nil)
+		})
+		w.Sink = nil
+	}
+	return runLive(b, w, cs, afterSim)
+}
+
+// runLive is runTimed with w.Sink, if any, attached for the whole run.
+func runLive(b Builder, w Workload, cs *memsim.Carriers, afterSim func()) (Metrics, error) {
 	if w.N <= 0 || w.Entries <= 0 {
 		return Metrics{}, fmt.Errorf("harness: invalid workload N=%d Entries=%d", w.N, w.Entries)
 	}

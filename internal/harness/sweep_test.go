@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -387,5 +389,59 @@ func TestSweepRetiresCarriers(t *testing.T) {
 		if n > before {
 			t.Fatalf("SweepWith at %d workers left %d goroutines running, want at most %d", workers, n, before)
 		}
+	}
+}
+
+// replaySink is a cellSink that takes a replay when it can.
+type replaySink struct {
+	cellSink
+	replay func()
+}
+
+func (s *replaySink) Defer(replay func()) { s.replay = replay }
+
+// TestFlightReplaySinkDeferred: a ReplaySink of a cell on the default
+// scheduler sees nothing while the sweep runs and is handed a replay
+// that feeds it the event stream a live sink saw, failing cells
+// included; the same cell with an explicit scheduler attaches it live
+// and hands it no replay. Either way the cell measures the same.
+func TestFlightReplaySinkDeferred(t *testing.T) {
+	cells := append(sweepCells(), Cell{
+		Experiment: "TEST",
+		Algorithm:  "broken",
+		Build:      newBrokenLock,
+		Workload:   Workload{Model: memsim.CC, N: 3, Entries: 4, CSOps: 1, Seed: 2},
+	})
+	liveCells := slices.Clone(cells)
+	deferred := make([]*replaySink, len(cells))
+	live := make([]*replaySink, len(cells))
+	for i := range cells {
+		deferred[i], live[i] = &replaySink{}, &replaySink{}
+		cells[i].Workload.Sink = deferred[i]
+		liveCells[i].Workload.Sink = live[i]
+		liveCells[i].Workload.Sched = memsim.NewRandom(cells[i].Workload.Seed)
+	}
+	got, want := Sweep(cells, 4), Sweep(liveCells, 4)
+	for i := range cells {
+		// The broken lock fails at its first critical section, before
+		// any shared-memory operation.
+		if live[i].replay != nil || len(live[i].events) == 0 && cells[i].Algorithm != "broken" {
+			t.Fatalf("cell %d with its own scheduler: replay handed %v, %d events; want it recorded live",
+				i, live[i].replay != nil, len(live[i].events))
+		}
+		if deferred[i].replay == nil || len(deferred[i].events) != 0 {
+			t.Fatalf("cell %d on the default scheduler: replay handed %v, %d events; want a replay and no events",
+				i, deferred[i].replay != nil, len(deferred[i].events))
+		}
+		if fmt.Sprint(got[i].Err) != fmt.Sprint(want[i].Err) || !reflect.DeepEqual(got[i].Metrics, want[i].Metrics) {
+			t.Fatalf("cell %d measured differently with a deferred sink: %v vs %v", i, got[i].Err, want[i].Err)
+		}
+		deferred[i].replay()
+		if !reflect.DeepEqual(deferred[i].events, live[i].events) {
+			t.Fatalf("cell %d: replay fed %d events, the live run %d", i, len(deferred[i].events), len(live[i].events))
+		}
+	}
+	if got[len(cells)-1].Err == nil {
+		t.Fatal("the broken lock passed")
 	}
 }

@@ -20,18 +20,29 @@ func NewAdversary(seed int64, victim int) *Adversary {
 	return &Adversary{victim: victim, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Pick implements Scheduler.
+// Pick implements Scheduler. It draws one index among the non-victims
+// and walks to that one, so a pick allocates nothing.
 func (a *Adversary) Pick(_ int64, runnable []int, _ int) int {
-	others := runnable[:0:0]
+	others := 0
 	for _, id := range runnable {
 		if id != a.victim {
-			others = append(others, id)
+			others++
 		}
 	}
-	if len(others) == 0 {
+	if others == 0 {
 		return a.victim
 	}
-	return others[a.rng.Intn(len(others))]
+	k := a.rng.Intn(others)
+	for _, id := range runnable {
+		if id == a.victim {
+			continue
+		}
+		if k == 0 {
+			return id
+		}
+		k--
+	}
+	panic("memsim: adversary lost count of the non-victims")
 }
 
 // Compile-time interface compliance check.

@@ -1,6 +1,9 @@
 package memsim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestAdversaryStarvesVictimOfUnfairLock: under the adversary, a raw
 // test-and-set lock lets the non-victims monopolize the critical
@@ -66,5 +69,48 @@ func TestAdversaryDeterministicPerSeed(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("adversary not deterministic: %d vs %d", a, b)
+	}
+}
+
+// slicePick is the adversary's pick as it first was: collect the
+// non-victims, then draw one.
+func slicePick(a *Adversary, runnable []int) int {
+	var others []int
+	for _, id := range runnable {
+		if id != a.victim {
+			others = append(others, id)
+		}
+	}
+	if len(others) == 0 {
+		return a.victim
+	}
+	return others[a.rng.Intn(len(others))]
+}
+
+// TestAdversaryPickMatchesSlicePick: over random runnable sets, with
+// and without the victim, and several seeds, Pick draws and returns
+// exactly what collecting the non-victims into a slice would, and
+// allocates nothing.
+func TestAdversaryPickMatchesSlicePick(t *testing.T) {
+	sets := rand.New(rand.NewSource(1))
+	for seed := int64(0); seed < 8; seed++ {
+		const n = 9
+		victim := int(seed) % n
+		got, want := NewAdversary(seed, victim), NewAdversary(seed, victim)
+		for i := 0; i < 2000; i++ {
+			var runnable []int
+			for id := 0; id < n; id++ {
+				if sets.Intn(3) > 0 {
+					runnable = append(runnable, id)
+				}
+			}
+			if g, w := got.Pick(int64(i), runnable, 0), slicePick(want, runnable); g != w {
+				t.Fatalf("seed %d pick %d of %v: Pick = %d, want %d", seed, i, runnable, g, w)
+			}
+		}
+	}
+	a, runnable := NewAdversary(1, 2), []int{0, 1, 2, 3, 5, 8}
+	if allocs := testing.AllocsPerRun(100, func() { a.Pick(0, runnable, 0) }); allocs != 0 {
+		t.Fatalf("Pick allocates %.1f times", allocs)
 	}
 }

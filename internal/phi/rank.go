@@ -43,7 +43,11 @@ func (v *RankViolation) Error() string {
 // All of a call's state is built once, before the first trial, so the
 // trials allocate nothing and each invocation costs O(1).
 func CheckRank(prim Primitive, n, r, trials int, seed int64) *RankViolation {
-	rng := rand.New(rand.NewSource(seed))
+	return checkRank(rand.New(rand.NewSource(seed)), prim, n, r, trials)
+}
+
+// checkRank is CheckRank drawing from rng, freshly seeded.
+func checkRank(rng *rand.Rand, prim Primitive, n, r, trials int) *RankViolation {
 	s := newRankState(prim, n, r)
 	for t := 0; t < trials; t++ {
 		if v := s.trial(rng); v != nil {
@@ -191,9 +195,13 @@ func (t *ownerTable) claim(slot int, v Word, p int) {
 // EstimateRank returns the largest r ≤ maxR for which CheckRank finds
 // no violation. For primitives of infinite rank it returns maxR.
 func EstimateRank(prim Primitive, n, maxR, trials int, seed int64) int {
+	// Each rank's check draws from CheckRank's stream for seed+r: one
+	// source, reseeded, restarts that stream exactly.
+	rng := rand.New(rand.NewSource(seed))
 	best := 0
 	for r := 1; r <= maxR; r++ {
-		if CheckRank(prim, n, r, trials, seed+int64(r)) != nil {
+		rng.Seed(seed + int64(r))
+		if checkRank(rng, prim, n, r, trials) != nil {
 			break
 		}
 		best = r

@@ -68,6 +68,24 @@ func TestEstimateRankMatchesClaims(t *testing.T) {
 	}
 }
 
+// TestEstimateRankReseedsLikeCheckRank: EstimateRank, which reseeds
+// one source per rank, returns what calling CheckRank with seed+r for
+// each rank r returns. Two trials per rank make the estimate depend on
+// the exact random streams, so any other stream shows.
+func TestEstimateRankReseedsLikeCheckRank(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		for _, prim := range All(3) {
+			want := 0
+			for r := 1; r <= 14 && CheckRank(prim, 3, r, 2, seed+int64(r)) == nil; r++ {
+				want = r
+			}
+			if got := EstimateRank(prim, 3, 14, 2, seed); got != want {
+				t.Errorf("%s seed %d: EstimateRank = %d, CheckRank per rank gives %d", prim.Name(), seed, got, want)
+			}
+		}
+	}
+}
+
 // TestBoundedFetchIncRankScales spot-checks that the parameterized rank
 // of the bounded fetch-and-increment tracks its bound.
 func TestBoundedFetchIncRankScales(t *testing.T) {

@@ -46,10 +46,10 @@ func TestRegistryTraceGolden(t *testing.T) {
 				if _, err := harness.Run(build, w); err != nil {
 					kind, reason = "flight-recorder", err.Error()
 				}
+				a := rec.Artifact(kind)
 				for i := range rec.procs {
 					wrapped = wrapped || rec.procs[i].spans.filled
 				}
-				a := rec.Artifact(kind)
 				a.Reason = reason
 				a.Algorithm = alg
 				a.Model = model.String()

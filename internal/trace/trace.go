@@ -11,11 +11,20 @@
 // process spun remotely, on which variable, in which phase. A span
 // timeline can, and a flight-recorder dump turns every invariant
 // violation, starvation timeout, or gate regression into an artifact
-// that is debuggable without a rerun.
+// of the spans that led up to it.
 //
 // Recording is observation-only: it costs no simulated steps or RMRs
 // (the sink contract), so attaching a Recorder never changes measured
 // metrics — only wall-clock time.
+//
+// Record on demand. Simulated runs are deterministic, so a Recorder
+// need not watch its run: it is a harness.ReplaySink, and the harness
+// hands it a replay of any run its workload reproduces (one on the
+// default scheduler) instead of attaching it. The first Spans or
+// Artifact call runs that replay, once, with the recorder attached,
+// and gives the artifact a live recording would have given. A sweep
+// that reads only its failing cells' recorders thus records only
+// those cells. Runs on an explicit scheduler record live.
 //
 // Storage. A recorder keeps closed spans in a compact form (interval,
 // RMRs, the handles of the variables touched, and the kind as a phase
@@ -54,11 +63,12 @@ import (
 const DefaultSpanLimit = 256
 
 // Recorder is a memsim.PhaseSink that builds span timelines. Attach
-// one per machine (memsim.Machine.AttachSink) before the run; read the
-// timeline with Spans or Artifact after it. A Recorder belongs to one
-// run: like the machine itself it is not safe for concurrent use, and
-// the sweep engine's per-cell plumbing (harness.Workload.Sink) keeps
-// each cell's recorder on that cell's worker.
+// one per machine (memsim.Machine.AttachSink) before the run, or hand
+// it a replay of the run (Defer); read the timeline with Spans or
+// Artifact after it. A Recorder belongs to one run: like the machine
+// itself it is not safe for concurrent use, and the sweep engine's
+// per-cell plumbing (harness.Workload.Sink) keeps each cell's recorder
+// on that cell's worker while the cell runs.
 type Recorder struct {
 	// limit bounds retained spans per process (flight recorder);
 	// 0 or negative retains everything.
@@ -68,6 +78,9 @@ type Recorder struct {
 	// labels holds, at each resolved handle's Index, its label (see
 	// EndRun).
 	labels []string
+	// replay, until it has run, re-runs the recorder's run with the
+	// recorder attached (see Defer).
+	replay func()
 }
 
 // NewRecorder returns a recorder retaining at most limit spans per
@@ -190,6 +203,18 @@ func (r *ring) each(f func(*span)) {
 	}
 	for i := range newer {
 		f(&newer[i])
+	}
+}
+
+// Defer implements harness.ReplaySink: the recorder keeps replay and
+// runs it, once, when Spans or Artifact is first called.
+func (r *Recorder) Defer(replay func()) { r.replay = replay }
+
+// fill runs the pending replay, if any.
+func (r *Recorder) fill() {
+	if replay := r.replay; replay != nil {
+		r.replay = nil
+		replay()
 	}
 }
 
@@ -343,6 +368,7 @@ func (r *Recorder) label(v memsim.Var) string {
 // sorted, each label once, as EndRun resolved them; Spans panics if
 // EndRun was never called on a recorder with variables to name.
 func (r *Recorder) Spans() []obs.TraceSpan {
+	r.fill()
 	var count, names int
 	r.eachVars(func(vars []memsim.Var) { count, names = count+1, names+len(vars) })
 	if count == 0 {
@@ -409,6 +435,7 @@ func (r *Recorder) Spans() []obs.TraceSpan {
 // identity fields are the caller's (the recorder only sees process
 // ids).
 func (r *Recorder) Artifact(kind string) *obs.TraceArtifact {
+	r.fill()
 	return &obs.TraceArtifact{
 		Schema:    obs.TraceSchema,
 		Kind:      kind,

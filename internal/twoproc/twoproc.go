@@ -75,12 +75,15 @@ type Mutex struct {
 	release *memsim.Dict // release[enc]: rival's exit has run
 
 	// users holds the private state of each process that has played
-	// the instance, the first inlineUsers of them in place and the rest
-	// in more. Most instances (a localspin site, a tree node) have a
-	// few players however large N is, so the state is sized by them.
+	// the instance, the first inlineUsers of them in place. Most
+	// instances (a localspin site, a tree node) have a few players
+	// however large N is, so the state is sized by them. more, once a
+	// player past those arrives, indexes the rest by process id; it and
+	// their records are machine storage, which Release keeps for the
+	// machine's next runs.
 	nusers int
 	users  [inlineUsers]user
-	more   map[int]*user
+	more   []*user
 
 	// sideUser and holder are host-side assertions (no simulated
 	// cost). The side contract is: a side's next user may begin
@@ -104,7 +107,8 @@ type user struct {
 	rounds  int32 // acquisitions begun
 	current Word  // registration of the open acquisition
 	// cells holds every round's spin cells, indexed by round: the
-	// first inlineRounds in place, the rest in later.
+	// first inlineRounds in place, the rest in later, machine storage
+	// that doubles when it is full.
 	cells [inlineRounds]cellPair
 	later []cellPair
 }
@@ -112,8 +116,15 @@ type user struct {
 // cellPair is the two spin cells of one registration.
 type cellPair struct{ nudge, release memsim.Var }
 
-// mutexes is the storage instances are carved from.
-var mutexes = memsim.NewSlab[Mutex]()
+// Machine storage: instances, the records and index of the players
+// past an instance's inline ones, and the cells of the rounds past a
+// record's inline ones.
+var (
+	mutexes     = memsim.NewSlab[Mutex]()
+	userRecords = memsim.NewSlab[user]()
+	userIndex   = memsim.NewSlab[*user]()
+	cellPairs   = memsim.NewSlab[cellPair]()
+)
 
 // New builds a fresh instance in m's shared memory and storage. The
 // name prefixes the underlying variable names for diagnostics.
@@ -139,7 +150,7 @@ func New(m *memsim.Machine, name memsim.Prefix) *Mutex {
 	return l
 }
 
-// user returns process id's state, adding it on its first call. The
+// user returns the state of process id, which has registered. The
 // state must stay per process, not per side: a side's next user may
 // begin Acquire while the previous one's Release is still running, and
 // Release reads its own registration.
@@ -150,17 +161,23 @@ func (l *Mutex) user(id int) *user {
 			return &in[i]
 		}
 	}
-	if u, ok := l.more[id]; ok {
-		return u
+	if l.more != nil {
+		return l.more[id]
 	}
+	return nil
+}
+
+// join adds process id's state, in place while there is room and in
+// m's storage after.
+func (l *Mutex) join(m *memsim.Machine, id int) *user {
 	var u *user
 	if l.nusers < inlineUsers {
 		u = &l.users[l.nusers]
 	} else {
 		if l.more == nil {
-			l.more = make(map[int]*user)
+			l.more = userIndex.Make(m, l.nproc)
 		}
-		u = new(user)
+		u = userRecords.New(m)
 		l.more[id] = u
 	}
 	u.id = int32(id)
@@ -168,16 +185,25 @@ func (l *Mutex) user(id int) *user {
 	return u
 }
 
-// register opens process id's next round: it allocates the round's
-// spin cells, homed at id, and returns them with the registration key.
-func (l *Mutex) register(id int) (me Word, nudge, release memsim.Var) {
+// register opens proc's next round: it allocates the round's spin
+// cells, homed at proc, and returns them with the registration key.
+func (l *Mutex) register(proc *memsim.Proc) (me Word, nudge, release memsim.Var) {
+	id := proc.ID()
 	u := l.user(id)
+	if u == nil {
+		u = l.join(proc.Machine(), id)
+	}
 	me = l.enc(id, int(u.rounds))
 	nudge, release = l.nudge.New(me), l.release.New(me)
-	if u.rounds < inlineRounds {
-		u.cells[u.rounds] = cellPair{nudge, release}
+	if r := int(u.rounds); r < inlineRounds {
+		u.cells[r] = cellPair{nudge, release}
 	} else {
-		u.later = append(u.later, cellPair{nudge, release})
+		if r -= inlineRounds; r == len(u.later) {
+			grown := cellPairs.Make(proc.Machine(), max(2*r, inlineRounds))
+			copy(grown, u.later)
+			u.later = grown
+		}
+		u.later[r] = cellPair{nudge, release}
 	}
 	u.rounds++
 	u.current = me
@@ -212,7 +238,7 @@ func (l *Mutex) Acquire(proc *memsim.Proc, side int) {
 	}
 	l.sideUser[side] = proc.ID()
 
-	me, myNudge, myRelease := l.register(proc.ID())
+	me, myNudge, myRelease := l.register(proc)
 
 	proc.Write(l.c[side], me+1)
 	proc.Write(l.t, me+1)
@@ -260,7 +286,7 @@ func (l *Mutex) AcquireAbortable(proc *memsim.Proc, side int) bool {
 	}
 	l.sideUser[side] = proc.ID()
 
-	me, myNudge, myRelease := l.register(proc.ID())
+	me, myNudge, myRelease := l.register(proc)
 
 	proc.Write(l.c[side], me+1)
 	proc.Write(l.t, me+1)

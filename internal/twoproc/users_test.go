@@ -227,7 +227,7 @@ func TestCellLookupTiers(t *testing.T) {
 				if key/Word(n) >= inlineRounds {
 					laterRounds++
 				}
-				if _, ok := mu.more[owner]; ok {
+				if owner < len(mu.more) && mu.more[owner] != nil {
 					morePlayers++
 				}
 			}
