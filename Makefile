@@ -44,12 +44,12 @@ test:
 # reach it; this target keeps a change to the internal packages it
 # builds against from breaking it or staling its RMR digests unnoticed.
 # It also runs the engine's per-step and per-schedule explorer
-# benchmarks, the flight recorder's per-event benchmark and the
-# two-process mutex's per-acquisition benchmark once, so they keep
-# compiling and running.
+# benchmarks, the fleet's whole-check benchmark, the flight recorder's
+# per-event benchmark and the two-process mutex's per-acquisition
+# benchmark once, so they keep compiling and running.
 perf:
 	cd bench/perf && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'Step|ExploreRange|Recorder|MutexRounds' -benchtime 1x ./internal/memsim ./internal/trace ./internal/twoproc
+	$(GO) test -run '^$$' -bench 'Step|ExploreRange|FleetCheck|Recorder|MutexRounds' -benchtime 1x ./internal/memsim ./internal/fleet ./internal/trace ./internal/twoproc
 
 # race covers the packages that use real goroutines: the native spin
 # locks (including the starvation smokes), the stress harness that

@@ -22,7 +22,7 @@ func TestCampaignRejectsCorruptCheckpoint(t *testing.T) {
 	// is in progress at next_depth 1 with depth_runs [1].
 	path := filepath.Join(dir, "ckpt.json")
 	stop := errors.New("stop")
-	seed := NewCoordinator(cfg, CoordinatorOptions{CheckpointPath: path, RetryMS: 2,
+	seed := NewCoordinator(cfg, CoordinatorOptions{CheckpointPath: path,
 		AfterWave: func(memsim.Model, int) error { return stop }})
 	if _, err := CheckWith(seed, newTASLock, CheckOptions{}); !errors.Is(err, stop) {
 		t.Fatalf("seed run ended with %v", err)
@@ -77,7 +77,7 @@ func TestCampaignRejectsCorruptCheckpoint(t *testing.T) {
 
 	// The unmutated checkpoint still resumes: the rejections above are
 	// the mutations', not the seed's.
-	resume := NewCoordinator(cfg, CoordinatorOptions{CheckpointPath: path, RetryMS: 2})
+	resume := NewCoordinator(cfg, CoordinatorOptions{CheckpointPath: path})
 	if _, err := CheckWith(resume, newTASLock, CheckOptions{}); err != nil {
 		t.Fatalf("well-formed checkpoint refused: %v", err)
 	}

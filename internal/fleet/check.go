@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"time"
 
 	"fetchphi/internal/harness"
 )
@@ -29,18 +28,7 @@ type CheckOptions struct {
 // set lease sizes and artifact paths, build their own coordinator and
 // call CheckWith.
 func Check(b harness.Builder, cfg Config, opts CheckOptions) ([]harness.ModelReport, error) {
-	return CheckWith(checkCoordinator(cfg), b, opts)
-}
-
-// checkPoll is how long an idle in-process worker waits before asking
-// for a lease again. Check's coordinator sends it as its RetryMS hint
-// too, because a worker lets the hint win over its own Poll, and the
-// default hint would idle every worker at each wave boundary.
-const checkPoll = 2 * time.Millisecond
-
-// checkCoordinator builds the coordinator Check runs its fleet over.
-func checkCoordinator(cfg Config) *Coordinator {
-	return NewCoordinator(cfg, CoordinatorOptions{RetryMS: int(checkPoll / time.Millisecond)})
+	return CheckWith(NewCoordinator(cfg, CoordinatorOptions{}), b, opts)
 }
 
 // CheckWith runs the in-process fleet over a caller-built coordinator,
@@ -72,7 +60,6 @@ func CheckWith(coord *Coordinator, b harness.Builder, opts CheckOptions) ([]harn
 			Coordinator: "http://" + ln.Addr().String(),
 			Resolve:     func(string) (harness.Builder, error) { return b, nil },
 			Shards:      opts.Shards,
-			Poll:        checkPoll,
 		}
 		wg.Add(1)
 		go func() {

@@ -26,9 +26,9 @@ const (
 	// DefaultLeaseTimeout is how long a worker holds a range before
 	// it becomes claimable again.
 	DefaultLeaseTimeout = 30 * time.Second
-	// DefaultRetryMS is the poll delay suggested to workers when no
-	// range is available.
-	DefaultRetryMS = 100
+	// DefaultHold is how long the coordinator holds a lease request
+	// that finds nothing claimable before answering StatusWait.
+	DefaultHold = 100 * time.Millisecond
 )
 
 // CoordinatorOptions tune a coordinator; the zero value selects the
@@ -38,8 +38,11 @@ type CoordinatorOptions struct {
 	LeaseSize int
 	// LeaseTimeout is the re-lease deadline.
 	LeaseTimeout time.Duration
-	// RetryMS is the wait-poll hint sent to workers.
-	RetryMS int
+	// Hold bounds how long a lease request that finds nothing
+	// claimable is held. A published wave or the campaign's end answers
+	// it at once; the bound matters only while every range is leased,
+	// where it is how late a worker sees an expired lease.
+	Hold time.Duration
 	// CheckpointPath, when non-empty, is the resumable
 	// fetchphi.explore/v1 artifact: loaded (and validated against the
 	// Config) at start if it exists, rewritten atomically after every
@@ -98,9 +101,12 @@ type Coordinator struct {
 	staleReports int
 	workers      map[string]*workerState
 	finished     bool
-	reports      []harness.ModelReport
-	artifact     *obs.ExploreArtifact
-	err          error
+	// wake is closed, and replaced, when a held lease request may now
+	// succeed: a wave table is published or the campaign finishes.
+	wake     chan struct{}
+	reports  []harness.ModelReport
+	artifact *obs.ExploreArtifact
+	err      error
 
 	done chan struct{}
 }
@@ -125,8 +131,8 @@ func NewCoordinator(cfg Config, opts CoordinatorOptions) *Coordinator {
 	if opts.LeaseTimeout <= 0 {
 		opts.LeaseTimeout = DefaultLeaseTimeout
 	}
-	if opts.RetryMS <= 0 {
-		opts.RetryMS = DefaultRetryMS
+	if opts.Hold <= 0 {
+		opts.Hold = DefaultHold
 	}
 	if opts.CreatedBy == "" {
 		opts.CreatedBy = "fleet-coordinator"
@@ -140,6 +146,7 @@ func NewCoordinator(cfg Config, opts CoordinatorOptions) *Coordinator {
 	return &Coordinator{
 		cfg: cfg.withDefaults(), opts: opts,
 		workers: make(map[string]*workerState),
+		wake:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 }
@@ -158,6 +165,7 @@ func (c *Coordinator) Run() ([]harness.ModelReport, error) {
 	c.reports = reports
 	c.artifact = art
 	c.err = err
+	c.wakeHeld()
 	c.mu.Unlock()
 	close(c.done)
 	return reports, err
@@ -196,12 +204,19 @@ func (c *Coordinator) execWave(model memsim.Model, depth int, wave [][]memsim.Pr
 	t := newLeaseTable(model, depth, wave, c.opts.LeaseSize, c.opts.LeaseTimeout, c.opts.Now)
 	c.mu.Lock()
 	c.table = t
+	c.wakeHeld()
 	c.mu.Unlock()
 	<-t.done
 	c.mu.Lock()
 	c.table = nil
 	c.mu.Unlock()
 	return t.collect()
+}
+
+// wakeHeld answers every held lease request; c.mu must be held.
+func (c *Coordinator) wakeHeld() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Handler returns the coordinator's HTTP API.
@@ -230,39 +245,57 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("fleet: bad lease request: %v", err), http.StatusBadRequest)
 		return
 	}
-	c.mu.Lock()
-	finished, table := c.finished, c.table
-	c.mu.Unlock()
-	if finished {
-		writeJSON(w, LeaseResponse{Status: StatusDone})
-		return
+	var hold <-chan time.Time
+	for {
+		c.mu.Lock()
+		finished, table, wake := c.finished, c.table, c.wake
+		c.mu.Unlock()
+		if finished {
+			writeJSON(w, LeaseResponse{Status: StatusDone})
+			return
+		}
+		if table != nil {
+			if lease, kind, ok := table.claim(req.Worker, c.leaseSeq.Add(1)); ok {
+				c.grant(req.Worker, lease, kind)
+				writeJSON(w, LeaseResponse{Status: StatusLease, Lease: lease})
+				return
+			}
+		}
+		if hold == nil {
+			//fetchphilint:ignore determinism lease-request hold bound; gates only when a worker asks again, never what a range's outcomes are
+			t := time.NewTimer(c.opts.Hold)
+			defer t.Stop()
+			hold = t.C
+		}
+		select {
+		case <-wake:
+		case <-hold:
+			c.touchWorker(req.Worker, 0, 0)
+			writeJSON(w, LeaseResponse{Status: StatusWait})
+			return
+		case <-r.Context().Done():
+			return
+		}
 	}
-	if table == nil {
-		writeJSON(w, LeaseResponse{Status: StatusWait, RetryMS: c.opts.RetryMS})
-		return
-	}
-	lease, kind, ok := table.claim(req.Worker, c.leaseSeq.Add(1))
-	if !ok {
-		c.touchWorker(req.Worker, 0, 0)
-		writeJSON(w, LeaseResponse{Status: StatusWait, RetryMS: c.opts.RetryMS})
-		return
-	}
+}
+
+// grant records one lease grant in the lease log and the metrics.
+func (c *Coordinator) grant(worker string, lease *Lease, kind string) {
 	c.mu.Lock()
 	if kind == "re-lease" {
 		c.reLeases++
 	}
 	c.events = append(c.events, LeaseEvent{
 		Kind: kind, Model: lease.Model, Depth: lease.Depth,
-		Lo: lease.Lo, Hi: lease.Hi, Worker: req.Worker, LeaseID: lease.ID,
+		Lo: lease.Lo, Hi: lease.Hi, Worker: worker, LeaseID: lease.ID,
 	})
 	c.mu.Unlock()
 	c.opts.Metrics.Counter(MetricLeases).Inc()
 	if kind == "re-lease" {
 		c.opts.Metrics.Counter(MetricReLeases).Inc()
 	}
-	c.opts.Metrics.Counter(WorkerMetric(req.Worker, "leases")).Inc()
-	c.touchWorker(req.Worker, 1, 0)
-	writeJSON(w, LeaseResponse{Status: StatusLease, Lease: lease})
+	c.opts.Metrics.Counter(WorkerMetric(worker, "leases")).Inc()
+	c.touchWorker(worker, 1, 0)
 }
 
 // touchWorker records one worker contact: lastSeen moves to now (lease
@@ -301,12 +334,10 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, ReportResponse{Accepted: false, Reason: "no active wave at that model/depth"})
 		return
 	}
-	outcomes := make([]memsim.ScheduleOutcome, len(req.Outcomes))
-	for i, o := range req.Outcomes {
-		if o.Failure != "" {
-			outcomes[i].Err = errorString(o.Failure)
-		}
-		outcomes[i].Children = schedulesFromWire(o.Children)
+	outcomes, err := table.outcomes(&req, c.cfg.N, c.cfg.Preemptions)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	accepted, err := table.report(&req, outcomes)
 	if err != nil {

@@ -117,7 +117,7 @@ func TestFleetEquivalence(t *testing.T) {
 			t.Parallel()
 			ref, refErr := refReports(t, fx.build)
 			for _, workers := range []int{1, 2, 4} {
-				coord := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 5, RetryMS: 2})
+				coord := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 5})
 				got, err := CheckWith(coord, fx.build, CheckOptions{Workers: workers})
 				assertBitIdentical(t, fmt.Sprintf("fleet workers=%d", workers), got, ref, err, refErr)
 			}
@@ -143,7 +143,7 @@ func TestFleetWorkerLossReleases(t *testing.T) {
 	coord := NewCoordinator(testConfig(), CoordinatorOptions{
 		LeaseSize:    3,
 		LeaseTimeout: time.Second,
-		RetryMS:      1,
+		Hold:         time.Millisecond,
 		Now:          clock.now,
 	})
 	srv := httptest.NewServer(coord.Handler())
@@ -220,7 +220,7 @@ func (d *droppingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 // ignored idempotently, and the final result stays bit-identical.
 func TestFleetDroppedReportResponse(t *testing.T) {
 	ref, refErr := refReports(t, newTASLock)
-	coord := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 5, RetryMS: 1})
+	coord := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 5})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	go coord.Run()
@@ -267,7 +267,7 @@ func TestFleetCheckpointResumeGolden(t *testing.T) {
 	// Uninterrupted fleet run.
 	fullPath := filepath.Join(dir, "full.json")
 	fullCoord := NewCoordinator(testConfig(), CoordinatorOptions{
-		LeaseSize: 5, RetryMS: 2, CheckpointPath: fullPath, CreatedBy: "golden",
+		LeaseSize: 5, CheckpointPath: fullPath, CreatedBy: "golden",
 	})
 	gotFull, errFull := CheckWith(fullCoord, newTASLock, CheckOptions{Workers: 2})
 	assertBitIdentical(t, "uninterrupted fleet", gotFull, ref, errFull, refErr)
@@ -347,7 +347,7 @@ func minLeasedDepth(events []LeaseEvent, model string) int {
 func TestCampaignRefusesForeignCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	cfg := testConfig()
-	seed := NewCoordinator(cfg, CoordinatorOptions{CheckpointPath: path, RetryMS: 2})
+	seed := NewCoordinator(cfg, CoordinatorOptions{CheckpointPath: path})
 	if _, err := CheckWith(seed, newTASLock, CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -387,27 +387,201 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
-// TestCheckCoordinatorRetryHint pins the idle poll of Check's fleet.
-// A worker lets the coordinator's RetryMS hint win over its own Poll,
-// so Check's coordinator must hint its workers' 2 ms poll rather than
-// DefaultRetryMS, or every idle worker sleeps 50-100 ms at each wave
-// boundary.
-func TestCheckCoordinatorRetryHint(t *testing.T) {
-	coord := checkCoordinator(testConfig())
+// heldLease posts a lease request in the background and delivers its
+// answer.
+func heldLease(t *testing.T, url, worker string) <-chan LeaseResponse {
+	t.Helper()
+	answer := make(chan LeaseResponse, 1)
+	go func() {
+		var lr LeaseResponse
+		resp, err := http.Post(url+PathLease, "application/json", strings.NewReader(`{"worker":"`+worker+`"}`))
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&lr)
+			resp.Body.Close()
+		}
+		if err != nil {
+			t.Errorf("lease request of %s: %v", worker, err)
+		}
+		answer <- lr
+	}()
+	return answer
+}
+
+// requireHeld fails if a lease request is answered before the event
+// meant to answer it; with a minute-long hold bound, an early answer
+// can only be a bug.
+func requireHeld(t *testing.T, answer <-chan LeaseResponse, before string) {
+	t.Helper()
+	select {
+	case lr := <-answer:
+		t.Fatalf("lease request answered %+v before %s", lr, before)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// awaitAnswer returns a held request's answer, failing long before the
+// minute-long hold bound could have produced it.
+func awaitAnswer(t *testing.T, answer <-chan LeaseResponse, after string) LeaseResponse {
+	t.Helper()
+	select {
+	case lr := <-answer:
+		return lr
+	case <-time.After(10 * time.Second):
+		t.Fatalf("held lease request not answered after %s", after)
+		return LeaseResponse{}
+	}
+}
+
+// TestHeldLeaseAnswersWhenWavePublished pins the held lease request: a
+// request that finds nothing claimable waits, and publishing a wave
+// answers it with a lease, as the campaign's end answers it with done.
+// The hold bound is a minute, so only those events can answer within
+// the test. The campaign is K=0, so each model is one root schedule,
+// reported here by hand.
+func TestHeldLeaseAnswersWhenWavePublished(t *testing.T) {
+	cfg := testConfig()
+	cfg.Preemptions = 0
+	coord := NewCoordinator(cfg, CoordinatorOptions{Hold: time.Minute})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
-	// Before Run the coordinator has no lease table: every request waits.
-	resp, err := http.Post(srv.URL+PathLease, "application/json", strings.NewReader(`{"worker":"w0"}`))
-	if err != nil {
+
+	// Before Run there is no wave: the request is held until CC's root
+	// wave is published.
+	a := heldLease(t, srv.URL, "a")
+	requireHeld(t, a, "any wave was published")
+	go coord.Run()
+	la := awaitAnswer(t, a, "CC's root wave was published")
+	if la.Status != StatusLease || la.Lease.Model != "CC" || la.Lease.Depth != 0 || la.Lease.Schedules != nil {
+		t.Fatalf("first answer %+v, want the CC root lease with no schedule words", la)
+	}
+
+	// The root range is leased: the next request is held until CC's
+	// wave completes and DSM's root wave is published.
+	b := heldLease(t, srv.URL, "b")
+	requireHeld(t, b, "CC's root wave was reported")
+	var rr ReportResponse
+	postJSON(t, srv.URL+PathReport, ReportRequest{Worker: "a", LeaseID: la.Lease.ID, Model: "CC", Lo: 0, Hi: 1, Outcomes: []Outcome{{}}}, &rr)
+	lb := awaitAnswer(t, b, "DSM's root wave was published")
+	if !rr.Accepted || lb.Status != StatusLease || lb.Lease.Model != "DSM" {
+		t.Fatalf("report %+v, second answer %+v: want the DSM root lease", rr, lb)
+	}
+
+	// The last request is held until the campaign finishes.
+	c := heldLease(t, srv.URL, "c")
+	requireHeld(t, c, "the campaign finished")
+	postJSON(t, srv.URL+PathReport, ReportRequest{Worker: "b", LeaseID: lb.Lease.ID, Model: "DSM", Lo: 0, Hi: 1, Outcomes: []Outcome{{}}}, &rr)
+	if lc := awaitAnswer(t, c, "the campaign finished"); lc.Status != StatusDone {
+		t.Fatalf("third answer %+v, want done", lc)
+	}
+	if _, err := coord.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var lease map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
-		t.Fatal(err)
+}
+
+// TestReportRejectsMalformedChildren: a report whose children the
+// explorer could not have derived gets a 400, and its range stays
+// leased rather than being marked done with corrupt outcomes.
+func TestReportRejectsMalformedChildren(t *testing.T) {
+	wave := fuzzWave(1) // schedule i preempts once, at step i+1
+	for _, tc := range []struct {
+		name  string
+		depth int
+		out   Outcome
+	}{
+		{"odd-word-count", 1, Outcome{Children: []int64{5, 1, 6}}},
+		{"proc-too-large", 1, Outcome{Children: []int64{5, 2}}},
+		{"proc-negative", 1, Outcome{Children: []int64{5, -1}}},
+		{"step-not-after-parent", 1, Outcome{Children: []int64{1, 0}}},
+		{"duplicate-pair", 1, Outcome{Children: []int64{5, 1, 5, 1}}},
+		{"steps-decreasing", 1, Outcome{Children: []int64{6, 0, 5, 1}}},
+		{"failing-with-children", 1, Outcome{Failure: "boom", Children: []int64{5, 0}}},
+		{"children-at-bound", 2, Outcome{Children: []int64{30, 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 2})
+			w := wave
+			if tc.depth != 1 {
+				w = fuzzWave(tc.depth)
+			}
+			c.table = newLeaseTable(memsim.CC, tc.depth, w, 2, time.Minute, time.Now)
+			if _, _, ok := c.table.claim("w", 1); !ok {
+				t.Fatal("no range to claim")
+			}
+			body, _ := json.Marshal(ReportRequest{Worker: "w", LeaseID: 1, Model: "CC", Depth: tc.depth, Lo: 0, Hi: 2, Outcomes: []Outcome{tc.out, {}}})
+			rec := httptest.NewRecorder()
+			c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathReport, bytes.NewReader(body)))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("status %d (%s), want 400", rec.Code, strings.TrimSpace(rec.Body.String()))
+			}
+			if _, leased, done := c.table.counts(); leased != 1 || done != 0 {
+				t.Fatalf("after a rejected report: %d leased, %d done; want the range still leased", leased, done)
+			}
+		})
 	}
-	if lease["status"] != StatusWait || lease["retry_ms"] != 2.0 {
-		t.Fatalf("lease response %v, want status %q with retry_ms 2", lease, StatusWait)
+
+	// The control: the same range with well-formed children is taken.
+	c := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 2})
+	c.table = newLeaseTable(memsim.CC, 1, wave, 2, time.Minute, time.Now)
+	var rr ReportResponse
+	body, _ := json.Marshal(ReportRequest{Worker: "w", Model: "CC", Depth: 1, Lo: 0, Hi: 2, Outcomes: []Outcome{{Children: []int64{5, 0, 5, 1, 6, 0}}, {}}})
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathReport, bytes.NewReader(body)))
+	if err := json.NewDecoder(rec.Body).Decode(&rr); rec.Code != http.StatusOK || err != nil || !rr.Accepted {
+		t.Fatalf("well-formed report: status %d, %+v, %v", rec.Code, rr, err)
+	}
+}
+
+// TestWireRoundTrip pins the flat wire: flatten/unflatten invert each
+// other at every depth, the root wave's schedule stays nil, extend
+// rebuilds exactly the children the worker's appended pairs describe,
+// and a lease of the wrong length is an error.
+func TestWireRoundTrip(t *testing.T) {
+	for depth := 0; depth <= 3; depth++ {
+		wave := fuzzWave(depth)
+		flat := flatten(nil, wave)
+		if len(flat) != 2*depth*len(wave) {
+			t.Fatalf("depth %d: %d words for %d schedules", depth, len(flat), len(wave))
+		}
+		got, err := unflatten(flat, depth, len(wave))
+		if err != nil || !reflect.DeepEqual(got, wave) {
+			t.Fatalf("depth %d: unflatten = %v, %v; want %v", depth, got, err, wave)
+		}
+		if depth == 0 && got[0] != nil {
+			t.Fatalf("root schedule came back as %#v, want nil", got[0])
+		}
+		if _, err := unflatten(append(flat, 1), depth, len(wave)); err == nil {
+			t.Fatalf("depth %d: a lease one word too long unflattened", depth)
+		}
+		if depth > 0 {
+			if _, err := unflatten(flat[:len(flat)-2], depth, len(wave)); err == nil {
+				t.Fatalf("depth %d: a lease one pair short unflattened", depth)
+			}
+		}
+		for i, parent := range wave {
+			var children [][]memsim.Preemption
+			for _, p := range []memsim.Preemption{{Step: 40, Proc: 0}, {Step: 40, Proc: 1}, {Step: 41, Proc: 0}} {
+				children = append(children, append(append([]memsim.Preemption(nil), parent...), p))
+			}
+			pairs := appended(children)
+			if len(pairs) != 2*len(children) {
+				t.Fatalf("depth %d schedule %d: %d words for %d children", depth, i, len(pairs), len(children))
+			}
+			if err := checkChildren(parent, &Outcome{Children: pairs}, 2, true); err != nil {
+				t.Fatalf("depth %d schedule %d: well-formed children rejected: %v", depth, i, err)
+			}
+			if got := extend(parent, pairs); !reflect.DeepEqual(got, children) {
+				t.Fatalf("depth %d schedule %d: extend = %v, want %v", depth, i, got, children)
+			}
+		}
+		if appended(nil) != nil || extend(nil, nil) != nil {
+			t.Fatal("a schedule without children gained some on the wire")
+		}
+	}
+	if _, err := unflatten(nil, -1, 1); err == nil {
+		t.Fatal("negative depth unflattened")
+	}
+	if _, err := unflatten(nil, 1, -1); err == nil {
+		t.Fatal("negative range unflattened")
 	}
 }
 
@@ -415,6 +589,9 @@ func TestCheckCoordinatorRetryHint(t *testing.T) {
 func TestLeaseTableGrid(t *testing.T) {
 	clock := &fakeClock{}
 	wave := make([][]memsim.Preemption, 7)
+	for i := range wave {
+		wave[i] = []memsim.Preemption{{Step: 1, Proc: 0}, {Step: 2, Proc: 1}, {Step: int64(3 + i), Proc: 0}}
+	}
 	tab := newLeaseTable(memsim.CC, 3, wave, 3, time.Second, clock.now)
 	if len(tab.ranges) != 3 {
 		t.Fatalf("7 schedules at pitch 3: %d ranges, want 3", len(tab.ranges))
@@ -422,6 +599,9 @@ func TestLeaseTableGrid(t *testing.T) {
 	l1, kind, ok := tab.claim("a", 1)
 	if !ok || kind != "lease" || l1.Lo != 0 || l1.Hi != 3 {
 		t.Fatalf("first claim: %+v %s %v", l1, kind, ok)
+	}
+	if got, err := unflatten(l1.Schedules, l1.Depth, l1.Hi-l1.Lo); err != nil || !reflect.DeepEqual(got, wave[0:3]) {
+		t.Fatalf("first lease carries %v (%v), want wave[0:3] = %v", got, err, wave[0:3])
 	}
 	// Nothing expired: the same range is not claimable again.
 	l2, _, _ := tab.claim("b", 2)

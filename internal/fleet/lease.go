@@ -107,15 +107,44 @@ func (t *leaseTable) claim(worker string, leaseID int64) (lease *Lease, kind str
 	pick.leaseID = leaseID
 	pick.worker = worker
 	pick.deadline = now.Add(t.timeout)
+	var flat []int64
+	if t.depth > 0 {
+		flat = flatten(make([]int64, 0, 2*t.depth*(pick.hi-pick.lo)), t.wave[pick.lo:pick.hi])
+	}
 	return &Lease{
 		ID:         leaseID,
 		Model:      t.model.String(),
 		Depth:      t.depth,
 		Lo:         pick.lo,
 		Hi:         pick.hi,
-		Schedules:  schedulesToWire(t.wave[pick.lo:pick.hi]),
+		Schedules:  flat,
 		DeadlineMS: t.timeout.Milliseconds(),
 	}, kind, true
+}
+
+// outcomes checks a report's outcomes against the wave and rebuilds
+// them: each child is its parent, wave[Lo+i], plus the preemption the
+// wire appends to it. n is the campaign's process count and maxPre its
+// preemption bound. An error leaves the range as it was. The wave never
+// changes after construction, so this takes no lock.
+func (t *leaseTable) outcomes(req *ReportRequest, n, maxPre int) ([]memsim.ScheduleOutcome, error) {
+	if req.Lo < 0 || req.Lo > req.Hi || req.Hi > len(t.wave) || len(req.Outcomes) != req.Hi-req.Lo {
+		return nil, fmt.Errorf("fleet: report for range [%d,%d) with %d outcomes does not fit the %d-schedule wave", req.Lo, req.Hi, len(req.Outcomes), len(t.wave))
+	}
+	expand := t.depth < maxPre
+	out := make([]memsim.ScheduleOutcome, len(req.Outcomes))
+	for i := range req.Outcomes {
+		o := &req.Outcomes[i]
+		parent := t.wave[req.Lo+i]
+		if err := checkChildren(parent, o, n, expand); err != nil {
+			return nil, fmt.Errorf("fleet: report for range [%d,%d), schedule %d: %w", req.Lo, req.Hi, req.Lo+i, err)
+		}
+		if o.Failure != "" {
+			out[i].Err = errorString(o.Failure)
+		}
+		out[i].Children = extend(parent, o.Children)
+	}
+	return out, nil
 }
 
 // report delivers one range's outcomes. Reports are accepted for any

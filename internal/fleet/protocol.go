@@ -9,6 +9,15 @@
 // harness.CheckSharded run at any worker count, join/leave order, or
 // lease size.
 //
+// The wire is flat: every schedule of the wave at depth d holds exactly
+// d preemptions, so a lease carries its schedules as one run of
+// step/proc pairs, and a child — its parent plus one appended
+// preemption — crosses the wire as that one pair, which the
+// coordinator appends to the parent it already holds. A lease request
+// that finds nothing claimable is held until a wave is published, the
+// campaign ends, or the coordinator's hold bound passes, so an idle
+// worker neither sleeps nor polls between waves.
+//
 // The determinism argument has three independent legs:
 //
 //  1. Wave execution is a pure function of the machine: every schedule
@@ -34,6 +43,8 @@
 package fleet
 
 import (
+	"fmt"
+
 	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/obs"
@@ -46,7 +57,7 @@ const (
 	// bit-identical explorers.
 	PathConfig = "/v1/config"
 	// PathLease (POST, LeaseRequest → LeaseResponse) claims the next
-	// available wave range.
+	// available wave range, holding the request while none is.
 	PathLease = "/v1/lease"
 	// PathReport (POST, ReportRequest → ReportResponse) delivers a
 	// completed range's outcomes.
@@ -83,13 +94,13 @@ const (
 	MetricWaveUS = "fleet.wave_us"
 
 	// MetricWorkerPollUS is the worker-side histogram of lease-call
-	// round-trip latencies (µs).
+	// round-trip latencies (µs), the coordinator's hold included.
 	MetricWorkerPollUS = "worker.poll_us"
 	// MetricWorkerRangeUS is the worker-side histogram of leased-range
 	// execution times (µs).
 	MetricWorkerRangeUS = "worker.range_us"
-	// MetricWorkerBackoffs counts worker backoff sleeps (idle waits and
-	// HTTP retries).
+	// MetricWorkerBackoffs counts worker backoff sleeps between HTTP
+	// retries.
 	MetricWorkerBackoffs = "worker.backoffs"
 	// MetricWorkerLeases counts leases this worker executed.
 	MetricWorkerLeases = "worker.leases"
@@ -181,18 +192,21 @@ type LeaseRequest struct {
 const (
 	// StatusLease: the response carries a Lease to execute.
 	StatusLease = "lease"
-	// StatusWait: no range is currently available (between waves, or
-	// every range is leased and unexpired) — poll again.
+	// StatusWait: no range became claimable while the coordinator held
+	// the request (every range is leased and unexpired, or no wave is
+	// published) — ask again at once.
 	StatusWait = "wait"
 	// StatusDone: the campaign has finished; the worker should exit.
 	StatusDone = "done"
 )
 
-// LeaseResponse answers a lease claim.
+// LeaseResponse answers a lease claim. The coordinator holds a claim
+// that finds nothing claimable and answers it as soon as a wave is
+// published (StatusLease) or the campaign ends (StatusDone), or else
+// once its hold bound passes (StatusWait), so a worker asks again at
+// once after any answer.
 type LeaseResponse struct {
 	Status string `json:"status"`
-	// RetryMS is the suggested poll delay for StatusWait.
-	RetryMS int `json:"retry_ms,omitempty"`
 	// Lease is present iff Status == StatusLease.
 	Lease *Lease `json:"lease,omitempty"`
 }
@@ -209,10 +223,12 @@ type Lease struct {
 	// Lo and Hi bound the range within the wave's index space.
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-	// Schedules are the wave entries wave[Lo:Hi], in canonical order.
-	// The root wave's single empty schedule serializes as null and
-	// must stay nil end to end (FailingSchedule bit-identity).
-	Schedules [][]obs.ExplorePreemption `json:"schedules"`
+	// Schedules are the wave entries wave[Lo:Hi], in canonical order,
+	// flattened: each holds exactly Depth preemptions, written as
+	// step/proc pairs, so the slice is 2·Depth·(Hi−Lo) long. The root
+	// wave (Depth 0) sends none; its single schedule is nil on both
+	// ends (FailingSchedule bit-identity).
+	Schedules []int64 `json:"schedules"`
 	// DeadlineMS is the lease duration in milliseconds: a worker that
 	// has not reported by then may see its range re-leased. Purely
 	// advisory on the worker side.
@@ -223,8 +239,12 @@ type Lease struct {
 type Outcome struct {
 	// Failure is the schedule's error string, empty if it passed.
 	Failure string `json:"failure,omitempty"`
-	// Children are the next-wave schedules, in canonical order.
-	Children [][]obs.ExplorePreemption `json:"children,omitempty"`
+	// Children are the next-wave schedules, in canonical order, each as
+	// the one step/proc pair it appends to this schedule: two words a
+	// child, at steps after this schedule's last, in strictly
+	// increasing (step, proc) order. Empty for a failing schedule and
+	// at the preemption bound.
+	Children []int64 `json:"children,omitempty"`
 }
 
 // ReportRequest delivers one completed lease's outcomes, indexed like
@@ -239,8 +259,10 @@ type ReportRequest struct {
 	Outcomes []Outcome `json:"outcomes"`
 }
 
-// ReportResponse acknowledges a report. A rejected report is not an
-// error for the worker — it means the range was already completed (a
+// ReportResponse acknowledges a report. A report the explorer could
+// not have produced — its outcomes do not match the range, or a child
+// is malformed (see Outcome.Children) — is answered 400 and its range
+// stays leased. A rejected report is not an error for the worker — it means the range was already completed (a
 // duplicate after a dropped response, or a re-leased range that raced)
 // or the wave has moved on; the worker simply claims its next lease.
 type ReportResponse struct {
@@ -304,7 +326,8 @@ type LeaseEvent struct {
 	LeaseID int64
 }
 
-// toWire converts one schedule, preserving nil (the root schedule).
+// toWire converts one schedule to its artifact form (checkpoint
+// frontiers and failing schedules), preserving nil (the root schedule).
 func toWire(s []memsim.Preemption) []obs.ExplorePreemption {
 	if s == nil {
 		return nil
@@ -328,7 +351,7 @@ func fromWire(s []obs.ExplorePreemption) []memsim.Preemption {
 	return out
 }
 
-// schedulesToWire converts a wave slice.
+// schedulesToWire converts a wave slice to its checkpoint form.
 func schedulesToWire(ss [][]memsim.Preemption) [][]obs.ExplorePreemption {
 	if ss == nil {
 		return nil
@@ -350,4 +373,109 @@ func schedulesFromWire(ss [][]obs.ExplorePreemption) [][]memsim.Preemption {
 		out[i] = fromWire(s)
 	}
 	return out
+}
+
+// flatten appends the preemptions of every schedule in ss to dst as
+// step/proc pairs: the wire form of a run of equal-depth schedules.
+func flatten(dst []int64, ss [][]memsim.Preemption) []int64 {
+	for _, s := range ss {
+		for _, p := range s {
+			dst = append(dst, p.Step, int64(p.Proc))
+		}
+	}
+	return dst
+}
+
+// unflatten inverts flatten for n schedules of depth preemptions each,
+// or fails if flat is not 2·depth·n words long. Every schedule of the
+// root wave (depth 0) is nil, as memsim.RootWave's is; deeper ones
+// share one backing array, each capped at its own length.
+func unflatten(flat []int64, depth, n int) ([][]memsim.Preemption, error) {
+	words := 2 * depth
+	if depth < 0 || n < 0 || (depth == 0 && len(flat) != 0) ||
+		(depth > 0 && (len(flat)%words != 0 || len(flat)/words != n)) {
+		return nil, fmt.Errorf("fleet: %d schedule words do not hold %d schedules of %d preemptions", len(flat), n, depth)
+	}
+	out := make([][]memsim.Preemption, n)
+	if depth == 0 {
+		return out, nil
+	}
+	slab := make([]memsim.Preemption, depth*n)
+	for i := range slab {
+		slab[i] = memsim.Preemption{Step: flat[2*i], Proc: int(flat[2*i+1])}
+	}
+	for i := range out {
+		out[i] = slab[i*depth : (i+1)*depth : (i+1)*depth]
+	}
+	return out, nil
+}
+
+// appended is the wire form of a schedule's children: the step/proc
+// pair each one appends to their common parent.
+func appended(children [][]memsim.Preemption) []int64 {
+	if len(children) == 0 {
+		return nil
+	}
+	out := make([]int64, 0, 2*len(children))
+	for _, c := range children {
+		p := c[len(c)-1]
+		out = append(out, p.Step, int64(p.Proc))
+	}
+	return out
+}
+
+// extend inverts appended: each child is parent plus its pair. The
+// children share one backing array, each capped at its own length.
+func extend(parent []memsim.Preemption, pairs []int64) [][]memsim.Preemption {
+	k := len(pairs) / 2
+	if k == 0 {
+		return nil
+	}
+	d := len(parent) + 1
+	slab := make([]memsim.Preemption, d*k)
+	out := make([][]memsim.Preemption, k)
+	for i := range out {
+		c := slab[i*d : (i+1)*d : (i+1)*d]
+		copy(c, parent)
+		c[d-1] = memsim.Preemption{Step: pairs[2*i], Proc: int(pairs[2*i+1])}
+		out[i] = c
+	}
+	return out
+}
+
+// checkChildren rejects a reported outcome's children that the
+// explorer could not have derived from parent in a campaign of n
+// processes: a failing schedule, or one at the preemption bound
+// (expand false), spawns none; otherwise the children are whole
+// step/proc pairs, each naming one of the n processes at a step after
+// parent's last, in strictly increasing (step, proc) order.
+func checkChildren(parent []memsim.Preemption, o *Outcome, n int, expand bool) error {
+	pairs := o.Children
+	switch {
+	case len(pairs) == 0:
+		return nil
+	case o.Failure != "":
+		return fmt.Errorf("failing schedule reports %d child words", len(pairs))
+	case !expand:
+		return fmt.Errorf("schedule at the preemption bound reports %d child words", len(pairs))
+	case len(pairs)%2 != 0:
+		return fmt.Errorf("%d child words do not form step/proc pairs", len(pairs))
+	}
+	last := int64(-1)
+	if len(parent) > 0 {
+		last = parent[len(parent)-1].Step
+	}
+	for i := 0; i < len(pairs); i += 2 {
+		step, proc := pairs[i], pairs[i+1]
+		if proc < 0 || proc >= int64(n) {
+			return fmt.Errorf("child %d names process %d outside [0,%d)", i/2, proc, n)
+		}
+		if step <= last {
+			return fmt.Errorf("child %d preempts at step %d, not after the parent's last step %d", i/2, step, last)
+		}
+		if i > 0 && (step < pairs[i-2] || step == pairs[i-2] && proc <= pairs[i-1]) {
+			return fmt.Errorf("child %d (step %d, proc %d) does not follow child %d in (step, proc) order", i/2, step, proc, i/2-1)
+		}
+	}
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,7 +107,7 @@ func TestFleetCapacityByteIdenticalAfterWorkerLoss(t *testing.T) {
 		coord := NewCoordinator(testConfig(), CoordinatorOptions{
 			LeaseSize:    3,
 			LeaseTimeout: time.Second,
-			RetryMS:      1,
+			Hold:         time.Millisecond,
 			Now:          leaseClock.now,
 			CapacityPath: path,
 			CreatedBy:    "determinism-test",
@@ -182,34 +183,38 @@ func TestFleetCapacityByteIdenticalAfterWorkerLoss(t *testing.T) {
 	}
 }
 
-// waitingCoordinator is a stub that answers the config probe, then
-// returns StatusWait with a RetryMS hint a fixed number of times before
-// StatusDone — the smallest server that exercises the worker's idle
-// backoff path.
-func waitingCoordinator(t *testing.T, waits int, retryMS int) *httptest.Server {
+// stubCoordinator answers the config probe, then fails the first
+// `failures` lease calls with a 503, answers the next `waits` with
+// StatusWait and every later one with StatusDone — the smallest server
+// that exercises the worker's retry and wait paths. It counts lease
+// calls.
+func stubCoordinator(t *testing.T, failures, waits int) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
-	served := 0
+	var calls atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathConfig, func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(testConfig())
 	})
 	mux.HandleFunc(PathLease, func(w http.ResponseWriter, r *http.Request) {
-		resp := LeaseResponse{Status: StatusDone}
-		if served < waits {
-			served++
-			resp = LeaseResponse{Status: StatusWait, RetryMS: retryMS}
+		n := int(calls.Add(1))
+		switch {
+		case n <= failures:
+			http.Error(w, "injected fault: coordinator unavailable", http.StatusServiceUnavailable)
+		case n <= failures+waits:
+			json.NewEncoder(w).Encode(LeaseResponse{Status: StatusWait})
+		default:
+			json.NewEncoder(w).Encode(LeaseResponse{Status: StatusDone})
 		}
-		json.NewEncoder(w).Encode(resp)
 	})
-	return httptest.NewServer(mux)
+	return httptest.NewServer(mux), &calls
 }
 
-// backoffDelays runs a worker against a waiting coordinator with an
-// instant recording sleeper and returns the observed backoff delays and
-// the worker's metrics snapshot.
-func backoffDelays(t *testing.T, id string, waits, retryMS int, maxBackoff time.Duration) ([]time.Duration, telemetry.Snapshot) {
+// stubRun runs a worker against a stub coordinator with an instant
+// recording sleeper and returns the observed backoff delays, the
+// worker's metrics snapshot and the number of lease calls.
+func stubRun(t *testing.T, id string, failures, waits int, poll, maxBackoff time.Duration) ([]time.Duration, telemetry.Snapshot, int64) {
 	t.Helper()
-	srv := waitingCoordinator(t, waits, retryMS)
+	srv, calls := stubCoordinator(t, failures, waits)
 	defer srv.Close()
 	var delays []time.Duration
 	metrics := telemetry.New(nil)
@@ -217,7 +222,8 @@ func backoffDelays(t *testing.T, id string, waits, retryMS int, maxBackoff time.
 		ID:          id,
 		Coordinator: srv.URL,
 		Resolve:     func(string) (harness.Builder, error) { return newTASLock, nil },
-		Poll:        time.Millisecond, // ≠ RetryMS so the test proves the hint wins
+		Poll:        poll,
+		Retries:     failures + 1,
 		MaxBackoff:  maxBackoff,
 		Metrics:     metrics,
 		Sleep: func(ctx context.Context, d time.Duration) error {
@@ -228,33 +234,28 @@ func backoffDelays(t *testing.T, id string, waits, retryMS int, maxBackoff time.
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatalf("worker: %v", err)
 	}
-	return delays, metrics.Snapshot()
+	return delays, metrics.Snapshot(), calls.Load()
 }
 
-// TestWorkerBackoffHonorsRetryHint pins the idle-backoff contract: the
-// coordinator's RetryMS hint (not the worker's Poll) is the base delay,
-// consecutive waits double it up to MaxBackoff, and every delay is
-// jittered within [d/2, d].
+// TestWorkerBackoffHonorsRetryHint pins the transport-retry backoff:
+// the worker's Poll is the base delay, each further failed attempt of
+// one call doubles it up to MaxBackoff, and every delay is jittered
+// within [d/2, d].
 func TestWorkerBackoffHonorsRetryHint(t *testing.T) {
-	const retryMS = 40
+	poll := 40 * time.Millisecond
 	maxBackoff := 100 * time.Millisecond
-	delays, snap := backoffDelays(t, "backoff-worker", 4, retryMS, maxBackoff)
+	delays, snap, _ := stubRun(t, "backoff-worker", 4, 0, poll, maxBackoff)
 	if len(delays) != 4 {
 		t.Fatalf("recorded %d backoffs, want 4", len(delays))
 	}
-	base := retryMS * time.Millisecond
 	for i, got := range delays {
-		want := base << i
+		want := poll << i
 		if want > maxBackoff {
 			want = maxBackoff
 		}
 		if got < want/2 || got > want {
-			t.Errorf("wait %d: slept %v, want jittered within [%v, %v]", i, got, want/2, want)
+			t.Errorf("retry %d: slept %v, want jittered within [%v, %v]", i, got, want/2, want)
 		}
-	}
-	// The first delay derives from the 40ms hint, not the 1ms Poll.
-	if delays[0] < base/2 {
-		t.Errorf("first delay %v ignores the RetryMS hint (Poll is 1ms)", delays[0])
 	}
 	if got := snap.Counter(MetricWorkerBackoffs); got != 4 {
 		t.Errorf("worker.backoffs counter: %d, want 4", got)
@@ -265,16 +266,32 @@ func TestWorkerBackoffHonorsRetryHint(t *testing.T) {
 }
 
 // TestWorkerBackoffDeterministicPerID: a worker's jitter seed derives
-// from its ID, so the same ID replays the same backoff sequence while
-// distinct IDs de-synchronize.
+// from its ID, so the same ID replays the same retry backoff sequence
+// while distinct IDs de-synchronize.
 func TestWorkerBackoffDeterministicPerID(t *testing.T) {
-	a1, _ := backoffDelays(t, "worker-a", 5, 16, 64*time.Millisecond)
-	a2, _ := backoffDelays(t, "worker-a", 5, 16, 64*time.Millisecond)
-	b, _ := backoffDelays(t, "worker-b", 5, 16, 64*time.Millisecond)
+	a1, _, _ := stubRun(t, "worker-a", 5, 0, 16*time.Millisecond, 64*time.Millisecond)
+	a2, _, _ := stubRun(t, "worker-a", 5, 0, 16*time.Millisecond, 64*time.Millisecond)
+	b, _, _ := stubRun(t, "worker-b", 5, 0, 16*time.Millisecond, 64*time.Millisecond)
 	if fmt.Sprint(a1) != fmt.Sprint(a2) {
 		t.Errorf("same ID replayed different delays:\n%v\n%v", a1, a2)
 	}
 	if fmt.Sprint(a1) == fmt.Sprint(b) {
 		t.Errorf("distinct IDs produced identical jitter: %v", a1)
+	}
+}
+
+// TestWorkerAsksAgainAfterWait: the coordinator answers StatusWait only
+// after holding a request, so the worker asks again at once — no
+// backoff sleep, whatever the streak of waits.
+func TestWorkerAsksAgainAfterWait(t *testing.T) {
+	delays, snap, calls := stubRun(t, "waiting-worker", 0, 6, 40*time.Millisecond, time.Second)
+	if len(delays) != 0 {
+		t.Errorf("slept %v after wait answers, want no sleep", delays)
+	}
+	if calls != 7 {
+		t.Errorf("%d lease calls, want 7 (six waits, then done)", calls)
+	}
+	if got := snap.Counter(MetricWorkerBackoffs); got != 0 {
+		t.Errorf("worker.backoffs counter: %d, want 0", got)
 	}
 }

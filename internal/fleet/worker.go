@@ -39,18 +39,18 @@ type Worker struct {
 	// Client is the HTTP client (default http.DefaultClient); tests
 	// inject fault-y transports here.
 	Client *http.Client
-	// Poll is the idle re-poll interval when the coordinator has no
-	// lease to grant (default 50ms; the coordinator's RetryMS hint
-	// overrides it per response).
+	// Poll is the base delay of the backoff between HTTP retries
+	// (default 50ms). A StatusWait answer is not retried after a delay:
+	// the coordinator held that request as long as it usefully could,
+	// so the worker asks again at once.
 	Poll time.Duration
 	// Retries is the attempt budget per HTTP call (default 5) — a
 	// dropped response is retried, and a duplicate report is ignored
 	// idempotently on the coordinator side.
 	Retries int
-	// MaxBackoff caps the jittered exponential backoff between idle
-	// polls and between HTTP retries (default 2s). The base delay is
-	// the coordinator's RetryMS hint (idle polls) or Poll (retries);
-	// consecutive waits double it up to this cap.
+	// MaxBackoff caps the jittered exponential backoff between HTTP
+	// retries (default 2s): Poll is the base delay, and each further
+	// failed attempt of the same call doubles it up to this cap.
 	MaxBackoff time.Duration
 	// Metrics receives the worker's local telemetry: poll latency,
 	// range execution time, lease/schedule counts, backoff events.
@@ -112,7 +112,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.build = b
 	w.explorers = make(map[memsim.Model]*memsim.Explorer)
 
-	waits := 0
 	for {
 		var resp LeaseResponse
 		stopPoll := w.Metrics.Time(MetricWorkerPollUS)
@@ -125,16 +124,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		case StatusDone:
 			return nil
 		case StatusWait:
-			base := w.Poll
-			if resp.RetryMS > 0 {
-				base = time.Duration(resp.RetryMS) * time.Millisecond
-			}
-			if err := w.backoff(ctx, base, waits); err != nil {
-				return err
-			}
-			waits++
+			// Held until nothing more could come of it: ask again.
 		case StatusLease:
-			waits = 0
 			w.Metrics.Counter(MetricWorkerLeases).Inc()
 			if err := w.execute(ctx, resp.Lease); err != nil {
 				return err
@@ -145,12 +136,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// backoff sleeps for the streak-th consecutive jittered delay: base
-// doubled streak times, capped at MaxBackoff, then jittered uniformly
-// over its upper half so idle workers de-synchronize instead of
-// hammering the coordinator in lockstep.
-func (w *Worker) backoff(ctx context.Context, base time.Duration, streak int) error {
-	d := base
+// backoff sleeps before the retry after streak+1 failed attempts of
+// one call: Poll doubled streak times, capped at MaxBackoff, then
+// jittered uniformly over its upper half so workers cut off together
+// de-synchronize instead of hammering the coordinator in lockstep.
+func (w *Worker) backoff(ctx context.Context, streak int) error {
+	d := w.Poll
 	for i := 0; i < streak && d < w.MaxBackoff; i++ {
 		d *= 2
 	}
@@ -178,8 +169,12 @@ func (w *Worker) execute(ctx context.Context, lease *Lease) error {
 		e = harness.CheckExplorer(w.build, model, w.cfg.N, w.cfg.Entries, w.cfg.exploreOptions(w.Shards))
 		w.explorers[model] = e
 	}
+	scheds, err := unflatten(lease.Schedules, lease.Depth, lease.Hi-lease.Lo)
+	if err != nil {
+		return fmt.Errorf("fleet: lease %d for range [%d,%d): %w", lease.ID, lease.Lo, lease.Hi, err)
+	}
 	stop := w.Metrics.Time(MetricWorkerRangeUS)
-	outs := e.RunScheduleRange(schedulesFromWire(lease.Schedules))
+	outs := e.RunScheduleRange(scheds)
 	stop()
 	w.Metrics.Counter(MetricWorkerSchedules).Add(int64(len(outs)))
 	report := ReportRequest{
@@ -195,7 +190,7 @@ func (w *Worker) execute(ctx context.Context, lease *Lease) error {
 		if o.Err != nil {
 			report.Outcomes[i].Failure = o.Err.Error()
 		}
-		report.Outcomes[i].Children = schedulesToWire(o.Children)
+		report.Outcomes[i].Children = appended(o.Children)
 	}
 	var resp ReportResponse
 	// A rejected report is fine: the range was completed by a
@@ -208,7 +203,7 @@ func (w *Worker) fetchConfig(ctx context.Context) error {
 	var lastErr error
 	for attempt := 0; attempt < w.Retries; attempt++ {
 		if attempt > 0 {
-			if err := w.backoff(ctx, w.Poll, attempt-1); err != nil {
+			if err := w.backoff(ctx, attempt-1); err != nil {
 				return err
 			}
 		}
@@ -244,7 +239,7 @@ func (w *Worker) call(ctx context.Context, path string, body, out any) error {
 	var lastErr error
 	for attempt := 0; attempt < w.Retries; attempt++ {
 		if attempt > 0 {
-			if err := w.backoff(ctx, w.Poll, attempt-1); err != nil {
+			if err := w.backoff(ctx, attempt-1); err != nil {
 				return err
 			}
 		}
@@ -282,7 +277,7 @@ func decodeBody(resp *http.Response, out any) error {
 
 // sleepCtx sleeps for d unless the context ends first.
 func sleepCtx(ctx context.Context, d time.Duration) error {
-	//fetchphilint:ignore determinism worker poll pacing; never touches results
+	//fetchphilint:ignore determinism worker retry pacing; never touches results
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

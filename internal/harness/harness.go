@@ -169,41 +169,49 @@ const HotspotTopK = 5
 // and an algorithm that is not an AbortableAlgorithm is an error
 // before the run starts.
 func Run(b Builder, w Workload) (Metrics, error) {
-	var cs memsim.Carriers
-	defer cs.Close()
-	return runTimed(b, w, &cs, nil)
+	var sw sweepWorker
+	defer sw.cs.Close()
+	return runTimed(b, w, &sw, nil)
 }
 
-// runTimed is Run with the processes started on cs, which SweepWith
-// workers keep for all their cells, and a hook at the
-// simulation/accounting boundary: afterSim (when non-nil) fires the
+// sweepWorker is what one SweepWith worker keeps from cell to cell: the
+// carrier set its processes run on, and the scheduler it reseeds for
+// each cell that brings none (one math/rand source is 5 kB).
+type sweepWorker struct {
+	cs  memsim.Carriers
+	rnd memsim.Random
+}
+
+// runTimed is Run on sw, which SweepWith workers keep for all their
+// cells, with a hook at the simulation/accounting boundary: afterSim (when non-nil) fires the
 // moment machine execution finishes, before RMR attribution, histogram
 // fills, and validation. SweepWith uses it to time the accounting
 // overhead separately from simulation. The hook is observation-only —
 // it sees the boundary but receives nothing and returns nothing, so it
 // cannot perturb metrics. A ReplaySink of a reproducible run is handed
 // its replay rather than attached.
-func runTimed(b Builder, w Workload, cs *memsim.Carriers, afterSim func()) (Metrics, error) {
+func runTimed(b Builder, w Workload, sw *sweepWorker, afterSim func()) (Metrics, error) {
 	if rs, ok := w.Sink.(ReplaySink); ok && w.Sched == nil {
 		live := w
 		rs.Defer(func() {
-			var cs memsim.Carriers
-			defer cs.Close()
-			runLive(b, live, &cs, nil)
+			var sw sweepWorker
+			defer sw.cs.Close()
+			runLive(b, live, &sw, nil)
 		})
 		w.Sink = nil
 	}
-	return runLive(b, w, cs, afterSim)
+	return runLive(b, w, sw, afterSim)
 }
 
 // runLive is runTimed with w.Sink, if any, attached for the whole run.
-func runLive(b Builder, w Workload, cs *memsim.Carriers, afterSim func()) (Metrics, error) {
+func runLive(b Builder, w Workload, sw *sweepWorker, afterSim func()) (Metrics, error) {
 	if w.N <= 0 || w.Entries <= 0 {
 		return Metrics{}, fmt.Errorf("harness: invalid workload N=%d Entries=%d", w.N, w.Entries)
 	}
 	sched := w.Sched
 	if sched == nil {
-		sched = memsim.NewRandom(w.Seed)
+		sw.rnd.Reseed(w.Seed)
+		sched = &sw.rnd
 	}
 
 	participants := w.Participants
@@ -239,7 +247,7 @@ func runLive(b Builder, w Workload, cs *memsim.Carriers, afterSim func()) (Metri
 		m.AddProc(fmt.Sprintf("p%d", i), body)
 	}
 
-	res := m.RunOn(cs, memsim.RunConfig{Sched: sched, MaxSteps: w.MaxSteps})
+	res := m.RunOn(&sw.cs, memsim.RunConfig{Sched: sched, MaxSteps: w.MaxSteps})
 	if afterSim != nil {
 		afterSim()
 	}

@@ -148,9 +148,10 @@ func SweepWith(cells []Cell, opts SweepOptions) []CellResult {
 		return results
 	}
 	var done atomic.Int64
-	// Each worker runs all its cells on one carrier set (cs), so a cell
-	// creates no coroutines once its worker has run a cell of its size.
-	runCell := func(cs *memsim.Carriers, i int) {
+	// Each worker runs all its cells on one sweepWorker, so a cell
+	// creates no coroutines once its worker has run a cell of its size,
+	// and no scheduler source after the worker's first cell.
+	runCell := func(sw *sweepWorker, i int) {
 		c := cells[i]
 		if progress != nil {
 			progress(ProgressEvent{Cell: c, Done: int(done.Load()), Total: len(cells), Start: true})
@@ -158,11 +159,11 @@ func SweepWith(cells []Cell, opts SweepOptions) []CellResult {
 		var met Metrics
 		var err error
 		if opts.Metrics == nil {
-			met, err = runTimed(c.Build, c.Workload, cs, nil)
+			met, err = runTimed(c.Build, c.Workload, sw, nil)
 		} else {
 			stopCell := opts.Metrics.Time(MetricSweepCellUS)
 			var stopAccount func()
-			met, err = runTimed(c.Build, c.Workload, cs, func() {
+			met, err = runTimed(c.Build, c.Workload, sw, func() {
 				stopAccount = opts.Metrics.Time(MetricSweepAccountUS)
 			})
 			if stopAccount != nil {
@@ -180,10 +181,10 @@ func SweepWith(cells []Cell, opts SweepOptions) []CellResult {
 		}
 	}
 	if workers <= 1 {
-		var cs memsim.Carriers
-		defer cs.Close()
+		var sw sweepWorker
+		defer sw.cs.Close()
 		for i := range cells {
-			runCell(&cs, i)
+			runCell(&sw, i)
 		}
 		return results
 	}
@@ -193,10 +194,10 @@ func SweepWith(cells []Cell, opts SweepOptions) []CellResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var cs memsim.Carriers
-			defer cs.Close()
+			var sw sweepWorker
+			defer sw.cs.Close()
 			for i := range next {
-				runCell(&cs, i)
+				runCell(&sw, i)
 			}
 		}()
 	}

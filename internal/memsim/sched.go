@@ -24,6 +24,18 @@ func NewRandom(seed int64) *Random {
 	return &Random{rng: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed restarts r at seed: it then picks exactly what NewRandom(seed)
+// would, without allocating once r holds a source. The zero Random is
+// ready for Reseed, so a caller running many seeds keeps one Random
+// instead of building a source per seed.
+func (r *Random) Reseed(seed int64) {
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(seed))
+		return
+	}
+	r.rng.Seed(seed)
+}
+
 // Pick implements Scheduler.
 func (r *Random) Pick(_ int64, runnable []int, _ int) int {
 	return runnable[r.rng.Intn(len(runnable))]
