@@ -28,8 +28,8 @@ fetchphilint:
 
 # lint-gate compares the fresh lint artifact against the checked-in
 # baseline: new findings, locality-verdict regressions, lost RMR
-# bounds and baseline algorithms no longer analyzed fail;
-# grandfathered findings do not.
+# bounds, changed op counts and baseline algorithms no longer analyzed
+# fail; grandfathered findings do not.
 lint-gate: vet
 	$(GO) run ./cmd/fetchphilint -json bench/current/LINT.json -baseline bench/baseline/LINT.json ./...
 

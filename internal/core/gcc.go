@@ -11,10 +11,10 @@
 //     left a plain await (localspin.Waits' plain form);
 //   - Tree — the arbitration tree of Theorem 1, giving Θ(log_r N) RMR
 //     from any primitive of rank r ≥ 4;
-//   - T0 — Algorithm T0 (Fig. 6), the Θ(log N / log log N) algorithm
-//     over the Node_Type object (Fig. 5);
-//   - T — Algorithm T (Fig. 10), the same bound from any
-//     self-resettable fetch-and-φ primitive of rank ≥ 3.
+//   - T0 and T — Algorithms T0 (Fig. 6) and T (Fig. 10): one
+//     Θ(log N / log log N) promotion tree (promotionTree) with two node
+//     protocols, the Node_Type object (Fig. 5) and any self-resettable
+//     fetch-and-φ primitive of rank ≥ 3.
 package core
 
 import (
@@ -57,6 +57,14 @@ var (
 	treeNodes      = memsim.NewSlab[*GDSM]()
 	slotStates     = memsim.NewSlab[slotState]()
 	words          = memsim.NewSlab[Word]()
+	ints           = memsim.NewSlab[int]()
+	promotionTrees = memsim.NewSlab[promotionTree]()
+	t0s            = memsim.NewSlab[T0]()
+	ts             = memsim.NewSlab[T]()
+	tStates        = memsim.NewSlab[tState]()
+	invokers       = memsim.NewSlab[phi.Invoker]()
+	varLevels      = memsim.NewSlab[[]memsim.Var]()
+	memVars        = memsim.NewSlab[memsim.Var]()
 )
 
 // NewGCC builds an instance for m's N processes on top of prim, whose

@@ -2,21 +2,16 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"fetchphi/internal/barrier"
-	"fetchphi/internal/localspin"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/phi"
-	"fetchphi/internal/queue"
 	"fetchphi/internal/twoproc"
 )
 
-// T is Algorithm T (Fig. 10): the Θ(log N / log log N) arbitration
-// tree driven by a generic *self-resettable* fetch-and-φ primitive of
-// rank ≥ 3. It has the same promotion/queue/barrier skeleton as T0,
-// but each node is represented by plain fetch-and-φ variables instead
-// of the Node_Type object:
+// T is Algorithm T (Fig. 10): the Θ(log N / log log N) promotion tree
+// (promotionTree, as in T0) driven by a generic *self-resettable*
+// fetch-and-φ primitive of rank ≥ 3. Each node is represented by plain
+// fetch-and-φ variables instead of the Node_Type object:
 //
 //	Lock[n][0]    — primary-winner lock (fetch-and-update/reset)
 //	WaiterLock[n] — primary-waiter lock (fetch-and-update, write-reset)
@@ -33,11 +28,8 @@ import (
 // returned only to the first invocation, no matter how many follow) is
 // what keeps each regime's winner unique.
 type T struct {
+	*promotionTree
 	prim phi.SelfResettable
-
-	n        int
-	degree   int
-	maxLevel int
 
 	lock0      [][]memsim.Var // Lock[lev][idx][0]
 	lock1      [][]memsim.Var // Lock[lev][idx][1]
@@ -46,37 +38,29 @@ type T struct {
 	winner1    [][]memsim.Var // Winner[lev][idx][1]
 	waiter     [][]memsim.Var // Waiter[lev][idx]
 
-	spin     []memsim.Var
-	inTree   []memsim.Var
-	wq       *queue.Queue
-	promoted memsim.Var
-	bar      *barrier.Barrier
-	two      *twoproc.Mutex
-
-	// rootTwo arbitrates the (up to two) concurrent root acquirers:
-	// the node protocol deliberately lets both a primary and a
-	// secondary winner pass each node, so the root can be "acquired"
-	// by two processes at once. The ICDCS text routes every root
-	// acquirer to side 0 of the promoted-vs-normal mutex, which two
-	// concurrent winners would break; this additional two-process
-	// mutex (primary winner = side 0, secondary winner = side 1)
-	// serializes them first, at O(1) extra RMRs. See DESIGN.md,
-	// "Deviations".
+	// rootTwo serializes the two processes that can hold the root at
+	// once, a primary winner (side 0) and a secondary one (side 1),
+	// before side 0 of the final mutex, where Fig. 10 sends both. See
+	// DESIGN.md, "Deviations".
 	rootTwo *twoproc.Mutex
-
-	// inTreeWaits carries the exit section's "await ¬InTree[q]"
-	// (line 33) and its establishing writes (lines 7 and 11), as in T0.
-	inTreeWaits localspin.Waits
 
 	st []tState
 }
 
+// The three lock words of a node a process invokes the primitive on,
+// indexing its invocation counters.
+const (
+	lockPrimary   = iota // Lock[n][0]
+	lockWaiter           // WaiterLock[n]
+	lockSecondary        // Lock[n][1]
+	nodeLocks
+)
+
 // tState is the per-process private state.
 type tState struct {
-	breakLevel int
-	rootSide   int                         // side used on rootTwo when breakLevel == 0
-	lockVal    []Word                      // lock[lev]: value my update wrote
-	inv        map[memsim.Var]*phi.Invoker // per-variable invocation counters
+	rootSide int           // side used on rootTwo when the process won the root
+	lockVal  []Word        // lockVal[lev]: value my update of Lock[lev][0] wrote
+	inv      []phi.Invoker // counters by (lev-1)*nodeLocks+lock, set up on first use
 }
 
 // NewT builds Algorithm T with the paper's degree m = √(log₂ N) (see
@@ -85,59 +69,28 @@ func NewT(m *memsim.Machine, prim phi.SelfResettable) *T {
 	return NewTWithDegree(m, prim, TDegree(m.NumProcs()))
 }
 
-// TDegree returns the tree degree NewT gives Algorithm T for n
-// processes: √(log₂(n+1)) rounded, and at least 2.
-func TDegree(n int) int {
-	return max(int(math.Round(math.Sqrt(math.Log2(float64(n)+1)))), 2)
-}
-
-// THeight returns the MaxLevel of the Algorithm T that NewTWithDegree
-// builds for n processes and the given degree, without building it:
-// the leaf level has n nodes and each level above ⌈1/degree⌉ as many,
-// up to the root. The primitive does not enter into it.
-func THeight(n, degree int) (levels int) {
-	if degree < 2 {
-		panic(fmt.Sprintf("core: T degree must be >= 2, got %d", degree))
-	}
-	levels = 1
-	for width := n; width > 1; width = (width + degree - 1) / degree {
-		levels++
-	}
-	return levels
-}
-
 // NewTWithDegree builds Algorithm T with an explicit tree degree.
 func NewTWithDegree(m *memsim.Machine, prim phi.SelfResettable, degree int) *T {
-	n := m.NumProcs()
-	levels := THeight(n, degree)
 	if prim.Rank() < 3 {
 		panic(fmt.Sprintf("core: Algorithm T needs rank >= 3, but %s has rank %d", prim.Name(), prim.Rank()))
 	}
-	t := &T{
-		prim:        prim,
-		n:           n,
-		degree:      degree,
-		spin:        m.NewPerProcArray("t.Spin", 0),
-		inTree:      m.NewPerProcArray("t.InTree", 0),
-		wq:          queue.New(m, "t.wq"),
-		promoted:    m.NewVar("t.Promoted", memsim.HomeGlobal, 0),
-		bar:         barrier.New(m, "t.bar"),
-		two:         twoproc.New(m, memsim.NamePrefix(nil, "t.two")),
-		rootTwo:     twoproc.New(m, memsim.NamePrefix(nil, "t.rootTwo")),
-		inTreeWaits: localspin.ForModel(m, memsim.NamePrefix(nil, "t.intree")),
-		st:          make([]tState, n),
+	tree := newPromotionTree(m, "t", degree)
+	levels := tree.maxLevel + 1
+	t := ts.New(m)
+	*t = T{
+		promotionTree: tree,
+		prim:          prim,
+		rootTwo:       twoproc.New(m, memsim.NamePrefix(nil, "t.rootTwo")),
+		lock0:         varLevels.Make(m, levels),
+		lock1:         varLevels.Make(m, levels),
+		waiterLock:    varLevels.Make(m, levels),
+		winner0:       varLevels.Make(m, levels),
+		winner1:       varLevels.Make(m, levels),
+		waiter:        varLevels.Make(m, levels),
+		st:            tStates.Make(m, tree.n),
 	}
-
-	// Build levels bottom-up, as in T0.
-	t.maxLevel = levels
-	t.lock0 = make([][]memsim.Var, t.maxLevel+1)
-	t.lock1 = make([][]memsim.Var, t.maxLevel+1)
-	t.waiterLock = make([][]memsim.Var, t.maxLevel+1)
-	t.winner0 = make([][]memsim.Var, t.maxLevel+1)
-	t.winner1 = make([][]memsim.Var, t.maxLevel+1)
-	t.waiter = make([][]memsim.Var, t.maxLevel+1)
-	w := n
-	for lev := t.maxLevel; lev >= 1; lev, w = lev-1, (w+degree-1)/degree {
+	for lev := tree.maxLevel; lev >= 1; lev-- {
+		w := tree.width(lev)
 		t.lock0[lev] = m.NewArray(fmt.Sprintf("t.Lock0[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)
 		t.lock1[lev] = m.NewArray(fmt.Sprintf("t.Lock1[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)
 		t.waiterLock[lev] = m.NewArray(fmt.Sprintf("t.WaiterLock[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)
@@ -145,11 +98,9 @@ func NewTWithDegree(m *memsim.Machine, prim phi.SelfResettable, degree int) *T {
 		t.winner1[lev] = m.NewArray(fmt.Sprintf("t.Winner1[L%d]", lev), w, memsim.HomeGlobal, 0)
 		t.waiter[lev] = m.NewArray(fmt.Sprintf("t.Waiter[L%d]", lev), w, memsim.HomeGlobal, 0)
 	}
-	for p := 0; p < n; p++ {
-		t.st[p] = tState{
-			lockVal: make([]Word, t.maxLevel+1),
-			inv:     make(map[memsim.Var]*phi.Invoker),
-		}
+	for p := range t.st {
+		t.st[p].lockVal = words.Make(m, levels)
+		t.st[p].inv = invokers.Make(m, tree.maxLevel*nodeLocks)
 	}
 	return t
 }
@@ -157,44 +108,21 @@ func NewTWithDegree(m *memsim.Machine, prim phi.SelfResettable, degree int) *T {
 // Name implements harness.Algorithm.
 func (t *T) Name() string { return fmt.Sprintf("t(m=%d)/%s", t.degree, t.prim.Name()) }
 
-// MaxLevel returns the tree height.
-func (t *T) MaxLevel() int { return t.maxLevel }
-
-// nodeIndex returns process id's node index at the given level.
-func (t *T) nodeIndex(id, lev int) int {
-	idx := id
-	for l := t.maxLevel; l > lev; l-- {
-		idx /= t.degree
+// invoker returns process p's invocation counter for the given lock
+// word of its node at level lev.
+func (t *T) invoker(p *memsim.Proc, lev, lock int) *phi.Invoker {
+	inv := &t.st[p.ID()].inv[(lev-1)*nodeLocks+lock]
+	if inv.Primitive() == nil {
+		*inv = phi.NewInvoker(t.prim, p.ID())
 	}
-	return idx
-}
-
-// invoker returns process p's invocation counter for variable v.
-func (t *T) invoker(p *memsim.Proc, v memsim.Var) *phi.Invoker {
-	st := &t.st[p.ID()]
-	if inv, ok := st.inv[v]; ok {
-		return inv
-	}
-	inv := new(phi.Invoker)
-	*inv = phi.NewInvoker(t.prim, p.ID())
-	st.inv[v] = inv
 	return inv
 }
 
 // fetchUpdate is the paper's fetch-and-update: invoke the primitive
-// with the next α input and return the variable's old and new values.
-func (t *T) fetchUpdate(p *memsim.Proc, v memsim.Var) (prev, next Word) {
-	inv := t.invoker(p, v)
-	in := inv.UpdateInput()
-	prev = p.FetchPhi(v, t.prim, in)
-	return prev, t.prim.Apply(prev, in)
-}
-
-// fetchReset is the paper's fetch-and-reset: invoke the primitive with
-// the β input paired with this process's last α on v.
-func (t *T) fetchReset(p *memsim.Proc, v memsim.Var) (prev, next Word) {
-	inv := t.invoker(p, v)
-	in := inv.ResetInput()
+// with the next α input on the given lock word of p's node at level
+// lev and return the word's old and new values.
+func (t *T) fetchUpdate(p *memsim.Proc, v memsim.Var, lev, lock int) (prev, next Word) {
+	in := t.invoker(p, lev, lock).UpdateInput()
 	prev = p.FetchPhi(v, t.prim, in)
 	return prev, t.prim.Apply(prev, in)
 }
@@ -215,16 +143,16 @@ func (t *T) glanceWaiter(p *memsim.Proc, lev, idx int) int {
 func (t *T) acquireNode(p *memsim.Proc, lev int) AcquireResult {
 	me := p.ID()
 	idx := t.nodeIndex(me, lev)
-	if prev, next := t.fetchUpdate(p, t.lock0[lev][idx]); prev == phi.Bottom { // 15
+	if prev, next := t.fetchUpdate(p, t.lock0[lev][idx], lev, lockPrimary); prev == phi.Bottom { // 15
 		p.Write(t.winner0[lev][idx], Word(me)+1) // 16
 		t.st[me].lockVal[lev] = next             // 17
 		return Winner                            // 18 (PRIMARY_WINNER)
 	}
-	if prev, _ := t.fetchUpdate(p, t.waiterLock[lev][idx]); prev == phi.Bottom { // 19
+	if prev, _ := t.fetchUpdate(p, t.waiterLock[lev][idx], lev, lockWaiter); prev == phi.Bottom { // 19
 		p.Write(t.waiter[lev][idx], Word(me)+1) // 20
 		return PrimaryWaiter                    // 21
 	}
-	if prev, _ := t.fetchUpdate(p, t.lock1[lev][idx]); prev == phi.Bottom { // 22
+	if prev, _ := t.fetchUpdate(p, t.lock1[lev][idx], lev, lockSecondary); prev == phi.Bottom { // 22
 		p.Write(t.winner1[lev][idx], Word(me)+1) // 23
 		return secondaryWinner                   // 24
 	}
@@ -239,26 +167,20 @@ const secondaryWinner AcquireResult = iota + 100
 // Acquire implements the entry section (Fig. 10, lines 1–13).
 func (t *T) Acquire(p *memsim.Proc) {
 	me := p.ID()
-	p.Write(t.spin[me], 0)   // 1
-	p.Write(t.inTree[me], 1) // 2
-	leafIdx := t.nodeIndex(me, t.maxLevel)
-	p.Write(t.winner0[t.maxLevel][leafIdx], Word(me)+1) // 3
+	t.begin(p)                                                              // 1–2
+	p.Write(t.winner0[t.maxLevel][t.nodeIndex(me, t.maxLevel)], Word(me)+1) // 3
 	rootSide := 0
 	for lev := t.maxLevel - 1; lev >= 1; lev-- { // 4
 		result := t.acquireNode(p, lev)                    // 5
 		if result != Winner && result != secondaryWinner { // 6
-			t.inTreeWaits.Signal(p, Word(me), func() { p.Write(t.inTree[me], 0) }) // 7
-			p.AwaitTrue(t.spin[me])                                                // 8
-			t.st[me].breakLevel = lev                                              // 9
-			t.two.Acquire(p, 1)                                                    // 10
+			t.park(p, lev) // 7–10
 			return
 		}
 		if lev == 1 && result == secondaryWinner {
 			rootSide = 1
 		}
 	}
-	t.inTreeWaits.Signal(p, Word(me), func() { p.Write(t.inTree[me], 0) }) // 11
-	t.st[me].breakLevel = 0
+	t.won(p)                       // 11
 	t.st[me].rootSide = rootSide   // 12
 	t.rootTwo.Acquire(p, rootSide) // serialize the two root acquirers
 	t.two.Acquire(p, 0)            // 13
@@ -268,14 +190,11 @@ func (t *T) Acquire(p *memsim.Proc) {
 func (t *T) Release(p *memsim.Proc) {
 	me := p.ID()
 	st := &t.st[me]
-	t.bar.Wait(p)           // 26
-	if st.breakLevel == 0 { // 27
-		t.two.Release(p, 0) // 28
+	brk := t.exitHead(p) // 26–29
+	if brk == 0 {
 		t.rootTwo.Release(p, st.rootSide)
 	} else {
-		t.two.Release(p, 1) // 29
-		lev := st.breakLevel
-		idx := t.nodeIndex(me, lev) // 30
+		idx := t.nodeIndex(me, brk) // 30
 		// 31–36, with two deviations from the printed Fig. 10 (see
 		// DESIGN.md, "Deviations"): the winner identity is read with
 		// a single glance (the blocking "repeat until ≠ ⊥" can
@@ -284,27 +203,28 @@ func (t *T) Release(p *memsim.Proc) {
 		// finished its critical section would admit a new primary
 		// winner concurrent with q on the final mutexes. q's own
 		// exit performs the release (line 48), as in T0.
-		if p.Read(t.lock0[lev][idx]) != phi.Bottom { // 31: winner regime in place
-			if q := int(p.Read(t.winner0[lev][idx])) - 1; q >= 0 { // 32
+		if p.Read(t.lock0[brk][idx]) != phi.Bottom { // 31: winner regime in place
+			if q := int(p.Read(t.winner0[brk][idx])) - 1; q >= 0 { // 32
 				t.inTreeWaits.WaitZero(p, Word(q), t.inTree[q]) // 33
 				t.wq.Enqueue(p, q)                              // 36
 			}
 		}
-		if p.Read(t.waiter[lev][idx]) == Word(me)+1 { // 37: I am the primary waiter
-			p.Write(t.waiter[lev][idx], 0)              // 38
-			p.Write(t.waiterLock[lev][idx], phi.Bottom) // 39
+		if p.Read(t.waiter[brk][idx]) == Word(me)+1 { // 37: I am the primary waiter
+			p.Write(t.waiter[brk][idx], 0)              // 38
+			p.Write(t.waiterLock[brk][idx], phi.Bottom) // 39
 		}
 		// 40–43: enqueue both winners of every child of n.
-		t.scanChildren(p, lev, idx)
+		t.scanChildren(p, brk, idx)
 	}
 	// 44–58: reopen each node p acquired on the way up.
-	for lev := st.breakLevel + 1; lev <= t.maxLevel-1; lev++ {
+	for lev := brk + 1; lev <= t.maxLevel-1; lev++ {
 		idx := t.nodeIndex(me, lev) // 45
 		switch {
 		case p.Read(t.winner0[lev][idx]) == Word(me)+1: // 46: primary winner
-			p.Write(t.winner0[lev][idx], 0)                  // 47
-			prev, next := t.fetchReset(p, t.lock0[lev][idx]) // 48
-			if prev != st.lockVal[lev] {
+			p.Write(t.winner0[lev][idx], 0) // 47
+			// 48: fetch-and-reset, with the β paired with my last α.
+			in := t.invoker(p, lev, lockPrimary).ResetInput()
+			if prev := p.FetchPhi(t.lock0[lev][idx], t.prim, in); prev != st.lockVal[lev] {
 				// Someone invoked after my update. The printed
 				// algorithm blocks here until a primary waiter
 				// registers (line 49), but the register/unregister
@@ -318,7 +238,7 @@ func (t *T) Release(p *memsim.Proc) {
 				// of this node BEFORE failing, so the scan catches
 				// whoever the glance cannot. See DESIGN.md,
 				// "Deviations".
-				if next != phi.Bottom { // 51
+				if t.prim.Apply(prev, in) != phi.Bottom { // 51
 					p.Write(t.lock0[lev][idx], phi.Bottom) // 52
 				}
 				if q := t.glanceWaiter(p, lev, idx); q >= 0 { // 49
@@ -337,20 +257,8 @@ func (t *T) Release(p *memsim.Proc) {
 			}
 		}
 	}
-	leafIdx := t.nodeIndex(me, t.maxLevel)
-	p.Write(t.winner0[t.maxLevel][leafIdx], 0) // 59
-	t.wq.Remove(p, me)                         // 60
-	q := p.Read(t.promoted)                    // 61
-	if q == Word(me)+1 || q == 0 {             // 62
-		r := t.wq.Dequeue(p) // 63
-		if r >= 0 {
-			p.Write(t.promoted, Word(r)+1) // 64
-			p.Write(t.spin[r], 1)          // 65
-		} else {
-			p.Write(t.promoted, 0)
-		}
-	}
-	t.bar.Signal(p) // 66
+	p.Write(t.winner0[t.maxLevel][t.nodeIndex(me, t.maxLevel)], 0) // 59
+	t.promote(p)                                                   // 60–66
 }
 
 // scanChildren enqueues the registered winners (both slots) of every
@@ -358,26 +266,12 @@ func (t *T) Release(p *memsim.Proc) {
 // 40–43, also used by the glance-based waiter checks. Enqueued
 // processes that need no help remove themselves at line 60.
 func (t *T) scanChildren(p *memsim.Proc, lev, idx int) {
-	t.forEachChild(lev, idx, func(childLev, childIdx int) {
+	lo, hi := t.children(lev, idx)
+	for c := lo; c < hi; c++ {
 		for _, reg := range [2][][]memsim.Var{t.winner0, t.winner1} {
-			if q := p.Read(reg[childLev][childIdx]); q != 0 {
+			if q := p.Read(reg[lev+1][c]); q != 0 {
 				t.wq.Enqueue(p, int(q)-1)
 			}
-		}
-	})
-}
-
-// forEachChild visits (level, index) of every existing child of node
-// (lev, idx).
-func (t *T) forEachChild(lev, idx int, visit func(childLev, childIdx int)) {
-	if lev >= t.maxLevel {
-		return
-	}
-	childLev := lev + 1
-	base := idx * t.degree
-	for i := 0; i < t.degree; i++ {
-		if base+i < len(t.lock0[childLev]) {
-			visit(childLev, base+i)
 		}
 	}
 }

@@ -103,6 +103,11 @@ type absDict struct {
 type absStruct struct {
 	typ    *types.Named
 	fields map[string]*value
+	// many: the box is a slice's element, standing for every element
+	// at once, so a store to one of its fields is a weak update (a
+	// join): x[i].f = v, or p.f = v through p := &x[i], leaves the
+	// other elements' f as they were.
+	many bool
 }
 
 // absFunc is a function value: a declared function/method, a closure
@@ -307,7 +312,7 @@ func joinDepth(a, b *value, depth int) *value {
 		if a.st == b.st {
 			return &value{kind: vStruct, st: a.st, maybeNil: mn}
 		}
-		merged := &absStruct{typ: a.st.typ, fields: make(map[string]*value)}
+		merged := &absStruct{typ: a.st.typ, fields: make(map[string]*value), many: a.st.many || b.st.many}
 		for name, av := range a.st.fields {
 			merged.fields[name] = joinDepth(av, b.st.fields[name], depth+1)
 		}
@@ -667,6 +672,9 @@ func indexValue(pkg *Package, base, idx *value, baseExpr ast.Expr) *value {
 		}
 	}
 	if base.sl.elem != nil {
+		if base.sl.elem.kind == vStruct {
+			base.sl.elem.st.many = true
+		}
 		return base.sl.elem
 	}
 	return unknown()
@@ -1593,7 +1601,7 @@ func (cc *callCtx) assignTo(fr *frame, lhs ast.Expr, v *value, spec bool) {
 		recv := cc.eval(fr, target.X, spec)
 		if recv.kind == vStruct {
 			name := target.Sel.Name
-			if spec {
+			if spec || recv.st.many {
 				old, ok := recv.st.fields[name]
 				if !ok {
 					if sel, selOk := cc.pkg.Info.Selections[target]; selOk {
@@ -1628,7 +1636,7 @@ func (cc *callCtx) assignTo(fr *frame, lhs ast.Expr, v *value, spec bool) {
 			return
 		}
 		for name, f := range v.st.fields {
-			if old, ok := dst.st.fields[name]; ok && spec {
+			if old, ok := dst.st.fields[name]; ok && (spec || dst.st.many) {
 				f = join(old, f)
 			}
 			dst.st.fields[name] = f

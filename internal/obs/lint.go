@@ -155,6 +155,8 @@ func ReadLintArtifact(path string) (*LintArtifact, error) {
 //   - an algorithm whose baseline verdict was "local" (or
 //     "nonlocal-declared") getting a worse verdict;
 //   - an algorithm losing a bounded RMR count while declaring O(1);
+//   - an algorithm whose shared-op count (rmr.ops) moved either way —
+//     a refactor that drops calls from the walk shows up here;
 //   - a baseline algorithm missing from the current artifact — the
 //     engine no longer discovers it, so none of the above is checked.
 //
@@ -196,6 +198,10 @@ func CompareLint(baseline, current *LintArtifact) []string {
 		if cur.RMR.Declared != "" && !cur.RMR.Bounded && base.RMR.Bounded {
 			regressions = append(regressions,
 				fmt.Sprintf("rmr regression: %s declares %s but its shared-op count is no longer statically bounded", cur.Type, cur.RMR.Declared))
+		}
+		if cur.RMR.Ops != base.RMR.Ops {
+			regressions = append(regressions,
+				fmt.Sprintf("ops changed: %s counts %d shared ops, baseline %d; if intended, refresh with make baseline-lint", cur.Type, cur.RMR.Ops, base.RMR.Ops))
 		}
 	}
 	for _, base := range baseline.Algorithms {

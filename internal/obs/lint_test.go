@@ -125,6 +125,25 @@ func TestCompareLintRMRUnbounded(t *testing.T) {
 	}
 }
 
+// TestCompareLintOpsChanged: a shared-op count that moves from the
+// baseline, down or up, fails the gate and names the refresh target.
+func TestCompareLintOpsChanged(t *testing.T) {
+	for name, ops := range map[string]int{"down": 39, "up": 41} {
+		t.Run(name, func(t *testing.T) {
+			cur := sampleLint()
+			for i := range cur.Algorithms {
+				if cur.Algorithms[i].Type == "internal/core.GDSM" {
+					cur.Algorithms[i].RMR.Ops = ops
+				}
+			}
+			regs := CompareLint(sampleLint(), cur)
+			if len(regs) != 1 || !strings.Contains(regs[0], "ops changed: internal/core.GDSM") || !strings.Contains(regs[0], "make baseline-lint") {
+				t.Fatalf("ops 40 → %d: regressions %v", ops, regs)
+			}
+		})
+	}
+}
+
 func TestCompareLintMissingAlgorithm(t *testing.T) {
 	base := sampleLint()
 	cur := sampleLint()
