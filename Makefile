@@ -75,13 +75,16 @@ race:
 
 # fuzz feeds mutated artifact files, seeded with the checked-in
 # baselines, to every artifact reader for 5 s: a truncated or hostile
-# file must yield an error, never a panic. It then fuzzes the memory-
-# and fit-model name decoders for 5 s each: neither may panic, and
-# every name they accept must spell back unchanged. Last, it posts
-# mutated lease and report bodies to a fleet coordinator with an
-# active wave for 5 s: every answer must be 200 or 4xx.
+# file must yield an error, never a panic. It feeds the same seeds,
+# mutated, to the artifact writer for 5 s: whatever value they decode
+# to, WriteJSON must write json.MarshalIndent's bytes. It then fuzzes
+# the memory- and fit-model name decoders for 5 s each: neither may
+# panic, and every name they accept must spell back unchanged. Last,
+# it posts mutated lease and report bodies to a fleet coordinator with
+# an active wave for 5 s: every answer must be 200 or 4xx.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifacts$$' -fuzztime 5s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModel$$' -fuzztime 5s ./internal/memsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModel$$' -fuzztime 5s ./internal/fit
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordinatorHandlers$$' -fuzztime 5s ./internal/fleet

@@ -23,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -288,7 +287,8 @@ func verdictFor(rep *lint.SpinReport) string {
 	}
 }
 
-// writeSARIF renders the artifact as a minimal SARIF 2.1.0 log.
+// writeSARIF renders the artifact as a minimal SARIF 2.1.0 log,
+// written atomically through obs.WriteJSON.
 func writeSARIF(path string, a *obs.LintArtifact) error {
 	type sarifRegion struct {
 		StartLine   int `json:"startLine"`
@@ -361,17 +361,7 @@ func writeSARIF(path string, a *obs.LintArtifact) error {
 			Results: results,
 		}},
 	}
-	data, err := json.MarshalIndent(log, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(path, data, 0o644)
+	return obs.WriteJSON(path, log)
 }
 
 // selectPackages resolves the argument list to sorted module-relative

@@ -1,12 +1,17 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Schema identifies the artifact format. Bump on incompatible changes;
@@ -130,9 +135,27 @@ type Table struct {
 }
 
 // Sort orders cells canonically (by key), making artifacts
-// byte-stable regardless of the sweep engine's completion order.
+// byte-stable regardless of the sweep engine's completion order. Each
+// key is built once, not once per comparison.
 func (a *Artifact) Sort() {
-	sort.Slice(a.Cells, func(i, j int) bool { return a.Cells[i].Key() < a.Cells[j].Key() })
+	keys := make([]string, len(a.Cells))
+	for i, c := range a.Cells {
+		keys[i] = c.Key()
+	}
+	sort.Sort(keyedCells{keys, a.Cells})
+}
+
+// keyedCells sorts cells by their precomputed keys, moving both.
+type keyedCells struct {
+	keys  []string
+	cells []Cell
+}
+
+func (k keyedCells) Len() int           { return len(k.keys) }
+func (k keyedCells) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
+func (k keyedCells) Swap(i, j int) {
+	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
+	k.cells[i], k.cells[j] = k.cells[j], k.cells[i]
 }
 
 // WriteFile writes the artifact, canonically sorted, through
@@ -157,47 +180,94 @@ func benchSchema(a *Artifact) string { return a.Schema }
 // next to fetchphi.trace/v1 dumps and a fetchphi.claims/v1 verdict
 // file — so files whose schema tag differs are skipped, not errors.
 // Files that are not parseable JSON still fail loudly (a truncated
-// artifact must never be silently ignored). Artifacts come back
-// sorted by experiment id, then file name.
+// artifact must never be silently ignored); of several bad files, the
+// error names the first by name. Files are read on up to GOMAXPROCS
+// goroutines. Artifacts come back sorted by experiment id, then file
+// name.
 func ReadArtifactDir(dir string) ([]*Artifact, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("obs: %w", err)
 	}
-	var arts []*Artifact
-	names := make(map[*Artifact]string)
+	var paths []string // in name order: ReadDir sorts
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+			paths = append(paths, filepath.Join(dir, e.Name()))
 		}
-		path := filepath.Join(dir, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("obs: %w", err)
-		}
-		var probe struct {
-			Schema string `json:"schema"`
-		}
-		if err := json.Unmarshal(data, &probe); err != nil {
-			return nil, fmt.Errorf("obs: parse %s: %w", path, err)
-		}
-		if probe.Schema != Schema {
-			continue
-		}
-		a, err := decodeJSON(path, data, Schema, benchSchema)
+	}
+	arts := make([]*Artifact, len(paths))
+	errs := make([]error, len(paths))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(paths)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(paths) {
+					return
+				}
+				arts[i], errs[i] = readBenchFile(paths[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		arts = append(arts, a)
-		names[a] = e.Name()
 	}
-	sort.Slice(arts, func(i, j int) bool {
-		if arts[i].Experiment != arts[j].Experiment {
-			return arts[i].Experiment < arts[j].Experiment
-		}
-		return names[arts[i]] < names[arts[j]]
-	})
+	arts = slices.DeleteFunc(arts, func(a *Artifact) bool { return a == nil })
+	// Stable, so artifacts of one experiment stay in name order.
+	sort.SliceStable(arts, func(i, j int) bool { return arts[i].Experiment < arts[j].Experiment })
 	return arts, nil
+}
+
+// readBenchFile loads the bench artifact at path, or returns nil and
+// no error if the file is JSON of another schema. A file whose first
+// key is "schema" with this package's tag is decoded once, straight
+// into an Artifact. Any other file, or one that decode rejects, takes
+// the full schema probe, so which files load and which error is
+// returned do not depend on the shortcut: encoding/json matches keys
+// without regard to case and lets the last duplicate win.
+func readBenchFile(path string) (*Artifact, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("obs: %w", err)
+	}
+	if leadingSchema(data) == Schema {
+		a := new(Artifact)
+		if json.Unmarshal(data, a) == nil && a.Schema == Schema {
+			return a, nil
+		}
+	}
+	var probe struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return nil, fmt.Errorf("obs: parse %s: %w", path, err)
+	}
+	if probe.Schema != Schema {
+		return nil, nil
+	}
+	return decodeJSON(path, data, Schema, benchSchema)
+}
+
+// leadingSchema returns the string value of data's "schema" key if
+// that is the document's first key, and "" otherwise. It reads only
+// the document's first tokens.
+func leadingSchema(data []byte) string {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return ""
+	}
+	if t, err := dec.Token(); err != nil || t != "schema" {
+		return ""
+	}
+	t, _ := dec.Token()
+	s, _ := t.(string)
+	return s
 }
 
 // CellIndex maps cell keys to cells for cross-artifact comparison.

@@ -1,9 +1,15 @@
 package obs
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -196,5 +202,155 @@ func TestCellKeyUniquenessAcrossDims(t *testing.T) {
 			t.Fatalf("duplicate key %q", c.Key())
 		}
 		seen[c.Key()] = true
+	}
+}
+
+// TestReadArtifactDirSchemaNotFirst: a bench artifact whose "schema"
+// key is not its first still loads, through the full schema probe.
+func TestReadArtifactDirSchemaNotFirst(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"experiment": "E3", "params": {"quick": true, "seed": 1}, "cells": [], "schema": "` + Schema + `"}`
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_E3.json"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	arts, err := ReadArtifactDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arts) != 1 || arts[0].Experiment != "E3" || arts[0].Schema != Schema {
+		t.Fatalf("loaded %+v, want the one E3 artifact", arts)
+	}
+}
+
+// TestReadArtifactDirLaterSchemaWins: encoding/json lets the last of
+// duplicate (case-folded) keys win, so a file that leads with the bench
+// tag but ends with another is skipped, and one that leads with
+// another tag but ends with the bench tag loads.
+func TestReadArtifactDirLaterSchemaWins(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"a.json": `{"schema": "` + Schema + `", "experiment": "E1", "Schema": "fetchphi.trace/v1"}`,
+		"b.json": `{"schema": "fetchphi.trace/v1", "experiment": "E2", "SCHEMA": "` + Schema + `"}`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arts, err := ReadArtifactDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arts) != 1 || arts[0].Experiment != "E2" {
+		t.Fatalf("loaded %+v, want only E2", arts)
+	}
+}
+
+// TestReadArtifactDirRejectsTruncatedForeign: a file that starts with
+// another schema's tag but is not valid JSON is an error, not a skip.
+func TestReadArtifactDirRejectsTruncatedForeign(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "TRACE_E1.json"), []byte(`{"schema": "fetchphi.trace/v1", "spans": [`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadArtifactDir(dir); err == nil || !strings.Contains(err.Error(), "TRACE_E1.json") {
+		t.Fatalf("truncated foreign file: got %v, want an error naming it", err)
+	}
+}
+
+// TestReadArtifactDirFirstErrorByName: files are read in parallel, but
+// of two bad files the error always names the first in name order.
+func TestReadArtifactDirFirstErrorByName(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"BENCH_E1.json", "BENCH_E2.json", "BENCH_E3.json", "BENCH_E4.json"} {
+		a := sampleArtifact()
+		a.Experiment = strings.TrimSuffix(strings.TrimPrefix(name, "BENCH_"), ".json")
+		if err := a.WriteFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, body := range map[string]string{"BENCH_E2x.json": `{"schema": [`, "BENCH_E3x.json": `{"schema"`} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for i := 0; i < 20; i++ {
+			_, err := ReadArtifactDir(dir)
+			if err == nil || !strings.Contains(err.Error(), "BENCH_E2x.json") {
+				runtime.GOMAXPROCS(prev)
+				t.Fatalf("GOMAXPROCS %d: got %v, want the error of BENCH_E2x.json", procs, err)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestReadArtifactDirParallelMatchesSerial: the artifacts, and their
+// order (experiment, then file name), do not depend on how many
+// goroutines read them.
+func TestReadArtifactDirParallelMatchesSerial(t *testing.T) {
+	dir := t.TempDir()
+	type id struct{ exp, name string }
+	var want []id
+	for i := 0; i < 24; i++ {
+		a := sampleArtifact()
+		a.Experiment = []string{"E2", "E1", "E10"}[i*7%3]
+		a.CreatedBy = fmt.Sprintf("%c%02d.json", 'z'-i, i)
+		if err := a.WriteFile(filepath.Join(dir, a.CreatedBy)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id{a.Experiment, a.CreatedBy})
+	}
+	if err := os.WriteFile(filepath.Join(dir, "CLAIMS.json"), []byte(`{"schema": "fetchphi.claims/v1", "claims": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(want, func(a, b id) int {
+		if c := strings.Compare(a.exp, b.exp); c != 0 {
+			return c
+		}
+		return strings.Compare(a.name, b.name)
+	})
+	read := func(procs int) []*Artifact {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		arts, err := ReadArtifactDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return arts
+	}
+	serial, parallel := read(1), read(4)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatal("GOMAXPROCS 1 and 4 read different artifacts")
+	}
+	var got []id
+	for _, a := range serial {
+		got = append(got, id{a.Experiment, a.CreatedBy})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+}
+
+// TestSortMatchesKeyComparisons: sorting on precomputed keys yields
+// exactly the order of sort.Slice calling Key() in each comparison,
+// ties between equal keys included.
+func TestSortMatchesKeyComparisons(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var cells []Cell
+	for i := 0; i < 500; i++ {
+		cells = append(cells, Cell{
+			Experiment: "E" + strconv.Itoa(rng.Intn(3)), Algorithm: []string{"g-cc", "g-dsm", "t"}[rng.Intn(3)],
+			Model: []string{"CC", "DSM"}[rng.Intn(2)], N: 1 << rng.Intn(9), Entries: 4, Seed: int64(rng.Intn(3)),
+			Steps: int64(i), // tells cells with equal keys apart
+		})
+	}
+	want := slices.Clone(cells)
+	sort.Slice(want, func(i, j int) bool { return want[i].Key() < want[j].Key() })
+	a := &Artifact{Cells: cells}
+	a.Sort()
+	if !reflect.DeepEqual(a.Cells, want) {
+		t.Fatal("Sort order differs from sorting by Key() per comparison")
 	}
 }

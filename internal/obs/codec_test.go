@@ -1,8 +1,13 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -102,4 +107,98 @@ func assertNoTemp(t *testing.T, dir string) {
 	if leftover, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(leftover) != 0 {
 		t.Fatalf("temp files left behind: %v", leftover)
 	}
+}
+
+// indentedWant is what WriteJSON must write for v: MarshalIndent's
+// bytes and a newline.
+func indentedWant(t *testing.T, v any) []byte {
+	t.Helper()
+	want, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(want, '\n')
+}
+
+// TestWriteJSONMatchesMarshalIndent: the streaming indent writes
+// exactly MarshalIndent's layout for the shapes its state machine must
+// get right — nesting deeper than its run of spaces, strings holding
+// quotes, brackets, commas, colons and backslashes, empty and
+// nested-empty objects and arrays, and HTML-escaped characters.
+func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
+	deep := any("bottom")
+	for i := 0; i < 70; i++ {
+		if i%2 == 0 {
+			deep = []any{deep, i}
+		} else {
+			deep = map[string]any{"k": deep}
+		}
+	}
+	cases := map[string]any{
+		"deep":         deep,
+		"escapes":      map[string]any{`a"b`: `say "hi", {x: [1]}`, `back\slash`: `\\"\"`, "tail": `ends in \`},
+		"brackets":     []string{"{", "}", "[", "]", ",", ":", `"`, `\`, `\"`, `{"k": [1, 2]}`},
+		"empty":        map[string]any{"o": map[string]any{}, "a": []any{}, "oa": []any{map[string]any{}, []any{}}, "ao": map[string]any{"x": []any{[]any{}}}},
+		"top-empty":    map[string]any{},
+		"top-array":    []any{},
+		"html":         map[string]any{"<tag>": "a < b && c > d", "amp&": []string{"<", ">", "&"}},
+		"control":      "tab\tnewline\nnul\x00 bell\x07 bad utf8 \xff ",
+		"scalars":      []any{nil, true, false, 0, -1.5e-300, 1e21, "", 12345678901234567},
+		"sample-bench": sampleArtifact(),
+	}
+	for name, v := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "a.json")
+			if err := WriteJSON(path, v); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := indentedWant(t, v); !bytes.Equal(got, want) {
+				t.Fatalf("WriteJSON wrote\n%s\nwant\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestIndenterAcrossWrites: the indenter's state (depth, string,
+// escape, pending newline) carries across Write calls, so compact JSON
+// fed one byte at a time indents exactly as when fed whole.
+func TestIndenterAcrossWrites(t *testing.T) {
+	v := map[string]any{"s": `q"\"}{][`, "a": []any{map[string]any{}, []any{1, []any{}}, "<&>"}}
+	compact, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	bw := bufio.NewWriter(&out)
+	ind := &indenter{w: bw}
+	for i := range compact {
+		ind.Write(compact[i : i+1])
+	}
+	ind.Write([]byte("\n"))
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := indentedWant(t, v); !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("byte-at-a-time indent gave\n%s\nwant\n%s", out.Bytes(), want)
+	}
+}
+
+// TestWriteJSONMarshalErrorLeavesNoFile: a value JSON cannot encode is
+// an error naming the path, and neither the artifact nor a temp file
+// is left behind.
+func TestWriteJSONMarshalErrorLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.json")
+	err := WriteJSON(path, map[string]float64{"nan": math.NaN()})
+	if err == nil || !strings.Contains(err.Error(), "obs: marshal "+path) {
+		t.Fatalf("WriteJSON of NaN: got %v, want a marshal error naming %s", err, path)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("artifact left behind after a marshal error: %v", err)
+	}
+	assertNoTemp(t, dir)
 }

@@ -1,6 +1,8 @@
 package obs_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,5 +41,51 @@ func FuzzReadArtifacts(f *testing.F) {
 		obs.ReadExploreArtifact(path)
 		claims.ReadArtifact(path)
 		obs.ReadArtifactDir(dir)
+	})
+}
+
+// FuzzWriteJSON: for any value decoded from JSON, and for any string,
+// WriteJSON writes exactly json.MarshalIndent(v, "", "  ") and a
+// newline. The seeds are the checked-in baselines and a few small
+// documents, which mutate faster.
+func FuzzWriteJSON(f *testing.F) {
+	for _, doc := range []string{`{}`, `[[],{},[{}]]`, `{"a\"{":["\\",null,-1.5e9,"<&>"]}`} {
+		f.Add([]byte(doc))
+	}
+	seeds, err := filepath.Glob(filepath.Join("..", "..", "bench", "baseline", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		values := []any{map[string]any{"s": string(data), "a": []any{string(data), map[string]any{}}}}
+		var v any
+		if json.Unmarshal(data, &v) == nil {
+			values = append(values, v)
+		}
+		path := filepath.Join(t.TempDir(), "artifact.json")
+		for _, v := range values {
+			want, err := json.MarshalIndent(v, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n')
+			if err := obs.WriteJSON(path, v); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("WriteJSON wrote\n%s\nwant\n%s", got, want)
+			}
+		}
 	})
 }

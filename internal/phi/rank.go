@@ -48,7 +48,44 @@ func CheckRank(prim Primitive, n, r, trials int, seed int64) *RankViolation {
 
 // checkRank is CheckRank drawing from rng, freshly seeded.
 func checkRank(rng *rand.Rand, prim Primitive, n, r, trials int) *RankViolation {
-	s := newRankState(prim, n, r)
+	return newRankState(prim, n).check(rng, r, trials)
+}
+
+// rankState is the reusable trial state of one primitive's checks: a
+// CheckRank call, or every rank of an EstimateRank call.
+type rankState struct {
+	prim      Primitive
+	r         int
+	schedules [][]Word // α[p]; Inputs is pure, so fetched once
+	next      []int    // each process's next schedule index, in [0, len(α[p]))
+	last      []Word   // last value each process wrote, valid if wrote[p]
+	wrote     []bool
+	owners    ownerTable
+}
+
+func newRankState(prim Primitive, n int) *rankState {
+	s := &rankState{
+		prim:      prim,
+		schedules: make([][]Word, n),
+		next:      make([]int, n),
+		last:      make([]Word, n),
+		wrote:     make([]bool, n),
+	}
+	for p := range s.schedules {
+		s.schedules[p] = prim.Inputs(p)
+	}
+	return s
+}
+
+// check runs trials random interleavings of r invocations and returns
+// the first violation, or nil. The owner table grows only when 2r
+// exceeds it; a larger table holds the same owners, so the result does
+// not depend on its size.
+func (s *rankState) check(rng *rand.Rand, r, trials int) *RankViolation {
+	s.r = r
+	if len(s.owners.vals) < 2*r {
+		s.owners = newOwnerTable(2 * r)
+	}
 	for t := 0; t < trials; t++ {
 		if v := s.trial(rng); v != nil {
 			v.Trial = t
@@ -56,33 +93,6 @@ func checkRank(rng *rand.Rand, prim Primitive, n, r, trials int) *RankViolation 
 		}
 	}
 	return nil
-}
-
-// rankState is one CheckRank call's reusable trial state.
-type rankState struct {
-	prim      Primitive
-	r         int
-	schedules [][]Word // α[p]; Inputs is pure, so fetched once per call
-	next      []int    // each process's next schedule index, in [0, len(α[p]))
-	last      []Word   // last value each process wrote, valid if wrote[p]
-	wrote     []bool
-	owners    ownerTable
-}
-
-func newRankState(prim Primitive, n, r int) *rankState {
-	s := &rankState{
-		prim:      prim,
-		r:         r,
-		schedules: make([][]Word, n),
-		next:      make([]int, n),
-		last:      make([]Word, n),
-		wrote:     make([]bool, n),
-		owners:    newOwnerTable(2 * r),
-	}
-	for p := range s.schedules {
-		s.schedules[p] = prim.Inputs(p)
-	}
-	return s
 }
 
 // trial runs one random interleaving of r invocations and checks the
@@ -196,12 +206,14 @@ func (t *ownerTable) claim(slot int, v Word, p int) {
 // no violation. For primitives of infinite rank it returns maxR.
 func EstimateRank(prim Primitive, n, maxR, trials int, seed int64) int {
 	// Each rank's check draws from CheckRank's stream for seed+r: one
-	// source, reseeded, restarts that stream exactly.
+	// source, reseeded, restarts that stream exactly. The ranks share
+	// one trial state too.
 	rng := rand.New(rand.NewSource(seed))
+	s := newRankState(prim, n)
 	best := 0
 	for r := 1; r <= maxR; r++ {
 		rng.Seed(seed + int64(r))
-		if checkRank(rng, prim, n, r, trials) != nil {
+		if s.check(rng, r, trials) != nil {
 			break
 		}
 		best = r
