@@ -205,3 +205,41 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// BenchmarkVars256 — what a run costs in shared variables at big-n's
+// size: N=256 on DSM, 8 entries each under NewRandom(1), for Theorem
+// 1's degree-4 tree and for G-DSM. vars/op is the variables one run
+// allocates, its build and every cell allocated on first touch
+// included.
+func BenchmarkVars256(b *testing.B) {
+	const n, entries = 256, 8
+	for _, name := range []string{"tree4", "g-dsm"} {
+		build, err := experiments.Algorithm(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			var vars int
+			for i := 0; i < b.N; i++ {
+				m := memsim.NewMachine(memsim.DSM, n)
+				alg := build(m)
+				for p := 0; p < n; p++ {
+					m.AddProc("p", func(p *memsim.Proc) {
+						for e := 0; e < entries; e++ {
+							alg.Acquire(p)
+							p.EnterCS()
+							p.ExitCS()
+							alg.Release(p)
+						}
+					})
+				}
+				if err := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(1)}).Err(); err != nil {
+					b.Fatal(err)
+				}
+				vars = m.NumVars()
+				m.Release()
+			}
+			b.ReportMetric(float64(vars), "vars/op")
+		})
+	}
+}

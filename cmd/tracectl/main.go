@@ -193,7 +193,7 @@ func convert(argv []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	if err := obs.WriteFileAtomic(*out, data); err != nil {
 		fmt.Fprintf(stderr, "tracectl convert: %v\n", err)
 		return 1
 	}

@@ -160,7 +160,7 @@ func initGDSM(g *GDSM, m *memsim.Machine, prim phi.Primitive, slots int, name me
 		queueWaits: localspin.New(m, memsim.NamePrefix(&g.name, ".W2"), local),
 	}
 	if local {
-		g.delegate = m.NewArrayIn(&g.name, ".Delegate", m.NumProcs(), memsim.HomeGlobal, 0)
+		g.delegate = m.NewArrayIn(&g.name, ".Delegate", slots, memsim.HomeGlobal, 0)
 	}
 }
 

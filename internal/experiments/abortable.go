@@ -98,7 +98,13 @@ func E10Abortable(o Opts) harness.Table {
 	}
 	for i, met := range o.sweep(cells) {
 		if met.Aborts == 0 {
-			panic("experiments: E10 abort schedule never fired — the sweep is vacuous")
+			w := cells[i].Workload
+			quick := ""
+			if o.Quick {
+				quick = " -quick"
+			}
+			panic(fmt.Sprintf("experiments: E10 abort schedule never fired for %s on %v with N=%d, seed %d — the sweep is vacuous (reproduce: go run ./cmd/report%s -experiments E10 -seed %d)",
+				cells[i].Algorithm, w.Model, w.N, w.Seed, quick, o.Seed))
 		}
 		if met.MaxAbortResolve > harness.AbortResolveBound {
 			panic(fmt.Sprintf("experiments: E10 %s withdrawal not wait-free: %d own steps (bound %d)",

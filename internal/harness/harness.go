@@ -230,8 +230,11 @@ func runLive(b Builder, w Workload, sw *sweepWorker, afterSim func()) (Metrics, 
 	rec := &recorder{
 		m:       m,
 		scratch: m.NewVar("cs-scratch", memsim.HomeGlobal, 0),
-		locals:  make([]memsim.Var, participants),
 		samples: make([][]passageSample, participants),
+	}
+	if w.NCSOps > 0 || w.RetryDelay > 0 {
+		// Only private work writes them.
+		rec.locals = m.NewPerProcArray("ncs-local", 0)
 	}
 	body, err := passageLoop(m, alg, &w, rec)
 	if err != nil {
@@ -243,7 +246,6 @@ func runLive(b Builder, w Workload, sw *sweepWorker, afterSim func()) (Metrics, 
 			continue
 		}
 		rec.samples[i] = make([]passageSample, 0, w.Entries)
-		rec.locals[i] = m.NewVar(fmt.Sprintf("ncs-local[%d]", i), i, 0)
 		m.AddProc(fmt.Sprintf("p%d", i), body)
 	}
 
@@ -343,7 +345,7 @@ type passages struct {
 type recorder struct {
 	m       *memsim.Machine
 	scratch memsim.Var
-	locals  []memsim.Var
+	locals  []memsim.Var // ncs-local[i], homed at i; nil without private work
 	samples [][]passageSample
 }
 

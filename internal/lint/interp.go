@@ -27,11 +27,12 @@ package lint
 // model at a time, so `m.Model() == memsim.DSM` is a constant;
 // definite-nil / definite-non-nil comparisons fold (which resolves the
 // "sites are nil on CC" pattern of T0/T/barrier); and the ok of a
-// comma-ok map read or a memsim.Keyed Get evaluates false, pruning
-// memo-cache hit paths — sound for lazily-allocated families, where
-// the cached value is abstractly identical to a freshly constructed
-// one. Everything else executes both arms speculatively, with
-// assignments joining instead of overwriting.
+// comma-ok map read, a memsim.Keyed Get or a memsim.LazyVar Get
+// evaluates false, pruning memo-cache hit paths — sound for
+// lazily-allocated families, where the cached value is abstractly
+// identical to a freshly constructed one. Everything else executes
+// both arms speculatively, with assignments joining instead of
+// overwriting.
 
 import (
 	"fmt"
@@ -53,7 +54,7 @@ const (
 	vZeroModN       // ≡ 0 (mod N)
 	vLoopIdx        // induction variable of one loop (value.obj)
 	vNil            // untyped nil / zero pointer
-	vMapOk          // ok of a comma-ok map read or Keyed.Get (assumed false)
+	vMapOk          // ok of a comma-ok map read, Keyed.Get or LazyVar.Get (assumed false)
 	vProc           // the *memsim.Proc under analysis
 	vMachine        // the *memsim.Machine
 	vModelVal       // result of Machine.Model() / Proc.Model()
@@ -974,7 +975,7 @@ func newBox(t types.Type) *value {
 // memsimNative reports whether recvType is a memsim type with modeled
 // methods, returning a dispatch key "Type.Method".
 func memsimNative(recvType types.Type, method string) (string, bool) {
-	for _, tn := range [...]string{"Machine", "Proc", "Dict", "Var", "Slab", "Keyed"} {
+	for _, tn := range [...]string{"Machine", "Proc", "Dict", "Var", "Slab", "Keyed", "LazyVar"} {
 		if isMemsimType(recvType, tn) {
 			return tn + "." + method, true
 		}
@@ -1025,7 +1026,7 @@ func (cc *callCtx) callNative(fr *frame, key string, recv *value, call *ast.Call
 		return unknown()
 	case "Slab.Make":
 		return &value{kind: vSlice, sl: &absSlice{lenN: arg(1).kind == vN}}
-	case "Keyed.Get":
+	case "Keyed.Get", "LazyVar.Get":
 		// Like a comma-ok map read: the miss path builds the value.
 		arg(0)
 		return &value{kind: vTuple, tup: []*value{unknown(), {kind: vMapOk}}}

@@ -492,6 +492,10 @@ func (m *Machine) NewPerProcArray(name string, init Word) []Var {
 	return vs
 }
 
+// NumVars returns the number of variables allocated so far: the shared
+// memory the algorithm built, and what it allocated on first touch.
+func (m *Machine) NumVars() int { return int(m.nvars) }
+
 // Label returns v's allocation name: the name it was allocated under,
 // after its owner's prefix and with its family key, if any. It
 // performs no RMR accounting. The string stays valid after Release.

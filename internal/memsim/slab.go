@@ -143,3 +143,15 @@ func (k *Keyed[V]) Put(key Word, v V) {
 	}
 	k.more[key] = v
 }
+
+// LazyVar is a slot for one variable that is allocated on first touch:
+// a memo whose owner fills it with the variable it would otherwise
+// have allocated up front. The zero LazyVar is empty, so slots in slab
+// storage need no constructor.
+type LazyVar struct{ v Var }
+
+// Get returns the slot's variable and whether it has been set.
+func (l *LazyVar) Get() (Var, bool) { return l.v, !l.v.IsZero() }
+
+// Set fills the slot with v.
+func (l *LazyVar) Set(v Var) { l.v = v }

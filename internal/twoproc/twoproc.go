@@ -28,13 +28,17 @@
 //
 // This implementation removes both hazards structurally:
 //
-//   - every acquisition uses a FRESH pair of spin cells, keyed by
+//   - every acquisition has its own FRESH pair of spin cells, keyed by
 //     (process, per-process round number) and homed at the process, so
-//     writes can never alias across rounds. The cells are allocated as
-//     members of two per-process families, homed by key mod N, and
-//     kept in the registering process's record by round; a rival's
-//     cells are found by decoding its registration key into process
-//     and round, never by a lookup in the families;
+//     writes can never alias across rounds. Registering only opens the
+//     round's slots in the process's record; a cell is allocated when
+//     it is first touched — by its owner about to wait on it, or by a
+//     rival stamping it — as the member of one of two per-process
+//     families, homed by key mod N, so it has the same label and home
+//     whoever touches it first, and an acquisition that meets no rival
+//     allocates none. Cells are found by decoding a registration key
+//     into process and round and indexing that process's record, never
+//     by a lookup in the families;
 //   - the two cells split the two signal phases ("nudge": a rival saw
 //     the tie-breaker point at you; "release": a rival finished), so
 //     every write is monotone within a round and nothing is wiped;
@@ -106,15 +110,16 @@ type user struct {
 	id      int32
 	rounds  int32 // acquisitions begun
 	current Word  // registration of the open acquisition
-	// cells holds every round's spin cells, indexed by round: the
+	// cells holds every round's spin-cell slots, indexed by round: the
 	// first inlineRounds in place, the rest in later, machine storage
 	// that doubles when it is full.
 	cells [inlineRounds]cellPair
 	later []cellPair
 }
 
-// cellPair is the two spin cells of one registration.
-type cellPair struct{ nudge, release memsim.Var }
+// cellPair is the slots of one registration's two spin cells, each
+// filled when the cell is first touched.
+type cellPair struct{ nudge, release memsim.LazyVar }
 
 // Machine storage: instances, the records and index of the players
 // past an instance's inline ones, and the cells of the rounds past a
@@ -185,42 +190,54 @@ func (l *Mutex) join(m *memsim.Machine, id int) *user {
 	return u
 }
 
-// register opens proc's next round: it allocates the round's spin
-// cells, homed at proc, and returns them with the registration key.
-func (l *Mutex) register(proc *memsim.Proc) (me Word, nudge, release memsim.Var) {
+// register opens proc's next round and returns its registration key.
+// It allocates no cells: the round's slots stay empty until a cell is
+// first touched (see nudgeOf and releaseOf).
+func (l *Mutex) register(proc *memsim.Proc) Word {
 	id := proc.ID()
 	u := l.user(id)
 	if u == nil {
 		u = l.join(proc.Machine(), id)
 	}
-	me = l.enc(id, int(u.rounds))
-	nudge, release = l.nudge.New(me), l.release.New(me)
-	if r := int(u.rounds); r < inlineRounds {
-		u.cells[r] = cellPair{nudge, release}
-	} else {
-		if r -= inlineRounds; r == len(u.later) {
-			grown := cellPairs.Make(proc.Machine(), max(2*r, inlineRounds))
-			copy(grown, u.later)
-			u.later = grown
-		}
-		u.later[r] = cellPair{nudge, release}
+	me := l.enc(id, int(u.rounds))
+	if r := int(u.rounds) - inlineRounds; r == len(u.later) {
+		grown := cellPairs.Make(proc.Machine(), max(2*r, inlineRounds))
+		copy(grown, u.later)
+		u.later = grown
 	}
 	u.rounds++
 	u.current = me
-	return me, nudge, release
+	return me
 }
 
-// cellsOf returns the spin cells of registration key: the ones process
-// key mod N allocated for its round key div N. Its record holds them,
+// slotsOf returns the cell slots of registration key: the ones process
+// key mod N opened for its round key div N. Its record holds them,
 // because a process registers before it writes its key where another
 // process can read it.
-func (l *Mutex) cellsOf(key Word) cellPair {
+func (l *Mutex) slotsOf(key Word) *cellPair {
 	u := l.user(int(key % Word(l.nproc)))
 	r := int(key / Word(l.nproc))
 	if r < inlineRounds {
-		return u.cells[r]
+		return &u.cells[r]
 	}
-	return u.later[r-inlineRounds]
+	return &u.later[r-inlineRounds]
+}
+
+// nudgeOf and releaseOf return the nudge and release cells of
+// registration key, allocating each on its first touch.
+func (l *Mutex) nudgeOf(key Word) memsim.Var   { return cell(&l.slotsOf(key).nudge, l.nudge, key) }
+func (l *Mutex) releaseOf(key Word) memsim.Var { return cell(&l.slotsOf(key).release, l.release, key) }
+
+// cell returns the variable in slot, filling it on first touch with
+// family's member for key. The member is named and homed by key alone,
+// so the owner and a rival allocate the same cell.
+func cell(slot *memsim.LazyVar, family *memsim.Dict, key Word) memsim.Var {
+	if v, ok := slot.Get(); ok {
+		return v
+	}
+	v := family.New(key)
+	slot.Set(v)
+	return v
 }
 
 // enc packs a (process, round) registration key.
@@ -238,7 +255,7 @@ func (l *Mutex) Acquire(proc *memsim.Proc, side int) {
 	}
 	l.sideUser[side] = proc.ID()
 
-	me, myNudge, myRelease := l.register(proc)
+	me := l.register(proc)
 
 	proc.Write(l.c[side], me+1)
 	proc.Write(l.t, me+1)
@@ -249,7 +266,8 @@ func (l *Mutex) Acquire(proc *memsim.Proc, side int) {
 		// cell (a monotone, idempotent write). Note the nudge comes
 		// after our T write: a waiter woken by it is guaranteed to
 		// observe the moved tie-breaker.
-		proc.Write(l.cellsOf(rival-1).nudge, 1)
+		proc.Write(l.nudgeOf(rival-1), 1)
+		myNudge, myRelease := l.nudgeOf(me), l.releaseOf(me)
 		proc.Await(func(read func(memsim.Var) Word) bool {
 			return read(myNudge) != 0 || read(myRelease) == rival
 		}, myNudge, myRelease)
@@ -286,13 +304,14 @@ func (l *Mutex) AcquireAbortable(proc *memsim.Proc, side int) bool {
 	}
 	l.sideUser[side] = proc.ID()
 
-	me, myNudge, myRelease := l.register(proc)
+	me := l.register(proc)
 
 	proc.Write(l.c[side], me+1)
 	proc.Write(l.t, me+1)
 	rival := proc.Read(l.c[1-side])
 	if rival != 0 && proc.Read(l.t) == me+1 {
-		proc.Write(l.cellsOf(rival-1).nudge, 1)
+		proc.Write(l.nudgeOf(rival-1), 1)
+		myNudge, myRelease := l.nudgeOf(me), l.releaseOf(me)
 		if proc.AwaitAbortable(func(read func(memsim.Var) Word) bool {
 			return read(myNudge) != 0 || read(myRelease) == rival
 		}, myNudge, myRelease) {
@@ -325,7 +344,7 @@ func (l *Mutex) abandon(proc *memsim.Proc, side int) bool {
 	proc.Write(l.c[side], 0)
 	rival := proc.Read(l.c[1-side])
 	if rival != 0 {
-		proc.Write(l.cellsOf(rival-1).release, l.user(proc.ID()).current+1)
+		proc.Write(l.releaseOf(rival-1), l.user(proc.ID()).current+1)
 	}
 	return false
 }
@@ -348,7 +367,7 @@ func (l *Mutex) Release(proc *memsim.Proc, side int) {
 		// overtook the rival side into a future round — one that
 		// never waited on us — the stamp will not match what that
 		// round observed, and the signal is inert.
-		proc.Write(l.cellsOf(rival-1).release, l.user(proc.ID()).current+1)
+		proc.Write(l.releaseOf(rival-1), l.user(proc.ID()).current+1)
 	}
 }
 

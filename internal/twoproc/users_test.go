@@ -194,16 +194,12 @@ func TestCellLookupTiers(t *testing.T) {
 			m := memsim.NewMachine(model, n)
 			mu := New(m, memsim.NamePrefix(nil, "L"))
 			addPlayers(m, mu, players, rounds, func(p *memsim.Proc) {
-				// The record, read directly: the round just played.
-				u := mu.user(p.ID())
-				var c cellPair
-				if r := int(u.rounds) - 1; r < inlineRounds {
-					c = u.cells[r]
-				} else {
-					c = u.later[r-inlineRounds]
-				}
-				p.Read(c.nudge)
-				p.Read(c.release)
+				// The round just played, found in the record by its
+				// key; a cell nobody touched yet is allocated here, so
+				// a rival's late stamp must find this one.
+				key := mu.user(p.ID()).current
+				p.Read(mu.nudgeOf(key))
+				p.Read(mu.releaseOf(key))
 			})
 			h := &handoffLog{t: t, lastC: map[int]Word{}, target: map[string]Word{},
 				reads: map[string][]bool{}, reader: map[string]int{}}
@@ -241,6 +237,111 @@ func TestCellLookupTiers(t *testing.T) {
 			t.Logf("N=%d %v: %d cells written, %d in rounds and %d of players past the inline ones",
 				n, model, len(h.target), laterRounds, morePlayers)
 		}
+	}
+}
+
+// preferSched runs the process its function names whenever that one is
+// runnable, and the lowest runnable one otherwise.
+type preferSched func() int
+
+func (s preferSched) Pick(_ int64, runnable []int, _ int) int {
+	if want := s(); slices.Contains(runnable, want) {
+		return want
+	}
+	return runnable[0]
+}
+
+// TestRivalTouchesCellsFirst drives the schedule in which a rival
+// stamps both of a registration's cells before their owner first asks
+// for them: p0 registers while p1 holds the lock, p1's Release stamps
+// p0's release cell, and p1's next Acquire nudges p0, all before p0
+// reads the tie-breaker. p0 must then wait on the very variables p1
+// allocated: labelled by p0's key, kept in p0's record, and on DSM
+// homed at p0, so p0 reads them locally and p1 writes them remotely.
+func TestRivalTouchesCellsFirst(t *testing.T) {
+	for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
+		m := memsim.NewMachine(model, 2)
+		mu := New(m, memsim.NamePrefix(nil, "L"))
+		// 0: p1 takes the lock; 1: p0 writes C[0]; 2: p1 runs first.
+		stage := 0
+		m.AddProc("p0", func(p *memsim.Proc) {
+			mu.Acquire(p, 0)
+			p.EnterCS()
+			p.ExitCS()
+			mu.Release(p, 0)
+		})
+		m.AddProc("p1", func(p *memsim.Proc) {
+			for r := 0; r < 2; r++ {
+				mu.Acquire(p, 1)
+				if r == 0 {
+					stage = 1
+				}
+				p.EnterCS()
+				p.ExitCS()
+				mu.Release(p, 1)
+			}
+		})
+		sched := preferSched(func() int {
+			if stage == 1 && m.Value(mu.c[0]) != 0 {
+				stage = 2
+			}
+			if stage == 1 {
+				return 0
+			}
+			return 1
+		})
+		key := Word(0) // p0's only registration: round 0
+		nudge, release := fmt.Sprintf("L.nudge[%d]", key), fmt.Sprintf("L.release[%d]", key)
+		stamped := map[string]memsim.Var{}
+		awaited := map[string]bool{}
+		m.AttachSink(&eventList{check: func(ev memsim.TraceEvent, label string) {
+			if label != nudge && label != release {
+				return
+			}
+			switch {
+			case ev.Kind == memsim.TraceWrite:
+				if _, owner := awaited[label]; owner {
+					return // a later stamp
+				}
+				if ev.Proc != 1 {
+					t.Errorf("%v: %s written by p%d, want the rival p1", model, label, ev.Proc)
+				}
+				if model == memsim.DSM && !ev.Remote {
+					t.Errorf("%v: p1 wrote %s locally: not homed at p0", model, label)
+				}
+				stamped[label] = ev.Var
+			case ev.Proc == 0:
+				v, ok := stamped[label]
+				if !ok {
+					t.Errorf("%v: p0 read %s before p1 stamped it", model, label)
+				} else if v != ev.Var {
+					t.Errorf("%v: p0 read %s as variable #%d, but p1 stamped #%d", model, label, ev.Var.Index(), v.Index())
+				}
+				if model == memsim.DSM && ev.Remote {
+					t.Errorf("%v: p0 read its own %s remotely", model, label)
+				}
+				awaited[label] = true
+			}
+		}})
+		res := m.Run(memsim.RunConfig{Sched: sched})
+		if err := res.Err(); err != nil {
+			t.Fatalf("%v: %v", model, err)
+		}
+		if res.CSEntries != 3 {
+			t.Fatalf("%v: %d CS entries, want 3", model, res.CSEntries)
+		}
+		if !awaited[nudge] || !awaited[release] {
+			t.Errorf("%v: p0 waited on %v of its cells, want both: the schedule lost its contention", model, awaited)
+		}
+		slots := mu.slotsOf(key)
+		for label, slot := range map[string]*memsim.LazyVar{nudge: &slots.nudge, release: &slots.release} {
+			if v, _ := slot.Get(); v != stamped[label] {
+				t.Errorf("%v: p0's record holds #%d for %s, p1 stamped #%d", model, v.Index(), label, stamped[label].Index())
+			} else if got := m.Label(v); got != label {
+				t.Errorf("%v: cell labelled %q, want %q", model, got, label)
+			}
+		}
+		m.Release()
 	}
 }
 
