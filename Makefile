@@ -79,15 +79,18 @@ race:
 # mutated, to the artifact writer for 5 s: whatever value they decode
 # to, WriteJSON must write json.MarshalIndent's bytes. It then fuzzes
 # the memory- and fit-model name decoders for 5 s each: neither may
-# panic, and every name they accept must spell back unchanged. Last,
+# panic, and every name they accept must spell back unchanged. Then
 # it posts mutated lease and report bodies to a fleet coordinator with
-# an active wave for 5 s: every answer must be 200 or 4xx.
+# an active wave for 5 s: every answer must be 200 or 4xx. Last, it
+# serves mutated lease bodies to a fleet worker for 5 s: the worker
+# must return, with an error or without, and never panic.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifacts$$' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModel$$' -fuzztime 5s ./internal/memsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModel$$' -fuzztime 5s ./internal/fit
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordinatorHandlers$$' -fuzztime 5s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkerLease$$' -fuzztime 5s ./internal/fleet
 
 # trace-smoke exercises the whole trace pipeline on a real workload:
 # record a 4-process G-DSM run as a fetchphi.trace/v1 artifact,

@@ -34,7 +34,7 @@ type modelState struct {
 // finish seals one model's exploration.
 func (st *modelState) finish(res memsim.ExploreResult) {
 	st.done = true
-	st.frontier.Wave = nil
+	st.frontier.Wave = memsim.Wave{Depth: st.frontier.Wave.Depth}
 	st.frontier.Runs = res.Runs
 	st.frontier.DepthRuns = res.DepthRuns
 	st.result = res
@@ -98,15 +98,22 @@ func (c *Coordinator) campaign() ([]harness.ModelReport, *obs.ExploreArtifact, e
 // memsim.ExploreWaves, checkpointing after every wave (and once more
 // when the model finishes).
 func (c *Coordinator) runModel(st *modelState, all []*modelState) error {
+	var stopErr error
 	exec := func(f memsim.Frontier) []memsim.ScheduleOutcome {
 		if c.opts.Progress != nil {
-			c.opts.Progress(st.model, memsim.ExploreProgress{Depth: f.Depth, Frontier: len(f.Wave), Runs: f.Runs})
+			c.opts.Progress(st.model, memsim.ExploreProgress{Depth: f.Wave.Depth, Frontier: f.Wave.Len, Runs: f.Runs})
 		}
 		stop := c.opts.Metrics.Time(MetricWaveUS)
-		outs := c.execWave(st.model, f.Depth, f.Wave)
+		outs, err := c.execWave(st.model, f.Wave)
 		stop()
+		if err != nil {
+			// No outcomes: ExploreWaves ends on the short wave,
+			// and the stop's error replaces its complaint.
+			stopErr = err
+			return nil
+		}
 		c.opts.Metrics.Counter(MetricWaves).Inc()
-		c.opts.Metrics.Counter(MetricSchedules).Add(int64(len(f.Wave)))
+		c.opts.Metrics.Counter(MetricSchedules).Add(int64(f.Wave.Len))
 		return outs
 	}
 	next := func(f memsim.Frontier) error {
@@ -114,6 +121,9 @@ func (c *Coordinator) runModel(st *modelState, all []*modelState) error {
 		return c.afterWave(st, all)
 	}
 	res, err := memsim.ExploreWaves(st.frontier, c.cfg.MaxRuns, exec, next)
+	if stopErr != nil {
+		return stopErr
+	}
 	if err != nil {
 		return err
 	}
@@ -133,7 +143,7 @@ func (c *Coordinator) afterWave(st *modelState, all []*modelState) error {
 		return err
 	}
 	if c.opts.AfterWave != nil {
-		return c.opts.AfterWave(st.model, st.frontier.Depth)
+		return c.opts.AfterWave(st.model, st.frontier.Wave.Depth)
 	}
 	return nil
 }
@@ -207,10 +217,10 @@ func (c *Coordinator) exploreArtifact(states []*modelState, complete bool) *obs.
 		ck := obs.ExploreModelCheckpoint{
 			Model:     st.model.String(),
 			Done:      st.done,
-			NextDepth: st.frontier.Depth,
+			NextDepth: st.frontier.Wave.Depth,
 			Runs:      st.frontier.Runs,
 			DepthRuns: append([]int(nil), st.frontier.DepthRuns...),
-			Frontier:  schedulesToWire(st.frontier.Wave),
+			Frontier:  waveToWire(st.frontier.Wave),
 		}
 		if st.done {
 			art.Models = append(art.Models, ExploreRecord(st.model, st.result))
@@ -267,17 +277,18 @@ func (c *Coordinator) restore(states []*modelState) error {
 		if ck.Model != st.model.String() {
 			return fmt.Errorf("fleet: checkpoint model %d is %q, campaign configures %q", i, ck.Model, st.model)
 		}
-		st.frontier = memsim.Frontier{
-			Depth:     ck.NextDepth,
-			Wave:      schedulesFromWire(ck.Frontier),
-			Runs:      ck.Runs,
-			DepthRuns: append([]int(nil), ck.DepthRuns...),
-		}
 		if !ck.Done {
-			if err := checkFrontier(st.frontier, cfg.N); err != nil {
+			f, err := frontierFromWire(ck, cfg.N)
+			if err != nil {
 				return fmt.Errorf("fleet: checkpoint %s model %s: %w", path, ck.Model, err)
 			}
+			st.frontier = f
 			continue
+		}
+		st.frontier = memsim.Frontier{
+			Wave:      memsim.Wave{Depth: ck.NextDepth},
+			Runs:      ck.Runs,
+			DepthRuns: append([]int(nil), ck.DepthRuns...),
 		}
 		em, ok := finals[ck.Model]
 		if !ok {
@@ -297,34 +308,40 @@ func (c *Coordinator) restore(states []*modelState) error {
 	return nil
 }
 
-// checkFrontier rejects a restored in-progress frontier that the wave
-// loop could not have written: its coverage must add up, and every
-// pending schedule must hold Depth preemptions at strictly increasing,
-// non-negative steps, each naming one of the n processes. Replaying a
-// malformed schedule would otherwise panic deep inside the explorer.
-func checkFrontier(f memsim.Frontier, n int) error {
-	if len(f.DepthRuns) != f.Depth {
-		return fmt.Errorf("next_depth %d but %d depth_runs entries", f.Depth, len(f.DepthRuns))
+// frontierFromWire rebuilds an in-progress model's frontier from its
+// checkpoint entry, rejecting one the wave loop could not have written:
+// its coverage must add up, and the pending wave must hold NextDepth
+// preemptions a schedule at strictly increasing, non-negative steps,
+// each naming one of the n processes (checkSchedules). Replaying a
+// malformed schedule would otherwise fail deep inside the explorer.
+func frontierFromWire(ck obs.ExploreModelCheckpoint, n int) (memsim.Frontier, error) {
+	depth := ck.NextDepth
+	if len(ck.DepthRuns) != depth {
+		return memsim.Frontier{}, fmt.Errorf("next_depth %d but %d depth_runs entries", depth, len(ck.DepthRuns))
 	}
 	sum := 0
-	for _, r := range f.DepthRuns {
+	for _, r := range ck.DepthRuns {
 		sum += r
 	}
-	if f.Runs != sum {
-		return fmt.Errorf("runs %d but depth_runs sum to %d", f.Runs, sum)
+	if ck.Runs != sum {
+		return memsim.Frontier{}, fmt.Errorf("runs %d but depth_runs sum to %d", ck.Runs, sum)
 	}
-	for i, s := range f.Wave {
-		if len(s) != f.Depth {
-			return fmt.Errorf("frontier schedule %d has %d preemptions at next_depth %d", i, len(s), f.Depth)
-		}
-		for j, p := range s {
-			if p.Step < 0 || (j > 0 && p.Step <= s[j-1].Step) {
-				return fmt.Errorf("frontier schedule %d: preemption %d at step %d is negative or out of order", i, j, p.Step)
-			}
-			if p.Proc < 0 || p.Proc >= n {
-				return fmt.Errorf("frontier schedule %d: preemption %d names process %d outside [0,%d)", i, j, p.Proc, n)
-			}
+	for i, s := range ck.Frontier {
+		if len(s) != depth {
+			return memsim.Frontier{}, fmt.Errorf("frontier schedule %d has %d preemptions at next_depth %d", i, len(s), depth)
 		}
 	}
-	return nil
+	w := memsim.Wave{Depth: depth, Len: len(ck.Frontier)}
+	if depth > 0 {
+		w.Slab = make([]memsim.Preemption, 0, depth*w.Len)
+		for _, s := range ck.Frontier {
+			for _, p := range s {
+				w.Slab = append(w.Slab, memsim.Preemption{Step: p.Step, Proc: p.Proc})
+			}
+		}
+	}
+	if err := checkSchedules(w.Slab, depth, w.Len, n); err != nil {
+		return memsim.Frontier{}, fmt.Errorf("frontier %w", err)
+	}
+	return memsim.Frontier{Wave: w, Runs: ck.Runs, DepthRuns: append([]int(nil), ck.DepthRuns...)}, nil
 }

@@ -52,6 +52,10 @@ func TestCampaignRejectsCorruptCheckpoint(t *testing.T) {
 		}},
 		{"proc-too-large", func(ck *obs.ExploreModelCheckpoint) { ck.Frontier = sched(pre(3, 7)) }},
 		{"proc-negative", func(ck *obs.ExploreModelCheckpoint) { ck.Frontier = sched(pre(3, -1)) }},
+		{"root-schedule-twice", func(ck *obs.ExploreModelCheckpoint) {
+			ck.NextDepth, ck.DepthRuns, ck.Runs = 0, nil, 0
+			ck.Frontier = [][]obs.ExplorePreemption{nil, nil}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad, err := obs.ReadExploreArtifact(path)

@@ -33,7 +33,9 @@ func Check(b harness.Builder, cfg Config, opts CheckOptions) ([]harness.ModelRep
 
 // CheckWith runs the in-process fleet over a caller-built coordinator,
 // so tests can inject clocks, lease sizes, and fault-y transports
-// while reusing the serve-and-spawn plumbing.
+// while reusing the serve-and-spawn plumbing. A worker that fails (a
+// replay divergence from a nondeterministic Build, say) stops the
+// campaign, and CheckWith returns that worker's error.
 func CheckWith(coord *Coordinator, b harness.Builder, opts CheckOptions) ([]harness.ModelReport, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 2
@@ -64,7 +66,9 @@ func CheckWith(coord *Coordinator, b harness.Builder, opts CheckOptions) ([]harn
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = w.Run(ctx)
+			if err := w.Run(ctx); err != nil {
+				coord.stop(fmt.Errorf("fleet: worker %s: %w", w.ID, err))
+			}
 		}()
 	}
 	reports, err := coord.Wait()

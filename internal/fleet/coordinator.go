@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -30,6 +29,11 @@ const (
 	// that finds nothing claimable before answering StatusWait.
 	DefaultHold = 100 * time.Millisecond
 )
+
+// maxRequestBody bounds a worker's request body. A report at the
+// default lease size is a few kilobytes; the bound only stops a sender
+// that would otherwise make the coordinator buffer without end.
+const maxRequestBody = 256 << 20
 
 // CoordinatorOptions tune a coordinator; the zero value selects the
 // documented defaults.
@@ -108,6 +112,12 @@ type Coordinator struct {
 	artifact *obs.ExploreArtifact
 	err      error
 
+	// stopped is closed, with stopErr set, when stop abandons the
+	// campaign.
+	stopOnce sync.Once
+	stopped  chan struct{}
+	stopErr  error
+
 	done chan struct{}
 }
 
@@ -147,6 +157,7 @@ func NewCoordinator(cfg Config, opts CoordinatorOptions) *Coordinator {
 		cfg: cfg.withDefaults(), opts: opts,
 		workers: make(map[string]*workerState),
 		wake:    make(chan struct{}),
+		stopped: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 }
@@ -198,19 +209,41 @@ func (c *Coordinator) LeaseLog() []LeaseEvent {
 	return append([]LeaseEvent(nil), c.events...)
 }
 
+// stop abandons the campaign with err: the wave in flight is never
+// completed or checkpointed, and Run and Wait return err. It is a no-op
+// once the campaign has finished or after the first stop. CheckWith
+// stops its coordinator when a worker fails, so a fault no worker can
+// get past (a replay divergence) ends the check instead of leaving
+// its range unreported forever.
+func (c *Coordinator) stop(err error) {
+	c.stopOnce.Do(func() {
+		c.stopErr = err
+		close(c.stopped)
+	})
+}
+
 // execWave publishes one wave as a lease table, waits for workers to
 // complete every range, and collects the outcomes in canonical order.
-func (c *Coordinator) execWave(model memsim.Model, depth int, wave [][]memsim.Preemption) []memsim.ScheduleOutcome {
-	t := newLeaseTable(model, depth, wave, c.opts.LeaseSize, c.opts.LeaseTimeout, c.opts.Now)
+// If the campaign is stopped first it returns the stop's error.
+func (c *Coordinator) execWave(model memsim.Model, wave memsim.Wave) ([]memsim.ScheduleOutcome, error) {
+	t := newLeaseTable(model, wave, c.opts.LeaseSize, c.opts.LeaseTimeout, c.opts.Now)
 	c.mu.Lock()
 	c.table = t
 	c.wakeHeld()
 	c.mu.Unlock()
-	<-t.done
+	var err error
+	select {
+	case <-t.done:
+	case <-c.stopped:
+		err = c.stopErr
+	}
 	c.mu.Lock()
 	c.table = nil
 	c.mu.Unlock()
-	return t.collect()
+	if err != nil {
+		return nil, err
+	}
+	return t.collect(), nil
 }
 
 // wakeHeld answers every held lease request; c.mu must be held.
@@ -230,18 +263,13 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (c *Coordinator) handleConfig(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, c.cfg)
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := readJSON(http.MaxBytesReader(w, r.Body, maxRequestBody), r.ContentLength, &req); err != nil {
 		http.Error(w, fmt.Sprintf("fleet: bad lease request: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -319,14 +347,14 @@ func (c *Coordinator) touchWorker(id string, leases, schedules int64) {
 
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	var req ReportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := readJSON(http.MaxBytesReader(w, r.Body, maxRequestBody), r.ContentLength, &req); err != nil {
 		http.Error(w, fmt.Sprintf("fleet: bad report: %v", err), http.StatusBadRequest)
 		return
 	}
 	c.mu.Lock()
 	table := c.table
 	c.mu.Unlock()
-	if table == nil || table.model.String() != req.Model || table.depth != req.Depth {
+	if table == nil || table.model.String() != req.Model || table.wave.Depth != req.Depth {
 		// The wave this report belongs to has already completed (its
 		// range was re-leased and reported by someone else); nothing
 		// to merge, and nothing lost — outcomes are deterministic.
@@ -334,12 +362,11 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, ReportResponse{Accepted: false, Reason: "no active wave at that model/depth"})
 		return
 	}
-	outcomes, err := table.outcomes(&req, c.cfg.N, c.cfg.Preemptions)
-	if err != nil {
+	if err := table.check(&req, c.cfg.N, c.cfg.Preemptions); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	accepted, err := table.report(&req, outcomes)
+	accepted, err := table.report(&req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -419,8 +446,8 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	resp.Schedules = c.opts.Metrics.Counter(MetricSchedules).Value()
 	if table != nil {
 		resp.Model = table.model.String()
-		resp.Depth = table.depth
-		resp.Frontier = len(table.wave)
+		resp.Depth = table.wave.Depth
+		resp.Frontier = table.wave.Len
 		resp.RangesPending, resp.RangesLeased, resp.RangesDone = table.counts()
 	}
 	writeJSON(w, resp)

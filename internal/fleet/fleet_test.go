@@ -460,7 +460,7 @@ func TestHeldLeaseAnswersWhenWavePublished(t *testing.T) {
 	b := heldLease(t, srv.URL, "b")
 	requireHeld(t, b, "CC's root wave was reported")
 	var rr ReportResponse
-	postJSON(t, srv.URL+PathReport, ReportRequest{Worker: "a", LeaseID: la.Lease.ID, Model: "CC", Lo: 0, Hi: 1, Outcomes: []Outcome{{}}}, &rr)
+	postJSON(t, srv.URL+PathReport, ReportRequest{Worker: "a", LeaseID: la.Lease.ID, Model: "CC", Lo: 0, Hi: 1, Children: Counts{0}}, &rr)
 	lb := awaitAnswer(t, b, "DSM's root wave was published")
 	if !rr.Accepted || lb.Status != StatusLease || lb.Lease.Model != "DSM" {
 		t.Fatalf("report %+v, second answer %+v: want the DSM root lease", rr, lb)
@@ -469,7 +469,7 @@ func TestHeldLeaseAnswersWhenWavePublished(t *testing.T) {
 	// The last request is held until the campaign finishes.
 	c := heldLease(t, srv.URL, "c")
 	requireHeld(t, c, "the campaign finished")
-	postJSON(t, srv.URL+PathReport, ReportRequest{Worker: "b", LeaseID: lb.Lease.ID, Model: "DSM", Lo: 0, Hi: 1, Outcomes: []Outcome{{}}}, &rr)
+	postJSON(t, srv.URL+PathReport, ReportRequest{Worker: "b", LeaseID: lb.Lease.ID, Model: "DSM", Lo: 0, Hi: 1, Children: Counts{0}}, &rr)
 	if lc := awaitAnswer(t, c, "the campaign finished"); lc.Status != StatusDone {
 		t.Fatalf("third answer %+v, want done", lc)
 	}
@@ -478,38 +478,49 @@ func TestHeldLeaseAnswersWhenWavePublished(t *testing.T) {
 	}
 }
 
-// TestReportRejectsMalformedChildren: a report whose children the
-// explorer could not have derived gets a 400, and its range stays
-// leased rather than being marked done with corrupt outcomes.
+// TestReportRejectsMalformedChildren: a report the explorer could not
+// have produced — arrays that do not fit the range or each other,
+// failures out of place, or children the explorer could not have
+// derived — gets a 400, and its range stays leased rather than being
+// marked done with corrupt outcomes. Each case reports the range [0,2)
+// of fuzzWave(depth): schedule i preempts at steps i+1, i+11, ...
 func TestReportRejectsMalformedChildren(t *testing.T) {
-	wave := fuzzWave(1) // schedule i preempts once, at step i+1
 	for _, tc := range []struct {
 		name  string
 		depth int
-		out   Outcome
+		// body holds the report's children, appended and failures
+		// fields, as raw JSON.
+		body string
 	}{
-		{"odd-word-count", 1, Outcome{Children: []int64{5, 1, 6}}},
-		{"proc-too-large", 1, Outcome{Children: []int64{5, 2}}},
-		{"proc-negative", 1, Outcome{Children: []int64{5, -1}}},
-		{"step-not-after-parent", 1, Outcome{Children: []int64{1, 0}}},
-		{"duplicate-pair", 1, Outcome{Children: []int64{5, 1, 5, 1}}},
-		{"steps-decreasing", 1, Outcome{Children: []int64{6, 0, 5, 1}}},
-		{"failing-with-children", 1, Outcome{Failure: "boom", Children: []int64{5, 0}}},
-		{"children-at-bound", 2, Outcome{Children: []int64{30, 0}}},
+		{"odd-word-count", 1, `"children":[2,0],"appended":[5,1,6]`},
+		{"proc-too-large", 1, `"children":[1,0],"appended":[5,2]`},
+		{"proc-negative", 1, `"children":[1,0],"appended":[5,-1]`},
+		{"step-not-after-parent", 1, `"children":[1,0],"appended":[1,0]`},
+		{"duplicate-pair", 1, `"children":[2,0],"appended":[5,1,5,1]`},
+		{"steps-decreasing", 1, `"children":[2,0],"appended":[6,0,5,1]`},
+		{"failing-with-children", 1, `"children":[1,0],"appended":[5,0],"failures":[{"index":0,"error":"boom"}]`},
+		{"children-at-bound", 2, `"children":[1,0],"appended":[30,0]`},
+		{"counts-short-of-pairs", 1, `"children":[1,0],"appended":[5,0,6,0]`},
+		{"counts-beyond-pairs", 1, `"children":[1,1],"appended":[5,0]`},
+		{"count-negative", 1, `"children":[-1,1],"appended":[5,0]`},
+		{"counts-not-one-per-schedule", 1, `"children":[0],"appended":[]`},
+		{"counts-missing", 1, `"appended":[]`},
+		{"failure-outside-range", 1, `"children":[0,0],"appended":[],"failures":[{"index":2,"error":"boom"}]`},
+		{"failure-negative", 1, `"children":[0,0],"appended":[],"failures":[{"index":-1,"error":"boom"}]`},
+		{"failure-repeated", 1, `"children":[0,0],"appended":[],"failures":[{"index":1,"error":"boom"},{"index":1,"error":"boom"}]`},
+		{"failures-out-of-order", 1, `"children":[0,0],"appended":[],"failures":[{"index":1,"error":"boom"},{"index":0,"error":"boom"}]`},
+		{"count-not-an-integer", 1, `"children":[0.5,0],"appended":[]`},
+		{"pairs-not-an-array", 1, `"children":[0,0],"appended":{"step":5}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 2})
-			w := wave
-			if tc.depth != 1 {
-				w = fuzzWave(tc.depth)
-			}
-			c.table = newLeaseTable(memsim.CC, tc.depth, w, 2, time.Minute, time.Now)
+			c.table = newLeaseTable(memsim.CC, fuzzWave(tc.depth), 2, time.Minute, time.Now)
 			if _, _, ok := c.table.claim("w", 1); !ok {
 				t.Fatal("no range to claim")
 			}
-			body, _ := json.Marshal(ReportRequest{Worker: "w", LeaseID: 1, Model: "CC", Depth: tc.depth, Lo: 0, Hi: 2, Outcomes: []Outcome{tc.out, {}}})
+			body := fmt.Sprintf(`{"worker":"w","lease_id":1,"model":"CC","depth":%d,"lo":0,"hi":2,%s}`, tc.depth, tc.body)
 			rec := httptest.NewRecorder()
-			c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathReport, bytes.NewReader(body)))
+			c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathReport, strings.NewReader(body)))
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("status %d (%s), want 400", rec.Code, strings.TrimSpace(rec.Body.String()))
 			}
@@ -519,80 +530,34 @@ func TestReportRejectsMalformedChildren(t *testing.T) {
 		})
 	}
 
-	// The control: the same range with well-formed children is taken.
+	// The control: the same range with well-formed children and a
+	// failure is taken, and its outcomes land in the wave's slots.
 	c := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 2})
-	c.table = newLeaseTable(memsim.CC, 1, wave, 2, time.Minute, time.Now)
-	var rr ReportResponse
-	body, _ := json.Marshal(ReportRequest{Worker: "w", Model: "CC", Depth: 1, Lo: 0, Hi: 2, Outcomes: []Outcome{{Children: []int64{5, 0, 5, 1, 6, 0}}, {}}})
+	c.table = newLeaseTable(memsim.CC, fuzzWave(1), 2, time.Minute, time.Now)
+	body := `{"worker":"w","model":"CC","depth":1,"lo":0,"hi":2,"children":[3,0],"appended":[5,0,5,1,6,0],"failures":[{"index":1,"error":"boom"}]}`
 	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathReport, bytes.NewReader(body)))
-	if err := json.NewDecoder(rec.Body).Decode(&rr); rec.Code != http.StatusOK || err != nil || !rr.Accepted {
-		t.Fatalf("well-formed report: status %d, %+v, %v", rec.Code, rr, err)
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathReport, strings.NewReader(body)))
+	var resp ReportResponse
+	if err := json.NewDecoder(rec.Body).Decode(&resp); rec.Code != http.StatusOK || err != nil || !resp.Accepted {
+		t.Fatalf("well-formed report: status %d, %+v, %v", rec.Code, resp, err)
 	}
-}
-
-// TestWireRoundTrip pins the flat wire: flatten/unflatten invert each
-// other at every depth, the root wave's schedule stays nil, extend
-// rebuilds exactly the children the worker's appended pairs describe,
-// and a lease of the wrong length is an error.
-func TestWireRoundTrip(t *testing.T) {
-	for depth := 0; depth <= 3; depth++ {
-		wave := fuzzWave(depth)
-		flat := flatten(nil, wave)
-		if len(flat) != 2*depth*len(wave) {
-			t.Fatalf("depth %d: %d words for %d schedules", depth, len(flat), len(wave))
-		}
-		got, err := unflatten(flat, depth, len(wave))
-		if err != nil || !reflect.DeepEqual(got, wave) {
-			t.Fatalf("depth %d: unflatten = %v, %v; want %v", depth, got, err, wave)
-		}
-		if depth == 0 && got[0] != nil {
-			t.Fatalf("root schedule came back as %#v, want nil", got[0])
-		}
-		if _, err := unflatten(append(flat, 1), depth, len(wave)); err == nil {
-			t.Fatalf("depth %d: a lease one word too long unflattened", depth)
-		}
-		if depth > 0 {
-			if _, err := unflatten(flat[:len(flat)-2], depth, len(wave)); err == nil {
-				t.Fatalf("depth %d: a lease one pair short unflattened", depth)
-			}
-		}
-		for i, parent := range wave {
-			var children [][]memsim.Preemption
-			for _, p := range []memsim.Preemption{{Step: 40, Proc: 0}, {Step: 40, Proc: 1}, {Step: 41, Proc: 0}} {
-				children = append(children, append(append([]memsim.Preemption(nil), parent...), p))
-			}
-			pairs := appended(children)
-			if len(pairs) != 2*len(children) {
-				t.Fatalf("depth %d schedule %d: %d words for %d children", depth, i, len(pairs), len(children))
-			}
-			if err := checkChildren(parent, &Outcome{Children: pairs}, 2, true); err != nil {
-				t.Fatalf("depth %d schedule %d: well-formed children rejected: %v", depth, i, err)
-			}
-			if got := extend(parent, pairs); !reflect.DeepEqual(got, children) {
-				t.Fatalf("depth %d schedule %d: extend = %v, want %v", depth, i, got, children)
-			}
-		}
-		if appended(nil) != nil || extend(nil, nil) != nil {
-			t.Fatal("a schedule without children gained some on the wire")
-		}
+	want := []memsim.ScheduleOutcome{
+		{Children: []memsim.Preemption{{Step: 5, Proc: 0}, {Step: 5, Proc: 1}, {Step: 6, Proc: 0}}},
+		{Err: errorString("boom")},
 	}
-	if _, err := unflatten(nil, -1, 1); err == nil {
-		t.Fatal("negative depth unflattened")
-	}
-	if _, err := unflatten(nil, 1, -1); err == nil {
-		t.Fatal("negative range unflattened")
+	if got := c.table.out[:2]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("accepted report's outcomes %+v, want %+v", got, want)
 	}
 }
 
 // TestLeaseTableGrid pins the lease table's claim/report mechanics.
 func TestLeaseTableGrid(t *testing.T) {
 	clock := &fakeClock{}
-	wave := make([][]memsim.Preemption, 7)
-	for i := range wave {
-		wave[i] = []memsim.Preemption{{Step: 1, Proc: 0}, {Step: 2, Proc: 1}, {Step: int64(3 + i), Proc: 0}}
+	wave := memsim.Wave{Depth: 3, Len: 7}
+	for i := 0; i < wave.Len; i++ {
+		wave.Slab = append(wave.Slab, memsim.Preemption{Step: 1, Proc: 0}, memsim.Preemption{Step: 2, Proc: 1}, memsim.Preemption{Step: int64(3 + i), Proc: 0})
 	}
-	tab := newLeaseTable(memsim.CC, 3, wave, 3, time.Second, clock.now)
+	tab := newLeaseTable(memsim.CC, wave, 3, time.Second, clock.now)
 	if len(tab.ranges) != 3 {
 		t.Fatalf("7 schedules at pitch 3: %d ranges, want 3", len(tab.ranges))
 	}
@@ -600,15 +565,15 @@ func TestLeaseTableGrid(t *testing.T) {
 	if !ok || kind != "lease" || l1.Lo != 0 || l1.Hi != 3 {
 		t.Fatalf("first claim: %+v %s %v", l1, kind, ok)
 	}
-	if got, err := unflatten(l1.Schedules, l1.Depth, l1.Hi-l1.Lo); err != nil || !reflect.DeepEqual(got, wave[0:3]) {
-		t.Fatalf("first lease carries %v (%v), want wave[0:3] = %v", got, err, wave[0:3])
+	if got := []memsim.Preemption(l1.Schedules); !reflect.DeepEqual(got, wave.Slab[:9]) || &got[0] != &wave.Slab[0] {
+		t.Fatalf("first lease carries %v, want the wave's slab [0,9) = %v, not a copy", got, wave.Slab[:9])
 	}
 	// Nothing expired: the same range is not claimable again.
 	l2, _, _ := tab.claim("b", 2)
 	if l2.Lo == l1.Lo {
 		t.Fatalf("unexpired range re-leased: %+v", l2)
 	}
-	if l, _, _ := tab.claim("b", 20); l.Lo != 6 {
+	if l, _, _ := tab.claim("b", 20); l.Lo != 6 || len(l.Schedules) != 3 {
 		t.Fatalf("third claim: %+v", l)
 	}
 	if _, _, ok := tab.claim("b", 21); ok {
@@ -623,15 +588,14 @@ func TestLeaseTableGrid(t *testing.T) {
 	// A report from the original (expired) lease still lands — the
 	// outcomes are deterministic — and the re-lease's duplicate is
 	// then ignored.
-	outs := make([]memsim.ScheduleOutcome, 3)
-	if acc, err := tab.report(&ReportRequest{Lo: 0, Hi: 3, LeaseID: 1}, outs); !acc || err != nil {
+	if acc, err := tab.report(&ReportRequest{Lo: 0, Hi: 3, LeaseID: 1, Children: Counts{0, 0, 0}}); !acc || err != nil {
 		t.Fatalf("late report rejected: %v %v", acc, err)
 	}
-	if acc, err := tab.report(&ReportRequest{Lo: 0, Hi: 3, LeaseID: 3}, outs); acc || err != nil {
+	if acc, err := tab.report(&ReportRequest{Lo: 0, Hi: 3, LeaseID: 3, Children: Counts{0, 0, 0}}); acc || err != nil {
 		t.Fatalf("duplicate report not ignored: %v %v", acc, err)
 	}
 	// Geometry violations are errors.
-	if _, err := tab.report(&ReportRequest{Lo: 1, Hi: 3}, outs[:2]); err == nil {
+	if _, err := tab.report(&ReportRequest{Lo: 1, Hi: 3, Children: Counts{0, 0}}); err == nil {
 		t.Fatal("off-grid report accepted")
 	}
 }

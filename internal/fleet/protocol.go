@@ -9,12 +9,19 @@
 // harness.CheckSharded run at any worker count, join/leave order, or
 // lease size.
 //
-// The wire is flat: every schedule of the wave at depth d holds exactly
-// d preemptions, so a lease carries its schedules as one run of
-// step/proc pairs, and a child — its parent plus one appended
-// preemption — crosses the wire as that one pair, which the
-// coordinator appends to the parent it already holds. A lease request
-// that finds nothing claimable is held until a wave is published, the
+// The wave is flat from the explorer to the wire. A memsim.Wave at
+// depth d is one slab of preemptions holding its schedules back to
+// back, d apiece. A lease is a slice of that slab, and it crosses the
+// wire as one flat array of step/proc pairs (Pairs). A report is three
+// flat arrays: how many children each schedule spawns (Counts), the
+// one preemption each child appends to its parent, children of the
+// first schedule first (Pairs), and the failing schedules by index
+// (Failures). The coordinator checks a report against the schedules it
+// leased and keeps its arrays as they are: each schedule's outcome
+// points into the report's pairs, and ExploreWaves builds the next
+// wave's slab from them in one allocation. The pair and count arrays
+// decode into storage of exactly their length (see wire.go). A lease request that
+// finds nothing claimable is held until a wave is published, the
 // campaign ends, or the coordinator's hold bound passes, so an idle
 // worker neither sleeps nor polls between waves.
 //
@@ -31,8 +38,8 @@
 //     duplicate reports are ignored, which is sound because they are
 //     byte-identical to the accepted one.
 //  3. The merge is positional: first failing index in wave order is the
-//     canonical failure, and the next wave is the concatenation of
-//     Children in parent order — no timestamps, worker ids, or arrival
+//     canonical failure, and the next wave is every schedule's
+//     children in parent order — no timestamps, worker ids, or arrival
 //     order ever reach the result.
 //
 // Completed waves persist as resumable checkpoints (the
@@ -223,46 +230,47 @@ type Lease struct {
 	// Lo and Hi bound the range within the wave's index space.
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-	// Schedules are the wave entries wave[Lo:Hi], in canonical order,
-	// flattened: each holds exactly Depth preemptions, written as
-	// step/proc pairs, so the slice is 2·Depth·(Hi−Lo) long. The root
-	// wave (Depth 0) sends none; its single schedule is nil on both
-	// ends (FailingSchedule bit-identity).
-	Schedules []int64 `json:"schedules"`
+	// Schedules are the wave's schedules Lo to Hi−1, in canonical
+	// order, back to back: the slice of the wave's slab that holds
+	// them, Depth preemptions a schedule, so Depth·(Hi−Lo) pairs. The
+	// root wave (Depth 0) sends none; its single schedule is nil on
+	// both ends (FailingSchedule bit-identity). A worker checks them
+	// before it runs any (leaseWave).
+	Schedules Pairs `json:"schedules"`
 	// DeadlineMS is the lease duration in milliseconds: a worker that
 	// has not reported by then may see its range re-leased. Purely
 	// advisory on the worker side.
 	DeadlineMS int64 `json:"deadline_ms"`
 }
 
-// Outcome is the wire form of one schedule's memsim.ScheduleOutcome.
-type Outcome struct {
-	// Failure is the schedule's error string, empty if it passed.
-	Failure string `json:"failure,omitempty"`
-	// Children are the next-wave schedules, in canonical order, each as
-	// the one step/proc pair it appends to this schedule: two words a
-	// child, at steps after this schedule's last, in strictly
-	// increasing (step, proc) order. Empty for a failing schedule and
-	// at the preemption bound.
-	Children []int64 `json:"children,omitempty"`
-}
-
-// ReportRequest delivers one completed lease's outcomes, indexed like
-// the lease's Schedules.
+// ReportRequest delivers one completed lease's outcomes as three flat
+// arrays indexed like the lease's schedules.
 type ReportRequest struct {
-	Worker   string    `json:"worker"`
-	LeaseID  int64     `json:"lease_id"`
-	Model    string    `json:"model"`
-	Depth    int       `json:"depth"`
-	Lo       int       `json:"lo"`
-	Hi       int       `json:"hi"`
-	Outcomes []Outcome `json:"outcomes"`
+	Worker  string `json:"worker"`
+	LeaseID int64  `json:"lease_id"`
+	Model   string `json:"model"`
+	Depth   int    `json:"depth"`
+	Lo      int    `json:"lo"`
+	Hi      int    `json:"hi"`
+	// Children[i] is how many next-wave schedules schedule Lo+i
+	// spawns: Hi−Lo counts, each zero for a failing schedule and at
+	// the preemption bound.
+	Children Counts `json:"children"`
+	// Appended holds, for every child in order (the children of
+	// schedule Lo first), the one preemption it appends to its parent.
+	// A schedule's children preempt at steps after its last one, in
+	// strictly increasing (step, proc) order. Its length is the sum of
+	// Children.
+	Appended Pairs `json:"appended"`
+	// Failures are the failing schedules, by strictly increasing index
+	// within the range, each with its error text.
+	Failures []Failure `json:"failures,omitempty"`
 }
 
 // ReportResponse acknowledges a report. A report the explorer could
-// not have produced — its outcomes do not match the range, or a child
-// is malformed (see Outcome.Children) — is answered 400 and its range
-// stays leased. A rejected report is not an error for the worker — it means the range was already completed (a
+// not have produced — its arrays do not match the range or each other,
+// or a child is malformed (see ReportRequest.Appended) — is answered
+// 400 and its range stays leased. A rejected report is not an error for the worker — it means the range was already completed (a
 // duplicate after a dropped response, or a re-leased range that raced)
 // or the wave has moved on; the worker simply claims its next lease.
 type ReportResponse struct {
@@ -351,130 +359,79 @@ func fromWire(s []obs.ExplorePreemption) []memsim.Preemption {
 	return out
 }
 
-// schedulesToWire converts a wave slice to its checkpoint form.
-func schedulesToWire(ss [][]memsim.Preemption) [][]obs.ExplorePreemption {
-	if ss == nil {
+// waveToWire converts a wave to its checkpoint form: nil for an empty
+// wave, else one entry per schedule (null for the root schedule).
+func waveToWire(w memsim.Wave) [][]obs.ExplorePreemption {
+	if w.Len == 0 {
 		return nil
 	}
-	out := make([][]obs.ExplorePreemption, len(ss))
-	for i, s := range ss {
-		out[i] = toWire(s)
-	}
-	return out
-}
-
-// schedulesFromWire inverts schedulesToWire.
-func schedulesFromWire(ss [][]obs.ExplorePreemption) [][]memsim.Preemption {
-	if ss == nil {
-		return nil
-	}
-	out := make([][]memsim.Preemption, len(ss))
-	for i, s := range ss {
-		out[i] = fromWire(s)
-	}
-	return out
-}
-
-// flatten appends the preemptions of every schedule in ss to dst as
-// step/proc pairs: the wire form of a run of equal-depth schedules.
-func flatten(dst []int64, ss [][]memsim.Preemption) []int64 {
-	for _, s := range ss {
-		for _, p := range s {
-			dst = append(dst, p.Step, int64(p.Proc))
-		}
-	}
-	return dst
-}
-
-// unflatten inverts flatten for n schedules of depth preemptions each,
-// or fails if flat is not 2·depth·n words long. Every schedule of the
-// root wave (depth 0) is nil, as memsim.RootWave's is; deeper ones
-// share one backing array, each capped at its own length.
-func unflatten(flat []int64, depth, n int) ([][]memsim.Preemption, error) {
-	words := 2 * depth
-	if depth < 0 || n < 0 || (depth == 0 && len(flat) != 0) ||
-		(depth > 0 && (len(flat)%words != 0 || len(flat)/words != n)) {
-		return nil, fmt.Errorf("fleet: %d schedule words do not hold %d schedules of %d preemptions", len(flat), n, depth)
-	}
-	out := make([][]memsim.Preemption, n)
-	if depth == 0 {
-		return out, nil
-	}
-	slab := make([]memsim.Preemption, depth*n)
-	for i := range slab {
-		slab[i] = memsim.Preemption{Step: flat[2*i], Proc: int(flat[2*i+1])}
-	}
+	out := make([][]obs.ExplorePreemption, w.Len)
 	for i := range out {
-		out[i] = slab[i*depth : (i+1)*depth : (i+1)*depth]
-	}
-	return out, nil
-}
-
-// appended is the wire form of a schedule's children: the step/proc
-// pair each one appends to their common parent.
-func appended(children [][]memsim.Preemption) []int64 {
-	if len(children) == 0 {
-		return nil
-	}
-	out := make([]int64, 0, 2*len(children))
-	for _, c := range children {
-		p := c[len(c)-1]
-		out = append(out, p.Step, int64(p.Proc))
+		out[i] = toWire(w.Schedule(i))
 	}
 	return out
 }
 
-// extend inverts appended: each child is parent plus its pair. The
-// children share one backing array, each capped at its own length.
-func extend(parent []memsim.Preemption, pairs []int64) [][]memsim.Preemption {
-	k := len(pairs) / 2
-	if k == 0 {
-		return nil
-	}
-	d := len(parent) + 1
-	slab := make([]memsim.Preemption, d*k)
-	out := make([][]memsim.Preemption, k)
-	for i := range out {
-		c := slab[i*d : (i+1)*d : (i+1)*d]
-		copy(c, parent)
-		c[d-1] = memsim.Preemption{Step: pairs[2*i], Proc: int(pairs[2*i+1])}
-		out[i] = c
-	}
-	return out
-}
-
-// checkChildren rejects a reported outcome's children that the
-// explorer could not have derived from parent in a campaign of n
-// processes: a failing schedule, or one at the preemption bound
-// (expand false), spawns none; otherwise the children are whole
-// step/proc pairs, each naming one of the n processes at a step after
-// parent's last, in strictly increasing (step, proc) order.
-func checkChildren(parent []memsim.Preemption, o *Outcome, n int, expand bool) error {
-	pairs := o.Children
+// checkChildren rejects the children a report gives one schedule,
+// parent, when the explorer could not have derived them in a campaign
+// of n processes: a failing schedule, or one at the preemption bound
+// (expand false), spawns none; otherwise each child names one of the n
+// processes at a step after parent's last, in strictly increasing
+// (step, proc) order.
+func checkChildren(parent, children []memsim.Preemption, failed bool, n int, expand bool) error {
 	switch {
-	case len(pairs) == 0:
+	case len(children) == 0:
 		return nil
-	case o.Failure != "":
-		return fmt.Errorf("failing schedule reports %d child words", len(pairs))
+	case failed:
+		return fmt.Errorf("failing schedule reports %d children", len(children))
 	case !expand:
-		return fmt.Errorf("schedule at the preemption bound reports %d child words", len(pairs))
-	case len(pairs)%2 != 0:
-		return fmt.Errorf("%d child words do not form step/proc pairs", len(pairs))
+		return fmt.Errorf("schedule at the preemption bound reports %d children", len(children))
 	}
 	last := int64(-1)
 	if len(parent) > 0 {
 		last = parent[len(parent)-1].Step
 	}
-	for i := 0; i < len(pairs); i += 2 {
-		step, proc := pairs[i], pairs[i+1]
-		if proc < 0 || proc >= int64(n) {
-			return fmt.Errorf("child %d names process %d outside [0,%d)", i/2, proc, n)
+	for i, c := range children {
+		if c.Proc < 0 || c.Proc >= n {
+			return fmt.Errorf("child %d names process %d outside [0,%d)", i, c.Proc, n)
 		}
-		if step <= last {
-			return fmt.Errorf("child %d preempts at step %d, not after the parent's last step %d", i/2, step, last)
+		if c.Step <= last {
+			return fmt.Errorf("child %d preempts at step %d, not after the parent's last step %d", i, c.Step, last)
 		}
-		if i > 0 && (step < pairs[i-2] || step == pairs[i-2] && proc <= pairs[i-1]) {
-			return fmt.Errorf("child %d (step %d, proc %d) does not follow child %d in (step, proc) order", i/2, step, proc, i/2-1)
+		if i > 0 {
+			if p := children[i-1]; c.Step < p.Step || c.Step == p.Step && c.Proc <= p.Proc {
+				return fmt.Errorf("child %d (step %d, proc %d) does not follow child %d in (step, proc) order", i, c.Step, c.Proc, i-1)
+			}
+		}
+	}
+	return nil
+}
+
+// checkSchedules rejects a run of n schedules of depth preemptions
+// each, slab, that the explorer could not have produced in a campaign
+// of procs processes: the slab must hold exactly n·depth preemptions,
+// and each schedule's steps must be non-negative and strictly
+// increasing, each naming one of the procs processes. The root wave
+// (depth 0) holds the root schedule alone.
+func checkSchedules(slab []memsim.Preemption, depth, n, procs int) error {
+	switch {
+	case depth < 0 || n < 0:
+		return fmt.Errorf("%d schedules of %d preemptions", n, depth)
+	case depth == 0 && (n != 1 || len(slab) != 0):
+		return fmt.Errorf("a depth-0 wave holds the root schedule alone, not %d schedules in %d preemptions", n, len(slab))
+	case depth > 0 && (len(slab)%depth != 0 || len(slab)/depth != n):
+		return fmt.Errorf("%d preemptions do not hold %d schedules of %d", len(slab), n, depth)
+	}
+	for k, p := range slab {
+		i, j := 0, 0
+		if depth > 0 {
+			i, j = k/depth, k%depth
+		}
+		if p.Step < 0 || (j > 0 && p.Step <= slab[k-1].Step) {
+			return fmt.Errorf("schedule %d: preemption %d at step %d is negative or out of order", i, j, p.Step)
+		}
+		if p.Proc < 0 || p.Proc >= procs {
+			return fmt.Errorf("schedule %d: preemption %d names process %d outside [0,%d)", i, j, p.Proc, procs)
 		}
 	}
 	return nil

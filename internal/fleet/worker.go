@@ -155,7 +155,9 @@ func (w *Worker) backoff(ctx context.Context, streak int) error {
 	return w.Sleep(ctx, d)
 }
 
-// execute runs one lease and reports its outcomes.
+// execute runs one lease and reports its outcomes. A lease the
+// coordinator could not have granted, or a schedule that diverges from
+// every run the machine can make, is an error, and no report is sent.
 func (w *Worker) execute(ctx context.Context, lease *Lease) error {
 	if lease == nil {
 		return fmt.Errorf("fleet: lease response carried no lease")
@@ -169,13 +171,16 @@ func (w *Worker) execute(ctx context.Context, lease *Lease) error {
 		e = harness.CheckExplorer(w.build, model, w.cfg.N, w.cfg.Entries, w.cfg.exploreOptions(w.Shards))
 		w.explorers[model] = e
 	}
-	scheds, err := unflatten(lease.Schedules, lease.Depth, lease.Hi-lease.Lo)
+	wave, err := leaseWave(lease, e.ResolvedPreemptions(), w.cfg.N)
 	if err != nil {
 		return fmt.Errorf("fleet: lease %d for range [%d,%d): %w", lease.ID, lease.Lo, lease.Hi, err)
 	}
 	stop := w.Metrics.Time(MetricWorkerRangeUS)
-	outs := e.RunScheduleRange(scheds)
+	outs, err := e.RunScheduleRange(wave)
 	stop()
+	if err != nil {
+		return fmt.Errorf("fleet: lease %d for range [%d,%d): %w", lease.ID, lease.Lo, lease.Hi, err)
+	}
 	w.Metrics.Counter(MetricWorkerSchedules).Add(int64(len(outs)))
 	report := ReportRequest{
 		Worker:   w.ID,
@@ -184,18 +189,43 @@ func (w *Worker) execute(ctx context.Context, lease *Lease) error {
 		Depth:    lease.Depth,
 		Lo:       lease.Lo,
 		Hi:       lease.Hi,
-		Outcomes: make([]Outcome, len(outs)),
+		Children: make(Counts, len(outs)),
 	}
+	children := 0
+	for i := range outs {
+		children += len(outs[i].Children)
+	}
+	report.Appended = make(Pairs, 0, children)
 	for i, o := range outs {
+		report.Children[i] = len(o.Children)
+		report.Appended = append(report.Appended, o.Children...)
 		if o.Err != nil {
-			report.Outcomes[i].Failure = o.Err.Error()
+			report.Failures = append(report.Failures, Failure{Index: i, Error: o.Err.Error()})
 		}
-		report.Outcomes[i].Children = appended(o.Children)
 	}
 	var resp ReportResponse
 	// A rejected report is fine: the range was completed by a
 	// re-lease, or this is a retry after a lost response.
 	return w.call(ctx, PathReport, report, &resp)
+}
+
+// leaseWave checks a lease before any of its schedules runs and
+// returns them as a wave: a range within a wave at a depth the
+// preemption bound maxPre allows, holding Hi−Lo schedules of Depth
+// preemptions each at non-negative, strictly increasing steps, each
+// naming one of the campaign's n processes (checkSchedules).
+func leaseWave(l *Lease, maxPre, n int) (memsim.Wave, error) {
+	size := l.Hi - l.Lo
+	switch {
+	case l.Lo < 0 || size < 0:
+		return memsim.Wave{}, fmt.Errorf("range is not within a wave")
+	case l.Depth < 0 || l.Depth > maxPre:
+		return memsim.Wave{}, fmt.Errorf("depth %d is outside the campaign's [0,%d]", l.Depth, maxPre)
+	}
+	if err := checkSchedules(l.Schedules, l.Depth, size, n); err != nil {
+		return memsim.Wave{}, err
+	}
+	return memsim.Wave{Depth: l.Depth, Len: size, Slab: l.Schedules}, nil
 }
 
 // fetchConfig loads the campaign configuration with retries.
@@ -265,14 +295,14 @@ func (w *Worker) call(ctx context.Context, path string, body, out any) error {
 	return fmt.Errorf("fleet: %s %s: %w", path, w.Coordinator, lastErr)
 }
 
-// decodeBody drains and decodes one JSON response.
+// decodeBody reads and decodes one JSON response.
 func decodeBody(resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return readJSON(resp.Body, resp.ContentLength, out)
 }
 
 // sleepCtx sleeps for d unless the context ends first.

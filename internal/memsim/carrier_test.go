@@ -60,20 +60,16 @@ func TestCarriersAreReused(t *testing.T) {
 	var log goroutineLog
 	log.reset()
 	build := log.build(tasLockMachineN(n, 1))
-	wave := (&Explorer{Build: build}).RunScheduleRange(RootWave())[0].Children
+	wave := rangeWaves(t, &Explorer{Build: build}, 1)[1]
 	for _, workers := range []int{1, 4} {
-		if len(wave) <= workers {
-			t.Fatalf("a wave of %d schedules cannot show reuse at %d workers", len(wave), workers)
+		if wave.Len <= workers {
+			t.Fatalf("a wave of %d schedules cannot show reuse at %d workers", wave.Len, workers)
 		}
 		log.reset()
-		for _, o := range (&Explorer{Build: build, Workers: workers}).RunScheduleRange(wave) {
-			if o.Err != nil {
-				t.Fatal(o.Err)
-			}
-		}
+		rangeOutcomes(t, &Explorer{Build: build, Workers: workers}, wave)
 		if got := len(log.ids); got > workers*n {
 			t.Errorf("RunScheduleRange of %d schedules at %d workers ran processes on %d goroutines, want at most %d",
-				len(wave), workers, got, workers*n)
+				wave.Len, workers, got, workers*n)
 		}
 
 		// Run calls runWave once per wave.

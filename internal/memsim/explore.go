@@ -189,7 +189,7 @@ func (c *chooser) Pick(step int64, runnable []int, last int) int {
 	if c.next < len(c.preemptions) && c.preemptions[c.next].Step == step {
 		pick = c.preemptions[c.next].Proc
 		if !contains(runnable, pick) {
-			panic(fmt.Sprintf("memsim: schedule replay diverged at step %d: process %d not runnable in %v (nondeterministic build?)", step, pick, runnable))
+			panic(replayDivergence(fmt.Sprintf("memsim: schedule replay diverged at step %d: process %d not runnable in %v (nondeterministic build?)", step, pick, runnable)))
 		}
 		c.next++
 	} else {
@@ -203,6 +203,14 @@ func (c *chooser) Pick(step int64, runnable []int, last int) int {
 	return pick
 }
 
+// replayDivergence is what chooser.Pick panics with when a schedule
+// forces a switch to a process that is not runnable: a build that is
+// not deterministic, or a schedule the machine never offered.
+// RunScheduleRange returns it as an error; Explorer.Run panics with it.
+type replayDivergence string
+
+func (d replayDivergence) Error() string { return string(d) }
+
 func contains(xs []int, x int) bool {
 	for _, v := range xs {
 		if v == x {
@@ -213,19 +221,45 @@ func contains(xs []int, x int) bool {
 }
 
 // ScheduleOutcome is one schedule's outcome within a wave: its
-// failure, if any, and the child schedules it spawns for the next
-// wave. It is exported because it is also the unit of work a
-// distributed fleet worker reports back to its coordinator (see
-// internal/fleet), which reassembles a wave's outcomes by index for
-// ExploreWaves to merge.
+// failure, if any, and the children it spawns for the next wave, each
+// as the one preemption it appends to this schedule. It is exported
+// because a distributed fleet worker (see internal/fleet) reports it
+// back to its coordinator, which reassembles a wave's outcomes by
+// index for ExploreWaves to merge.
 type ScheduleOutcome struct {
 	// Err is the schedule's failure (violation, deadlock, step bound,
 	// or Check error), nil if it passed.
 	Err error
-	// Children are the next-wave schedules this schedule spawns, in
-	// canonical (step, proc) order. Empty for failing schedules and
-	// for schedules already at the preemption bound.
-	Children [][]Preemption
+	// Children holds the preemption each next-wave child appends to
+	// this schedule, in canonical (step, proc) order. Empty for failing
+	// schedules and for schedules already at the preemption bound.
+	Children []Preemption
+}
+
+// Wave is one wave of the schedule tree, stored flat: Len schedules of
+// Depth preemptions each, schedule i being Slab[i*Depth:(i+1)*Depth].
+// Every schedule of the root wave (Depth 0) is nil, as RootWave's
+// single schedule is.
+type Wave struct {
+	Depth int
+	Len   int
+	Slab  []Preemption
+}
+
+// Schedule returns schedule i of the wave, capped at its own length so
+// that appending to it cannot write into its neighbour.
+func (w Wave) Schedule(i int) []Preemption {
+	if w.Depth == 0 {
+		return nil
+	}
+	lo, hi := i*w.Depth, (i+1)*w.Depth
+	return w.Slab[lo:hi:hi]
+}
+
+// Range returns schedules [lo, hi) of the wave as a wave of its own,
+// sharing w's slab.
+func (w Wave) Range(lo, hi int) Wave {
+	return Wave{Depth: w.Depth, Len: hi - lo, Slab: w.Slab[lo*w.Depth : hi*w.Depth]}
 }
 
 // exploreWorker is what one explorer worker keeps from schedule to
@@ -269,15 +303,22 @@ func (e *Explorer) runOne(w *exploreWorker, sched []Preemption, maxPre int) Sche
 	if wr.Err != nil || !expand {
 		return wr
 	}
+	// Every choice point offers each runnable process but the chosen
+	// one, so the children can be counted, and stored in one array,
+	// before any is made.
+	n := -len(ch.choices)
+	for _, cp := range ch.choices {
+		n += cp.hi - cp.lo
+	}
+	if n == 0 {
+		return wr
+	}
+	wr.Children = make([]Preemption, 0, n)
 	for _, cp := range ch.choices {
 		for _, alt := range ch.ids[cp.lo:cp.hi] {
-			if alt == cp.chosen {
-				continue
+			if alt != cp.chosen {
+				wr.Children = append(wr.Children, Preemption{Step: cp.step, Proc: alt})
 			}
-			child := make([]Preemption, len(sched)+1)
-			copy(child, sched)
-			child[len(sched)] = Preemption{Step: cp.step, Proc: alt}
-			wr.Children = append(wr.Children, child)
 		}
 	}
 	return wr
@@ -295,15 +336,15 @@ func (e *Explorer) Run() ExploreResult {
 	if maxRuns <= 0 {
 		maxRuns = 200_000
 	}
-	workers := e.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	res, err := ExploreWaves(Frontier{Wave: RootWave()}, maxRuns, func(f Frontier) []ScheduleOutcome {
 		if e.Progress != nil {
-			e.Progress(ExploreProgress{Depth: f.Depth, Frontier: len(f.Wave), Runs: f.Runs})
+			e.Progress(ExploreProgress{Depth: f.Wave.Depth, Frontier: f.Wave.Len, Runs: f.Runs})
 		}
-		return e.runWave(f.Wave, f.Depth, f.Runs, maxPre, workers)
+		out, err := e.runWave(f.Wave, f.Runs, maxPre, e.Workers)
+		if err != nil {
+			panic(err) // a replay divergence: a nondeterministic Build
+		}
+		return out
 	}, nil)
 	if err != nil {
 		// runWave returns one outcome per schedule, so only a bug in
@@ -314,12 +355,11 @@ func (e *Explorer) Run() ExploreResult {
 }
 
 // Frontier is an exploration between two waves: the wave pending at
-// preemption depth Depth, in canonical order, and the coverage the
-// completed waves achieved (Runs schedules, DepthRuns[d] of them at
-// depth d). The root frontier is Frontier{Wave: RootWave()}.
+// preemption depth Wave.Depth, in canonical order, and the coverage
+// the completed waves achieved (Runs schedules, DepthRuns[d] of them
+// at depth d). The root frontier is Frontier{Wave: RootWave()}.
 type Frontier struct {
-	Depth     int
-	Wave      [][]Preemption
+	Wave      Wave
 	Runs      int
 	DepthRuns []int
 }
@@ -330,11 +370,12 @@ type Frontier struct {
 // return one outcome per schedule indexed like f.Wave, and merges the
 // outcomes canonically: the first failing index is the canonically
 // smallest failing schedule (any failure in a deeper wave is larger),
-// and the next wave is the concatenation of Children in index order.
-// Before each wave it checks the cap: at maxRuns completed runs the
-// exploration ends unexhausted, and a wave that would overshoot is
-// truncated to its canonical prefix and ends the exploration after it,
-// so the set of schedules run under the cap is deterministic too.
+// and the next wave is every schedule's children in index order (see
+// nextWave). Before each wave it checks the cap: at maxRuns completed
+// runs the exploration ends unexhausted, and a wave that would
+// overshoot is truncated to its canonical prefix and ends the
+// exploration after it, so the set of schedules run under the cap is
+// deterministic too.
 //
 // next, if non-nil, observes the frontier after every wave that
 // neither failed nor was truncated — including one that leaves an
@@ -348,35 +389,32 @@ func ExploreWaves(from Frontier, maxRuns int, exec func(Frontier) []ScheduleOutc
 	// Appends must not write into the caller's DepthRuns array: a
 	// frontier handed out by next may be resumed from more than once.
 	f.DepthRuns = f.DepthRuns[:len(f.DepthRuns):len(f.DepthRuns)]
-	for len(f.Wave) > 0 {
+	for f.Wave.Len > 0 {
 		if f.Runs >= maxRuns {
 			return ExploreResult{Runs: f.Runs, DepthRuns: f.DepthRuns}, nil // cap hit with work left
 		}
 		truncated := false
-		if remaining := maxRuns - f.Runs; len(f.Wave) > remaining {
-			f.Wave = f.Wave[:remaining]
+		if remaining := maxRuns - f.Runs; f.Wave.Len > remaining {
+			f.Wave = f.Wave.Range(0, remaining)
 			truncated = true
 		}
 		out := exec(f)
-		if len(out) != len(f.Wave) {
-			return ExploreResult{}, fmt.Errorf("memsim: executor returned %d outcomes for a %d-schedule wave", len(out), len(f.Wave))
+		if len(out) != f.Wave.Len {
+			return ExploreResult{}, fmt.Errorf("memsim: executor returned %d outcomes for a %d-schedule wave", len(out), f.Wave.Len)
 		}
-		f.Runs += len(f.Wave)
-		f.DepthRuns = append(f.DepthRuns, len(f.Wave))
+		f.Runs += f.Wave.Len
+		f.DepthRuns = append(f.DepthRuns, f.Wave.Len)
 		for i := range out {
 			if out[i].Err != nil {
-				return ExploreResult{Runs: f.Runs, Err: out[i].Err, FailingSchedule: f.Wave[i], DepthRuns: f.DepthRuns}, nil
+				// A copy, so the result does not keep the wave's slab.
+				failing := slices.Clone(f.Wave.Schedule(i))
+				return ExploreResult{Runs: f.Runs, Err: out[i].Err, FailingSchedule: failing, DepthRuns: f.DepthRuns}, nil
 			}
 		}
 		if truncated {
 			return ExploreResult{Runs: f.Runs, DepthRuns: f.DepthRuns}, nil
 		}
-		var wave [][]Preemption
-		for i := range out {
-			wave = append(wave, out[i].Children...)
-		}
-		f.Depth++
-		f.Wave = wave
+		f.Wave = nextWave(f.Wave, out)
 		if next != nil {
 			if err := next(f); err != nil {
 				return ExploreResult{}, err
@@ -384,6 +422,33 @@ func ExploreWaves(from Frontier, maxRuns int, exec func(Frontier) []ScheduleOutc
 		}
 	}
 	return ExploreResult{Runs: f.Runs, Exhausted: true, DepthRuns: f.DepthRuns}, nil
+}
+
+// nextWave builds the wave after w from its outcomes, in one
+// allocation: each child is its parent, schedule i of w, plus the
+// preemption it appends, and children follow their parents' order.
+func nextWave(w Wave, out []ScheduleOutcome) Wave {
+	n := 0
+	for i := range out {
+		n += len(out[i].Children)
+	}
+	next := Wave{Depth: w.Depth + 1, Len: n}
+	if n == 0 {
+		return next
+	}
+	d := next.Depth
+	next.Slab = make([]Preemption, d*n)
+	k := 0
+	for i := range out {
+		parent := w.Schedule(i)
+		for _, p := range out[i].Children {
+			child := next.Slab[k : k+d]
+			copy(child, parent)
+			child[d-1] = p
+			k += d
+		}
+	}
+	return next
 }
 
 // ReplaySchedule runs one specific preemption schedule against a

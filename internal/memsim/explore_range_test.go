@@ -26,8 +26,8 @@ func rangeBuild() *Machine {
 
 // TestRunScheduleRangeReassemblesRun drives the exported wave-range
 // API exactly like an external coordinator would — seed with RootWave,
-// execute each wave in arbitrary-sized contiguous ranges, concatenate
-// Children by index — and checks the reassembled exploration matches
+// execute each wave in arbitrary-sized contiguous ranges, merge the
+// outcomes by index — and checks the reassembled exploration matches
 // Explorer.Run bit for bit (runs per depth, exhaustion).
 func TestRunScheduleRangeReassemblesRun(t *testing.T) {
 	ref := (&Explorer{Build: rangeBuild, MaxPreemptions: 2, MaxSteps: 5000}).Run()
@@ -38,34 +38,57 @@ func TestRunScheduleRangeReassemblesRun(t *testing.T) {
 	e := &Explorer{Build: rangeBuild, MaxPreemptions: 2, MaxSteps: 5000}
 	wave := RootWave()
 	var depthRuns []int
-	for depth := 0; len(wave) > 0; depth++ {
+	for wave.Len > 0 {
 		// Split the wave into ranges of 3 and execute them out of
 		// order — the merge is by index, so order must not matter.
-		outs := make([]ScheduleOutcome, len(wave))
-		var ranges [][2]int
-		for lo := 0; lo < len(wave); lo += 3 {
-			hi := lo + 3
-			if hi > len(wave) {
-				hi = len(wave)
-			}
-			ranges = append(ranges, [2]int{lo, hi})
+		outs := make([]ScheduleOutcome, wave.Len)
+		for lo := (wave.Len - 1) / 3 * 3; lo >= 0; lo -= 3 {
+			hi := min(lo+3, wave.Len)
+			copy(outs[lo:hi], rangeOutcomes(t, e, wave.Range(lo, hi)))
 		}
-		for i := len(ranges) - 1; i >= 0; i-- {
-			lo, hi := ranges[i][0], ranges[i][1]
-			copy(outs[lo:hi], e.RunScheduleRange(wave[lo:hi]))
-		}
-		depthRuns = append(depthRuns, len(wave))
-		var next [][]Preemption
-		for i := range outs {
-			if outs[i].Err != nil {
-				t.Fatalf("unexpected failure at depth %d index %d: %v", depth, i, outs[i].Err)
-			}
-			next = append(next, outs[i].Children...)
-		}
-		wave = next
+		depthRuns = append(depthRuns, wave.Len)
+		wave = nextWave(wave, outs)
 	}
 	if !reflect.DeepEqual(depthRuns, ref.DepthRuns) {
 		t.Fatalf("range-driven depth runs %v, want %v", depthRuns, ref.DepthRuns)
+	}
+}
+
+// TestWaveLayout pins the flat wave: schedule i is the Depth
+// preemptions at Slab[i*Depth:], capped so an append cannot reach its
+// neighbour; a range shares the slab; the root wave's one schedule is
+// nil; and nextWave lays each parent's children out in order, each its
+// parent plus the preemption it appends.
+func TestWaveLayout(t *testing.T) {
+	root := RootWave()
+	if root.Depth != 0 || root.Len != 1 || root.Schedule(0) != nil {
+		t.Fatalf("root wave %+v, schedule %#v", root, root.Schedule(0))
+	}
+	p := func(step int64, proc int) Preemption { return Preemption{Step: step, Proc: proc} }
+	w1 := nextWave(root, []ScheduleOutcome{{Children: []Preemption{p(1, 1), p(4, 0)}}})
+	want1 := Wave{Depth: 1, Len: 2, Slab: []Preemption{p(1, 1), p(4, 0)}}
+	if !reflect.DeepEqual(w1, want1) {
+		t.Fatalf("depth-1 wave %+v, want %+v", w1, want1)
+	}
+	w2 := nextWave(w1, []ScheduleOutcome{{Children: []Preemption{p(2, 0), p(3, 0)}}, {}})
+	want2 := Wave{Depth: 2, Len: 2, Slab: []Preemption{p(1, 1), p(2, 0), p(1, 1), p(3, 0)}}
+	if !reflect.DeepEqual(w2, want2) {
+		t.Fatalf("depth-2 wave %+v, want %+v", w2, want2)
+	}
+	s := w2.Schedule(0)
+	if !reflect.DeepEqual(s, []Preemption{p(1, 1), p(2, 0)}) || cap(s) != 2 {
+		t.Fatalf("schedule 0 = %v (cap %d)", s, cap(s))
+	}
+	_ = append(s, p(9, 9))
+	if w2.Schedule(1)[0] != p(1, 1) {
+		t.Fatal("appending to schedule 0 wrote into schedule 1")
+	}
+	r := w2.Range(1, 2)
+	if r.Len != 1 || r.Depth != 2 || &r.Slab[0] != &w2.Slab[2] {
+		t.Fatalf("range [1,2) = %+v, want schedule 1 on the same slab", r)
+	}
+	if empty := nextWave(w2, []ScheduleOutcome{{}, {}}); empty.Len != 0 || empty.Depth != 3 || empty.Slab != nil {
+		t.Fatalf("a wave without children built %+v", empty)
 	}
 }
 
@@ -149,19 +172,12 @@ func TestRunScheduleRangeRepeatsOverRecycledStorage(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		e := &Explorer{Build: chunkBuild, MaxPreemptions: 2, MaxSteps: 5000, Workers: workers}
 		wave := RootWave()
-		for depth := 0; len(wave) > 0; depth++ {
-			first := e.RunScheduleRange(wave)
-			if second := e.RunScheduleRange(wave); !reflect.DeepEqual(first, second) {
+		for depth := 0; wave.Len > 0; depth++ {
+			first := rangeOutcomes(t, e, wave)
+			if second := rangeOutcomes(t, e, wave); !reflect.DeepEqual(first, second) {
 				t.Fatalf("workers=%d depth %d: outcomes differ on the second pass", workers, depth)
 			}
-			var next [][]Preemption
-			for i := range first {
-				if first[i].Err != nil {
-					t.Fatalf("workers=%d depth %d index %d: %v", workers, depth, i, first[i].Err)
-				}
-				next = append(next, first[i].Children...)
-			}
-			wave = next
+			wave = nextWave(wave, first)
 		}
 	}
 }

@@ -73,68 +73,76 @@ func (d *frontierDeque) claim(w, batch int) (lo, hi int, ok bool) {
 // across workers — and returns the per-schedule outcomes indexed like
 // wave. Each worker, the sequential path included, runs its schedules
 // on a carrier set and chooser of its own; the set is retired when the
-// wave is done.
-func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, workers int) []ScheduleOutcome {
-	out := make([]ScheduleOutcome, len(wave))
+// worker stops. A replay divergence stops every worker and is returned
+// (the first one seen); any other panic stops them too and is
+// re-raised once all have stopped.
+func (e *Explorer) runWave(wave Wave, runsBefore, maxPre, workers int) ([]ScheduleOutcome, error) {
+	out := make([]ScheduleOutcome, wave.Len)
 	var completed atomic.Int64
 	tick := func() {
 		if e.Progress == nil || e.ProgressEvery <= 0 {
 			return
 		}
 		if c := completed.Add(1); c%int64(e.ProgressEvery) == 0 {
-			e.Progress(ExploreProgress{Depth: depth, Frontier: len(wave), Runs: runsBefore + int(c)})
+			e.Progress(ExploreProgress{Depth: wave.Depth, Frontier: wave.Len, Runs: runsBefore + int(c)})
 		}
 	}
-	if workers > len(wave) {
-		workers = len(wave)
-	}
-	if workers <= 1 {
-		var w exploreWorker
-		defer w.cs.Close()
-		for i := range wave {
-			out[i] = e.runOne(&w, wave[i], maxPre)
-			tick()
-		}
-		return out
-	}
-
-	deque := newFrontierDeque(len(wave), workers)
+	workers = max(1, min(workers, wave.Len))
+	deque := newFrontierDeque(wave.Len, workers)
 	var (
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicked  any
+		stop     atomic.Bool
+		mu       sync.Mutex
+		panicked any
+		diverged error
 	)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ew exploreWorker
-			defer ew.cs.Close()
-			// A panic in Build or a simulated body (e.g. the
-			// nondeterministic-build guard in chooser.Pick) must reach
-			// the caller like it does on the sequential path, not kill
-			// the process from an unrecoverable worker goroutine.
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			for {
-				lo, hi, ok := deque.claim(w, claimBatch)
-				if !ok {
-					return
-				}
-				for i := lo; i < hi; i++ {
-					out[i] = e.runOne(&ew, wave[i], maxPre)
-					tick()
-				}
+	work := func(w int) {
+		var ew exploreWorker
+		defer ew.cs.Close()
+		// A panic in Build or a simulated body must reach the caller,
+		// not kill the process from an unrecoverable worker goroutine.
+		defer func() {
+			r := recover()
+			if r == nil {
+				return
+			}
+			stop.Store(true)
+			mu.Lock()
+			defer mu.Unlock()
+			if d, ok := r.(replayDivergence); !ok && panicked == nil {
+				panicked = r
+			} else if ok && diverged == nil {
+				diverged = d
 			}
 		}()
+		for !stop.Load() {
+			lo, hi, ok := deque.claim(w, claimBatch)
+			if !ok {
+				return
+			}
+			for i := lo; i < hi; i++ {
+				out[i] = e.runOne(&ew, wave.Schedule(i), maxPre)
+				tick()
+			}
+		}
 	}
-	wg.Wait()
+	if workers <= 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
+		}
+		wg.Wait()
+	}
 	if panicked != nil {
 		panic(panicked)
 	}
-	return out
+	if diverged != nil {
+		return nil, diverged
+	}
+	return out, nil
 }

@@ -3,6 +3,7 @@ package memsim
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -137,7 +138,9 @@ func TestShardedFailureIsCanonicallySmallest(t *testing.T) {
 			if wr.Err != nil {
 				failing = append(failing, sched)
 			}
-			next = append(next, wr.Children...)
+			for _, p := range wr.Children {
+				next = append(next, append(slices.Clip(sched), p))
+			}
 		}
 		wave = next
 	}

@@ -8,9 +8,45 @@ import (
 )
 
 // rangeExec executes waves through the exported range API, the way an
-// external wave driver does.
-func rangeExec(e *Explorer) func(Frontier) []ScheduleOutcome {
-	return func(f Frontier) []ScheduleOutcome { return e.RunScheduleRange(f.Wave) }
+// external wave driver does; its schedules may fail.
+func rangeExec(t testing.TB, e *Explorer) func(Frontier) []ScheduleOutcome {
+	return func(f Frontier) []ScheduleOutcome { return runRange(t, e, f.Wave) }
+}
+
+// runRange runs a wave through RunScheduleRange and fails the test if
+// the range returned an error. Its schedules may fail.
+func runRange(t testing.TB, e *Explorer, w Wave) []ScheduleOutcome {
+	t.Helper()
+	out, err := e.RunScheduleRange(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// rangeOutcomes is runRange for a wave that must pass: it also fails
+// the test if any schedule failed.
+func rangeOutcomes(t testing.TB, e *Explorer, w Wave) []ScheduleOutcome {
+	t.Helper()
+	out := runRange(t, e, w)
+	for i := range out {
+		if out[i].Err != nil {
+			t.Fatalf("depth %d index %d: %v", w.Depth, i, out[i].Err)
+		}
+	}
+	return out
+}
+
+// rangeWaves returns the first depth+1 waves of e's exploration, root
+// first, each built from the one before through RunScheduleRange. No
+// schedule of the waves before the last may fail.
+func rangeWaves(t testing.TB, e *Explorer, depth int) []Wave {
+	t.Helper()
+	waves := []Wave{RootWave()}
+	for d := 0; d < depth; d++ {
+		waves = append(waves, nextWave(waves[d], rangeOutcomes(t, e, waves[d])))
+	}
+	return waves
 }
 
 // sameResult compares two exploration results field by field; errors
@@ -50,7 +86,7 @@ func TestExploreWavesResumeMatchesRun(t *testing.T) {
 					maxRuns = 200_000
 				}
 				var frontiers []Frontier
-				got, err := ExploreWaves(Frontier{Wave: RootWave()}, maxRuns, rangeExec(e), func(f Frontier) error {
+				got, err := ExploreWaves(Frontier{Wave: RootWave()}, maxRuns, rangeExec(t, e), func(f Frontier) error {
 					frontiers = append(frontiers, f)
 					return nil
 				})
@@ -64,12 +100,12 @@ func TestExploreWavesResumeMatchesRun(t *testing.T) {
 					t.Fatal("next never fired")
 				}
 				for i, f := range frontiers {
-					got, err := ExploreWaves(f, maxRuns, rangeExec(e), nil)
+					got, err := ExploreWaves(f, maxRuns, rangeExec(t, e), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if err := sameResult(got, ref); err != nil {
-						t.Fatalf("resumed from frontier %d (depth %d): %v", i, f.Depth, err)
+						t.Fatalf("resumed from frontier %d (depth %d): %v", i, f.Wave.Depth, err)
 					}
 				}
 			})
@@ -85,11 +121,11 @@ func TestExploreWavesNextErrorStops(t *testing.T) {
 	waves := 0
 	exec := func(f Frontier) []ScheduleOutcome {
 		waves++
-		return e.RunScheduleRange(f.Wave)
+		return rangeOutcomes(t, e, f.Wave)
 	}
 	_, err := ExploreWaves(Frontier{Wave: RootWave()}, 200_000, exec, func(f Frontier) error {
-		if f.Depth != 1 {
-			t.Errorf("first boundary at depth %d, want 1", f.Depth)
+		if f.Wave.Depth != 1 {
+			t.Errorf("first boundary at depth %d, want 1", f.Wave.Depth)
 		}
 		return stop
 	})
@@ -107,7 +143,7 @@ func TestExploreWavesNextErrorStops(t *testing.T) {
 func TestExploreWavesShortOutcomes(t *testing.T) {
 	e := &Explorer{Build: tasLockMachineN(2, 2), MaxPreemptions: 2}
 	exec := func(f Frontier) []ScheduleOutcome {
-		outs := e.RunScheduleRange(f.Wave)
+		outs := rangeOutcomes(t, e, f.Wave)
 		return outs[:len(outs)-1]
 	}
 	if _, err := ExploreWaves(Frontier{Wave: RootWave()}, 200_000, exec, nil); err == nil {

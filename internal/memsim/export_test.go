@@ -4,6 +4,10 @@ package memsim
 // the external tests, so they can record its picks through an Observer.
 func NewChooser(sched []Preemption) Scheduler { return &chooser{preemptions: sched} }
 
+// NextWave builds the wave after w from its outcomes, as ExploreWaves
+// does between waves.
+func NextWave(w Wave, out []ScheduleOutcome) Wave { return nextWave(w, out) }
+
 // ScanRunnable recomputes the runnable set from scratch: the ids of
 // every process whose status is Ready or Recheck, ascending. The
 // cross-check tests compare it with the maintained set the engine

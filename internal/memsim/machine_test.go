@@ -618,7 +618,7 @@ func TestSchedulerPanicReachesCaller(t *testing.T) {
 		defer func() { got = recover() }()
 		e.ReplaySchedule([]Preemption{{Step: 2, Proc: 9}})
 	}()
-	if s, ok := got.(string); !ok || !strings.Contains(s, "schedule replay diverged") {
+	if err, ok := got.(error); !ok || !strings.Contains(err.Error(), "schedule replay diverged") {
 		t.Errorf("diverged replay: Run panicked with %v", got)
 	}
 }
@@ -712,11 +712,14 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			}
 			awaitGoroutines(t, before, what+", Run")
 
+			// RunScheduleRange returns the divergence as its error.
 			e = Explorer{Build: tc.newBuild(), Workers: workers}
-			wave := e.RunScheduleRange(RootWave())[0].Children
-			got = recoverPanic(func() { e.RunScheduleRange(wave) })
-			if (tc.check == nil) != (got != nil) {
-				t.Fatalf("%s: RunScheduleRange panicked with %v", what, got)
+			wave := rangeWaves(t, &e, 1)[1]
+			var err error
+			got = recoverPanic(func() { _, err = e.RunScheduleRange(wave) })
+			if got != nil || (tc.check == nil) != (err != nil) ||
+				err != nil && !strings.Contains(err.Error(), "schedule replay diverged") {
+				t.Fatalf("%s: RunScheduleRange returned %v, panicked with %v", what, err, got)
 			}
 			awaitGoroutines(t, before, what+", RunScheduleRange")
 		}

@@ -130,23 +130,39 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// depth2Wave returns an explorer of G-DSM at N=2, K=2 and its full
-// depth-2 wave, with the two waves before it run, so the machines they
-// released and the worker's storage are warm.
-func depth2Wave(tb testing.TB) (*memsim.Explorer, [][]memsim.Preemption) {
+// gdsmWaves returns an explorer of G-DSM at N=2, K=2 and its first
+// depth+1 waves, root first, each built from the outcomes of the one
+// before, so the machines those runs released and the worker's storage
+// are warm.
+func gdsmWaves(tb testing.TB, depth int) (*memsim.Explorer, []memsim.Wave) {
 	e := &memsim.Explorer{Build: func() *memsim.Machine { return gdsmMachine(2, 2) }, MaxPreemptions: 2}
-	wave := memsim.RootWave()
-	for depth := 0; depth < 2; depth++ {
-		var next [][]memsim.Preemption
-		for _, o := range e.RunScheduleRange(wave) {
-			if o.Err != nil {
-				tb.Fatal(o.Err)
-			}
-			next = append(next, o.Children...)
-		}
-		wave = next
+	waves := []memsim.Wave{memsim.RootWave()}
+	for d := 0; d < depth; d++ {
+		waves = append(waves, memsim.NextWave(waves[d], runRange(tb, e, waves[d])))
 	}
-	return e, wave
+	return e, waves
+}
+
+// depth2Wave returns the G-DSM explorer of gdsmWaves and its full
+// depth-2 wave.
+func depth2Wave(tb testing.TB) (*memsim.Explorer, memsim.Wave) {
+	e, waves := gdsmWaves(tb, 2)
+	return e, waves[2]
+}
+
+// runRange runs a wave through RunScheduleRange and fails tb if the
+// range or any of its schedules fails.
+func runRange(tb testing.TB, e *memsim.Explorer, w memsim.Wave) []memsim.ScheduleOutcome {
+	out, err := e.RunScheduleRange(w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := range out {
+		if out[i].Err != nil {
+			tb.Fatal(out[i].Err)
+		}
+	}
+	return out
 }
 
 // BenchmarkExploreRange measures what the explorer pays per schedule on
@@ -160,15 +176,11 @@ func BenchmarkExploreRange(b *testing.B) {
 	bytes, mallocs := ms.TotalAlloc, ms.Mallocs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, o := range e.RunScheduleRange(wave) {
-			if o.Err != nil {
-				b.Fatal(o.Err)
-			}
-		}
+		runRange(b, e, wave)
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&ms)
-	scheds := float64(b.N) * float64(len(wave))
+	scheds := float64(b.N) * float64(wave.Len)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/scheds, "ns/schedule")
 	b.ReportMetric(float64(ms.TotalAlloc-bytes)/scheds, "B/schedule")
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/scheds, "allocs/schedule")
@@ -198,24 +210,64 @@ func TestExploreScheduleAllocs(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	e, wave := depth2Wave(t)
-	explore := func() {
-		for _, o := range e.RunScheduleRange(wave) {
-			if o.Err != nil {
-				t.Fatal(o.Err)
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(1, explore) / float64(len(wave))
+	explore := func() { runRange(t, e, wave) }
+	allocs := testing.AllocsPerRun(1, explore) / float64(wave.Len)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	explore()
 	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(wave))
-	t.Logf("%.4f allocs and %.1f B per schedule over a %d-schedule wave", allocs, bytes, len(wave))
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(wave.Len)
+	t.Logf("%.4f allocs and %.1f B per schedule over a %d-schedule wave", allocs, bytes, wave.Len)
 	if allocs > exploreScheduleAllocs {
 		t.Errorf("%.2f allocs/schedule, want at most %.2f", allocs, exploreScheduleAllocs)
 	}
 	if bytes > exploreScheduleBytes {
 		t.Errorf("%.1f B/schedule, want at most %d", bytes, exploreScheduleBytes)
+	}
+}
+
+// TestExploreWaveChildAllocs holds the explorer's child generation to
+// one allocation per schedule that has children. It runs G-DSM's
+// depth-1 wave twice, once with K=2, where every passing schedule
+// derives its children, and once with K=1, where the wave sits at the
+// preemption bound and derives none. The builds, the runs and the
+// wave's own storage are the same in both, so the difference is what
+// child generation costs: at most one allocation per schedule with
+// children, plus the choice records each worker's chooser grows once
+// per wave. The wave has several children per parent, so an
+// allocation per child would exceed the bound.
+func TestExploreWaveChildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	// perWorker bounds the growth of one chooser's choice and runnable
+	// records over a wave: a few doublings each.
+	const perWorker = 24
+	_, waves := gdsmWaves(t, 1)
+	wave := waves[1]
+	for _, workers := range []int{1, 2} {
+		build := func() *memsim.Machine { return gdsmMachine(2, 2) }
+		expand := &memsim.Explorer{Build: build, MaxPreemptions: 2, Workers: workers}
+		bound := &memsim.Explorer{Build: build, MaxPreemptions: 1, Workers: workers}
+		out := runRange(t, expand, wave)
+		parents, children := 0, 0
+		for i := range out {
+			if n := len(out[i].Children); n > 0 {
+				parents++
+				children += n
+			}
+		}
+		if children < 2*parents {
+			t.Fatalf("%d children of %d parents cannot tell one allocation per child from one per parent", children, parents)
+		}
+		withChildren := testing.AllocsPerRun(3, func() { runRange(t, expand, wave) })
+		without := testing.AllocsPerRun(3, func() { runRange(t, bound, wave) })
+		extra := withChildren - without
+		t.Logf("workers=%d: %d-schedule wave, %d parents of %d children: %.0f allocations with children, %.0f without",
+			workers, wave.Len, parents, children, withChildren, without)
+		if max := float64(parents + perWorker*workers); extra > max {
+			t.Errorf("workers=%d: child generation made %.0f allocations, want at most %.0f (%d parents, %d children)",
+				workers, extra, max, parents, children)
+		}
 	}
 }
