@@ -95,18 +95,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	engine := lint.NewEngine(loader.Module, enginePkgs)
 
-	// Module analyzer diagnostics, raw and suppressed, keyed by the
-	// module-relative package directory they land in.
+	// Module analyzer diagnostics, keyed by the module-relative
+	// package directory they land in. Each package's directives
+	// suppress them with its own analyzers' below.
 	moduleRaw := make(map[string][]lint.Diagnostic)
-	moduleSuppressed := make(map[string][]lint.Diagnostic)
 	for _, a := range lint.AllModule() {
 		for _, d := range lint.CheckModuleRaw(a, engine) {
 			rel := filepath.ToSlash(filepath.Dir(relativize(root, d.Pos.Filename)))
 			moduleRaw[rel] = append(moduleRaw[rel], d)
-		}
-		for _, d := range lint.CheckModule(a, engine) {
-			rel := filepath.ToSlash(filepath.Dir(relativize(root, d.Pos.Filename)))
-			moduleSuppressed[rel] = append(moduleSuppressed[rel], d)
 		}
 	}
 
@@ -128,12 +124,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		raw = append(raw, moduleRaw[rel]...)
 		pkgDiags = append(pkgDiags, lint.Suppress(pkg, raw)...)
-		// Module diagnostics were suppressed engine-wide; the raw set
-		// above double-counts them for printing, so drop and re-add
-		// the suppressed module set instead.
-		pkgDiags = dedupe(pkgDiags, moduleRaw[rel], moduleSuppressed[rel])
 		pkgDiags = append(pkgDiags, lint.AuditIgnores(pkg, raw)...)
-		sortDiags(pkgDiags)
+		lint.SortDiagnostics(pkgDiags)
 		for _, d := range pkgDiags {
 			d.Pos.Filename = relativize(root, d.Pos.Filename)
 			fmt.Fprintln(stdout, d)
@@ -177,43 +169,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// dedupe removes the raw module diagnostics from diags and appends the
-// suppressed module set, preserving everything else.
-func dedupe(diags, rawModule, suppressedModule []lint.Diagnostic) []lint.Diagnostic {
-	if len(rawModule) == 0 {
-		return diags
-	}
-	drop := make(map[string]int)
-	for _, d := range rawModule {
-		drop[d.String()]++
-	}
-	out := diags[:0]
-	for _, d := range diags {
-		if drop[d.String()] > 0 {
-			drop[d.String()]--
-			continue
-		}
-		out = append(out, d)
-	}
-	return append(out, suppressedModule...)
-}
-
-func sortDiags(diags []lint.Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return diags[i].Message < diags[j].Message
-	})
 }
 
 // buildArtifact assembles the fetchphi.lint/v1 artifact from the

@@ -33,6 +33,21 @@ func build() *memsim.Machine {
 	return m
 }
 
+// lastEvents is an event sink that keeps the most recent keep events,
+// oldest first.
+type lastEvents struct {
+	keep   int
+	events []memsim.TraceEvent
+}
+
+// Record implements memsim.EventSink.
+func (l *lastEvents) Record(ev memsim.TraceEvent) {
+	if len(l.events) == l.keep {
+		l.events = append(l.events[:0], l.events[1:]...)
+	}
+	l.events = append(l.events, ev)
+}
+
 func main() {
 	fmt.Println("hunting the stale-signal bug in G-CC-as-printed...")
 
@@ -73,9 +88,14 @@ func main() {
 		return
 	}
 	m := build()
-	m.EnableTrace(12)
+	last := &lastEvents{keep: 12}
+	m.AttachSink(last)
 	res := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(failSeed), MaxSteps: 2_000_000})
-	fmt.Print(m.FormatTrace())
+	// Labels are the machine's: print them before it is released.
+	for _, ev := range last.events {
+		fmt.Println(ev.Format(m.Label(ev.Var)))
+	}
+	m.Release()
 	fmt.Printf("\nverdict: %v\n", res.Err())
 	fmt.Println("\nwith the stale-signal completion (core.NewGCC), the same workloads")
 	fmt.Println("pass every schedule — see TestGCCStaleSignalAblation and DESIGN.md.")

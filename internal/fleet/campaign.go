@@ -99,7 +99,7 @@ func (c *Coordinator) campaign() ([]harness.ModelReport, *obs.ExploreArtifact, e
 // when the model finishes).
 func (c *Coordinator) runModel(st *modelState, all []*modelState) error {
 	var stopErr error
-	exec := func(f memsim.Frontier) []memsim.ScheduleOutcome {
+	exec := func(f memsim.Frontier) []memsim.RangeOutcome {
 		if c.opts.Progress != nil {
 			c.opts.Progress(st.model, memsim.ExploreProgress{Depth: f.Wave.Depth, Frontier: f.Wave.Len, Runs: f.Runs})
 		}
@@ -107,7 +107,7 @@ func (c *Coordinator) runModel(st *modelState, all []*modelState) error {
 		outs, err := c.execWave(st.model, f.Wave)
 		stop()
 		if err != nil {
-			// No outcomes: ExploreWaves ends on the short wave,
+			// No outcome: ExploreWaves ends on the untiled wave,
 			// and the stop's error replaces its complaint.
 			stopErr = err
 			return nil

@@ -98,13 +98,11 @@ type Coordinator struct {
 	opts     CoordinatorOptions
 	leaseSeq atomic.Int64
 
-	mu           sync.Mutex
-	table        *leaseTable // active wave, nil between waves
-	events       []LeaseEvent
-	reLeases     int
-	staleReports int
-	workers      map[string]*workerState
-	finished     bool
+	mu       sync.Mutex
+	table    *leaseTable // active wave, nil between waves
+	events   []LeaseEvent
+	lastSeen map[string]time.Time // per worker, on the lease clock
+	finished bool
 	// wake is closed, and replaced, when a held lease request may now
 	// succeed: a wave table is published or the campaign finishes.
 	wake     chan struct{}
@@ -119,16 +117,6 @@ type Coordinator struct {
 	stopErr  error
 
 	done chan struct{}
-}
-
-// workerState is the coordinator's per-worker liveness ledger, keyed
-// by worker ID and read by the status endpoint. lastSeen is per the
-// lease clock — it gates nothing, so the one nondeterministic input
-// stays confined to display.
-type workerState struct {
-	leases    int64
-	schedules int64
-	lastSeen  time.Time
 }
 
 // NewCoordinator prepares a coordinator for one campaign. Call Run
@@ -155,10 +143,10 @@ func NewCoordinator(cfg Config, opts CoordinatorOptions) *Coordinator {
 	}
 	return &Coordinator{
 		cfg: cfg.withDefaults(), opts: opts,
-		workers: make(map[string]*workerState),
-		wake:    make(chan struct{}),
-		stopped: make(chan struct{}),
-		done:    make(chan struct{}),
+		lastSeen: make(map[string]time.Time),
+		wake:     make(chan struct{}),
+		stopped:  make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 }
 
@@ -223,9 +211,9 @@ func (c *Coordinator) stop(err error) {
 }
 
 // execWave publishes one wave as a lease table, waits for workers to
-// complete every range, and collects the outcomes in canonical order.
-// If the campaign is stopped first it returns the stop's error.
-func (c *Coordinator) execWave(model memsim.Model, wave memsim.Wave) ([]memsim.ScheduleOutcome, error) {
+// complete every range, and collects the ranges' outcomes in canonical
+// order. If the campaign is stopped first it returns the stop's error.
+func (c *Coordinator) execWave(model memsim.Model, wave memsim.Wave) ([]memsim.RangeOutcome, error) {
 	t := newLeaseTable(model, wave, c.opts.LeaseSize, c.opts.LeaseTimeout, c.opts.Now)
 	c.mu.Lock()
 	c.table = t
@@ -283,7 +271,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if table != nil {
-			if lease, kind, ok := table.claim(req.Worker, c.leaseSeq.Add(1)); ok {
+			if lease, kind, ok := table.claim(c.leaseSeq.Add(1)); ok {
 				c.grant(req.Worker, lease, kind)
 				writeJSON(w, LeaseResponse{Status: StatusLease, Lease: lease})
 				return
@@ -298,7 +286,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-wake:
 		case <-hold:
-			c.touchWorker(req.Worker, 0, 0)
+			c.touchWorker(req.Worker)
 			writeJSON(w, LeaseResponse{Status: StatusWait})
 			return
 		case <-r.Context().Done():
@@ -310,9 +298,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 // grant records one lease grant in the lease log and the metrics.
 func (c *Coordinator) grant(worker string, lease *Lease, kind string) {
 	c.mu.Lock()
-	if kind == "re-lease" {
-		c.reLeases++
-	}
 	c.events = append(c.events, LeaseEvent{
 		Kind: kind, Model: lease.Model, Depth: lease.Depth,
 		Lo: lease.Lo, Hi: lease.Hi, Worker: worker, LeaseID: lease.ID,
@@ -323,25 +308,18 @@ func (c *Coordinator) grant(worker string, lease *Lease, kind string) {
 		c.opts.Metrics.Counter(MetricReLeases).Inc()
 	}
 	c.opts.Metrics.Counter(WorkerMetric(worker, "leases")).Inc()
-	c.touchWorker(worker, 1, 0)
+	c.touchWorker(worker)
 }
 
-// touchWorker records one worker contact: lastSeen moves to now (lease
-// clock), and the grant/schedule deltas accumulate into the liveness
-// ledger the status endpoint reports.
-func (c *Coordinator) touchWorker(id string, leases, schedules int64) {
+// touchWorker records one worker contact: its last-seen time moves to
+// now, on the lease clock. That time gates nothing, so the one
+// nondeterministic input stays confined to display.
+func (c *Coordinator) touchWorker(id string) {
 	if id == "" {
 		return
 	}
 	c.mu.Lock()
-	ws, ok := c.workers[id]
-	if !ok {
-		ws = &workerState{}
-		c.workers[id] = ws
-	}
-	ws.leases += leases
-	ws.schedules += schedules
-	ws.lastSeen = c.opts.Now()
+	c.lastSeen[id] = c.opts.Now()
 	c.mu.Unlock()
 }
 
@@ -358,25 +336,36 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		// The wave this report belongs to has already completed (its
 		// range was re-leased and reported by someone else); nothing
 		// to merge, and nothing lost — outcomes are deterministic.
-		c.noteStale(&req)
+		c.logReport(&req, false)
 		writeJSON(w, ReportResponse{Accepted: false, Reason: "no active wave at that model/depth"})
 		return
 	}
-	if err := table.check(&req, c.cfg.N, c.cfg.Preemptions); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	accepted, err := table.report(&req)
+	out, err := table.check(&req, c.cfg.N, c.cfg.Preemptions)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	c.mu.Lock()
+	accepted, err := table.report(out)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	c.logReport(&req, accepted)
+	reason := ""
+	if !accepted {
+		reason = "range already completed"
+	}
+	writeJSON(w, ReportResponse{Accepted: accepted, Reason: reason})
+}
+
+// logReport records one report, accepted or stale, in the lease log
+// and the metrics.
+func (c *Coordinator) logReport(req *ReportRequest, accepted bool) {
 	kind := "report"
 	if !accepted {
 		kind = "stale-report"
-		c.staleReports++
 	}
+	c.mu.Lock()
 	c.events = append(c.events, LeaseEvent{
 		Kind: kind, Model: req.Model, Depth: req.Depth,
 		Lo: req.Lo, Hi: req.Hi, Worker: req.Worker, LeaseID: req.LeaseID,
@@ -385,51 +374,32 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	if accepted {
 		c.opts.Metrics.Counter(MetricReports).Inc()
 		c.opts.Metrics.Counter(WorkerMetric(req.Worker, "schedules")).Add(int64(req.Hi - req.Lo))
-		c.touchWorker(req.Worker, 0, int64(req.Hi-req.Lo))
 	} else {
 		c.opts.Metrics.Counter(MetricStaleReports).Inc()
-		c.touchWorker(req.Worker, 0, 0)
 	}
-	reason := ""
-	if !accepted {
-		reason = "range already completed"
-	}
-	writeJSON(w, ReportResponse{Accepted: accepted, Reason: reason})
+	c.touchWorker(req.Worker)
 }
 
-func (c *Coordinator) noteStale(req *ReportRequest) {
-	c.mu.Lock()
-	c.staleReports++
-	c.events = append(c.events, LeaseEvent{
-		Kind: "stale-report", Model: req.Model, Depth: req.Depth,
-		Lo: req.Lo, Hi: req.Hi, Worker: req.Worker, LeaseID: req.LeaseID,
-	})
-	c.mu.Unlock()
-	c.opts.Metrics.Counter(MetricStaleReports).Inc()
-	c.touchWorker(req.Worker, 0, 0)
-}
-
+// handleStatus answers with the campaign's counters, read from the
+// telemetry the coordinator keeps anyway, and each worker's last
+// contact.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
+	m := c.opts.Metrics
 	c.mu.Lock()
 	resp := StatusResponse{
 		Algorithm:    c.cfg.Algorithm,
 		State:        "running",
-		Leases:       0,
-		ReLeases:     c.reLeases,
-		StaleReports: c.staleReports,
-	}
-	for _, ev := range c.events {
-		if ev.Kind == "lease" || ev.Kind == "re-lease" {
-			resp.Leases++
-		}
+		Leases:       int(m.Counter(MetricLeases).Value()),
+		ReLeases:     int(m.Counter(MetricReLeases).Value()),
+		StaleReports: int(m.Counter(MetricStaleReports).Value()),
 	}
 	now := c.opts.Now()
-	for id, ws := range c.workers {
+	for id, seen := range c.lastSeen {
 		resp.Workers = append(resp.Workers, WorkerStatus{
 			Worker:     id,
-			Leases:     ws.leases,
-			Schedules:  ws.schedules,
-			LastSeenMS: now.Sub(ws.lastSeen).Milliseconds(),
+			Leases:     m.Counter(WorkerMetric(id, "leases")).Value(),
+			Schedules:  m.Counter(WorkerMetric(id, "schedules")).Value(),
+			LastSeenMS: now.Sub(seen).Milliseconds(),
 		})
 	}
 	if c.finished {
@@ -442,8 +412,8 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	table := c.table
 	c.mu.Unlock()
 	sort.Slice(resp.Workers, func(i, j int) bool { return resp.Workers[i].Worker < resp.Workers[j].Worker })
-	resp.Waves = c.opts.Metrics.Counter(MetricWaves).Value()
-	resp.Schedules = c.opts.Metrics.Counter(MetricSchedules).Value()
+	resp.Waves = m.Counter(MetricWaves).Value()
+	resp.Schedules = m.Counter(MetricSchedules).Value()
 	if table != nil {
 		resp.Model = table.model.String()
 		resp.Depth = table.wave.Depth
@@ -460,11 +430,3 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, c.opts.Metrics.Snapshot())
 }
-
-// errorString is a trivial error wrapper for failures that crossed the
-// wire as strings. It exists (instead of errors.New) to document that
-// fleet-side errors are reconstructed text: message-identical to the
-// local run's error, with the original type erased by serialization.
-type errorString string
-
-func (e errorString) Error() string { return string(e) }

@@ -515,7 +515,7 @@ func TestReportRejectsMalformedChildren(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 2})
 			c.table = newLeaseTable(memsim.CC, fuzzWave(tc.depth), 2, time.Minute, time.Now)
-			if _, _, ok := c.table.claim("w", 1); !ok {
+			if _, _, ok := c.table.claim(1); !ok {
 				t.Fatal("no range to claim")
 			}
 			body := fmt.Sprintf(`{"worker":"w","lease_id":1,"model":"CC","depth":%d,"lo":0,"hi":2,%s}`, tc.depth, tc.body)
@@ -531,7 +531,8 @@ func TestReportRejectsMalformedChildren(t *testing.T) {
 	}
 
 	// The control: the same range with well-formed children and a
-	// failure is taken, and its outcomes land in the wave's slots.
+	// failure is taken, and the table keeps the report's own count and
+	// pair arrays in the range's cell, not copies.
 	c := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 2})
 	c.table = newLeaseTable(memsim.CC, fuzzWave(1), 2, time.Minute, time.Now)
 	body := `{"worker":"w","model":"CC","depth":1,"lo":0,"hi":2,"children":[3,0],"appended":[5,0,5,1,6,0],"failures":[{"index":1,"error":"boom"}]}`
@@ -541,12 +542,28 @@ func TestReportRejectsMalformedChildren(t *testing.T) {
 	if err := json.NewDecoder(rec.Body).Decode(&resp); rec.Code != http.StatusOK || err != nil || !resp.Accepted {
 		t.Fatalf("well-formed report: status %d, %+v, %v", rec.Code, resp, err)
 	}
-	want := []memsim.ScheduleOutcome{
-		{Children: []memsim.Preemption{{Step: 5, Proc: 0}, {Step: 5, Proc: 1}, {Step: 6, Proc: 0}}},
-		{Err: errorString("boom")},
+	want := memsim.RangeOutcome{
+		Children: []int{3, 0},
+		Appended: []memsim.Preemption{{Step: 5, Proc: 0}, {Step: 5, Proc: 1}, {Step: 6, Proc: 0}},
+		Failures: []memsim.Failure{{Index: 1, Err: errors.New("boom")}},
 	}
-	if got := c.table.out[:2]; !reflect.DeepEqual(got, want) {
-		t.Fatalf("accepted report's outcomes %+v, want %+v", got, want)
+	if got := c.table.ranges[0].out; !reflect.DeepEqual(got, want) {
+		t.Fatalf("accepted report's outcome %+v, want %+v", got, want)
+	}
+	var req ReportRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	tab := newLeaseTable(memsim.CC, fuzzWave(1), 2, time.Minute, time.Now)
+	out, err := tab.check(&req, testConfig().N, testConfig().Preemptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc, err := tab.report(out); !acc || err != nil {
+		t.Fatalf("report: %v, %v", acc, err)
+	}
+	if out := tab.ranges[0].out; &out.Children[0] != &req.Children[0] || &out.Appended[0] != &req.Appended[0] {
+		t.Fatal("the table copied the report's arrays instead of keeping them")
 	}
 }
 
@@ -561,7 +578,7 @@ func TestLeaseTableGrid(t *testing.T) {
 	if len(tab.ranges) != 3 {
 		t.Fatalf("7 schedules at pitch 3: %d ranges, want 3", len(tab.ranges))
 	}
-	l1, kind, ok := tab.claim("a", 1)
+	l1, kind, ok := tab.claim(1)
 	if !ok || kind != "lease" || l1.Lo != 0 || l1.Hi != 3 {
 		t.Fatalf("first claim: %+v %s %v", l1, kind, ok)
 	}
@@ -569,33 +586,33 @@ func TestLeaseTableGrid(t *testing.T) {
 		t.Fatalf("first lease carries %v, want the wave's slab [0,9) = %v, not a copy", got, wave.Slab[:9])
 	}
 	// Nothing expired: the same range is not claimable again.
-	l2, _, _ := tab.claim("b", 2)
+	l2, _, _ := tab.claim(2)
 	if l2.Lo == l1.Lo {
 		t.Fatalf("unexpired range re-leased: %+v", l2)
 	}
-	if l, _, _ := tab.claim("b", 20); l.Lo != 6 || len(l.Schedules) != 3 {
+	if l, _, _ := tab.claim(20); l.Lo != 6 || len(l.Schedules) != 3 {
 		t.Fatalf("third claim: %+v", l)
 	}
-	if _, _, ok := tab.claim("b", 21); ok {
+	if _, _, ok := tab.claim(21); ok {
 		t.Fatal("claim granted with every range leased and unexpired")
 	}
 	// Expiry makes the oldest lease claimable again, as a re-lease.
 	clock.advance(2 * time.Second)
-	l3, kind, ok := tab.claim("c", 3)
+	l3, kind, ok := tab.claim(3)
 	if !ok || kind != "re-lease" || l3.Lo != 0 {
 		t.Fatalf("expired claim: %+v %s %v", l3, kind, ok)
 	}
 	// A report from the original (expired) lease still lands — the
 	// outcomes are deterministic — and the re-lease's duplicate is
 	// then ignored.
-	if acc, err := tab.report(&ReportRequest{Lo: 0, Hi: 3, LeaseID: 1, Children: Counts{0, 0, 0}}); !acc || err != nil {
+	if acc, err := tab.report(memsim.RangeOutcome{Lo: 0, Children: []int{0, 0, 0}}); !acc || err != nil {
 		t.Fatalf("late report rejected: %v %v", acc, err)
 	}
-	if acc, err := tab.report(&ReportRequest{Lo: 0, Hi: 3, LeaseID: 3, Children: Counts{0, 0, 0}}); acc || err != nil {
+	if acc, err := tab.report(memsim.RangeOutcome{Lo: 0, Children: []int{0, 0, 0}}); acc || err != nil {
 		t.Fatalf("duplicate report not ignored: %v %v", acc, err)
 	}
 	// Geometry violations are errors.
-	if _, err := tab.report(&ReportRequest{Lo: 1, Hi: 3, Children: Counts{0, 0}}); err == nil {
+	if _, err := tab.report(memsim.RangeOutcome{Lo: 1, Children: []int{0, 0}}); err == nil {
 		t.Fatal("off-grid report accepted")
 	}
 }

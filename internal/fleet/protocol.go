@@ -2,41 +2,38 @@
 // machines: a coordinator decomposes each schedule wave into contiguous
 // index-range leases with deadlines, workers claim leases over plain
 // HTTP+JSON and execute them through the existing sharded explorer, and
-// the coordinator reassembles the per-range outcomes by canonical index
-// into one wave's outcomes for memsim.ExploreWaves — the wave loop
-// Explorer.Run itself runs — so Runs, Exhausted, DepthRuns, and the
-// reported FailingSchedule are bit-identical to a single-machine
-// harness.CheckSharded run at any worker count, join/leave order, or
-// lease size.
+// the coordinator hands the ranges' outcomes, in grid order, to
+// memsim.ExploreWaves — the wave loop Explorer.Run itself runs — so
+// Runs, Exhausted, DepthRuns, and the reported FailingSchedule are
+// bit-identical to a single-machine harness.CheckSharded run at any
+// worker count, join/leave order, or lease size.
 //
-// The wave is flat from the explorer to the wire. A memsim.Wave at
-// depth d is one slab of preemptions holding its schedules back to
-// back, d apiece. A lease is a slice of that slab, and it crosses the
-// wire as one flat array of step/proc pairs (Pairs). A report is three
-// flat arrays: how many children each schedule spawns (Counts), the
-// one preemption each child appends to its parent, children of the
-// first schedule first (Pairs), and the failing schedules by index
-// (Failures). The coordinator checks a report against the schedules it
-// leased and keeps its arrays as they are: each schedule's outcome
-// points into the report's pairs, and ExploreWaves builds the next
-// wave's slab from them in one allocation. The pair and count arrays
-// decode into storage of exactly their length (see wire.go). A lease request that
-// finds nothing claimable is held until a wave is published, the
-// campaign ends, or the coordinator's hold bound passes, so an idle
-// worker neither sleeps nor polls between waves.
+// The wave and its outcome are flat from the explorer to the wire. A
+// memsim.Wave at depth d is one slab of preemptions, d a schedule; a
+// lease is a slice of it, one flat array of step/proc pairs (Pairs). A
+// report is the range's memsim.RangeOutcome as the explorer returned
+// it: each schedule's child count (Counts), each child's appended
+// preemption (Pairs) and the failures by index, their errors as text.
+// The coordinator checks a report against the schedules it leased and
+// keeps its arrays, as they are, in the range's grid cell. The pair
+// and count arrays decode into storage of exactly their length (see
+// wire.go). A lease request that finds nothing claimable is held until
+// a wave is published, the campaign ends, or the coordinator's hold
+// bound passes, so an idle worker neither sleeps nor polls between
+// waves.
 //
 // The determinism argument has three independent legs:
 //
-//  1. Wave execution is a pure function of the machine: every schedule
-//     index yields the same ScheduleOutcome whichever worker runs it,
-//     because harness.CheckExplorer is the single definition of the
-//     workload and memsim.Explorer.Build is required to be
-//     deterministic.
+//  1. Wave execution is a pure function of the machine: every range of
+//     schedules yields the same RangeOutcome arrays whichever worker
+//     runs it, at any shard count, because harness.CheckExplorer is the
+//     single definition of the workload and memsim.Explorer.Build is
+//     required to be deterministic.
 //  2. Leases partition a wave's index space into a fixed grid, so each
-//     index's outcome lands at its own slot regardless of which lease
-//     (or which re-lease, after a worker is lost) delivered it; stale
-//     duplicate reports are ignored, which is sound because they are
-//     byte-identical to the accepted one.
+//     range's outcome lands in its own grid cell regardless of which
+//     lease (or which re-lease, after a worker is lost) delivered it;
+//     stale duplicate reports are ignored, which is sound because they
+//     are byte-identical to the accepted one.
 //  3. The merge is positional: first failing index in wave order is the
 //     canonical failure, and the next wave is every schedule's
 //     children in parent order — no timestamps, worker ids, or arrival
@@ -243,8 +240,9 @@ type Lease struct {
 	DeadlineMS int64 `json:"deadline_ms"`
 }
 
-// ReportRequest delivers one completed lease's outcomes as three flat
-// arrays indexed like the lease's schedules.
+// ReportRequest delivers one completed lease's outcome, the range's
+// memsim.RangeOutcome, as three flat arrays indexed like the lease's
+// schedules.
 type ReportRequest struct {
 	Worker  string `json:"worker"`
 	LeaseID int64  `json:"lease_id"`
@@ -292,7 +290,9 @@ type StatusResponse struct {
 	RangesPending int `json:"ranges_pending"`
 	RangesLeased  int `json:"ranges_leased"`
 	RangesDone    int `json:"ranges_done"`
-	// Cumulative lease-log counters for the whole campaign.
+	// Cumulative lease counters for the whole campaign, read from the
+	// coordinator's telemetry (MetricLeases, MetricReLeases,
+	// MetricStaleReports).
 	Leases       int `json:"leases"`
 	ReLeases     int `json:"re_leases"`
 	StaleReports int `json:"stale_reports"`
@@ -313,7 +313,7 @@ type StatusResponse struct {
 type WorkerStatus struct {
 	Worker string `json:"worker"`
 	// Leases and Schedules count the grants issued to and schedules
-	// reported by this worker.
+	// reported by this worker (its WorkerMetric counters).
 	Leases    int64 `json:"leases"`
 	Schedules int64 `json:"schedules"`
 	// LastSeenMS is milliseconds since this worker's last request, per

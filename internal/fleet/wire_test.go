@@ -21,7 +21,7 @@ func TestWireRoundTrip(t *testing.T) {
 	for depth := 0; depth <= 3; depth++ {
 		wave := fuzzWave(depth)
 		tab := newLeaseTable(memsim.CC, wave, 2, time.Minute, time.Now)
-		lease, _, ok := tab.claim("w", 7)
+		lease, _, ok := tab.claim(7)
 		if !ok {
 			t.Fatalf("depth %d: nothing to claim", depth)
 		}
@@ -59,7 +59,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &gotReport); err != nil {
 			t.Fatalf("depth %d: %s: %v", depth, data, err)
 		}
-		if err := tab.check(&gotReport, 2, 4); err != nil {
+		if _, err := tab.check(&gotReport, 2, 4); err != nil {
 			t.Fatalf("depth %d: well-formed report %s rejected: %v", depth, data, err)
 		}
 	}

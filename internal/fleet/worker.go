@@ -102,9 +102,10 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.Sleep = sleepCtx
 	}
 	w.rng = rand.New(rand.NewSource(jitterSeed(w.ID)))
-	if err := w.fetchConfig(ctx); err != nil {
+	if err := w.call(ctx, PathConfig, nil, &w.cfg); err != nil {
 		return err
 	}
+	w.cfg = w.cfg.withDefaults()
 	b, err := w.Resolve(w.cfg.Algorithm)
 	if err != nil {
 		return err
@@ -155,9 +156,11 @@ func (w *Worker) backoff(ctx context.Context, streak int) error {
 	return w.Sleep(ctx, d)
 }
 
-// execute runs one lease and reports its outcomes. A lease the
-// coordinator could not have granted, or a schedule that diverges from
-// every run the machine can make, is an error, and no report is sent.
+// execute runs one lease and reports its outcome: the range's arrays as
+// the explorer returned them, with each failure's error as text. A
+// lease the coordinator could not have granted, or a schedule that
+// diverges from every run the machine can make, is an error, and no
+// report is sent.
 func (w *Worker) execute(ctx context.Context, lease *Lease) error {
 	if lease == nil {
 		return fmt.Errorf("fleet: lease response carried no lease")
@@ -176,12 +179,12 @@ func (w *Worker) execute(ctx context.Context, lease *Lease) error {
 		return fmt.Errorf("fleet: lease %d for range [%d,%d): %w", lease.ID, lease.Lo, lease.Hi, err)
 	}
 	stop := w.Metrics.Time(MetricWorkerRangeUS)
-	outs, err := e.RunScheduleRange(wave)
+	out, err := e.RunScheduleRange(wave)
 	stop()
 	if err != nil {
 		return fmt.Errorf("fleet: lease %d for range [%d,%d): %w", lease.ID, lease.Lo, lease.Hi, err)
 	}
-	w.Metrics.Counter(MetricWorkerSchedules).Add(int64(len(outs)))
+	w.Metrics.Counter(MetricWorkerSchedules).Add(int64(wave.Len))
 	report := ReportRequest{
 		Worker:   w.ID,
 		LeaseID:  lease.ID,
@@ -189,19 +192,14 @@ func (w *Worker) execute(ctx context.Context, lease *Lease) error {
 		Depth:    lease.Depth,
 		Lo:       lease.Lo,
 		Hi:       lease.Hi,
-		Children: make(Counts, len(outs)),
+		Children: out.Children,
+		Appended: out.Appended,
 	}
-	children := 0
-	for i := range outs {
-		children += len(outs[i].Children)
+	if report.Appended == nil {
+		report.Appended = Pairs{} // a range without children appends [], not null
 	}
-	report.Appended = make(Pairs, 0, children)
-	for i, o := range outs {
-		report.Children[i] = len(o.Children)
-		report.Appended = append(report.Appended, o.Children...)
-		if o.Err != nil {
-			report.Failures = append(report.Failures, Failure{Index: i, Error: o.Err.Error()})
-		}
+	for _, f := range out.Failures {
+		report.Failures = append(report.Failures, Failure{Index: f.Index, Error: f.Err.Error()})
 	}
 	var resp ReportResponse
 	// A rejected report is fine: the range was completed by a
@@ -228,43 +226,20 @@ func leaseWave(l *Lease, maxPre, n int) (memsim.Wave, error) {
 	return memsim.Wave{Depth: l.Depth, Len: size, Slab: l.Schedules}, nil
 }
 
-// fetchConfig loads the campaign configuration with retries.
-func (w *Worker) fetchConfig(ctx context.Context) error {
-	var lastErr error
-	for attempt := 0; attempt < w.Retries; attempt++ {
-		if attempt > 0 {
-			if err := w.backoff(ctx, attempt-1); err != nil {
-				return err
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.Coordinator+PathConfig, nil)
+// call sends one request to the coordinator, a GET when body is nil
+// and else a POST of body as JSON, and decodes the JSON response into
+// out. It retries transport failures (including dropped responses)
+// with jittered backoff, up to w.Retries times. Every retried POST is
+// safe: leases are granted fresh per call, and duplicate reports are
+// idempotent on the coordinator.
+func (w *Worker) call(ctx context.Context, path string, body, out any) error {
+	method, payload := http.MethodGet, []byte(nil)
+	if body != nil {
+		data, err := json.Marshal(body)
 		if err != nil {
 			return err
 		}
-		resp, err := w.Client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		err = decodeBody(resp, &w.cfg)
-		if err == nil {
-			w.cfg = w.cfg.withDefaults()
-			return nil
-		}
-		lastErr = err
-	}
-	return fmt.Errorf("fleet: fetch config from %s: %w", w.Coordinator, lastErr)
-}
-
-// call POSTs a JSON body and decodes the JSON response, retrying
-// transport failures (including dropped responses) with jittered
-// backoff, up to w.Retries times. Every retried POST is safe: leases
-// are granted fresh per call, and duplicate reports are idempotent on
-// the coordinator.
-func (w *Worker) call(ctx context.Context, path string, body, out any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
+		method, payload = http.MethodPost, data
 	}
 	var lastErr error
 	for attempt := 0; attempt < w.Retries; attempt++ {
@@ -273,7 +248,7 @@ func (w *Worker) call(ctx context.Context, path string, body, out any) error {
 				return err
 			}
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+path, bytes.NewReader(payload))
+		req, err := http.NewRequestWithContext(ctx, method, w.Coordinator+path, bytes.NewReader(payload))
 		if err != nil {
 			return err
 		}

@@ -43,7 +43,7 @@ func AuditIgnores(pkg *Package, raw []Diagnostic) []Diagnostic {
 				" diagnostic on this line or the next; delete it",
 		})
 	}
-	sortDiagnostics(out)
+	SortDiagnostics(out)
 	return out
 }
 

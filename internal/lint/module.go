@@ -61,27 +61,18 @@ func AllModule() []*ModuleAnalyzer {
 }
 
 // CheckModuleRaw runs one module analyzer and returns its diagnostics
-// sorted, without applying ignore directives.
+// sorted, without applying ignore directives. Directives match by
+// file, so Suppress with the package a diagnostic lands in applies
+// them.
 func CheckModuleRaw(a *ModuleAnalyzer, e *Engine) []Diagnostic {
 	pass := &ModulePass{Analyzer: a, Engine: e}
 	a.Run(pass)
-	sortDiagnostics(pass.diags)
+	SortDiagnostics(pass.diags)
 	return pass.diags
 }
 
-// CheckModule runs one module analyzer with //fetchphilint:ignore
-// directives applied (each package's directives suppress diagnostics
-// landing in that package's files).
-func CheckModule(a *ModuleAnalyzer, e *Engine) []Diagnostic {
-	diags := CheckModuleRaw(a, e)
-	for _, pkg := range e.Pkgs {
-		diags = Suppress(pkg, diags)
-	}
-	return diags
-}
-
-// sortDiagnostics orders diagnostics by file, line, column, message.
-func sortDiagnostics(diags []Diagnostic) {
+// SortDiagnostics orders diagnostics by file, line, column, message.
+func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -2,6 +2,7 @@ package localspin
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -177,6 +178,19 @@ func TestDistinctSitesIndependent(t *testing.T) {
 	}
 }
 
+// pickLog is a Scheduler that writes every pick its inner scheduler
+// makes to w, with the step and the runnable set.
+type pickLog struct {
+	memsim.Scheduler
+	w io.Writer
+}
+
+func (l pickLog) Pick(step int64, runnable []int, last int) int {
+	chosen := l.Scheduler.Pick(step, runnable, last)
+	fmt.Fprintf(l.w, "step %d: %v -> p%d\n", step, runnable, chosen)
+	return chosen
+}
+
 // TestFormsIssueTheirProtocol pins what each form of Waits does: the
 // plain form issues exactly the operations and scheduling points of a
 // bare await on the named variables, of the establishing write alone
@@ -274,12 +288,7 @@ func TestFormsIssueTheirProtocol(t *testing.T) {
 		rec := &recorder{}
 		m.AttachSink(rec)
 		var b strings.Builder
-		res := m.Run(memsim.RunConfig{
-			Sched: memsim.NewRandom(seed),
-			Observer: func(step int64, runnable []int, chosen int) {
-				fmt.Fprintf(&b, "step %d: %v -> p%d\n", step, runnable, chosen)
-			},
-		})
+		res := m.Run(memsim.RunConfig{Sched: pickLog{memsim.NewRandom(seed), &b}})
 		if err := res.Err(); err != nil {
 			t.Fatal(err)
 		}

@@ -188,7 +188,7 @@ func (c *chooser) Pick(step int64, runnable []int, last int) int {
 	var pick int
 	if c.next < len(c.preemptions) && c.preemptions[c.next].Step == step {
 		pick = c.preemptions[c.next].Proc
-		if !contains(runnable, pick) {
+		if !slices.Contains(runnable, pick) {
 			panic(replayDivergence(fmt.Sprintf("memsim: schedule replay diverged at step %d: process %d not runnable in %v (nondeterministic build?)", step, pick, runnable)))
 		}
 		c.next++
@@ -211,29 +211,48 @@ type replayDivergence string
 
 func (d replayDivergence) Error() string { return string(d) }
 
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+// RangeOutcome is the outcome of the wave's schedules from index Lo on,
+// as three flat arrays: Children, how many next-wave children each
+// schedule spawns (none for a failing one or one at the preemption
+// bound); Appended, the one preemption each child appends to its
+// parent, schedule Lo's children first, each schedule's in (step,
+// proc) order; and Failures, by increasing index. A fleet report (see
+// internal/fleet) carries exactly these arrays.
+type RangeOutcome struct {
+	Lo       int
+	Children []int
+	Appended []Preemption
+	Failures []Failure
 }
 
-// ScheduleOutcome is one schedule's outcome within a wave: its
-// failure, if any, and the children it spawns for the next wave, each
-// as the one preemption it appends to this schedule. It is exported
-// because a distributed fleet worker (see internal/fleet) reports it
-// back to its coordinator, which reassembles a wave's outcomes by
-// index for ExploreWaves to merge.
-type ScheduleOutcome struct {
-	// Err is the schedule's failure (violation, deadlock, step bound,
-	// or Check error), nil if it passed.
-	Err error
-	// Children holds the preemption each next-wave child appends to
-	// this schedule, in canonical (step, proc) order. Empty for failing
-	// schedules and for schedules already at the preemption bound.
-	Children []Preemption
+// Failure is a failing schedule of a RangeOutcome: its index relative to
+// Lo, and its violation, deadlock, step bound or Check error.
+type Failure struct {
+	Index int
+	Err   error
+}
+
+// Check rejects a range whose arrays do not fit each other: a negative
+// count, counts that do not sum to the appended preemptions, or a
+// failure without an error, outside the range or not after the one
+// before.
+func (r RangeOutcome) Check() error {
+	sum := 0
+	for _, c := range r.Children {
+		if c < 0 {
+			return fmt.Errorf("memsim: a schedule counts %d children", c)
+		}
+		sum += c
+	}
+	if sum != len(r.Appended) {
+		return fmt.Errorf("memsim: %d children counted, %d preemptions appended", sum, len(r.Appended))
+	}
+	for j, f := range r.Failures {
+		if f.Err == nil || f.Index < 0 || f.Index >= len(r.Children) || j > 0 && f.Index <= r.Failures[j-1].Index {
+			return fmt.Errorf("memsim: failure %d names schedule %d of %d, out of order or without an error", j, f.Index, len(r.Children))
+		}
+	}
+	return nil
 }
 
 // Wave is one wave of the schedule tree, stored flat: Len schedules of
@@ -263,22 +282,26 @@ func (w Wave) Range(lo, hi int) Wave {
 }
 
 // exploreWorker is what one explorer worker keeps from schedule to
-// schedule of a wave: the carrier set its processes run on and its
-// chooser.
+// schedule of a wave: the carrier set its processes run on, its
+// chooser, and the ranges of the wave it has run, the last one still
+// growing.
 type exploreWorker struct {
-	cs Carriers
-	ch chooser
+	cs     Carriers
+	ch     chooser
+	ranges []RangeOutcome
 }
 
 // runOne builds a machine, executes one schedule on it, with its
-// processes on the worker's carriers, and releases it. Unless the
-// schedule already sits at the preemption bound, it also derives the
-// schedule's children: one new preemption strictly after the current
-// last one, to every alternative runnable process, in (step, proc)
-// order. That ordering — together with waves listing children in
-// parent order — is what makes a wave's index order the canonical
-// (shortest, then lexicographic) order on schedules.
-func (e *Explorer) runOne(w *exploreWorker, sched []Preemption, maxPre int) ScheduleOutcome {
+// processes on the worker's carriers, and releases it. It records the
+// schedule's outcome at the end of the worker's current range and
+// returns how many children it spawns. Unless the schedule fails or
+// already sits at the preemption bound, it derives them: one new
+// preemption strictly after the current last one, to every alternative
+// runnable process, in (step, proc) order. That ordering — together
+// with waves listing children in parent order — is what makes a wave's
+// index order the canonical (shortest, then lexicographic) order on
+// schedules.
+func (e *Explorer) runOne(w *exploreWorker, sched []Preemption, maxPre int) int {
 	expand := len(sched) < maxPre
 	traceFrom := int64(0)
 	switch {
@@ -293,35 +316,41 @@ func (e *Explorer) runOne(w *exploreWorker, sched []Preemption, maxPre int) Sche
 	ch.reset(sched, traceFrom)
 	m := e.Build()
 	r := m.RunOn(&w.cs, RunConfig{Sched: ch, MaxSteps: e.MaxSteps})
-	wr := ScheduleOutcome{Err: r.Err()}
-	if wr.Err == nil && e.Check != nil {
-		wr.Err = e.Check(r)
+	err := r.Err()
+	if err == nil && e.Check != nil {
+		err = e.Check(r)
 	}
 	// The run, its error and its checks are done with the machine, and
 	// Build hands it to no one else: its storage can serve the next one.
 	m.Release()
-	if wr.Err != nil || !expand {
-		return wr
-	}
-	// Every choice point offers each runnable process but the chosen
-	// one, so the children can be counted, and stored in one array,
-	// before any is made.
-	n := -len(ch.choices)
-	for _, cp := range ch.choices {
-		n += cp.hi - cp.lo
-	}
-	if n == 0 {
-		return wr
-	}
-	wr.Children = make([]Preemption, 0, n)
-	for _, cp := range ch.choices {
-		for _, alt := range ch.ids[cp.lo:cp.hi] {
-			if alt != cp.chosen {
-				wr.Children = append(wr.Children, Preemption{Step: cp.step, Proc: alt})
+	out := &w.ranges[len(w.ranges)-1]
+	n := 0
+	if err != nil {
+		out.Failures = append(out.Failures, Failure{Index: len(out.Children), Err: err})
+	} else if expand {
+		// Every choice point offers each runnable process but the
+		// chosen one, so the children can be counted, and room made
+		// for them, before any is appended.
+		for _, cp := range ch.choices {
+			n += cp.hi - cp.lo - 1
+		}
+		if cap(out.Appended)-len(out.Appended) < n {
+			// Make room as if each schedule the range still expects
+			// (its counts' spare capacity) spawned as many: growing
+			// from empty by append's own steps, a quarter at a time
+			// past 256, would allocate the array several times over.
+			out.Appended = slices.Grow(out.Appended, n*max(1, cap(out.Children)-len(out.Children)))
+		}
+		for _, cp := range ch.choices {
+			for _, alt := range ch.ids[cp.lo:cp.hi] {
+				if alt != cp.chosen {
+					out.Appended = append(out.Appended, Preemption{Step: cp.step, Proc: alt})
+				}
 			}
 		}
 	}
-	return wr
+	out.Children = append(out.Children, n)
+	return n
 }
 
 // Run explores the preemption-bounded schedule space wave by wave,
@@ -336,7 +365,7 @@ func (e *Explorer) Run() ExploreResult {
 	if maxRuns <= 0 {
 		maxRuns = 200_000
 	}
-	res, err := ExploreWaves(Frontier{Wave: RootWave()}, maxRuns, func(f Frontier) []ScheduleOutcome {
+	res, err := ExploreWaves(Frontier{Wave: RootWave()}, maxRuns, func(f Frontier) []RangeOutcome {
 		if e.Progress != nil {
 			e.Progress(ExploreProgress{Depth: f.Wave.Depth, Frontier: f.Wave.Len, Runs: f.Runs})
 		}
@@ -347,8 +376,8 @@ func (e *Explorer) Run() ExploreResult {
 		return out
 	}, nil)
 	if err != nil {
-		// runWave returns one outcome per schedule, so only a bug in
-		// the explorer itself can break the executor contract.
+		// runWave's ranges tile the wave, so only a bug in the
+		// explorer itself can break the executor contract.
 		panic(err)
 	}
 	return res
@@ -367,8 +396,8 @@ type Frontier struct {
 // ExploreWaves is the explorer's wave loop, shared by Explorer.Run and
 // the fleet coordinator's campaign in internal/fleet.
 // Starting from a frontier it hands each wave to exec, which must
-// return one outcome per schedule indexed like f.Wave, and merges the
-// outcomes canonically: the first failing index is the canonically
+// return outcome ranges that tile f.Wave in index order, and merges
+// them canonically: the first failing index is the canonically
 // smallest failing schedule (any failure in a deeper wave is larger),
 // and the next wave is every schedule's children in index order (see
 // nextWave). Before each wave it checks the cap: at maxRuns completed
@@ -382,9 +411,10 @@ type Frontier struct {
 // empty frontier — and a non-nil error from it stops the loop on that
 // wave boundary and is returned. Resuming ExploreWaves from such a
 // frontier yields the result the uninterrupted loop would have. The
-// only other error is an exec that breaks the one-outcome-per-schedule
-// contract.
-func ExploreWaves(from Frontier, maxRuns int, exec func(Frontier) []ScheduleOutcome, next func(Frontier) error) (ExploreResult, error) {
+// only other error is an exec whose ranges do not tile the wave: each
+// must start where the one before ended, from 0 to the wave's end, and
+// pass Check.
+func ExploreWaves(from Frontier, maxRuns int, exec func(Frontier) []RangeOutcome, next func(Frontier) error) (ExploreResult, error) {
 	f := from
 	// Appends must not write into the caller's DepthRuns array: a
 	// frontier handed out by next may be resumed from more than once.
@@ -399,16 +429,26 @@ func ExploreWaves(from Frontier, maxRuns int, exec func(Frontier) []ScheduleOutc
 			truncated = true
 		}
 		out := exec(f)
-		if len(out) != f.Wave.Len {
-			return ExploreResult{}, fmt.Errorf("memsim: executor returned %d outcomes for a %d-schedule wave", len(out), f.Wave.Len)
+		end := 0
+		for _, r := range out {
+			if r.Lo != end {
+				return ExploreResult{}, fmt.Errorf("memsim: an outcome range starts at schedule %d, not %d", r.Lo, end)
+			}
+			if err := r.Check(); err != nil {
+				return ExploreResult{}, err
+			}
+			end += len(r.Children)
+		}
+		if end != f.Wave.Len {
+			return ExploreResult{}, fmt.Errorf("memsim: outcome ranges cover %d schedules of a %d-schedule wave", end, f.Wave.Len)
 		}
 		f.Runs += f.Wave.Len
 		f.DepthRuns = append(f.DepthRuns, f.Wave.Len)
-		for i := range out {
-			if out[i].Err != nil {
+		for _, r := range out {
+			if len(r.Failures) > 0 {
 				// A copy, so the result does not keep the wave's slab.
-				failing := slices.Clone(f.Wave.Schedule(i))
-				return ExploreResult{Runs: f.Runs, Err: out[i].Err, FailingSchedule: failing, DepthRuns: f.DepthRuns}, nil
+				failing := slices.Clone(f.Wave.Schedule(r.Lo + r.Failures[0].Index))
+				return ExploreResult{Runs: f.Runs, Err: r.Failures[0].Err, FailingSchedule: failing, DepthRuns: f.DepthRuns}, nil
 			}
 		}
 		if truncated {
@@ -424,13 +464,13 @@ func ExploreWaves(from Frontier, maxRuns int, exec func(Frontier) []ScheduleOutc
 	return ExploreResult{Runs: f.Runs, Exhausted: true, DepthRuns: f.DepthRuns}, nil
 }
 
-// nextWave builds the wave after w from its outcomes, in one
-// allocation: each child is its parent, schedule i of w, plus the
-// preemption it appends, and children follow their parents' order.
-func nextWave(w Wave, out []ScheduleOutcome) Wave {
+// nextWave builds the wave after w from its outcome ranges, in one
+// allocation: each child is its parent plus the preemption it appends,
+// and children follow their parents' order.
+func nextWave(w Wave, out []RangeOutcome) Wave {
 	n := 0
-	for i := range out {
-		n += len(out[i].Children)
+	for _, r := range out {
+		n += len(r.Appended)
 	}
 	next := Wave{Depth: w.Depth + 1, Len: n}
 	if n == 0 {
@@ -439,13 +479,17 @@ func nextWave(w Wave, out []ScheduleOutcome) Wave {
 	d := next.Depth
 	next.Slab = make([]Preemption, d*n)
 	k := 0
-	for i := range out {
-		parent := w.Schedule(i)
-		for _, p := range out[i].Children {
-			child := next.Slab[k : k+d]
-			copy(child, parent)
-			child[d-1] = p
-			k += d
+	for _, r := range out {
+		appended := r.Appended
+		for i, c := range r.Children {
+			parent := w.Schedule(r.Lo + i)
+			for _, p := range appended[:c] {
+				child := next.Slab[k : k+d]
+				copy(child, parent)
+				child[d-1] = p
+				k += d
+			}
+			appended = appended[c:]
 		}
 	}
 	return next

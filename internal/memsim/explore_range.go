@@ -7,12 +7,14 @@ package memsim
 // child generation and — through ExploreWaves — the wave loop itself.
 // A wave is a Wave: its depth, its length and one slab of preemptions
 // holding every schedule back to back. A range is any contiguous run
-// of its schedules (Wave.Range, a slice of the same slab). The
-// per-index outcomes are a pure function of the machine, and each
-// carries only the preemption every child appends, so a driver that
-// executes every index of a wave exactly once and hands ExploreWaves
-// the outcomes by index reproduces Explorer.Run bit for bit, whatever
-// machine, process, or lease the indices ran on.
+// of its schedules (Wave.Range, a slice of the same slab), and its
+// outcome is a RangeOutcome: three flat arrays, a child count per
+// schedule, each child's appended preemption and the failures. Each
+// schedule's outcome is a pure function of the machine, so a driver
+// that executes every index of a wave exactly once and hands
+// ExploreWaves range outcomes that tile the wave reproduces
+// Explorer.Run bit for bit, whatever machine, process, or lease the
+// indices ran on.
 
 // ResolvedPreemptions returns the literal preemption bound K that the
 // Explorer's MaxPreemptions encoding selects: ZeroPreemptions resolves
@@ -31,24 +33,40 @@ func (e *Explorer) ResolvedPreemptions() int {
 	}
 }
 
-// RunScheduleRange executes a contiguous range of one wave's schedules
-// against fresh machines from Build and returns their outcomes indexed
-// like the range. The range is sharded across e.Workers goroutines
-// with work stealing (values <= 1 run sequentially); the outcomes are
-// identical either way because each one lands at its own index.
-// Drivers reassemble a wave by concatenating range outcomes in index
-// order and return it from their ExploreWaves exec, which merges it
-// exactly as for Explorer.Run.
+// RunScheduleRange executes the schedules of w, a wave or a range of
+// one, against fresh machines from Build and returns their outcome as
+// one range with Lo 0. The schedules are sharded across e.Workers
+// goroutines with work stealing (values <= 1 run sequentially); the
+// arrays are identical either way, because the pieces the workers ran
+// are joined in index order. Drivers set each range's Lo to its place
+// in the wave and return the ranges, in order, from their ExploreWaves
+// exec, which merges them exactly as for Explorer.Run.
 //
 // A schedule that forces a switch to a process that is not runnable at
 // its step diverges from every run the machine can make; the range
 // stops, and the divergence comes back as the error. Every other panic,
 // in Build or a process body, is re-raised.
-func (e *Explorer) RunScheduleRange(w Wave) ([]ScheduleOutcome, error) {
+func (e *Explorer) RunScheduleRange(w Wave) (RangeOutcome, error) {
 	if w.Len == 0 {
-		return nil, nil
+		return RangeOutcome{}, nil
 	}
-	return e.runWave(w, 0, e.ResolvedPreemptions(), e.Workers)
+	out, err := e.runWave(w, 0, e.ResolvedPreemptions(), e.Workers)
+	switch {
+	case err != nil:
+		return RangeOutcome{}, err
+	case len(out) == 1:
+		return out[0], nil
+	}
+	// The workers split the range: join their pieces.
+	j := RangeOutcome{Children: make([]int, 0, w.Len)}
+	for _, r := range out {
+		for _, f := range r.Failures {
+			j.Failures = append(j.Failures, Failure{Index: r.Lo + f.Index, Err: f.Err})
+		}
+		j.Children = append(j.Children, r.Children...)
+		j.Appended = append(j.Appended, r.Appended...)
+	}
+	return j, nil
 }
 
 // RootWave returns the canonical first wave of every exploration: the

@@ -26,9 +26,9 @@ func rangeBuild() *Machine {
 
 // TestRunScheduleRangeReassemblesRun drives the exported wave-range
 // API exactly like an external coordinator would — seed with RootWave,
-// execute each wave in arbitrary-sized contiguous ranges, merge the
-// outcomes by index — and checks the reassembled exploration matches
-// Explorer.Run bit for bit (runs per depth, exhaustion).
+// execute each wave in arbitrary-sized contiguous ranges, hand the
+// ranges to ExploreWaves in index order — and checks the reassembled
+// exploration matches Explorer.Run bit for bit.
 func TestRunScheduleRangeReassemblesRun(t *testing.T) {
 	ref := (&Explorer{Build: rangeBuild, MaxPreemptions: 2, MaxSteps: 5000}).Run()
 	if ref.Err != nil || !ref.Exhausted {
@@ -36,21 +36,22 @@ func TestRunScheduleRangeReassemblesRun(t *testing.T) {
 	}
 
 	e := &Explorer{Build: rangeBuild, MaxPreemptions: 2, MaxSteps: 5000}
-	wave := RootWave()
-	var depthRuns []int
-	for wave.Len > 0 {
+	exec := func(f Frontier) []RangeOutcome {
 		// Split the wave into ranges of 3 and execute them out of
-		// order — the merge is by index, so order must not matter.
-		outs := make([]ScheduleOutcome, wave.Len)
-		for lo := (wave.Len - 1) / 3 * 3; lo >= 0; lo -= 3 {
-			hi := min(lo+3, wave.Len)
-			copy(outs[lo:hi], rangeOutcomes(t, e, wave.Range(lo, hi)))
+		// order — each range knows its place, so order must not matter.
+		outs := make([]RangeOutcome, (f.Wave.Len+2)/3)
+		for lo := (f.Wave.Len - 1) / 3 * 3; lo >= 0; lo -= 3 {
+			outs[lo/3] = rangeOutcomes(t, e, f.Wave.Range(lo, min(lo+3, f.Wave.Len)))
+			outs[lo/3].Lo = lo
 		}
-		depthRuns = append(depthRuns, wave.Len)
-		wave = nextWave(wave, outs)
+		return outs
 	}
-	if !reflect.DeepEqual(depthRuns, ref.DepthRuns) {
-		t.Fatalf("range-driven depth runs %v, want %v", depthRuns, ref.DepthRuns)
+	got, err := ExploreWaves(Frontier{Wave: RootWave()}, 200_000, exec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameResult(got, ref); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -65,12 +66,12 @@ func TestWaveLayout(t *testing.T) {
 		t.Fatalf("root wave %+v, schedule %#v", root, root.Schedule(0))
 	}
 	p := func(step int64, proc int) Preemption { return Preemption{Step: step, Proc: proc} }
-	w1 := nextWave(root, []ScheduleOutcome{{Children: []Preemption{p(1, 1), p(4, 0)}}})
+	w1 := nextWave(root, []RangeOutcome{{Children: []int{2}, Appended: []Preemption{p(1, 1), p(4, 0)}}})
 	want1 := Wave{Depth: 1, Len: 2, Slab: []Preemption{p(1, 1), p(4, 0)}}
 	if !reflect.DeepEqual(w1, want1) {
 		t.Fatalf("depth-1 wave %+v, want %+v", w1, want1)
 	}
-	w2 := nextWave(w1, []ScheduleOutcome{{Children: []Preemption{p(2, 0), p(3, 0)}}, {}})
+	w2 := nextWave(w1, []RangeOutcome{{Children: []int{2}, Appended: []Preemption{p(2, 0), p(3, 0)}}, {Lo: 1, Children: []int{0}}})
 	want2 := Wave{Depth: 2, Len: 2, Slab: []Preemption{p(1, 1), p(2, 0), p(1, 1), p(3, 0)}}
 	if !reflect.DeepEqual(w2, want2) {
 		t.Fatalf("depth-2 wave %+v, want %+v", w2, want2)
@@ -87,7 +88,7 @@ func TestWaveLayout(t *testing.T) {
 	if r.Len != 1 || r.Depth != 2 || &r.Slab[0] != &w2.Slab[2] {
 		t.Fatalf("range [1,2) = %+v, want schedule 1 on the same slab", r)
 	}
-	if empty := nextWave(w2, []ScheduleOutcome{{}, {}}); empty.Len != 0 || empty.Depth != 3 || empty.Slab != nil {
+	if empty := nextWave(w2, []RangeOutcome{{Children: []int{0, 0}}}); empty.Len != 0 || empty.Depth != 3 || empty.Slab != nil {
 		t.Fatalf("a wave without children built %+v", empty)
 	}
 }
@@ -177,7 +178,75 @@ func TestRunScheduleRangeRepeatsOverRecycledStorage(t *testing.T) {
 			if second := rangeOutcomes(t, e, wave); !reflect.DeepEqual(first, second) {
 				t.Fatalf("workers=%d depth %d: outcomes differ on the second pass", workers, depth)
 			}
-			wave = nextWave(wave, first)
+			wave = nextWave(wave, []RangeOutcome{first})
+		}
+	}
+}
+
+// subRange returns the outcome of schedules [lo, hi) of r, a range
+// starting at 0, as a range of its own starting at 0.
+func subRange(r RangeOutcome, lo, hi int) RangeOutcome {
+	off := 0
+	for _, c := range r.Children[:lo] {
+		off += c
+	}
+	n := 0
+	for _, c := range r.Children[lo:hi] {
+		n += c
+	}
+	sub := RangeOutcome{Children: r.Children[lo:hi], Appended: r.Appended[off : off+n]}
+	for _, f := range r.Failures {
+		if f.Index >= lo && f.Index < hi {
+			sub.Failures = append(sub.Failures, Failure{Index: f.Index - lo, Err: f.Err})
+		}
+	}
+	return sub
+}
+
+// sameRange compares two range outcomes array by array; errors compare
+// by message.
+func sameRange(got, want RangeOutcome) bool {
+	if got.Lo != want.Lo || !slices.Equal(got.Children, want.Children) || !slices.Equal(got.Appended, want.Appended) ||
+		len(got.Failures) != len(want.Failures) {
+		return false
+	}
+	for i, f := range got.Failures {
+		if f.Index != want.Failures[i].Index || f.Err.Error() != want.Failures[i].Err.Error() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRunScheduleRangeShardsMatchSequential: a range run at 1 or 3
+// shards returns the same three arrays as the sequential run of the
+// whole wave holds for those schedules, on a passing and a failing
+// space, at every depth; at 3 shards the workers' pieces are joined.
+func TestRunScheduleRangeShardsMatchSequential(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() *Machine
+	}{
+		{"passing", tasLockMachineN(3, 1)},
+		{"failing", brokenLockMachineN(2, 2)},
+	} {
+		seq := &Explorer{Build: tc.build, MaxPreemptions: 2, MaxSteps: 5000}
+		wave := RootWave()
+		for wave.Len > 0 {
+			ref := runRange(t, seq, wave)
+			for _, shards := range []int{1, 3} {
+				e := &Explorer{Build: tc.build, MaxPreemptions: 2, MaxSteps: 5000, Workers: shards}
+				for _, r := range [][2]int{{0, wave.Len}, {wave.Len / 3, wave.Len}, {0, (wave.Len + 1) / 2}} {
+					if r[0] == r[1] {
+						continue
+					}
+					got := runRange(t, e, wave.Range(r[0], r[1]))
+					if want := subRange(ref, r[0], r[1]); !sameRange(got, want) {
+						t.Fatalf("%s depth %d, [%d,%d) at %d shards: %+v, want %+v", tc.name, wave.Depth, r[0], r[1], shards, got, want)
+					}
+				}
+			}
+			wave = nextWave(wave, []RangeOutcome{ref})
 		}
 	}
 }

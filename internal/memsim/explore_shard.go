@@ -1,15 +1,18 @@
 package memsim
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // This file is the parallel half of the explorer: it executes one wave
 // of schedules across a worker pool. Parallelism lives entirely inside
-// a wave — workers share nothing but the frontier deque and the output
-// slice, and every schedule's outcome lands at its own canonical index
-// — so the merge in ExploreWaves never sees worker timing.
+// a wave — workers share nothing but the frontier deque, and each
+// records its schedules' outcomes in ranges of its own that know their
+// canonical indices — so the merge in ExploreWaves never sees worker
+// timing.
 
 // claimBatch is how many frontier indices a worker claims per deque
 // access: small enough that the tail of a wave still balances across
@@ -40,8 +43,10 @@ func newFrontierDeque(n, workers int) *frontierDeque {
 }
 
 // claim takes up to batch indices for worker w, stealing when w's own
-// shard is empty. ok is false only when the whole frontier is drained.
-func (d *frontierDeque) claim(w, batch int) (lo, hi int, ok bool) {
+// shard is empty, and returns them with the end of w's shard: the
+// indices from lo to end are w's to run unless another worker steals
+// them. ok is false only when the whole frontier is drained.
+func (d *frontierDeque) claim(w, batch int) (lo, hi, end int, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := &d.shards[w]
@@ -53,7 +58,7 @@ func (d *frontierDeque) claim(w, batch int) (lo, hi int, ok bool) {
 			}
 		}
 		if best < 0 {
-			return 0, 0, false
+			return 0, 0, 0, false
 		}
 		victim := &d.shards[best]
 		mid := victim[0] + bestSize/2
@@ -66,18 +71,18 @@ func (d *frontierDeque) claim(w, batch int) (lo, hi int, ok bool) {
 		hi = s[1]
 	}
 	s[0] = hi
-	return lo, hi, true
+	return lo, hi, s[1], true
 }
 
 // runWave executes one wave of schedules — sequentially, or sharded
-// across workers — and returns the per-schedule outcomes indexed like
-// wave. Each worker, the sequential path included, runs its schedules
-// on a carrier set and chooser of its own; the set is retired when the
-// worker stops. A replay divergence stops every worker and is returned
-// (the first one seen); any other panic stops them too and is
-// re-raised once all have stopped.
-func (e *Explorer) runWave(wave Wave, runsBefore, maxPre, workers int) ([]ScheduleOutcome, error) {
-	out := make([]ScheduleOutcome, wave.Len)
+// across workers — and returns their outcomes as ranges that tile the
+// wave, sorted by Lo: each worker, the sequential path included, runs
+// its schedules on a carrier set and chooser of its own and records
+// one range per contiguous run of indices it claimed. A replay
+// divergence stops every worker and is returned (the first one seen);
+// any other panic stops them too and is re-raised once all have
+// stopped.
+func (e *Explorer) runWave(wave Wave, runsBefore, maxPre, workers int) ([]RangeOutcome, error) {
 	var completed atomic.Int64
 	tick := func() {
 		if e.Progress == nil || e.ProgressEvery <= 0 {
@@ -89,6 +94,7 @@ func (e *Explorer) runWave(wave Wave, runsBefore, maxPre, workers int) ([]Schedu
 	}
 	workers = max(1, min(workers, wave.Len))
 	deque := newFrontierDeque(wave.Len, workers)
+	ranges := make([][]RangeOutcome, workers)
 	var (
 		stop     atomic.Bool
 		mu       sync.Mutex
@@ -115,15 +121,21 @@ func (e *Explorer) runWave(wave Wave, runsBefore, maxPre, workers int) ([]Schedu
 			}
 		}()
 		for !stop.Load() {
-			lo, hi, ok := deque.claim(w, claimBatch)
+			lo, hi, end, ok := deque.claim(w, claimBatch)
 			if !ok {
-				return
+				break
+			}
+			// Continue the current range if it ends at lo, or start one
+			// with room for the rest of the worker's shard.
+			if n := len(ew.ranges); n == 0 || ew.ranges[n-1].Lo+len(ew.ranges[n-1].Children) != lo {
+				ew.ranges = append(ew.ranges, RangeOutcome{Lo: lo, Children: make([]int, 0, end-lo)})
 			}
 			for i := lo; i < hi; i++ {
-				out[i] = e.runOne(&ew, wave.Schedule(i), maxPre)
+				e.runOne(&ew, wave.Schedule(i), maxPre)
 				tick()
 			}
 		}
+		ranges[w] = ew.ranges
 	}
 	if workers <= 1 {
 		work(0)
@@ -144,5 +156,7 @@ func (e *Explorer) runWave(wave Wave, runsBefore, maxPre, workers int) ([]Schedu
 	if diverged != nil {
 		return nil, diverged
 	}
+	out := slices.Concat(ranges...)
+	slices.SortFunc(out, func(a, b RangeOutcome) int { return cmp.Compare(a.Lo, b.Lo) })
 	return out, nil
 }

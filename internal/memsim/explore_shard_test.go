@@ -134,11 +134,12 @@ func TestShardedFailureIsCanonicallySmallest(t *testing.T) {
 	for depth := 0; depth < len(res.DepthRuns); depth++ {
 		var next [][]Preemption
 		for _, sched := range wave {
-			wr := e.runOne(&w, sched, DefaultPreemptions)
-			if wr.Err != nil {
+			w.ranges = []RangeOutcome{{}}
+			n := e.runOne(&w, sched, DefaultPreemptions)
+			if out := w.ranges[0]; len(out.Failures) > 0 {
 				failing = append(failing, sched)
 			}
-			for _, p := range wr.Children {
+			for _, p := range w.ranges[0].Appended[:n] {
 				next = append(next, append(slices.Clip(sched), p))
 			}
 		}
@@ -317,9 +318,12 @@ func TestFrontierDequeCoversEveryIndexOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				lo, hi, ok := d.claim(w, 13)
+				lo, hi, end, ok := d.claim(w, 13)
 				if !ok {
 					return
+				}
+				if hi > end {
+					t.Errorf("claim [%d,%d) runs past its shard's end %d", lo, hi, end)
 				}
 				mu.Lock()
 				for i := lo; i < hi; i++ {

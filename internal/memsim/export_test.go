@@ -1,12 +1,27 @@
 package memsim
 
 // NewChooser exposes the explorer's preemption-schedule Scheduler to
-// the external tests, so they can record its picks through an Observer.
+// the external tests, so they can record its picks through Observed.
 func NewChooser(sched []Preemption) Scheduler { return &chooser{preemptions: sched} }
 
-// NextWave builds the wave after w from its outcomes, as ExploreWaves
-// does between waves.
-func NextWave(w Wave, out []ScheduleOutcome) Wave { return nextWave(w, out) }
+// Observed wraps a Scheduler so that See is called after each of its
+// picks with the step, the runnable set Pick saw (under Pick's
+// ownership rules: copy it to keep it) and the chosen process.
+type Observed struct {
+	Scheduler
+	See func(step int64, runnable []int, chosen int)
+}
+
+// Pick implements Scheduler.
+func (o Observed) Pick(step int64, runnable []int, last int) int {
+	id := o.Scheduler.Pick(step, runnable, last)
+	o.See(step, runnable, id)
+	return id
+}
+
+// NextWave builds the wave after w from its outcome ranges, as
+// ExploreWaves does between waves.
+func NextWave(w Wave, out []RangeOutcome) Wave { return nextWave(w, out) }
 
 // ScanRunnable recomputes the runnable set from scratch: the ids of
 // every process whose status is Ready or Recheck, ascending. The

@@ -37,8 +37,8 @@ func gdsmMachine(n, entries int) *memsim.Machine {
 }
 
 // TestHandoffGolden pins the engine's scheduling decisions: the
-// (step, runnable, chosen) sequence every scheduling point hands to the
-// Observer, for each built-in scheduler and the explorer's chooser, on
+// (step, runnable, chosen) sequence of every scheduling point, as an
+// Observed wrapper sees it, for each built-in scheduler and the explorer's chooser, on
 // a small G-DSM machine. The golden was recorded with the original
 // central-loop engine, so any change to how control passes between
 // process goroutines must reproduce it exactly. Regenerate with
@@ -57,12 +57,12 @@ func TestHandoffGolden(t *testing.T) {
 	var b strings.Builder
 	for _, s := range scheds {
 		fmt.Fprintf(&b, "# %s\n", s.name)
-		res := gdsmMachine(3, 2).Run(memsim.RunConfig{
-			Sched: s.sched,
-			Observer: func(step int64, runnable []int, chosen int) {
+		res := gdsmMachine(3, 2).Run(memsim.RunConfig{Sched: memsim.Observed{
+			Scheduler: s.sched,
+			See: func(step int64, runnable []int, chosen int) {
 				fmt.Fprintf(&b, "%d %v %d\n", step, runnable, chosen)
 			},
-		})
+		}})
 		if err := res.Err(); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
@@ -93,15 +93,15 @@ func TestHandoffGoldenWide(t *testing.T) {
 	for _, s := range scheds {
 		fmt.Fprintf(&b, "# %s\n", s.name)
 		h := sha256.New()
-		res := gdsmMachine(n, 2).Run(memsim.RunConfig{
-			Sched: s.sched,
-			Observer: func(step int64, runnable []int, chosen int) {
+		res := gdsmMachine(n, 2).Run(memsim.RunConfig{Sched: memsim.Observed{
+			Scheduler: s.sched,
+			See: func(step int64, runnable []int, chosen int) {
 				fmt.Fprintf(h, "%d %v %d\n", step, runnable, chosen)
 				if (step+1)%512 == 0 {
 					fmt.Fprintf(&b, "%d %x\n", step+1, h.Sum(nil)[:8])
 				}
 			},
-		})
+		}})
 		if err := res.Err(); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}

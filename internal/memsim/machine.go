@@ -321,10 +321,9 @@ type Machine struct {
 	readyDirty bool
 	timedOut   bool
 	killed     bool // torn down: a resumed process unwinds
-	schedPanic any  // a Scheduler or Observer panic, re-raised by Run
+	schedPanic any  // a Scheduler panic, re-raised by Run
 
 	violation  error
-	trace      *traceRing  // nil unless EnableTrace was called
 	sinks      []EventSink // observers of every shared-memory operation
 	phaseSinks []PhaseSink // the subset of sinks observing phase transitions
 	endSinks   []EndSink   // the subset of sinks told when the run ends

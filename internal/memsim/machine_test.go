@@ -304,10 +304,10 @@ func TestStickySchedulerQuantum(t *testing.T) {
 			}
 		})
 	}
-	res := m.Run(RunConfig{
-		Sched:    &Sticky{Quantum: 4},
-		Observer: func(_ int64, _ []int, chosen int) { picks = append(picks, chosen) },
-	})
+	res := m.Run(RunConfig{Sched: Observed{
+		Scheduler: &Sticky{Quantum: 4},
+		See:       func(_ int64, _ []int, chosen int) { picks = append(picks, chosen) },
+	}})
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestValueInspection(t *testing.T) {
 type scriptSched []int
 
 func (s scriptSched) Pick(step int64, runnable []int, _ int) int {
-	if step < int64(len(s)) && contains(runnable, s[step]) {
+	if step < int64(len(s)) && slices.Contains(runnable, s[step]) {
 		return s[step]
 	}
 	return runnable[0]
@@ -592,22 +592,15 @@ func runRecover(m *Machine, cfg RunConfig) (r any) {
 	return nil
 }
 
-// TestSchedulerPanicReachesCaller: a panic in Scheduler.Pick or the
-// Observer, whichever goroutine holds the baton when it fires (Run's
-// own at step 0, a process's later), surfaces from Run with its
-// original value instead of crashing a process goroutine.
+// TestSchedulerPanicReachesCaller: a panic in Scheduler.Pick,
+// whichever goroutine holds the baton when it fires (Run's own at step
+// 0, a process's later), surfaces from Run with its original value
+// instead of crashing a process goroutine.
 func TestSchedulerPanicReachesCaller(t *testing.T) {
 	for _, at := range []int64{0, 1, 3, 7} {
 		want := fmt.Sprintf("boom at step %d", at)
 		if got := runRecover(contendedMachine(), RunConfig{Sched: panicSched{at: at}}); got != want {
 			t.Errorf("Pick panic at step %d: Run panicked with %v, want %q", at, got, want)
-		}
-		got := runRecover(contendedMachine(), RunConfig{
-			Sched:    RoundRobin{},
-			Observer: func(step int64, _ []int, _ int) { panicAt(step, at) },
-		})
-		if got != want {
-			t.Errorf("Observer panic at step %d: Run panicked with %v, want %q", at, got, want)
 		}
 	}
 	// The explorer's chooser panics when a replayed schedule names a
@@ -626,7 +619,8 @@ func TestSchedulerPanicReachesCaller(t *testing.T) {
 func TestNoGoroutineLeaks(t *testing.T) {
 	// The engine must fully unwind its process coroutines on every
 	// exit path: completion, violation, deadlock, timeout, a panicking
-	// Scheduler or Observer, and a panicking process body.
+	// Scheduler at its first step or a later one, and a panicking
+	// process body.
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 350; i++ {
@@ -661,11 +655,8 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			m.Run(RunConfig{Sched: RoundRobin{}, MaxSteps: 20})
 		case 4: // scheduler panic, re-raised in Run's caller
 			runRecover(contendedMachine(), RunConfig{Sched: panicSched{at: 3}})
-		case 5: // observer panic, re-raised in Run's caller
-			runRecover(contendedMachine(), RunConfig{
-				Sched:    RoundRobin{},
-				Observer: func(step int64, _ []int, _ int) { panicAt(step, 5) },
-			})
+		case 5: // scheduler panic at the first step, in Run's own goroutine
+			runRecover(contendedMachine(), RunConfig{Sched: panicSched{at: 0}})
 		case 6: // body panic, re-raised in Run's caller
 			runRecover(panickyMachine(), RunConfig{Sched: RoundRobin{}})
 		}

@@ -1,6 +1,8 @@
 package memsim
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -64,10 +66,10 @@ func TestPCTPriorityScheduling(t *testing.T) {
 			}
 		})
 	}
-	res := m.Run(RunConfig{
-		Sched:    NewPCT(3, 1, 100),
-		Observer: func(_ int64, _ []int, chosen int) { picks = append(picks, chosen) },
-	})
+	res := m.Run(RunConfig{Sched: Observed{
+		Scheduler: NewPCT(3, 1, 100),
+		See:       func(_ int64, _ []int, chosen int) { picks = append(picks, chosen) },
+	}})
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +99,12 @@ func TestTraceRecordsOperations(t *testing.T) {
 		p.AwaitTrue(flag)
 		p.Read(v)
 	})
-	m.EnableTrace(64)
+	sink := &collectSink{}
+	m.AttachSink(sink)
 	if err := m.Run(RunConfig{Sched: RoundRobin{}}).Err(); err != nil {
 		t.Fatal(err)
 	}
-	events := m.Trace()
+	events := sink.events
 	if len(events) == 0 {
 		t.Fatal("no events recorded")
 	}
@@ -118,7 +121,11 @@ func TestTraceRecordsOperations(t *testing.T) {
 			t.Errorf("no %v event recorded (kinds: %v)", k, kinds)
 		}
 	}
-	out := m.FormatTrace()
+	var lines []string
+	for _, e := range events {
+		lines = append(lines, e.Format(m.Label(e.Var)))
+	}
+	out := strings.Join(lines, "\n")
 	for _, substr := range []string{"rmw", "x: 7 -> 8", "write"} {
 		if !strings.Contains(out, substr) {
 			t.Errorf("trace missing %q:\n%s", substr, out)
@@ -134,13 +141,14 @@ func TestTraceRingWrapsOldestFirst(t *testing.T) {
 			p.Write(v, Word(i))
 		}
 	})
-	m.EnableTrace(4)
+	last := &lastEvents{keep: 4}
+	m.AttachSink(last)
 	if err := m.Run(RunConfig{Sched: RoundRobin{}}).Err(); err != nil {
 		t.Fatal(err)
 	}
-	events := m.Trace()
+	events := last.events
 	if len(events) != 4 {
-		t.Fatalf("ring returned %d events, want 4", len(events))
+		t.Fatalf("kept %d events, want 4", len(events))
 	}
 	for i := 1; i < len(events); i++ {
 		if events[i].Step <= events[i-1].Step {
@@ -152,14 +160,34 @@ func TestTraceRingWrapsOldestFirst(t *testing.T) {
 	}
 }
 
+// TestTraceDisabledReturnsNil: tracing is observation only. A run
+// with sinks attached and the same run with none report the same
+// Result: steps, RMRs and every process's statistics.
 func TestTraceDisabledReturnsNil(t *testing.T) {
-	m := NewMachine(CC, 1)
-	m.AddProc("p", func(*Proc) {})
-	m.Run(RunConfig{Sched: RoundRobin{}})
-	if m.Trace() != nil {
-		t.Fatal("trace without EnableTrace")
+	run := func(sinks ...EventSink) Result {
+		m := NewMachine(DSM, 3)
+		v := m.NewVar("v", HomeGlobal, 0)
+		for i := 0; i < 3; i++ {
+			m.AddProc("p", func(p *Proc) {
+				for k := 0; k < 3; k++ {
+					p.BeginEntrySection()
+					p.RMW(v, func(w Word) Word { return w + 1 })
+					p.Read(v)
+					p.EndExitSection()
+				}
+			})
+		}
+		for _, s := range sinks {
+			m.AttachSink(s)
+		}
+		res := m.Run(RunConfig{Sched: NewRandom(4)})
+		res.Procs = slices.Clone(res.Procs)
+		m.Release()
+		return res
 	}
-	if m.FormatTrace() != "(no trace recorded)" {
-		t.Fatal("FormatTrace placeholder wrong")
+	quiet := run()
+	traced := run(&phaseCollectSink{}, &endLog{}, &lastEvents{keep: 2})
+	if !reflect.DeepEqual(quiet, traced) {
+		t.Fatalf("untraced run %+v, traced run %+v", quiet, traced)
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 // recycleCase is one build of TestRecycledMachineMatchesFresh: G-DSM,
 // or its abortable form under an abort schedule, on a model and size,
-// observed through a sink, a trace ring, both or neither. A stuck case
+// observed through a sink, a tail of the last events, both or neither. A stuck case
 // adds a passage that deadlocks, so the run ends with a process in its
 // entry section and a WaitingDetail.
 type recycleCase struct {
@@ -37,6 +37,17 @@ type observed struct {
 	events []string // sink stream: operations and phase transitions
 	trace  []memsim.TraceEvent
 	labels []string // the label of each trace event's variable
+}
+
+// tail is a plain EventSink keeping a run's last 16 events as they
+// came.
+type tail struct{ events []memsim.TraceEvent }
+
+func (t *tail) Record(ev memsim.TraceEvent) {
+	if len(t.events) == 16 {
+		t.events = append(t.events[:0], t.events[1:]...)
+	}
+	t.events = append(t.events, ev)
 }
 
 // eventLog is a PhaseSink that keeps both streams as text. An
@@ -109,8 +120,9 @@ func (c recycleCase) run(t *testing.T, seed int64) (observed, *memsim.Machine) {
 	if c.sink {
 		m.AttachSink(log)
 	}
+	last := &tail{}
 	if c.trace {
-		m.EnableTrace(16)
+		m.AttachSink(last)
 	}
 	res := m.Run(memsim.RunConfig{Sched: memsim.NewRandom(seed)})
 	if err := res.Err(); err != nil && !c.stuck {
@@ -119,7 +131,7 @@ func (c recycleCase) run(t *testing.T, seed int64) (observed, *memsim.Machine) {
 	if c.stuck && !res.Deadlocked {
 		t.Fatalf("%v: the stuck passage did not deadlock", c)
 	}
-	o := observed{res: res, hot: m.HotVars(5), events: log.lines, trace: m.Trace()}
+	o := observed{res: res, hot: m.HotVars(5), events: log.lines, trace: last.events}
 	for _, ev := range o.trace {
 		o.labels = append(o.labels, m.Label(ev.Var))
 	}
@@ -128,7 +140,7 @@ func (c recycleCase) run(t *testing.T, seed int64) (observed, *memsim.Machine) {
 
 // TestRecycledMachineMatchesFresh runs a mixed sequence of builds
 // (three models, N=2, 5, 70 and 130, the last two past the inline
-// bitset word, whose sharer words Release keeps; with and without sinks, trace rings, abort points and a deadlocked
+// bitset word, whose sharer words Release keeps; with and without sinks, event tails, abort points and a deadlocked
 // passage) through build, run and Release, sequentially and on four
 // goroutines, and checks that every run shows exactly what the same
 // build shows on a never-recycled machine: its Result (statistics,

@@ -16,11 +16,6 @@ type RunConfig struct {
 	// MaxSteps aborts runs that exceed this many scheduling points
 	// (livelock/starvation guard). Defaults to DefaultMaxSteps.
 	MaxSteps int64
-	// Observer, if non-nil, is invoked at every scheduling decision
-	// with the runnable set (ascending ids) and the chosen process.
-	// runnable is the slice Pick saw, with Pick's ownership rules: do
-	// not modify it, and copy it to keep it past the call.
-	Observer func(step int64, runnable []int, chosen int)
 }
 
 // Result summarizes one completed run.
@@ -260,9 +255,9 @@ func (m *Machine) kill() {
 // it did not: spinners are parked and stay parked), enforces MaxSteps,
 // and asks the scheduler for the next process. It
 // returns nil when the run is over: a violation, no runnable process
-// (completion or deadlock), the step bound, or a panic in the Scheduler
-// or Observer, which is kept for RunOn to re-raise after teardown so
-// it never unwinds a process body.
+// (completion or deadlock), the step bound, or a panic in the
+// Scheduler, which is kept for RunOn to re-raise after teardown so it
+// never unwinds a process body.
 func (m *Machine) schedule() (next *Proc) {
 	if m.violation != nil {
 		return nil
@@ -286,9 +281,6 @@ func (m *Machine) schedule() (next *Proc) {
 		}
 	}()
 	id := m.cfg.Sched.Pick(m.steps, runnable, m.last)
-	if m.cfg.Observer != nil {
-		m.cfg.Observer(m.steps, runnable, id)
-	}
 	m.steps++
 	m.last = id
 	return m.procs[id]

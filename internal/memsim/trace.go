@@ -1,9 +1,6 @@
 package memsim
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // TraceKind labels one recorded event.
 type TraceKind int
@@ -37,7 +34,7 @@ func (k TraceKind) String() string {
 }
 
 // TraceEvent is one shared-memory operation, as delivered to the
-// machine's event sinks (and recorded by the built-in trace ring).
+// machine's event sinks.
 type TraceEvent struct {
 	// Step is the global scheduling step at which the operation ran.
 	Step int64
@@ -150,79 +147,6 @@ func (e TraceEvent) Format(label string) string {
 		return fmt.Sprintf("[%06d] p%d %-9s %s = %d", e.Step, e.Proc, e.Kind, label, e.Before)
 	}
 	return fmt.Sprintf("[%06d] p%d %-9s %s: %d -> %d", e.Step, e.Proc, e.Kind, label, e.Before, e.After)
-}
-
-// traceRing is a fixed-capacity ring buffer of the most recent events —
-// the built-in EventSink behind EnableTrace.
-type traceRing struct {
-	events []TraceEvent
-	next   int
-	filled bool
-}
-
-// Record implements EventSink.
-func (r *traceRing) Record(ev TraceEvent) {
-	r.events[r.next] = ev
-	r.next++
-	if r.next == len(r.events) {
-		r.next = 0
-		r.filled = true
-	}
-}
-
-// EnableTrace starts recording the machine's last `capacity`
-// shared-memory operations. Call before Run; retrieve with Trace after
-// the run (typically when diagnosing a violation or deadlock). Tracing
-// costs no simulated steps or RMRs. Calling EnableTrace again replaces
-// the previous ring; sinks attached with AttachSink are unaffected.
-func (m *Machine) EnableTrace(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	ring := &traceRing{events: make([]TraceEvent, capacity)}
-	if m.trace != nil {
-		for i, s := range m.sinks {
-			if s == EventSink(m.trace) {
-				m.sinks[i] = ring
-			}
-		}
-	} else {
-		m.sinks = append(m.sinks, ring)
-	}
-	m.trace = ring
-}
-
-// Trace returns the recorded events, oldest first. It returns nil if
-// EnableTrace was not called.
-func (m *Machine) Trace() []TraceEvent {
-	if m.trace == nil {
-		return nil
-	}
-	r := m.trace
-	if !r.filled {
-		out := make([]TraceEvent, r.next)
-		copy(out, r.events[:r.next])
-		return out
-	}
-	out := make([]TraceEvent, 0, len(r.events))
-	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
-	return out
-}
-
-// FormatTrace renders the recorded events as a multi-line string. Call
-// it before Release: it resolves the events' variable labels.
-func (m *Machine) FormatTrace() string {
-	events := m.Trace()
-	if len(events) == 0 {
-		return "(no trace recorded)"
-	}
-	var b strings.Builder
-	for _, e := range events {
-		b.WriteString(e.Format(m.Label(e.Var)))
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // record delivers one event to every attached sink.

@@ -5,17 +5,28 @@ import (
 	"testing"
 )
 
-// noTrace asks traceMachine to skip EnableTrace entirely.
-const noTrace = -999
+// lastEvents is a test EventSink keeping the most recent keep events,
+// oldest first: what a failure dump attaches to see how a run ended.
+type lastEvents struct {
+	keep   int
+	events []TraceEvent
+}
+
+func (l *lastEvents) Record(ev TraceEvent) {
+	if len(l.events) == l.keep {
+		l.events = append(l.events[:0], l.events[1:]...)
+	}
+	l.events = append(l.events, ev)
+}
 
 // traceMachine runs nproc processes that each write their id into a
-// shared variable `writes` times, under a deterministic scheduler.
-func traceMachine(t *testing.T, capacity, nproc, writes int) *Machine {
+// shared variable `writes` times, under a deterministic scheduler, and
+// returns the last keep events.
+func traceMachine(t *testing.T, keep, nproc, writes int) []TraceEvent {
 	t.Helper()
 	m := NewMachine(CC, nproc)
-	if capacity != noTrace {
-		m.EnableTrace(capacity)
-	}
+	last := &lastEvents{keep: keep}
+	m.AttachSink(last)
 	v := m.NewVar("x", HomeGlobal, 0)
 	for i := 0; i < nproc; i++ {
 		i := i
@@ -29,13 +40,14 @@ func traceMachine(t *testing.T, capacity, nproc, writes int) *Machine {
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return m
+	m.Release()
+	return last.events
 }
 
+// TestTraceBeforeFill: a sink sees every operation, in step order.
 func TestTraceBeforeFill(t *testing.T) {
-	// 2 procs × 3 writes = 6 events, under-filling a capacity-16 ring.
-	m := traceMachine(t, 16, 2, 3)
-	events := m.Trace()
+	// 2 procs × 3 writes = 6 events, fewer than the 16 kept.
+	events := traceMachine(t, 16, 2, 3)
 	if len(events) != 6 {
 		t.Fatalf("got %d events, want 6", len(events))
 	}
@@ -46,62 +58,69 @@ func TestTraceBeforeFill(t *testing.T) {
 	}
 }
 
+// TestTraceWraparoundOrdering: the event stream is a function of the
+// schedule, so the last events of a run are the tail of an identical
+// run's whole stream.
 func TestTraceWraparoundOrdering(t *testing.T) {
-	// 4 procs × 8 writes = 32 events through a capacity-5 ring: Trace
-	// must return exactly the 5 most recent, oldest first.
-	m := traceMachine(t, 5, 4, 8)
-	events := m.Trace()
+	// 4 procs × 8 writes = 32 events, of which the last 5 are kept.
+	events := traceMachine(t, 5, 4, 8)
 	if len(events) != 5 {
-		t.Fatalf("got %d events, want 5 (ring capacity)", len(events))
+		t.Fatalf("got %d events, want 5", len(events))
 	}
 	for i := 1; i < len(events); i++ {
 		if events[i].Step <= events[i-1].Step {
-			t.Fatalf("wrapped trace out of order: step %d after %d", events[i].Step, events[i-1].Step)
+			t.Fatalf("kept events out of order: step %d after %d", events[i].Step, events[i-1].Step)
 		}
 	}
-	// The retained suffix must match the tail of an identical run
-	// traced with a ring big enough to hold everything (same seed ⇒
-	// bit-identical schedule).
-	full := traceMachine(t, 1<<10, 4, 8).Trace()
+	// Same seed ⇒ bit-identical schedule.
+	full := traceMachine(t, 1<<10, 4, 8)
 	if !reflect.DeepEqual(events, full[len(full)-5:]) {
-		t.Fatalf("wrapped ring retained\n%v\nwant tail of full trace\n%v", events, full[len(full)-5:])
+		t.Fatalf("kept\n%v\nwant tail of full trace\n%v", events, full[len(full)-5:])
 	}
 }
 
-func TestTraceCapacityClamp(t *testing.T) {
-	// Non-positive capacities clamp to 1: the ring keeps exactly the
-	// most recent event instead of panicking on a zero-length buffer.
-	for _, capacity := range []int{0, -3} {
-		m := traceMachine(t, capacity, 2, 2)
-		events := m.Trace()
-		if len(events) != 1 {
-			t.Fatalf("EnableTrace(%d): got %d events, want 1", capacity, len(events))
-		}
-	}
-}
-
+// TestTraceNilWithoutEnable: a machine traces nothing to a sink that
+// is not attached to it. A recycled machine whose previous build had a
+// sink, an EndSink and a PhaseSink, delivers no operation, transition
+// or end of its next run to it.
 func TestTraceNilWithoutEnable(t *testing.T) {
-	m := traceMachine(t, noTrace, 1, 1)
-	if m.Trace() != nil {
-		t.Fatal("Trace() without EnableTrace should be nil")
-	}
-}
-
-func TestEnableTraceTwiceReplacesRing(t *testing.T) {
-	m := NewMachine(CC, 1)
-	m.EnableTrace(4)
-	m.EnableTrace(2)
-	v := m.NewVar("x", HomeGlobal, 0)
-	m.AddProc("p", func(p *Proc) {
-		for k := 0; k < 5; k++ {
-			p.Write(v, Word(k))
+	build := func() *Machine {
+		m := NewMachine(CC, 2)
+		v := m.NewVar("x", HomeGlobal, 0)
+		for i := 0; i < 2; i++ {
+			m.AddProc("p", func(p *Proc) {
+				p.BeginEntrySection()
+				p.Write(v, 1)
+				p.EndExitSection()
+			})
 		}
-	})
-	if err := m.Run(RunConfig{}).Err(); err != nil {
+		return m
+	}
+	DropReleasedMachines()
+	m := build()
+	sink := &phaseCollectSink{}
+	ends := &endLog{}
+	m.AttachSink(sink)
+	m.AttachSink(ends)
+	if err := m.Run(RunConfig{Sched: NewRandom(1)}).Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(m.Trace()); got != 2 {
-		t.Fatalf("got %d events, want 2 (second EnableTrace must replace, not stack)", got)
+	events, phases := len(sink.events), len(sink.phases)
+	if events == 0 || phases == 0 || ends.ends != 1 {
+		t.Fatalf("attached sinks saw %d events, %d transitions, %d ends", events, phases, ends.ends)
+	}
+	m.Release()
+	again := build()
+	if again != m {
+		t.Fatal("the next build did not recycle the released machine")
+	}
+	if err := again.Run(RunConfig{Sched: NewRandom(1)}).Err(); err != nil {
+		t.Fatal(err)
+	}
+	again.Release()
+	if len(sink.events) != events || len(sink.phases) != phases || ends.ends != 1 {
+		t.Fatalf("the recycled machine's run reached the previous build's sinks: %d events, %d transitions, %d ends",
+			len(sink.events)-events, len(sink.phases)-phases, ends.ends-1)
 	}
 }
 
@@ -263,9 +282,10 @@ func TestEventRemoteMatchesRMRAccounting(t *testing.T) {
 func TestMultiSinkFanout(t *testing.T) {
 	m := NewMachine(CC, 2)
 	a, b := &collectSink{}, &phaseCollectSink{}
+	last := &lastEvents{keep: 1 << 8}
 	m.AttachSink(a)
 	m.AttachSink(b)
-	m.EnableTrace(1 << 8)
+	m.AttachSink(last)
 	v := m.NewVar("x", HomeGlobal, 0)
 	for i := 0; i < 2; i++ {
 		m.AddProc("p", func(p *Proc) {
@@ -280,32 +300,11 @@ func TestMultiSinkFanout(t *testing.T) {
 	if !reflect.DeepEqual(a.events, b.collectSink.events) {
 		t.Fatal("two attached sinks saw different event streams")
 	}
-	if !reflect.DeepEqual(a.events, m.Trace()) {
-		t.Fatal("sinks and trace ring diverged")
+	if !reflect.DeepEqual(a.events, last.events) {
+		t.Fatal("a plain sink and a phase sink saw different event streams")
 	}
 	if len(b.phases) != 4 {
 		t.Fatalf("phase sink saw %d transitions, want 4", len(b.phases))
-	}
-}
-
-func TestSinkAndRingSeeSameEvents(t *testing.T) {
-	m := NewMachine(CC, 2)
-	sink := &collectSink{}
-	m.AttachSink(sink)
-	m.EnableTrace(1 << 10)
-	v := m.NewVar("x", HomeGlobal, 0)
-	for i := 0; i < 2; i++ {
-		m.AddProc("p", func(p *Proc) {
-			for k := 0; k < 4; k++ {
-				p.RMW(v, func(w Word) Word { return w + 1 })
-			}
-		})
-	}
-	if err := m.Run(RunConfig{Sched: NewRandom(1)}).Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sink.events, m.Trace()) {
-		t.Fatal("attached sink and trace ring diverged")
 	}
 }
 
