@@ -110,7 +110,7 @@ trace-smoke:
 # explore-smoke gates CI on the sharded model checker: exhaustive
 # preemption-bounded checks (K=2) of the paper's DSM algorithm and one
 # arbitration-tree construction, sharded across ≥4 workers, with the
-# coverage recorded as fetchphi.explore/v1 artifacts. -require-exhausted
+# coverage recorded as fetchphi.explore/v2 artifacts. -require-exhausted
 # turns a capped (and therefore inconclusive) exploration into a CI
 # failure.
 explore-smoke:

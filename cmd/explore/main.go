@@ -17,7 +17,7 @@
 // -preemptions 0 is honest: it requests an exactly non-preemptive
 // check (one schedule per model), not the default bound.
 //
-// With -out, the run is recorded as a fetchphi.explore/v1 JSON
+// With -out, the run is recorded as a fetchphi.explore/v2 JSON
 // artifact (schedules explored, per-depth run counts, exhaustion,
 // wall time, throughput) so model-check capacity is tracked like
 // bench and claims artifacts; the artifact is written even when the
@@ -76,7 +76,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		maxRuns     = fs.Int("maxruns", harness.DefaultCheckMaxRuns, "cap on explored schedules per model")
 		workers     = fs.Int("workers", 0, "wave-shard workers per model (0 = GOMAXPROCS)")
 		progress    = fs.Bool("progress", false, "stream exploration progress to stderr (observation-only)")
-		out         = fs.String("out", "", "write a fetchphi.explore/v1 artifact to this path")
+		out         = fs.String("out", "", "write a fetchphi.explore/v2 artifact to this path")
 		requireFull = fs.Bool("require-exhausted", false, "exit 1 unless every model's schedule space was exhausted within -maxruns")
 		list        = fs.Bool("list", false, "list known algorithms and exit")
 	)

@@ -38,7 +38,7 @@
 // artifact and a live /v1/metrics.
 //
 // With -checkpoint, the coordinator persists every completed wave to
-// the given path (the fetchphi.explore/v1 Checkpoint extension; `fleet
+// the given path (the fetchphi.explore/v2 Checkpoint extension; `fleet
 // run -checkpoint` is the single-machine form); a restarted coordinator
 // resumes from it without re-exploring finished waves, and the final
 // artifact is byte-identical to an uninterrupted run's. Exit codes:
@@ -171,7 +171,7 @@ func runServe(argv []string, stdout, stderr io.Writer) int {
 		leaseTimeout = fs.Duration("lease-timeout", fleet.DefaultLeaseTimeout, "re-lease deadline for unreported ranges")
 		checkpoint   = fs.String("checkpoint", "", "persist completed waves to this path and resume from it")
 		capacity     = fs.String("capacity", "", "write a fetchphi.capacity/v1 throughput artifact to this path (rewritten per wave)")
-		out          = fs.String("out", "", "write a fetchphi.explore/v1 artifact to this path")
+		out          = fs.String("out", "", "write a fetchphi.explore/v2 artifact to this path")
 		pprofOn      = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the coordinator listener")
 		grace        = fs.Duration("grace", time.Second, "how long to keep serving after completion so workers observe done")
 	)
@@ -350,7 +350,7 @@ func runLocal(argv []string, stdout, stderr io.Writer) int {
 		leaseSize  = fs.Int("lease-size", fleet.DefaultLeaseSize, "schedules per lease")
 		checkpoint = fs.String("checkpoint", "", "persist completed waves to this path and resume from it")
 		capacity   = fs.String("capacity", "", "write a fetchphi.capacity/v1 throughput artifact to this path")
-		out        = fs.String("out", "", "write a fetchphi.explore/v1 artifact to this path")
+		out        = fs.String("out", "", "write a fetchphi.explore/v2 artifact to this path")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2

@@ -27,7 +27,7 @@ func runSmoke(argv []string, stdout, stderr io.Writer) int {
 	var (
 		workers  = fs.Int("workers", 2, "in-process fleet workers")
 		capacity = fs.String("capacity", "", "write (and then validate) the fetchphi.capacity/v1 artifact at this path")
-		out      = fs.String("out", "", "also write the fetchphi.explore/v1 artifact to this path")
+		out      = fs.String("out", "", "also write the fetchphi.explore/v2 artifact to this path")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2

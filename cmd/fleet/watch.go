@@ -74,7 +74,7 @@ func covRank(mark string) int {
 	return 0
 }
 
-// loadCoverage scans dir for fetchphi.explore/v1 artifacts and folds
+// loadCoverage scans dir for fetchphi.explore/v2 artifacts and folds
 // them into algorithm → model → mark. Unreadable or foreign-schema
 // files are skipped, like obs.ReadArtifactDir does for bench
 // artifacts.

@@ -98,17 +98,10 @@ func E10Abortable(o Opts) harness.Table {
 	}
 	for i, met := range o.sweep(cells) {
 		if met.Aborts == 0 {
-			w := cells[i].Workload
-			quick := ""
-			if o.Quick {
-				quick = " -quick"
-			}
-			panic(fmt.Sprintf("experiments: E10 abort schedule never fired for %s on %v with N=%d, seed %d — the sweep is vacuous (reproduce: go run ./cmd/report%s -experiments E10 -seed %d)",
-				cells[i].Algorithm, w.Model, w.N, w.Seed, quick, o.Seed))
+			o.failCell(cells[i], "abort schedule never fired — the sweep is vacuous")
 		}
 		if met.MaxAbortResolve > harness.AbortResolveBound {
-			panic(fmt.Sprintf("experiments: E10 %s withdrawal not wait-free: %d own steps (bound %d)",
-				cells[i].Algorithm, met.MaxAbortResolve, harness.AbortResolveBound))
+			o.failCell(cells[i], "withdrawal not wait-free: %d own steps (bound %d)", met.MaxAbortResolve, harness.AbortResolveBound)
 		}
 		w := cells[i].Workload
 		t.AddRow(harness.Itoa(int64(w.N)), cells[i].Algorithm, w.Model.String(),

@@ -91,7 +91,7 @@ func (o Opts) sweep(cells []harness.Cell) []harness.Metrics {
 			if o.OnFailure != nil {
 				o.OnFailure(r)
 			}
-			panic(fmt.Sprintf("experiments: %s: %v", r.Cell.Experiment, r.Err))
+			o.failCell(r.Cell, "%v", r.Err)
 		}
 		if o.Record != nil {
 			o.Record(r.Record())
@@ -99,6 +99,18 @@ func (o Opts) sweep(cells []harness.Cell) []harness.Metrics {
 		out[i] = r.Metrics
 	}
 	return out
+}
+
+// failCell panics with a correctness failure of cell c, naming the
+// cell by its artifact key (obs.Cell.Key) and the cmd/report command
+// that reproduces it.
+func (o Opts) failCell(c harness.Cell, format string, args ...any) {
+	quick := ""
+	if o.Quick {
+		quick = " -quick"
+	}
+	panic(fmt.Sprintf("experiments: %s: %s (reproduce: go run ./cmd/report%s -experiments %s -seed %d)",
+		harness.CellResult{Cell: c}.Record().Key(), fmt.Sprintf(format, args...), quick, c.Experiment, o.Seed))
 }
 
 // Experiment is one registry entry: an experiment id and its table
@@ -193,7 +205,7 @@ func E2GDSM(o Opts) harness.Table {
 	}
 	for i, met := range o.sweep(cells) {
 		if met.NonLocalSpins != 0 {
-			panic("experiments: G-DSM spun non-locally")
+			o.failCell(cells[i], "G-DSM spun non-locally %d times", met.NonLocalSpins)
 		}
 		w := cells[i].Workload
 		t.AddRow(harness.Itoa(int64(w.N)), cells[i].Algorithm[len("g-dsm/"):],

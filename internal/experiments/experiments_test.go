@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"fetchphi/internal/harness"
+	"fetchphi/internal/memsim"
 )
 
 // TestAllExperimentsRunQuick executes every experiment in quick mode —
@@ -86,6 +90,37 @@ func TestE5Deterministic(t *testing.T) {
 		got := E5Ranks(Opts{Quick: true, Seed: 1, Workers: workers}).Rows
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: E5 rows\n got %q\nwant %q", workers, got, want)
+		}
+	}
+}
+
+// brokenLock grants at once without excluding anyone.
+type brokenLock struct{}
+
+func (brokenLock) Name() string           { return "broken" }
+func (brokenLock) Acquire(p *memsim.Proc) {}
+func (brokenLock) Release(p *memsim.Proc) {}
+
+// TestSweepPanicNamesCell: a cell that fails its correctness check
+// panics with the cell's artifact key and the cmd/report command that
+// reproduces it.
+func TestSweepPanicNamesCell(t *testing.T) {
+	cell := harness.Cell{
+		Experiment: "E1", Algorithm: "broken",
+		Build:    func(*memsim.Machine) harness.Algorithm { return brokenLock{} },
+		Workload: harness.Workload{Model: memsim.CC, N: 3, Entries: 4, CSOps: 1, Seed: 2},
+	}
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		Opts{Quick: true, Seed: 2, Workers: 1}.sweep([]harness.Cell{cell})
+	}()
+	for _, want := range []string{
+		"experiments: E1/broken/CC/N=3/entries=4/seed=2: ",
+		"(reproduce: go run ./cmd/report -quick -experiments E1 -seed 2)",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("sweep panic %q does not contain %q", msg, want)
 		}
 	}
 }

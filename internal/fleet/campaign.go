@@ -197,7 +197,7 @@ func (c *Coordinator) capacity(states []*modelState, complete bool) *obs.Capacit
 	return art
 }
 
-// exploreArtifact serializes the campaign state as a fetchphi.explore/v1
+// exploreArtifact serializes the campaign state as a fetchphi.explore
 // artifact with the resumable-checkpoint extension. Done models appear
 // in Models; in-progress models live only in the checkpoint. The
 // output contains no wall-clock fields, so identical campaign states
@@ -220,7 +220,7 @@ func (c *Coordinator) exploreArtifact(states []*modelState, complete bool) *obs.
 			NextDepth: st.frontier.Wave.Depth,
 			Runs:      st.frontier.Runs,
 			DepthRuns: append([]int(nil), st.frontier.DepthRuns...),
-			Frontier:  waveToWire(st.frontier.Wave),
+			Frontier:  st.frontier.Wave.Slab,
 		}
 		if st.done {
 			art.Models = append(art.Models, ExploreRecord(st.model, st.result))
@@ -231,7 +231,7 @@ func (c *Coordinator) exploreArtifact(states []*modelState, complete bool) *obs.
 }
 
 // ExploreRecord converts one model's exploration result into its
-// fetchphi.explore/v1 coverage record: the single conversion behind
+// fetchphi.explore coverage record: the single conversion behind
 // both cmd/explore's artifact and a campaign's final artifact.
 func ExploreRecord(model memsim.Model, res memsim.ExploreResult) obs.ExploreModel {
 	em := obs.ExploreModel{
@@ -242,7 +242,7 @@ func ExploreRecord(model memsim.Model, res memsim.ExploreResult) obs.ExploreMode
 	}
 	if res.Err != nil {
 		em.Failure = res.Err.Error()
-		em.FailingSchedule = toWire(res.FailingSchedule)
+		em.FailingSchedule = res.FailingSchedule
 	}
 	return em
 }
@@ -301,7 +301,7 @@ func (c *Coordinator) restore(states []*modelState) error {
 		}
 		if em.Failure != "" {
 			res.Err = errors.New(em.Failure)
-			res.FailingSchedule = fromWire(em.FailingSchedule)
+			res.FailingSchedule = em.FailingSchedule
 		}
 		st.finish(res)
 	}
@@ -310,10 +310,11 @@ func (c *Coordinator) restore(states []*modelState) error {
 
 // frontierFromWire rebuilds an in-progress model's frontier from its
 // checkpoint entry, rejecting one the wave loop could not have written:
-// its coverage must add up, and the pending wave must hold NextDepth
-// preemptions a schedule at strictly increasing, non-negative steps,
-// each naming one of the n processes (checkSchedules). Replaying a
-// malformed schedule would otherwise fail deep inside the explorer.
+// its coverage must add up, and the pending wave — the root schedule
+// alone at depth 0, else the frontier's pairs NextDepth a schedule —
+// must pass the check a worker applies to a lease (checkSchedules).
+// Replaying a malformed schedule would otherwise fail deep inside the
+// explorer.
 func frontierFromWire(ck obs.ExploreModelCheckpoint, n int) (memsim.Frontier, error) {
 	depth := ck.NextDepth
 	if len(ck.DepthRuns) != depth {
@@ -326,21 +327,11 @@ func frontierFromWire(ck obs.ExploreModelCheckpoint, n int) (memsim.Frontier, er
 	if ck.Runs != sum {
 		return memsim.Frontier{}, fmt.Errorf("runs %d but depth_runs sum to %d", ck.Runs, sum)
 	}
-	for i, s := range ck.Frontier {
-		if len(s) != depth {
-			return memsim.Frontier{}, fmt.Errorf("frontier schedule %d has %d preemptions at next_depth %d", i, len(s), depth)
-		}
-	}
-	w := memsim.Wave{Depth: depth, Len: len(ck.Frontier)}
+	w := memsim.RootWave()
 	if depth > 0 {
-		w.Slab = make([]memsim.Preemption, 0, depth*w.Len)
-		for _, s := range ck.Frontier {
-			for _, p := range s {
-				w.Slab = append(w.Slab, memsim.Preemption{Step: p.Step, Proc: p.Proc})
-			}
-		}
+		w = memsim.Wave{Depth: depth, Len: len(ck.Frontier) / depth, Slab: ck.Frontier}
 	}
-	if err := checkSchedules(w.Slab, depth, w.Len, n); err != nil {
+	if err := checkSchedules(ck.Frontier, depth, w.Len, n); err != nil {
 		return memsim.Frontier{}, fmt.Errorf("frontier %w", err)
 	}
 	return memsim.Frontier{Wave: w, Runs: ck.Runs, DepthRuns: append([]int(nil), ck.DepthRuns...)}, nil

@@ -48,7 +48,7 @@ type CoordinatorOptions struct {
 	// where it is how late a worker sees an expired lease.
 	Hold time.Duration
 	// CheckpointPath, when non-empty, is the resumable
-	// fetchphi.explore/v1 artifact: loaded (and validated against the
+	// fetchphi.explore/v2 artifact: loaded (and validated against the
 	// Config) at start if it exists, rewritten atomically after every
 	// completed wave, and left behind as the final artifact with
 	// Checkpoint.Complete=true. Empty disables checkpointing.

@@ -18,6 +18,7 @@ import (
 
 	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
+	"fetchphi/internal/obs"
 )
 
 // tasLock is a trivially correct test-and-set mutex; brokenLock grants
@@ -460,7 +461,7 @@ func TestHeldLeaseAnswersWhenWavePublished(t *testing.T) {
 	b := heldLease(t, srv.URL, "b")
 	requireHeld(t, b, "CC's root wave was reported")
 	var rr ReportResponse
-	postJSON(t, srv.URL+PathReport, ReportRequest{Worker: "a", LeaseID: la.Lease.ID, Model: "CC", Lo: 0, Hi: 1, Children: Counts{0}}, &rr)
+	postJSON(t, srv.URL+PathReport, ReportRequest{Worker: "a", LeaseID: la.Lease.ID, Model: "CC", Lo: 0, Hi: 1, Children: obs.Counts{0}}, &rr)
 	lb := awaitAnswer(t, b, "DSM's root wave was published")
 	if !rr.Accepted || lb.Status != StatusLease || lb.Lease.Model != "DSM" {
 		t.Fatalf("report %+v, second answer %+v: want the DSM root lease", rr, lb)
@@ -469,7 +470,7 @@ func TestHeldLeaseAnswersWhenWavePublished(t *testing.T) {
 	// The last request is held until the campaign finishes.
 	c := heldLease(t, srv.URL, "c")
 	requireHeld(t, c, "the campaign finished")
-	postJSON(t, srv.URL+PathReport, ReportRequest{Worker: "b", LeaseID: lb.Lease.ID, Model: "DSM", Lo: 0, Hi: 1, Children: Counts{0}}, &rr)
+	postJSON(t, srv.URL+PathReport, ReportRequest{Worker: "b", LeaseID: lb.Lease.ID, Model: "DSM", Lo: 0, Hi: 1, Children: obs.Counts{0}}, &rr)
 	if lc := awaitAnswer(t, c, "the campaign finished"); lc.Status != StatusDone {
 		t.Fatalf("third answer %+v, want done", lc)
 	}

@@ -8,16 +8,17 @@
 // bit-identical to a single-machine harness.CheckSharded run at any
 // worker count, join/leave order, or lease size.
 //
-// The wave and its outcome are flat from the explorer to the wire. A
+// The wave and its outcome are flat from the explorer to disk. A
 // memsim.Wave at depth d is one slab of preemptions, d a schedule; a
-// lease is a slice of it, one flat array of step/proc pairs (Pairs). A
-// report is the range's memsim.RangeOutcome as the explorer returned
-// it: each schedule's child count (Counts), each child's appended
-// preemption (Pairs) and the failures by index, their errors as text.
-// The coordinator checks a report against the schedules it leased and
-// keeps its arrays, as they are, in the range's grid cell. The pair
-// and count arrays decode into storage of exactly their length (see
-// wire.go). A lease request that finds nothing claimable is held until
+// lease is a slice of it, one flat array of step/proc pairs
+// (obs.Pairs). A report is the range's memsim.RangeOutcome as the
+// explorer returned it: each schedule's child count (obs.Counts), each
+// child's appended preemption (obs.Pairs) and the failures by index,
+// their errors as text. The coordinator checks a report against the
+// schedules it leased and keeps its arrays, as they are, in the range's
+// grid cell. A checkpoint's frontier is the pending wave's slab and an
+// artifact's failing schedule one schedule, both obs.Pairs too. The
+// pair and count arrays decode into storage of exactly their length. A lease request that finds nothing claimable is held until
 // a wave is published, the campaign ends, or the coordinator's hold
 // bound passes, so an idle worker neither sleeps nor polls between
 // waves.
@@ -40,7 +41,7 @@
 //     order ever reach the result.
 //
 // Completed waves persist as resumable checkpoints (the
-// fetchphi.explore/v1 Checkpoint extension in internal/obs), so a
+// fetchphi.explore/v2 Checkpoint extension in internal/obs), so a
 // killed coordinator resumes mid-campaign without re-running finished
 // waves, and an interrupted campaign's final artifact is byte-identical
 // to an uninterrupted one.
@@ -233,7 +234,7 @@ type Lease struct {
 	// root wave (Depth 0) sends none; its single schedule is nil on
 	// both ends (FailingSchedule bit-identity). A worker checks them
 	// before it runs any (leaseWave).
-	Schedules Pairs `json:"schedules"`
+	Schedules obs.Pairs `json:"schedules"`
 	// DeadlineMS is the lease duration in milliseconds: a worker that
 	// has not reported by then may see its range re-leased. Purely
 	// advisory on the worker side.
@@ -253,13 +254,13 @@ type ReportRequest struct {
 	// Children[i] is how many next-wave schedules schedule Lo+i
 	// spawns: Hi−Lo counts, each zero for a failing schedule and at
 	// the preemption bound.
-	Children Counts `json:"children"`
+	Children obs.Counts `json:"children"`
 	// Appended holds, for every child in order (the children of
 	// schedule Lo first), the one preemption it appends to its parent.
 	// A schedule's children preempt at steps after its last one, in
 	// strictly increasing (step, proc) order. Its length is the sum of
 	// Children.
-	Appended Pairs `json:"appended"`
+	Appended obs.Pairs `json:"appended"`
 	// Failures are the failing schedules, by strictly increasing index
 	// within the range, each with its error text.
 	Failures []Failure `json:"failures,omitempty"`
@@ -332,44 +333,6 @@ type LeaseEvent struct {
 	Lo, Hi  int
 	Worker  string
 	LeaseID int64
-}
-
-// toWire converts one schedule to its artifact form (checkpoint
-// frontiers and failing schedules), preserving nil (the root schedule).
-func toWire(s []memsim.Preemption) []obs.ExplorePreemption {
-	if s == nil {
-		return nil
-	}
-	out := make([]obs.ExplorePreemption, len(s))
-	for i, p := range s {
-		out[i] = obs.ExplorePreemption{Step: p.Step, Proc: p.Proc}
-	}
-	return out
-}
-
-// fromWire inverts toWire, preserving nil.
-func fromWire(s []obs.ExplorePreemption) []memsim.Preemption {
-	if s == nil {
-		return nil
-	}
-	out := make([]memsim.Preemption, len(s))
-	for i, p := range s {
-		out[i] = memsim.Preemption{Step: p.Step, Proc: p.Proc}
-	}
-	return out
-}
-
-// waveToWire converts a wave to its checkpoint form: nil for an empty
-// wave, else one entry per schedule (null for the root schedule).
-func waveToWire(w memsim.Wave) [][]obs.ExplorePreemption {
-	if w.Len == 0 {
-		return nil
-	}
-	out := make([][]obs.ExplorePreemption, w.Len)
-	for i := range out {
-		out[i] = toWire(w.Schedule(i))
-	}
-	return out
 }
 
 // checkChildren rejects the children a report gives one schedule,

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"fetchphi/internal/memsim"
+	"fetchphi/internal/obs"
 )
 
 // TestWireRoundTrip pins the flat wire: a lease's schedules and a
@@ -46,7 +46,7 @@ func TestWireRoundTrip(t *testing.T) {
 		// The acceptance control: well-formed children of every
 		// schedule of the range, the root's among them (its last
 		// step is -1), pass the coordinator's check after the wire.
-		report := ReportRequest{Model: "CC", Depth: depth, Lo: got.Lo, Hi: got.Hi, Children: Counts{}, Appended: Pairs{}}
+		report := ReportRequest{Model: "CC", Depth: depth, Lo: got.Lo, Hi: got.Hi, Children: obs.Counts{}, Appended: obs.Pairs{}}
 		for i := got.Lo; i < got.Hi; i++ {
 			report.Children = append(report.Children, 3)
 			report.Appended = append(report.Appended, memsim.Preemption{Step: 40, Proc: 0}, memsim.Preemption{Step: 40, Proc: 1}, memsim.Preemption{Step: 41, Proc: 0})
@@ -66,8 +66,8 @@ func TestWireRoundTrip(t *testing.T) {
 
 	report := ReportRequest{
 		Worker: "w", LeaseID: 3, Model: "DSM", Depth: 1, Lo: 2, Hi: 5,
-		Children: Counts{2, 0, 1},
-		Appended: Pairs{{Step: 40, Proc: 0}, {Step: 40, Proc: 1}, {Step: math.MaxInt64, Proc: 1}},
+		Children: obs.Counts{2, 0, 1},
+		Appended: obs.Pairs{{Step: 40, Proc: 0}, {Step: 40, Proc: 1}, {Step: math.MaxInt64, Proc: 1}},
 		Failures: []Failure{{Index: 1, Error: `violation: "two in CS" \ at step 9`}},
 	}
 	data, err := json.Marshal(report)
@@ -82,53 +82,11 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil || !reflect.DeepEqual(got, report) {
 		t.Fatalf("report came back as %+v (%v), want %+v", got, err, report)
 	}
-	empty := ReportRequest{Children: Counts{}, Appended: Pairs{}}
+	empty := ReportRequest{Children: obs.Counts{}, Appended: obs.Pairs{}}
 	data, _ = json.Marshal(empty)
 	got = ReportRequest{}
 	if err := json.Unmarshal(data, &got); err != nil || got.Children == nil || got.Appended == nil || got.Failures != nil {
 		t.Fatalf("empty arrays %s came back as %+v (%v)", data, got, err)
-	}
-}
-
-// TestIntArraysDecode pins the integer-array decoder: whitespace,
-// null, the int64 extremes, and the rejection of everything that is
-// not an array of integers.
-func TestIntArraysDecode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Counts
-	}{
-		{`null`, nil},
-		{` null `, nil},
-		{`[]`, Counts{}},
-		{" [ \t\n]\r", Counts{}},
-		{`[0]`, Counts{0}},
-		{` [ 1 , -2,30 ] `, Counts{1, -2, 30}},
-		{`[9223372036854775807,-9223372036854775808]`, Counts{math.MaxInt64, math.MinInt64}},
-	} {
-		var c Counts
-		if err := c.UnmarshalJSON([]byte(tc.in)); err != nil || !reflect.DeepEqual(c, tc.want) || (c == nil) != (tc.want == nil) {
-			t.Errorf("Counts %q = %#v, %v; want %#v", tc.in, c, err, tc.want)
-		}
-	}
-	for _, in := range []string{
-		``, ` `, `nul`, `nulls`, `null,`, `[`, `]`, `[,]`, `[1,]`, `[,1]`, `[1 2]`, `[1]]`, `[1],`,
-		`[01]`, `[-]`, `[-01]`, `[1.0]`, `[1e3]`, `[+1]`, `["1"]`, `[[1]]`, `[{}]`, `[true]`, `{}`, `1`, `"x"`,
-		`[9223372036854775808]`, `[-9223372036854775809]`, `[99999999999999999999]`,
-	} {
-		var c Counts
-		if err := c.UnmarshalJSON([]byte(in)); err == nil {
-			t.Errorf("Counts %q decoded as %v", in, c)
-		}
-	}
-	var p Pairs
-	if err := p.UnmarshalJSON([]byte(`[1,2,3]`)); err == nil || !strings.Contains(err.Error(), "step/proc pairs") {
-		t.Errorf("odd pairs: %v, %v", p, err)
-	}
-	for _, v := range []int64{0, 7, -7, 10, 99, 100, math.MaxInt64, math.MinInt64} {
-		if got, want := intLen(v), len(fmt.Sprint(v)); got != want {
-			t.Errorf("intLen(%d) = %d, want %d", v, got, want)
-		}
 	}
 }
 
@@ -140,8 +98,8 @@ func TestWireDecodeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	pairs := func(n int) Pairs {
-		p := make(Pairs, n)
+	pairs := func(n int) obs.Pairs {
+		p := make(obs.Pairs, n)
 		for i := range p {
 			p[i] = memsim.Preemption{Step: int64(100 + i), Proc: i % 2}
 		}
@@ -156,14 +114,14 @@ func TestWireDecodeAllocations(t *testing.T) {
 	for _, n := range []int{1, 300} {
 		data, _ := json.Marshal(pairs(n))
 		one("Pairs", data, func(b []byte) {
-			var p Pairs
+			var p obs.Pairs
 			if err := p.UnmarshalJSON(b); err != nil || len(p) != n || cap(p) != n {
 				t.Fatalf("Pairs: %d of cap %d, %v", len(p), cap(p), err)
 			}
 		})
 		data, _ = json.Marshal(make([]int, 2*n))
 		one("Counts", data, func(b []byte) {
-			var c Counts
+			var c obs.Counts
 			if err := c.UnmarshalJSON(b); err != nil || len(c) != 2*n || cap(c) != 2*n {
 				t.Fatalf("Counts: %d of cap %d, %v", len(c), cap(c), err)
 			}
@@ -198,7 +156,7 @@ func TestWireDecodeAllocations(t *testing.T) {
 		t.Errorf("lease decode: %.1f allocations at 2 schedules, %.1f at 256", small, large)
 	}
 	report := func(n, failures int) ReportRequest {
-		r := ReportRequest{Model: "CC", Depth: 1, Lo: 0, Hi: n, Children: make(Counts, n), Appended: pairs(3 * n)}
+		r := ReportRequest{Model: "CC", Depth: 1, Lo: 0, Hi: n, Children: make(obs.Counts, n), Appended: pairs(3 * n)}
 		for i := range r.Children {
 			r.Children[i] = 3
 		}

@@ -13,6 +13,7 @@ import (
 
 	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
+	"fetchphi/internal/obs"
 	"fetchphi/internal/telemetry"
 )
 
@@ -196,7 +197,7 @@ func (w *Worker) execute(ctx context.Context, lease *Lease) error {
 		Appended: out.Appended,
 	}
 	if report.Appended == nil {
-		report.Appended = Pairs{} // a range without children appends [], not null
+		report.Appended = obs.Pairs{} // a range without children appends [], not null
 	}
 	for _, f := range out.Failures {
 		report.Failures = append(report.Failures, Failure{Index: f.Index, Error: f.Err.Error()})

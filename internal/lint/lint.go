@@ -27,7 +27,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -101,14 +100,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Check runs one analyzer over one loaded package and returns its
-// diagnostics, sorted by position, with //fetchphilint:ignore
+// diagnostics, sorted, with //fetchphilint:ignore
 // directives applied.
 func Check(a *Analyzer, pkg *Package) []Diagnostic {
 	return Suppress(pkg, CheckRaw(a, pkg))
 }
 
 // CheckRaw runs one analyzer over one loaded package and returns its
-// diagnostics sorted by position, without applying ignore directives.
+// diagnostics sorted (SortDiagnostics), without applying ignore
+// directives.
 // The ignoreaudit check consumes these raw diagnostics to decide which
 // directives still suppress something.
 func CheckRaw(a *Analyzer, pkg *Package) []Diagnostic {
@@ -120,18 +120,8 @@ func CheckRaw(a *Analyzer, pkg *Package) []Diagnostic {
 		Info:     pkg.Info,
 	}
 	a.Run(pass)
-	diags := pass.diags
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
-	return diags
+	SortDiagnostics(pass.diags)
+	return pass.diags
 }
 
 // Suppress filters out the diagnostics covered by pkg's

@@ -71,7 +71,10 @@ func CheckModuleRaw(a *ModuleAnalyzer, e *Engine) []Diagnostic {
 	return pass.diags
 }
 
-// SortDiagnostics orders diagnostics by file, line, column, message.
+// SortDiagnostics orders diagnostics by file, line, column, analyzer,
+// message: lint's one order, the same as the lint artifact's
+// (obs.LintArtifact.Normalize), so printed, JSON and SARIF output list
+// diagnostics alike.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -83,6 +86,9 @@ func SortDiagnostics(diags []Diagnostic) {
 		}
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
+		}
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
 		}
 		return a.Message < b.Message
 	})

@@ -3,7 +3,7 @@ package obs
 // The capacity artifact (fetchphi.capacity/v1) is one campaign's
 // throughput record: how fast the fleet chewed through a model-check
 // schedule space, and how much lease churn it took. It is written next
-// to the fetchphi.explore/v1 checkpoint by the fleet coordinator,
+// to the fetchphi.explore/v2 checkpoint by the fleet coordinator,
 // rewritten after every wave, and finalized with Complete=true.
 //
 // Determinism contract: every duration in the artifact is measured

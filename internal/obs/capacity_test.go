@@ -81,7 +81,7 @@ func TestCapacityWriteIsByteStable(t *testing.T) {
 // capacity artifact.
 func TestReadCapacityRejectsForeignSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "EXPLORE.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"fetchphi.explore/v1"}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"schema":"fetchphi.explore/v2"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadCapacityArtifact(path); err == nil || !strings.Contains(err.Error(), "schema") {

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -201,4 +203,46 @@ func TestWriteJSONMarshalErrorLeavesNoFile(t *testing.T) {
 		t.Fatalf("artifact left behind after a marshal error: %v", err)
 	}
 	assertNoTemp(t, dir)
+}
+
+// TestIntArraysDecode pins the integer-array decoder: whitespace,
+// null, the int64 extremes, and the rejection of everything that is
+// not an array of integers.
+func TestIntArraysDecode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Counts
+	}{
+		{`null`, nil},
+		{` null `, nil},
+		{`[]`, Counts{}},
+		{" [ \t\n]\r", Counts{}},
+		{`[0]`, Counts{0}},
+		{` [ 1 , -2,30 ] `, Counts{1, -2, 30}},
+		{`[9223372036854775807,-9223372036854775808]`, Counts{math.MaxInt64, math.MinInt64}},
+	} {
+		var c Counts
+		if err := c.UnmarshalJSON([]byte(tc.in)); err != nil || !reflect.DeepEqual(c, tc.want) || (c == nil) != (tc.want == nil) {
+			t.Errorf("Counts %q = %#v, %v; want %#v", tc.in, c, err, tc.want)
+		}
+	}
+	for _, in := range []string{
+		``, ` `, `nul`, `nulls`, `null,`, `[`, `]`, `[,]`, `[1,]`, `[,1]`, `[1 2]`, `[1]]`, `[1],`,
+		`[01]`, `[-]`, `[-01]`, `[1.0]`, `[1e3]`, `[+1]`, `["1"]`, `[[1]]`, `[{}]`, `[true]`, `{}`, `1`, `"x"`,
+		`[9223372036854775808]`, `[-9223372036854775809]`, `[99999999999999999999]`,
+	} {
+		var c Counts
+		if err := c.UnmarshalJSON([]byte(in)); err == nil {
+			t.Errorf("Counts %q decoded as %v", in, c)
+		}
+	}
+	var p Pairs
+	if err := p.UnmarshalJSON([]byte(`[1,2,3]`)); err == nil || !strings.Contains(err.Error(), "step/proc pairs") {
+		t.Errorf("odd pairs: %v, %v", p, err)
+	}
+	for _, v := range []int64{0, 7, -7, 10, 99, 100, math.MaxInt64, math.MinInt64} {
+		if got, want := intLen(v), len(fmt.Sprint(v)); got != want {
+			t.Errorf("intLen(%d) = %d, want %d", v, got, want)
+		}
+	}
 }

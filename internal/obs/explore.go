@@ -10,8 +10,8 @@ import (
 // schedule space was covered, per memory model. Like bench and claims
 // artifacts, explore artifacts make a CI capability (here: model-check
 // throughput and exhaustion) a tracked, diffable record instead of a
-// log line.
-const ExploreSchema = "fetchphi.explore/v1"
+// log line. v2 stores schedules as flat step/proc pairs (Pairs).
+const ExploreSchema = "fetchphi.explore/v2"
 
 // ExploreArtifactName returns the canonical file name for an
 // algorithm's exploration artifact (EXPLORE_g-dsm.json, ...).
@@ -79,14 +79,8 @@ type ExploreModel struct {
 	Failure string `json:"failure,omitempty"`
 	// FailingSchedule reproduces the failure (memsim replay), present
 	// only with Failure. It is the canonically smallest failing
-	// schedule.
-	FailingSchedule []ExplorePreemption `json:"failing_schedule,omitempty"`
-}
-
-// ExplorePreemption is the artifact form of one forced context switch.
-type ExplorePreemption struct {
-	Step int64 `json:"step"`
-	Proc int   `json:"proc"`
+	// schedule; the root schedule is nil and omitted.
+	FailingSchedule Pairs `json:"failing_schedule,omitempty"`
 }
 
 // ExploreCheckpoint is the resumable-campaign extension of the explore
@@ -116,10 +110,12 @@ type ExploreModelCheckpoint struct {
 	Done bool `json:"done"`
 	// NextDepth is the preemption depth of the next wave to run.
 	NextDepth int `json:"next_depth"`
-	// Frontier is the full schedule wave pending at NextDepth, in
-	// canonical order. A fresh model's frontier is the single empty
-	// schedule (serialized as [null]).
-	Frontier [][]ExplorePreemption `json:"frontier,omitempty"`
+	// Frontier is the slab of the wave pending at NextDepth: its
+	// schedules in canonical order, back to back, NextDepth
+	// preemptions each — the pairs a lease for the whole wave carries.
+	// At NextDepth 0 it is absent and the pending wave is the root
+	// schedule alone.
+	Frontier Pairs `json:"frontier,omitempty"`
 	// Runs and DepthRuns are the coverage completed so far; they
 	// mirror the ExploreModel fields while the model is in progress.
 	Runs      int   `json:"runs"`

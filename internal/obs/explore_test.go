@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -107,22 +109,25 @@ func TestReadArtifactDirSkipsExploreArtifacts(t *testing.T) {
 }
 
 // TestExploreCheckpointRoundTrip pins the resumable-campaign
-// extension: the frontier (including the fresh model's single empty
-// schedule, which must stay nil through JSON so replayed
-// FailingSchedules stay bit-identical) survives a write/read cycle.
+// extension: a pending root wave is written with no frontier at all, a
+// depth-2 frontier is the wave's slab as flat step/proc pairs and reads
+// back as the same slab, and a failing schedule keeps its nil-ness —
+// the root schedule stays nil through JSON, so replayed
+// FailingSchedules stay bit-identical.
 func TestExploreCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	art := sampleExplore()
-	art.Models = nil
+	art.Models = []ExploreModel{
+		{Model: "PRAM", Runs: 1, DepthRuns: []int{1}, Failure: "root fails"},
+		{Model: "CC-update", Runs: 3, DepthRuns: []int{1, 2}, Failure: "boom",
+			FailingSchedule: Pairs{{Step: 4, Proc: 1}}},
+	}
 	art.WallMS, art.SchedulesPerSec = 0, 0
 	art.Checkpoint = &ExploreCheckpoint{
 		Models: []ExploreModelCheckpoint{
-			{Model: "CC", NextDepth: 0, Frontier: [][]ExplorePreemption{nil}},
+			{Model: "CC", NextDepth: 0},
 			{Model: "DSM", NextDepth: 2, Runs: 46, DepthRuns: []int{1, 45},
-				Frontier: [][]ExplorePreemption{
-					{{Step: 3, Proc: 1}, {Step: 9, Proc: 0}},
-					{{Step: 3, Proc: 1}, {Step: 11, Proc: 0}},
-				}},
+				Frontier: Pairs{{Step: 3, Proc: 1}, {Step: 9, Proc: 0}, {Step: 3, Proc: 1}, {Step: 11, Proc: 0}}},
 		},
 	}
 	if err := art.WriteFile(path); err != nil {
@@ -132,18 +137,23 @@ func TestExploreCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Checkpoint, art.Checkpoint) {
-		t.Fatalf("checkpoint round trip diverged:\n got %+v\nwant %+v", got.Checkpoint, art.Checkpoint)
+	if !reflect.DeepEqual(got.Checkpoint, art.Checkpoint) || !reflect.DeepEqual(got.Models, art.Models) {
+		t.Fatalf("checkpoint round trip diverged:\n got %+v %+v\nwant %+v %+v", got.Checkpoint, got.Models, art.Checkpoint, art.Models)
 	}
-	if got.Checkpoint.Models[0].Frontier[0] != nil {
-		t.Fatal("empty root schedule did not stay nil through JSON")
+	if got.Checkpoint.Models[0].Frontier != nil || got.Models[0].FailingSchedule != nil {
+		t.Fatal("the root wave's frontier or the root failing schedule did not stay nil through JSON")
 	}
-	// A checkpoint-free artifact keeps its old wire shape.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "\"checkpoint\"") {
-		t.Fatal("checkpoint field missing from serialized artifact")
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, data); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"frontier":[3,1,9,0,3,1,11,0]`, `"failing_schedule":[4,1]`, `"frontier":`, `"failing_schedule":`} {
+		if strings.Count(compact.String(), want) != 1 {
+			t.Fatalf("want %s once in the serialized artifact:\n%s", want, compact.String())
+		}
 	}
 }

@@ -3,9 +3,10 @@
 // JSON benchmark-artifact schema cmd/report and bench/perf write,
 // and the regression gate that compares artifacts across commits.
 //
-// The package is deliberately stdlib-only and free of simulator
-// dependencies, so artifacts can be produced (and compared) by any
-// layer of the stack.
+// Its one import from the module is memsim, for the preemptions a
+// schedule's flat pairs hold (Pairs); memsim imports only phi, so
+// artifacts can be produced (and compared) by any layer above the
+// simulator.
 package obs
 
 import (
