@@ -9,8 +9,19 @@ GO ?= go
 # distributed-fleet + telemetry smokes, the native-stress smoke, the
 # abortable-pipeline smoke, the claims-conformance gate + smoke, the
 # per-claim seed-family gate, and the host-cost benchmark's own vet and
-# tests, and a short fuzz of the artifact readers.
-ci: lint-gate build test perf race fuzz trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke seeds
+# tests, and a short fuzz of the artifact readers. It runs the targets
+# in this order, prints each one's wall time as it finishes and stops at
+# the first that fails, so a new gate's cost shows in the log.
+CI_TARGETS = lint-gate build test perf race fuzz trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke seeds
+
+ci:
+	@begin=$$(date +%s); \
+	for t in $(CI_TARGETS); do \
+		start=$$(date +%s); \
+		$(MAKE) --no-print-directory $$t || { echo "ci: $$t failed after $$(( $$(date +%s) - start ))s"; exit 1; }; \
+		echo "ci: $$t took $$(( $$(date +%s) - start ))s"; \
+	done; \
+	echo "ci: all targets passed in $$(( $$(date +%s) - begin ))s"
 
 # lint runs go vet plus cmd/fetchphilint — the per-package analyzers
 # (awaitwatch, memsimpurity, determinism, phasebalance), the

@@ -26,19 +26,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"strings"
 
 	"fetchphi/internal/claims"
+	"fetchphi/internal/obs"
 )
-
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -72,7 +64,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	art := claims.Evaluate(b)
 	art.CreatedBy = "cmd/claims"
-	art.Commit = gitCommit()
+	art.Commit = obs.GitCommit()
 	art.BenchDir = *bench
 
 	if *markdown {

@@ -37,9 +37,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -52,14 +50,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }
 
 // run is the testable entry point: parses argv, executes, and returns
@@ -132,7 +122,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		Schema:    obs.ExploreSchema,
 		Algorithm: *alg,
 		CreatedBy: "cmd/explore",
-		Commit:    gitCommit(),
+		Commit:    obs.GitCommit(),
 		N:         *n, Entries: *entries, Preemptions: *preemptions,
 		MaxRuns: *maxRuns, Workers: w,
 		WallMS: float64(wall.Microseconds()) / 1000,

@@ -15,7 +15,7 @@
 //	             [-preemptions 2] [-maxruns 500000] [-lease-size 256]
 //	             [-lease-timeout 30s] [-checkpoint ck.json] [-out art.json]
 //	             [-capacity cap.json] [-pprof]
-//	fleet work   -coordinator http://host:8423 [-id worker-name] [-shards 0]
+//	fleet work   -coordinator http://host:8423 [-id worker-name] [-shards 1]
 //	fleet status -coordinator http://host:8423 [-watch] [-interval 1s]
 //	             [-artifacts bench/current/explore]
 //	fleet run    [-workers 2] [-shards 1] [...serve campaign flags]
@@ -55,25 +55,16 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/exec"
-	"strings"
 	"time"
 
 	"fetchphi/internal/experiments"
 	"fetchphi/internal/fleet"
 	"fetchphi/internal/harness"
+	"fetchphi/internal/obs"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func usage(stderr io.Writer) int {
@@ -192,7 +183,7 @@ func runServe(argv []string, stdout, stderr io.Writer) int {
 		CheckpointPath: *checkpoint,
 		CapacityPath:   *capacity,
 		CreatedBy:      "cmd/fleet",
-		Commit:         gitCommit(),
+		Commit:         obs.GitCommit(),
 	})
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -239,7 +230,7 @@ func runWork(argv []string, stdout, stderr io.Writer) int {
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator base URL (http://host:port)")
 		id          = fs.String("id", "", "worker name in the coordinator's lease log (default host.pid)")
-		shards      = fs.Int("shards", 0, "local wave-shard width per lease (0 = sequential)")
+		shards      = fs.Int("shards", 1, "local wave-shard width per lease (1 = sequential, 0 = all CPUs)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -373,7 +364,7 @@ func runLocal(argv []string, stdout, stderr io.Writer) int {
 		CheckpointPath: *checkpoint,
 		CapacityPath:   *capacity,
 		CreatedBy:      "cmd/fleet",
-		Commit:         gitCommit(),
+		Commit:         obs.GitCommit(),
 	})
 	fmt.Fprintf(stdout, "fleet: in-process run of %s N=%d entries=%d K=%d with %d workers\n",
 		cfg.Algorithm, cfg.N, cfg.Entries, cfg.Preemptions, *workers)

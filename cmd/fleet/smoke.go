@@ -53,7 +53,7 @@ func runSmoke(argv []string, stdout, stderr io.Writer) int {
 	coord := fleet.NewCoordinator(cfg, fleet.CoordinatorOptions{
 		CapacityPath: *capacity,
 		CreatedBy:    "cmd/fleet",
-		Commit:       gitCommit(),
+		Commit:       obs.GitCommit(),
 	})
 	fmt.Fprintf(stdout, "fleet: smoke run of %s N=%d entries=%d K=%d with %d workers\n",
 		cfg.Algorithm, cfg.N, cfg.Entries, cfg.Preemptions, *workers)

@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"fetchphi/internal/fleet"
+	"fetchphi/internal/harness"
 	"fetchphi/internal/obs"
 	"fetchphi/internal/telemetry"
 )
@@ -193,9 +194,13 @@ func usString(us int64) string {
 // clearScreen is the ANSI home+clear prefix between watch frames.
 const clearScreen = "\033[H\033[2J"
 
-// coverageModels is the dashboard's column order.
+// coverageModels is the dashboard's column order: the checked models.
 func coverageModels() []string {
-	return []string{"CC", "DSM"}
+	var names []string
+	for _, m := range harness.CheckModels() {
+		names = append(names, m.String())
+	}
+	return names
 }
 
 // summarizeCoverage counts covered cells for the one-line footer.

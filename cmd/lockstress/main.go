@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
@@ -53,14 +52,6 @@ import (
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
-
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
 
 // parseWorkers parses the -workers sweep ("4" or "1,2,4,8").
 func parseWorkers(s string) ([]int, error) {
@@ -166,7 +157,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		current = &obs.StressArtifact{
 			Schema:     obs.StressSchema,
 			CreatedBy:  "cmd/lockstress",
-			Commit:     gitCommit(),
+			Commit:     obs.GitCommit(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Iters:      *iters,
 			CSWork:     *cswork,

@@ -45,26 +45,12 @@ func newFlightLog(limit int, outDir string) *flightLog {
 	}
 }
 
-// cellKey is the benchmark cell key of a sweep cell — the same string
-// CellResult.Record().Key() yields, and the one gate regressions carry
-// in Regression.Cell.
-func cellKey(c harness.Cell) string {
-	return obs.Cell{
-		Experiment: c.Experiment,
-		Algorithm:  c.Algorithm,
-		Model:      c.Workload.Model.String(),
-		N:          c.Workload.N,
-		Entries:    c.Workload.Entries,
-		Seed:       c.Workload.Seed,
-	}.Key()
-}
-
 // attach is the experiments.Opts.Sink hook: it registers a fresh
 // bounded recorder for the cell and hands it to the sweep.
 func (f *flightLog) attach(c harness.Cell) memsim.EventSink {
 	rec := trace.NewRecorder(f.limit)
 	f.mu.Lock()
-	f.cells[cellKey(c)] = flightCell{rec: rec, cell: c}
+	f.cells[c.Key()] = flightCell{rec: rec, cell: c}
 	f.mu.Unlock()
 	return rec
 }
@@ -99,5 +85,5 @@ func (f *flightLog) dump(key, reason string) (string, error) {
 // window, replayed to the same failure, goes to disk before the sweep
 // panic unwinds.
 func (f *flightLog) dumpFailure(r harness.CellResult) (string, error) {
-	return f.dump(cellKey(r.Cell), r.Err.Error())
+	return f.dump(r.Cell.Key(), r.Err.Error())
 }

@@ -49,7 +49,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -69,14 +68,6 @@ type expRun struct {
 	artifact *obs.Artifact
 	tables   []harness.Table
 	err      error
-}
-
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func main() {
@@ -159,7 +150,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	commit := gitCommit()
+	commit := obs.GitCommit()
 	params := obs.Params{Quick: *quick, Seed: *seed, Workers: *workers}
 	var fl *flightLog
 	if *flight > 0 {

@@ -31,22 +31,6 @@ import (
 // passage, completed or withdrawn, costs O(1) amortized RMR on both
 // CC and DSM machines.
 
-// AbortableLock is the abortable counterpart of the Algorithm surface:
-// AcquireAbortable returns false if the entry section observed a
-// pending abort request (delivered by the memsim abort schedule) and
-// withdrew — the caller must then finish the passage with
-// memsim.Proc.AbortPassage, not Release. A request that loses the race
-// with acquisition lapses: AcquireAbortable returns true and the
-// passage completes normally. Acquire/Release retain their
-// non-abortable contract, so every AbortableLock is also a valid
-// harness Algorithm and runs the standard conformance suite unchanged.
-type AbortableLock interface {
-	Name() string
-	Acquire(p *memsim.Proc)
-	Release(p *memsim.Proc)
-	AcquireAbortable(p *memsim.Proc) bool
-}
-
 // ---------------------------------------------------------------------
 // TokenAbortable: the Jayanti-style constant-amortized-RMR baseline.
 // ---------------------------------------------------------------------
@@ -219,9 +203,3 @@ func NewGDSMAbortable(m *memsim.Machine, prim phi.Primitive) *GDSMAbortable {
 
 // AcquireAbortable implements the abortable entry section.
 func (g *GDSMAbortable) AcquireAbortable(p *memsim.Proc) bool { return g.AcquireSlot(p, p.ID()) }
-
-// Compile-time interface checks.
-var (
-	_ AbortableLock = (*TokenAbortable)(nil)
-	_ AbortableLock = (*GDSMAbortable)(nil)
-)

@@ -9,6 +9,14 @@ import (
 	"fetchphi/internal/phi"
 )
 
+// Both abortable locks are harness.AbortableAlgorithms: Acquire and
+// Release keep their non-abortable contract, so each also runs the
+// standard conformance suite unchanged.
+var (
+	_ harness.AbortableAlgorithm = (*TokenAbortable)(nil)
+	_ harness.AbortableAlgorithm = (*GDSMAbortable)(nil)
+)
+
 func tokenAbortableBuilder() harness.Builder {
 	return func(m *memsim.Machine) harness.Algorithm { return NewTokenAbortable(m) }
 }

@@ -102,7 +102,7 @@ func (o Opts) sweep(cells []harness.Cell) []harness.Metrics {
 }
 
 // failCell panics with a correctness failure of cell c, naming the
-// cell by its artifact key (obs.Cell.Key) and the cmd/report command
+// cell by its artifact key (harness.Cell.Key) and the cmd/report command
 // that reproduces it.
 func (o Opts) failCell(c harness.Cell, format string, args ...any) {
 	quick := ""
@@ -110,7 +110,7 @@ func (o Opts) failCell(c harness.Cell, format string, args ...any) {
 		quick = " -quick"
 	}
 	panic(fmt.Sprintf("experiments: %s: %s (reproduce: go run ./cmd/report%s -experiments %s -seed %d)",
-		harness.CellResult{Cell: c}.Record().Key(), fmt.Sprintf(format, args...), quick, c.Experiment, o.Seed))
+		c.Key(), fmt.Sprintf(format, args...), quick, c.Experiment, o.Seed))
 }
 
 // Experiment is one registry entry: an experiment id and its table

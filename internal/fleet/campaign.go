@@ -41,18 +41,14 @@ func (st *modelState) finish(res memsim.ExploreResult) {
 }
 
 // campaign executes (or resumes) the exploration. The returned
-// reports are in Config.Models order with Runs, Exhausted, DepthRuns,
+// reports are in harness.CheckModels order with Runs, Exhausted, DepthRuns,
 // and FailingSchedule bit-identical to harness.CheckSharded over the
 // same configuration; the error is the first failing model's, formatted
 // by harness.CheckFailure. Like CheckSharded, reports (and the final
 // artifact) are returned even when the check itself fails, so callers
 // can persist capacity records for failed checks too.
 func (c *Coordinator) campaign() ([]harness.ModelReport, *obs.ExploreArtifact, error) {
-	models, err := c.cfg.parseModels()
-	if err != nil {
-		return nil, nil, err
-	}
-
+	models := harness.CheckModels()
 	states := make([]*modelState, len(models))
 	for i, m := range models {
 		states[i] = &modelState{model: m, frontier: memsim.Frontier{Wave: memsim.RootWave()}}

@@ -104,6 +104,18 @@ func TestCampaignHonorsMaxRuns(t *testing.T) {
 	}
 }
 
+// TestCampaignHonorsPreemptionBound: the fleet reads the bound K as
+// the explorer does, a negative one as 0.
+func TestCampaignHonorsPreemptionBound(t *testing.T) {
+	for _, k := range []int{-1, 0, 1} {
+		cfg := testConfig()
+		cfg.Preemptions = k
+		ref, refErr := harness.CheckSharded(newBrokenLock, 2, 2, harness.ExploreOptions{Preemptions: k, Workers: 1})
+		got, err := Check(newBrokenLock, cfg, CheckOptions{})
+		assertBitIdentical(t, fmt.Sprintf("K=%d campaign", k), got, ref, err, refErr)
+	}
+}
+
 // TestFleetEquivalence is the acceptance criterion: coordinator +
 // {1,2,4} workers over loopback HTTP produce results bit-identical to
 // single-machine CheckSharded, on a passing and a failing space, at a

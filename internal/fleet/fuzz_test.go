@@ -95,9 +95,7 @@ type leaseStub struct {
 func (s *leaseStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case PathConfig:
-		cfg := testConfig()
-		cfg.MaxSteps = 5000
-		writeJSON(w, cfg)
+		writeJSON(w, testConfig())
 	case PathLease:
 		if s.leases.Add(1) == 1 {
 			w.Write(s.lease)
@@ -114,14 +112,23 @@ func (s *leaseStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // runStubWorker runs a worker of the test campaign against a stub that
 // serves lease as its one lease body, and returns how many reports the
-// stub took and what Run returned. Backoff sleeps are instant.
+// stub took and what Run returned. Backoff sleeps are instant. The
+// run's time is bounded by the body: a lease can carry no more
+// schedules than its pairs, and every schedule of the test campaign
+// ends within a few dozen steps, so a worker still running at the
+// deadline fails the test.
 func runStubWorker(t *testing.T, lease []byte, shards int) (reports int64, err error) {
 	t.Helper()
 	stub := &leaseStub{lease: lease}
 	srv := httptest.NewServer(stub)
 	defer srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	defer func() {
+		if ctx.Err() != nil {
+			t.Fatalf("worker fed %q ran past its deadline", lease)
+		}
+	}()
 	w := &Worker{
 		ID:          "stub",
 		Coordinator: srv.URL,

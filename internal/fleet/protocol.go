@@ -123,7 +123,9 @@ func WorkerMetric(worker, metric string) string {
 
 // Config is the campaign configuration: everything a worker needs to
 // reconstruct the exact model-check workload. It crosses the wire
-// verbatim, so it holds only plain JSON-stable fields.
+// verbatim, so it holds only plain JSON-stable fields. The step bound
+// (harness.DefaultCheckMaxSteps) and the models (harness.CheckModels)
+// are the same for every check, so they are not configuration.
 type Config struct {
 	// Algorithm is the registry name workers resolve to a builder.
 	Algorithm string `json:"algorithm"`
@@ -131,59 +133,21 @@ type Config struct {
 	// Entries acquire/CS/release passes.
 	N       int `json:"n"`
 	Entries int `json:"entries"`
-	// Preemptions is the literal preemption bound K (0 = exactly
-	// non-preemptive, as everywhere since PR 5).
+	// Preemptions is the preemption bound K, taken literally: 0 is an
+	// exactly non-preemptive check.
 	Preemptions int `json:"preemptions"`
 	// MaxRuns caps the schedules explored per model
-	// (default harness.DefaultCheckMaxRuns).
+	// (default harness.DefaultCheckMaxRuns). Only the coordinator's
+	// wave loop reads it; workers execute the ranges they are leased.
 	MaxRuns int `json:"max_runs"`
-	// MaxSteps bounds each explored run
-	// (default harness.DefaultCheckMaxSteps).
-	MaxSteps int64 `json:"max_steps"`
-	// Models are the memory model names in reporting order
-	// (default CC then DSM).
-	Models []string `json:"models"`
 }
 
-// withDefaults returns cfg with the documented defaults filled in, so
-// the coordinator and every worker normalize the same way.
+// withDefaults returns cfg with the run cap's default filled in.
 func (cfg Config) withDefaults() Config {
 	if cfg.MaxRuns <= 0 {
 		cfg.MaxRuns = harness.DefaultCheckMaxRuns
 	}
-	if cfg.MaxSteps <= 0 {
-		cfg.MaxSteps = harness.DefaultCheckMaxSteps
-	}
-	if len(cfg.Models) == 0 {
-		cfg.Models = []string{memsim.CC.String(), memsim.DSM.String()}
-	}
 	return cfg
-}
-
-// parseModels resolves the configured model names.
-func (cfg Config) parseModels() ([]memsim.Model, error) {
-	models := make([]memsim.Model, len(cfg.Models))
-	for i, name := range cfg.Models {
-		m, err := memsim.ParseModel(name)
-		if err != nil {
-			return nil, err
-		}
-		models[i] = m
-	}
-	return models, nil
-}
-
-// exploreOptions maps the campaign config onto the harness options a
-// worker needs to build the one true explorer for a model. shards is
-// the worker's local wave-shard width (workers typically run a few
-// shards each; the coordinator never executes schedules).
-func (cfg Config) exploreOptions(shards int) harness.ExploreOptions {
-	return harness.ExploreOptions{
-		Preemptions: cfg.Preemptions,
-		MaxRuns:     cfg.MaxRuns,
-		MaxSteps:    cfg.MaxSteps,
-		Workers:     shards,
-	}
 }
 
 // LeaseRequest asks for the next available range of the active wave.

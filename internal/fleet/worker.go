@@ -34,8 +34,9 @@ type Worker struct {
 	// (production workers pass experiments.Algorithm; in-process
 	// checks close over the builder under test).
 	Resolve func(algorithm string) (harness.Builder, error)
-	// Shards is the local wave-shard width per lease (<= 1:
-	// sequential execution of the leased range).
+	// Shards is the local wave-shard width per lease: 1 executes the
+	// leased range sequentially, 0 or less on runtime.GOMAXPROCS(0)
+	// shards.
 	Shards int
 	// Client is the HTTP client (default http.DefaultClient); tests
 	// inject fault-y transports here.
@@ -106,7 +107,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := w.call(ctx, PathConfig, nil, &w.cfg); err != nil {
 		return err
 	}
-	w.cfg = w.cfg.withDefaults()
 	b, err := w.Resolve(w.cfg.Algorithm)
 	if err != nil {
 		return err
@@ -172,10 +172,11 @@ func (w *Worker) execute(ctx context.Context, lease *Lease) error {
 	}
 	e, ok := w.explorers[model]
 	if !ok {
-		e = harness.CheckExplorer(w.build, model, w.cfg.N, w.cfg.Entries, w.cfg.exploreOptions(w.Shards))
+		opts := harness.ExploreOptions{Preemptions: w.cfg.Preemptions, Workers: w.Shards}
+		e = harness.CheckExplorer(w.build, model, w.cfg.N, w.cfg.Entries, opts)
 		w.explorers[model] = e
 	}
-	wave, err := leaseWave(lease, e.ResolvedPreemptions(), w.cfg.N)
+	wave, err := leaseWave(lease, e.MaxPreemptions, w.cfg.N)
 	if err != nil {
 		return fmt.Errorf("fleet: lease %d for range [%d,%d): %w", lease.ID, lease.Lo, lease.Hi, err)
 	}

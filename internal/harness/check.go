@@ -16,36 +16,37 @@ import (
 // workers only change wall-clock time, which is what makes routinely
 // model-checking the whole algorithm registry affordable.
 
-// Default model-check bounds.
+// Model-check bounds.
 const (
 	// DefaultCheckMaxRuns caps the schedules explored per model when
 	// ExploreOptions.MaxRuns is zero.
 	DefaultCheckMaxRuns = 500_000
-	// DefaultCheckMaxSteps bounds each explored run when
-	// ExploreOptions.MaxSteps is zero.
+	// DefaultCheckMaxSteps bounds each explored run.
 	DefaultCheckMaxSteps = 1_000_000
 )
+
+// CheckModels returns the memory models every model check covers, in
+// reporting order: CC, then DSM. When several fail, the first failing
+// model in this order is the one reported, keeping the merged error
+// deterministic.
+func CheckModels() []memsim.Model {
+	return []memsim.Model{memsim.CC, memsim.DSM}
+}
 
 // ExploreOptions configures a model check.
 type ExploreOptions struct {
 	// Preemptions is the preemption bound K, taken literally: 0 means
 	// an exactly non-preemptive exploration (one schedule per model),
-	// not "use a default" — the zero value is honest.
+	// not "use a default" — the zero value is honest. A negative bound
+	// reads as 0.
 	Preemptions int
 	// MaxRuns caps the schedules explored per model
 	// (default DefaultCheckMaxRuns).
 	MaxRuns int
-	// MaxSteps bounds each explored run (default DefaultCheckMaxSteps).
-	MaxSteps int64
 	// Workers is the wave-shard worker count per model; 0 or negative
 	// selects runtime.GOMAXPROCS(0). The verdict is identical for
 	// every value — workers change wall-clock time only.
 	Workers int
-	// Models are the memory models to check, in reporting order
-	// (default CC then DSM). When several models fail, the first
-	// failing model in this order is the one reported, keeping the
-	// merged error deterministic.
-	Models []memsim.Model
 	// Progress, if non-nil, observes each model's exploration.
 	// Observation-only; called concurrently from the models'
 	// goroutines and their wave workers, so implementations
@@ -92,9 +93,9 @@ func CheckExplorer(b Builder, model memsim.Model, n, entries int, opts ExploreOp
 	if maxRuns <= 0 {
 		maxRuns = DefaultCheckMaxRuns
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultCheckMaxSteps
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	w := &Workload{Entries: entries, Aborts: opts.Aborts, Retries: 1}
 	names := make([]string, n) // made once: every build names its processes alike
@@ -116,10 +117,10 @@ func CheckExplorer(b Builder, model memsim.Model, n, entries int, opts ExploreOp
 			}
 			return m
 		},
-		MaxPreemptions: memsim.ExactPreemptions(opts.Preemptions),
-		MaxSteps:       maxSteps,
+		MaxPreemptions: max(opts.Preemptions, 0),
+		MaxSteps:       DefaultCheckMaxSteps,
 		MaxRuns:        maxRuns,
-		Workers:        opts.Workers,
+		Workers:        workers,
 		ProgressEvery:  opts.ProgressEvery,
 		Check:          checkWithdrawal,
 	}
@@ -151,19 +152,13 @@ func CheckFailure(model memsim.Model, res memsim.ExploreResult) error {
 // every model. The models explore concurrently, and within each model
 // the schedule waves are sharded across opts.Workers workers with work
 // stealing. The per-model results come
-// back in opts.Models order with Runs, Exhausted, DepthRuns, and the
+// back in CheckModels order with Runs, Exhausted, DepthRuns, and the
 // canonical FailingSchedule bit-identical to a sequential exploration;
 // when several models fail, the error reports the first failing model
 // in that order. The reports are returned even on failure, so callers
 // can record capacity artifacts for failed checks too.
 func CheckSharded(b Builder, n, entries int, opts ExploreOptions) ([]ModelReport, error) {
-	models := opts.Models
-	if len(models) == 0 {
-		models = []memsim.Model{memsim.CC, memsim.DSM}
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
+	models := CheckModels()
 	reports := make([]ModelReport, len(models))
 	var wg sync.WaitGroup
 	for i, model := range models {
@@ -197,7 +192,7 @@ func CheckSharded(b Builder, n, entries int, opts ExploreOptions) ([]ModelReport
 // schedule that produced it.
 func CheckAbortable(b Builder, n, entries, preemptions, maxEvent, maxRuns int) error {
 	scheds := memsim.EnumerateAbortSchedules(n, maxEvent, true)
-	for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
+	for _, model := range CheckModels() {
 		for si, aborts := range scheds {
 			opts := ExploreOptions{Preemptions: preemptions, MaxRuns: maxRuns, Workers: 1, Aborts: aborts}
 			if res := CheckExplorer(b, model, n, entries, opts).Run(); res.Err != nil {

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -54,14 +56,17 @@ func TestCheckShardedIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCheckShardedCoversBothModelsByDefault: with no Models given, the
-// reports come back as CC then DSM, exhausted on the correct fixture.
+// TestCheckShardedCoversBothModelsByDefault: the reports come back as
+// CC then DSM, exhausted on the correct fixture.
 func TestCheckShardedCoversBothModelsByDefault(t *testing.T) {
 	reports, err := CheckSharded(newFakeLock, 2, 1, ExploreOptions{Preemptions: 2, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []memsim.Model{memsim.CC, memsim.DSM}
+	if !reflect.DeepEqual(CheckModels(), want) {
+		t.Fatalf("CheckModels() = %v, want %v", CheckModels(), want)
+	}
 	if len(reports) != len(want) {
 		t.Fatalf("%d reports, want %d", len(reports), len(want))
 	}
@@ -76,18 +81,20 @@ func TestCheckShardedCoversBothModelsByDefault(t *testing.T) {
 }
 
 // TestCheckShardedReportsDeterministicModel: when both models fail,
-// the merged error names the first model in Models order, not
+// the merged error names CC, the first model in CheckModels order, not
 // whichever goroutine lost the race.
 func TestCheckShardedReportsDeterministicModel(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
-		_, err := CheckSharded(newBrokenLock, 2, 1, ExploreOptions{
-			Preemptions: 2, Workers: 4,
-			Models: []memsim.Model{memsim.DSM, memsim.CC},
-		})
+		reports, err := CheckSharded(newBrokenLock, 2, 1, ExploreOptions{Preemptions: 2, Workers: 4})
 		if err == nil {
 			t.Fatal("broken lock passed")
 		}
-		if !strings.Contains(err.Error(), "model DSM") {
+		for _, r := range reports {
+			if r.Result.Err == nil {
+				t.Fatalf("model %v passed: the fixture must fail on both models", r.Model)
+			}
+		}
+		if !strings.Contains(err.Error(), "model CC") {
 			t.Fatalf("rep %d: error does not name the first failing model in order: %v", rep, err)
 		}
 	}
@@ -120,6 +127,56 @@ func TestCheckZeroPreemptionsIsHonest(t *testing.T) {
 	}
 	if _, err := CheckSharded(newBrokenLock, 2, 2, ExploreOptions{Preemptions: 2, MaxRuns: 50_000}); err == nil {
 		t.Fatal("K=2 check no longer exposes the broken lock")
+	}
+}
+
+// TestCheckExplorerWorkersDefault: Workers 0 selects GOMAXPROCS, and
+// the explorer's result and every wave's range outcome are identical at
+// Workers 0, 1 and 4, on a correct lock and on a broken one.
+func TestCheckExplorerWorkersDefault(t *testing.T) {
+	if e := CheckExplorer(newFakeLock, memsim.CC, 2, 2, ExploreOptions{}); e.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Workers 0 built an explorer of %d workers, want GOMAXPROCS %d", e.Workers, runtime.GOMAXPROCS(0))
+	}
+	// waves runs the exploration through RunScheduleRange and returns
+	// its result and each wave's outcome, errors as text.
+	waves := func(e *memsim.Explorer) (memsim.ExploreResult, string) {
+		var outs []memsim.RangeOutcome
+		res, err := memsim.ExploreWaves(memsim.Frontier{Wave: memsim.RootWave()}, e.MaxRuns, func(f memsim.Frontier) []memsim.RangeOutcome {
+			out, err := e.RunScheduleRange(f.Wave)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, out)
+			return []memsim.RangeOutcome{out}
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, fmt.Sprintf("%+v", outs)
+	}
+	for _, b := range []Builder{newFakeLock, newBrokenLock} {
+		for _, model := range CheckModels() {
+			var refRes memsim.ExploreResult
+			var refOuts string
+			for _, workers := range []int{1, 0, 4} {
+				opts := ExploreOptions{Preemptions: 2, Workers: workers}
+				res := CheckExplorer(b, model, 2, 2, opts).Run()
+				got, outs := waves(CheckExplorer(b, model, 2, 2, opts))
+				if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", res) {
+					t.Fatalf("%v at %d workers: Run gave %+v, the wave loop %+v", model, workers, res, got)
+				}
+				if workers == 1 {
+					refRes, refOuts = res, outs
+					continue
+				}
+				if fmt.Sprintf("%+v", res) != fmt.Sprintf("%+v", refRes) {
+					t.Errorf("%v at %d workers: %+v, want %+v", model, workers, res, refRes)
+				}
+				if outs != refOuts {
+					t.Errorf("%v at %d workers: the range outcomes differ from 1 worker's", model, workers)
+				}
+			}
+		}
 	}
 }
 

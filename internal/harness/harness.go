@@ -25,8 +25,8 @@ type Algorithm interface {
 }
 
 // AbortableAlgorithm is an Algorithm whose entry section can withdraw
-// in response to a delivered abort request (core.AbortableLock
-// satisfies it). AcquireAbortable returning false means the passage
+// in response to a delivered abort request (core.TokenAbortable and
+// core.GDSMAbortable satisfy it). AcquireAbortable returning false means the passage
 // was withdrawn and must be closed with memsim.Proc.AbortPassage; true
 // means the process holds the lock (a pending request, if any, lapses
 // at EnterCS). The harness calls it instead of Acquire whenever a

@@ -27,6 +27,26 @@ type Cell struct {
 	Workload Workload
 }
 
+// Key returns the cell's benchmark artifact key (obs.Cell.Key): the
+// key its record carries, flight dumps are named by and gate
+// regressions report.
+func (c Cell) Key() string {
+	return c.identity().Key()
+}
+
+// identity returns the cell's artifact record with only the fields
+// that make up its key filled in.
+func (c Cell) identity() obs.Cell {
+	return obs.Cell{
+		Experiment: c.Experiment,
+		Algorithm:  c.Algorithm,
+		Model:      c.Workload.Model.String(),
+		N:          c.Workload.N,
+		Entries:    c.Workload.Entries,
+		Seed:       c.Workload.Seed,
+	}
+}
+
 // CellResult pairs a cell with what it measured.
 type CellResult struct {
 	// Cell is the input cell.
@@ -43,21 +63,14 @@ type CellResult struct {
 // aborts, so abort-free artifacts carry none.
 func (r CellResult) Record() obs.Cell {
 	w := r.Cell.Workload
-	rec := obs.Cell{
-		Experiment:    r.Cell.Experiment,
-		Algorithm:     r.Cell.Algorithm,
-		Model:         w.Model.String(),
-		N:             w.N,
-		Entries:       w.Entries,
-		Seed:          w.Seed,
-		MeanRMR:       r.Metrics.MeanRMR,
-		WorstRMR:      r.Metrics.WorstRMR,
-		NonLocalSpins: r.Metrics.NonLocalSpins,
-		MaxBypass:     r.Metrics.MaxBypass,
-		Steps:         r.Metrics.Result.Steps,
-		Hotspots:      r.Metrics.Hotspots,
-		Run:           r.Metrics.Obs,
-	}
+	rec := r.Cell.identity()
+	rec.MeanRMR = r.Metrics.MeanRMR
+	rec.WorstRMR = r.Metrics.WorstRMR
+	rec.NonLocalSpins = r.Metrics.NonLocalSpins
+	rec.MaxBypass = r.Metrics.MaxBypass
+	rec.Steps = r.Metrics.Result.Steps
+	rec.Hotspots = r.Metrics.Hotspots
+	rec.Run = r.Metrics.Obs
 	if len(w.Aborts) > 0 {
 		rec.AbortSchedule = memsim.FormatAbortSchedule(w.Aborts)
 		rec.Aborts = r.Metrics.Aborts

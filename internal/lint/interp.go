@@ -95,7 +95,7 @@ type absSlice struct {
 
 // absDict is a *memsim.Dict box.
 type absDict struct {
-	modN    bool   // NewProcDictIn: home(key) = key mod N
+	modN    bool   // NewProcDictIn: home(key) = key mod N (see keyHome)
 	uniform *value // NewDict, NewDictIn: constant home
 }
 
@@ -1016,7 +1016,9 @@ func (cc *callCtx) callNative(fr *frame, key string, recv *value, call *ast.Call
 		return &value{kind: vDict, dc: &absDict{uniform: normHome(arg(2))}}
 	case "Machine.NewProcDictIn":
 		return &value{kind: vDict, dc: &absDict{modN: true}}
-	case "Dict.At", "Dict.New":
+	case "Machine.NewKeyedVarIn": // homed at key mod N, the key follows the prefix and name
+		return varVal(keyHome(arg(2)))
+	case "Dict.At":
 		return dictHome(recv, arg(0))
 	case "Slab.New":
 		// A zero object from machine storage: a fresh box, like new(T).
@@ -1073,27 +1075,33 @@ func normHome(v *value) *value {
 	return unknown()
 }
 
-// dictHome resolves Dict.At(key) and Dict.New(key) to a Var with the
-// abstract home of the addressed cell. For a key mod N family, a key
-// ≡ p (mod N) — a process id, or the round-stamped round·N + p of the
-// two-process mutex — is homed at p.
+// dictHome resolves Dict.At(key) to a Var with the abstract home of
+// the addressed cell.
 func dictHome(dict, key *value) *value {
 	if dict.kind != vDict {
 		return varVal(unknown())
 	}
 	switch {
 	case dict.dc.modN:
-		switch key.kind {
-		case vSelf, vSelfModN:
-			return varVal(selfVal())
-		case vConst:
-			return varVal(konst(key.c))
-		}
-		return varVal(unknown())
+		return varVal(keyHome(key))
 	case dict.dc.uniform != nil:
 		return varVal(normHome(dict.dc.uniform))
 	}
 	return varVal(unknown())
+}
+
+// keyHome is the home of a cell homed at key mod N (a NewProcDictIn
+// member, or a NewKeyedVarIn cell): a key ≡ p (mod N) — a process id,
+// or the round-stamped round·N + p of the two-process mutex — is homed
+// at p.
+func keyHome(key *value) *value {
+	switch key.kind {
+	case vSelf, vSelfModN:
+		return selfVal()
+	case vConst:
+		return konst(key.c)
+	}
+	return unknown()
 }
 
 // recordAwait classifies one Await watch argument.

@@ -60,13 +60,13 @@ func TestCarriersAreReused(t *testing.T) {
 	var log goroutineLog
 	log.reset()
 	build := log.build(tasLockMachineN(n, 1))
-	wave := rangeWaves(t, &Explorer{Build: build}, 1)[1]
+	wave := rangeWaves(t, &Explorer{Build: build, MaxPreemptions: 2}, 1)[1]
 	for _, workers := range []int{1, 4} {
 		if wave.Len <= workers {
 			t.Fatalf("a wave of %d schedules cannot show reuse at %d workers", wave.Len, workers)
 		}
 		log.reset()
-		rangeOutcomes(t, &Explorer{Build: build, Workers: workers}, wave)
+		rangeOutcomes(t, &Explorer{Build: build, MaxPreemptions: 2, Workers: workers}, wave)
 		if got := len(log.ids); got > workers*n {
 			t.Errorf("RunScheduleRange of %d schedules at %d workers ran processes on %d goroutines, want at most %d",
 				wave.Len, workers, got, workers*n)
@@ -74,7 +74,7 @@ func TestCarriersAreReused(t *testing.T) {
 
 		// Run calls runWave once per wave.
 		log.reset()
-		res := (&Explorer{Build: build, Workers: workers}).Run()
+		res := (&Explorer{Build: build, MaxPreemptions: 2, Workers: workers}).Run()
 		if res.Err != nil || !res.Exhausted {
 			t.Fatalf("Run: %+v", res)
 		}

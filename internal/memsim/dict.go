@@ -74,14 +74,7 @@ func (d *Dict) At(key Word) Var {
 	if v, ok := d.vars.Get(key); ok {
 		return v
 	}
-	v := d.New(key)
+	v := d.m.newIndexedVar(d.prefix, d.name, key, d.homeOf(key), d.init)
 	d.vars.Put(key, v)
 	return v
-}
-
-// New allocates the member for key, named and homed as At would, but
-// does not index it: At will not find it. It serves a family whose
-// owner keeps its members' handles itself and allocates each key once.
-func (d *Dict) New(key Word) Var {
-	return d.m.newIndexedVar(d.prefix, d.name, key, d.homeOf(key), d.init)
 }

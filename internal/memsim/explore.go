@@ -34,30 +34,6 @@ type Preemption struct {
 	Proc int
 }
 
-const (
-	// DefaultPreemptions is the preemption bound used when
-	// Explorer.MaxPreemptions is left zero.
-	DefaultPreemptions = 2
-
-	// ZeroPreemptions requests an explicitly non-preemptive
-	// exploration: only the single default schedule is run. It exists
-	// because MaxPreemptions keeps 0 as "use the default" so that
-	// zero-valued Explorers stay useful; without the sentinel an
-	// honest zero-preemption check would be impossible to request.
-	ZeroPreemptions = -1
-)
-
-// ExactPreemptions converts a user-facing preemption count k into the
-// Explorer.MaxPreemptions encoding, making k = 0 honest: it selects
-// ZeroPreemptions instead of silently falling back to
-// DefaultPreemptions. Negative k is clamped to zero preemptions.
-func ExactPreemptions(k int) int {
-	if k <= 0 {
-		return ZeroPreemptions
-	}
-	return k
-}
-
 // Explorer systematically explores the interleavings of a machine
 // built by Build, up to MaxPreemptions forced context switches per run.
 type Explorer struct {
@@ -74,16 +50,14 @@ type Explorer struct {
 	// Proc or Dict of it, after that, and Build must not hand the
 	// machine to anyone else.
 	Build func() *Machine
-	// MaxPreemptions is the preemption bound K: positive values bound
-	// the forced context switches per run, 0 selects
-	// DefaultPreemptions, and ZeroPreemptions (the value
-	// ExactPreemptions(0) returns) requests a purely non-preemptive
-	// exploration of the single default schedule.
+	// MaxPreemptions is the preemption bound K, taken literally: at
+	// most K forced context switches per run, so 0 (or less) explores
+	// the single non-preemptive schedule alone.
 	MaxPreemptions int
 	// MaxSteps bounds each individual run (default DefaultMaxSteps).
 	MaxSteps int64
-	// MaxRuns caps the total number of schedules explored
-	// (default 200000). If hit, the result reports Exhausted=false.
+	// MaxRuns caps the total number of schedules explored; 0 or
+	// less means no cap. If hit, the result reports Exhausted=false.
 	MaxRuns int
 	// Check, if non-nil, is invoked after every successful run; a
 	// non-nil error fails the exploration with that run's schedule.
@@ -301,8 +275,8 @@ type exploreWorker struct {
 // with waves listing children in parent order — is what makes a wave's
 // index order the canonical (shortest, then lexicographic) order on
 // schedules.
-func (e *Explorer) runOne(w *exploreWorker, sched []Preemption, maxPre int) int {
-	expand := len(sched) < maxPre
+func (e *Explorer) runOne(w *exploreWorker, sched []Preemption) int {
+	expand := len(sched) < e.MaxPreemptions
 	traceFrom := int64(0)
 	switch {
 	case !expand:
@@ -360,16 +334,15 @@ func (e *Explorer) runOne(w *exploreWorker, sched []Preemption, maxPre int) int 
 // because each wave is either executed in full or truncated to a
 // canonical prefix when MaxRuns lands inside it (see ExploreWaves).
 func (e *Explorer) Run() ExploreResult {
-	maxPre := e.ResolvedPreemptions()
 	maxRuns := e.MaxRuns
 	if maxRuns <= 0 {
-		maxRuns = 200_000
+		maxRuns = math.MaxInt
 	}
 	res, err := ExploreWaves(Frontier{Wave: RootWave()}, maxRuns, func(f Frontier) []RangeOutcome {
 		if e.Progress != nil {
 			e.Progress(ExploreProgress{Depth: f.Wave.Depth, Frontier: f.Wave.Len, Runs: f.Runs})
 		}
-		out, err := e.runWave(f.Wave, f.Runs, maxPre, e.Workers)
+		out, err := e.runWave(f.Wave, f.Runs)
 		if err != nil {
 			panic(err) // a replay divergence: a nondeterministic Build
 		}

@@ -16,23 +16,6 @@ package memsim
 // Explorer.Run bit for bit, whatever machine, process, or lease the
 // indices ran on.
 
-// ResolvedPreemptions returns the literal preemption bound K that the
-// Explorer's MaxPreemptions encoding selects: ZeroPreemptions resolves
-// to 0, zero resolves to DefaultPreemptions, positive values pass
-// through. External wave drivers need it because child generation
-// stops at the bound, and every executor of the same campaign must
-// agree on where that is.
-func (e *Explorer) ResolvedPreemptions() int {
-	switch {
-	case e.MaxPreemptions < 0:
-		return 0
-	case e.MaxPreemptions == 0:
-		return DefaultPreemptions
-	default:
-		return e.MaxPreemptions
-	}
-}
-
 // RunScheduleRange executes the schedules of w, a wave or a range of
 // one, against fresh machines from Build and returns their outcome as
 // one range with Lo 0. The schedules are sharded across e.Workers
@@ -50,7 +33,7 @@ func (e *Explorer) RunScheduleRange(w Wave) (RangeOutcome, error) {
 	if w.Len == 0 {
 		return RangeOutcome{}, nil
 	}
-	out, err := e.runWave(w, 0, e.ResolvedPreemptions(), e.Workers)
+	out, err := e.runWave(w, 0)
 	switch {
 	case err != nil:
 		return RangeOutcome{}, err

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -46,7 +47,7 @@ func TestRunScheduleRangeReassemblesRun(t *testing.T) {
 		}
 		return outs
 	}
-	got, err := ExploreWaves(Frontier{Wave: RootWave()}, 200_000, exec, nil)
+	got, err := ExploreWaves(Frontier{Wave: RootWave()}, math.MaxInt, exec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,21 +91,6 @@ func TestWaveLayout(t *testing.T) {
 	}
 	if empty := nextWave(w2, []RangeOutcome{{Children: []int{0, 0}}}); empty.Len != 0 || empty.Depth != 3 || empty.Slab != nil {
 		t.Fatalf("a wave without children built %+v", empty)
-	}
-}
-
-// TestResolvedPreemptions pins the MaxPreemptions encoding the
-// external drivers depend on.
-func TestResolvedPreemptions(t *testing.T) {
-	for _, tc := range []struct{ enc, want int }{
-		{ZeroPreemptions, 0},
-		{0, DefaultPreemptions},
-		{3, 3},
-	} {
-		e := &Explorer{MaxPreemptions: tc.enc}
-		if got := e.ResolvedPreemptions(); got != tc.want {
-			t.Errorf("ResolvedPreemptions(%d) = %d, want %d", tc.enc, got, tc.want)
-		}
 	}
 }
 

@@ -82,7 +82,7 @@ func (d *frontierDeque) claim(w, batch int) (lo, hi, end int, ok bool) {
 // divergence stops every worker and is returned (the first one seen);
 // any other panic stops them too and is re-raised once all have
 // stopped.
-func (e *Explorer) runWave(wave Wave, runsBefore, maxPre, workers int) ([]RangeOutcome, error) {
+func (e *Explorer) runWave(wave Wave, runsBefore int) ([]RangeOutcome, error) {
 	var completed atomic.Int64
 	tick := func() {
 		if e.Progress == nil || e.ProgressEvery <= 0 {
@@ -92,7 +92,7 @@ func (e *Explorer) runWave(wave Wave, runsBefore, maxPre, workers int) ([]RangeO
 			e.Progress(ExploreProgress{Depth: wave.Depth, Frontier: wave.Len, Runs: runsBefore + int(c)})
 		}
 	}
-	workers = max(1, min(workers, wave.Len))
+	workers := max(1, min(e.Workers, wave.Len))
 	deque := newFrontierDeque(wave.Len, workers)
 	ranges := make([][]RangeOutcome, workers)
 	var (
@@ -131,7 +131,7 @@ func (e *Explorer) runWave(wave Wave, runsBefore, maxPre, workers int) ([]RangeO
 				ew.ranges = append(ew.ranges, RangeOutcome{Lo: lo, Children: make([]int, 0, end-lo)})
 			}
 			for i := lo; i < hi; i++ {
-				e.runOne(&ew, wave.Schedule(i), maxPre)
+				e.runOne(&ew, wave.Schedule(i))
 				tick()
 			}
 		}

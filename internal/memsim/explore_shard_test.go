@@ -127,7 +127,7 @@ func TestShardedFailureIsCanonicallySmallest(t *testing.T) {
 	// Independently enumerate every schedule up to the failing depth
 	// and collect the failures.
 	var failing [][]Preemption
-	e := &Explorer{Build: build, MaxSteps: 5000}
+	e := &Explorer{Build: build, MaxPreemptions: 2, MaxSteps: 5000}
 	var w exploreWorker
 	defer w.cs.Close()
 	wave := [][]Preemption{nil}
@@ -135,7 +135,7 @@ func TestShardedFailureIsCanonicallySmallest(t *testing.T) {
 		var next [][]Preemption
 		for _, sched := range wave {
 			w.ranges = []RangeOutcome{{}}
-			n := e.runOne(&w, sched, DefaultPreemptions)
+			n := e.runOne(&w, sched)
 			if out := w.ranges[0]; len(out.Failures) > 0 {
 				failing = append(failing, sched)
 			}
@@ -168,31 +168,6 @@ func canonicalLess(a, b []Preemption) bool {
 		}
 	}
 	return false
-}
-
-// TestExactPreemptionsZeroIsHonest is the -preemptions 0 footgun
-// regression test: an explicit zero-preemption request must run
-// exactly the single non-preemptive schedule, not silently promote to
-// DefaultPreemptions.
-func TestExactPreemptionsZeroIsHonest(t *testing.T) {
-	if ExactPreemptions(0) != ZeroPreemptions {
-		t.Fatalf("ExactPreemptions(0) = %d, want ZeroPreemptions", ExactPreemptions(0))
-	}
-	if ExactPreemptions(3) != 3 {
-		t.Fatalf("ExactPreemptions(3) = %d, want 3", ExactPreemptions(3))
-	}
-	res := (&Explorer{Build: tasLockMachineN(2, 1), MaxPreemptions: ExactPreemptions(0), MaxSteps: 1000}).Run()
-	if res.Runs != 1 || !res.Exhausted || res.Err != nil {
-		t.Fatalf("zero-preemption exploration: %+v", res)
-	}
-	if !reflect.DeepEqual(res.DepthRuns, []int{1}) {
-		t.Fatalf("DepthRuns = %v, want [1]", res.DepthRuns)
-	}
-	// The unsentineled zero still selects the default bound — that is
-	// the documented field semantics the sentinel works around.
-	if promoted := (&Explorer{Build: tasLockMachineN(2, 1), MaxPreemptions: 0, MaxSteps: 1000}).Run(); promoted.Runs <= 1 {
-		t.Fatalf("MaxPreemptions=0 no longer selects the default bound: %+v", promoted)
-	}
 }
 
 // TestExplorerDepthRunsAccounting: DepthRuns sums to Runs, both

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -83,11 +84,26 @@ func TestExplorerRunCap(t *testing.T) {
 	}
 }
 
+// TestExplorerZeroPreemptionsIsSingleRun: K = 0 is literal, the
+// single non-preemptive schedule and nothing else.
 func TestExplorerZeroPreemptionsIsSingleRun(t *testing.T) {
-	e := &Explorer{Build: tasLockMachine, MaxPreemptions: -1, MaxSteps: 1000}
+	e := &Explorer{Build: tasLockMachine, MaxPreemptions: 0, MaxSteps: 1000}
 	res := e.Run()
-	if res.Runs != 1 || !res.Exhausted || res.Err != nil {
+	if res.Runs != 1 || !res.Exhausted || res.Err != nil || !reflect.DeepEqual(res.DepthRuns, []int{1}) {
 		t.Fatalf("unexpected: %+v", res)
+	}
+}
+
+// TestExplorerZeroMaxRunsIsUncapped: MaxRuns 0 sets no cap, so the
+// space is exhausted exactly as under a cap it never reaches.
+func TestExplorerZeroMaxRunsIsUncapped(t *testing.T) {
+	res := (&Explorer{Build: tasLockMachineN(2, 2), MaxPreemptions: 2, MaxSteps: 5000}).Run()
+	if !res.Exhausted || res.Err != nil {
+		t.Fatalf("MaxRuns 0 did not exhaust the space: %+v", res)
+	}
+	capped := (&Explorer{Build: tasLockMachineN(2, 2), MaxPreemptions: 2, MaxSteps: 5000, MaxRuns: res.Runs}).Run()
+	if err := sameResult(res, capped); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -123,7 +139,7 @@ func TestExplorerScheduleCountExact(t *testing.T) {
 		return res.Runs
 	}
 	// K=0: exactly the single default schedule.
-	if got := count(-1); got != 1 {
+	if got := count(0); got != 1 {
 		t.Fatalf("k=0 runs = %d, want 1", got)
 	}
 	// Base run: 4 steps; both procs runnable at steps 0,1 (p0 current,

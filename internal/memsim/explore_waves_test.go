@@ -3,6 +3,7 @@ package memsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -81,7 +82,7 @@ func TestExploreWavesResumeMatchesRun(t *testing.T) {
 				ref := e.Run()
 				maxRuns := tc.maxRuns
 				if maxRuns == 0 {
-					maxRuns = 200_000
+					maxRuns = math.MaxInt
 				}
 				var frontiers []Frontier
 				got, err := ExploreWaves(Frontier{Wave: RootWave()}, maxRuns, rangeExec(t, e), func(f Frontier) error {
@@ -121,7 +122,7 @@ func TestExploreWavesNextErrorStops(t *testing.T) {
 		waves++
 		return []RangeOutcome{rangeOutcomes(t, e, f.Wave)}
 	}
-	_, err := ExploreWaves(Frontier{Wave: RootWave()}, 200_000, exec, func(f Frontier) error {
+	_, err := ExploreWaves(Frontier{Wave: RootWave()}, math.MaxInt, exec, func(f Frontier) error {
 		if f.Wave.Depth != 1 {
 			t.Errorf("first boundary at depth %d, want 1", f.Wave.Depth)
 		}
@@ -204,7 +205,7 @@ func TestExploreWavesRejectsBadTiling(t *testing.T) {
 				tc.mutate(split)
 				return split
 			}
-			got, err := ExploreWaves(from, 200_000, exec, nil)
+			got, err := ExploreWaves(from, math.MaxInt, exec, nil)
 			if tc.name == "intact" {
 				if err != nil {
 					t.Fatal(err)

@@ -491,6 +491,16 @@ func (m *Machine) NewPerProcArray(name string, init Word) []Var {
 	return vs
 }
 
+// NewKeyedVarIn allocates the variable named prefix followed by
+// name[key], homed at process key mod N: a member of a NewProcDictIn
+// family, named and homed as that family's At would make it, but
+// indexed by no one. It serves an owner that keeps its members'
+// handles itself and allocates each key once, such as a per-round spin
+// cell keyed round·N + p.
+func (m *Machine) NewKeyedVarIn(prefix *Prefix, name string, key Word, init Word) Var {
+	return m.newIndexedVar(prefix, name, key, int(key%Word(m.nproc)), init)
+}
+
 // NumVars returns the number of variables allocated so far: the shared
 // memory the algorithm built, and what it allocated on first touch.
 func (m *Machine) NumVars() int { return int(m.nvars) }

@@ -696,7 +696,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			what := fmt.Sprintf("%s at %d workers", tc.name, workers)
 			var res ExploreResult
-			e := Explorer{Build: tc.newBuild(), MaxRuns: tc.maxRuns, Workers: workers}
+			e := Explorer{Build: tc.newBuild(), MaxPreemptions: 2, MaxRuns: tc.maxRuns, Workers: workers}
 			got := recoverPanic(func() { res = e.Run() })
 			if (tc.check == nil) != (got != nil) || tc.check != nil && !tc.check(res) {
 				t.Fatalf("%s: Run returned %+v, panicked with %v", what, res, got)
@@ -704,7 +704,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			awaitGoroutines(t, before, what+", Run")
 
 			// RunScheduleRange returns the divergence as its error.
-			e = Explorer{Build: tc.newBuild(), Workers: workers}
+			e = Explorer{Build: tc.newBuild(), MaxPreemptions: 2, Workers: workers}
 			wave := rangeWaves(t, &e, 1)[1]
 			var err error
 			got = recoverPanic(func() { _, err = e.RunScheduleRange(wave) })

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -22,6 +23,16 @@ const Schema = "fetchphi.bench/v1"
 // artifact (BENCH_E1.json, ...).
 func ArtifactName(experiment string) string {
 	return fmt.Sprintf("BENCH_%s.json", experiment)
+}
+
+// GitCommit returns the short hash of the repository's HEAD, the value
+// every artifact's commit field records, or "" outside a git checkout.
+func GitCommit() string {
+	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // Artifact is one experiment run's persistent, machine-readable

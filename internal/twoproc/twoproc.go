@@ -75,9 +75,6 @@ type Mutex struct {
 	c [2]memsim.Var // registrations: enc(process, round)+1, 0 = free
 	t memsim.Var    // tie-breaker: last registrant
 
-	nudge   *memsim.Dict // nudge[enc]: rival observed T pointing at enc
-	release *memsim.Dict // release[enc]: rival's exit has run
-
 	// users holds the private state of each process that has played
 	// the instance, the first inlineUsers of them in place. Most
 	// instances (a localspin site, a tree node) have a few players
@@ -118,7 +115,8 @@ type user struct {
 }
 
 // cellPair is the slots of one registration's two spin cells, each
-// filled when the cell is first touched.
+// filled when the cell is first touched: nudge (a rival observed T
+// pointing at the registration) and release (a rival's exit has run).
 type cellPair struct{ nudge, release memsim.LazyVar }
 
 // Machine storage: instances, the records and index of the players
@@ -144,11 +142,7 @@ func New(m *memsim.Machine, name memsim.Prefix) *Mutex {
 			m.NewVarIn(&l.name, ".C[0]", memsim.HomeGlobal, 0),
 			m.NewVarIn(&l.name, ".C[1]", memsim.HomeGlobal, 0),
 		},
-		t: m.NewVarIn(&l.name, ".T", memsim.HomeGlobal, 0),
-		// Cells for registration key k belong to process k mod N, so
-		// they are local to the process that spins on them.
-		nudge:    m.NewProcDictIn(&l.name, ".nudge", 0),
-		release:  m.NewProcDictIn(&l.name, ".release", 0),
+		t:        m.NewVarIn(&l.name, ".T", memsim.HomeGlobal, 0),
 		sideUser: [2]int{-1, -1},
 		holder:   -1,
 	}
@@ -224,18 +218,24 @@ func (l *Mutex) slotsOf(key Word) *cellPair {
 }
 
 // nudgeOf and releaseOf return the nudge and release cells of
-// registration key, allocating each on its first touch.
-func (l *Mutex) nudgeOf(key Word) memsim.Var   { return cell(&l.slotsOf(key).nudge, l.nudge, key) }
-func (l *Mutex) releaseOf(key Word) memsim.Var { return cell(&l.slotsOf(key).release, l.release, key) }
+// registration key, allocating each on proc's first touch.
+func (l *Mutex) nudgeOf(proc *memsim.Proc, key Word) memsim.Var {
+	return l.cell(proc, &l.slotsOf(key).nudge, ".nudge", key)
+}
 
-// cell returns the variable in slot, filling it on first touch with
-// family's member for key. The member is named and homed by key alone,
-// so the owner and a rival allocate the same cell.
-func cell(slot *memsim.LazyVar, family *memsim.Dict, key Word) memsim.Var {
+func (l *Mutex) releaseOf(proc *memsim.Proc, key Word) memsim.Var {
+	return l.cell(proc, &l.slotsOf(key).release, ".release", key)
+}
+
+// cell returns the variable in slot, filling it on first touch with the
+// cell name[key]. The cell is named and homed by key alone — at process
+// key mod N, so it is local to the process that spins on it — and the
+// owner and a rival allocate the same cell.
+func (l *Mutex) cell(proc *memsim.Proc, slot *memsim.LazyVar, name string, key Word) memsim.Var {
 	if v, ok := slot.Get(); ok {
 		return v
 	}
-	v := family.New(key)
+	v := proc.Machine().NewKeyedVarIn(&l.name, name, key, 0)
 	slot.Set(v)
 	return v
 }
@@ -266,8 +266,8 @@ func (l *Mutex) Acquire(proc *memsim.Proc, side int) {
 		// cell (a monotone, idempotent write). Note the nudge comes
 		// after our T write: a waiter woken by it is guaranteed to
 		// observe the moved tie-breaker.
-		proc.Write(l.nudgeOf(rival-1), 1)
-		myNudge, myRelease := l.nudgeOf(me), l.releaseOf(me)
+		proc.Write(l.nudgeOf(proc, rival-1), 1)
+		myNudge, myRelease := l.nudgeOf(proc, me), l.releaseOf(proc, me)
 		proc.Await(func(read func(memsim.Var) Word) bool {
 			return read(myNudge) != 0 || read(myRelease) == rival
 		}, myNudge, myRelease)
@@ -310,8 +310,8 @@ func (l *Mutex) AcquireAbortable(proc *memsim.Proc, side int) bool {
 	proc.Write(l.t, me+1)
 	rival := proc.Read(l.c[1-side])
 	if rival != 0 && proc.Read(l.t) == me+1 {
-		proc.Write(l.nudgeOf(rival-1), 1)
-		myNudge, myRelease := l.nudgeOf(me), l.releaseOf(me)
+		proc.Write(l.nudgeOf(proc, rival-1), 1)
+		myNudge, myRelease := l.nudgeOf(proc, me), l.releaseOf(proc, me)
 		if proc.AwaitAbortable(func(read func(memsim.Var) Word) bool {
 			return read(myNudge) != 0 || read(myRelease) == rival
 		}, myNudge, myRelease) {
@@ -344,7 +344,7 @@ func (l *Mutex) abandon(proc *memsim.Proc, side int) bool {
 	proc.Write(l.c[side], 0)
 	rival := proc.Read(l.c[1-side])
 	if rival != 0 {
-		proc.Write(l.releaseOf(rival-1), l.user(proc.ID()).current+1)
+		proc.Write(l.releaseOf(proc, rival-1), l.user(proc.ID()).current+1)
 	}
 	return false
 }
@@ -367,7 +367,7 @@ func (l *Mutex) Release(proc *memsim.Proc, side int) {
 		// overtook the rival side into a future round — one that
 		// never waited on us — the stamp will not match what that
 		// round observed, and the signal is inert.
-		proc.Write(l.releaseOf(rival-1), l.user(proc.ID()).current+1)
+		proc.Write(l.releaseOf(proc, rival-1), l.user(proc.ID()).current+1)
 	}
 }
 

@@ -198,8 +198,8 @@ func TestCellLookupTiers(t *testing.T) {
 				// key; a cell nobody touched yet is allocated here, so
 				// a rival's late stamp must find this one.
 				key := mu.user(p.ID()).current
-				p.Read(mu.nudgeOf(key))
-				p.Read(mu.releaseOf(key))
+				p.Read(mu.nudgeOf(p, key))
+				p.Read(mu.releaseOf(p, key))
 			})
 			h := &handoffLog{t: t, lastC: map[int]Word{}, target: map[string]Word{},
 				reads: map[string][]bool{}, reader: map[string]int{}}
