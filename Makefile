@@ -121,7 +121,7 @@ trace-smoke:
 # explore-smoke gates CI on the sharded model checker: exhaustive
 # preemption-bounded checks (K=2) of the paper's DSM algorithm and one
 # arbitration-tree construction, sharded across ≥4 workers, with the
-# coverage recorded as fetchphi.explore/v2 artifacts. -require-exhausted
+# coverage recorded as fetchphi.explore/v3 artifacts. -require-exhausted
 # turns a capped (and therefore inconclusive) exploration into a CI
 # failure.
 explore-smoke:
@@ -143,7 +143,7 @@ fleet-smoke:
 	cmp bench/current/explore/EXPLORE_fleet_g-dsm.json bench/current/explore/EXPLORE_fleet_g-dsm.resumed.json
 
 # telemetry-smoke gates CI on the observability layer: a loopback fleet
-# run must leave behind a valid, Complete fetchphi.capacity/v1 artifact
+# run must leave behind a valid, Complete fetchphi.capacity/v2 artifact
 # with nonzero schedule/lease/throughput numbers, and /v1/metrics must
 # answer 200 with counters that agree with the artifact.
 telemetry-smoke:

@@ -17,7 +17,7 @@
 // -preemptions 0 is honest: it requests an exactly non-preemptive
 // check (one schedule per model), not the default bound.
 //
-// With -out, the run is recorded as a fetchphi.explore/v2 JSON
+// With -out, the run is recorded as a fetchphi.explore/v3 JSON
 // artifact (schedules explored, per-depth run counts, exhaustion,
 // wall time, throughput) so model-check capacity is tracked like
 // bench and claims artifacts; the artifact is written even when the
@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"fetchphi/internal/experiments"
-	"fetchphi/internal/fleet"
 	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/obs"
@@ -66,7 +65,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		maxRuns     = fs.Int("maxruns", harness.DefaultCheckMaxRuns, "cap on explored schedules per model")
 		workers     = fs.Int("workers", 0, "wave-shard workers per model (0 = GOMAXPROCS)")
 		progress    = fs.Bool("progress", false, "stream exploration progress to stderr (observation-only)")
-		out         = fs.String("out", "", "write a fetchphi.explore/v2 artifact to this path")
+		out         = fs.String("out", "", "write a fetchphi.explore/v3 artifact to this path")
 		requireFull = fs.Bool("require-exhausted", false, "exit 1 unless every model's schedule space was exhausted within -maxruns")
 		list        = fs.Bool("list", false, "list known algorithms and exit")
 	)
@@ -128,7 +127,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		WallMS: float64(wall.Microseconds()) / 1000,
 	}
 	for _, r := range reports {
-		art.Models = append(art.Models, fleet.ExploreRecord(r.Model, r.Result))
+		art.Models = append(art.Models, obs.ExploreRecord(r.Model, r.Result))
 	}
 	if secs := wall.Seconds(); secs > 0 {
 		art.SchedulesPerSec = float64(art.TotalRuns()) / secs
@@ -141,14 +140,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s\n", *out)
 	}
 
-	for _, r := range reports {
-		status := "exhausted"
-		if !r.Result.Exhausted {
-			status = "NOT exhausted"
-		}
-		fmt.Fprintf(stdout, "%v: %d schedules (%s; per-depth %v)\n",
-			r.Model, r.Result.Runs, status, r.Result.DepthRuns)
-	}
+	obs.WriteCoverage(stdout, art.Models)
 	if checkErr != nil {
 		fmt.Fprintf(stderr, "FAIL after %v: %v\n", wall.Round(time.Millisecond), checkErr)
 		return 1

@@ -92,7 +92,7 @@ func TestRunSuccessWritesArtifact(t *testing.T) {
 }
 
 func TestRunRequireExhaustedFailsOnTinyBudget(t *testing.T) {
-	code, _, stderr := runExplore(t,
+	code, stdout, stderr := runExplore(t,
 		"-alg", "tas", "-n", "2", "-entries", "1", "-preemptions", "2",
 		"-maxruns", "2", "-require-exhausted")
 	if code != 1 {
@@ -100,6 +100,9 @@ func TestRunRequireExhaustedFailsOnTinyBudget(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "not exhausted") {
 		t.Fatalf("stderr: %s", stderr)
+	}
+	if want := "CC: 2 schedules (NOT exhausted; per-depth [1 1])\nDSM: 2 schedules (NOT exhausted; per-depth [1 1])\n"; !strings.Contains(stdout, want) {
+		t.Fatalf("stdout lacks the verdict lines %q:\n%s", want, stdout)
 	}
 }
 
@@ -148,11 +151,14 @@ func TestArtifactGoldenAcrossWorkerCounts(t *testing.T) {
 // schedule per model instead of being promoted to the default bound.
 func TestRunZeroPreemptionsIsExactlyOneSchedule(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "zero.json")
-	code, _, stderr := runExplore(t,
+	code, stdout, stderr := runExplore(t,
 		"-alg", "g-dsm", "-n", "2", "-entries", "1", "-preemptions", "0",
 		"-out", path)
 	if code != 0 {
 		t.Fatalf("exit %d (stderr: %s)", code, stderr)
+	}
+	if want := "CC: 1 schedules (exhausted; per-depth [1])\nDSM: 1 schedules (exhausted; per-depth [1])\n"; !strings.Contains(stdout, want) {
+		t.Fatalf("stdout lacks the verdict lines %q:\n%s", want, stdout)
 	}
 	art, err := obs.ReadExploreArtifact(path)
 	if err != nil {

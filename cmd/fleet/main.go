@@ -25,20 +25,22 @@
 // coordinator plus -workers in-process workers over loopback HTTP,
 // exercising the full lease/report protocol.
 //
-// Telemetry: the coordinator serves its live metrics registry on
-// /v1/metrics (counters, gauges, and µs histograms, sorted by name);
-// -pprof additionally mounts net/http/pprof under /debug/pprof/ for
-// profiling a hot coordinator. With -capacity, the campaign writes a
-// fetchphi.capacity/v1 throughput artifact next to the checkpoint —
-// rewritten after every wave, finalized on completion. `fleet status
-// -watch` renders a refreshing terminal dashboard (campaign progress,
+// Telemetry: the coordinator serves its live metrics registry, the
+// only store of the campaign's counts, on /v1/metrics (counters and µs
+// histograms, sorted by name); -pprof additionally mounts
+// net/http/pprof under /debug/pprof/ for profiling a hot coordinator.
+// With -capacity, the campaign writes a fetchphi.capacity/v2
+// throughput artifact next to the checkpoint — rewritten after every
+// wave, finalized on completion. `fleet status` reads /v1/status and
+// /v1/metrics and prints the campaign's state and counts; with -watch
+// it renders a refreshing terminal dashboard (campaign progress,
 // worker liveness, re-lease churn, and algorithm×model coverage from
 // the -artifacts directory) until the campaign ends. `fleet smoke` is
 // the CI gate: a loopback fleet run that asserts a valid capacity
 // artifact and a live /v1/metrics.
 //
 // With -checkpoint, the coordinator persists every completed wave to
-// the given path (the fetchphi.explore/v2 Checkpoint extension; `fleet
+// the given path (a fetchphi.explore/v3 checkpoint artifact; `fleet
 // run -checkpoint` is the single-machine form); a restarted coordinator
 // resumes from it without re-exploring finished waves, and the final
 // artifact is byte-identical to an uninterrupted run's. Exit codes:
@@ -47,7 +49,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -124,25 +125,19 @@ func campaignFlags(fs *flag.FlagSet, stderr io.Writer) func() (fleet.Config, boo
 	}
 }
 
-// report prints the per-model verdicts exactly like cmd/explore and
-// optionally writes the coordinator's wall-clock-free artifact.
-func report(stdout, stderr io.Writer, coord *fleet.Coordinator, reports []harness.ModelReport, checkErr error, out string) int {
-	if out != "" {
-		if art := coord.Artifact(); art != nil {
+// report prints the per-model verdicts exactly like cmd/explore, from
+// the rows of the coordinator's wall-clock-free artifact, and
+// optionally writes that artifact.
+func report(stdout, stderr io.Writer, coord *fleet.Coordinator, checkErr error, out string) int {
+	if art := coord.Artifact(); art != nil {
+		if out != "" {
 			if err := art.WriteFile(out); err != nil {
 				fmt.Fprintf(stderr, "fleet: %v\n", err)
 				return 1
 			}
 			fmt.Fprintf(stdout, "wrote %s\n", out)
 		}
-	}
-	for _, r := range reports {
-		status := "exhausted"
-		if !r.Result.Exhausted {
-			status = "NOT exhausted"
-		}
-		fmt.Fprintf(stdout, "%v: %d schedules (%s; per-depth %v)\n",
-			r.Model, r.Result.Runs, status, r.Result.DepthRuns)
+		obs.WriteCoverage(stdout, art.Models)
 	}
 	if checkErr != nil {
 		fmt.Fprintf(stderr, "FAIL: %v\n", checkErr)
@@ -161,8 +156,8 @@ func runServe(argv []string, stdout, stderr io.Writer) int {
 		leaseSize    = fs.Int("lease-size", fleet.DefaultLeaseSize, "schedules per lease")
 		leaseTimeout = fs.Duration("lease-timeout", fleet.DefaultLeaseTimeout, "re-lease deadline for unreported ranges")
 		checkpoint   = fs.String("checkpoint", "", "persist completed waves to this path and resume from it")
-		capacity     = fs.String("capacity", "", "write a fetchphi.capacity/v1 throughput artifact to this path (rewritten per wave)")
-		out          = fs.String("out", "", "write a fetchphi.explore/v2 artifact to this path")
+		capacity     = fs.String("capacity", "", "write a fetchphi.capacity/v2 throughput artifact to this path (rewritten per wave)")
+		out          = fs.String("out", "", "write a fetchphi.explore/v3 artifact to this path")
 		pprofOn      = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the coordinator listener")
 		grace        = fs.Duration("grace", time.Second, "how long to keep serving after completion so workers observe done")
 	)
@@ -200,8 +195,8 @@ func runServe(argv []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "fleet: serving %s N=%d entries=%d K=%d on %s\n",
 		cfg.Algorithm, cfg.N, cfg.Entries, cfg.Preemptions, ln.Addr())
 
-	reports, checkErr := coord.Run()
-	code := report(stdout, stderr, coord, reports, checkErr, *out)
+	_, checkErr := coord.Run()
+	code := report(stdout, stderr, coord, checkErr, *out)
 	// Keep answering "done" briefly so connected workers exit cleanly
 	// instead of burning their retry budgets on a vanished server.
 	//fetchphilint:ignore determinism shutdown grace period; the campaign result is already fixed
@@ -229,7 +224,7 @@ func runWork(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator base URL (http://host:port)")
-		id          = fs.String("id", "", "worker name in the coordinator's lease log (default host.pid)")
+		id          = fs.String("id", "", "worker name in the coordinator's status and metrics (default host.pid)")
 		shards      = fs.Int("shards", 1, "local wave-shard width per lease (1 = sequential, 0 = all CPUs)")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -278,28 +273,23 @@ func runStatus(argv []string, stdout, stderr io.Writer) int {
 	if *watch {
 		return runWatch(stdout, stderr, *coordinator, *interval, *artifacts)
 	}
-	resp, err := http.Get(*coordinator + fleet.PathStatus)
+	state, err := fetchState(http.DefaultClient, *coordinator)
 	if err != nil {
 		fmt.Fprintf(stderr, "fleet: %v\n", err)
 		return 1
 	}
-	defer resp.Body.Close()
-	var st fleet.StatusResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		fmt.Fprintf(stderr, "fleet: decode status: %v\n", err)
-		return 1
-	}
+	st, count := &state.Status, state.Metrics.Counter
 	fmt.Fprintf(stdout, "%s: %s", st.Algorithm, st.State)
 	if st.Model != "" {
 		fmt.Fprintf(stdout, " (wave %s depth=%d frontier=%d: %d pending / %d leased / %d done ranges)",
 			st.Model, st.Depth, st.Frontier, st.RangesPending, st.RangesLeased, st.RangesDone)
 	}
 	fmt.Fprintf(stdout, "; %d leases, %d re-leases, %d stale reports\n",
-		st.Leases, st.ReLeases, st.StaleReports)
-	fmt.Fprintf(stdout, "waves %d, schedules %d\n", st.Waves, st.Schedules)
+		count(fleet.MetricLeases), count(fleet.MetricReLeases), count(fleet.MetricStaleReports))
+	fmt.Fprintf(stdout, "waves %d, schedules %d\n", count(fleet.MetricWaves), count(fleet.MetricSchedules))
 	for _, ws := range st.Workers {
 		fmt.Fprintf(stdout, "worker %s: %d leases, %d schedules, seen %dms ago\n",
-			ws.Worker, ws.Leases, ws.Schedules, ws.LastSeenMS)
+			ws.Worker, count(fleet.WorkerMetric(ws.Worker, "leases")), count(fleet.WorkerMetric(ws.Worker, "schedules")), ws.LastSeenMS)
 	}
 	if st.Failure != "" {
 		fmt.Fprintf(stdout, "failure: %s\n", st.Failure)
@@ -337,11 +327,11 @@ func runLocal(argv []string, stdout, stderr io.Writer) int {
 	cfgOf := campaignFlags(fs, stderr)
 	var (
 		workers    = fs.Int("workers", 2, "in-process fleet workers")
-		shards     = fs.Int("shards", 1, "wave-shard width per worker")
+		shards     = fs.Int("shards", 1, "wave-shard width per worker (0 = all CPUs)")
 		leaseSize  = fs.Int("lease-size", fleet.DefaultLeaseSize, "schedules per lease")
 		checkpoint = fs.String("checkpoint", "", "persist completed waves to this path and resume from it")
-		capacity   = fs.String("capacity", "", "write a fetchphi.capacity/v1 throughput artifact to this path")
-		out        = fs.String("out", "", "write a fetchphi.explore/v2 artifact to this path")
+		capacity   = fs.String("capacity", "", "write a fetchphi.capacity/v2 throughput artifact to this path")
+		out        = fs.String("out", "", "write a fetchphi.explore/v3 artifact to this path")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -350,8 +340,8 @@ func runLocal(argv []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return 2
 	}
-	if *workers < 1 || *shards < 1 || *leaseSize < 1 {
-		fmt.Fprintln(stderr, "fleet: -workers, -shards, -lease-size must be positive")
+	if *workers < 1 || *shards < 0 || *leaseSize < 1 {
+		fmt.Fprintln(stderr, "fleet: -workers, -lease-size must be positive; -shards non-negative")
 		return 2
 	}
 	builder, err := experiments.Algorithm(cfg.Algorithm)
@@ -368,9 +358,9 @@ func runLocal(argv []string, stdout, stderr io.Writer) int {
 	})
 	fmt.Fprintf(stdout, "fleet: in-process run of %s N=%d entries=%d K=%d with %d workers\n",
 		cfg.Algorithm, cfg.N, cfg.Entries, cfg.Preemptions, *workers)
-	reports, checkErr := fleet.CheckWith(coord, builder, fleet.CheckOptions{
+	_, checkErr := fleet.CheckWith(coord, builder, fleet.CheckOptions{
 		Workers: *workers,
 		Shards:  *shards,
 	})
-	return report(stdout, stderr, coord, reports, checkErr, *out)
+	return report(stdout, stderr, coord, checkErr, *out)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -75,15 +76,22 @@ func TestRunSubcommand(t *testing.T) {
 	}
 	for i, r := range ref {
 		m := art.Models[i]
-		if m.Model != r.Model.String() || m.Runs != r.Result.Runs || !m.Exhausted {
-			t.Fatalf("model %d: got %+v, want %+v", i, m, r.Result)
+		if m.Model != r.Model.String() || m.Runs != r.Result.Runs || !m.Exhausted || m.Pending != nil {
+			t.Fatalf("model %d: got %+v, want %+v and no resume point", i, m, r.Result)
 		}
 	}
-	if art.Checkpoint == nil || !art.Checkpoint.Complete {
-		t.Fatalf("fleet artifact checkpoint: %+v", art.Checkpoint)
+	if !art.Checkpoint {
+		t.Fatal("fleet artifact is not marked a checkpoint")
 	}
 	if !strings.Contains(stdout.String(), "OK: no violation") {
 		t.Fatalf("stdout: %s", stdout.String())
+	}
+	// The verdict lines are cmd/explore's, one per model.
+	for _, r := range ref {
+		line := fmt.Sprintf("%v: %d schedules (exhausted; per-depth %v)\n", r.Model, r.Result.Runs, r.Result.DepthRuns)
+		if !strings.Contains(stdout.String(), line) {
+			t.Fatalf("stdout lacks %q:\n%s", line, stdout.String())
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package main
 
 // fleet smoke: the telemetry CI gate. Runs a real loopback-HTTP fleet
 // (coordinator + workers, full lease/report protocol), then asserts
-// the observability contract end to end: the fetchphi.capacity/v1
+// the observability contract end to end: the fetchphi.capacity/v2
 // artifact is valid, Complete, and carries nonzero schedule, lease,
 // and throughput numbers; and /v1/metrics answers 200 with a snapshot
 // whose counters agree. `make telemetry-smoke` wires this into ci.
@@ -26,8 +26,8 @@ func runSmoke(argv []string, stdout, stderr io.Writer) int {
 	cfgOf := campaignFlags(fs, stderr)
 	var (
 		workers  = fs.Int("workers", 2, "in-process fleet workers")
-		capacity = fs.String("capacity", "", "write (and then validate) the fetchphi.capacity/v1 artifact at this path")
-		out      = fs.String("out", "", "also write the fetchphi.explore/v2 artifact to this path")
+		capacity = fs.String("capacity", "", "write (and then validate) the fetchphi.capacity/v2 artifact at this path")
+		out      = fs.String("out", "", "also write the fetchphi.explore/v3 artifact to this path")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -57,8 +57,8 @@ func runSmoke(argv []string, stdout, stderr io.Writer) int {
 	})
 	fmt.Fprintf(stdout, "fleet: smoke run of %s N=%d entries=%d K=%d with %d workers\n",
 		cfg.Algorithm, cfg.N, cfg.Entries, cfg.Preemptions, *workers)
-	reports, checkErr := fleet.CheckWith(coord, builder, fleet.CheckOptions{Workers: *workers})
-	if code := report(stdout, stderr, coord, reports, checkErr, *out); code != 0 {
+	_, checkErr := fleet.CheckWith(coord, builder, fleet.CheckOptions{Workers: *workers})
+	if code := report(stdout, stderr, coord, checkErr, *out); code != 0 {
 		return code
 	}
 

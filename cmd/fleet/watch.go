@@ -1,7 +1,8 @@
 package main
 
 // fleet status -watch: the terminal coverage dashboard. Each frame
-// polls /v1/status and /v1/metrics, then renders campaign progress,
+// polls /v1/status (state, active wave, worker liveness) and
+// /v1/metrics (every count), then renders campaign progress,
 // worker liveness, re-lease churn, and coverage of the registered
 // algorithm×model grid (scanned from the explore-artifact directory).
 // Rendering is a pure function of the polled state so the frame format
@@ -27,7 +28,8 @@ type fleetState struct {
 	Metrics telemetry.Snapshot
 }
 
-// fetchState polls both coordinator endpoints.
+// fetchState polls both coordinator endpoints: the one fetch path of
+// `fleet status`, one-shot and -watch.
 func fetchState(client *http.Client, coordinator string) (*fleetState, error) {
 	var st fleetState
 	if err := getJSON(client, coordinator+fleet.PathStatus, &st.Status); err != nil {
@@ -75,8 +77,9 @@ func covRank(mark string) int {
 	return 0
 }
 
-// loadCoverage scans dir for fetchphi.explore/v2 artifacts and folds
-// them into algorithm → model → mark. Unreadable or foreign-schema
+// loadCoverage scans dir for fetchphi.explore/v3 artifacts and folds
+// them into algorithm → model → mark; a row a campaign has not finished
+// (or one that hit its run cap) is partial. Unreadable or foreign-schema
 // files are skipped, like obs.ReadArtifactDir does for bench
 // artifacts.
 func loadCoverage(dir string) map[string]map[string]string {
@@ -118,20 +121,20 @@ func loadCoverage(dir string) map[string]map[string]string {
 // the registered grid (the caller passes experiments.AlgorithmNames()
 // and the canonical model order).
 func renderDashboard(w io.Writer, st *fleetState, algs, models []string, cov map[string]map[string]string, covDir string) {
-	s := &st.Status
+	s, count := &st.Status, st.Metrics.Counter
 	fmt.Fprintf(w, "%s: %s", s.Algorithm, s.State)
 	if s.Model != "" {
 		fmt.Fprintf(w, " — wave %s depth=%d frontier=%d (%d pending / %d leased / %d done ranges)",
 			s.Model, s.Depth, s.Frontier, s.RangesPending, s.RangesLeased, s.RangesDone)
 	}
 	fmt.Fprintln(w)
-	reLease := 0.0
-	if s.Leases > 0 {
-		reLease = 100 * float64(s.ReLeases) / float64(s.Leases)
+	leases, reLease := count(fleet.MetricLeases), 0.0
+	if leases > 0 {
+		reLease = 100 * float64(count(fleet.MetricReLeases)) / float64(leases)
 	}
 	fmt.Fprintf(w, "waves %d  schedules %d (%.0f/s)  leases %d  re-lease %.1f%%  stale %d\n",
-		s.Waves, s.Schedules, st.Metrics.PerSec(fleet.MetricSchedules),
-		s.Leases, reLease, s.StaleReports)
+		count(fleet.MetricWaves), count(fleet.MetricSchedules), st.Metrics.PerSec(fleet.MetricSchedules),
+		leases, reLease, count(fleet.MetricStaleReports))
 	if wave := st.Metrics.Histogram(fleet.MetricWaveUS); wave.Count > 0 {
 		fmt.Fprintf(w, "wave time p50 %s  p99 %s  (%d waves timed)\n",
 			usString(wave.Quantile(0.5)), usString(wave.Quantile(0.99)), wave.Count)
@@ -143,9 +146,10 @@ func renderDashboard(w io.Writer, st *fleetState, algs, models []string, cov map
 	if len(s.Workers) > 0 {
 		fmt.Fprintln(w, "workers:")
 		for _, ws := range s.Workers {
+			schedules := fleet.WorkerMetric(ws.Worker, "schedules")
 			fmt.Fprintf(w, "  %-12s %4d leases  %8d schedules (%.0f/s)  seen %dms ago\n",
-				ws.Worker, ws.Leases, ws.Schedules,
-				st.Metrics.PerSec(fleet.WorkerMetric(ws.Worker, "schedules")), ws.LastSeenMS)
+				ws.Worker, count(fleet.WorkerMetric(ws.Worker, "leases")), count(schedules),
+				st.Metrics.PerSec(schedules), ws.LastSeenMS)
 		}
 	}
 

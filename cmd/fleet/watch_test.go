@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -26,18 +27,22 @@ func cannedState() *fleetState {
 			Algorithm: "g-dsm", State: "running",
 			Model: "CC", Depth: 3, Frontier: 120,
 			RangesPending: 2, RangesLeased: 1, RangesDone: 5,
-			Leases: 10, ReLeases: 1, StaleReports: 2,
-			Waves: 4, Schedules: 10784,
 			Workers: []fleet.WorkerStatus{
-				{Worker: "w0", Leases: 6, Schedules: 6000, LastSeenMS: 12},
-				{Worker: "w1", Leases: 4, Schedules: 4784, LastSeenMS: 480},
+				{Worker: "w0", LastSeenMS: 12},
+				{Worker: "w1", LastSeenMS: 480},
 			},
 		},
 		Metrics: telemetry.Snapshot{
 			ElapsedUS: 2_000_000, // 2s at 10784 schedules → 5392/s
 			Counters: []telemetry.CounterValue{
+				{Name: fleet.MetricLeases, Value: 10},
+				{Name: fleet.MetricReLeases, Value: 1},
 				{Name: fleet.MetricSchedules, Value: 10784},
+				{Name: fleet.MetricStaleReports, Value: 2},
+				{Name: fleet.MetricWaves, Value: 4},
+				{Name: fleet.WorkerMetric("w0", "leases"), Value: 6},
 				{Name: fleet.WorkerMetric("w0", "schedules"), Value: 6000},
+				{Name: fleet.WorkerMetric("w1", "leases"), Value: 4},
 				{Name: fleet.WorkerMetric("w1", "schedules"), Value: 4784},
 			},
 			Histograms: []telemetry.HistogramValue{
@@ -90,6 +95,29 @@ func TestRenderDashboard(t *testing.T) {
 		if !strings.Contains(frame, want) {
 			t.Errorf("frame missing %q:\n%s", want, frame)
 		}
+	}
+}
+
+// TestStatusOneShot pins `fleet status` without -watch against the
+// same canned state, served as the coordinator serves it: the counts
+// come from /v1/metrics, the state, wave and liveness from /v1/status.
+func TestStatusOneShot(t *testing.T) {
+	st := cannedState()
+	mux := http.NewServeMux()
+	mux.HandleFunc(fleet.PathStatus, func(w http.ResponseWriter, r *http.Request) { json.NewEncoder(w).Encode(st.Status) })
+	mux.HandleFunc(fleet.PathMetrics, func(w http.ResponseWriter, r *http.Request) { json.NewEncoder(w).Encode(st.Metrics) })
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"status", "-coordinator", srv.URL}, &stdout, &stderr); code != 0 {
+		t.Fatalf("status exited %d: %s", code, stderr.String())
+	}
+	want := "g-dsm: running (wave CC depth=3 frontier=120: 2 pending / 1 leased / 5 done ranges); 10 leases, 1 re-leases, 2 stale reports\n" +
+		"waves 4, schedules 10784\n" +
+		"worker w0: 6 leases, 6000 schedules, seen 12ms ago\n" +
+		"worker w1: 4 leases, 4784 schedules, seen 480ms ago\n"
+	if got := stdout.String(); got != want {
+		t.Fatalf("status printed\n%s\nwant\n%s", got, want)
 	}
 }
 

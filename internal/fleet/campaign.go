@@ -24,8 +24,8 @@ type modelState struct {
 	model memsim.Model
 	done  bool
 	// frontier is the exploration after the model's last completed
-	// wave. Once done its Wave is nil and Runs/DepthRuns are the
-	// result's; Depth stays that of the last wave boundary reached.
+	// wave. Once done only its Wave.Depth is kept: that of the last
+	// wave boundary reached.
 	frontier memsim.Frontier
 	// result is the final exploration result (only once done).
 	result memsim.ExploreResult
@@ -33,11 +33,8 @@ type modelState struct {
 
 // finish seals one model's exploration.
 func (st *modelState) finish(res memsim.ExploreResult) {
-	st.done = true
-	st.frontier.Wave = memsim.Wave{Depth: st.frontier.Wave.Depth}
-	st.frontier.Runs = res.Runs
-	st.frontier.DepthRuns = res.DepthRuns
-	st.result = res
+	st.done, st.result = true, res
+	st.frontier = memsim.Frontier{Wave: memsim.Wave{Depth: st.frontier.Wave.Depth}}
 }
 
 // campaign executes (or resumes) the exploration. The returned
@@ -70,13 +67,13 @@ func (c *Coordinator) campaign() ([]harness.ModelReport, *obs.ExploreArtifact, e
 		}
 	}
 
-	art := c.exploreArtifact(states, true)
+	art := c.exploreArtifact(states)
 	if c.opts.CheckpointPath != "" {
 		if err := art.WriteFile(c.opts.CheckpointPath); err != nil {
 			return nil, nil, err
 		}
 	}
-	if err := c.writeCapacity(states, true); err != nil {
+	if err := c.writeCapacity(true); err != nil {
 		return nil, nil, err
 	}
 	reports := make([]harness.ModelReport, len(states))
@@ -131,11 +128,11 @@ func (c *Coordinator) runModel(st *modelState, all []*modelState) error {
 // the AfterWave hook.
 func (c *Coordinator) afterWave(st *modelState, all []*modelState) error {
 	if c.opts.CheckpointPath != "" {
-		if err := c.exploreArtifact(all, false).WriteFile(c.opts.CheckpointPath); err != nil {
+		if err := c.exploreArtifact(all).WriteFile(c.opts.CheckpointPath); err != nil {
 			return err
 		}
 	}
-	if err := c.writeCapacity(all, false); err != nil {
+	if err := c.writeCapacity(false); err != nil {
 		return err
 	}
 	if c.opts.AfterWave != nil {
@@ -148,18 +145,19 @@ func (c *Coordinator) afterWave(st *modelState, all []*modelState) error {
 // telemetry snapshot (a no-op without a CapacityPath). Exactly one
 // registry-clock read per call, at a deterministic point in the wave
 // loop — the invariant that keeps fake-clock artifacts byte-identical.
-func (c *Coordinator) writeCapacity(states []*modelState, complete bool) error {
+func (c *Coordinator) writeCapacity(complete bool) error {
 	if c.opts.CapacityPath == "" {
 		return nil
 	}
-	return c.capacity(states, complete).WriteFile(c.opts.CapacityPath)
+	return c.capacity(complete).WriteFile(c.opts.CapacityPath)
 }
 
-// capacity builds the fetchphi.capacity/v1 artifact: campaign-level
-// aggregates only. Per-worker metrics stay out deliberately — which
-// worker ran which lease differs run to run and with worker count, so
-// admitting them would break the artifact's byte-identity contract.
-func (c *Coordinator) capacity(states []*modelState, complete bool) *obs.CapacityArtifact {
+// capacity builds the fetchphi.capacity/v2 artifact from the
+// registry: campaign-level aggregates only. Per-worker metrics stay
+// out deliberately — which worker ran which lease differs run to run
+// and with worker count, so admitting them would break the artifact's
+// byte-identity contract — and per-model coverage is the checkpoint's.
+func (c *Coordinator) capacity(complete bool) *obs.CapacityArtifact {
 	cfg := c.cfg
 	snap := c.opts.Metrics.Snapshot()
 	art := &obs.CapacityArtifact{
@@ -182,23 +180,15 @@ func (c *Coordinator) capacity(states []*modelState, complete bool) *obs.Capacit
 	if art.Leases > 0 {
 		art.ReLeaseRate = float64(art.ReLeases) / float64(art.Leases)
 	}
-	for _, st := range states {
-		art.Models = append(art.Models, obs.CapacityModel{
-			Model:     st.model.String(),
-			Done:      st.done,
-			Waves:     len(st.frontier.DepthRuns),
-			Schedules: st.frontier.Runs,
-		})
-	}
 	return art
 }
 
 // exploreArtifact serializes the campaign state as a fetchphi.explore
-// artifact with the resumable-checkpoint extension. Done models appear
-// in Models; in-progress models live only in the checkpoint. The
+// checkpoint, one row per model: a done model's result, or an
+// unfinished model's coverage so far with its pending wave. The
 // output contains no wall-clock fields, so identical campaign states
 // serialize to identical bytes.
-func (c *Coordinator) exploreArtifact(states []*modelState, complete bool) *obs.ExploreArtifact {
+func (c *Coordinator) exploreArtifact(states []*modelState) *obs.ExploreArtifact {
 	cfg := c.cfg
 	art := &obs.ExploreArtifact{
 		Schema:    obs.ExploreSchema,
@@ -207,40 +197,22 @@ func (c *Coordinator) exploreArtifact(states []*modelState, complete bool) *obs.
 		Commit:    c.opts.Commit,
 		N:         cfg.N, Entries: cfg.Entries, Preemptions: cfg.Preemptions,
 		MaxRuns:    cfg.MaxRuns,
-		Checkpoint: &obs.ExploreCheckpoint{Complete: complete},
+		Checkpoint: true,
 	}
 	for _, st := range states {
-		ck := obs.ExploreModelCheckpoint{
-			Model:     st.model.String(),
-			Done:      st.done,
-			NextDepth: st.frontier.Wave.Depth,
-			Runs:      st.frontier.Runs,
-			DepthRuns: append([]int(nil), st.frontier.DepthRuns...),
-			Frontier:  st.frontier.Wave.Slab,
-		}
 		if st.done {
-			art.Models = append(art.Models, ExploreRecord(st.model, st.result))
+			art.Models = append(art.Models, obs.ExploreRecord(st.model, st.result))
+			continue
 		}
-		art.Checkpoint.Models = append(art.Checkpoint.Models, ck)
+		f := st.frontier
+		art.Models = append(art.Models, obs.ExploreModel{
+			Model:     st.model.String(),
+			Runs:      f.Runs,
+			DepthRuns: append([]int{}, f.DepthRuns...),
+			Pending:   &obs.ExplorePending{NextDepth: f.Wave.Depth, Frontier: f.Wave.Slab},
+		})
 	}
 	return art
-}
-
-// ExploreRecord converts one model's exploration result into its
-// fetchphi.explore coverage record: the single conversion behind
-// both cmd/explore's artifact and a campaign's final artifact.
-func ExploreRecord(model memsim.Model, res memsim.ExploreResult) obs.ExploreModel {
-	em := obs.ExploreModel{
-		Model:     model.String(),
-		Runs:      res.Runs,
-		Exhausted: res.Exhausted,
-		DepthRuns: append([]int(nil), res.DepthRuns...),
-	}
-	if res.Err != nil {
-		em.Failure = res.Err.Error()
-		em.FailingSchedule = res.FailingSchedule
-	}
-	return em
 }
 
 // restore loads the checkpoint artifact and rehydrates states from it.
@@ -253,42 +225,29 @@ func (c *Coordinator) restore(states []*modelState) error {
 	if err != nil {
 		return err
 	}
-	if art.Checkpoint == nil {
-		return fmt.Errorf("fleet: %s is not a checkpoint artifact (no checkpoint extension)", path)
+	if !art.Checkpoint {
+		return fmt.Errorf("fleet: %s is not a checkpoint artifact (no checkpoint mark)", path)
 	}
 	if art.Algorithm != cfg.Algorithm || art.N != cfg.N || art.Entries != cfg.Entries ||
 		art.Preemptions != cfg.Preemptions || art.MaxRuns != cfg.MaxRuns {
 		return fmt.Errorf("fleet: checkpoint %s was written for alg=%s n=%d entries=%d preemptions=%d maxruns=%d; refusing to resume with a different configuration",
 			path, art.Algorithm, art.N, art.Entries, art.Preemptions, art.MaxRuns)
 	}
-	if len(art.Checkpoint.Models) != len(states) {
-		return fmt.Errorf("fleet: checkpoint %s covers %d models, campaign configures %d", path, len(art.Checkpoint.Models), len(states))
+	if len(art.Models) != len(states) {
+		return fmt.Errorf("fleet: checkpoint %s covers %d models, campaign configures %d", path, len(art.Models), len(states))
 	}
-	finals := make(map[string]obs.ExploreModel, len(art.Models))
-	for _, em := range art.Models {
-		finals[em.Model] = em
-	}
-	for i, ck := range art.Checkpoint.Models {
+	for i, em := range art.Models {
 		st := states[i]
-		if ck.Model != st.model.String() {
-			return fmt.Errorf("fleet: checkpoint model %d is %q, campaign configures %q", i, ck.Model, st.model)
+		if em.Model != st.model.String() {
+			return fmt.Errorf("fleet: checkpoint model %d is %q, campaign configures %q", i, em.Model, st.model)
 		}
-		if !ck.Done {
-			f, err := frontierFromWire(ck, cfg.N)
+		if em.Pending != nil {
+			f, err := frontierFromWire(em, cfg.N)
 			if err != nil {
-				return fmt.Errorf("fleet: checkpoint %s model %s: %w", path, ck.Model, err)
+				return fmt.Errorf("fleet: checkpoint %s model %s: %w", path, em.Model, err)
 			}
 			st.frontier = f
 			continue
-		}
-		st.frontier = memsim.Frontier{
-			Wave:      memsim.Wave{Depth: ck.NextDepth},
-			Runs:      ck.Runs,
-			DepthRuns: append([]int(nil), ck.DepthRuns...),
-		}
-		em, ok := finals[ck.Model]
-		if !ok {
-			return fmt.Errorf("fleet: checkpoint marks model %s done but the artifact has no final record for it", ck.Model)
 		}
 		res := memsim.ExploreResult{
 			Runs:      em.Runs,
@@ -304,31 +263,31 @@ func (c *Coordinator) restore(states []*modelState) error {
 	return nil
 }
 
-// frontierFromWire rebuilds an in-progress model's frontier from its
-// checkpoint entry, rejecting one the wave loop could not have written:
-// its coverage must add up, and the pending wave — the root schedule
-// alone at depth 0, else the frontier's pairs NextDepth a schedule —
-// must pass the check a worker applies to a lease (checkSchedules).
+// frontierFromWire rebuilds an unfinished model's frontier from its
+// row, rejecting one the wave loop could not have written: its
+// coverage must add up, and the pending wave — the root schedule alone
+// at depth 0, else the frontier's pairs NextDepth a schedule — must
+// pass the check a worker applies to a lease (checkSchedules).
 // Replaying a malformed schedule would otherwise fail deep inside the
 // explorer.
-func frontierFromWire(ck obs.ExploreModelCheckpoint, n int) (memsim.Frontier, error) {
-	depth := ck.NextDepth
-	if len(ck.DepthRuns) != depth {
-		return memsim.Frontier{}, fmt.Errorf("next_depth %d but %d depth_runs entries", depth, len(ck.DepthRuns))
+func frontierFromWire(em obs.ExploreModel, n int) (memsim.Frontier, error) {
+	depth, slab := em.Pending.NextDepth, em.Pending.Frontier
+	if len(em.DepthRuns) != depth {
+		return memsim.Frontier{}, fmt.Errorf("next_depth %d but %d depth_runs entries", depth, len(em.DepthRuns))
 	}
 	sum := 0
-	for _, r := range ck.DepthRuns {
+	for _, r := range em.DepthRuns {
 		sum += r
 	}
-	if ck.Runs != sum {
-		return memsim.Frontier{}, fmt.Errorf("runs %d but depth_runs sum to %d", ck.Runs, sum)
+	if em.Runs != sum {
+		return memsim.Frontier{}, fmt.Errorf("runs %d but depth_runs sum to %d", em.Runs, sum)
 	}
 	w := memsim.RootWave()
 	if depth > 0 {
-		w = memsim.Wave{Depth: depth, Len: len(ck.Frontier) / depth, Slab: ck.Frontier}
+		w = memsim.Wave{Depth: depth, Len: len(slab) / depth, Slab: slab}
 	}
-	if err := checkSchedules(ck.Frontier, depth, w.Len, n); err != nil {
+	if err := checkSchedules(slab, depth, w.Len, n); err != nil {
 		return memsim.Frontier{}, fmt.Errorf("frontier %w", err)
 	}
-	return memsim.Frontier{Wave: w, Runs: ck.Runs, DepthRuns: append([]int(nil), ck.DepthRuns...)}, nil
+	return memsim.Frontier{Wave: w, Runs: em.Runs, DepthRuns: append([]int(nil), em.DepthRuns...)}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,14 +12,16 @@ import (
 	"strings"
 	"testing"
 
+	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/obs"
 )
 
 // TestCampaignRejectsCorruptCheckpoint: a checkpoint whose config
-// matches but whose in-progress model the wave loop could not have
-// written is refused with an error naming the file and the model,
-// instead of replaying a malformed schedule into an explorer panic.
+// matches but whose unfinished model's row the wave loop could not
+// have written is refused with an error naming the file and the model,
+// instead of replaying a malformed schedule into an explorer panic. A
+// checkpoint of an older schema is refused for its tag.
 func TestCampaignRejectsCorruptCheckpoint(t *testing.T) {
 	cfg := testConfig()
 	dir := t.TempDir()
@@ -36,8 +39,9 @@ func TestCampaignRejectsCorruptCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck := good.Checkpoint.Models[0]; ck.Model != "CC" || ck.Done || ck.NextDepth != 1 || len(ck.Frontier) == 0 {
-		t.Fatalf("seed checkpoint is not CC in progress at depth 1: %+v", ck)
+	cc := good.Models[0]
+	if cc.Model != "CC" || cc.Pending == nil || cc.Pending.NextDepth != 1 || len(cc.Pending.Frontier) == 0 {
+		t.Fatalf("seed checkpoint is not CC in progress at depth 1: %+v", cc)
 	}
 
 	orig, err := os.ReadFile(path)
@@ -61,30 +65,41 @@ func TestCampaignRejectsCorruptCheckpoint(t *testing.T) {
 		}
 		return p
 	}
-	depth2 := func(ck *obs.ExploreModelCheckpoint) { ck.NextDepth, ck.DepthRuns, ck.Runs = 2, []int{1, 1}, 2 }
+	// v2 is the same checkpoint as the previous schema spelled it: an
+	// extension holding each model's resume point beside the rows.
+	frontierWords, err := json.Marshal(cc.Pending.Frontier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := fmt.Sprintf(`{"schema": "fetchphi.explore/v2", "algorithm": %q, "n": %d, "entries": %d, "preemptions": %d, "max_runs": %d, "workers": 0, "models": null,
+		"checkpoint": {"complete": false, "models": [{"model": "CC", "done": false, "next_depth": 1, "frontier": %s, "runs": %d, "depth_runs": [%d]},
+		{"model": "DSM", "done": false, "next_depth": 0, "runs": 0}]}}`,
+		good.Algorithm, good.N, good.Entries, good.Preemptions, good.MaxRuns, frontierWords, cc.Runs, cc.Runs)
+	depth2 := func(em *obs.ExploreModel) { em.Pending.NextDepth, em.DepthRuns, em.Runs = 2, []int{1, 1}, 2 }
 	for _, tc := range []struct {
 		name   string
-		mutate func(ck *obs.ExploreModelCheckpoint)
+		mutate func(em *obs.ExploreModel)
 		raw    []byte // the file's bytes instead, refused as it is read
 		want   string // what the error names besides the file
 	}{
-		{name: "depth-runs-length", mutate: func(ck *obs.ExploreModelCheckpoint) { ck.DepthRuns = []int{1, 5} }},
-		{name: "runs-sum", mutate: func(ck *obs.ExploreModelCheckpoint) { ck.Runs = 99 }},
-		{name: "schedule-too-short", mutate: func(ck *obs.ExploreModelCheckpoint) { depth2(ck); ck.Frontier = pairs(3, 1) }},
-		{name: "schedule-too-long", mutate: func(ck *obs.ExploreModelCheckpoint) { depth2(ck); ck.Frontier = pairs(3, 1, 5, 0, 7, 1) }},
-		{name: "negative-step", mutate: func(ck *obs.ExploreModelCheckpoint) { ck.Frontier = pairs(-1, 1) }},
-		{name: "steps-not-increasing", mutate: func(ck *obs.ExploreModelCheckpoint) { depth2(ck); ck.Frontier = pairs(3, 1, 3, 0) }},
-		{name: "proc-too-large", mutate: func(ck *obs.ExploreModelCheckpoint) { ck.Frontier = pairs(3, 7) }},
-		{name: "proc-negative", mutate: func(ck *obs.ExploreModelCheckpoint) { ck.Frontier = pairs(3, -1) }},
-		{name: "frontier-at-depth-0", mutate: func(ck *obs.ExploreModelCheckpoint) {
-			ck.NextDepth, ck.DepthRuns, ck.Runs = 0, nil, 0
-			ck.Frontier = pairs(3, 1)
+		{name: "depth-runs-length", mutate: func(em *obs.ExploreModel) { em.DepthRuns = []int{1, 5} }},
+		{name: "runs-sum", mutate: func(em *obs.ExploreModel) { em.Runs = 99 }},
+		{name: "schedule-too-short", mutate: func(em *obs.ExploreModel) { depth2(em); em.Pending.Frontier = pairs(3, 1) }},
+		{name: "schedule-too-long", mutate: func(em *obs.ExploreModel) { depth2(em); em.Pending.Frontier = pairs(3, 1, 5, 0, 7, 1) }},
+		{name: "negative-step", mutate: func(em *obs.ExploreModel) { em.Pending.Frontier = pairs(-1, 1) }},
+		{name: "steps-not-increasing", mutate: func(em *obs.ExploreModel) { depth2(em); em.Pending.Frontier = pairs(3, 1, 3, 0) }},
+		{name: "proc-too-large", mutate: func(em *obs.ExploreModel) { em.Pending.Frontier = pairs(3, 7) }},
+		{name: "proc-negative", mutate: func(em *obs.ExploreModel) { em.Pending.Frontier = pairs(3, -1) }},
+		{name: "frontier-at-depth-0", mutate: func(em *obs.ExploreModel) {
+			em.Pending.NextDepth, em.DepthRuns, em.Runs = 0, nil, 0
+			em.Pending.Frontier = pairs(3, 1)
 		}},
 		{name: "odd-word-count", raw: frontier(`[3, 1, 5]`), want: "step/proc pairs"},
 		{name: "word-not-an-integer", raw: frontier(`[3.5, 1]`), want: "array of integers"},
 		// The v1 form of the same checkpoint: one object per preemption.
 		{name: "schema-v1", raw: bytes.Replace(frontier(`[[{"step": 3, "proc": 1}]]`),
-			[]byte(`"fetchphi.explore/v2"`), []byte(`"fetchphi.explore/v1"`), 1), want: `schema "fetchphi.explore/v1"`},
+			[]byte(`"fetchphi.explore/v3"`), []byte(`"fetchphi.explore/v1"`), 1), want: `schema "fetchphi.explore/v1"`},
+		{name: "schema-v2", raw: []byte(v2), want: `schema "fetchphi.explore/v2"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			badPath := filepath.Join(t.TempDir(), "bad.json")
@@ -94,7 +109,7 @@ func TestCampaignRejectsCorruptCheckpoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tc.mutate(&bad.Checkpoint.Models[0])
+				tc.mutate(&bad.Models[0])
 				if data, err = json.Marshal(bad); err != nil {
 					t.Fatal(err)
 				}
@@ -109,8 +124,8 @@ func TestCampaignRejectsCorruptCheckpoint(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), badPath) || !strings.Contains(err.Error(), want) {
 				t.Fatalf("corrupt checkpoint: err = %v, want an error naming %s and %q", err, badPath, want)
 			}
-			if log := coord.LeaseLog(); len(log) != 0 {
-				t.Fatalf("refused checkpoint still leased: %+v", log)
+			if n := coord.Metrics().Counter(MetricLeases).Value(); n != 0 {
+				t.Fatalf("refused checkpoint still granted %d leases", n)
 			}
 		})
 	}
@@ -128,14 +143,67 @@ func TestCampaignRejectsCorruptCheckpoint(t *testing.T) {
 // frontier, as memsim.RootWave(), and a depth-2 frontier as the same
 // slab, not a copy.
 func TestCheckpointFrontierRestores(t *testing.T) {
-	root, err := frontierFromWire(obs.ExploreModelCheckpoint{Model: "CC"}, 2)
+	root, err := frontierFromWire(obs.ExploreModel{Model: "CC", Pending: &obs.ExplorePending{}}, 2)
 	if err != nil || !reflect.DeepEqual(root.Wave, memsim.RootWave()) || root.Runs != 0 || len(root.DepthRuns) != 0 {
 		t.Fatalf("root frontier restored as %+v, %v; want the root wave", root, err)
 	}
 	slab := obs.Pairs{{Step: 3, Proc: 1}, {Step: 9, Proc: 0}, {Step: 3, Proc: 1}, {Step: 11, Proc: 0}}
-	f, err := frontierFromWire(obs.ExploreModelCheckpoint{Model: "DSM", NextDepth: 2, Runs: 46, DepthRuns: []int{1, 45}, Frontier: slab}, 2)
+	f, err := frontierFromWire(obs.ExploreModel{Model: "DSM", Runs: 46, DepthRuns: []int{1, 45}, Pending: &obs.ExplorePending{NextDepth: 2, Frontier: slab}}, 2)
 	want := memsim.Wave{Depth: 2, Len: 2, Slab: slab}
 	if err != nil || !reflect.DeepEqual(f.Wave, want) || &f.Wave.Slab[0] != &slab[0] || f.Runs != 46 {
 		t.Fatalf("depth-2 frontier restored as %+v, %v; want %+v over the same slab", f, err, want)
 	}
+}
+
+// TestCampaignRowsMatchExplore: a finished campaign's rows are
+// byte-identical to the rows cmd/explore writes for the same check
+// (obs.ExploreRecord over harness.CheckSharded's reports), on a passing
+// space, a failing one and a capped one.
+func TestCampaignRowsMatchExplore(t *testing.T) {
+	for _, fx := range []struct {
+		name    string
+		build   harness.Builder
+		maxRuns int
+	}{{"correct", newTASLock, 0}, {"broken", newBrokenLock, 0}, {"capped", newTASLock, 7}} {
+		t.Run(fx.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := testConfig()
+			cfg.MaxRuns = fx.maxRuns
+			campaign := filepath.Join(dir, "campaign.json")
+			coord := NewCoordinator(cfg, CoordinatorOptions{CheckpointPath: campaign})
+			if _, err := CheckWith(coord, fx.build, CheckOptions{}); (err != nil) != (fx.name == "broken") {
+				t.Fatalf("campaign: %v", err)
+			}
+			reports, _ := harness.CheckSharded(fx.build, cfg.N, cfg.Entries,
+				harness.ExploreOptions{Preemptions: cfg.Preemptions, MaxRuns: fx.maxRuns, Workers: 1})
+			ref := &obs.ExploreArtifact{Algorithm: cfg.Algorithm, CreatedBy: "cmd/explore", Workers: 1}
+			for _, r := range reports {
+				ref.Models = append(ref.Models, obs.ExploreRecord(r.Model, r.Result))
+			}
+			explore := filepath.Join(dir, "explore.json")
+			if err := ref.WriteFile(explore); err != nil {
+				t.Fatal(err)
+			}
+			got, want := rawModels(t, campaign), rawModels(t, explore)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("campaign rows differ from cmd/explore's:\n%s\nwant\n%s", got, want)
+			}
+		})
+	}
+}
+
+// rawModels returns an artifact file's models array as written.
+func rawModels(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art struct {
+		Models json.RawMessage `json:"models"`
+	}
+	if err := json.Unmarshal(data, &art); err != nil {
+		t.Fatal(err)
+	}
+	return art.Models
 }

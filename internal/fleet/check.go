@@ -14,7 +14,9 @@ import (
 type CheckOptions struct {
 	// Workers is the number of fleet workers to run (default 2).
 	Workers int
-	// Shards is each worker's local wave-shard width (default 1).
+	// Shards is each worker's local wave-shard width, passed to every
+	// Worker as it is: 1 runs a lease sequentially, 0 on GOMAXPROCS
+	// shards. Results are identical at every width.
 	Shards int
 }
 
@@ -39,9 +41,6 @@ func Check(b harness.Builder, cfg Config, opts CheckOptions) ([]harness.ModelRep
 func CheckWith(coord *Coordinator, b harness.Builder, opts CheckOptions) ([]harness.ModelReport, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 2
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = 1
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -48,20 +48,23 @@ type CoordinatorOptions struct {
 	// where it is how late a worker sees an expired lease.
 	Hold time.Duration
 	// CheckpointPath, when non-empty, is the resumable
-	// fetchphi.explore/v2 artifact: loaded (and validated against the
+	// fetchphi.explore/v3 artifact: loaded (and validated against the
 	// Config) at start if it exists, rewritten atomically after every
-	// completed wave, and left behind as the final artifact with
-	// Checkpoint.Complete=true. Empty disables checkpointing.
+	// completed wave, and left behind as the final artifact, whose rows
+	// hold no resume point. Empty disables checkpointing.
 	CheckpointPath string
-	// CapacityPath, when non-empty, is the fetchphi.capacity/v1
+	// CapacityPath, when non-empty, is the fetchphi.capacity/v2
 	// artifact: rewritten atomically after every completed wave
 	// (Complete=false) and finalized when the campaign ends
 	// (Complete=true). Empty disables it.
 	CapacityPath string
-	// Metrics is the coordinator's telemetry registry (wave counts and
-	// timings, schedule counts, lease counters); its clock is the
-	// telemetry clock, wholly separate from Now (the lease clock). Nil
-	// selects a fresh wall-clock registry. For byte-identical capacity
+	// Metrics is the coordinator's telemetry registry, the only store
+	// of the campaign's counts (leases, re-leases, reports, stale
+	// reports, waves, schedules, each worker's leases and schedules)
+	// and wave timings, which /v1/metrics serves and the capacity
+	// artifact copies; its clock is the telemetry clock, wholly
+	// separate from Now (the lease clock). Nil selects a fresh
+	// wall-clock registry. For byte-identical capacity
 	// artifacts, inject a fake clock: the campaign reads the registry
 	// clock only at deterministic points (once at construction, two
 	// reads per wave, one per capacity write), so a step clock yields
@@ -79,7 +82,8 @@ type CoordinatorOptions struct {
 	// deadlines gate only *when* a range is re-offered, never what its
 	// outcomes are).
 	Now func() time.Time
-	// Progress, if non-nil, observes each wave start.
+	// Progress, if non-nil, observes each wave start; a resumed
+	// campaign's first call is the wave it resumes at.
 	Progress func(model memsim.Model, p memsim.ExploreProgress)
 	// AfterWave, if non-nil, runs after each wave (and each model
 	// completion) has been checkpointed; a non-nil error stops the
@@ -99,8 +103,7 @@ type Coordinator struct {
 	leaseSeq atomic.Int64
 
 	mu       sync.Mutex
-	table    *leaseTable // active wave, nil between waves
-	events   []LeaseEvent
+	table    *leaseTable          // active wave, nil between waves
 	lastSeen map[string]time.Time // per worker, on the lease clock
 	finished bool
 	// wake is closed, and replaced, when a held lease request may now
@@ -140,6 +143,11 @@ func NewCoordinator(cfg Config, opts CoordinatorOptions) *Coordinator {
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = telemetry.New(nil)
+	}
+	// Every campaign counter exists from the start, so /v1/metrics
+	// lists each, at 0 until it first counts, whatever was polled.
+	for _, name := range []string{MetricLeases, MetricReLeases, MetricReports, MetricStaleReports, MetricWaves, MetricSchedules} {
+		opts.Metrics.Counter(name)
 	}
 	return &Coordinator{
 		cfg: cfg.withDefaults(), opts: opts,
@@ -185,16 +193,6 @@ func (c *Coordinator) Artifact() *obs.ExploreArtifact {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.artifact
-}
-
-// LeaseLog returns a copy of the lease log: every grant, re-lease,
-// accepted report, and stale report, in arrival order. The log is an
-// audit trail — the checkpoint-resume tests use it to prove completed
-// waves are never re-explored — not part of the deterministic result.
-func (c *Coordinator) LeaseLog() []LeaseEvent {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]LeaseEvent(nil), c.events...)
 }
 
 // stop abandons the campaign with err: the wave in flight is never
@@ -272,7 +270,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		if table != nil {
 			if lease, kind, ok := table.claim(c.leaseSeq.Add(1)); ok {
-				c.grant(req.Worker, lease, kind)
+				c.grant(req.Worker, kind)
 				writeJSON(w, LeaseResponse{Status: StatusLease, Lease: lease})
 				return
 			}
@@ -295,14 +293,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// grant records one lease grant in the lease log and the metrics.
-func (c *Coordinator) grant(worker string, lease *Lease, kind string) {
-	c.mu.Lock()
-	c.events = append(c.events, LeaseEvent{
-		Kind: kind, Model: lease.Model, Depth: lease.Depth,
-		Lo: lease.Lo, Hi: lease.Hi, Worker: worker, LeaseID: lease.ID,
-	})
-	c.mu.Unlock()
+// grant counts one lease grant, a re-lease when kind says so.
+func (c *Coordinator) grant(worker, kind string) {
 	c.opts.Metrics.Counter(MetricLeases).Inc()
 	if kind == "re-lease" {
 		c.opts.Metrics.Counter(MetricReLeases).Inc()
@@ -336,7 +328,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		// The wave this report belongs to has already completed (its
 		// range was re-leased and reported by someone else); nothing
 		// to merge, and nothing lost — outcomes are deterministic.
-		c.logReport(&req, false)
+		c.countReport(&req, false)
 		writeJSON(w, ReportResponse{Accepted: false, Reason: "no active wave at that model/depth"})
 		return
 	}
@@ -350,7 +342,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	c.logReport(&req, accepted)
+	c.countReport(&req, accepted)
 	reason := ""
 	if !accepted {
 		reason = "range already completed"
@@ -358,19 +350,8 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, ReportResponse{Accepted: accepted, Reason: reason})
 }
 
-// logReport records one report, accepted or stale, in the lease log
-// and the metrics.
-func (c *Coordinator) logReport(req *ReportRequest, accepted bool) {
-	kind := "report"
-	if !accepted {
-		kind = "stale-report"
-	}
-	c.mu.Lock()
-	c.events = append(c.events, LeaseEvent{
-		Kind: kind, Model: req.Model, Depth: req.Depth,
-		Lo: req.Lo, Hi: req.Hi, Worker: req.Worker, LeaseID: req.LeaseID,
-	})
-	c.mu.Unlock()
+// countReport counts one report, accepted or stale.
+func (c *Coordinator) countReport(req *ReportRequest, accepted bool) {
 	if accepted {
 		c.opts.Metrics.Counter(MetricReports).Inc()
 		c.opts.Metrics.Counter(WorkerMetric(req.Worker, "schedules")).Add(int64(req.Hi - req.Lo))
@@ -380,27 +361,15 @@ func (c *Coordinator) logReport(req *ReportRequest, accepted bool) {
 	c.touchWorker(req.Worker)
 }
 
-// handleStatus answers with the campaign's counters, read from the
-// telemetry the coordinator keeps anyway, and each worker's last
-// contact.
+// handleStatus answers with the campaign's state, its active wave and
+// each worker's last contact. The campaign's counts are the registry's
+// alone, served by handleMetrics.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	m := c.opts.Metrics
 	c.mu.Lock()
-	resp := StatusResponse{
-		Algorithm:    c.cfg.Algorithm,
-		State:        "running",
-		Leases:       int(m.Counter(MetricLeases).Value()),
-		ReLeases:     int(m.Counter(MetricReLeases).Value()),
-		StaleReports: int(m.Counter(MetricStaleReports).Value()),
-	}
+	resp := StatusResponse{Algorithm: c.cfg.Algorithm, State: "running"}
 	now := c.opts.Now()
 	for id, seen := range c.lastSeen {
-		resp.Workers = append(resp.Workers, WorkerStatus{
-			Worker:     id,
-			Leases:     m.Counter(WorkerMetric(id, "leases")).Value(),
-			Schedules:  m.Counter(WorkerMetric(id, "schedules")).Value(),
-			LastSeenMS: now.Sub(seen).Milliseconds(),
-		})
+		resp.Workers = append(resp.Workers, WorkerStatus{Worker: id, LastSeenMS: now.Sub(seen).Milliseconds()})
 	}
 	if c.finished {
 		resp.State = "done"
@@ -412,8 +381,6 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	table := c.table
 	c.mu.Unlock()
 	sort.Slice(resp.Workers, func(i, j int) bool { return resp.Workers[i].Worker < resp.Workers[j].Worker })
-	resp.Waves = m.Counter(MetricWaves).Value()
-	resp.Schedules = m.Counter(MetricSchedules).Value()
 	if table != nil {
 		resp.Model = table.model.String()
 		resp.Depth = table.wave.Depth

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/obs"
+	"fetchphi/internal/telemetry"
 )
 
 // tasLock is a trivially correct test-and-set mutex; brokenLock grants
@@ -117,9 +119,10 @@ func TestCampaignHonorsPreemptionBound(t *testing.T) {
 }
 
 // TestFleetEquivalence is the acceptance criterion: coordinator +
-// {1,2,4} workers over loopback HTTP produce results bit-identical to
-// single-machine CheckSharded, on a passing and a failing space, at a
-// lease size small enough to force many leases per wave.
+// {1,2,4} sequential workers, and 2 workers on every CPU, over loopback
+// HTTP produce results bit-identical to single-machine CheckSharded, on
+// a passing and a failing space, at a lease size small enough to force
+// many leases per wave.
 func TestFleetEquivalence(t *testing.T) {
 	for _, fx := range []struct {
 		name  string
@@ -129,10 +132,11 @@ func TestFleetEquivalence(t *testing.T) {
 		t.Run(fx.name, func(t *testing.T) {
 			t.Parallel()
 			ref, refErr := refReports(t, fx.build)
-			for _, workers := range []int{1, 2, 4} {
+			// Shards 0 runs each worker's leases on GOMAXPROCS shards.
+			for _, opts := range []CheckOptions{{Workers: 1, Shards: 1}, {Workers: 2, Shards: 1}, {Workers: 4, Shards: 1}, {Workers: 2, Shards: 0}} {
 				coord := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 5})
-				got, err := CheckWith(coord, fx.build, CheckOptions{Workers: workers})
-				assertBitIdentical(t, fmt.Sprintf("fleet workers=%d", workers), got, ref, err, refErr)
+				got, err := CheckWith(coord, fx.build, opts)
+				assertBitIdentical(t, fmt.Sprintf("fleet workers=%d shards=%d", opts.Workers, opts.Shards), got, ref, err, refErr)
 			}
 		})
 	}
@@ -199,14 +203,7 @@ func TestFleetWorkerLossReleases(t *testing.T) {
 	got, err := coord.Wait()
 	close(stop)
 	assertBitIdentical(t, "after worker loss", got, ref, err, refErr)
-
-	reLeases := 0
-	for _, ev := range coord.LeaseLog() {
-		if ev.Kind == "re-lease" {
-			reLeases++
-		}
-	}
-	if reLeases == 0 {
+	if coord.Metrics().Counter(MetricReLeases).Value() == 0 {
 		t.Fatal("zombie's range was never re-leased")
 	}
 }
@@ -256,13 +253,7 @@ func TestFleetDroppedReportResponse(t *testing.T) {
 	if !transport.dropped.Load() {
 		t.Fatal("fault was never injected")
 	}
-	stale := 0
-	for _, ev := range coord.LeaseLog() {
-		if ev.Kind == "stale-report" {
-			stale++
-		}
-	}
-	if stale == 0 {
+	if coord.Metrics().Counter(MetricStaleReports).Value() == 0 {
 		t.Fatal("the retried duplicate report never reached the coordinator")
 	}
 }
@@ -271,8 +262,9 @@ func TestFleetDroppedReportResponse(t *testing.T) {
 // coordinator stopped between waves (AfterWave abort — the checkpoint
 // is already on disk, exactly like a kill after the atomic rename)
 // and restarted from the artifact must (a) never re-explore a
-// completed wave, proven by the lease log, and (b) produce a final
-// artifact byte-identical to an uninterrupted run's.
+// completed wave, proven by the first wave its Progress hook sees, and
+// (b) produce a final artifact byte-identical to an uninterrupted
+// run's.
 func TestFleetCheckpointResumeGolden(t *testing.T) {
 	ref, refErr := refReports(t, newTASLock)
 	dir := t.TempDir()
@@ -306,25 +298,33 @@ func TestFleetCheckpointResumeGolden(t *testing.T) {
 	if !errors.Is(err, killed) {
 		t.Fatalf("interrupted run ended with %v, want the injected kill", err)
 	}
-	ckpt := readArtifactJSON(t, resumePath)
-	if ckpt["checkpoint"].(map[string]any)["complete"].(bool) {
-		t.Fatal("interrupted checkpoint claims completion")
+	ckpt, err := obs.ReadExploreArtifact(resumePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc := ckpt.Models[0]; cc.Model != "CC" || cc.Pending == nil || cc.Pending.NextDepth != 2 {
+		t.Fatalf("interrupted checkpoint's CC row %+v, want it pending at depth 2", cc)
 	}
 
-	// Restart from the artifact.
+	// Restart from the artifact, recording the first wave it runs.
+	first := map[memsim.Model]int{}
 	coord2 := NewCoordinator(testConfig(), CoordinatorOptions{
 		LeaseSize:      5,
 		CheckpointPath: resumePath,
 		CreatedBy:      "golden",
+		Progress: func(model memsim.Model, p memsim.ExploreProgress) {
+			if _, ok := first[model]; !ok {
+				first[model] = p.Depth
+			}
+		},
 	})
 	got2, err2 := CheckWith(coord2, newTASLock, CheckOptions{Workers: 2})
 	assertBitIdentical(t, "resumed fleet", got2, ref, err2, refErr)
 
-	// Lease-log proof: the restarted coordinator never leased a wave
-	// below the checkpointed resume depth for the first model.
-	resumeDepth := minLeasedDepth(coord2.LeaseLog(), memsim.CC.String())
-	if resumeDepth < 2 {
-		t.Fatalf("restarted coordinator re-explored wave %d of CC, which the checkpoint had completed", resumeDepth)
+	// The restarted coordinator's shallowest CC wave is the
+	// checkpointed resume depth: no completed wave ran again.
+	if d := first[memsim.CC]; d != 2 {
+		t.Fatalf("restarted coordinator resumed CC at wave %d, want the checkpointed wave 2", d)
 	}
 
 	// Byte-for-byte: the resumed final artifact equals the
@@ -340,18 +340,6 @@ func TestFleetCheckpointResumeGolden(t *testing.T) {
 	if !bytes.Equal(full, resumed) {
 		t.Fatalf("resumed artifact differs from uninterrupted run:\n--- full ---\n%s\n--- resumed ---\n%s", full, resumed)
 	}
-}
-
-// minLeasedDepth returns the smallest depth with a lease/re-lease
-// event for the given model (MaxInt when none).
-func minLeasedDepth(events []LeaseEvent, model string) int {
-	min := int(^uint(0) >> 1)
-	for _, ev := range events {
-		if (ev.Kind == "lease" || ev.Kind == "re-lease") && ev.Model == model && ev.Depth < min {
-			min = ev.Depth
-		}
-	}
-	return min
 }
 
 // TestCampaignRefusesForeignCheckpoint: resuming under a different
@@ -371,13 +359,14 @@ func TestCampaignRefusesForeignCheckpoint(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "refusing to resume") {
 		t.Fatalf("foreign checkpoint accepted: %v", err)
 	}
-	if log := coord.LeaseLog(); len(log) != 0 {
-		t.Fatalf("refused checkpoint still leased: %+v", log)
+	if n := coord.Metrics().Counter(MetricLeases).Value(); n != 0 {
+		t.Fatalf("refused checkpoint still granted %d leases", n)
 	}
 }
 
-// TestStatusEndpoint: the snapshot reflects completion and cumulative
-// lease accounting.
+// TestStatusEndpoint: the status snapshot reflects completion and
+// each worker's contact and copies no count, while /v1/metrics serves
+// the registry's counts.
 func TestStatusEndpoint(t *testing.T) {
 	coord := NewCoordinator(testConfig(), CoordinatorOptions{LeaseSize: 5})
 	srv := httptest.NewServer(coord.Handler())
@@ -386,18 +375,39 @@ func TestStatusEndpoint(t *testing.T) {
 	if err != nil || len(got) == 0 {
 		t.Fatalf("fleet check: %v", err)
 	}
-	resp, err := http.Get(srv.URL + PathStatus)
+	var status StatusResponse
+	raw := getJSON(t, srv.URL+PathStatus, &status)
+	if status.State != "done" || status.Algorithm != "test" || len(status.Workers) == 0 {
+		t.Fatalf("status: %+v", status)
+	}
+	for _, field := range []string{`"leases"`, `"re_leases"`, `"stale_reports"`, `"waves"`, `"schedules"`} {
+		if bytes.Contains(raw, []byte(field)) {
+			t.Fatalf("status copies the registry's %s: %s", field, raw)
+		}
+	}
+	var snap telemetry.Snapshot
+	getJSON(t, srv.URL+PathMetrics, &snap)
+	if want := coord.Metrics().Snapshot().Counters; snap.Counter(MetricLeases) == 0 || !reflect.DeepEqual(snap.Counters, want) {
+		t.Fatalf("/v1/metrics counters %+v, registry %+v", snap.Counters, want)
+	}
+}
+
+// getJSON fetches one JSON body, decodes it into out and returns it.
+func getJSON(t *testing.T, url string, out any) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var status StatusResponse
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if status.State != "done" || status.Leases == 0 || status.Algorithm != "test" {
-		t.Fatalf("status: %+v", status)
+	if err := json.Unmarshal(raw, out); err != nil {
+		t.Fatal(err)
 	}
+	return raw
 }
 
 // heldLease posts a lease request in the background and delivers its
@@ -648,18 +658,4 @@ func postJSON(t *testing.T, url string, body, out any) {
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// readArtifactJSON loads an artifact as raw JSON for shape assertions.
-func readArtifactJSON(t *testing.T, path string) map[string]any {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	return m
 }

@@ -40,11 +40,19 @@
 //     children in parent order — no timestamps, worker ids, or arrival
 //     order ever reach the result.
 //
-// Completed waves persist as resumable checkpoints (the
-// fetchphi.explore/v2 Checkpoint extension in internal/obs), so a
-// killed coordinator resumes mid-campaign without re-running finished
-// waves, and an interrupted campaign's final artifact is byte-identical
-// to an uninterrupted one.
+// Completed waves persist as resumable checkpoints (fetchphi.explore/v3
+// artifacts in internal/obs, one row per model holding its coverage
+// and, until the model is done, its pending wave), so a killed
+// coordinator resumes mid-campaign without re-running finished waves,
+// and an interrupted campaign's final artifact is byte-identical to an
+// uninterrupted one.
+//
+// The coordinator's telemetry registry is the only store of the
+// campaign's counts: leases, re-leases, reports, stale reports, waves
+// and schedules, overall and per worker. /v1/metrics serves it, the
+// capacity artifact copies it, and `fleet status` reads it there;
+// /v1/status carries only the campaign's state, its active wave and
+// each worker's last contact. Workers keep no telemetry.
 package fleet
 
 import (
@@ -70,16 +78,13 @@ const (
 	// PathStatus (GET) returns a StatusResponse progress snapshot.
 	PathStatus = "/v1/status"
 	// PathMetrics (GET) returns the coordinator's live
-	// telemetry.Snapshot (every counter, gauge, and histogram, sorted
-	// by name).
+	// telemetry.Snapshot (every counter and histogram, sorted by name).
 	PathMetrics = "/v1/metrics"
 )
 
-// Metric names, following internal/telemetry's flat-name convention.
-// "fleet.*" metrics live in the coordinator's registry and feed the
-// capacity artifact; "worker.*" metrics live in each worker's own
-// registry (worker-process-local — they never cross the wire, so they
-// can never perturb the coordinator's deterministic clock).
+// Metric names in the coordinator's registry, following
+// internal/telemetry's flat-name convention. They feed /v1/metrics and
+// the capacity artifact.
 const (
 	// MetricLeases counts lease grants (including re-leases).
 	MetricLeases = "fleet.leases"
@@ -97,25 +102,12 @@ const (
 	// MetricWaveUS is the histogram of wave execution times (µs, per
 	// the campaign's telemetry clock).
 	MetricWaveUS = "fleet.wave_us"
-
-	// MetricWorkerPollUS is the worker-side histogram of lease-call
-	// round-trip latencies (µs), the coordinator's hold included.
-	MetricWorkerPollUS = "worker.poll_us"
-	// MetricWorkerRangeUS is the worker-side histogram of leased-range
-	// execution times (µs).
-	MetricWorkerRangeUS = "worker.range_us"
-	// MetricWorkerBackoffs counts worker backoff sleeps between HTTP
-	// retries.
-	MetricWorkerBackoffs = "worker.backoffs"
-	// MetricWorkerLeases counts leases this worker executed.
-	MetricWorkerLeases = "worker.leases"
-	// MetricWorkerSchedules counts schedules this worker executed.
-	MetricWorkerSchedules = "worker.schedules"
 )
 
-// WorkerMetric names a per-worker metric in the coordinator's registry
-// (e.g. "fleet.worker.w3.schedules"). Per-worker rows are live
-// telemetry only — which worker ran which lease is scheduling noise,
+// WorkerMetric names a per-worker counter in the coordinator's
+// registry: "fleet.worker.<id>.leases" counts the grants issued to a
+// worker and "fleet.worker.<id>.schedules" the schedules it reported.
+// Per-worker rows are live telemetry only — which worker ran which lease is scheduling noise,
 // so these names are deliberately excluded from the capacity artifact.
 func WorkerMetric(worker, metric string) string {
 	return "fleet.worker." + worker + "." + metric
@@ -152,8 +144,8 @@ func (cfg Config) withDefaults() Config {
 
 // LeaseRequest asks for the next available range of the active wave.
 type LeaseRequest struct {
-	// Worker identifies the claimant in the lease log and status
-	// output; it never influences results.
+	// Worker identifies the claimant in the per-worker counters and
+	// status output; it never influences results.
 	Worker string `json:"worker"`
 }
 
@@ -241,7 +233,8 @@ type ReportResponse struct {
 	Reason   string `json:"reason,omitempty"`
 }
 
-// StatusResponse is the coordinator's progress snapshot.
+// StatusResponse is the coordinator's progress snapshot. The
+// campaign's counts are not in it: they are on /v1/metrics.
 type StatusResponse struct {
 	Algorithm string `json:"algorithm"`
 	// State is "running", "done", or "failed".
@@ -255,16 +248,6 @@ type StatusResponse struct {
 	RangesPending int `json:"ranges_pending"`
 	RangesLeased  int `json:"ranges_leased"`
 	RangesDone    int `json:"ranges_done"`
-	// Cumulative lease counters for the whole campaign, read from the
-	// coordinator's telemetry (MetricLeases, MetricReLeases,
-	// MetricStaleReports).
-	Leases       int `json:"leases"`
-	ReLeases     int `json:"re_leases"`
-	StaleReports int `json:"stale_reports"`
-	// Waves and Schedules are the campaign's cumulative telemetry
-	// counters (completed waves, executed schedules, all models).
-	Waves     int64 `json:"waves"`
-	Schedules int64 `json:"schedules"`
 	// Workers is one row per worker the coordinator has heard from,
 	// sorted by name.
 	Workers []WorkerStatus `json:"workers,omitempty"`
@@ -273,30 +256,13 @@ type StatusResponse struct {
 }
 
 // WorkerStatus is one worker's row in the coordinator's status
-// snapshot — the liveness view the `fleet status -watch` dashboard
-// renders.
+// snapshot: its liveness. Its lease and schedule counts are the
+// WorkerMetric counters on /v1/metrics.
 type WorkerStatus struct {
 	Worker string `json:"worker"`
-	// Leases and Schedules count the grants issued to and schedules
-	// reported by this worker (its WorkerMetric counters).
-	Leases    int64 `json:"leases"`
-	Schedules int64 `json:"schedules"`
 	// LastSeenMS is milliseconds since this worker's last request, per
 	// the coordinator's lease clock.
 	LastSeenMS int64 `json:"last_seen_ms"`
-}
-
-// LeaseEvent is one entry of the coordinator's lease log: the audit
-// trail that proves which waves ran (the checkpoint-resume tests assert
-// over it) and how often ranges had to be re-leased.
-type LeaseEvent struct {
-	// Kind is "lease", "re-lease", "report", or "stale-report".
-	Kind    string
-	Model   string
-	Depth   int
-	Lo, Hi  int
-	Worker  string
-	LeaseID int64
 }
 
 // checkChildren rejects the children a report gives one schedule,

@@ -41,7 +41,7 @@ func (c *stepClock) Now() time.Time {
 
 // TestFleetCapacityByteIdentical is the capacity-artifact half of the
 // determinism contract: the same campaign under the same (step)
-// telemetry clock writes byte-identical fetchphi.capacity/v1 artifacts
+// telemetry clock writes byte-identical fetchphi.capacity/v2 artifacts
 // at every worker count. Per-worker metrics stay in the registry — if
 // they ever leaked into the artifact, this test would catch it, because
 // worker IDs and lease assignment differ across the runs.
@@ -210,14 +210,13 @@ func stubCoordinator(t *testing.T, failures, waits int) (*httptest.Server, *atom
 }
 
 // stubRun runs a worker against a stub coordinator with an instant
-// recording sleeper and returns the observed backoff delays, the
-// worker's metrics snapshot and the number of lease calls.
-func stubRun(t *testing.T, id string, failures, waits int, poll, maxBackoff time.Duration) ([]time.Duration, telemetry.Snapshot, int64) {
+// recording sleeper and returns the observed backoff delays, one per
+// backoff sleep, and the number of lease calls.
+func stubRun(t *testing.T, id string, failures, waits int, poll, maxBackoff time.Duration) ([]time.Duration, int64) {
 	t.Helper()
 	srv, calls := stubCoordinator(t, failures, waits)
 	defer srv.Close()
 	var delays []time.Duration
-	metrics := telemetry.New(nil)
 	w := &Worker{
 		ID:          id,
 		Coordinator: srv.URL,
@@ -225,7 +224,6 @@ func stubRun(t *testing.T, id string, failures, waits int, poll, maxBackoff time
 		Poll:        poll,
 		Retries:     failures + 1,
 		MaxBackoff:  maxBackoff,
-		Metrics:     metrics,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			delays = append(delays, d)
 			return nil
@@ -234,7 +232,7 @@ func stubRun(t *testing.T, id string, failures, waits int, poll, maxBackoff time
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatalf("worker: %v", err)
 	}
-	return delays, metrics.Snapshot(), calls.Load()
+	return delays, calls.Load()
 }
 
 // TestWorkerBackoffHonorsRetryHint pins the transport-retry backoff:
@@ -244,9 +242,9 @@ func stubRun(t *testing.T, id string, failures, waits int, poll, maxBackoff time
 func TestWorkerBackoffHonorsRetryHint(t *testing.T) {
 	poll := 40 * time.Millisecond
 	maxBackoff := 100 * time.Millisecond
-	delays, snap, _ := stubRun(t, "backoff-worker", 4, 0, poll, maxBackoff)
-	if len(delays) != 4 {
-		t.Fatalf("recorded %d backoffs, want 4", len(delays))
+	delays, calls := stubRun(t, "backoff-worker", 4, 0, poll, maxBackoff)
+	if len(delays) != 4 || calls != 5 {
+		t.Fatalf("recorded %d backoffs over %d lease calls, want 4 over 5 (four failures, then done)", len(delays), calls)
 	}
 	for i, got := range delays {
 		want := poll << i
@@ -257,21 +255,15 @@ func TestWorkerBackoffHonorsRetryHint(t *testing.T) {
 			t.Errorf("retry %d: slept %v, want jittered within [%v, %v]", i, got, want/2, want)
 		}
 	}
-	if got := snap.Counter(MetricWorkerBackoffs); got != 4 {
-		t.Errorf("worker.backoffs counter: %d, want 4", got)
-	}
-	if got := snap.Counter(MetricWorkerLeases); got != 0 {
-		t.Errorf("worker.leases counter: %d, want 0 (no lease was granted)", got)
-	}
 }
 
 // TestWorkerBackoffDeterministicPerID: a worker's jitter seed derives
 // from its ID, so the same ID replays the same retry backoff sequence
 // while distinct IDs de-synchronize.
 func TestWorkerBackoffDeterministicPerID(t *testing.T) {
-	a1, _, _ := stubRun(t, "worker-a", 5, 0, 16*time.Millisecond, 64*time.Millisecond)
-	a2, _, _ := stubRun(t, "worker-a", 5, 0, 16*time.Millisecond, 64*time.Millisecond)
-	b, _, _ := stubRun(t, "worker-b", 5, 0, 16*time.Millisecond, 64*time.Millisecond)
+	a1, _ := stubRun(t, "worker-a", 5, 0, 16*time.Millisecond, 64*time.Millisecond)
+	a2, _ := stubRun(t, "worker-a", 5, 0, 16*time.Millisecond, 64*time.Millisecond)
+	b, _ := stubRun(t, "worker-b", 5, 0, 16*time.Millisecond, 64*time.Millisecond)
 	if fmt.Sprint(a1) != fmt.Sprint(a2) {
 		t.Errorf("same ID replayed different delays:\n%v\n%v", a1, a2)
 	}
@@ -284,14 +276,11 @@ func TestWorkerBackoffDeterministicPerID(t *testing.T) {
 // after holding a request, so the worker asks again at once — no
 // backoff sleep, whatever the streak of waits.
 func TestWorkerAsksAgainAfterWait(t *testing.T) {
-	delays, snap, calls := stubRun(t, "waiting-worker", 0, 6, 40*time.Millisecond, time.Second)
+	delays, calls := stubRun(t, "waiting-worker", 0, 6, 40*time.Millisecond, time.Second)
 	if len(delays) != 0 {
 		t.Errorf("slept %v after wait answers, want no sleep", delays)
 	}
 	if calls != 7 {
 		t.Errorf("%d lease calls, want 7 (six waits, then done)", calls)
-	}
-	if got := snap.Counter(MetricWorkerBackoffs); got != 0 {
-		t.Errorf("worker.backoffs counter: %d, want 0", got)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/obs"
-	"fetchphi/internal/telemetry"
 )
 
 // Worker is the fleet's data plane: a stateless loop that claims
@@ -26,7 +25,8 @@ import (
 // re-leases the range at its deadline and any worker re-derives the
 // identical outcomes.
 type Worker struct {
-	// ID names the worker in the coordinator's lease log.
+	// ID names the worker in the coordinator's per-worker counters
+	// and status.
 	ID string
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
@@ -54,12 +54,6 @@ type Worker struct {
 	// retries (default 2s): Poll is the base delay, and each further
 	// failed attempt of the same call doubles it up to this cap.
 	MaxBackoff time.Duration
-	// Metrics receives the worker's local telemetry: poll latency,
-	// range execution time, lease/schedule counts, backoff events.
-	// Worker metrics never cross the wire — they are process-local, so
-	// they cannot perturb the coordinator's deterministic telemetry
-	// clock. Nil selects a fresh wall-clock registry.
-	Metrics *telemetry.Registry
 	// Sleep substitutes the backoff sleeper (default: a timer honoring
 	// ctx). Tests inject instant recorders to pin the backoff sequence
 	// without waiting it out.
@@ -97,9 +91,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.MaxBackoff <= 0 {
 		w.MaxBackoff = 2 * time.Second
 	}
-	if w.Metrics == nil {
-		w.Metrics = telemetry.New(nil)
-	}
 	if w.Sleep == nil {
 		w.Sleep = sleepCtx
 	}
@@ -116,10 +107,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	for {
 		var resp LeaseResponse
-		stopPoll := w.Metrics.Time(MetricWorkerPollUS)
-		err := w.call(ctx, PathLease, LeaseRequest{Worker: w.ID}, &resp)
-		stopPoll()
-		if err != nil {
+		if err := w.call(ctx, PathLease, LeaseRequest{Worker: w.ID}, &resp); err != nil {
 			return err
 		}
 		switch resp.Status {
@@ -128,7 +116,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		case StatusWait:
 			// Held until nothing more could come of it: ask again.
 		case StatusLease:
-			w.Metrics.Counter(MetricWorkerLeases).Inc()
 			if err := w.execute(ctx, resp.Lease); err != nil {
 				return err
 			}
@@ -153,7 +140,6 @@ func (w *Worker) backoff(ctx context.Context, streak int) error {
 	if half := int64(d / 2); half > 0 {
 		d = d/2 + time.Duration(w.rng.Int63n(half+1))
 	}
-	w.Metrics.Counter(MetricWorkerBackoffs).Inc()
 	return w.Sleep(ctx, d)
 }
 
@@ -180,13 +166,10 @@ func (w *Worker) execute(ctx context.Context, lease *Lease) error {
 	if err != nil {
 		return fmt.Errorf("fleet: lease %d for range [%d,%d): %w", lease.ID, lease.Lo, lease.Hi, err)
 	}
-	stop := w.Metrics.Time(MetricWorkerRangeUS)
 	out, err := e.RunScheduleRange(wave)
-	stop()
 	if err != nil {
 		return fmt.Errorf("fleet: lease %d for range [%d,%d): %w", lease.ID, lease.Lo, lease.Hi, err)
 	}
-	w.Metrics.Counter(MetricWorkerSchedules).Add(int64(wave.Len))
 	report := ReportRequest{
 		Worker:   w.ID,
 		LeaseID:  lease.ID,

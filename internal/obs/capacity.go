@@ -1,10 +1,12 @@
 package obs
 
-// The capacity artifact (fetchphi.capacity/v1) is one campaign's
+// The capacity artifact (fetchphi.capacity/v2) is one campaign's
 // throughput record: how fast the fleet chewed through a model-check
 // schedule space, and how much lease churn it took. It is written next
-// to the fetchphi.explore/v2 checkpoint by the fleet coordinator,
-// rewritten after every wave, and finalized with Complete=true.
+// to the fetchphi.explore/v3 checkpoint by the fleet coordinator,
+// rewritten after every wave, and finalized with Complete=true. It
+// holds campaign totals only: a model's waves and schedules are
+// len(depth_runs) and runs of that model's row in the checkpoint.
 //
 // Determinism contract: every duration in the artifact is measured
 // through the campaign's injectable telemetry clock, and only
@@ -15,10 +17,8 @@ package obs
 // function of (campaign, clock): byte-identical across {1,2,4} workers
 // under a fake clock, which the fleet test suite pins.
 
-import "sort"
-
 // CapacitySchema identifies the campaign-capacity artifact format.
-const CapacitySchema = "fetchphi.capacity/v1"
+const CapacitySchema = "fetchphi.capacity/v2"
 
 // CapacityArtifact is one campaign's capacity record.
 type CapacityArtifact struct {
@@ -48,8 +48,8 @@ type CapacityArtifact struct {
 	// Schedules over ElapsedMS. Deterministic under a fake clock,
 	// wall-clock-honest in production.
 	SchedulesPerSec float64 `json:"schedules_per_sec"`
-	// Leases, ReLeases, StaleReports are the cumulative lease-log
-	// counters.
+	// Leases, ReLeases, StaleReports are the campaign's cumulative
+	// lease counters.
 	Leases       int64 `json:"leases"`
 	ReLeases     int64 `json:"re_leases"`
 	StaleReports int64 `json:"stale_reports"`
@@ -60,34 +60,13 @@ type CapacityArtifact struct {
 	// WaveUS is the distribution of wave execution times in
 	// microseconds, per the telemetry clock.
 	WaveUS Histogram `json:"wave_us"`
-	// Models holds one row per memory model.
-	Models []CapacityModel `json:"models"`
 }
 
-// CapacityModel is one memory model's capacity row.
-type CapacityModel struct {
-	// Model is the memory model name (CC, DSM, ...).
-	Model string `json:"model"`
-	// Done is true once this model's exploration finished.
-	Done bool `json:"done"`
-	// Waves and Schedules count this model's completed waves and
-	// executed schedules.
-	Waves     int `json:"waves"`
-	Schedules int `json:"schedules"`
-}
-
-// Normalize sorts the per-model rows so equal campaigns produce
-// byte-equal artifacts regardless of construction order.
-func (a *CapacityArtifact) Normalize() {
-	sort.Slice(a.Models, func(i, j int) bool { return a.Models[i].Model < a.Models[j].Model })
-}
-
-// WriteFile writes the artifact, normalized, through WriteJSON.
+// WriteFile writes the artifact through WriteJSON.
 func (a *CapacityArtifact) WriteFile(path string) error {
 	if a.Schema == "" {
 		a.Schema = CapacitySchema
 	}
-	a.Normalize()
 	return WriteJSON(path, a)
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -22,10 +23,6 @@ func sampleCapacity() *CapacityArtifact {
 		ReLeases:        1,
 		StaleReports:    0,
 		ReLeaseRate:     0.1,
-		Models: []CapacityModel{
-			{Model: "DSM", Done: true, Waves: 3, Schedules: 300},
-			{Model: "CC", Done: true, Waves: 3, Schedules: 300},
-		},
 	}
 	for _, us := range []int64{100, 2000, 40000} {
 		a.WaveUS.Observe(us)
@@ -33,9 +30,7 @@ func sampleCapacity() *CapacityArtifact {
 	return a
 }
 
-// TestCapacityRoundTrip: write → read preserves the artifact, and
-// Normalize sorts model rows so construction order can't leak into the
-// bytes.
+// TestCapacityRoundTrip: write → read preserves the artifact.
 func TestCapacityRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "CAP.json")
 	a := sampleCapacity()
@@ -49,22 +44,24 @@ func TestCapacityRoundTrip(t *testing.T) {
 	if got.Algorithm != "g-dsm" || got.Schedules != 600 || !got.Complete {
 		t.Fatalf("round trip: %+v", got)
 	}
-	if got.Models[0].Model != "CC" || got.Models[1].Model != "DSM" {
-		t.Fatalf("models not normalized: %+v", got.Models)
+	if !reflect.DeepEqual(got, a) {
+		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, a)
 	}
 	if got.WaveUS.Count != 3 || got.WaveUS.Max != 40000 {
 		t.Fatalf("wave histogram lost: %+v", got.WaveUS)
 	}
 }
 
-// TestCapacityWriteIsByteStable: two artifacts with the same content
-// but different model-row order write identical bytes.
+// TestCapacityWriteIsByteStable: an artifact read back and written
+// again writes identical bytes, and those bytes hold no per-model rows.
 func TestCapacityWriteIsByteStable(t *testing.T) {
 	dir := t.TempDir()
-	a, b := sampleCapacity(), sampleCapacity()
-	b.Models[0], b.Models[1] = b.Models[1], b.Models[0]
 	pa, pb := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	if err := a.WriteFile(pa); err != nil {
+	if err := sampleCapacity().WriteFile(pa); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadCapacityArtifact(pa)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.WriteFile(pb); err != nil {
@@ -73,7 +70,10 @@ func TestCapacityWriteIsByteStable(t *testing.T) {
 	da, _ := os.ReadFile(pa)
 	db, _ := os.ReadFile(pb)
 	if string(da) != string(db) {
-		t.Fatalf("model order leaked into bytes:\n%s\n%s", da, db)
+		t.Fatalf("rewrite changed the bytes:\n%s\n%s", da, db)
+	}
+	if strings.Contains(string(da), `"models"`) {
+		t.Fatalf("capacity artifact holds model rows:\n%s", da)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestCapacityWriteIsByteStable(t *testing.T) {
 // capacity artifact.
 func TestReadCapacityRejectsForeignSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "EXPLORE.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"fetchphi.explore/v2"}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"schema":"fetchphi.explore/v3"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadCapacityArtifact(path); err == nil || !strings.Contains(err.Error(), "schema") {

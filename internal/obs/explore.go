@@ -2,7 +2,10 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"strings"
+
+	"fetchphi/internal/memsim"
 )
 
 // ExploreSchema identifies the model-check capacity artifact format
@@ -10,8 +13,10 @@ import (
 // schedule space was covered, per memory model. Like bench and claims
 // artifacts, explore artifacts make a CI capability (here: model-check
 // throughput and exhaustion) a tracked, diffable record instead of a
-// log line. v2 stores schedules as flat step/proc pairs (Pairs).
-const ExploreSchema = "fetchphi.explore/v2"
+// log line. Schedules are flat step/proc pairs (Pairs), and a model's
+// coverage and, in a campaign checkpoint, its resume point are one row
+// (ExploreModel).
+const ExploreSchema = "fetchphi.explore/v3"
 
 // ExploreArtifactName returns the canonical file name for an
 // algorithm's exploration artifact (EXPLORE_g-dsm.json, ...).
@@ -41,19 +46,20 @@ type ExploreArtifact struct {
 	Entries     int `json:"entries"`
 	Preemptions int `json:"preemptions"`
 	MaxRuns     int `json:"max_runs"`
-	// Workers is the wave-shard worker count the check ran with
-	// (informational: results are identical for every value).
-	Workers int `json:"workers"`
-	// Models holds one entry per memory model, in check order.
+	// Workers is the wave-shard worker count cmd/explore ran with
+	// (informational: results are identical for every value). A
+	// campaign, whose workers come and go, leaves it out.
+	Workers int `json:"workers,omitempty"`
+	// Models holds one row per memory model, in check order.
 	Models []ExploreModel `json:"models"`
-	// Checkpoint, when present, makes the artifact a resumable
-	// campaign record: it carries the per-model wave frontier so a
-	// killed coordinator (cmd/fleet serve or run) restarts
-	// mid-campaign without re-running finished waves.
-	// A complete campaign keeps its checkpoint with Complete=true —
-	// the final artifact of a resumed run is byte-identical to an
+	// Checkpoint marks a resumable campaign record, written by the
+	// fleet coordinator (cmd/fleet serve or run) after every wave: a
+	// killed coordinator restarts from it without re-running finished
+	// waves. Each unfinished model's row holds its resume point
+	// (Pending); the campaign is complete once no row does, and the
+	// final artifact of a resumed run is byte-identical to an
 	// uninterrupted one.
-	Checkpoint *ExploreCheckpoint `json:"checkpoint,omitempty"`
+	Checkpoint bool `json:"checkpoint,omitempty"`
 	// WallMS is the end-to-end wall-clock time in milliseconds.
 	// Nondeterministic by nature; comparisons should treat it like
 	// the bench artifacts' wall-clock cells.
@@ -63,7 +69,8 @@ type ExploreArtifact struct {
 	SchedulesPerSec float64 `json:"schedules_per_sec,omitempty"`
 }
 
-// ExploreModel is one memory model's coverage record.
+// ExploreModel is one memory model's row: its coverage and, while a
+// campaign has not finished the model, its resume point.
 type ExploreModel struct {
 	// Model is the memory model name (CC, DSM, ...).
 	Model string `json:"model"`
@@ -81,45 +88,57 @@ type ExploreModel struct {
 	// only with Failure. It is the canonically smallest failing
 	// schedule; the root schedule is nil and omitted.
 	FailingSchedule Pairs `json:"failing_schedule,omitempty"`
+	// Pending is the resume point of a model a campaign has not
+	// finished, whose Runs and DepthRuns count the waves completed so
+	// far. It is absent once the model is done (its space exhausted,
+	// the run cap hit, or a failure found) and in cmd/explore's rows.
+	Pending *ExplorePending `json:"pending,omitempty"`
 }
 
-// ExploreCheckpoint is the resumable-campaign extension of the explore
-// artifact: everything a wave-synchronous driver needs to continue an
-// exploration from the last completed wave. Waves are the checkpoint
-// granule — a wave either completed (its children are the frontier) or
-// it re-runs in full, which is safe because wave execution is a pure
-// function of the machine.
-type ExploreCheckpoint struct {
-	// Complete is true once every model's exploration has finished
-	// (exhausted, capped, or failed); the surrounding artifact is then
-	// final and the checkpoint exists only as a record.
-	Complete bool `json:"complete"`
-	// Models holds one entry per configured memory model, in check
-	// order, regardless of how far each has progressed.
-	Models []ExploreModelCheckpoint `json:"models"`
-}
-
-// ExploreModelCheckpoint is one memory model's resume point.
-type ExploreModelCheckpoint struct {
-	// Model is the memory model name (CC, DSM, ...).
-	Model string `json:"model"`
-	// Done is true when this model's exploration finished: the space
-	// was exhausted, the run cap was hit, or a failure was found. Its
-	// final coverage then lives in the artifact's Models entry of the
-	// same name.
-	Done bool `json:"done"`
-	// NextDepth is the preemption depth of the next wave to run.
+// ExplorePending is an unfinished model's resume point: the wave a
+// campaign runs next. Waves are the checkpoint granule — a wave either
+// completed (its children are the pending wave) or it re-runs in full,
+// which is safe because wave execution is a pure function of the
+// machine.
+type ExplorePending struct {
+	// NextDepth is the preemption depth of the pending wave; it equals
+	// len(DepthRuns) of the row.
 	NextDepth int `json:"next_depth"`
-	// Frontier is the slab of the wave pending at NextDepth: its
-	// schedules in canonical order, back to back, NextDepth
-	// preemptions each — the pairs a lease for the whole wave carries.
-	// At NextDepth 0 it is absent and the pending wave is the root
-	// schedule alone.
+	// Frontier is the pending wave's slab: its schedules in canonical
+	// order, back to back, NextDepth preemptions each — the pairs a
+	// lease for the whole wave carries. At NextDepth 0 it is absent and
+	// the pending wave is the root schedule alone.
 	Frontier Pairs `json:"frontier,omitempty"`
-	// Runs and DepthRuns are the coverage completed so far; they
-	// mirror the ExploreModel fields while the model is in progress.
-	Runs      int   `json:"runs"`
-	DepthRuns []int `json:"depth_runs,omitempty"`
+}
+
+// ExploreRecord converts one model's finished exploration into its
+// row: the single conversion behind cmd/explore's artifact and a
+// campaign's done rows.
+func ExploreRecord(model memsim.Model, res memsim.ExploreResult) ExploreModel {
+	em := ExploreModel{
+		Model:     model.String(),
+		Runs:      res.Runs,
+		Exhausted: res.Exhausted,
+		DepthRuns: append([]int(nil), res.DepthRuns...),
+	}
+	if res.Err != nil {
+		em.Failure = res.Err.Error()
+		em.FailingSchedule = res.FailingSchedule
+	}
+	return em
+}
+
+// WriteCoverage writes one verdict line per row — the model, its
+// schedule count, whether its space was exhausted and its runs per
+// depth — as cmd/explore and cmd/fleet print them.
+func WriteCoverage(w io.Writer, models []ExploreModel) {
+	for _, m := range models {
+		status := "exhausted"
+		if !m.Exhausted {
+			status = "NOT exhausted"
+		}
+		fmt.Fprintf(w, "%s: %d schedules (%s; per-depth %v)\n", m.Model, m.Runs, status, m.DepthRuns)
+	}
 }
 
 // TotalRuns sums the explored schedules over all models.

@@ -108,27 +108,25 @@ func TestReadArtifactDirSkipsExploreArtifacts(t *testing.T) {
 	}
 }
 
-// TestExploreCheckpointRoundTrip pins the resumable-campaign
-// extension: a pending root wave is written with no frontier at all, a
-// depth-2 frontier is the wave's slab as flat step/proc pairs and reads
-// back as the same slab, and a failing schedule keeps its nil-ness —
+// TestExploreCheckpointRoundTrip pins the resumable-campaign rows: a
+// done model's row holds no resume point, an unfinished model's row
+// holds its coverage so far and its pending wave — none for a pending
+// root wave, the wave's slab as flat step/proc pairs at depth 2, read
+// back as the same slab — and a failing schedule keeps its nil-ness:
 // the root schedule stays nil through JSON, so replayed
-// FailingSchedules stay bit-identical.
+// FailingSchedules stay bit-identical. Each model is spelled once.
 func TestExploreCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	art := sampleExplore()
+	art.Workers, art.WallMS, art.SchedulesPerSec = 0, 0, 0
+	art.Checkpoint = true
 	art.Models = []ExploreModel{
 		{Model: "PRAM", Runs: 1, DepthRuns: []int{1}, Failure: "root fails"},
 		{Model: "CC-update", Runs: 3, DepthRuns: []int{1, 2}, Failure: "boom",
 			FailingSchedule: Pairs{{Step: 4, Proc: 1}}},
-	}
-	art.WallMS, art.SchedulesPerSec = 0, 0
-	art.Checkpoint = &ExploreCheckpoint{
-		Models: []ExploreModelCheckpoint{
-			{Model: "CC", NextDepth: 0},
-			{Model: "DSM", NextDepth: 2, Runs: 46, DepthRuns: []int{1, 45},
-				Frontier: Pairs{{Step: 3, Proc: 1}, {Step: 9, Proc: 0}, {Step: 3, Proc: 1}, {Step: 11, Proc: 0}}},
-		},
+		{Model: "CC", DepthRuns: []int{}, Pending: &ExplorePending{}},
+		{Model: "DSM", Runs: 46, DepthRuns: []int{1, 45}, Pending: &ExplorePending{NextDepth: 2,
+			Frontier: Pairs{{Step: 3, Proc: 1}, {Step: 9, Proc: 0}, {Step: 3, Proc: 1}, {Step: 11, Proc: 0}}}},
 	}
 	if err := art.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -137,10 +135,10 @@ func TestExploreCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Checkpoint, art.Checkpoint) || !reflect.DeepEqual(got.Models, art.Models) {
-		t.Fatalf("checkpoint round trip diverged:\n got %+v %+v\nwant %+v %+v", got.Checkpoint, got.Models, art.Checkpoint, art.Models)
+	if !reflect.DeepEqual(got, art) {
+		t.Fatalf("checkpoint round trip diverged:\n got %+v\nwant %+v", got, art)
 	}
-	if got.Checkpoint.Models[0].Frontier != nil || got.Models[0].FailingSchedule != nil {
+	if got.Models[2].Pending.Frontier != nil || got.Models[0].FailingSchedule != nil {
 		t.Fatal("the root wave's frontier or the root failing schedule did not stay nil through JSON")
 	}
 	data, err := os.ReadFile(path)
@@ -151,9 +149,20 @@ func TestExploreCheckpointRoundTrip(t *testing.T) {
 	if err := json.Compact(&compact, data); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"frontier":[3,1,9,0,3,1,11,0]`, `"failing_schedule":[4,1]`, `"frontier":`, `"failing_schedule":`} {
-		if strings.Count(compact.String(), want) != 1 {
-			t.Fatalf("want %s once in the serialized artifact:\n%s", want, compact.String())
+	for want, n := range map[string]int{
+		`"checkpoint":true`:             1,
+		`"frontier":[3,1,9,0,3,1,11,0]`: 1,
+		`"frontier":`:                   1,
+		`"failing_schedule":[4,1]`:      1,
+		`"failing_schedule":`:           1,
+		`"pending":{"next_depth":2,`:    1,
+		`"pending":`:                    2,
+		`"model":"DSM"`:                 1,
+		`"workers"`:                     0,
+		`{"model":"CC","runs":0,"exhausted":false,"depth_runs":[],"pending":{"next_depth":0}}`: 1,
+	} {
+		if got := strings.Count(compact.String(), want); got != n {
+			t.Fatalf("%s appears %d times in the serialized artifact, want %d:\n%s", want, got, n, compact.String())
 		}
 	}
 }

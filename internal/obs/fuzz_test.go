@@ -15,8 +15,9 @@ import (
 // whatever a file holds — truncated, foreign, or hostile JSON — a
 // reader returns an artifact or an error, and never panics. The seeds
 // are the checked-in baselines, then one sample of each schema that has
-// no baseline: an explore artifact with a failing schedule and an
-// in-progress checkpoint frontier, a capacity artifact and a trace.
+// no baseline: an explore checkpoint with a failed model's row and an
+// unfinished model's row with its pending frontier, each model spelled
+// once, a capacity artifact and a trace.
 func FuzzReadArtifacts(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("..", "..", "bench", "baseline", "*.json"))
 	if err != nil {
@@ -30,18 +31,17 @@ func FuzzReadArtifacts(f *testing.F) {
 		f.Add(data)
 	}
 	capacity := &obs.CapacityArtifact{Schema: obs.CapacitySchema, Algorithm: "g-dsm", N: 2, Entries: 2, Preemptions: 2,
-		Complete: true, Waves: 3, Schedules: 300, Leases: 10, ReLeases: 1, ReLeaseRate: 0.1,
-		Models: []obs.CapacityModel{{Model: "CC", Done: true, Waves: 3, Schedules: 300}}}
+		Complete: true, Waves: 3, Schedules: 300, Leases: 10, ReLeases: 1, ReLeaseRate: 0.1}
 	capacity.WaveUS.Observe(2000)
 	for _, v := range []any{
 		&obs.ExploreArtifact{Schema: obs.ExploreSchema, Algorithm: "broken", N: 2, Entries: 2, Preemptions: 2, MaxRuns: 100,
-			Models: []obs.ExploreModel{{Model: "CC", Runs: 7, DepthRuns: []int{1, 6}, Failure: "violation",
-				FailingSchedule: obs.Pairs{{Step: 3, Proc: 1}}}},
-			Checkpoint: &obs.ExploreCheckpoint{Models: []obs.ExploreModelCheckpoint{
-				{Model: "CC", Done: true, NextDepth: 1, Runs: 7, DepthRuns: []int{1, 6}},
-				{Model: "DSM", NextDepth: 2, Runs: 4, DepthRuns: []int{1, 3},
-					Frontier: obs.Pairs{{Step: 3, Proc: 1}, {Step: 9, Proc: 0}, {Step: 4, Proc: 0}, {Step: 7, Proc: 1}}},
-			}}},
+			Checkpoint: true,
+			Models: []obs.ExploreModel{
+				{Model: "CC", Runs: 7, DepthRuns: []int{1, 6}, Failure: "violation",
+					FailingSchedule: obs.Pairs{{Step: 3, Proc: 1}}},
+				{Model: "DSM", Runs: 4, DepthRuns: []int{1, 3}, Pending: &obs.ExplorePending{NextDepth: 2,
+					Frontier: obs.Pairs{{Step: 3, Proc: 1}, {Step: 9, Proc: 0}, {Step: 4, Proc: 0}, {Step: 7, Proc: 1}}}},
+			}},
 		capacity,
 		&obs.TraceArtifact{Schema: obs.TraceSchema, Kind: "recording", Algorithm: "g-dsm", Model: "DSM", N: 2, Steps: 12,
 			Spans: []obs.TraceSpan{{Proc: 0, Kind: "entry", Start: 1, End: 4, RMRs: 2, Vars: []string{"Queue"}},

@@ -1,5 +1,5 @@
 // Package telemetry is the live-metrics layer of the fleet: a
-// stdlib-only registry of counters, gauges, and exact-until-overflow
+// stdlib-only registry of counters and exact-until-overflow
 // histograms (reusing the obs log₂ histogram) that produces
 // deterministic snapshots.
 //
@@ -50,15 +50,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a set-to-current-value metric.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a goroutine-safe wrapper around the obs log₂ histogram:
 // exact quantiles until the sample reservoir overflows, bucket bounds
 // beyond.
@@ -93,7 +84,6 @@ type Registry struct {
 
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -110,7 +100,6 @@ func New(now func() time.Time) *Registry {
 		now:      now,
 		start:    now(),
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -131,18 +120,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -174,12 +151,6 @@ type CounterValue struct {
 	Value int64  `json:"value"`
 }
 
-// GaugeValue is one gauge row of a snapshot.
-type GaugeValue struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
 // HistogramValue is one histogram row of a snapshot.
 type HistogramValue struct {
 	Name string        `json:"name"`
@@ -196,7 +167,6 @@ type Snapshot struct {
 	// registry clock.
 	ElapsedUS  int64            `json:"elapsed_us"`
 	Counters   []CounterValue   `json:"counters,omitempty"`
-	Gauges     []GaugeValue     `json:"gauges,omitempty"`
 	Histograms []HistogramValue `json:"histograms,omitempty"`
 }
 
@@ -209,14 +179,10 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterValue{Name: name, Value: c.Value()})
 	}
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeValue{Name: name, Value: g.Value()})
-	}
 	for name, h := range r.hists {
 		s.Histograms = append(s.Histograms, HistogramValue{Name: name, Hist: h.Snapshot()})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }
@@ -227,16 +193,6 @@ func (s Snapshot) Counter(name string) int64 {
 	for _, c := range s.Counters {
 		if c.Name == name {
 			return c.Value
-		}
-	}
-	return 0
-}
-
-// Gauge returns the snapshot value of the named gauge (0 when absent).
-func (s Snapshot) Gauge(name string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
 		}
 	}
 	return 0

@@ -27,17 +27,12 @@ func (c *stepClock) Now() time.Time {
 	return c.now
 }
 
-func TestCounterGaugeHistogram(t *testing.T) {
+func TestCounterHistogram(t *testing.T) {
 	r := New(newStepClock(time.Millisecond).Now)
 	r.Counter("c").Inc()
 	r.Counter("c").Add(4)
 	if got := r.Counter("c").Value(); got != 5 {
 		t.Fatalf("counter: %d, want 5", got)
-	}
-	r.Gauge("g").Set(7)
-	r.Gauge("g").Set(3)
-	if got := r.Gauge("g").Value(); got != 3 {
-		t.Fatalf("gauge: %d, want 3", got)
 	}
 	for _, v := range []int64{1, 10, 100} {
 		r.Histogram("h").Observe(v)
@@ -77,7 +72,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 		for _, n := range names {
 			r.Counter(n).Inc()
 		}
-		r.Gauge("z.gauge").Set(9)
 		r.Histogram("a.hist").Observe(42)
 		stop := r.Time("b.timer")
 		stop()
@@ -114,9 +108,6 @@ func TestSnapshotAccessors(t *testing.T) {
 	if s.Counter("n") != 10 || s.Counter("missing") != 0 {
 		t.Fatalf("counter accessor: %+v", s.Counters)
 	}
-	if s.Gauge("missing") != 0 {
-		t.Fatal("absent gauge should read 0")
-	}
 	if h := s.Histogram("missing"); h.Count != 0 {
 		t.Fatal("absent histogram should be zero")
 	}
@@ -145,7 +136,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				r.Counter("shared").Inc()
-				r.Gauge("g").Set(int64(j))
 				r.Histogram("h").Observe(int64(j))
 				stop := r.Time("t")
 				stop()
