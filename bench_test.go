@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"fetchphi/internal/baseline"
 	"fetchphi/internal/core"
 	"fetchphi/internal/experiments"
 	"fetchphi/internal/harness"
@@ -23,6 +22,16 @@ import (
 	"fetchphi/internal/phi"
 	"fetchphi/internal/stress"
 )
+
+// registered looks an algorithm's builder up in the registry.
+func registered(b *testing.B, name string) harness.Builder {
+	b.Helper()
+	build, err := experiments.Algorithm(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return build
+}
 
 // benchWorkload runs one simulated configuration per iteration and
 // reports the paper's metrics.
@@ -51,9 +60,7 @@ func benchWorkload(b *testing.B, builder harness.Builder, model memsim.Model, n 
 func BenchmarkE1_GCC_CC(b *testing.B) {
 	for _, n := range []int{2, 8, 32, 128} {
 		b.Run(harness.Itoa(int64(n)), func(b *testing.B) {
-			benchWorkload(b, func(m *memsim.Machine) harness.Algorithm {
-				return core.NewGCC(m, phi.FetchAndIncrement{})
-			}, memsim.CC, n)
+			benchWorkload(b, registered(b, "g-cc"), memsim.CC, n)
 		})
 	}
 }
@@ -62,9 +69,7 @@ func BenchmarkE1_GCC_CC(b *testing.B) {
 func BenchmarkE2_GDSM_DSM(b *testing.B) {
 	for _, n := range []int{2, 8, 32, 128} {
 		b.Run(harness.Itoa(int64(n)), func(b *testing.B) {
-			benchWorkload(b, func(m *memsim.Machine) harness.Algorithm {
-				return core.NewGDSM(m, phi.FetchAndStore{})
-			}, memsim.DSM, n)
+			benchWorkload(b, registered(b, "g-dsm/fas"), memsim.DSM, n)
 		})
 	}
 }
@@ -86,26 +91,13 @@ func BenchmarkE3_Tree(b *testing.B) {
 // tree.
 func BenchmarkE4_AlgT(b *testing.B) {
 	for _, n := range []int{8, 64} {
-		b.Run("T/N="+harness.Itoa(int64(n)), func(b *testing.B) {
-			benchWorkload(b, func(m *memsim.Machine) harness.Algorithm {
-				return core.NewT(m, phi.BoundedIncDec{})
-			}, memsim.CC, n)
-		})
-		b.Run("T0/N="+harness.Itoa(int64(n)), func(b *testing.B) {
-			benchWorkload(b, func(m *memsim.Machine) harness.Algorithm {
-				return core.NewT0(m)
-			}, memsim.CC, n)
-		})
-		b.Run("tree4/N="+harness.Itoa(int64(n)), func(b *testing.B) {
-			benchWorkload(b, func(m *memsim.Machine) harness.Algorithm {
-				return core.NewTree(m, phi.NewBoundedFetchInc(4))
-			}, memsim.CC, n)
-		})
-		b.Run("rw-tree/N="+harness.Itoa(int64(n)), func(b *testing.B) {
-			benchWorkload(b, func(m *memsim.Machine) harness.Algorithm {
-				return baseline.NewYangAndersonTree(m)
-			}, memsim.CC, n)
-		})
+		for _, v := range []struct{ label, alg string }{
+			{"T", "t"}, {"T0", "t0"}, {"tree4", "tree4"}, {"rw-tree", "yang-anderson-tree"},
+		} {
+			b.Run(v.label+"/N="+harness.Itoa(int64(n)), func(b *testing.B) {
+				benchWorkload(b, registered(b, v.alg), memsim.CC, n)
+			})
+		}
 	}
 }
 
@@ -128,12 +120,10 @@ func BenchmarkE5_Ranks(b *testing.B) {
 
 // BenchmarkE6_Baselines — the Sec. 1 baseline attributes.
 func BenchmarkE6_Baselines(b *testing.B) {
-	names := []string{"test-and-set", "ticket", "t-anderson", "graunke-thakkar", "mcs", "mcs-swap-only", "clh"}
-	for i, builder := range baseline.Builders() {
-		builder := builder
+	for _, name := range []string{"tas", "ticket", "t-anderson", "graunke-thakkar", "mcs", "mcs-swap-only", "clh"} {
 		for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
-			b.Run(names[i]+"/"+model.String(), func(b *testing.B) {
-				benchWorkload(b, builder, model, 16)
+			b.Run(name+"/"+model.String(), func(b *testing.B) {
+				benchWorkload(b, registered(b, name), model, 16)
 			})
 		}
 	}
@@ -141,11 +131,10 @@ func BenchmarkE6_Baselines(b *testing.B) {
 
 // BenchmarkE7_Fairness — bypass bounds under long runs.
 func BenchmarkE7_Fairness(b *testing.B) {
+	build := registered(b, "g-dsm")
 	var worst int64
 	for i := 0; i < b.N; i++ {
-		met, err := harness.Run(func(m *memsim.Machine) harness.Algorithm {
-			return core.NewGDSM(m, phi.FetchAndIncrement{})
-		}, harness.Workload{Model: memsim.CC, N: 6, Entries: 30, CSOps: 1, Seed: int64(i)})
+		met, err := harness.Run(build, harness.Workload{Model: memsim.CC, N: 6, Entries: 30, CSOps: 1, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,10 +203,7 @@ func min(a, b int) int {
 func BenchmarkVars256(b *testing.B) {
 	const n, entries = 256, 8
 	for _, name := range []string{"tree4", "g-dsm"} {
-		build, err := experiments.Algorithm(name)
-		if err != nil {
-			b.Fatal(err)
-		}
+		build := registered(b, name)
 		b.Run(name, func(b *testing.B) {
 			var vars int
 			for i := 0; i < b.N; i++ {

@@ -52,10 +52,23 @@ func TestRunList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	for _, name := range []string{"g-dsm", "tas", "yang-anderson-tree"} {
+	for _, name := range []string{"g-dsm", "tas", "token-abortable", "yang-anderson-tree"} {
 		if !strings.Contains(stdout, name) {
 			t.Fatalf("-list output missing %q:\n%s", name, stdout)
 		}
+	}
+}
+
+// TestRunAbortableAlgorithm: an abortable lock is a registered
+// algorithm, checked abort-free like any other.
+func TestRunAbortableAlgorithm(t *testing.T) {
+	code, stdout, stderr := runExplore(t,
+		"-alg", "token-abortable", "-n", "2", "-entries", "1", "-preemptions", "2")
+	if code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, "OK:") {
+		t.Fatalf("no OK line:\n%s", stdout)
 	}
 }
 

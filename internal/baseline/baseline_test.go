@@ -7,15 +7,18 @@ import (
 	"fetchphi/internal/memsim"
 )
 
-// names pairs each builder with its report name for test labeling.
-func named(t *testing.T) map[string]harness.Builder {
-	t.Helper()
-	out := make(map[string]harness.Builder)
-	for _, b := range Builders() {
-		m := memsim.NewMachine(memsim.CC, 2)
-		out[b(m).Name()] = b
-	}
-	return out
+// locks is the package's spin locks (the Yang–Anderson tree has its
+// own tests) by report name. The algorithm registry lives in
+// internal/experiments, which imports this package, so the tests here
+// name the constructors themselves.
+var locks = map[string]harness.Builder{
+	"test-and-set":    func(m *memsim.Machine) harness.Algorithm { return NewTASLock(m) },
+	"ticket":          func(m *memsim.Machine) harness.Algorithm { return NewTicketLock(m) },
+	"t-anderson":      func(m *memsim.Machine) harness.Algorithm { return NewAndersonLock(m) },
+	"graunke-thakkar": func(m *memsim.Machine) harness.Algorithm { return NewGraunkeThakkarLock(m) },
+	"mcs":             func(m *memsim.Machine) harness.Algorithm { return NewMCSLock(m) },
+	"mcs-swap-only":   func(m *memsim.Machine) harness.Algorithm { return NewMCSSwapOnlyLock(m) },
+	"clh":             func(m *memsim.Machine) harness.Algorithm { return NewCLHLock(m) },
 }
 
 // TestAllLocksCorrectUnderRandomSchedules stress-tests every baseline
@@ -25,7 +28,7 @@ func TestAllLocksCorrectUnderRandomSchedules(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	for name, b := range named(t) {
+	for name, b := range locks {
 		b := b
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -39,7 +42,7 @@ func TestAllLocksCorrectUnderRandomSchedules(t *testing.T) {
 // TestAllLocksModelChecked exhaustively explores two-process
 // configurations of every baseline lock with up to two preemptions.
 func TestAllLocksModelChecked(t *testing.T) {
-	for name, b := range named(t) {
+	for name, b := range locks {
 		b := b
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -63,7 +66,7 @@ func TestLocalSpinOnDSM(t *testing.T) {
 		"mcs":             true,
 		"mcs-swap-only":   true,
 	}
-	for name, b := range named(t) {
+	for name, b := range locks {
 		want, ok := localSpin[name]
 		if !ok {
 			t.Fatalf("no classification for %q", name)
@@ -105,7 +108,7 @@ func TestCCRMRScaling(t *testing.T) {
 		"mcs":             true,
 		"mcs-swap-only":   true,
 	}
-	for name, b := range named(t) {
+	for name, b := range locks {
 		small, large := meanAt(b, 4), meanAt(b, 24)
 		ratio := large / small
 		if constant[name] && ratio > 2.0 {
@@ -122,10 +125,9 @@ func TestCCRMRScaling(t *testing.T) {
 // in its entry section.
 func TestFairLocksBoundBypass(t *testing.T) {
 	fair := []string{"ticket", "t-anderson", "graunke-thakkar", "mcs", "clh"}
-	all := named(t)
 	const n = 6
 	for _, name := range fair {
-		met, err := harness.Run(all[name], harness.Workload{
+		met, err := harness.Run(locks[name], harness.Workload{
 			Model: memsim.CC, N: n, Entries: 20, CSOps: 1, Seed: 11,
 		})
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 	"fetchphi/internal/phi"
 )
 
-// Both abortable locks are harness.AbortableAlgorithms: Acquire and
+// Both abortable locks implement harness.AbortableAlgorithm: Acquire and
 // Release keep their non-abortable contract, so each also runs the
 // standard conformance suite unchanged.
 var (

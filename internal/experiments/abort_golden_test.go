@@ -17,23 +17,15 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // goldenCheck exhausts one abort schedule at N=2, one entry, K=2.
 func goldenCheck(t *testing.T, name string, model memsim.Model, aborts []memsim.AbortPoint) memsim.ExploreResult {
 	t.Helper()
-	b, err := AbortableAlgorithm(name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := harness.ExploreOptions{Preemptions: 2, Workers: 1, Aborts: aborts}
-	return harness.CheckExplorer(b, model, 2, 1, opts).Run()
+	return harness.CheckExplorer(builder(name), model, 2, 1, opts).Run()
 }
 
 // goldenRun runs one abortable workload.
 func goldenRun(t *testing.T, name string, w harness.Workload, aborts []memsim.AbortPoint, retries, delay int) (harness.Metrics, error) {
 	t.Helper()
-	b, err := AbortableAlgorithm(name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	w.Aborts, w.Retries, w.RetryDelay = aborts, retries, delay
-	return harness.Run(b, w)
+	return harness.Run(builder(name), w)
 }
 
 // TestAbortGolden pins what the abortable paths measure: the explorer's
@@ -47,7 +39,7 @@ func TestAbortGolden(t *testing.T) {
 	var b strings.Builder
 	models := []memsim.Model{memsim.CC, memsim.DSM}
 	scheds := memsim.EnumerateAbortSchedules(2, 2, true)
-	for _, name := range AbortableAlgorithmNames() {
+	for _, name := range abortableNames {
 		for _, model := range models {
 			for _, aborts := range scheds {
 				res := goldenCheck(t, name, model, aborts)
@@ -68,7 +60,7 @@ func TestAbortGolden(t *testing.T) {
 		{"retries=1 ncs=2", harness.Workload{N: 3, Entries: 4, CSOps: 2, NCSOps: 2, Seed: 5}, points, 1, 0},
 		{"participants=2 of 4", harness.Workload{N: 4, Entries: 3, CSOps: 1, NCSOps: 1, Participants: 2, Seed: 7}, points[:2], 1, 1},
 	}
-	for _, name := range AbortableAlgorithmNames() {
+	for _, name := range abortableNames {
 		for _, model := range models {
 			for _, r := range runs {
 				w := r.w

@@ -11,50 +11,27 @@ import (
 // TestEveryAbortableAlgorithmSurvivesAbortExploration is the
 // registry-wide abort conformance gate, the abortable mirror of
 // TestEveryAlgorithmSurvivesShardedExploration: every algorithm in
-// AbortableAlgorithmNames() is exhausted at N=2, K=2 on both memory
+// the registry's abortable subset is exhausted at N=2, K=2 on both memory
 // models under every canonical abort schedule (no abort, every
 // single-point schedule, re-request doubles, cross-process pairs).
 // The exploration proves mutual exclusion on abort paths and that
 // non-aborting processes finish (starvation-freedom within the run);
 // the per-run check hook proves withdrawal resolves within the
-// wait-free bound. Adding an abortable algorithm to the registry
-// automatically puts it under this gate.
+// wait-free bound. Registering an abortable algorithm automatically
+// puts it under this gate.
 func TestEveryAbortableAlgorithmSurvivesAbortExploration(t *testing.T) {
 	maxEvent := 2
 	if testing.Short() {
 		maxEvent = 1
 	}
-	for _, name := range AbortableAlgorithmNames() {
-		name := name
+	for _, name := range abortableNames {
+		b := builder(name)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			b, err := AbortableAlgorithm(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if err := harness.CheckAbortable(b, 2, 1, 2, maxEvent, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestAbortableAlgorithmLookup covers the abortable registry API.
-func TestAbortableAlgorithmLookup(t *testing.T) {
-	if _, err := AbortableAlgorithm("token-abortable"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AbortableAlgorithm("nope"); err == nil {
-		t.Fatal("unknown abortable algorithm accepted")
-	}
-	names := AbortableAlgorithmNames()
-	if len(names) < 3 {
-		t.Fatalf("abortable registry suspiciously small: %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("names not sorted: %v", names)
-		}
 	}
 }
 

@@ -7,21 +7,19 @@ import (
 )
 
 // TestEveryAlgorithmSurvivesShardedExploration is the CI conformance
-// gate the registries enforce on themselves: every algorithm in
-// AlgorithmNames() — paper constructions and baselines alike — and
-// every one in AbortableAlgorithmNames(), abort-free, is model-checked
-// with the sharded explorer at N=2, K=2 on both memory models, and the
-// schedule space must be exhausted (a capped check would silently
-// prove nothing). Adding an algorithm to either registry automatically
-// puts it under this gate.
+// gate the registry enforces on itself: every algorithm in
+// AlgorithmNames() — paper constructions, abortable locks (abort-free)
+// and baselines alike — is model-checked with the sharded explorer at
+// N=2, K=2 on both memory models, and the schedule space must be
+// exhausted (a capped check would silently prove nothing). Adding an
+// algorithm to the registry automatically puts it under this gate.
 func TestEveryAlgorithmSurvivesShardedExploration(t *testing.T) {
 	entries := 2
 	if testing.Short() {
 		entries = 1
 	}
-	names, builders := everyAlgorithm()
-	for _, name := range names {
-		b := builders[name]
+	for _, name := range AlgorithmNames() {
+		b := builder(name)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			reports, err := harness.CheckSharded(b, 2, entries, harness.ExploreOptions{

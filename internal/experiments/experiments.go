@@ -7,7 +7,6 @@ package experiments
 import (
 	"fmt"
 
-	"fetchphi/internal/baseline"
 	"fetchphi/internal/core"
 	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
@@ -141,6 +140,17 @@ func Registry() []Experiment {
 	}
 }
 
+// rank2N is E1's and E2's rank-≥2N primitives, named as their cells
+// name them; each is built for the machine's process count.
+var rank2N = []struct {
+	name string
+	prim func(n int) phi.Primitive
+}{
+	{"fetch-and-increment", func(int) phi.Primitive { return phi.FetchAndIncrement{} }},
+	{"fetch-and-store", func(int) phi.Primitive { return phi.FetchAndStore{} }},
+	{"2N-bounded-inc", func(n int) phi.Primitive { return phi.NewBoundedFetchInc(2 * n) }},
+}
+
 // E1GCC reproduces Lemma 1: G-CC has O(1) RMR per entry on CC
 // machines, for every rank-≥2N primitive.
 func E1GCC(o Opts) harness.Table {
@@ -150,19 +160,13 @@ func E1GCC(o Opts) harness.Table {
 		Claim:   "worst-case RMR per entry stays O(1) as N grows, for any rank-2N primitive",
 		Columns: []string{"N", "primitive", "mean RMR/entry", "worst RMR/entry", "max bypass"},
 	}
-	prims := map[string]func(n int) phi.Primitive{
-		"fetch-and-increment": func(int) phi.Primitive { return phi.FetchAndIncrement{} },
-		"fetch-and-store":     func(int) phi.Primitive { return phi.FetchAndStore{} },
-		"2N-bounded-inc":      func(n int) phi.Primitive { return phi.NewBoundedFetchInc(2 * n) },
-	}
 	var cells []harness.Cell
 	for _, n := range o.ns([]int{2, 4, 8, 16, 32, 64, 128, 256}) {
-		for _, name := range []string{"fetch-and-increment", "fetch-and-store", "2N-bounded-inc"} {
-			pick := prims[name]
+		for _, p := range rank2N {
 			cells = append(cells, harness.Cell{
-				Experiment: "E1", Algorithm: "g-cc/" + name,
+				Experiment: "E1", Algorithm: "g-cc/" + p.name,
 				Build: func(m *memsim.Machine) harness.Algorithm {
-					return core.NewGCC(m, pick(m.NumProcs()))
+					return core.NewGCC(m, p.prim(m.NumProcs()))
 				},
 				Workload: harness.Workload{Model: memsim.CC, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
 			})
@@ -185,19 +189,13 @@ func E2GDSM(o Opts) harness.Table {
 		Claim:   "worst-case RMR per entry stays O(1) as N grows; zero non-local spin reads",
 		Columns: []string{"N", "primitive", "mean RMR/entry", "worst RMR/entry", "non-local spins"},
 	}
-	prims := map[string]func(n int) phi.Primitive{
-		"fetch-and-increment": func(int) phi.Primitive { return phi.FetchAndIncrement{} },
-		"fetch-and-store":     func(int) phi.Primitive { return phi.FetchAndStore{} },
-		"2N-bounded-inc":      func(n int) phi.Primitive { return phi.NewBoundedFetchInc(2 * n) },
-	}
 	var cells []harness.Cell
 	for _, n := range o.ns([]int{2, 4, 8, 16, 32, 64, 128, 256}) {
-		for _, name := range []string{"fetch-and-increment", "fetch-and-store", "2N-bounded-inc"} {
-			pick := prims[name]
+		for _, p := range rank2N {
 			cells = append(cells, harness.Cell{
-				Experiment: "E2", Algorithm: "g-dsm/" + name,
+				Experiment: "E2", Algorithm: "g-dsm/" + p.name,
 				Build: func(m *memsim.Machine) harness.Algorithm {
-					return core.NewGDSM(m, pick(m.NumProcs()))
+					return core.NewGDSM(m, p.prim(m.NumProcs()))
 				},
 				Workload: harness.Workload{Model: memsim.DSM, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
 			})
@@ -261,21 +259,12 @@ func E4AlgT(o Opts) harness.Table {
 		Claim:   "T and T0 heights grow like log N/log log N; the rank-4 tree and the read/write Yang–Anderson tree grow like log₂ N — the gap widens with N",
 		Columns: []string{"N", "height T", "height tree", "worst T", "worst T0", "worst tree", "worst r/w", "mean T", "mean tree"},
 	}
-	variants := []struct {
-		name string
-		b    harness.Builder
-	}{
-		{"t", func(m *memsim.Machine) harness.Algorithm { return core.NewT(m, phi.BoundedIncDec{}) }},
-		{"t0", func(m *memsim.Machine) harness.Algorithm { return core.NewT0(m) }},
-		{"tree4", func(m *memsim.Machine) harness.Algorithm { return core.NewTree(m, phi.NewBoundedFetchInc(4)) }},
-		{"yang-anderson-tree", func(m *memsim.Machine) harness.Algorithm { return baseline.NewYangAndersonTree(m) }},
-	}
 	ns := o.ns([]int{4, 16, 64, 256})
 	var cells []harness.Cell
 	for _, n := range ns {
-		for _, v := range variants {
+		for _, name := range []string{"t", "t0", "tree4", "yang-anderson-tree"} {
 			cells = append(cells, harness.Cell{
-				Experiment: "E4", Algorithm: v.name, Build: v.b,
+				Experiment: "E4", Algorithm: name, Build: builder(name),
 				Workload: harness.Workload{Model: memsim.CC, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
 			})
 		}
@@ -346,6 +335,11 @@ func E5Ranks(o Opts) harness.Table {
 	return t
 }
 
+// labeled is a table's label for a cell and the registry name of the
+// algorithm it runs: E6 and E7 keep their older labels ("test-and-set"
+// for tas, primitive-qualified names for the generic algorithms).
+type labeled struct{ label, alg string }
+
 // E6Baselines reproduces the Sec. 1 prior-work attributes across both
 // memory models.
 func E6Baselines(o Opts) harness.Table {
@@ -359,25 +353,20 @@ func E6Baselines(o Opts) harness.Table {
 	if o.Quick {
 		n = 8
 	}
+	// The baselines, then the generic algorithm in the same table, for
+	// the crossover.
 	var cells []harness.Cell
-	for _, b := range baseline.Builders() {
-		name := b(memsim.NewMachine(memsim.CC, 2)).Name()
+	for _, a := range []labeled{
+		{"test-and-set", "tas"}, {"ticket", "ticket"}, {"t-anderson", "t-anderson"},
+		{"graunke-thakkar", "graunke-thakkar"}, {"mcs", "mcs"}, {"mcs-swap-only", "mcs-swap-only"},
+		{"clh", "clh"}, {"g-dsm/fetch-and-store", "g-dsm/fas"},
+	} {
 		for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
 			cells = append(cells, harness.Cell{
-				Experiment: "E6", Algorithm: name, Build: b,
+				Experiment: "E6", Algorithm: a.label, Build: builder(a.alg),
 				Workload: harness.Workload{Model: model, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
 			})
 		}
-	}
-	// The generic algorithms in the same table, for the crossover.
-	for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
-		cells = append(cells, harness.Cell{
-			Experiment: "E6", Algorithm: "g-dsm/fetch-and-store",
-			Build: func(m *memsim.Machine) harness.Algorithm {
-				return core.NewGDSM(m, phi.FetchAndStore{})
-			},
-			Workload: harness.Workload{Model: model, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
-		})
 	}
 	for i, met := range o.sweep(cells) {
 		c := cells[i]
@@ -402,25 +391,10 @@ func E7Fairness(o Opts) harness.Table {
 	if o.Quick {
 		entries = []int{5, 20}
 	}
-	builders := map[string]harness.Builder{
-		"g-cc/fetch-and-increment": func(m *memsim.Machine) harness.Algorithm {
-			return core.NewGCC(m, phi.FetchAndIncrement{})
-		},
-		"g-dsm/fetch-and-store": func(m *memsim.Machine) harness.Algorithm {
-			return core.NewGDSM(m, phi.FetchAndStore{})
-		},
-		"t0": func(m *memsim.Machine) harness.Algorithm { return core.NewT0(m) },
-		"t/bounded-inc-dec": func(m *memsim.Machine) harness.Algorithm {
-			return core.NewT(m, phi.BoundedIncDec{})
-		},
-		"mcs":           func(m *memsim.Machine) harness.Algorithm { return baseline.NewMCSLock(m) },
-		"mcs-swap-only": func(m *memsim.Machine) harness.Algorithm { return baseline.NewMCSSwapOnlyLock(m) },
-		"ticket":        func(m *memsim.Machine) harness.Algorithm { return baseline.NewTicketLock(m) },
-		"test-and-set":  func(m *memsim.Machine) harness.Algorithm { return baseline.NewTASLock(m) },
-	}
-	names := []string{
-		"g-cc/fetch-and-increment", "g-dsm/fetch-and-store", "t0", "t/bounded-inc-dec",
-		"mcs", "mcs-swap-only", "ticket", "test-and-set",
+	algs := []labeled{
+		{"g-cc/fetch-and-increment", "g-cc"}, {"g-dsm/fetch-and-store", "g-dsm/fas"},
+		{"t0", "t0"}, {"t/bounded-inc-dec", "t"},
+		{"mcs", "mcs"}, {"mcs-swap-only", "mcs-swap-only"}, {"ticket", "ticket"}, {"test-and-set", "tas"},
 	}
 	// Cells per algorithm: 8 seeds at each entry count, then one
 	// adversarial run — a scheduler that starves process 0 whenever
@@ -428,18 +402,18 @@ func E7Fairness(o Opts) harness.Table {
 	// bypass at its structural bound; unfair locks let the rest of the
 	// system lap the victim for the whole run.
 	var cells []harness.Cell
-	for _, name := range names {
-		b := builders[name]
+	for _, a := range algs {
+		b := builder(a.alg)
 		for _, e := range entries {
 			for seed := int64(0); seed < 8; seed++ {
 				cells = append(cells, harness.Cell{
-					Experiment: "E7", Algorithm: name, Build: b,
+					Experiment: "E7", Algorithm: a.label, Build: b,
 					Workload: harness.Workload{Model: memsim.CC, N: n, Entries: e, CSOps: 1, Seed: o.Seed + seed},
 				})
 			}
 		}
 		cells = append(cells, harness.Cell{
-			Experiment: "E7", Algorithm: name + "/adversarial", Build: b,
+			Experiment: "E7", Algorithm: a.label + "/adversarial", Build: b,
 			Workload: harness.Workload{
 				Model: memsim.CC, N: n, Entries: entries[1], CSOps: 1,
 				// The cell's Seed is informational here (Sched wins);
@@ -451,8 +425,8 @@ func E7Fairness(o Opts) harness.Table {
 	}
 	mets := o.sweep(cells)
 	perAlg := len(entries)*8 + 1
-	for a, name := range names {
-		base := a * perAlg
+	for k, a := range algs {
+		base := k * perAlg
 		var bypass [2]int64
 		for i := range entries {
 			worst := int64(0)
@@ -464,7 +438,7 @@ func E7Fairness(o Opts) harness.Table {
 			bypass[i] = worst
 		}
 		adv := mets[base+perAlg-1]
-		t.AddRow(name, harness.Itoa(bypass[0]), harness.Itoa(bypass[1]), harness.Itoa(adv.MaxBypass))
+		t.AddRow(a.label, harness.Itoa(bypass[0]), harness.Itoa(bypass[1]), harness.Itoa(adv.MaxBypass))
 	}
 	return t
 }
@@ -521,24 +495,15 @@ func e8bTransformCost(o Opts) harness.Table {
 		Claim:   "G-DSM pays a constant factor over G-CC on CC machines; G-CC on DSM machines spins remotely",
 		Columns: []string{"N", "algorithm", "model", "mean RMR/entry", "non-local spins"},
 	}
-	gcc := func(m *memsim.Machine) harness.Algorithm { return core.NewGCC(m, phi.FetchAndIncrement{}) }
-	gdsm := func(m *memsim.Machine) harness.Algorithm { return core.NewGDSM(m, phi.FetchAndIncrement{}) }
 	var cells []harness.Cell
 	for _, n := range o.ns([]int{4, 16, 64}) {
-		for _, c := range []struct {
-			name  string
-			b     harness.Builder
-			model memsim.Model
-		}{
-			{"g-cc", gcc, memsim.CC},
-			{"g-dsm", gdsm, memsim.CC},
-			{"g-cc", gcc, memsim.DSM},
-			{"g-dsm", gdsm, memsim.DSM},
-		} {
-			cells = append(cells, harness.Cell{
-				Experiment: "E8b", Algorithm: c.name, Build: c.b,
-				Workload: harness.Workload{Model: c.model, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
-			})
+		for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
+			for _, name := range []string{"g-cc", "g-dsm"} {
+				cells = append(cells, harness.Cell{
+					Experiment: "E8b", Algorithm: name, Build: builder(name),
+					Workload: harness.Workload{Model: model, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
+				})
+			}
 		}
 	}
 	for i, met := range o.sweep(cells) {
@@ -592,18 +557,11 @@ func e8dExitHandshake(o Opts) harness.Table {
 		Claim:   "the handshake eliminates exit-section blocking at unchanged O(1) RMRs (paper, Sec. 3 remark)",
 		Columns: []string{"N", "variant", "mean RMR/entry", "worst RMR/entry", "await blocks (total)"},
 	}
-	variants := []struct {
-		name string
-		b    harness.Builder
-	}{
-		{"g-dsm", func(m *memsim.Machine) harness.Algorithm { return core.NewGDSM(m, phi.FetchAndIncrement{}) }},
-		{"g-dsm-nowait", func(m *memsim.Machine) harness.Algorithm { return core.NewGDSMNoExitWait(m, phi.FetchAndIncrement{}) }},
-	}
 	var cells []harness.Cell
 	for _, n := range o.ns([]int{4, 16, 64}) {
-		for _, v := range variants {
+		for _, name := range []string{"g-dsm", "g-dsm-nowait"} {
 			cells = append(cells, harness.Cell{
-				Experiment: "E8d", Algorithm: v.name, Build: v.b,
+				Experiment: "E8d", Algorithm: name, Build: builder(name),
 				Workload: harness.Workload{Model: memsim.DSM, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
 			})
 		}
@@ -635,19 +593,11 @@ func e8eCoherenceModel(o Opts) harness.Table {
 	if o.Quick {
 		n = 8
 	}
-	algs := []struct {
-		name string
-		b    harness.Builder
-	}{
-		{"g-cc", func(m *memsim.Machine) harness.Algorithm { return core.NewGCC(m, phi.FetchAndIncrement{}) }},
-		{"ticket", func(m *memsim.Machine) harness.Algorithm { return baseline.NewTicketLock(m) }},
-		{"mcs", func(m *memsim.Machine) harness.Algorithm { return baseline.NewMCSLock(m) }},
-	}
 	var cells []harness.Cell
-	for _, a := range algs {
+	for _, name := range []string{"g-cc", "ticket", "mcs"} {
 		for _, model := range []memsim.Model{memsim.CC, memsim.CCUpdate, memsim.DSM} {
 			cells = append(cells, harness.Cell{
-				Experiment: "E8e", Algorithm: a.name, Build: a.b,
+				Experiment: "E8e", Algorithm: name, Build: builder(name),
 				Workload: harness.Workload{Model: model, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
 			})
 		}
@@ -670,18 +620,11 @@ func e8fSpecialization(o Opts) harness.Table {
 		Claim:   "dropping the Position counters saves a constant per exit; the O(1) class is unchanged (paper, Sec. 5 remark)",
 		Columns: []string{"N", "variant", "mean RMR/entry", "worst RMR/entry"},
 	}
-	variants := []struct {
-		name string
-		b    harness.Builder
-	}{
-		{"g-cc", func(m *memsim.Machine) harness.Algorithm { return core.NewGCC(m, phi.FetchAndIncrement{}) }},
-		{"g-cc-specialized", func(m *memsim.Machine) harness.Algorithm { return core.NewGCCFetchInc(m) }},
-	}
 	var cells []harness.Cell
 	for _, n := range o.ns([]int{4, 16, 64}) {
-		for _, v := range variants {
+		for _, name := range []string{"g-cc", "g-cc-specialized"} {
 			cells = append(cells, harness.Cell{
-				Experiment: "E8f", Algorithm: v.name, Build: v.b,
+				Experiment: "E8f", Algorithm: name, Build: builder(name),
 				Workload: harness.Workload{Model: memsim.CC, N: n, Entries: o.entries(), CSOps: 1, Seed: o.Seed},
 			})
 		}

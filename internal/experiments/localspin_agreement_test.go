@@ -26,7 +26,8 @@ func TestStaticDynamicLocalityAgreement(t *testing.T) {
 	// fail both statically and dynamically.
 	mustBeNonlocal := map[string]bool{"t-anderson": true, "graunke-thakkar": true}
 
-	for name, build := range Algorithms() {
+	for _, name := range AlgorithmNames() {
+		build := builder(name)
 		algo := engine.Algorithm(typeKeyOf(t, build))
 		if algo == nil {
 			t.Errorf("%s: no static analysis for type %s", name, typeKeyOf(t, build))

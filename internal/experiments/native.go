@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"time"
 
 	"fetchphi/internal/harness"
 	"fetchphi/internal/obs"
@@ -21,11 +19,13 @@ func (o Opts) nativeIters() int {
 // E9Native measures wall-clock throughput of the native (real
 // goroutine) spin locks of the stress zoo (stress.Cases, the locks
 // cmd/lockstress drives) — the one experiment that is not a
-// deterministic simulation. Its cells are recorded with WallClock set
-// so the regression gate knows to skip them: ns/op on a shared CI box
-// is informative, not a stable invariant. Every case still
-// double-checks mutual exclusion by counting unprotected increments,
-// and panics on lost updates.
+// deterministic simulation. Each case runs through the stress harness
+// (stress.Run), which reads the clock for every acquisition, so ns/op
+// includes those reads. Its cells are recorded with WallClock set so
+// the regression gate knows to skip them: ns/op on a shared CI box is
+// informative, not a stable invariant. The harness double-checks
+// mutual exclusion by counting unprotected increments; a lost update
+// panics, naming the lock.
 func E9Native(o Opts) harness.Table {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {
@@ -42,39 +42,19 @@ func E9Native(o Opts) harness.Table {
 		Columns: []string{"lock", "workers", "total ops", "ns/op"},
 	}
 	for _, c := range stress.Cases() {
-		cs := c.Make(workers)
-		var counter int
-		body := func() { counter++ }
-		var wg sync.WaitGroup
-		//fetchphilint:ignore determinism E9 is the one wall-clock experiment; its cells are WallClock and gate-exempt
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < iters; i++ {
-					cs(w, body)
-				}
-			}()
+		res, err := stress.Run(c, stress.Config{Workers: workers, Iters: iters})
+		if err != nil {
+			panic(fmt.Sprintf("experiments: E9: %v", err))
 		}
-		wg.Wait()
-		//fetchphilint:ignore determinism E9 is the one wall-clock experiment; its cells are WallClock and gate-exempt
-		elapsed := time.Since(start)
-		total := workers * iters
-		if counter != total {
-			panic(fmt.Sprintf("experiments: E9 %s lost updates: %d != %d", c.Name, counter, total))
-		}
-		nsPerOp := float64(elapsed.Nanoseconds()) / float64(total)
-		t.AddRow(c.Name, harness.Itoa(int64(workers)), harness.Itoa(int64(total)),
-			harness.Ftoa(nsPerOp))
+		nsPerOp := float64(res.ElapsedNS) / float64(res.Ops)
+		t.AddRow(c.Name, harness.Itoa(int64(workers)), harness.Itoa(res.Ops), harness.Ftoa(nsPerOp))
 		if o.Record != nil {
 			o.Record(obs.Cell{
 				Experiment: "E9",
 				Algorithm:  c.Name,
 				Model:      "native",
 				N:          workers,
-				Entries:    total,
+				Entries:    int(res.Ops),
 				WallClock:  true,
 				NsPerOp:    nsPerOp,
 			})

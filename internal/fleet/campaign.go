@@ -58,23 +58,29 @@ func (c *Coordinator) campaign() ([]harness.ModelReport, *obs.ExploreArtifact, e
 		}
 	}
 
+	ran := false
 	for _, st := range states {
 		if st.done {
 			continue
 		}
+		ran = true
 		if err := c.runModel(st, states); err != nil {
 			return nil, nil, err
 		}
 	}
 
+	// The last model's afterWave already wrote the finished campaign;
+	// only one restored already complete has yet to be written.
 	art := c.exploreArtifact(states)
-	if c.opts.CheckpointPath != "" {
-		if err := art.WriteFile(c.opts.CheckpointPath); err != nil {
+	if !ran {
+		if c.opts.CheckpointPath != "" {
+			if err := art.WriteFile(c.opts.CheckpointPath); err != nil {
+				return nil, nil, err
+			}
+		}
+		if err := c.writeCapacity(true); err != nil {
 			return nil, nil, err
 		}
-	}
-	if err := c.writeCapacity(true); err != nil {
-		return nil, nil, err
 	}
 	reports := make([]harness.ModelReport, len(states))
 	var checkErr error
@@ -125,14 +131,19 @@ func (c *Coordinator) runModel(st *modelState, all []*modelState) error {
 }
 
 // afterWave persists the checkpoint and capacity artifacts and fires
-// the AfterWave hook.
+// the AfterWave hook. Once every model is done they are the finished
+// campaign's, and the capacity artifact says it is complete.
 func (c *Coordinator) afterWave(st *modelState, all []*modelState) error {
 	if c.opts.CheckpointPath != "" {
 		if err := c.exploreArtifact(all).WriteFile(c.opts.CheckpointPath); err != nil {
 			return err
 		}
 	}
-	if err := c.writeCapacity(false); err != nil {
+	complete := true
+	for _, s := range all {
+		complete = complete && s.done
+	}
+	if err := c.writeCapacity(complete); err != nil {
 		return err
 	}
 	if c.opts.AfterWave != nil {

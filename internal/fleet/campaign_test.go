@@ -11,10 +11,12 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/obs"
+	"fetchphi/internal/telemetry"
 )
 
 // TestCampaignRejectsCorruptCheckpoint: a checkpoint whose config
@@ -206,4 +208,77 @@ func rawModels(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return art.Models
+}
+
+// TestFinishedCampaignWrittenOnce: the checkpoint and capacity
+// artifact written after the last model's final wave are the finished
+// campaign's, and nothing rewrites them (under a step clock a second
+// capacity write would move elapsed_ms); earlier writes are marked
+// incomplete. A campaign restored already complete runs no wave, so it
+// writes both once at the end, the checkpoint unchanged.
+func TestFinishedCampaignWrittenOnce(t *testing.T) {
+	dir := t.TempDir()
+	ckPath, capPath := filepath.Join(dir, "ck.json"), filepath.Join(dir, "cap.json")
+	read := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	complete := func(capacity []byte) bool {
+		t.Helper()
+		var art obs.CapacityArtifact
+		if err := json.Unmarshal(capacity, &art); err != nil {
+			t.Fatal(err)
+		}
+		return art.Complete
+	}
+	var lastCk, lastCap []byte
+	waves, incomplete := 0, 0
+	opts := func(afterWave func(memsim.Model, int) error) CoordinatorOptions {
+		return CoordinatorOptions{
+			LeaseSize: 5, CheckpointPath: ckPath, CapacityPath: capPath, CreatedBy: "once",
+			Metrics:   telemetry.New(newStepClock(time.Millisecond).Now),
+			AfterWave: afterWave,
+		}
+	}
+	coord := NewCoordinator(testConfig(), opts(func(memsim.Model, int) error {
+		if lastCap != nil && !complete(lastCap) {
+			incomplete++
+		}
+		waves++
+		lastCk, lastCap = read(ckPath), read(capPath)
+		return nil
+	}))
+	if _, err := CheckWith(coord, newTASLock, CheckOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if incomplete != waves-1 {
+		t.Errorf("%d of the %d writes before the last were marked complete", waves-1-incomplete, waves-1)
+	}
+	if !complete(lastCap) {
+		t.Error("the capacity artifact written after the last wave is not complete")
+	}
+	if !bytes.Equal(read(ckPath), lastCk) || !bytes.Equal(read(capPath), lastCap) {
+		t.Error("the finished campaign was written again after its last wave")
+	}
+
+	if err := os.Remove(capPath); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewCoordinator(testConfig(), opts(func(memsim.Model, int) error {
+		t.Error("a campaign restored complete ran a wave")
+		return nil
+	}))
+	if _, err := CheckWith(restored, newTASLock, CheckOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(read(ckPath), lastCk) {
+		t.Error("a campaign restored complete rewrote its checkpoint differently")
+	}
+	if !complete(read(capPath)) {
+		t.Error("a campaign restored complete wrote no complete capacity artifact")
+	}
 }

@@ -13,8 +13,9 @@ import (
 )
 
 // TestLabelsGolden pins every variable label of every registered
-// algorithm, then of every abortable one run abort-free, on CC and
-// DSM: three processes, two entries each, under NewRandom(1). Labels name the hotspots the experiments report and the
+// algorithm (abortable ones run abort-free), on CC and DSM: three
+// processes, two entries each, under NewRandom(1). Labels name the
+// hotspots the experiments report and the
 // variables in trace events and failure messages, so however variables
 // are stored or their names assembled, each must come out
 // byte-identical. Regenerate with
@@ -32,8 +33,8 @@ func TestLabelsGolden(t *testing.T) {
 }
 
 // TestVarCountsGolden guards what a run costs in shared variables:
-// every registered algorithm, then every abortable one run abort-free,
-// on CC and DSM at N = 16 and 64, two entries each under NewRandom(1).
+// every registered algorithm (abortable ones run abort-free), on CC
+// and DSM at N = 16 and 64, two entries each under NewRandom(1).
 // It fails if any algorithm allocates more variables than the golden
 // records; a count that falls is logged, and
 // `go test ./internal/memsim -run TestVarCountsGolden -update` records
@@ -84,20 +85,20 @@ func TestVarCountsGolden(t *testing.T) {
 	}
 }
 
-// eachRegistered runs every registered algorithm, then every abortable
-// one abort-free, on CC and DSM with n processes, two entries each,
-// under NewRandom(1), and hands each machine to visit after its run.
+// eachRegistered runs every registered algorithm, abort-free, in name
+// order on CC and DSM with n processes, two entries each, under
+// NewRandom(1), and hands each machine to visit after its run.
 func eachRegistered(t *testing.T, n int, visit func(name string, model memsim.Model, m *memsim.Machine)) {
 	t.Helper()
 	const entries = 2
-	algs := experiments.Algorithms()
-	for name, b := range experiments.AbortableAlgorithms() {
-		algs[name] = b
-	}
-	for _, name := range append(experiments.AlgorithmNames(), experiments.AbortableAlgorithmNames()...) {
+	for _, name := range experiments.AlgorithmNames() {
+		build, err := experiments.Algorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
 			m := memsim.NewMachine(model, n)
-			alg := algs[name](m)
+			alg := build(m)
 			for i := 0; i < n; i++ {
 				m.AddProc(fmt.Sprintf("p%d", i), func(p *memsim.Proc) {
 					for e := 0; e < entries; e++ {

@@ -233,6 +233,14 @@ func diff(got, want observed) string {
 	return ""
 }
 
+// abortable reports whether b builds a harness.AbortableAlgorithm.
+func abortable(b harness.Builder) bool {
+	m := memsim.NewMachine(memsim.CC, 2)
+	defer m.Release()
+	_, ok := b(m).(harness.AbortableAlgorithm)
+	return ok
+}
+
 // registryCase is one run of TestRecycledRegistryMatchesFresh: a
 // registered algorithm on a model and size, and for an abortable one
 // an abort schedule.
@@ -275,8 +283,8 @@ func (c registryCase) run(t *testing.T) registryRun {
 	return registryRun{met: met, events: len(log.lines), digest: h.Sum64()}
 }
 
-// TestRecycledRegistryMatchesFresh runs every registered algorithm and
-// every abortable one (under an abort schedule that withdraws each
+// TestRecycledRegistryMatchesFresh runs every registered algorithm
+// (an abortable one under an abort schedule that withdraws each
 // process's first passage), on CC and DSM at N=2, 3 and 70, first each
 // on a never-recycled machine, then through harness.Run on recycled
 // ones, the list forward and then backward: so algorithm objects,
@@ -285,25 +293,22 @@ func (c registryCase) run(t *testing.T) registryRun {
 // the fresh one did: its metrics and its labelled event stream.
 func TestRecycledRegistryMatchesFresh(t *testing.T) {
 	var cases []registryCase
-	add := func(names []string, lookup func(string) (harness.Builder, error), abort bool) {
-		for _, name := range names {
-			b, err := lookup(name)
-			if err != nil {
-				t.Fatal(err)
+	for _, name := range experiments.AlgorithmNames() {
+		b, err := experiments.Algorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abort := abortable(b)
+		for _, n := range []int{2, 3, 70} {
+			var aborts []memsim.AbortPoint
+			for p := 0; abort && p < n; p++ {
+				aborts = append(aborts, memsim.AbortPoint{Proc: p, Passage: 0, Event: 1})
 			}
-			for _, n := range []int{2, 3, 70} {
-				var aborts []memsim.AbortPoint
-				for p := 0; abort && p < n; p++ {
-					aborts = append(aborts, memsim.AbortPoint{Proc: p, Passage: 0, Event: 1})
-				}
-				for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
-					cases = append(cases, registryCase{name: name, build: b, model: model, n: n, aborts: aborts})
-				}
+			for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
+				cases = append(cases, registryCase{name: name, build: b, model: model, n: n, aborts: aborts})
 			}
 		}
 	}
-	add(experiments.AlgorithmNames(), experiments.Algorithm, false)
-	add(experiments.AbortableAlgorithmNames(), experiments.AbortableAlgorithm, true)
 
 	want := make([]registryRun, len(cases))
 	for i, c := range cases {
