@@ -118,12 +118,17 @@ func BenchmarkE5_Ranks(b *testing.B) {
 	}
 }
 
-// BenchmarkE6_Baselines — the Sec. 1 baseline attributes.
+// BenchmarkE6_Baselines — the Sec. 1 baseline attributes, labeled as
+// E6's table labels them ("test-and-set" runs the registry's tas).
 func BenchmarkE6_Baselines(b *testing.B) {
-	for _, name := range []string{"tas", "ticket", "t-anderson", "graunke-thakkar", "mcs", "mcs-swap-only", "clh"} {
+	for _, v := range []struct{ label, alg string }{
+		{"test-and-set", "tas"}, {"ticket", "ticket"}, {"t-anderson", "t-anderson"},
+		{"graunke-thakkar", "graunke-thakkar"}, {"mcs", "mcs"}, {"mcs-swap-only", "mcs-swap-only"},
+		{"clh", "clh"},
+	} {
 		for _, model := range []memsim.Model{memsim.CC, memsim.DSM} {
-			b.Run(name+"/"+model.String(), func(b *testing.B) {
-				benchWorkload(b, registered(b, name), model, 16)
+			b.Run(v.label+"/"+model.String(), func(b *testing.B) {
+				benchWorkload(b, registered(b, v.alg), model, 16)
 			})
 		}
 	}

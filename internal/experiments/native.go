@@ -20,8 +20,10 @@ func (o Opts) nativeIters() int {
 // goroutine) spin locks of the stress zoo (stress.Cases, the locks
 // cmd/lockstress drives) — the one experiment that is not a
 // deterministic simulation. Each case runs through the stress harness
-// (stress.Run), which reads the clock for every acquisition, so ns/op
-// includes those reads. Its cells are recorded with WallClock set so
+// (stress.Run), so ns/op includes the harness's per-acquisition work:
+// two clock reads and an atomic ordinal claim inside the critical
+// section, which lengthen it, and a clock read and three histogram
+// observations outside it. Its cells are recorded with WallClock set so
 // the regression gate knows to skip them: ns/op on a shared CI box is
 // informative, not a stable invariant. The harness double-checks
 // mutual exclusion by counting unprotected increments; a lost update

@@ -50,8 +50,8 @@ func (s *scanCheck) verify(t *testing.T, what string, err error) {
 
 // TestRunnableSetMatchesScan checks the engine's maintained runnable
 // set against a full status scan at every step, for every registered
-// algorithm (abortable ones run abort-free) on both paper models, with the set inside one 64-bit word
-// (N=2) and spanning two (N=65).
+// algorithm (abortable ones run abort-free) on both paper models, with
+// the set inside one 64-bit word (N=2) and spanning two (N=65).
 func TestRunnableSetMatchesScan(t *testing.T) {
 	for _, name := range experiments.AlgorithmNames() {
 		b, err := experiments.Algorithm(name)
@@ -73,10 +73,12 @@ func TestRunnableSetMatchesScan(t *testing.T) {
 // TestRunnableSetMatchesScanAbortable runs the same check on every
 // registered abortable algorithm while every process withdraws its
 // first passage and re-requests, so processes leave awaits through
-// aborts too. At N=2 a lock may finish a passage before its abort
-// point (token-abortable does), so only the N=65 runs, where most
-// processes wait, must withdraw.
+// aborts too. Every run must withdraw a passage, so the aborts really
+// exercise the set, except token-abortable's at N=2: both of its
+// processes finish passage 0 before their abort point there (0
+// withdrawals, against 63 at N=65).
 func TestRunnableSetMatchesScanAbortable(t *testing.T) {
+	finishesFirst := map[string]int{"token-abortable": 2}
 	ran := 0
 	for _, name := range experiments.AlgorithmNames() {
 		ab, err := experiments.Algorithm(name)
@@ -101,7 +103,7 @@ func TestRunnableSetMatchesScanAbortable(t *testing.T) {
 					RetryDelay: 2,
 				})
 				chk.verify(t, fmt.Sprintf("%s/%v/N=%d", name, model, n), err)
-				if n == 65 && met.Aborts == 0 {
+				if met.Aborts == 0 && finishesFirst[name] != n {
 					t.Fatalf("%s/%v/N=%d: no passage was withdrawn", name, model, n)
 				}
 			}
